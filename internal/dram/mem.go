@@ -71,7 +71,7 @@ type rankState struct {
 // horizons returns the bank's cached earliest-issue horizons, recomputing
 // them from the authoritative per-bank/bank-group/rank state when any
 // command has issued to the rank since the last computation.
-func (rk *rankState) horizons(t Timing, bgIdx, flat int) *bankState {
+func (rk *rankState) horizons(t *Timing, bgIdx, flat int) *bankState {
 	b := &rk.banks[flat]
 	if b.hzStamp == rk.stamp {
 		return b
@@ -115,7 +115,7 @@ type chanState struct {
 // extCol returns the earliest cycle the channel bus admits an external
 // column command of the given kind to the given rank (the channelColOK
 // constraints folded into a single horizon).
-func (ch *chanState) extCol(cmd Command, rank int, t Timing) int64 {
+func (ch *chanState) extCol(cmd Command, rank int, t *Timing) int64 {
 	if ch.extStamp != ch.colStamp {
 		busy := ch.dataBusyUntil
 		if !ch.lastColValid {
@@ -351,7 +351,7 @@ func (m *Mem) RowStamp(channel, rank int) int64 {
 // Channel-bus constraints for external columns are separate
 // (ExtColReady).
 func (m *Mem) BankSched(channel, rank, bankGroup, flat int) (row int, open bool, readyACT, readyPRE, readyRD, readyWR int64) {
-	b := m.channels[channel].ranks[rank].horizons(m.T, bankGroup, flat)
+	b := m.channels[channel].ranks[rank].horizons(&m.T, bankGroup, flat)
 	return b.row, b.open, b.readyACT, b.readyPRE, b.readyRD, b.readyWR
 }
 
@@ -362,11 +362,11 @@ func (m *Mem) BankSched(channel, rank, bankGroup, flat int) (row int, open bool,
 // rank-side bound from NextIssue(cmd, a, now, true) it reconstructs the
 // full external column horizon.
 func (m *Mem) ExtColReady(channel int, cmd Command, rank int) int64 {
-	return m.channels[channel].extCol(cmd, rank, m.T)
+	return m.channels[channel].extCol(cmd, rank, &m.T)
 }
 
 // fawReady returns the earliest cycle an ACT may issue under tFAW.
-func (r *rankState) fawReady(t Timing) int64 {
+func (r *rankState) fawReady(t *Timing) int64 {
 	// The ring holds the last 4 ACT times; the next slot is the oldest.
 	return r.faw[r.fawIdx] + int64(t.FAW)
 }
@@ -389,19 +389,19 @@ func (m *Mem) CanIssue(cmd Command, a Addr, now int64, internal bool) bool {
 		if rk.banks[flat].open {
 			return false
 		}
-		return now >= rk.horizons(m.T, a.BankGroup, flat).readyACT
+		return now >= rk.horizons(&m.T, a.BankGroup, flat).readyACT
 
 	case CmdPRE:
 		if !rk.banks[flat].open {
 			return false
 		}
-		return now >= rk.horizons(m.T, a.BankGroup, flat).readyPRE
+		return now >= rk.horizons(&m.T, a.BankGroup, flat).readyPRE
 
 	case CmdRD, CmdWR:
 		if b := &rk.banks[flat]; !b.open || b.row != a.Row {
 			return false
 		}
-		hz := rk.horizons(m.T, a.BankGroup, flat)
+		hz := rk.horizons(&m.T, a.BankGroup, flat)
 		if cmd == CmdRD {
 			if now < hz.readyRD {
 				return false
@@ -412,7 +412,7 @@ func (m *Mem) CanIssue(cmd Command, a Addr, now int64, internal bool) bool {
 		if internal {
 			return true
 		}
-		return now >= ch.extCol(cmd, a.Rank, m.T)
+		return now >= ch.extCol(cmd, a.Rank, &m.T)
 
 	case CmdREF:
 		if now < rk.refreshUntil {
@@ -449,7 +449,7 @@ func (m *Mem) canIssueRef(cmd Command, a Addr, now int64, internal bool) bool {
 		if now < b.nextACT || now < bg.nextACT || now < rk.nextACT {
 			return false
 		}
-		return now >= rk.fawReady(m.T)
+		return now >= rk.fawReady(&m.T)
 
 	case CmdPRE:
 		if !b.open {
@@ -490,7 +490,7 @@ func (m *Mem) canIssueRef(cmd Command, a Addr, now int64, internal bool) bool {
 // channelColOK checks external data-bus constraints: burst overlap on the
 // shared bus, tRTRS rank switches, and read/write bus turnaround.
 func (m *Mem) channelColOK(ch *chanState, cmd Command, a Addr, now int64) bool {
-	t := m.T
+	t := &m.T
 	var start int64
 	if cmd == CmdRD {
 		start = now + int64(t.CL)
@@ -550,25 +550,25 @@ func (m *Mem) NextIssue(cmd Command, a Addr, now int64, internal bool) int64 {
 		if b.open {
 			return now
 		}
-		return max(now, rk.horizons(m.T, a.BankGroup, flat).readyACT)
+		return max(now, rk.horizons(&m.T, a.BankGroup, flat).readyACT)
 
 	case CmdPRE:
 		if !b.open {
 			return now
 		}
-		return max(now, rk.horizons(m.T, a.BankGroup, flat).readyPRE)
+		return max(now, rk.horizons(&m.T, a.BankGroup, flat).readyPRE)
 
 	case CmdRD, CmdWR:
 		if !b.open || b.row != a.Row {
 			return now
 		}
-		hz := rk.horizons(m.T, a.BankGroup, flat)
+		hz := rk.horizons(&m.T, a.BankGroup, flat)
 		ready := hz.readyRD
 		if cmd == CmdWR {
 			ready = hz.readyWR
 		}
 		if !internal {
-			ready = max(ready, ch.extCol(cmd, a.Rank, m.T))
+			ready = max(ready, ch.extCol(cmd, a.Rank, &m.T))
 		}
 		return max(now, ready)
 
@@ -589,7 +589,7 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 	if !m.CanIssue(cmd, a, now, internal) {
 		panic(fmt.Sprintf("dram: illegal %v to %+v at cycle %d (internal=%v)", cmd, a, now, internal))
 	}
-	t := m.T
+	t := &m.T
 	ch := &m.channels[a.Channel]
 	rk := &ch.ranks[a.Rank]
 	b := &rk.banks[a.GlobalBank(m.Geom)]

@@ -2,11 +2,11 @@ package nda
 
 import (
 	"fmt"
-	"math/rand"
 
 	"chopim/internal/dram"
 	"chopim/internal/mc"
 	"chopim/internal/ring"
+	"chopim/internal/workload/rng"
 )
 
 // Policy selects the NDA write-throttling mechanism (Section III-B).
@@ -83,11 +83,12 @@ type rankFSM struct {
 	wb       ring.Ring[wbEntry] // pending result blocks (FIFO, allocation-free once warmed)
 	draining bool
 	readsRun int // reads completed toward the current batch
-	rng      *rand.Rand
-	rngSrc   *countedSource // rng's source, counted for snapshot replay
-	rngSeed  int64
 
 	stats RankStats
+
+	// coin is the Stochastic policy's draw source, counted for snapshot
+	// replay; nil under the other policies, which never draw.
+	coin *rng.Source
 }
 
 // snapshot summarizes observable FSM state for replica comparison.
@@ -102,9 +103,10 @@ func (f *rankFSM) snapshot() string {
 type RankNDA struct {
 	Channel, Rank int
 
-	cfg  Config
-	mem  *dram.Mem
-	host *mc.Controller
+	cfg      Config
+	stochCut rng.Cut // rng.CutOf(cfg.StochasticProb)
+	mem      *dram.Mem
+	host     *mc.Controller
 
 	fsm     rankFSM
 	replica *rankFSM
@@ -178,14 +180,18 @@ func NewEngine(cfg Config, mem *dram.Mem, hosts []*mc.Controller) *Engine {
 		var row []*RankNDA
 		for r := 0; r < mem.Geom.Ranks; r++ {
 			seed := cfg.Seed + int64(ch*64+r)
-			src := newCountedSource(seed)
+			coin := func() *rng.Source {
+				if cfg.Policy != Stochastic {
+					return nil
+				}
+				return rng.New(seed)
+			}
 			n := &RankNDA{
-				Channel: ch, Rank: r, cfg: cfg, mem: mem, host: hosts[ch],
-				fsm: rankFSM{rng: rand.New(src), rngSrc: src, rngSeed: seed},
+				Channel: ch, Rank: r, cfg: cfg, stochCut: rng.CutOf(cfg.StochasticProb),
+				mem: mem, host: hosts[ch], fsm: rankFSM{coin: coin()},
 			}
 			if cfg.VerifyFSM {
-				rsrc := newCountedSource(seed)
-				n.replica = &rankFSM{rng: rand.New(rsrc), rngSrc: rsrc, rngSeed: seed}
+				n.replica = &rankFSM{coin: coin()}
 			}
 			row = append(row, n)
 		}
@@ -614,7 +620,7 @@ func (n *RankNDA) tryWrite(f *rankFSM, now int64, apply bool) {
 	// Policy throttling applies to writes only.
 	switch n.cfg.Policy {
 	case Stochastic:
-		if f.rng.Float64() >= n.cfg.StochasticProb {
+		if !f.coin.Below(n.stochCut) {
 			f.stats.StallsPolicy++
 			return
 		}

@@ -3,50 +3,9 @@ package nda
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"chopim/internal/dram"
 )
-
-// countedSource wraps math/rand's generator and counts state advances so
-// a snapshot can record the stream position and a restore can replay to
-// it. Int63 and Uint64 each advance the underlying generator exactly
-// once (Int63 is the masked Uint64, matching math/rand's own source), so
-// the emitted stream is identical to an uncounted source with the same
-// seed.
-type countedSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func newCountedSource(seed int64) *countedSource {
-	return &countedSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (c *countedSource) Int63() int64 {
-	c.draws++
-	return int64(c.src.Uint64() &^ (1 << 63))
-}
-
-func (c *countedSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countedSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.draws = 0
-}
-
-// replayTo reseeds and burns draws advances, leaving the source in the
-// exact state a live run reached after that many draws.
-func (c *countedSource) replayTo(seed int64, draws uint64) {
-	c.src.Seed(seed)
-	for i := uint64(0); i < draws; i++ {
-		c.src.Uint64()
-	}
-	c.draws = draws
-}
 
 // opState records one in-flight op as (blueprint tag, progress). The
 // iterators themselves are never serialized: they are pure deterministic
@@ -102,7 +61,9 @@ func (e *Engine) Snapshot(encodeTag func(tag any) any) (*EngineState, error) {
 			f := &n.fsm
 			fs := &st.ranks[ch][ri]
 			fs.draining, fs.readsRun = f.draining, f.readsRun
-			fs.rngDraws = f.rngSrc.draws
+			if f.coin != nil {
+				fs.rngDraws = f.coin.Draws()
+			}
 			fs.stats = f.stats
 			ownerIdx := make(map[*Op]int, len(f.ops))
 			for i, op := range f.ops {
@@ -180,7 +141,9 @@ func (e *Engine) Restore(st *EngineState, buildOp func(tag any) *Op) {
 				f.wb.Push(wbEntry{addr: ws.addr, owner: f.ops[ws.owner]})
 			}
 			f.draining, f.readsRun = fs.draining, fs.readsRun
-			f.rngSrc.replayTo(f.rngSeed, fs.rngDraws)
+			if f.coin != nil {
+				f.coin.ReplayTo(fs.rngDraws)
+			}
 			f.stats = fs.stats
 			n.sleepStale = true
 		}

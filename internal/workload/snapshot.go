@@ -12,7 +12,7 @@ type GenState struct {
 
 // Snapshot captures the generator's mutable state.
 func (g *Generator) Snapshot() *GenState {
-	return &GenState{draws: g.src.draws, streams: append([]uint64(nil), g.streams...)}
+	return &GenState{draws: g.src.Draws(), streams: append([]uint64(nil), g.streams...)}
 }
 
 // Restore rewinds (or fast-forwards) the generator to the snapshotted
@@ -23,6 +23,6 @@ func (g *Generator) Restore(st *GenState) {
 	if len(st.streams) != len(g.streams) {
 		panic("workload: restore onto a generator with different stream count")
 	}
-	g.src.replayTo(g.seed, st.draws)
+	g.src.ReplayTo(st.draws)
 	copy(g.streams, st.streams)
 }

@@ -10,9 +10,9 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"chopim/internal/cpu"
+	"chopim/internal/workload/rng"
 )
 
 // Class is the paper's memory-intensity label.
@@ -97,56 +97,18 @@ var Mixes = [][]string{
 // MixName formats the canonical mix label.
 func MixName(i int) string { return fmt.Sprintf("mix%d", i) }
 
-// countedSource wraps a math/rand source and counts state advances, so
-// a generator's RNG position can be snapshotted as a draw count and
-// restored by replay. Both Int63 and Uint64 advance the underlying
-// generator exactly once (Int63 is the masked Uint64), so replaying n
-// Uint64 calls reproduces the state after any mix of n draws.
-type countedSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func newCountedSource(seed int64) *countedSource {
-	return &countedSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (c *countedSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countedSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countedSource) Seed(seed int64) {
-	c.draws = 0
-	c.src.Seed(seed)
-}
-
-// replayTo reseeds and advances the source to an exact draw count.
-func (c *countedSource) replayTo(seed int64, draws uint64) {
-	c.src.Seed(seed)
-	for i := uint64(0); i < draws; i++ {
-		c.src.Uint64()
-	}
-	c.draws = draws
-}
-
 // Generator produces the synthetic instruction stream for one benchmark
 // instance. It implements cpu.TraceSource deterministically from a seed.
 type Generator struct {
 	prof Profile
-	rng  *rand.Rand
-	src  *countedSource
-	seed int64
-	dep  float64
 
 	base    uint64 // physical base of this instance's region
 	size    uint64
 	streams []uint64
+
+	// Next's draw thresholds, precomputed from the profile fractions:
+	// src.Below(cut) decides exactly as math/rand's Float64() < p.
+	serCut, memCut, streamCut, writeCut rng.Cut
 
 	// Integer-comparison thresholds for NextFunctional's bit-packed
 	// draws, precomputed from the profile fractions.
@@ -154,6 +116,8 @@ type Generator struct {
 	memThresh32    uint32
 	streamThresh16 uint16
 	writeThresh16  uint16
+
+	src rng.Source // last, so its 8 KiB ring does not separate the fields above from its draw counter
 }
 
 // NewGenerator builds a trace source over the physical region
@@ -163,10 +127,11 @@ func NewGenerator(prof Profile, base, size uint64, seed int64) *Generator {
 	if size == 0 {
 		panic("workload: zero-sized region")
 	}
-	src := newCountedSource(seed)
-	g := &Generator{prof: prof, rng: rand.New(src), src: src, seed: seed, dep: depFrac, base: base, size: size}
+	g := &Generator{prof: prof, base: base, size: size}
+	g.src.Reset(seed)
+	dep := depFrac
 	if prof.DepFrac > 0 {
-		g.dep = prof.DepFrac
+		dep = prof.DepFrac
 	}
 	if g.prof.Footprint > size {
 		g.prof.Footprint = size
@@ -176,9 +141,13 @@ func NewGenerator(prof Profile, base, size uint64, seed int64) *Generator {
 		n = 1
 	}
 	for i := 0; i < n; i++ {
-		g.streams = append(g.streams, g.rng.Uint64()%g.prof.Footprint)
+		g.streams = append(g.streams, g.src.Uint64()%g.prof.Footprint)
 	}
-	g.serThresh32 = thresh32(g.dep)
+	g.serCut = rng.CutOf(dep)
+	g.memCut = rng.CutOf(g.prof.MemRatio)
+	g.streamCut = rng.CutOf(g.prof.StreamFrac)
+	g.writeCut = rng.CutOf(g.prof.WriteFrac)
+	g.serThresh32 = thresh32(dep)
 	g.memThresh32 = thresh32(g.prof.MemRatio)
 	g.streamThresh16 = thresh16(g.prof.StreamFrac)
 	g.writeThresh16 = thresh16(g.prof.WriteFrac)
@@ -192,21 +161,21 @@ const depFrac = 0.35
 
 // Next implements cpu.TraceSource.
 func (g *Generator) Next() cpu.Instr {
-	ser := g.rng.Float64() < g.dep
-	if g.rng.Float64() >= g.prof.MemRatio {
+	ser := g.src.Below(g.serCut)
+	if !g.src.Below(g.memCut) {
 		return cpu.Instr{Serialize: ser}
 	}
 	var off uint64
-	if g.rng.Float64() < g.prof.StreamFrac {
-		i := g.rng.Intn(len(g.streams))
+	if g.src.Below(g.streamCut) {
+		i := g.src.Intn(len(g.streams))
 		g.streams[i] = (g.streams[i] + 8) % g.prof.Footprint
 		off = g.streams[i]
 	} else {
-		off = g.rng.Uint64() % g.prof.Footprint
+		off = g.src.Uint64() % g.prof.Footprint
 	}
 	return cpu.Instr{
 		Mem:       true,
-		Write:     g.rng.Float64() < g.prof.WriteFrac,
+		Write:     g.src.Below(g.writeCut),
 		Serialize: ser,
 		Addr:      g.base + off&^7,
 	}
@@ -223,12 +192,12 @@ func (g *Generator) Next() cpu.Instr {
 // Stream state advances identically, keeping the spatial-locality
 // structure the warm path exists to reproduce.
 func (g *Generator) NextFunctional() cpu.Instr {
-	u := g.rng.Uint64()
+	u := g.src.Uint64()
 	ser := uint32(u) < g.serThresh32
 	if uint32(u>>32) >= g.memThresh32 {
 		return cpu.Instr{Serialize: ser}
 	}
-	v := g.rng.Uint64()
+	v := g.src.Uint64()
 	var off uint64
 	if uint16(v>>16) < g.streamThresh16 {
 		i := int((v >> 32) % uint64(len(g.streams)))

@@ -3,6 +3,8 @@ package workload
 import (
 	"testing"
 	"testing/quick"
+
+	"chopim/internal/cpu"
 )
 
 func TestMixesMatchTableII(t *testing.T) {
@@ -125,4 +127,18 @@ func TestZeroRegionPanics(t *testing.T) {
 		}
 	}()
 	NewGenerator(Profiles["milc"], 0, 0, 1)
+}
+
+func BenchmarkGeneratorNext(b *testing.B) {
+	for _, p := range []Profile{ComputeHeavy(), Profiles["mcf_r"]} {
+		b.Run(p.Name, func(b *testing.B) {
+			g := NewGenerator(p, 0, 1<<30, 1)
+			b.ReportAllocs()
+			var sink cpu.Instr
+			for i := 0; i < b.N; i++ {
+				sink = g.Next()
+			}
+			_ = sink
+		})
+	}
 }
