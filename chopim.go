@@ -10,12 +10,11 @@
 // figure of the paper's evaluation. Implementation subsystems live under
 // internal/; see DESIGN.md for the full inventory.
 //
-// The simulator is organized as channel-sharded execution domains:
-// each DRAM channel's controller, device timing state, and rank NDAs
-// form one domain, and the fast path (RunFast) can tick due domains on
-// concurrent worker goroutines (Config.SimWorkers; DESIGN.md §2.5).
-// Results are bit-identical for every worker count; call System.Close
-// to release the workers of a parallel system when done.
+// The simulator is organized as channel domains: each DRAM channel's
+// controller, device timing state, and rank NDAs form one domain, whose
+// cross-channel completions are mailboxed and applied in a canonical
+// order (DESIGN.md §2.5). Each simulation runs on one goroutine; the
+// experiment harness parallelizes across independent figure points.
 //
 // Quickstart:
 //

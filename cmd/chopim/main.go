@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	chopim [-quick] [-warm N] [-measure N] [-parallel N] [-sim-workers N]
-//	       [-profile-domains] [-cache-dir D] [-checkpoint D [-resume]]
+//	chopim [-quick] [-warm N] [-measure N] [-parallel N] [-profile-domains]
+//	       [-cache-dir D] [-checkpoint D [-resume]]
 //	       [-checkpoint-every N] [-on-interrupt=checkpoint|drain|abort]
 //	       [-check-invariants] [-deadline D] [-point-retries N] [-fail-fast]
 //	       [-cpuprofile F] [-memprofile F] <experiment>
@@ -23,22 +23,15 @@
 // either flag reports cache hits/misses and resumed points at exit.
 //
 // -parallel N shards each figure's independent simulation points across
-// N workers (-1 = all CPUs). -sim-workers N additionally parallelizes
-// *within* each simulation point: every executed tick fans its
-// per-channel memory phase AND the core-local part of every CPU
-// sub-cycle of the front-end across N goroutines (see DESIGN.md §2.5
-// and §2.10). Tables are identical for every setting of both flags;
-// they compose, but multiplying them oversubscribes small machines, so
-// raise one at a time.
+// N workers (-1 = all CPUs). It is the only parallelism: each
+// simulation runs on one goroutine (DESIGN.md §2.10 records why).
+// Tables are identical for every setting.
 //
 // -profile-domains records each executed tick's per-channel memory-phase
 // span and front-end span (cheap counters inside the simulator;
-// sim.Config.ProfileDomains), splitting every CPU sub-cycle into its
-// core-local part and its serial shared-commit part, and prints the
-// aggregated power-of-two histograms after the experiment — the quick
-// way to see whether a workload is bounded by one hot channel, by the
-// sub-cycle commit loop, or by neither before reaching for
-// -sim-workers.
+// sim.Config.ProfileDomains) and prints the aggregated power-of-two
+// histograms after the experiment — the quick way to see whether a
+// workload is bounded by one hot channel or by the front end.
 //
 // Robustness flags: -check-invariants arms the simulator's cross-layer
 // conservation checker on every point (results are bit-identical with
@@ -104,7 +97,6 @@ func run() (code int) {
 	warm := flag.Int64("warm", 0, "warm-up cycles (0 = default)")
 	measure := flag.Int64("measure", 0, "measurement cycles (0 = default)")
 	parallel := flag.Int("parallel", -1, "workers for independent simulation points (-1 = all CPUs, 1 = serial)")
-	simWorkers := flag.Int("sim-workers", 1, "workers inside each simulation, fanning channel domains and the core-sharded CPU front-end (1 = inline, -1 = all CPUs, clamped to max(channels, cores))")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	profileDomains := flag.Bool("profile-domains", false,
@@ -188,7 +180,6 @@ func run() (code int) {
 		opt.MeasureCycles = *measure
 	}
 	opt.Parallel = *parallel
-	opt.SimWorkers = *simWorkers
 	opt.ProfileDomains = *profileDomains
 	if *profileDomains {
 		defer printPhaseSpans()
@@ -353,13 +344,7 @@ func printSweepHealth() {
 
 // printPhaseSpans renders the -profile-domains histograms: span counts
 // per power-of-two-nanosecond bucket, one row per channel domain plus
-// the per-tick front-end and its per-sub-cycle split — the core-local
-// part (front-local: what SimWorkers parallelizes) and the serial
-// commit part (front-shared: deferred shared-path accesses plus
-// probe-stall retries). The executor's per-round ceiling is the
-// slowest domain or core, so a single hot channel row — or a
-// front-shared row dominating front-local — says where SimWorkers
-// scaling stops.
+// the per-tick front-end.
 func printPhaseSpans() {
 	p := experiments.ReadPhaseSpans()
 	if len(p.Domains) == 0 {
@@ -368,7 +353,7 @@ func printPhaseSpans() {
 	}
 	// Trim to the occupied bucket range across all rows.
 	lo, hi := len(p.Front), 0
-	rows := append(append([][]int64{}, p.Domains...), p.Front, p.FrontLocal, p.FrontShared)
+	rows := append(append([][]int64{}, p.Domains...), p.Front)
 	for _, hist := range rows {
 		for b, n := range hist {
 			if n > 0 {
@@ -402,16 +387,6 @@ func printPhaseSpans() {
 	fmt.Fprint(w, "front-end")
 	for b := lo; b <= hi; b++ {
 		fmt.Fprintf(w, "\t%d", p.Front[b])
-	}
-	fmt.Fprintln(w)
-	fmt.Fprint(w, "front-local")
-	for b := lo; b <= hi; b++ {
-		fmt.Fprintf(w, "\t%d", p.FrontLocal[b])
-	}
-	fmt.Fprintln(w)
-	fmt.Fprint(w, "front-shared")
-	for b := lo; b <= hi; b++ {
-		fmt.Fprintf(w, "\t%d", p.FrontShared[b])
 	}
 	fmt.Fprintln(w)
 	w.Flush()

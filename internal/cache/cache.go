@@ -140,16 +140,6 @@ func (c *Cache) Lookup(block uint64, write bool) bool {
 	return false
 }
 
-// missLookup applies the exact effects of a Lookup known to miss: one
-// clock advance and one Misses increment — a missed Lookup touches no
-// line and leaves the MRU filter alone. The hierarchy uses it to replay
-// a deferred access whose private misses were already proven by
-// AccessLocal (and rolled back), without re-scanning the sets.
-func (c *Cache) missLookup() {
-	c.clock++
-	c.Misses++
-}
-
 // unMiss reverses the counter effects of an immediately preceding Lookup
 // that missed (one Misses increment and one clock advance; a missed
 // Lookup touches no line, so nothing else changed). The hierarchy uses it
@@ -200,58 +190,6 @@ func (c *Cache) Insert(block uint64, dirty bool) (victim uint64, victimDirty boo
 		return v.tag*c.nsets + uint64(set), true
 	}
 	return 0, false
-}
-
-// dirtyVictim reports the dirty victim an immediate Insert(block, ·)
-// would evict, without mutating anything. ok is false when the insert
-// would evict nothing dirty: the block is already resident (in-place
-// update), an invalid way absorbs it, or the LRU victim is clean. The
-// scan mirrors Insert's victim selection exactly — the last invalid
-// way wins when one exists, otherwise the strict-< argmin of the lru
-// stamps (unique among valid lines, so the argmin is unambiguous).
-//
-// When haveMRU is set, the line holding mruBlock is treated as
-// most-recently-used: the hierarchy probes the L2's victim for an L1
-// castout BEFORE committing the L2 hit that will touch mruBlock, and
-// the probe must see the lru order the real Insert will.
-func (c *Cache) dirtyVictim(block, mruBlock uint64, haveMRU bool) (victim uint64, ok bool) {
-	set, tag := c.index(block)
-	var mruTag uint64
-	if haveMRU {
-		mruSet, mt := c.index(mruBlock)
-		if mruSet != set {
-			haveMRU = false // different set: the demotion cannot matter
-		}
-		mruTag = mt
-	}
-	ways := c.set(set)
-	vi := 0
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			return 0, false
-		}
-		if !ways[i].valid {
-			vi = i
-		} else if ways[vi].valid {
-			li, lv := ways[i].lru, ways[vi].lru
-			if haveMRU {
-				if ways[i].tag == mruTag {
-					li = ^uint64(0)
-				}
-				if ways[vi].tag == mruTag {
-					lv = ^uint64(0)
-				}
-			}
-			if li < lv {
-				vi = i
-			}
-		}
-	}
-	v := &ways[vi]
-	if !v.valid || !v.dirty {
-		return 0, false
-	}
-	return v.tag*c.nsets + uint64(set), true
 }
 
 // ValidLines counts resident lines (the warm-state fidelity metric the

@@ -31,9 +31,9 @@ const cacheSchema = "chopim-results-v1"
 
 // cacheKey fingerprints everything a figure's rows depend on: the model
 // version, the figure name, and the options that select simulated
-// behavior. Parallel and SimWorkers are deliberately excluded — results
-// are bit-identical for any worker count at either layer — as is
-// ProfileDomains, which only observes.
+// behavior. Parallel is deliberately excluded — results are
+// bit-identical for any worker count — as is ProfileDomains, which only
+// observes.
 func (o Options) cacheKey(fig string) string {
 	k := struct {
 		Schema        string

@@ -77,7 +77,6 @@ var ckptSyncWrites bool
 // points share a config but differ in workload (the NDA-only op sweep
 // runs eight ops over one config).
 func pointCkptKey(cfg sim.Config, opt Options) (string, bool) {
-	cfg.SimWorkers = 0
 	cfg.ProfileDomains = false
 	cfg.CheckInvariants = false
 	cfg.WatchdogWindow = 0

@@ -188,7 +188,6 @@ func TestPointCheckpointFileContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	c := openPointCkpt(s, opt)
 	if c == nil {
 		t.Fatal("openPointCkpt returned nil with cadence and journal dir set")
@@ -213,7 +212,6 @@ func TestPointCheckpointFileContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(s2.Close)
 		c2 := openPointCkpt(s2, o)
 		if c2 == nil {
 			t.Fatal("openPointCkpt returned nil for the loading system")

@@ -1,7 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section VII). Each FigNN function returns printable rows;
 // cmd/chopim renders them and bench_test.go wraps them as benchmarks.
-// EXPERIMENTS.md records paper-versus-measured outcomes.
 package experiments
 
 import (
@@ -21,14 +20,7 @@ import (
 // Options sets the simulation budget. Quick shrinks runs for tests.
 // Parallel fans each figure's independent simulation points across that
 // many workers (0/1 serial, negative = GOMAXPROCS); results are
-// identical for every worker count. SimWorkers is the second
-// parallelism layer, *within* each simulation point: it sets
-// sim.Config.SimWorkers, fanning every executed tick's per-channel
-// memory phase across that many goroutines (also bit-identical for any
-// value; see DESIGN.md §2.5). The two layers compose — point-level
-// sharding scales with independent points, domain workers with channels
-// per point — but multiplying them oversubscribes small machines, so
-// sweeps typically raise one at a time. CycleByCycle forces the
+// identical for every worker count. CycleByCycle forces the
 // reference Tick path instead of fast-forward — counters are identical
 // either way (the sim package proves it), so it exists for
 // cross-checking and speedup benchmarks.
@@ -37,7 +29,6 @@ type Options struct {
 	MeasureCycles int64
 	Quick         bool
 	Parallel      int
-	SimWorkers    int
 	CycleByCycle  bool
 
 	// Sampled switches every measurement point to SMARTS-style sampled
@@ -137,10 +128,8 @@ func (o Options) withTag(tag string) Options {
 }
 
 // newSystem builds one simulation point's system with the options'
-// per-simulation settings applied. Points that use the fast path should
-// release it with sim.System.Close (measureConcurrent does).
+// per-simulation settings applied.
 func (o Options) newSystem(cfg sim.Config) (*sim.System, error) {
-	cfg.SimWorkers = o.SimWorkers
 	cfg.ProfileDomains = o.ProfileDomains
 	cfg.CheckInvariants = o.CheckInvariants
 	cfg.MaxWallClock = o.PointTimeout
@@ -170,11 +159,10 @@ var (
 )
 
 // warmPoolKey fingerprints a point's warm-up: the full simulation
-// config with the state-free knobs zeroed (SimWorkers, ProfileDomains,
-// and the robustness knobs do not affect simulated state; sim.Restore
+// config with the state-free knobs zeroed (ProfileDomains and the
+// robustness knobs do not affect simulated state; sim.Restore
 // accepts any of them differing) plus the warm-cycle budget.
 func warmPoolKey(cfg sim.Config, warm int64) (string, bool) {
-	cfg.SimWorkers = 0
 	cfg.ProfileDomains = false
 	cfg.CheckInvariants = false
 	cfg.WatchdogWindow = 0
@@ -243,14 +231,11 @@ type Result struct {
 type launcher func() (*ndart.Handle, error)
 
 // measureConcurrent drives a system with an optional NDA relaunch loop
-// through warm-up and measurement. It releases the system's domain
-// executor (if one was started) before returning; the system stays
-// readable for post-run counter extraction.
+// through warm-up and measurement.
 func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) {
 	if opt.Sampled {
 		return measureSampled(s, it, opt)
 	}
-	defer s.Close()
 	defer mergePhaseSpans(s.PhaseSpans())
 	var h *ndart.Handle
 	var err error
@@ -422,7 +407,6 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 // cycles accumulate only in detailed segments), kept for rough scale,
 // not cross-mode comparison.
 func measureSampled(s *sim.System, it launcher, opt Options) (Result, error) {
-	defer s.Close()
 	defer mergePhaseSpans(s.PhaseSpans())
 	if opt.CycleByCycle {
 		return Result{}, fmt.Errorf("experiments: Sampled and CycleByCycle are mutually exclusive")

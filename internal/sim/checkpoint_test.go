@@ -131,7 +131,7 @@ func ckAdvance(t *testing.T, s *System, d *ckDriver, end int64, fast bool) {
 // TestSnapshotRestoreContinue proves the checkpoint contract: a system
 // snapshotted mid-run and restored into a fresh instance continues
 // bit-identically to the original, on the reference path and on the
-// fast path at 1, 2, and 4 domain workers — with NDA ops in flight,
+// fast path — with NDA ops in flight,
 // launch packets queued, and misses outstanding at the cut.
 func TestSnapshotRestoreContinue(t *testing.T) {
 	const n1, n2 = 12_000, 10_000
@@ -159,25 +159,18 @@ func TestSnapshotRestoreContinue(t *testing.T) {
 			ckAdvance(t, a, drv, n1+n2, false)
 			want := snapshot(a)
 
-			modes := []struct {
-				name    string
-				workers int
-				fast    bool
-			}{
-				{"run", 1, false},
-				{"fast-w1", 1, true},
-				{"fast-w2", 2, true},
-				{"fast-w4", 4, true},
-			}
-			for _, m := range modes {
-				t.Run(m.name, func(t *testing.T) {
+			// fast-w1: RunFast, which steps on one worker.
+			for _, fast := range []bool{false, true} {
+				name := "run"
+				if fast {
+					name = "fast-w1"
+				}
+				t.Run(name, func(t *testing.T) {
 					cfg := w.cfg()
-					cfg.SimWorkers = m.workers
 					b, err := RestoreSystem(cfg, ck)
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer b.Close()
 					if got := snapshot(b); got != fpCut {
 						t.Fatalf("restored state differs at the cut:\n orig: %s\n fork: %s", fpCut, got)
 					}
@@ -185,7 +178,7 @@ func TestSnapshotRestoreContinue(t *testing.T) {
 					if hCut != nil {
 						bd.h = b.RT.RestoredHandle(hCut)
 					}
-					ckAdvance(t, b, bd, n1+n2, m.fast)
+					ckAdvance(t, b, bd, n1+n2, fast)
 					if got := snapshot(b); got != want {
 						t.Fatalf("fork diverged after continue:\n orig: %s\n fork: %s", want, got)
 					}
@@ -197,9 +190,9 @@ func TestSnapshotRestoreContinue(t *testing.T) {
 
 // TestSnapshotRestoreRandomized fuzzes the checkpoint cut point: the
 // original runs fast through randomized boundaries; at every few
-// boundaries a checkpoint forks (cycling the fork's worker count) and
-// the fork is driven through the remaining boundaries, its fingerprint
-// compared at each — so cuts land mid-stall-window, mid-burst, with
+// boundaries a checkpoint forks and the fork is driven through the
+// remaining boundaries, its fingerprint compared at each — so cuts
+// land mid-stall-window, mid-burst, with
 // write buffers part-drained and launch packets half-delivered.
 func TestSnapshotRestoreRandomized(t *testing.T) {
 	fuzz := map[string]bool{
@@ -251,11 +244,8 @@ func TestSnapshotRestoreRandomized(t *testing.T) {
 					forks = append(forks, forkPoint{ck: ck, h: drv.h, bound: i})
 				}
 			}
-			workers := []int{1, 2, 4}
-			for fi, f := range forks {
-				cfg := w.cfg()
-				cfg.SimWorkers = workers[fi%len(workers)]
-				b, err := RestoreSystem(cfg, f.ck)
+			for _, f := range forks {
+				b, err := RestoreSystem(w.cfg(), f.ck)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -278,7 +268,6 @@ func TestSnapshotRestoreRandomized(t *testing.T) {
 							f.bound, j, fps[j], got)
 					}
 				}
-				b.Close()
 			}
 		})
 	}

@@ -25,7 +25,7 @@
 // digest trailer covers every preceding byte: a torn write, a flipped
 // bit, or a stale partial file surfaces as ErrCorruptCheckpoint at load
 // time, never as a half-restored system. The fingerprint pins the
-// simulated configuration (scheduling knobs like SimWorkers excluded,
+// simulated configuration (observation and robustness knobs excluded,
 // exactly the fields Restore tolerates differing); restoring under a
 // different config is ErrCheckpointMismatch, a caller bug distinct from
 // file damage.
@@ -92,13 +92,12 @@ type ckptWire struct {
 }
 
 // ConfigFingerprint hashes the simulated configuration: the full Config
-// with the state-free knobs zeroed (worker count, profiling, robustness
-// limits, and the cancel flag neither affect simulated state nor
+// with the state-free knobs zeroed (profiling, robustness limits, and
+// the cancel flag neither affect simulated state nor
 // survive a process anyway — Restore accepts any of them differing).
 // Two configs with equal fingerprints produce interchangeable
 // checkpoint files.
 func ConfigFingerprint(cfg Config) ([sha256.Size]byte, error) {
-	cfg.SimWorkers = 0
 	cfg.ProfileDomains = false
 	cfg.CheckInvariants = false
 	cfg.WatchdogWindow = 0

@@ -15,7 +15,7 @@ import (
 // reloaded through the file codec (no in-memory pointers survive — the
 // driver's handle crosses the cut by table index, exactly as a fresh
 // process must) continues bit-identically to the original, on the
-// reference path and on the fast path at 1, 2, and 4 workers.
+// reference path and on the fast path.
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	const n1, n2 = 10_000, 8_000
 	for wi, w := range ckWorkloads() {
@@ -56,20 +56,14 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 			ckAdvance(t, a, drv, end, false)
 			want := snapshot(a)
 
-			modes := []struct {
-				name    string
-				workers int
-				fast    bool
-			}{
-				{"run", 1, false},
-				{"fast-w1", 1, true},
-				{"fast-w2", 2, true},
-				{"fast-w4", 4, true},
-			}
-			for _, m := range modes {
-				t.Run(m.name, func(t *testing.T) {
+			// fast-w1: RunFast, which steps on one worker.
+			for _, fast := range []bool{false, true} {
+				name := "run"
+				if fast {
+					name = "fast-w1"
+				}
+				t.Run(name, func(t *testing.T) {
 					cfg := w.cfg()
-					cfg.SimWorkers = m.workers
 					ck2, err := LoadCheckpoint(path, cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -78,7 +72,6 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer b.Close()
 					if got := snapshot(b); got != fpCut {
 						t.Fatalf("reloaded state differs at the cut:\n orig: %s\n file: %s", fpCut, got)
 					}
@@ -89,7 +82,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 							t.Fatal("root handle index did not survive the file round trip")
 						}
 					}
-					ckAdvance(t, b, bd, end, m.fast)
+					ckAdvance(t, b, bd, end, fast)
 					if got := snapshot(b); got != want {
 						t.Fatalf("reloaded fork diverged after continue:\n orig: %s\n file: %s", want, got)
 					}
@@ -110,7 +103,6 @@ func TestCheckpointFileCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	app, err := newCkApp(s, w.op, w.n)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +177,6 @@ func TestCancelCooperative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 	refApp, err := newCkApp(ref, w.op, w.n)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +193,6 @@ func TestCancelCooperative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	app, err := newCkApp(s, w.op, w.n)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +240,6 @@ func TestCancelCooperative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 	bd := &ckDriver{app: app}
 	if len(rootIdx) == 1 {
 		bd.h = b.RT.RestoredHandleAt(rootIdx[0])

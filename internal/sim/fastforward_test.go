@@ -215,6 +215,60 @@ func TestRunFastMatchesRun(t *testing.T) {
 	}
 }
 
+// domainWorkloads returns the mixed host+NDA shapes the channel-domain
+// test runs, with the invariant checker armed: the two-channel mixed
+// goldens and a four-channel variant of mix1+DOT.
+func domainWorkloads() []ffWorkload {
+	var out []ffWorkload
+	var dot ffWorkload
+	for _, w := range ffWorkloads() {
+		if w.name == "mixed-mix1-dot" || w.name == "mixed-mix3-copy-shared" {
+			out = append(out, w)
+		}
+		if w.name == "mixed-mix1-dot" {
+			dot = w
+		}
+	}
+	out = append(out, ffWorkload{
+		name: "mixed-mix1-dot-4ch",
+		cfg: func() Config {
+			c := dot.cfg()
+			c.Geom.Channels = 4
+			return c
+		},
+		app: dot.app,
+	})
+	for i := range out {
+		base := out[i].cfg
+		out[i].cfg = func() Config {
+			c := base()
+			c.CheckInvariants = true
+			return c
+		}
+	}
+	return out
+}
+
+// TestParallelDomainsMatchSerial pins the channel-domain contract: each
+// channel's memory phase runs as its own domain, every cross-channel
+// effect waits in a mailbox for the canonical commit, and the fast path
+// over those domains stays bit-identical to the serial Tick oracle at
+// every segment boundary. The armed invariant checker also proves at
+// every commit that the mailboxes drained.
+func TestParallelDomainsMatchSerial(t *testing.T) {
+	for _, w := range domainWorkloads() {
+		t.Run(w.name, func(t *testing.T) {
+			slow := drive(t, w, false, 4, 5_000)
+			fast := drive(t, w, true, 4, 5_000)
+			for i := range slow {
+				if slow[i] != fast[i] {
+					t.Fatalf("segment %d diverged:\n serial: %s\n fast:   %s", i, slow[i], fast[i])
+				}
+			}
+		})
+	}
+}
+
 // TestRunFastMatchesRunRandomized fuzzes the equivalence with randomized
 // segment boundaries: StepFast must land exactly on arbitrary limits
 // (mid-stall-window, mid-burst, single-cycle segments) with state
@@ -289,6 +343,73 @@ func TestRunFastMatchesRunRandomized(t *testing.T) {
 				if slow[i] != fast[i] {
 					t.Fatalf("random boundary %d (cycle %d) diverged:\n slow: %s\n fast: %s",
 						i, bounds[i], slow[i], fast[i])
+				}
+			}
+		})
+	}
+}
+
+// missStormWorkload builds one randomized 8-core miss-storm shape:
+// memory-heavy cores with randomized footprints, stream fractions, and
+// dependency mixes, layered under NDA DOT traffic. High MemRatio across
+// 8 cores keeps the 48 LLC MSHRs saturated (Stall classification and
+// rollback), streaming cores train the prefetcher so demand accesses
+// merge into in-flight prefetch MSHRs, and the dependency fraction
+// varies how often issue groups stop mid-group.
+func missStormWorkload(rng *rand.Rand) ffWorkload {
+	profs := make([]workload.Profile, 8)
+	for i := range profs {
+		profs[i] = workload.Profile{
+			Name:       fmt.Sprintf("storm%d", i),
+			Class:      workload.High,
+			MemRatio:   0.55 + 0.4*rng.Float64(),
+			WriteFrac:  0.05 + 0.5*rng.Float64(),
+			Footprint:  uint64(8+rng.Intn(56)) << 20,
+			StreamFrac: rng.Float64(),
+			Streams:    1 + rng.Intn(8),
+			DepFrac:    0.7 * rng.Float64(),
+		}
+	}
+	seed := rng.Int63()
+	var app func(s *System) (func() (*ndart.Handle, error), error)
+	for _, w := range ffWorkloads() {
+		if w.name == "mixed-mix1-dot" {
+			app = w.app
+		}
+	}
+	return ffWorkload{
+		name: "miss-storm",
+		cfg: func() Config {
+			c := Default(-1)
+			c.HostProfiles = profs
+			c.Seed = seed
+			return c
+		},
+		app: app,
+	}
+}
+
+// TestCoreShardMissStorm fuzzes the fast path under MSHR
+// pressure: randomized 8-core miss storms must produce counters
+// bit-identical to the Run oracle. The storms drive every shared-path
+// outcome — LLC probes, MSHR merges (demand meeting its own in-flight
+// prefetch), MSHR/queue Stall classification with rollback, and backend
+// reads — interleaved with probe-stall retries whose epoch checks must
+// land where the reference interleaving puts them.
+func TestCoreShardMissStorm(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5707))
+	iters := 3
+	if testing.Short() {
+		iters = 1
+	}
+	for it := 0; it < iters; it++ {
+		w := missStormWorkload(rng)
+		t.Run(fmt.Sprintf("storm-%d", it), func(t *testing.T) {
+			slow := drive(t, w, false, 2, 4_000)
+			fast := drive(t, w, true, 2, 4_000)
+			for i := range slow {
+				if slow[i] != fast[i] {
+					t.Fatalf("segment %d diverged:\n slow: %s\n fast: %s", i, slow[i], fast[i])
 				}
 			}
 		})

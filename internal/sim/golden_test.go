@@ -19,8 +19,8 @@ const (
 // figures are built from. All arithmetic is integer or a single IEEE
 // division, so the values are bit-stable across platforms. fast selects
 // the drive path; both must produce the same string. Optional config
-// mutators let variant suites (invariant checking, worker counts) pin
-// the same goldens under observation-only knobs.
+// mutators let variant suites (invariant checking) pin the same goldens
+// under observation-only knobs.
 func goldenStats(t *testing.T, w ffWorkload, fast bool, muts ...func(*Config)) string {
 	t.Helper()
 	cfg := w.cfg()
@@ -31,7 +31,6 @@ func goldenStats(t *testing.T, w ffWorkload, fast bool, muts ...func(*Config)) s
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	var it func() (*ndart.Handle, error)
 	if w.app != nil {
 		if it, err = w.app(s); err != nil {
@@ -121,31 +120,21 @@ func TestGoldenStats(t *testing.T) {
 
 // TestGoldenStatsInvariantChecked re-pins every golden workload with the
 // cross-layer invariant checker armed, on the reference path and the
-// fast path at 1 and 4 domain workers. Two properties at once: checking
+// fast path. Two properties at once: checking
 // is observation-only (the counters are byte-identical to the unchecked
 // goldens), and eleven diverse workloads crossing every commit barrier
 // with the checker armed never trip it.
 func TestGoldenStatsInvariantChecked(t *testing.T) {
-	arm := func(workers int) func(*Config) {
-		return func(cfg *Config) {
-			cfg.CheckInvariants = true
-			cfg.SimWorkers = workers
-		}
-	}
-	variants := []struct {
-		name    string
-		fast    bool
-		workers int
-	}{
-		{"slow", false, 1},
-		{"fast-w1", true, 1},
-		{"fast-w2", true, 2},
-		{"fast-w4", true, 4},
-	}
+	arm := func(cfg *Config) { cfg.CheckInvariants = true }
 	for _, w := range ffWorkloads() {
-		for _, v := range variants {
-			t.Run(w.name+"/"+v.name, func(t *testing.T) {
-				got := goldenStats(t, w, v.fast, arm(v.workers))
+		// fast-w1: RunFast, which steps on one worker.
+		for _, fast := range []bool{false, true} {
+			name := w.name + "/slow"
+			if fast {
+				name = w.name + "/fast-w1"
+			}
+			t.Run(name, func(t *testing.T) {
+				got := goldenStats(t, w, fast, arm)
 				if want := goldenWant[w.name]; got != want {
 					t.Errorf("invariant-checked golden mismatch:\n got:  %s\n want: %s", got, want)
 				}

@@ -26,7 +26,6 @@ func TestLivelockDetectedOnStuckHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	err = s.RunFast(50_000)
 	var le *LivelockError
 	if !errors.As(err, &le) {
@@ -62,7 +61,6 @@ func TestWatchdogWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	// Drive until some layer demonstrably holds work (host cores issue
 	// misses within a few cycles).
 	for i := 0; i < 10_000; i++ {
@@ -90,7 +88,6 @@ func TestWatchdogWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer idle.Close()
 	// A fresh system with host cores will generate work, so silence the
 	// pending probe by checking before any tick: queues are empty.
 	if pend, what := idle.workPending(); pend {
@@ -115,7 +112,6 @@ func TestCycleDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	err = s.RunFast(50_000)
 	var de *DeadlineError
 	if !errors.As(err, &de) {
@@ -141,7 +137,6 @@ func TestWallClockDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	err = s.RunFast(5_000_000)
 	var de *DeadlineError
 	if !errors.As(err, &de) {
@@ -172,9 +167,8 @@ func TestInvalidConfigErrors(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			cfg := Default(0)
 			m.mut(&cfg)
-			s, err := New(cfg)
+			_, err := New(cfg)
 			if err == nil {
-				s.Close()
 				t.Fatal("invalid config accepted")
 			}
 			if !strings.Contains(err.Error(), "invalid config") {
@@ -195,7 +189,6 @@ func TestMailboxConservationInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	dom := &s.doms[0]
 	dom.push(func(int64) {
 		dom.push(func(int64) {}, 0) // illegal: commit produced new work
@@ -223,7 +216,6 @@ func TestDeadlineErrorOnTickPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	for {
 		if err := s.DeadlineExceeded(); err != nil {
 			var de *DeadlineError

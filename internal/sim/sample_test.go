@@ -35,7 +35,6 @@ func exactHostIPC(t *testing.T, w ffWorkload, scfg SampleConfig) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	var it func() (*ndart.Handle, error)
 	if w.app != nil {
 		if it, err = w.app(s); err != nil {
@@ -70,17 +69,12 @@ func exactHostIPC(t *testing.T, w ffWorkload, scfg SampleConfig) float64 {
 // runSampled builds a fresh system for w and drives one sampled run,
 // relaunching NDA work at window boundaries (the only quiescent points
 // the sampled schedule exposes).
-func runSampled(t *testing.T, w ffWorkload, scfg SampleConfig, muts ...func(*Config)) (*System, *sample.Result) {
+func runSampled(t *testing.T, w ffWorkload, scfg SampleConfig) (*System, *sample.Result) {
 	t.Helper()
-	cfg := w.cfg()
-	for _, mut := range muts {
-		mut(&cfg)
-	}
-	s, err := New(cfg)
+	s, err := New(w.cfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	var it func() (*ndart.Handle, error)
 	if w.app != nil {
 		if it, err = w.app(s); err != nil {
@@ -156,7 +150,6 @@ func TestSampledWarmStateFidelity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer exact.Close()
 			if err := exact.RunFast(prime + ff); err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +158,6 @@ func TestSampledWarmStateFidelity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ffd.Close()
 			st := newSampleState(ffd)
 			st.beginSegment()
 			if err := ffd.RunFast(prime); err != nil {
@@ -205,26 +197,20 @@ func TestSampledWarmStateFidelity(t *testing.T) {
 
 // TestRunSampledDeterminism pins the sampled path's determinism claim:
 // a fixed-seed config yields byte-identical end states and results
-// across repeated runs and across SimWorkers counts. Fast-forward
-// consumes no randomness and detailed segments are bit-exact per
-// worker count, so nothing may vary.
+// across repeated runs. Fast-forward consumes no randomness and
+// detailed segments are bit-exact, so nothing may vary.
 func TestRunSampledDeterminism(t *testing.T) {
 	for _, w := range ffWorkloads() {
 		if w.name != "mixed-mix1-dot" && w.name != "host-stall-heavy" && w.name != "mixed-mix3-copy-shared" {
 			continue
 		}
 		t.Run(w.name, func(t *testing.T) {
-			var want string
-			for _, workers := range []int{1, 1, 2, 4} {
-				s, res := runSampled(t, w, sampleSchedule(), func(cfg *Config) { cfg.SimWorkers = workers })
-				got := snapshot(s) + "\n" + res.String()
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Errorf("workers=%d diverged:\n got:  %s\n want: %s", workers, got, want)
-				}
+			run := func() string {
+				s, res := runSampled(t, w, sampleSchedule())
+				return snapshot(s) + "\n" + res.String()
+			}
+			if first, second := run(), run(); first != second {
+				t.Errorf("repeated run diverged:\n first:  %s\n second: %s", first, second)
 			}
 		})
 	}
@@ -241,7 +227,6 @@ func TestRunSampledRejectsVerifyFSM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if _, err := s.RunSampled(SampleConfig{}); err == nil {
 		t.Fatal("RunSampled accepted a VerifyFSM config")
 	}

@@ -19,18 +19,12 @@
 #   benchmarks  the suite at 1 worker (the serial trajectory numbers),
 #               including CalibrationSpin, a pure-CPU spin that anchors
 #               cross-machine normalization in bench_check.sh;
-#   workers4    MixedHostNDA (sim-internal executor fanning channel
-#               domains and the core-sharded CPU front-end,
-#               SimWorkers=4) and Fig11BankPartitioning (point-level
-#               runner sharding, Parallel=4) re-run at 4 workers via
-#               CHOPIM_BENCH_WORKERS, with per-benchmark speedups.
+#   workers     Fig11BankPartitioning (point-level runner sharding)
+#               re-run at one worker per CPU (nproc) via
+#               CHOPIM_BENCH_WORKERS, with its speedup over 1 worker.
 #               Parallel speedup requires free CPUs: the block records
 #               workers_sweep_valid (cpus > 1); when false the speedup
-#               numbers measure executor overhead, not scaling, and
-#               the executor is instead gated at <=1.15x serial via
-#               MixedHostNDAWorkers4, which rides in the serial suite
-#               so both sides of the ratio come from the same
-#               invocation (seconds apart, not minutes).
+#               measures runner overhead, not scaling.
 #
 # The baseline block comes from the newest committed BENCH_PR*.json
 # older than the target PR (so each PR's snapshot carries its
@@ -57,22 +51,23 @@ case "$TARGET" in
 *) PR="$TARGET"; OUT="BENCH_PR${PR}.json" ;;
 esac
 RAW="$(mktemp)"
-RAW4="$(mktemp)"
-trap 'rm -f "$RAW" "$RAW4"' EXIT
+RAWN="$(mktemp)"
+trap 'rm -f "$RAW" "$RAWN"' EXIT
+NPROC="$(nproc 2>/dev/null || echo 1)"
 
 COUNT="${BENCH_COUNT:-3}"
 
 go test -run '^$' \
-    -bench 'BenchmarkMixedHostNDA$|BenchmarkMixedHostNDAWorkers4$|BenchmarkMixedHostNDACheckpointed$|BenchmarkHostStallHeavy$|BenchmarkHostComputeHeavy$|BenchmarkFig14Wide8Ranks$|BenchmarkFig11BankPartitioning$|BenchmarkFig11Sampled$|BenchmarkFig12WriteThrottling$|BenchmarkFig12CachedRegen$|BenchmarkCalibrationSpin$' \
+    -bench 'BenchmarkMixedHostNDA$|BenchmarkMixedHostNDACheckpointed$|BenchmarkHostStallHeavy$|BenchmarkHostComputeHeavy$|BenchmarkFig14Wide8Ranks$|BenchmarkFig11BankPartitioning$|BenchmarkFig11Sampled$|BenchmarkFig12WriteThrottling$|BenchmarkFig12CachedRegen$|BenchmarkCalibrationSpin$' \
     -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAW"
 
-CHOPIM_BENCH_WORKERS=4 go test -run '^$' \
-    -bench 'BenchmarkMixedHostNDA$|BenchmarkFig11BankPartitioning$' \
-    -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAW4"
+CHOPIM_BENCH_WORKERS="$NPROC" go test -run '^$' \
+    -bench 'BenchmarkFig11BankPartitioning$' \
+    -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAWN"
 
-BENCH_RAW="$RAW" BENCH_RAW4="$RAW4" BENCH_OUT="$OUT" BENCH_PR="$PR" BENCH_TIME="$BENCHTIME" \
+BENCH_RAW="$RAW" BENCH_RAWN="$RAWN" BENCH_OUT="$OUT" BENCH_PR="$PR" BENCH_TIME="$BENCHTIME" \
     BENCH_GIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-    BENCH_CPUS="$(nproc 2>/dev/null || echo unknown)" \
+    BENCH_CPUS="$NPROC" \
     python3 - <<'EOF'
 import glob, json, os, re, sys
 
@@ -115,7 +110,7 @@ def parse(path):
     return cpu, benches, order
 
 cpu, benches, order = parse(os.environ["BENCH_RAW"])
-_, benches4, order4 = parse(os.environ["BENCH_RAW4"])
+_, benchesN, orderN = parse(os.environ["BENCH_RAWN"])
 if not benches:
     sys.exit("bench.sh: no benchmark results parsed")
 
@@ -172,27 +167,23 @@ doc = {
 if baseline:
     doc["baseline"] = baseline
 doc["benchmarks"] = {name: benches[name] for name in order}
-if benches4:
+if benchesN:
     cpus = os.environ.get("BENCH_CPUS", "unknown")
     sweep_valid = cpus.isdigit() and int(cpus) > 1
-    w4 = {"note": "same suite at CHOPIM_BENCH_WORKERS=4: MixedHostNDA uses the "
-                  "sim-internal executor (SimWorkers=4) fanning both the channel "
-                  "domains (2 on the default geometry) and the core-sharded CPU "
-                  "front-end, Fig11BankPartitioning point-level runner sharding "
-                  "(Parallel=4). Speedup needs free CPUs: workers_sweep_valid "
-                  "records whether this machine has them; when false the numbers "
-                  "measure scheduling overhead, not scaling.",
+    wn = {"note": f"Fig11BankPartitioning at CHOPIM_BENCH_WORKERS={cpus} (one "
+                  "point-level runner worker per CPU, Options.Parallel). Speedup "
+                  "needs free CPUs: workers_sweep_valid records whether this "
+                  "machine has them; when false the numbers measure runner "
+                  "overhead, not scaling.",
+          "workers": int(cpus) if cpus.isdigit() else cpus,
           "workers_sweep_valid": sweep_valid}
-    if not sweep_valid:
-        w4["note"] += (f" This run had cpus={cpus}: the workers sweep is labeled "
-                       "invalid and speedups here are overhead measurements.")
-    for name in order4:
-        e = dict(benches4[name])
+    for name in orderN:
+        e = dict(benchesN[name])
         base = benches.get(name, {}).get("ns_per_op")
         if base and e["ns_per_op"]:
             e["speedup_vs_1worker"] = round(base / e["ns_per_op"], 3)
-        w4[name] = e
-    doc["workers4"] = w4
+        wn[name] = e
+    doc["workers"] = wn
 
 with open(out, "w") as f:
     json.dump(doc, f, indent=2)
@@ -274,52 +265,14 @@ if base and ckpt:
         sys.exit(f"bench.sh: FAIL: checkpoint cadence costs {ratio}x per cycle, want <=1.05")
 
 # Zero-allocs gate: every host-path benchmark's steady-state loop must
-# stay allocation-free — including the 4-worker run, where the
-# core-sharded front-end's claims, deferred ticks, and parked-tick
-# commits must all come from preallocated state.
+# stay allocation-free.
 bad = []
-for name in ("MixedHostNDA", "MixedHostNDAWorkers4", "HostStallHeavy",
-             "HostComputeHeavy", "Fig14Wide8Ranks"):
+for name in ("MixedHostNDA", "HostStallHeavy", "HostComputeHeavy", "Fig14Wide8Ranks"):
     allocs = benches.get(name, {}).get("allocs_per_op")
     if allocs not in (None, 0):
         bad.append(f"{name}: {allocs} allocs/op, want 0")
-allocs4 = benches4.get("MixedHostNDA", {}).get("allocs_per_op")
-if allocs4 not in (None, 0):
-    bad.append(f"MixedHostNDA @4 workers: {allocs4} allocs/op, want 0")
 if bad:
     sys.exit("bench.sh: FAIL: steady-state loop allocates: " + "; ".join(bad))
-
-# Overhead gate on machines without free CPUs: with no parallelism to
-# win, the 4-worker executor (channel-domain rounds plus the
-# core-sharded front-end) must stay within 15% of the serial path.
-# The 4-worker side is MixedHostNDAWorkers4 from the SAME go test
-# invocation as the serial benchmark (the two run seconds apart), not
-# the separate CHOPIM_BENCH_WORKERS=4 invocation minutes later: on a
-# shared container the two invocations can land in different load
-# eras, which turns a cross-invocation ratio into a lottery.
-#
-# Threshold history: PR 9 gated at 1.05 when the serial floor was
-# ~235ms/100k cycles. PR 10's power-of-two set-index cut the serial
-# floor to ~200-215ms while the executor's fixed handoff cost
-# (~18ms/100k cycles, ~60ns per phase barrier) is unchanged —
-# interleaved A/B of the PR 9 and PR 10 binaries measured 4-worker
-# floors of 233.8ms vs 232.9ms in the same run — so the *ratio*
-# drifted to ~1.08 purely through the faster denominator. 1.15 keeps
-# the tripwire (a real executor regression still fails) without
-# demanding the fixed barrier cost shrink whenever the serial
-# front-end gets faster.
-if benches4 and not doc["workers4"]["workers_sweep_valid"]:
-    base = benches.get("MixedHostNDA", {}).get("ns_per_op")
-    par = benches.get("MixedHostNDAWorkers4", {}).get("ns_per_op")
-    if base and par:
-        ratio = round(par / base, 3)
-        doc["workers4"]["overhead_ratio_vs_serial"] = ratio
-        with open(out, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
-        if ratio > 1.15:
-            sys.exit(f"bench.sh: FAIL: 4-worker executor costs {ratio}x the serial "
-                     "front-end on a machine without free CPUs, want <=1.15")
 EOF
 
 echo "bench.sh: wrote $OUT"
