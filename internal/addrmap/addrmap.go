@@ -18,6 +18,7 @@ package addrmap
 
 import (
 	"fmt"
+	"math/bits"
 
 	"chopim/internal/dram"
 )
@@ -38,19 +39,33 @@ type Mapper interface {
 	Fingerprint() string
 }
 
-// field describes one decoded output bit as the XOR of physical bits.
+// field describes each decoded output bit as the XOR of physical bits.
+// bits keeps the positions for construction-time consumers (color bits,
+// field widths); decode reads only masks, one per output bit with every
+// XORed position set, so an output bit is the parity of pa&mask.
 type field struct {
-	bits [][]uint // per output bit, the physical bit positions XORed
+	bits  [][]uint // per output bit, the physical bit positions XORed
+	masks []uint64 // per output bit, the positions of bits as a mask
+}
+
+// newField builds a field from its per-output-bit position lists. The
+// masks XOR positions in, so a position listed twice cancels exactly as
+// it does in the list's XOR (and one past bit 63 drops out, as its
+// shift does).
+func newField(pos [][]uint) field {
+	f := field{bits: pos, masks: make([]uint64, len(pos))}
+	for i, xs := range pos {
+		for _, x := range xs {
+			f.masks[i] ^= 1 << x
+		}
+	}
+	return f
 }
 
 func (f field) decode(pa uint64) int {
 	v := 0
-	for i, xs := range f.bits {
-		b := uint64(0)
-		for _, x := range xs {
-			b ^= pa >> x
-		}
-		v |= int(b&1) << i
+	for i, m := range f.masks {
+		v |= (bits.OnesCount64(pa&m) & 1) << i
 	}
 	return v
 }
@@ -61,8 +76,11 @@ type XORMap struct {
 
 	ch, rank, bg, bank, row, col field
 	colorBits                    []uint
-	rowMSBs                      []uint // top bank-field-width row physical bits
-	fp                           string // immutable, set at construction
+	// rowMSBLow is the lowest of the top bank-field-width row physical
+	// bits; those bits are contiguous, so the partitioned mapping reads
+	// them as one shifted field.
+	rowMSBLow uint
+	fp        string // immutable, set at construction
 }
 
 // log2 returns floor(log2(n)); n must be a positive power of two.
@@ -117,36 +135,34 @@ func NewSkylakeLikeChecked(g dram.Geometry) (*XORMap, error) {
 	rowBase := 6 + nCol + nCh + nBG + nBank + nRank
 	hash := rowBase // next row-region bit used as an XOR partner
 
-	take := func(n uint, hashed bool) field {
-		f := field{}
+	take := func(n uint, hashed bool) [][]uint {
+		var f [][]uint
 		for i := uint(0); i < n; i++ {
-			bits := []uint{pos}
+			xs := []uint{pos}
 			if hashed {
-				bits = append(bits, hash)
+				xs = append(xs, hash)
 				hash++
 			}
-			f.bits = append(f.bits, bits)
+			f = append(f, xs)
 			pos++
 		}
 		return f
 	}
 
-	colLow := uint(2)
-	if nCol < colLow {
-		colLow = nCol
+	nColLow := uint(2)
+	if nCol < nColLow {
+		nColLow = nCol
 	}
-	fcolLow := take(colLow, false)
-	fch := take(nCh, true)
-	fcolHigh := take(nCol-colLow, false)
-	m.col = field{bits: append(fcolLow.bits, fcolHigh.bits...)}
-	m.ch = fch
-	m.bg = take(nBG, true)
-	m.bank = take(nBank, true)
-	m.rank = take(nRank, true)
+	colLow := take(nColLow, false)
+	m.ch = newField(take(nCh, true))
+	m.col = newField(append(colLow, take(nCol-nColLow, false)...))
+	m.bg = newField(take(nBG, true))
+	m.bank = newField(take(nBank, true))
+	m.rank = newField(take(nRank, true))
 	if pos != rowBase {
 		panic("addrmap: internal layout error")
 	}
-	m.row = take(nRow, false)
+	m.row = newField(take(nRow, false))
 
 	// Color bits: every physical bit above the system-row offset that
 	// influences ch/rank/bg/bank. System row offset covers all bits below
@@ -164,12 +180,9 @@ func NewSkylakeLikeChecked(g dram.Geometry) (*XORMap, error) {
 			}
 		}
 	}
-	// Record the top bank-field-width row physical bits for partitioning.
-	nBankField := nBG + nBank
-	top := pos // one past the highest physical bit
-	for i := uint(0); i < nBankField; i++ {
-		m.rowMSBs = append(m.rowMSBs, top-nBankField+i)
-	}
+	// Record the top bank-field-width row physical bits for partitioning
+	// (pos is one past the highest physical bit).
+	m.rowMSBLow = pos - (nBG + nBank)
 	// The Skylake-like layout is a pure function of the geometry, so the
 	// geometry identifies the mapping exactly.
 	m.fp = fmt.Sprintf("skylake/%dch-%drk-%dbg-%dbk-%drow-%dcol",
@@ -267,17 +280,14 @@ func (p *PartitionedMap) Decode(pa uint64) dram.Addr {
 	nb := g.BanksPerRank()
 	thresh := nb - p.ReservedBanks
 	flat := a.GlobalBank(g)
-	msb := 0
-	for i, bit := range p.Base.rowMSBs {
-		msb |= int(pa>>bit&1) << i
-	}
+	w := p.bankFieldWidth()
+	rowMask := (1 << w) - 1
+	msb := int(pa>>p.Base.rowMSBLow) & rowMask
 	if flat < thresh && msb < thresh {
 		return a
 	}
 	// Swap the bank field with the row MSBs: new bank = MSBs, new row
 	// MSBs = initial hashed bank.
-	w := p.bankFieldWidth()
-	rowMask := (1 << w) - 1
 	rowShift := uint(len(p.Base.row.bits)) - w
 	a.Row = a.Row&^(rowMask<<rowShift) | flat<<rowShift
 	a.BankGroup = msb / g.BanksPerGroup

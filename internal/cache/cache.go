@@ -43,36 +43,37 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one cache line's tag state.
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // last-touch counter
-}
-
-// Cache is a single set-associative level. Lines live in one flat
-// array (set-major) — the per-access way scan is the hottest loop in
-// the whole simulator, and the flat layout spares it an indirection.
+// Cache is a single set-associative level. Tag state is kept as
+// parallel arrays in set-major order, so the per-access way scan — the
+// hottest loop in the whole simulator — reads one word per way: tags[i]
+// is 0 for an invalid way and tag+1 for a valid one (a 16-way LLC probe
+// touches 128 B of tags). The last-touch counters and dirty bits run in
+// parallel and are read only on a hit, a fill's victim choice, or an
+// eviction. Folding validity into the tag requires tag+1 not to wrap,
+// which holds for any block below 2^64-1 (hierarchy blocks are byte
+// addresses divided by the block size).
 type Cache struct {
 	cfg   Config
-	lines []line
+	tags  []uint64 // per way: 0 = invalid, tag+1 = valid
+	lru   []uint64 // per way: last-touch counter (0 when invalid)
+	dirty []bool   // per way (false when invalid)
 	nsets uint64
 	smask uint64 // nsets-1; Validate guarantees nsets is a power of two
 	shift uint   // log2(nsets)
 	ways  int
 	clock uint64
 
-	// One-entry MRU filter: the last block that hit and the line that
+	// One-entry MRU filter: the last block that hit and the way that
 	// held it. Streaming cores touch the same 64-byte block for several
 	// consecutive accesses, and the repeat hits skip the way scan. The
-	// filter is validated against the line's live tag (a replacement
-	// that reuses the slot fails the check), and the filtered path
-	// performs exactly the state updates the scan would — clock, LRU,
-	// dirty, Hits — so behavior is bit-identical.
+	// filter is validated against the way's live tag (a replacement
+	// that reuses the slot fails the check; lastKey 0 marks the filter
+	// empty), and the filtered path performs exactly the state updates
+	// the scan would — clock, LRU, dirty, Hits — so behavior is
+	// bit-identical.
 	lastBlock uint64
-	lastTag   uint64
-	lastLine  *line
+	lastKey   uint64 // tags value of the filtered way (tag+1), 0 when empty
+	lastWay   int    // index into tags of the filtered way
 
 	Hits, Misses int64
 }
@@ -82,9 +83,12 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	n := cfg.Sets() * cfg.Ways
 	return &Cache{
 		cfg:   cfg,
-		lines: make([]line, cfg.Sets()*cfg.Ways),
+		tags:  make([]uint64, n),
+		lru:   make([]uint64, n),
+		dirty: make([]bool, n),
 		nsets: uint64(cfg.Sets()),
 		smask: uint64(cfg.Sets()) - 1,
 		shift: uint(bits.TrailingZeros64(uint64(cfg.Sets()))),
@@ -95,44 +99,38 @@ func New(cfg Config) *Cache {
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) index(block uint64) (set int, tag uint64) {
-	// Sets() is validated to be a power of two, so mask/shift compute
-	// exactly block%nsets and block/nsets without two 64-bit divisions
-	// on the hottest path in the simulator.
-	return int(block & c.smask), block >> c.shift
-}
-
-// set returns the set's ways as a subslice of the flat line array.
-func (c *Cache) set(set int) []line {
-	return c.lines[set*c.ways : set*c.ways+c.ways]
+// index returns the block's set and its tags key (tag+1). Sets() is
+// validated to be a power of two, so mask/shift compute exactly
+// block%nsets and block/nsets without two 64-bit divisions on the
+// hottest path in the simulator.
+func (c *Cache) index(block uint64) (set int, key uint64) {
+	return int(block & c.smask), block>>c.shift + 1
 }
 
 // Lookup probes for the block (address divided by block size), updating
 // LRU and hit/miss counters. If write, a hit marks the line dirty.
 func (c *Cache) Lookup(block uint64, write bool) bool {
-	if block == c.lastBlock {
-		if l := c.lastLine; l != nil && l.valid && l.tag == c.lastTag {
-			c.clock++
-			l.lru = c.clock
-			if write {
-				l.dirty = true
-			}
-			c.Hits++
-			return true
+	if block == c.lastBlock && c.lastKey != 0 && c.tags[c.lastWay] == c.lastKey {
+		c.clock++
+		c.lru[c.lastWay] = c.clock
+		if write {
+			c.dirty[c.lastWay] = true
 		}
+		c.Hits++
+		return true
 	}
-	set, tag := c.index(block)
+	set, key := c.index(block)
 	c.clock++
-	ways := c.set(set)
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
-			l.lru = c.clock
+	base := set * c.ways
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == key {
+			w := base + i
+			c.lru[w] = c.clock
 			if write {
-				l.dirty = true
+				c.dirty[w] = true
 			}
 			c.Hits++
-			c.lastBlock, c.lastTag, c.lastLine = block, tag, l
+			c.lastBlock, c.lastKey, c.lastWay = block, key, w
 			return true
 		}
 	}
@@ -154,40 +152,51 @@ func (c *Cache) unMiss() {
 
 // Contains probes without side effects.
 func (c *Cache) Contains(block uint64) bool {
-	set, tag := c.index(block)
-	ways := c.set(set)
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
+	set, key := c.index(block)
+	base := set * c.ways
+	for _, t := range c.tags[base : base+c.ways] {
+		if t == key {
 			return true
 		}
 	}
 	return false
 }
 
-// Insert fills the block, returning any evicted dirty victim.
+// Insert fills the block, returning any evicted dirty victim. A block
+// already present is refreshed in place. Otherwise the victim is the
+// last invalid way of the set, or, in a full set, the first way with the
+// smallest last-touch counter.
 func (c *Cache) Insert(block uint64, dirty bool) (victim uint64, victimDirty bool) {
-	set, tag := c.index(block)
+	set, key := c.index(block)
 	c.clock++
-	ways := c.set(set)
-	// Reuse an existing or invalid way first.
-	vi := 0
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].dirty = ways[i].dirty || dirty
-			ways[i].lru = c.clock
+	base := set * c.ways
+	tags := c.tags[base : base+c.ways]
+	vi := -1
+	for i, t := range tags {
+		if t == key {
+			w := base + i
+			c.dirty[w] = c.dirty[w] || dirty
+			c.lru[w] = c.clock
 			return 0, false
 		}
-		if !ways[i].valid {
-			vi = i
-		} else if ways[vi].valid && ways[i].lru < ways[vi].lru {
+		if t == 0 {
 			vi = i
 		}
 	}
-	v := ways[vi]
-	ways[vi] = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
-	if v.valid && v.dirty {
-		return v.tag*c.nsets + uint64(set), true
+	if vi < 0 {
+		lru := c.lru[base : base+c.ways]
+		vi = 0
+		for i := 1; i < len(lru); i++ {
+			if lru[i] < lru[vi] {
+				vi = i
+			}
+		}
+	}
+	w := base + vi
+	old, oldDirty := c.tags[w], c.dirty[w]
+	c.tags[w], c.lru[w], c.dirty[w] = key, c.clock, dirty
+	if old != 0 && oldDirty {
+		return (old-1)*c.nsets + uint64(set), true
 	}
 	return 0, false
 }
@@ -196,8 +205,8 @@ func (c *Cache) Insert(block uint64, dirty bool) (victim uint64, victimDirty boo
 // sampled-mode fuzz compares between functional and exact warming).
 func (c *Cache) ValidLines() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}
@@ -206,13 +215,13 @@ func (c *Cache) ValidLines() int {
 
 // Invalidate drops the block if present, reporting whether it was dirty.
 func (c *Cache) Invalidate(block uint64) (wasDirty bool) {
-	set, tag := c.index(block)
-	ways := c.set(set)
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.tag == tag {
-			d := l.dirty
-			*l = line{}
+	set, key := c.index(block)
+	base := set * c.ways
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == key {
+			w := base + i
+			d := c.dirty[w]
+			c.tags[w], c.lru[w], c.dirty[w] = 0, 0, false
 			return d
 		}
 	}

@@ -1,11 +1,13 @@
 package cache
 
-// cacheState is a deep copy of one level's mutable state. The MRU
-// filter is not captured: it is a pure acceleration of the way scan
-// (the filtered path performs identical state updates), so restore
-// simply invalidates it.
+// cacheState is a deep copy of one level's mutable state: the packed
+// tag, last-touch and dirty arrays (see Cache). The MRU filter is not
+// captured: it is a pure acceleration of the way scan (the filtered
+// path performs identical state updates), so restore simply empties it.
 type cacheState struct {
-	lines  []line
+	tags   []uint64
+	lru    []uint64
+	dirty  []bool
 	clock  uint64
 	hits   int64
 	misses int64
@@ -13,18 +15,22 @@ type cacheState struct {
 
 func (c *Cache) snapshot() cacheState {
 	return cacheState{
-		lines: append([]line(nil), c.lines...),
+		tags:  append([]uint64(nil), c.tags...),
+		lru:   append([]uint64(nil), c.lru...),
+		dirty: append([]bool(nil), c.dirty...),
 		clock: c.clock, hits: c.Hits, misses: c.Misses,
 	}
 }
 
 func (c *Cache) restore(st cacheState) {
-	if len(st.lines) != len(c.lines) {
+	if len(st.tags) != len(c.tags) {
 		panic("cache: restore onto a cache with different geometry")
 	}
-	copy(c.lines, st.lines)
+	copy(c.tags, st.tags)
+	copy(c.lru, st.lru)
+	copy(c.dirty, st.dirty)
 	c.clock, c.Hits, c.Misses = st.clock, st.hits, st.misses
-	c.lastLine = nil // MRU filter revalidates on the next lookup
+	c.lastKey = 0 // MRU filter revalidates on the next lookup
 }
 
 // waiterState identifies one MSHR waiter by (core, ROB slot); restore

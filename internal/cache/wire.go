@@ -17,51 +17,62 @@ import (
 	"fmt"
 )
 
-func packLines(lines []line) []byte {
-	b := make([]byte, 0, len(lines)*3)
+// packLines encodes a level's lines in way order. An invalid way packs
+// as tag 0, lru 0, clean — what the packed arrays hold for it.
+func packLines(st *cacheState) []byte {
+	b := make([]byte, 0, len(st.tags)*3)
 	var tmp [2 * binary.MaxVarintLen64]byte
-	for _, ln := range lines {
+	for i, key := range st.tags {
 		var f byte
-		if ln.valid {
+		var tag uint64
+		if key != 0 {
 			f |= 1
+			tag = key - 1
 		}
-		if ln.dirty {
+		if st.dirty[i] {
 			f |= 2
 		}
-		n := binary.PutUvarint(tmp[:], ln.tag)
-		n += binary.PutUvarint(tmp[n:], ln.lru)
+		n := binary.PutUvarint(tmp[:], tag)
+		n += binary.PutUvarint(tmp[n:], st.lru[i])
 		b = append(append(b, f), tmp[:n]...)
 	}
 	return b
 }
 
-func unpackLines(b []byte, count int) ([]line, error) {
+// unpackLines decodes count packed lines into st's tag arrays. A line
+// flagged invalid restores as an empty way whatever tag it carries.
+func unpackLines(b []byte, count int, st *cacheState) error {
 	if count < 0 {
-		return nil, fmt.Errorf("cache: negative packed line count %d", count)
+		return fmt.Errorf("cache: negative packed line count %d", count)
 	}
-	lines := make([]line, count)
-	for i := range lines {
+	st.tags = make([]uint64, count)
+	st.lru = make([]uint64, count)
+	st.dirty = make([]bool, count)
+	for i := 0; i < count; i++ {
 		if len(b) == 0 {
-			return nil, fmt.Errorf("cache: packed line blob ends at line %d of %d", i, count)
+			return fmt.Errorf("cache: packed line blob ends at line %d of %d", i, count)
 		}
 		f := b[0]
 		b = b[1:]
 		tag, n := binary.Uvarint(b)
 		if n <= 0 {
-			return nil, fmt.Errorf("cache: bad tag varint at line %d", i)
+			return fmt.Errorf("cache: bad tag varint at line %d", i)
 		}
 		b = b[n:]
 		lru, n := binary.Uvarint(b)
 		if n <= 0 {
-			return nil, fmt.Errorf("cache: bad lru varint at line %d", i)
+			return fmt.Errorf("cache: bad lru varint at line %d", i)
 		}
 		b = b[n:]
-		lines[i] = line{tag: tag, lru: lru, valid: f&1 != 0, dirty: f&2 != 0}
+		if f&1 != 0 {
+			st.tags[i] = tag + 1
+		}
+		st.lru[i], st.dirty[i] = lru, f&2 != 0
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("cache: %d trailing bytes after %d packed lines", len(b), count)
+		return fmt.Errorf("cache: %d trailing bytes after %d packed lines", len(b), count)
 	}
-	return lines, nil
+	return nil
 }
 
 type cacheWire struct {
@@ -103,15 +114,15 @@ type hierarchyWire struct {
 }
 
 func cacheToWire(st *cacheState) cacheWire {
-	return cacheWire{NLines: len(st.lines), Lines: packLines(st.lines), Clock: st.clock, Hits: st.hits, Misses: st.misses}
+	return cacheWire{NLines: len(st.tags), Lines: packLines(st), Clock: st.clock, Hits: st.hits, Misses: st.misses}
 }
 
 func cacheFromWire(w *cacheWire) (cacheState, error) {
-	lines, err := unpackLines(w.Lines, w.NLines)
-	if err != nil {
+	st := cacheState{clock: w.Clock, hits: w.Hits, misses: w.Misses}
+	if err := unpackLines(w.Lines, w.NLines, &st); err != nil {
 		return cacheState{}, err
 	}
-	return cacheState{lines: lines, clock: w.Clock, hits: w.Hits, misses: w.Misses}, nil
+	return st, nil
 }
 
 // MarshalJSON encodes the snapshot for the durable checkpoint file.

@@ -52,14 +52,10 @@ type rankState struct {
 	// is bumped by every Issue to the rank.
 	stamp int64
 
-	// rowStamp versions the rank's bank ROW state: it is bumped only by
-	// commands that open or close a row (ACT, PRE) — the only commands
-	// that can change which FR-FCFS candidates a bank has, or move a
-	// candidate's earliest-issue cycle EARLIER (an ACT reassigns the
-	// bank's column/PRE horizons outright). Column commands and REF only
-	// push existing horizons forward, so conclusions of the form "bank b
-	// has no candidate ready before cycle T" (the mc calendar's bucket
-	// keys) stay sound across them and may be revalidated lazily.
+	// rowStamp counts the rank's row-state changes (ACT, PRE, WarmOpen),
+	// starting at 1. Schedulers learn which banks changed from the
+	// channel's row log instead (chanState.rowLog); the count stays as
+	// checkpointed state so the durable format is unchanged.
 	rowStamp int64
 
 	// dataBusyUntil is when the rank's data pins/internal IO finish the
@@ -110,6 +106,33 @@ type chanState struct {
 	extRDDiff int64
 	extWRSame int64
 	extWRDiff int64
+
+	// Row-change log: every command that opens or closes a row (ACT,
+	// PRE, WarmOpen) appends its channel-local bank, rank*BanksPerRank +
+	// flat bank, at index rowSeq%RowLogLen and advances rowSeq. A row
+	// change is the only event that can give a bank a new FR-FCFS
+	// candidate or move a candidate's earliest-issue cycle EARLIER (an
+	// ACT reassigns the bank's column/PRE horizons outright); it touches
+	// no other bank's candidates, and column commands and REF only push
+	// horizons forward. So a scheduler holding per-bank conclusions of
+	// the form "bank b has no candidate ready before cycle T" (the mc
+	// calendar's bucket keys) stays sound by revalidating exactly the
+	// banks logged since it last looked. The log is fixed-size: a reader
+	// that fell more than RowLogLen changes behind must presume every
+	// bank changed. It is a value array, so snapshots copy it whole.
+	rowLog [RowLogLen]int32
+	rowSeq uint64
+}
+
+// RowLogLen is the number of row changes a channel's row log retains
+// (see chanState.rowLog).
+const RowLogLen = 64
+
+// logRow records a row-state change of channel-local bank local
+// (rank*BanksPerRank + flat bank).
+func (ch *chanState) logRow(local int32) {
+	ch.rowLog[ch.rowSeq%RowLogLen] = local
+	ch.rowSeq++
 }
 
 // extCol returns the earliest cycle the channel bus admits an external
@@ -277,18 +300,20 @@ func (m *Mem) OpenRow(a Addr) (row int, open bool) {
 // have performed for this access during a sampled-mode fast-forward
 // jump (DESIGN.md §2.11). Timing horizons are left alone: the jump
 // lands past every pre-jump horizon, so they are already dead. The
-// rank's stamp, its rowStamp, and the channel command version all
-// advance so every cached scheduler conclusion derived from the old
-// row state (per-bank horizon caches, mc calendar keys, NDA sleep
-// bounds) is invalidated before detailed execution resumes.
+// rank's stamp and the channel command version advance and the bank is
+// logged as a row change, so every cached scheduler conclusion derived
+// from the old row state (per-bank horizon caches, mc calendar keys,
+// NDA sleep bounds) is invalidated before detailed execution resumes.
 func (m *Mem) WarmOpen(a Addr) {
 	m.checkAddr(a)
 	rk := m.rank(a)
-	b := &rk.banks[a.GlobalBank(m.Geom)]
+	flat := a.GlobalBank(m.Geom)
+	b := &rk.banks[flat]
 	b.open = true
 	b.row = a.Row
 	rk.stamp++
 	rk.rowStamp++
+	m.channels[a.Channel].logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
 	m.chVer[a.Channel]++
 }
 
@@ -334,14 +359,17 @@ func (m *Mem) RankStamp(channel, rank int) int64 {
 	return m.channels[channel].ranks[rank].stamp
 }
 
-// RowStamp returns a version counter for the rank's bank row state: it
-// advances exactly when a row opens or closes (ACT or PRE issued to the
-// rank) and on nothing else. See rankState.rowStamp for the staleness
-// contract this grants schedulers: while it is unchanged, no bank of
-// the rank gained a candidate, and no candidate's earliest-issue cycle
-// moved earlier — every other command only pushes horizons forward.
-func (m *Mem) RowStamp(channel, rank int) int64 {
-	return m.channels[channel].ranks[rank].rowStamp
+// RowSeq returns the channel's row-change sequence: how many row-state
+// changes (ACT, PRE, WarmOpen) its row log has recorded. See
+// chanState.rowLog for the staleness contract the log grants
+// schedulers.
+func (m *Mem) RowSeq(channel int) uint64 { return m.channels[channel].rowSeq }
+
+// RowChange returns the channel-local bank, rank*BanksPerRank + flat
+// bank, of the channel's row change numbered seq. The log retains the
+// last RowLogLen changes: seq must lie in [RowSeq-RowLogLen, RowSeq).
+func (m *Mem) RowChange(channel int, seq uint64) int32 {
+	return m.channels[channel].rowLog[seq%RowLogLen]
 }
 
 // BankSched returns the addressed bank's row state together with every
@@ -592,7 +620,8 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 	t := &m.T
 	ch := &m.channels[a.Channel]
 	rk := &ch.ranks[a.Rank]
-	b := &rk.banks[a.GlobalBank(m.Geom)]
+	flat := a.GlobalBank(m.Geom)
+	b := &rk.banks[flat]
 	cn := &m.cnts[a.Channel]
 	m.chVer[a.Channel]++
 	rk.stamp++ // invalidate the rank's bank horizon caches
@@ -607,6 +636,7 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 	case CmdACT:
 		cn.ACT++
 		rk.rowStamp++
+		ch.logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
 		b.open = true
 		b.row = a.Row
 		b.nextRD = now + int64(t.RCD)
@@ -627,6 +657,7 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 	case CmdPRE:
 		cn.PRE++
 		rk.rowStamp++
+		ch.logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
 		b.open = false
 		maxi(&b.nextACT, now+int64(t.RP))
 

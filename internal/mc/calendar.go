@@ -14,29 +14,30 @@ import (
 //	key = min( max(p1Rank, ExtColReady), p2Rank )
 //
 // A due tick then examines only the ready region — banks whose key has
-// reached now — plus the banks whose rank stamp moved since they were
-// keyed. The lower-bound property is what makes lazy keys sound:
+// reached now — plus the banks whose row state changed since the queue
+// last synced. The lower-bound property is what makes lazy keys sound:
 //
 //   - The candidate structure (which request is the row hit, whether
 //     the bank needs ACT or PRE) and the direction of horizon movement
-//     split by command class. ACT and PRE change row state: they can
-//     create candidates or reassign a bank's horizons outright
-//     (earlier included), and they bump the rank's RowStamp — calSync
-//     eagerly re-keys every occupied bank of a row-stamp-changed rank
-//     before any decision or horizon is derived, so a structural
-//     change can never leave a bank keyed beyond its true ready cycle.
+//     split by command class. ACT and PRE change one bank's row state:
+//     they can create candidates for that bank or reassign its horizons
+//     outright (earlier included), and dram.Mem logs the bank in its
+//     channel's row log — calSync replays the log and parks exactly the
+//     logged banks in the ready region before any decision or horizon
+//     is derived, so a structural change can never leave a bank keyed
+//     beyond its true ready cycle. To every OTHER bank of the rank an
+//     ACT only pushes tRRD/tFAW forward and a PRE changes nothing.
 //     Column commands and REF only push horizons forward (dram.Issue
-//     maxi semantics), so keys staled by them under-estimate and the
-//     banks are revalidated lazily when their old key comes due.
+//     maxi semantics). Keys staled by any of these under-estimate, and
+//     the banks are revalidated lazily when their old key comes due.
 //   - The channel-bus horizon folded into column keys moves only on
 //     this controller's own external columns (internal NDA columns skip
-//     the bus). An issue to the key's own rank is covered by the stamp
-//     resync above; for other ranks ExtColReady is monotone
-//     nondecreasing under legal command sequences (bus occupancy ends
-//     only move forward, and every branch switch adds at least the
-//     turnaround the issue itself had to respect — requires
-//     ReadToWrite >= CL-CWL, which Timing.Validate pins), so a stale
-//     bus component only under-estimates.
+//     the bus), and ExtColReady is monotone nondecreasing under legal
+//     command sequences for every rank (bus occupancy ends only move
+//     forward, and every branch switch adds at least the turnaround the
+//     issue itself had to respect — requires ReadToWrite >= CL-CWL,
+//     which Timing.Validate pins), so a stale bus component only
+//     under-estimates.
 //   - Bucket mutations (enqueue, dequeue-with-survivors) park the bank
 //     in the ready region for unconditional revalidation at the next
 //     scan.
@@ -47,30 +48,6 @@ import (
 // overflow list and re-enter the ring as the base advances. The ring's
 // occupied slots are tracked in a bitmap so advancing to the next
 // non-empty key is a handful of word scans, independent of occupancy.
-
-// rgLink adds an occupied bank to its rank group's list.
-func (q *reqQueue) rgLink(bk int32) {
-	g := bk >> q.shift
-	q.rgPrev[bk] = -1
-	q.rgNext[bk] = q.rgHead[g]
-	if h := q.rgHead[g]; h != -1 {
-		q.rgPrev[h] = bk
-	}
-	q.rgHead[g] = bk
-}
-
-// rgUnlink removes a vacated bank from its rank group's list.
-func (q *reqQueue) rgUnlink(bk int32) {
-	p, n := q.rgPrev[bk], q.rgNext[bk]
-	if n != -1 {
-		q.rgPrev[n] = p
-	}
-	if p != -1 {
-		q.rgNext[p] = n
-	} else {
-		q.rgHead[bk>>q.shift] = n
-	}
-}
 
 // calUnlink detaches a bank from whichever calendar list holds it.
 func (q *reqQueue) calUnlink(bk int32) {
@@ -232,45 +209,63 @@ func (q *reqQueue) calAdvance(now int64) {
 }
 
 // calSync brings the queue's calendar current at now: due buckets drain
-// to the ready list, and every occupied bank of a rank whose ROW state
-// moved (RowStamp: an ACT or PRE issued) since its last keying is
-// revalidated and re-filed — the only commands that can create a
-// candidate or move one earlier. Column commands and REF deliberately
-// do not trigger a resync: they only push horizons forward, so the
+// to the ready list, and every occupied bank whose ROW state moved since
+// the last sync — an ACT, PRE or WarmOpen logged in the channel's row
+// log — is parked in the ready region for revalidation: those are the
+// only events that can create a candidate or move one earlier, and each
+// touches only its own bank. Column commands and REF deliberately do
+// not trigger a resync: they only push horizons forward, so the
 // affected banks' keys go stale LOW and the banks merely surface for
 // revalidation a few cycles early when their old key comes due (the
-// scan re-files them at the fresh horizon). calSync also loads the
-// per-rank timing-stamp and channel-bus scratch the scan reads. After
-// calSync, every bank outside the ready region provably has no
-// candidate ready at or before its key (the lower-bound invariant at
-// the head of this file), so the scan may ignore it.
-func (c *Controller) calSync(q *reqQueue, cmd dram.Command, now int64) {
+// scan re-files them at the fresh horizon). When the log no longer
+// covers the span since the last sync (it wrapped during a long idle
+// stretch or a sampled-mode jump, or the device was restored behind
+// the queue, which wraps the unsigned distance), every occupied bank is
+// parked. A queue rebuilt by Restore needs no such signal: every push
+// parks its bank, so all of them start out ready. After calSync,
+// every bank outside the ready region provably has no candidate ready
+// at or before its key (the lower-bound invariant at the head of this
+// file), so the scan may ignore it.
+func (c *Controller) calSync(q *reqQueue, now int64) {
 	q.calAdvance(now)
-	for r := 0; r < c.nrank; r++ {
-		st := c.mem.RankStamp(c.channel, r)
-		c.stScratch[r] = st
-		c.busScratch[r] = c.mem.ExtColReady(c.channel, cmd, r)
-		rs := c.mem.RowStamp(c.channel, r)
-		if q.calStamp[r] == rs {
-			continue
+	seq := c.mem.RowSeq(c.channel)
+	if seq == q.rowSeen {
+		return
+	}
+	if seq-q.rowSeen > dram.RowLogLen {
+		for _, bk := range q.occ {
+			q.calForceReady(bk)
 		}
-		q.calStamp[r] = rs
-		bus := c.busScratch[r]
-		for bk := q.rgHead[c.channel*c.nrank+r]; bk != -1; bk = q.rgNext[bk] {
-			e := &q.sched[q.occPos[bk]]
-			if e.dirty || e.rkStamp != st {
-				c.recomputeEntry(q, e, bk, cmd, st)
+	} else {
+		base := int32(c.channel * c.nrank * c.bpr)
+		for s := q.rowSeen; s < seq; s++ {
+			if bk := base + c.mem.RowChange(c.channel, s); q.occPos[bk] >= 0 {
+				q.calForceReady(bk)
 			}
-			k := dram.Never
-			if e.p1 != nil {
-				k = max(e.p1Rank, bus)
-			}
-			if e.p2 != nil && e.p2Rank < k {
-				k = e.p2Rank
-			}
-			q.calPlace(bk, k, now)
 		}
 	}
+	q.rowSeen = seq
+}
+
+// examine brings bank bk's entry current — recomputing it when its
+// bucket changed or a command issued to its rank since it was derived —
+// and returns it with its candidates' earliest issue cycles (Never when
+// absent), the channel-bus horizon folded into the column candidate's.
+// min(ready1, ready2) is the bank's calendar key.
+func (c *Controller) examine(q *reqQueue, bk int32, cmd dram.Command) (e *bankEntry, ready1, ready2 int64) {
+	rank := int(bk>>q.shift) - c.channel*c.nrank
+	e = &q.sched[q.occPos[bk]]
+	if st := c.mem.RankStamp(c.channel, rank); e.dirty || e.rkStamp != st {
+		c.recomputeEntry(q, e, bk, cmd, st)
+	}
+	ready1, ready2 = dram.Never, dram.Never
+	if e.p1 != nil {
+		ready1 = max(e.p1Rank, c.mem.ExtColReady(c.channel, cmd, rank))
+	}
+	if e.p2 != nil {
+		ready2 = e.p2Rank
+	}
+	return e, ready1, ready2
 }
 
 // calScan is the calendar replacement for the per-tick occupied-bank
@@ -294,23 +289,11 @@ func (c *Controller) calSync(q *reqQueue, cmd dram.Command, now int64) {
 // candidate is the same exact horizon compare, and oldest-first
 // selection by seq is order-independent.
 func (c *Controller) calScan(q *reqQueue, cmd dram.Command, now int64) (best *Request, best2 *bankEntry, hzFuture int64) {
-	c.calSync(q, cmd, now)
-	base := int32(c.channel * c.nrank)
+	c.calSync(q, now)
 	hzFuture = dram.Never
 	for bk := q.calReady; bk != -1; {
 		nx := q.calNext[bk]
-		rank := (bk >> q.shift) - base
-		e := &q.sched[q.occPos[bk]]
-		if e.dirty || e.rkStamp != c.stScratch[rank] {
-			c.recomputeEntry(q, e, bk, cmd, c.stScratch[rank])
-		}
-		ready1, ready2 := dram.Never, dram.Never
-		if e.p1 != nil {
-			ready1 = max(e.p1Rank, c.busScratch[rank])
-		}
-		if e.p2 != nil {
-			ready2 = e.p2Rank
-		}
+		e, ready1, ready2 := c.examine(q, bk, cmd)
 		k := min(ready1, ready2)
 		if k > now {
 			if k < hzFuture {
@@ -353,7 +336,6 @@ func (c *Controller) calScan(q *reqQueue, cmd dram.Command, now int64) (best *Re
 // fused NextEvent hint, so a no-issue tick leaves an exact wake bound
 // behind and the controller sleeps until a candidate truly matures.
 func (c *Controller) calHorizon(q *reqQueue, cmd dram.Command, now int64, hzReady int64) int64 {
-	base := int32(c.channel * c.nrank)
 	for q.calCount > 0 {
 		k := q.calFirstKey()
 		if k >= hzReady {
@@ -363,19 +345,8 @@ func (c *Controller) calHorizon(q *reqQueue, cmd dram.Command, now int64, hzRead
 		s := int(k) & calMask
 		for bk := q.calBkt[s]; bk != -1; {
 			nx := q.calNext[bk]
-			rank := (bk >> q.shift) - base
-			e := &q.sched[q.occPos[bk]]
-			if e.dirty || e.rkStamp != c.stScratch[rank] {
-				c.recomputeEntry(q, e, bk, cmd, c.stScratch[rank])
-			}
-			k2 := dram.Never
-			if e.p1 != nil {
-				k2 = max(e.p1Rank, c.busScratch[rank])
-			}
-			if e.p2 != nil && e.p2Rank < k2 {
-				k2 = e.p2Rank
-			}
-			if k2 != k {
+			_, ready1, ready2 := c.examine(q, bk, cmd)
+			if k2 := min(ready1, ready2); k2 != k {
 				// Keys are lower bounds, so a fresh key only moves
 				// later; re-file and keep validating the new minimum.
 				stable = false

@@ -1,12 +1,33 @@
 package mc
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 
 	"chopim/internal/addrmap"
 	"chopim/internal/dram"
 )
+
+// calCase is one TestCalendarInvalidationMatchesReference scenario: how
+// the NDA-style streams pick their banks, and which log-coverage edge
+// cases the run forces on top of the shared traffic.
+type calCase struct {
+	name string
+	// hostBanks retargets each NDA stream, after every PRE, onto a bank
+	// the host currently queues to (unpartitioned NDA row commands on
+	// host-occupied banks, half the time on the host's own row).
+	hostBanks bool
+	// warmBurst periodically opens more banks than the row log holds
+	// (dram.Mem.WarmOpen, as a sampled-mode jump does) between two scans
+	// of both queues, forcing the log-overflow full resync.
+	warmBurst bool
+	// restore periodically rebuilds the calendar controller from its own
+	// snapshot, and its device through the durable codec (which drops
+	// the row log), right after a cycle's NDA commands and before the
+	// controller has synced them.
+	restore bool
+}
 
 // TestCalendarInvalidationMatchesReference is the calendar-path
 // equivalence fuzz: the production (calendar) controller is driven
@@ -15,14 +36,28 @@ import (
 // (ClearIssued), and the cached wake revalidates against Ver/ChVer like
 // sim.mcNext — while the rescan oracle ticks every cycle. On top of the
 // host request stream, NDA-style INTERNAL commands issue directly into
-// both device models: internal ACT/PRE exercise the RowStamp resync
-// (foreign row-state changes re-keying a rank's banks), internal
+// both device models: internal ACT/PRE exercise the row-log resync
+// (foreign row-state changes parking exactly their banks), internal
 // columns exercise the lazy timing-staleness path (keys left stale-low
 // and revalidated when they come due), and sharing banks with host
 // traffic exercises candidate-structure changes the controller itself
-// never caused. Any lost wakeup, stale-high key, or decision
-// divergence shows up as a state mismatch or an un-drained queue.
+// never caused. The cases add NDA row commands aimed at host-occupied
+// banks, row-log overflow between two scans of a queue, and Restore in
+// the middle of a burst. Any lost wakeup, stale-high key, or decision
+// divergence shows up as a state mismatch, an invariant violation, or
+// an un-drained queue.
 func TestCalendarInvalidationMatchesReference(t *testing.T) {
+	for _, tc := range []calCase{
+		{name: "shared-banks"},
+		{name: "nda-on-host-banks", hostBanks: true},
+		{name: "log-overflow", warmBurst: true},
+		{name: "restore-mid-burst", hostBanks: true, restore: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runCalendarEquivalence(t, tc) })
+	}
+}
+
+func runCalendarEquivalence(t *testing.T, tc calCase) {
 	g := dram.DefaultGeometry()
 	tm := dram.DDR42400()
 	mapper := addrmap.NewSkylakeLike(g)
@@ -32,7 +67,7 @@ func TestCalendarInvalidationMatchesReference(t *testing.T) {
 	ctlB := NewController(DefaultConfig(), memB, mapper, 0)
 	ctlB.SetReferenceScheduler(true)
 
-	rng := rand.New(rand.NewSource(0xCA1))
+	rng := rand.New(rand.NewSource(0xCA1 + int64(len(tc.name))))
 	hot := make([]uint64, 8)
 	for i := range hot {
 		hot[i] = uint64(rng.Intn(1<<22) * dram.BlockBytes)
@@ -44,26 +79,50 @@ func TestCalendarInvalidationMatchesReference(t *testing.T) {
 		return uint64(rng.Intn(1<<26)) * dram.BlockBytes
 	}
 
-	// NDA-style per-rank streams: each walks ACT -> a few internal
-	// columns -> PRE on a row of its own, on banks host traffic also
-	// uses (GlobalBank of the hot set), advancing only when the device
-	// admits the command — mirroring how a rank NDA interleaves with
-	// the host on shared banks.
+	// NDA-style per-rank streams: each opens its row, issues a few
+	// internal columns, and closes it, deciding from the bank's live
+	// state (a host command or a warm open may have moved it) and
+	// advancing only when the device admits the command — mirroring how
+	// a rank NDA interleaves with the host on shared banks.
 	type ndaStream struct {
-		a     dram.Addr
-		phase int // 0: ACT, 1..burst: columns, burst+1: PRE
-		burst int
+		a    dram.Addr
+		cols int // internal columns left before the stream closes its row
 	}
 	streams := make([]*ndaStream, g.Ranks)
 	for r := range streams {
 		streams[r] = &ndaStream{a: dram.Addr{Channel: 0, Rank: r, BankGroup: r % g.BankGroups, Bank: 0, Row: 7000 + r}}
 	}
+	// retarget moves a stream onto a bank the host queues to on its rank.
+	retarget := func(s *ndaStream) {
+		var keys []int32
+		for _, q := range []*reqQueue{&ctlA.rq, &ctlA.wq} {
+			for _, bk := range q.occ {
+				if int(bk)/g.BanksPerRank() == s.a.Rank {
+					keys = append(keys, bk)
+				}
+			}
+		}
+		if len(keys) == 0 {
+			return
+		}
+		bk := keys[rng.Intn(len(keys))]
+		flat := int(bk) % g.BanksPerRank()
+		s.a.BankGroup, s.a.Bank = flat/g.BanksPerGroup, flat%g.BanksPerGroup
+		s.a.Row = 7000 + rng.Intn(8)
+		if rng.Intn(2) == 0 {
+			if r := ctlA.rq.banks[bk].head; r != nil {
+				s.a.Row = r.DAddr.Row
+			}
+		}
+	}
 
 	var doneA, doneB []int64
+	readDoneA := func(d int64) { doneA = append(doneA, d) }
+	readDoneB := func(d int64) { doneB = append(doneB, d) }
 	wake := int64(0)
 	wakeVer, wakeMemVer := uint64(0), uint64(0)
 	wakeValid := false
-	skipped := 0
+	skipped, restores := 0, 0
 	for cyc := int64(0); cyc < 40_000; cyc++ {
 		for rng.Intn(100) < 25 {
 			addr := nextAddr()
@@ -74,8 +133,8 @@ func TestCalendarInvalidationMatchesReference(t *testing.T) {
 				ctlA.EnqueueWrite(addr, cyc)
 				ctlB.EnqueueWrite(addr, cyc)
 			} else {
-				okA := ctlA.EnqueueRead(addr, cyc, func(d int64) { doneA = append(doneA, d) })
-				okB := ctlB.EnqueueRead(addr, cyc, func(d int64) { doneB = append(doneB, d) })
+				okA := ctlA.EnqueueRead(addr, cyc, readDoneA)
+				okB := ctlB.EnqueueRead(addr, cyc, readDoneB)
 				if okA != okB {
 					t.Fatalf("cycle %d: enqueue accept diverged", cyc)
 				}
@@ -87,11 +146,10 @@ func TestCalendarInvalidationMatchesReference(t *testing.T) {
 				continue
 			}
 			var cmd dram.Command
-			switch {
-			case s.phase == 0:
+			switch row, open := memA.OpenRow(s.a); {
+			case !open:
 				cmd = dram.CmdACT
-				s.burst = 1 + rng.Intn(4)
-			case s.phase <= s.burst:
+			case row == s.a.Row && s.cols > 0:
 				cmd = dram.CmdRD
 				if rng.Intn(2) == 0 {
 					cmd = dram.CmdWR
@@ -107,9 +165,49 @@ func TestCalendarInvalidationMatchesReference(t *testing.T) {
 			}
 			memA.Issue(cmd, s.a, cyc, true)
 			memB.Issue(cmd, s.a, cyc, true)
-			if s.phase++; cmd == dram.CmdPRE {
-				s.phase = 0
+			switch cmd {
+			case dram.CmdACT:
+				s.cols = 1 + rng.Intn(4)
+			case dram.CmdPRE:
+				if tc.hostBanks {
+					retarget(s)
+				}
+			default:
+				s.cols--
 			}
+		}
+		if tc.warmBurst && cyc%700 == 350 {
+			for i := 0; i < dram.RowLogLen+16; i++ {
+				a := dram.Addr{Channel: 0, Rank: rng.Intn(g.Ranks), BankGroup: rng.Intn(g.BankGroups),
+					Bank: rng.Intn(g.BanksPerGroup), Row: rng.Intn(g.Rows)}
+				if rng.Intn(2) == 0 {
+					if r := ctlA.rq.head; r != nil {
+						a.Row = r.DAddr.Row
+					}
+				}
+				memA.WarmOpen(a)
+				memB.WarmOpen(a)
+			}
+		}
+		if tc.restore && cyc%3000 == 1500 {
+			st := ctlA.Snapshot()
+			b, err := json.Marshal(memA.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ms dram.MemState
+			if err := json.Unmarshal(b, &ms); err != nil {
+				t.Fatal(err)
+			}
+			memA.Restore(&ms)
+			ctlA.Restore(st, func(write bool, _, _ uint64) func(int64) {
+				if write {
+					return nil
+				}
+				return readDoneA
+			})
+			wakeValid = false // the system marks restored controllers stale
+			restores++
 		}
 		// Oracle: every cycle. Production: wake-to-wake, revalidating
 		// the cached bound exactly like the system's per-controller
@@ -137,9 +235,17 @@ func TestCalendarInvalidationMatchesReference(t *testing.T) {
 		if len(doneA) != len(doneB) {
 			t.Fatalf("cycle %d: completion counts diverged", cyc)
 		}
+		if cyc%97 == 0 {
+			if err := ctlA.CheckInvariants(); err != nil {
+				t.Fatalf("cycle %d: %v", cyc, err)
+			}
+		}
 	}
 	if skipped == 0 {
 		t.Fatal("wake-driven path never skipped a cycle; sleep machinery untested")
+	}
+	if tc.restore && restores == 0 {
+		t.Fatal("no mid-run restore happened")
 	}
 	// Drain: every queued request must retire without further enqueues
 	// (a lost wakeup would leave the calendar controller stuck; keep
@@ -177,10 +283,10 @@ func TestCalendarInvalidationMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCalendarRowStampRebucket pins the eager-resync half of the
-// calendar's invalidation split: an internal (NDA) row command changes
-// a bank's candidate structure underneath the controller — something
-// the controller's own command stream never caused — and the next
+// TestCalendarRowStampRebucket pins the eager half of the calendar's
+// invalidation split: an internal (NDA) row command changes a bank's
+// candidate structure underneath the controller — something the
+// controller's own command stream never caused — and the next
 // scheduling decision must re-derive, not serve the stale bucket.
 func TestCalendarRowStampRebucket(t *testing.T) {
 	g := dram.DefaultGeometry()
@@ -201,9 +307,9 @@ func TestCalendarRowStampRebucket(t *testing.T) {
 	}
 	// Before the controller runs, an NDA activates the very row the
 	// host wants (legal: the bank is closed and idle). The host's
-	// candidate flips from ACT to a row-hit column; the rank's RowStamp
-	// moved, so the controller must re-key and issue RD — issuing the
-	// stale ACT would panic inside dram.Issue (bank already open).
+	// candidate flips from ACT to a row-hit column; the row log records
+	// the bank, so the controller must re-key it and issue RD — issuing
+	// the stale ACT would panic inside dram.Issue (bank already open).
 	if !mem.CanIssue(dram.CmdACT, da, 0, true) {
 		t.Fatal("internal ACT should be legal on the idle bank")
 	}
@@ -224,77 +330,145 @@ func TestCalendarRowStampRebucket(t *testing.T) {
 }
 
 // TestCalendarLazyVsEagerInvalidation pins the invalidation split at
-// the bucket level (white box): internal column traffic must NOT
-// trigger an eager resync — the staled key is a lower bound that gets
+// the bucket level (white box). Internal column traffic must NOT
+// trigger a resync: the staled key is a lower bound that gets
 // revalidated when it comes due, and re-files at the exact pushed-out
-// cycle — while an internal row command (RowStamp) must revalidate the
-// rank's bucketed banks immediately, before any horizon is trusted.
+// cycle. A row change (ACT, PRE, WarmOpen) must park exactly its own
+// bank in the ready region when the queue holds it, before any horizon
+// is trusted — and nothing otherwise: other banks of the same rank keep
+// their buckets and their (now stale) entries untouched.
 func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 	g := dram.DefaultGeometry()
 	mapper := addrmap.NewSkylakeLike(g)
-	mem := dram.New(g, dram.DDR42400())
-	c := NewController(DefaultConfig(), mem, mapper, 0)
 
-	// Open a row internally and enqueue a host hit against it: the
-	// bank's pass-1 candidate is fenced by tRCD, so the first horizon
-	// derivation buckets the bank at ACT+tRCD.
-	addr := addrOnChannel0(mapper, 0)
-	da := mapper.Decode(addr)
-	mem.Issue(dram.CmdACT, da, 0, true)
-	if !c.EnqueueRead(addr, 0, nil) {
-		t.Fatal("enqueue refused")
-	}
-	rdReady := int64(mem.T.RCD)
-	if next := c.NextEvent(0); next != rdReady {
-		t.Fatalf("NextEvent(0) = %d, want tRCD = %d", next, rdReady)
-	}
-	bk := int32(da.Rank*g.BanksPerRank() + da.GlobalBank(g))
-	q := &c.rq
-	if q.calWhere[bk] != calBucket || q.calKey[bk] != rdReady {
-		t.Fatalf("bank filed at where=%d key=%d, want bucketed at %d",
-			q.calWhere[bk], q.calKey[bk], rdReady)
-	}
+	t.Run("column-lazy", func(t *testing.T) {
+		mem := dram.New(g, dram.DDR42400())
+		c := NewController(DefaultConfig(), mem, mapper, 0)
+		// Open a row internally and enqueue a host hit against it: the
+		// bank's pass-1 candidate is fenced by tRCD, so the first
+		// horizon derivation buckets the bank at ACT+tRCD.
+		addr := addrOnChannel0(mapper, 0)
+		da := mapper.Decode(addr)
+		mem.Issue(dram.CmdACT, da, 0, true)
+		if !c.EnqueueRead(addr, 0, nil) {
+			t.Fatal("enqueue refused")
+		}
+		rdReady := int64(mem.T.RCD)
+		if next := c.NextEvent(0); next != rdReady {
+			t.Fatalf("NextEvent(0) = %d, want tRCD = %d", next, rdReady)
+		}
+		bk := int32(da.Rank*g.BanksPerRank() + da.GlobalBank(g))
+		q := &c.rq
+		if q.calWhere[bk] != calBucket || q.calKey[bk] != rdReady {
+			t.Fatalf("bank filed at where=%d key=%d, want bucketed at %d",
+				q.calWhere[bk], q.calKey[bk], rdReady)
+		}
+		// An internal column on the same rank pushes the rank's column
+		// horizons (tCCD) but changes no row state: nothing is logged,
+		// the bucket key stays put, and revalidation at the stale key
+		// re-files at the exact pushed-out cycle.
+		seq := mem.RowSeq(0)
+		mem.Issue(dram.CmdRD, da, rdReady, true)
+		pushed := rdReady + int64(mem.T.CCDL)
+		if mem.RowSeq(0) != seq {
+			t.Fatal("internal column was logged as a row change")
+		}
+		if q.calKey[bk] != rdReady {
+			t.Fatalf("column traffic moved the bucket key to %d; expected lazy staleness", q.calKey[bk])
+		}
+		if next := c.NextEvent(rdReady); next != pushed {
+			t.Fatalf("NextEvent(%d) = %d, want tCCD_L-pushed %d", rdReady, next, pushed)
+		}
+		if q.calWhere[bk] != calBucket || q.calKey[bk] != pushed {
+			t.Fatalf("stale key revalidated to where=%d key=%d, want bucketed at %d",
+				q.calWhere[bk], q.calKey[bk], pushed)
+		}
+	})
 
-	// Lazy path: an internal column on the same rank pushes the rank's
-	// column horizons (tCCD) but changes no row state. The bucket key
-	// must stay put (no eager resync), and revalidation at the stale
-	// key must re-file at the exact pushed-out cycle.
-	stamp0 := q.calStamp[da.Rank]
-	mem.Issue(dram.CmdRD, da, rdReady, true)
-	pushed := rdReady + int64(mem.T.CCDL)
-	if q.calKey[bk] != rdReady {
-		t.Fatalf("column traffic moved the bucket key to %d; expected lazy staleness", q.calKey[bk])
-	}
-	if next := c.NextEvent(rdReady); next != pushed {
-		t.Fatalf("NextEvent(%d) = %d, want tCCD_L-pushed %d", rdReady, next, pushed)
-	}
-	if q.calStamp[da.Rank] != stamp0 {
-		t.Fatal("internal column bumped the calendar's row-stamp record; resync was not lazy")
-	}
-	if q.calWhere[bk] != calBucket || q.calKey[bk] != pushed {
-		t.Fatalf("stale key revalidated to where=%d key=%d, want bucketed at %d",
-			q.calWhere[bk], q.calKey[bk], pushed)
-	}
+	t.Run("row-change-per-bank", func(t *testing.T) {
+		mem := dram.New(g, dram.DDR42400())
+		c := NewController(DefaultConfig(), mem, mapper, 0)
+		tm := mem.T
+		// Banks A and B (rank 0, different bank groups) are opened and
+		// closed by an NDA, so their next ACT waits out tRC; bank C (a
+		// third bank group) is the NDA's and the host never queues to it.
+		bankA := dram.Addr{BankGroup: 0, Row: 100}
+		bankB := dram.Addr{BankGroup: 1, Row: 100}
+		bankC := dram.Addr{BankGroup: 2, Row: 300}
+		actB := int64(tm.RRDS)
+		preB := actB + int64(tm.RAS)
+		mem.Issue(dram.CmdACT, bankA, 0, true)
+		mem.Issue(dram.CmdACT, bankB, actB, true)
+		mem.Issue(dram.CmdPRE, bankA, int64(tm.RAS), true)
+		mem.Issue(dram.CmdPRE, bankB, preB, true)
+		keyA, keyB := int64(tm.RC), actB+int64(tm.RC)
 
-	// Eager path: an internal ACT elsewhere on the rank changes row
-	// state (RowStamp). The next derivation must revalidate the
-	// bucketed bank immediately — observable as a freshly stamped
-	// entry — even though its key has not come due.
-	da2 := da
-	da2.BankGroup = (da.BankGroup + 1) % g.BankGroups
-	da2.Row = 9999
-	actAt := pushed - 1
-	if !mem.CanIssue(dram.CmdACT, da2, actAt, true) {
-		t.Fatalf("internal ACT illegal at %d", actAt)
-	}
-	mem.Issue(dram.CmdACT, da2, actAt, true)
-	if next := c.NextEvent(actAt); next != pushed {
-		t.Fatalf("NextEvent(%d) = %d, want %d", actAt, next, pushed)
-	}
-	if q.calStamp[da.Rank] == stamp0 {
-		t.Fatal("row command did not trigger the eager resync")
-	}
-	if e := &q.sched[q.occPos[bk]]; e.dirty || e.rkStamp != mem.RankStamp(0, da.Rank) {
-		t.Fatal("eager resync left the bucketed bank's entry stale")
-	}
+		// Host reads to rows 200 of A and B: closed banks, so each
+		// bank's candidate is an ACT at its tRC horizon.
+		hostA, hostB := bankA, bankB
+		hostA.Row, hostB.Row = 200, 200
+		now := preB
+		c.EnqueueReadDecoded(1<<20, hostA, now, nil)
+		c.EnqueueReadDecoded(2<<20, hostB, now, nil)
+		if next := c.NextEvent(now); next != keyA {
+			t.Fatalf("NextEvent(%d) = %d, want bank A's tRC horizon %d", now, next, keyA)
+		}
+		q := &c.rq
+		bkA := int32(hostA.GlobalBank(g))
+		bkB := int32(hostB.GlobalBank(g))
+		for _, b := range []struct {
+			bk  int32
+			key int64
+		}{{bkA, keyA}, {bkB, keyB}} {
+			if q.calWhere[b.bk] != calBucket || q.calKey[b.bk] != b.key {
+				t.Fatalf("bank %d filed at where=%d key=%d, want bucketed at %d",
+					b.bk, q.calWhere[b.bk], q.calKey[b.bk], b.key)
+			}
+		}
+
+		// An NDA ACT on C: logged, but the queue holds no request for C,
+		// so the sync parks nothing. A and B stay in their buckets, and
+		// B's entry is not even recomputed (its rank stamp moved, but
+		// nothing revisits it before its key comes due).
+		now++
+		mem.Issue(dram.CmdACT, bankC, now, true)
+		stB := q.sched[q.occPos[bkB]].rkStamp
+		c.calSync(q, now)
+		if q.rowSeen != mem.RowSeq(0) {
+			t.Fatal("calSync did not consume the row log")
+		}
+		if q.calWhere[bkA] != calBucket || q.calKey[bkA] != keyA ||
+			q.calWhere[bkB] != calBucket || q.calKey[bkB] != keyB {
+			t.Fatalf("row change on an unqueued bank re-filed queued banks: A where=%d key=%d, B where=%d key=%d",
+				q.calWhere[bkA], q.calKey[bkA], q.calWhere[bkB], q.calKey[bkB])
+		}
+		if next := c.NextEvent(now); next != keyA {
+			t.Fatalf("NextEvent(%d) = %d after the ACT on C, want %d", now, next, keyA)
+		}
+		if e := &q.sched[q.occPos[bkB]]; e.rkStamp != stB || e.rkStamp == mem.RankStamp(0, 0) {
+			t.Fatal("row change on an unqueued bank revalidated bank B's entry")
+		}
+
+		// A row change on A itself — a warm open at the host's row, as a
+		// sampled-mode jump performs — makes A's read a row hit ready
+		// now, long before A's bucket key. The sync must park exactly A,
+		// leave B bucketed, and the controller must issue A's read now.
+		now++
+		mem.WarmOpen(hostA)
+		c.calSync(q, now)
+		if q.calWhere[bkA] != calInReady {
+			t.Fatalf("row change on queued bank A left it at where=%d key=%d", q.calWhere[bkA], q.calKey[bkA])
+		}
+		if q.calWhere[bkB] != calBucket || q.calKey[bkB] != keyB {
+			t.Fatalf("row change on bank A re-filed bank B: where=%d key=%d", q.calWhere[bkB], q.calKey[bkB])
+		}
+		if next := c.NextEvent(now); next != now {
+			t.Fatalf("NextEvent(%d) = %d, want due now (A's read is a ready row hit)", now, next)
+		}
+		c.Tick(now)
+		if c.ReadsIssued != 1 || c.ActsIssued != 0 {
+			t.Fatalf("after the warm open: reads=%d acts=%d, want the row-hit read and no ACT",
+				c.ReadsIssued, c.ActsIssued)
+		}
+	})
 }

@@ -26,7 +26,7 @@ func (q *reqQueue) calFutureHz() int64 {
 // membership after every operation.
 func TestCalendarRingOps(t *testing.T) {
 	var q reqQueue
-	q.init(2, 16, 2)
+	q.init(2, 16)
 	rng := rand.New(rand.NewSource(7))
 	model := map[int32]int64{} // bankKey -> key (bucketed or overflow); absent = ready/absent
 	inReady := map[int32]bool{}

@@ -35,8 +35,9 @@ func (c *Controller) OverflowLen() int { return c.overflow.Len() }
 // the dense scheduling cache against the occupied set, calendar
 // membership (every occupied bank in exactly one region, bitmap in sync
 // with slot heads, keys inside their region's range), and — for banks
-// whose rank stamp is current — calendar lower-bound soundness against
-// a fresh rescan of the bank's candidates. Returns the first violation
+// with no row change pending in the channel's row log — calendar
+// lower-bound soundness against a fresh rescan of the bank's
+// candidates. Returns the first violation
 // found, nil when consistent.
 func (c *Controller) CheckInvariants() error {
 	if err := c.checkQueue(&c.rq, "rq", c.cfg.ReadQueue, dram.CmdRD); err != nil {
@@ -196,21 +197,28 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 	}
 
 	// Lower-bound soundness, spot-checked against a fresh rescan of
-	// each bank's candidates. Only banks whose rank row stamp is
-	// current are bound: a pending resync (calSync runs it before any
-	// decision) may legitimately leave a stale-high key behind. Ready
-	// banks carry no key contract (the scan revalidates them), and the
-	// rescan paths (cross-channel harnesses, reference scheduler) never
-	// consult keys at all.
+	// each bank's candidates. Banks with a row change the queue has not
+	// yet replayed from the channel's row log are exempt: calSync parks
+	// them before any decision, so until then a stale-high key is
+	// legitimate — and when the log no longer covers the span since the
+	// queue's last sync, every bank is pending.
+	// Ready banks carry no key contract (the scan revalidates them), and
+	// the rescan paths (cross-channel harnesses, reference scheduler)
+	// never consult keys at all.
 	if c.cross || c.refSched {
 		return nil
 	}
+	seq := c.mem.RowSeq(c.channel)
+	if seq-q.rowSeen > dram.RowLogLen {
+		return nil
+	}
+	pending := make(map[int32]bool)
+	base := int32(c.channel * c.nrank * c.bpr)
+	for s := q.rowSeen; s < seq; s++ {
+		pending[base+c.mem.RowChange(c.channel, s)] = true
+	}
 	for _, bk := range q.occ {
-		if q.calWhere[bk] != calBucket && q.calWhere[bk] != calInOver {
-			continue
-		}
-		rank := int(bk)/c.bpr - c.channel*c.nrank
-		if q.calStamp[rank] != c.mem.RowStamp(c.channel, rank) {
+		if q.calWhere[bk] != calBucket && q.calWhere[bk] != calInOver || pending[bk] {
 			continue
 		}
 		if oracle := c.bankOracle(q, bk, cmd); q.calKey[bk] > oracle {

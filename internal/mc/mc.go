@@ -83,13 +83,11 @@ type Controller struct {
 	overflow ring.Ring[*Request]
 	drain    bool
 
-	bpr        int      // banks per rank (bankKey stride)
-	bpg        int      // banks per group (flat bank -> bank group)
-	nrank      int      // ranks per channel
-	free       *Request // request node pool
-	seqGen     int64
-	stScratch  []int64 // per-rank stamp scratch for schedule sweeps
-	busScratch []int64 // per-rank channel-bus horizon scratch
+	bpr    int      // banks per rank (bankKey stride)
+	bpg    int      // banks per group (flat bank -> bank group)
+	nrank  int      // ranks per channel
+	free   *Request // request node pool
+	seqGen int64
 
 	// Fused horizon hint: a Tick that attempts both queues and issues
 	// nothing records the min candidate horizon its failed sweeps
@@ -177,11 +175,9 @@ func NewController(cfg Config, mem *dram.Mem, mapper addrmap.Mapper, channel int
 		issuedRank: -1,
 		seen:       make([]int64, nb),
 		IdleHists:  make([]stats.IdleHist, mem.Geom.Ranks),
-		stScratch:  make([]int64, mem.Geom.Ranks),
-		busScratch: make([]int64, mem.Geom.Ranks),
 	}
-	c.rq.init(mem.Geom.Channels*mem.Geom.Ranks, c.bpr, mem.Geom.Ranks)
-	c.wq.init(mem.Geom.Channels*mem.Geom.Ranks, c.bpr, mem.Geom.Ranks)
+	c.rq.init(mem.Geom.Channels*mem.Geom.Ranks, c.bpr)
+	c.wq.init(mem.Geom.Channels*mem.Geom.Ranks, c.bpr)
 	for i := 0; i < cfg.ReadQueue+cfg.WriteQueue; i++ {
 		c.free = &Request{qnext: c.free}
 	}
@@ -246,6 +242,16 @@ func (c *Controller) NDAVer(rank int) uint64 {
 func (c *Controller) ClearIssued() {
 	c.issuedRank = -1
 	c.issuedIsCol = false
+}
+
+// Idle reports whether a Tick would be a no-op beyond ClearIssued: both
+// queues and the overflow buffer are empty, the controller is not
+// draining, and refresh is off. Such a Tick issues nothing, refills
+// nothing, flips no drain state, and its only write — a Never horizon
+// hint — is invalidated by the enqueue (ver bump) that must precede any
+// later use of the hint.
+func (c *Controller) Idle() bool {
+	return c.rq.n == 0 && c.wq.n == 0 && c.overflow.Len() == 0 && !c.drain && c.mem.T.REFI == 0
 }
 
 // alloc pops a pooled request node (or grows the pool).

@@ -51,17 +51,8 @@ type reqQueue struct {
 	occPos  []int32 // bankKey -> index into occ, -1 when absent
 	// sched is the per-bank scheduling cache, kept DENSE: sched[i] is
 	// the entry for occ[i], maintained through the same swap-removal.
-	// The calendar's examine loops resolve entries through occPos; the
-	// packed layout keeps the stamp-resync walk streaming.
+	// The calendar's examine loops resolve entries through occPos.
 	sched []bankEntry
-
-	// Per-rank-group occupied-bank lists: every occupied bank is on the
-	// list of its (channel, rank) group, so a rank-stamp resync touches
-	// only the changed rank's banks (see calendar.go). Linked by bankKey
-	// (stable across occ swap-removal).
-	rgHead []int32 // rank group -> first occupied bankKey, -1 when none
-	rgNext []int32 // bankKey -> next occupied bankKey in the group
-	rgPrev []int32
 
 	// Calendar-queue state (see calendar.go). Every occupied bank is in
 	// exactly one of: a ring bucket (future ready cycle), the ready
@@ -79,7 +70,10 @@ type reqQueue struct {
 	calWhere []uint8 // bankKey -> calAbsent/calBucket/calReady/calOver
 	calReady int32   // ready-list head
 	calOver  int32   // overflow-list head
-	calStamp []int64 // local rank -> RankStamp at last resync (0 = never)
+	// rowSeen is the channel's dram.Mem.RowSeq at the queue's last
+	// calSync: the row changes logged since then are the banks the next
+	// sync must park ready.
+	rowSeen uint64
 }
 
 // Calendar geometry: the ring covers calSlots consecutive cycles, one
@@ -101,7 +95,7 @@ const (
 	calInOver
 )
 
-func (q *reqQueue) init(rankGroups, banksPerRank, localRanks int) {
+func (q *reqQueue) init(rankGroups, banksPerRank int) {
 	nb := rankGroups * banksPerRank
 	for 1<<q.shift < banksPerRank {
 		q.shift++ // geometry fields are validated powers of two
@@ -112,9 +106,6 @@ func (q *reqQueue) init(rankGroups, banksPerRank, localRanks int) {
 	q.demVer = make([]uint64, rankGroups)
 	q.occ = make([]int32, 0, nb)
 	q.occPos = make([]int32, nb)
-	q.rgHead = make([]int32, rankGroups)
-	q.rgNext = make([]int32, nb)
-	q.rgPrev = make([]int32, nb)
 	q.calBits = make([]uint64, calWords)
 	q.calBkt = make([]int32, calSlots)
 	q.calKey = make([]int64, nb)
@@ -123,12 +114,8 @@ func (q *reqQueue) init(rankGroups, banksPerRank, localRanks int) {
 	q.calWhere = make([]uint8, nb)
 	q.calReady = -1
 	q.calOver = -1
-	q.calStamp = make([]int64, localRanks)
 	for i := range q.occPos {
 		q.occPos[i] = -1
-	}
-	for i := range q.rgHead {
-		q.rgHead[i] = -1
 	}
 	for i := range q.calBkt {
 		q.calBkt[i] = -1
@@ -163,7 +150,6 @@ func (q *reqQueue) push(r *Request) {
 		q.occPos[r.bankKey] = int32(len(q.occ))
 		q.occ = append(q.occ, r.bankKey)
 		q.sched = append(q.sched, bankEntry{dirty: true})
-		q.rgLink(r.bankKey)
 		q.calPushReady(r.bankKey)
 	}
 	bl.tail = r
@@ -214,7 +200,6 @@ func (q *reqQueue) remove(r *Request) {
 		// request nodes are pooled for the controller's lifetime.
 		q.sched[i] = q.sched[last]
 		q.sched = q.sched[:last]
-		q.rgUnlink(r.bankKey)
 		q.calUnlink(r.bankKey)
 	} else {
 		// The bank head (pass-2 candidate) or oldest row hit may have

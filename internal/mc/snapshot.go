@@ -32,8 +32,8 @@ func reqStateOf(r *Request) reqState {
 // The scheduling caches (calendar, bank entries, fused horizon hint)
 // are NOT serialized: they only control which cycles may be skipped,
 // every skip is individually proven a no-op, and a restored queue
-// rebuilds them conservatively (all banks parked ready, stamps forcing
-// resync), so the restored controller makes decision-identical choices.
+// rebuilds them conservatively (every bank parked ready by its push),
+// so the restored controller makes decision-identical choices.
 type ControllerState struct {
 	rq, wq   []reqState
 	overflow []reqState
@@ -103,8 +103,8 @@ func (c *Controller) Restore(st *ControllerState, resolve func(write bool, addr 
 	}
 	c.rq = reqQueue{}
 	c.wq = reqQueue{}
-	c.rq.init(c.mem.Geom.Channels*c.mem.Geom.Ranks, c.bpr, c.mem.Geom.Ranks)
-	c.wq.init(c.mem.Geom.Channels*c.mem.Geom.Ranks, c.bpr, c.mem.Geom.Ranks)
+	c.rq.init(c.mem.Geom.Channels*c.mem.Geom.Ranks, c.bpr)
+	c.wq.init(c.mem.Geom.Channels*c.mem.Geom.Ranks, c.bpr)
 
 	fill := func(q *reqQueue, reqs []reqState) {
 		for i := range reqs {

@@ -588,6 +588,10 @@ func (s *System) skipIdle(k int64) {
 //   - A controller whose cached bound lies ahead cannot schedule
 //     anything this cycle (the mc.NextEvent contract); only its
 //     per-cycle issued-rank scratch must be reset for the NDA hooks.
+//     The same holds for an idle controller (mc.Controller.Idle: empty
+//     queues, no drain, refresh off) whatever its cached bound says —
+//     host-only systems never refresh that bound, because the survey
+//     returns at the first active core.
 //   - The channel's rank NDAs are skipped when their bound lies ahead —
 //     unless this domain's controller issued a command to a rank with
 //     NDA work: the rank's yield (and its StallsHost accounting)
@@ -617,8 +621,8 @@ func (s *System) domainTickBody(d int, now int64) {
 	// Dispatch straight off the cached bound: due when it expired or
 	// when any derivation input moved (ticking on a stale bound is
 	// always exact — only skipping needs the proof).
-	mcTicked := s.mcStale[d] || s.mcWake[d] <= now || s.mcVer[d] != c.Ver() ||
-		s.mcMemVer[d] != s.Mem.ChVer(c.Channel())
+	mcTicked := !c.Idle() && (s.mcStale[d] || s.mcWake[d] <= now || s.mcVer[d] != c.Ver() ||
+		s.mcMemVer[d] != s.Mem.ChVer(c.Channel()))
 	if mcTicked {
 		c.Tick(now)
 		s.mcStale[d] = true
