@@ -68,9 +68,9 @@ type waiter struct {
 
 // strideState is one core's prefetch stream detector.
 type strideState struct {
-	lastBlock  uint64
-	stride     int64
-	confidence int
+	LastBlock  uint64
+	Stride     int64
+	Confidence int
 }
 
 // Hierarchy composes per-core L1/L2 caches and the shared LLC.
@@ -402,21 +402,21 @@ func (h *Hierarchy) maybePrefetch(core int, addr uint64) {
 	}
 	b := h.block(addr)
 	st := &h.prefetch[core]
-	stride := int64(b) - int64(st.lastBlock)
-	if stride == st.stride && stride != 0 {
-		if st.confidence < 4 {
-			st.confidence++
+	stride := int64(b) - int64(st.LastBlock)
+	if stride == st.Stride && stride != 0 {
+		if st.Confidence < 4 {
+			st.Confidence++
 		}
 	} else {
-		st.confidence = 0
-		st.stride = stride
+		st.Confidence = 0
+		st.Stride = stride
 	}
-	st.lastBlock = b
-	if st.confidence < 2 {
+	st.LastBlock = b
+	if st.Confidence < 2 {
 		return
 	}
 	for d := 1; d <= h.cfg.PrefetchDegree; d++ {
-		pb := int64(b) + st.stride*int64(d)
+		pb := int64(b) + st.Stride*int64(d)
 		if pb < 0 {
 			continue
 		}

@@ -36,60 +36,63 @@ func (c *Cache) restore(st cacheState) {
 // waiterState identifies one MSHR waiter by (core, ROB slot); restore
 // rewires it to the core's pooled completion closure.
 type waiterState struct {
-	core, slot int
-	hasDone    bool
+	Core, Slot int
+	HasDone    bool
 }
 
 // mshrState is one in-flight LLC miss.
 type mshrState struct {
-	block    uint64
-	core     int
-	dirty    bool
-	prefetch bool
-	waiters  []waiterState
+	Block    uint64
+	Core     int
+	Dirty    bool
+	Prefetch bool
+	Waiters  []waiterState
 }
 
-// HierarchyState is an opaque deep copy of the hierarchy's mutable
-// state: every cache level's contents, the in-flight MSHR set with its
-// waiters, per-core L1 MSHR occupancy, prefetch stride detectors, and
-// counters. Fill callbacks are not serialized — restored MSHRs get
-// fresh pool nodes whose closures are equivalent, and controller-queue
-// restore reattaches reads to them through FillFor.
+// HierarchyState is a deep copy of the hierarchy's mutable state: every
+// cache level's contents, the in-flight MSHR set with its waiters,
+// per-core L1 MSHR occupancy, prefetch stride detectors, and counters.
+// Fill callbacks are not serialized — restored MSHRs get fresh pool
+// nodes whose closures are equivalent, and controller-queue restore
+// reattaches reads to them through FillFor; an MSHR waiter's durable
+// name is its (core, ROB slot). The exported fields are also the
+// durable checkpoint encoding, except that the cache levels pack into
+// varint line blobs (see MarshalJSON).
 type HierarchyState struct {
-	l1, l2     []cacheState
-	llc        cacheState
-	mshrs      []mshrState
-	l1Pending  []int
-	prefetch   []strideState
-	prefetches int64
-	demand     int64
-	ver        uint64
+	L1, L2     []cacheState `json:"-"` // packed by MarshalJSON
+	LLC        cacheState   `json:"-"`
+	MSHRs      []mshrState
+	L1Pending  []int
+	Prefetch   []strideState
+	Prefetches int64
+	Demand     int64
+	Ver        uint64
 }
 
 // Snapshot captures the hierarchy's full mutable state.
 func (h *Hierarchy) Snapshot() *HierarchyState {
 	st := &HierarchyState{
-		llc:        h.llc.snapshot(),
-		l1Pending:  append([]int(nil), h.l1Pending...),
-		prefetch:   append([]strideState(nil), h.prefetch...),
-		prefetches: h.Prefetches,
-		demand:     h.Demand,
-		ver:        h.ver,
+		LLC:        h.llc.snapshot(),
+		L1Pending:  append([]int(nil), h.l1Pending...),
+		Prefetch:   append([]strideState(nil), h.prefetch...),
+		Prefetches: h.Prefetches,
+		Demand:     h.Demand,
+		Ver:        h.ver,
 	}
 	for i := range h.l1 {
-		st.l1 = append(st.l1, h.l1[i].snapshot())
-		st.l2 = append(st.l2, h.l2[i].snapshot())
+		st.L1 = append(st.L1, h.l1[i].snapshot())
+		st.L2 = append(st.L2, h.l2[i].snapshot())
 	}
 	for i := range h.pending.vals {
 		m := h.pending.vals[i]
 		if m == nil {
 			continue
 		}
-		ms := mshrState{block: m.block, core: m.core, dirty: m.dirty, prefetch: m.prefetch}
+		ms := mshrState{Block: m.block, Core: m.core, Dirty: m.dirty, Prefetch: m.prefetch}
 		for _, w := range m.waiters {
-			ms.waiters = append(ms.waiters, waiterState{core: w.core, slot: w.slot, hasDone: w.done != nil})
+			ms.Waiters = append(ms.Waiters, waiterState{Core: w.core, Slot: w.slot, HasDone: w.done != nil})
 		}
-		st.mshrs = append(st.mshrs, ms)
+		st.MSHRs = append(st.MSHRs, ms)
 	}
 	return st
 }
@@ -99,14 +102,14 @@ func (h *Hierarchy) Snapshot() *HierarchyState {
 // waiter's (core, ROB slot) back to its completion closure (the sim
 // package passes the cores' DoneFn accessors).
 func (h *Hierarchy) Restore(st *HierarchyState, done func(core, slot int) func(int64)) {
-	if len(st.l1) != len(h.l1) {
+	if len(st.L1) != len(h.l1) {
 		panic("cache: restore onto a hierarchy with different core count")
 	}
 	for i := range h.l1 {
-		h.l1[i].restore(st.l1[i])
-		h.l2[i].restore(st.l2[i])
+		h.l1[i].restore(st.L1[i])
+		h.l2[i].restore(st.L2[i])
 	}
-	h.llc.restore(st.llc)
+	h.llc.restore(st.LLC)
 	// Drop any live MSHRs back to the pool and rebuild the saved set.
 	for i := range h.pending.vals {
 		if m := h.pending.vals[i]; m != nil {
@@ -115,20 +118,20 @@ func (h *Hierarchy) Restore(st *HierarchyState, done func(core, slot int) func(i
 		}
 	}
 	h.pending.n = 0
-	for _, ms := range st.mshrs {
-		m := h.allocMSHR(ms.core, ms.block, ms.dirty, ms.prefetch)
-		for _, w := range ms.waiters {
+	for _, ms := range st.MSHRs {
+		m := h.allocMSHR(ms.Core, ms.Block, ms.Dirty, ms.Prefetch)
+		for _, w := range ms.Waiters {
 			var fn func(int64)
-			if w.hasDone && done != nil {
-				fn = done(w.core, w.slot)
+			if w.HasDone && done != nil {
+				fn = done(w.Core, w.Slot)
 			}
-			m.waiters = append(m.waiters, waiter{core: w.core, slot: w.slot, done: fn})
+			m.waiters = append(m.waiters, waiter{core: w.Core, slot: w.Slot, done: fn})
 		}
-		h.pending.put(ms.block, m)
+		h.pending.put(ms.Block, m)
 	}
-	copy(h.l1Pending, st.l1Pending)
-	copy(h.prefetch, st.prefetch)
-	h.Prefetches, h.Demand, h.ver = st.prefetches, st.demand, st.ver
+	copy(h.l1Pending, st.L1Pending)
+	copy(h.prefetch, st.Prefetch)
+	h.Prefetches, h.Demand, h.ver = st.Prefetches, st.Demand, st.Ver
 }
 
 // FillFor returns the fill callback of the in-flight miss covering

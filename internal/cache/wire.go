@@ -1,4 +1,4 @@
-// On-disk codec for HierarchyState. Cache line arrays dominate a
+// On-disk form of the cache levels. Cache line arrays dominate a
 // checkpoint's size (the LLC alone is >100k lines), so they pack into a
 // varint-coded binary blob rather than per-line JSON objects: a line is
 // flags(1) uvarint(tag) uvarint(lru), so an invalid line costs 3 bytes
@@ -6,9 +6,8 @@
 // checkpoint write costing milliseconds and costing a noticeable
 // fraction of the simulation budget. The line count rides alongside the
 // blob, so truncation is detected structurally (and the envelope digest
-// covers the bytes anyway). MSHR waiters serialize as (core, slot) —
-// the same durable identity the in-memory restore resolves through
-// DoneFn.
+// covers the bytes anyway). Everything else in HierarchyState encodes
+// as its own exported fields.
 package cache
 
 import (
@@ -75,42 +74,13 @@ func unpackLines(b []byte, count int, st *cacheState) error {
 	return nil
 }
 
+// cacheWire is one cache level's packed form.
 type cacheWire struct {
 	NLines int
 	Lines  []byte // packLines
 	Clock  uint64
 	Hits   int64
 	Misses int64
-}
-
-type waiterWire struct {
-	Core, Slot int
-	HasDone    bool
-}
-
-type mshrWire struct {
-	Block    uint64
-	Core     int
-	Dirty    bool
-	Prefetch bool
-	Waiters  []waiterWire
-}
-
-type strideWire struct {
-	LastBlock  uint64
-	Stride     int64
-	Confidence int
-}
-
-type hierarchyWire struct {
-	L1, L2     []cacheWire
-	LLC        cacheWire
-	MSHRs      []mshrWire
-	L1Pending  []int
-	Prefetch   []strideWire
-	Prefetches int64
-	Demand     int64
-	Ver        uint64
 }
 
 func cacheToWire(st *cacheState) cacheWire {
@@ -125,70 +95,53 @@ func cacheFromWire(w *cacheWire) (cacheState, error) {
 	return st, nil
 }
 
+// hierarchyFields is HierarchyState without its methods, so the wire
+// struct can embed it and encoding/json passes its fields through.
+type hierarchyFields HierarchyState
+
+// hierarchyWire is HierarchyState with the levels packed. The levels
+// come first and the embedded fields follow in declaration order, so
+// the encoding is the same document the state's own fields describe.
+// It is marshaled in one pass: a per-level MarshalJSON would make
+// encoding/json re-compact every line blob.
+type hierarchyWire struct {
+	L1, L2 []cacheWire
+	LLC    cacheWire
+	*hierarchyFields
+}
+
 // MarshalJSON encodes the snapshot for the durable checkpoint file.
 func (st *HierarchyState) MarshalJSON() ([]byte, error) {
-	w := hierarchyWire{
-		LLC:        cacheToWire(&st.llc),
-		L1Pending:  st.l1Pending,
-		Prefetches: st.prefetches, Demand: st.demand, Ver: st.ver,
+	w := hierarchyWire{LLC: cacheToWire(&st.LLC), hierarchyFields: (*hierarchyFields)(st)}
+	for i := range st.L1 {
+		w.L1 = append(w.L1, cacheToWire(&st.L1[i]))
 	}
-	for i := range st.l1 {
-		w.L1 = append(w.L1, cacheToWire(&st.l1[i]))
-	}
-	for i := range st.l2 {
-		w.L2 = append(w.L2, cacheToWire(&st.l2[i]))
-	}
-	for _, m := range st.mshrs {
-		mw := mshrWire{Block: m.block, Core: m.core, Dirty: m.dirty, Prefetch: m.prefetch}
-		for _, wt := range m.waiters {
-			mw.Waiters = append(mw.Waiters, waiterWire{Core: wt.core, Slot: wt.slot, HasDone: wt.hasDone})
-		}
-		w.MSHRs = append(w.MSHRs, mw)
-	}
-	for _, p := range st.prefetch {
-		w.Prefetch = append(w.Prefetch, strideWire{LastBlock: p.lastBlock, Stride: p.stride, Confidence: p.confidence})
+	for i := range st.L2 {
+		w.L2 = append(w.L2, cacheToWire(&st.L2[i]))
 	}
 	return json.Marshal(w)
 }
 
 // UnmarshalJSON rebuilds the snapshot written by MarshalJSON.
 func (st *HierarchyState) UnmarshalJSON(b []byte) error {
-	var w hierarchyWire
+	w := hierarchyWire{hierarchyFields: (*hierarchyFields)(st)}
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
 	var err error
-	if st.llc, err = cacheFromWire(&w.LLC); err != nil {
+	if st.LLC, err = cacheFromWire(&w.LLC); err != nil {
 		return err
 	}
-	st.l1, st.l2 = nil, nil
+	st.L1, st.L2 = make([]cacheState, len(w.L1)), make([]cacheState, len(w.L2))
 	for i := range w.L1 {
-		cs, err := cacheFromWire(&w.L1[i])
-		if err != nil {
+		if st.L1[i], err = cacheFromWire(&w.L1[i]); err != nil {
 			return err
 		}
-		st.l1 = append(st.l1, cs)
 	}
 	for i := range w.L2 {
-		cs, err := cacheFromWire(&w.L2[i])
-		if err != nil {
+		if st.L2[i], err = cacheFromWire(&w.L2[i]); err != nil {
 			return err
 		}
-		st.l2 = append(st.l2, cs)
 	}
-	st.mshrs = nil
-	for _, mw := range w.MSHRs {
-		m := mshrState{block: mw.Block, core: mw.Core, dirty: mw.Dirty, prefetch: mw.Prefetch}
-		for _, wt := range mw.Waiters {
-			m.waiters = append(m.waiters, waiterState{core: wt.Core, slot: wt.Slot, hasDone: wt.HasDone})
-		}
-		st.mshrs = append(st.mshrs, m)
-	}
-	st.l1Pending = w.L1Pending
-	st.prefetch = nil
-	for _, p := range w.Prefetch {
-		st.prefetch = append(st.prefetch, strideState{lastBlock: p.LastBlock, stride: p.Stride, confidence: p.Confidence})
-	}
-	st.prefetches, st.demand, st.ver = w.Prefetches, w.Demand, w.Ver
 	return nil
 }

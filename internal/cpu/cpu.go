@@ -51,10 +51,10 @@ func DefaultConfig() Config { return Config{Width: 8, ROBSize: 224, LSQSize: 64}
 
 // robEntry tracks one in-flight instruction.
 type robEntry struct {
-	doneAt  int64 // CPU cycle at which the instruction may retire
-	pending bool  // completion arrives via callback
-	isLoad  bool
-	isStore bool
+	DoneAt  int64 // CPU cycle at which the instruction may retire
+	Pending bool  // completion arrives via callback
+	IsLoad  bool
+	IsStore bool
 }
 
 // Core is one out-of-order core.
@@ -116,8 +116,8 @@ func NewCore(id int, cfg Config, trace TraceSource, hier *cache.Hierarchy) *Core
 	for i := range c.doneFns {
 		e := &c.rob[i]
 		c.doneFns[i] = func(cpuDone int64) {
-			e.pending = false
-			e.doneAt = cpuDone
+			e.Pending = false
+			e.DoneAt = cpuDone
 			c.dirty = true
 		}
 	}
@@ -240,7 +240,7 @@ func (c *Core) materialize() {
 		i -= r
 	}
 	for k := 0; k < c.pend; k++ {
-		c.rob[i] = robEntry{doneAt: c.pendAt}
+		c.rob[i] = robEntry{DoneAt: c.pendAt}
 		i++
 		if i == r {
 			i = 0
@@ -364,21 +364,21 @@ func (c *Core) Tick(now int64) {
 	c.blocked = true
 	c.dirty = false
 	c.wake = dram.Never
-	if c.n > 0 && !c.rob[c.head].pending {
-		c.wake = c.rob[c.head].doneAt
+	if c.n > 0 && !c.rob[c.head].Pending {
+		c.wake = c.rob[c.head].DoneAt
 	}
 }
 
 func (c *Core) retire(now int64) {
 	for retired := 0; retired < c.cfg.Width && c.n > 0; retired++ {
 		e := &c.rob[c.head]
-		if e.pending || e.doneAt > now {
+		if e.Pending || e.DoneAt > now {
 			return
 		}
-		if e.isLoad {
+		if e.IsLoad {
 			c.loads--
 		}
-		if e.isStore {
+		if e.IsStore {
 			c.stores--
 		}
 		c.head++
@@ -428,7 +428,7 @@ func (c *Core) tryIssue(in Instr, now int64) bool {
 	*e = robEntry{}
 
 	if !in.Mem {
-		e.doneAt = now + 1
+		e.DoneAt = now + 1
 		c.n++
 		return true
 	}
@@ -441,15 +441,15 @@ func (c *Core) tryIssue(in Instr, now int64) bool {
 		c.probeStall = true
 		return false
 	case cache.Hit:
-		e.doneAt = now + lat
+		e.DoneAt = now + lat
 	case cache.Queued:
-		e.pending = true
+		e.Pending = true
 	}
 	if in.Write {
-		e.isStore = true
+		e.IsStore = true
 		c.stores++
 	} else {
-		e.isLoad = true
+		e.IsLoad = true
 		c.loads++
 	}
 	c.n++

@@ -1,43 +1,45 @@
 package cpu
 
-// CoreState is an opaque deep copy of a Core's mutable state: the ROB
-// contents, LSQ occupancy, batch lookahead, blocked-state tracking, and
-// retirement counters. Completion callbacks are not serialized — they
-// are per-slot closures the constructor rebuilds, and restored MSHR
-// waiters reattach through DoneFn.
+// CoreState is a deep copy of a Core's mutable state: the ROB contents,
+// LSQ occupancy, batch lookahead, blocked-state tracking, and retirement
+// counters. Its exported fields are also the durable checkpoint
+// encoding. Completion callbacks are not serialized — they are per-slot
+// closures the constructor rebuilds, so ROB slots serialize by position
+// and slot identity is the durable name of an in-flight load: restored
+// MSHR waiters reattach through DoneFn.
 type CoreState struct {
-	rob      []robEntry
-	head, n  int
-	stores   int
-	loads    int
-	stalled  Instr
-	hasStall bool
+	Rob      []robEntry
+	Head, N  int
+	Stores   int
+	Loads    int
+	Stalled  Instr
+	HasStall bool
 
-	look   []Instr
-	lookH  int
-	lookN  int
-	pend   int
-	pendAt int64
+	Look   []Instr
+	LookH  int
+	LookN  int
+	Pend   int
+	PendAt int64
 
-	blocked    bool
-	probeStall bool
-	wake       int64
-	dirty      bool
+	Blocked    bool
+	ProbeStall bool
+	Wake       int64
+	Dirty      bool
 
-	retired int64
-	cycles  int64
+	Retired int64
+	Cycles  int64
 }
 
 // Snapshot captures the core's mutable state.
 func (c *Core) Snapshot() *CoreState {
 	return &CoreState{
-		rob:  append([]robEntry(nil), c.rob...),
-		head: c.head, n: c.n, stores: c.stores, loads: c.loads,
-		stalled: c.stalled, hasStall: c.hasStall,
-		look: append([]Instr(nil), c.look...), lookH: c.lookH, lookN: c.lookN,
-		pend: c.pend, pendAt: c.pendAt,
-		blocked: c.blocked, probeStall: c.probeStall, wake: c.wake, dirty: c.dirty,
-		retired: c.Retired, cycles: c.Cycles,
+		Rob:  append([]robEntry(nil), c.rob...),
+		Head: c.head, N: c.n, Stores: c.stores, Loads: c.loads,
+		Stalled: c.stalled, HasStall: c.hasStall,
+		Look: append([]Instr(nil), c.look...), LookH: c.lookH, LookN: c.lookN,
+		Pend: c.pend, PendAt: c.pendAt,
+		Blocked: c.blocked, ProbeStall: c.probeStall, Wake: c.wake, Dirty: c.dirty,
+		Retired: c.Retired, Cycles: c.Cycles,
 	}
 }
 
@@ -46,15 +48,15 @@ func (c *Core) Snapshot() *CoreState {
 // place: the per-slot completion closures capture &c.rob[i], so the
 // backing array must not be replaced.
 func (c *Core) Restore(st *CoreState) {
-	if len(st.rob) != len(c.rob) {
+	if len(st.Rob) != len(c.rob) {
 		panic("cpu: restore onto a core with different ROB size")
 	}
-	copy(c.rob, st.rob)
-	c.head, c.n, c.stores, c.loads = st.head, st.n, st.stores, st.loads
-	c.stalled, c.hasStall = st.stalled, st.hasStall
-	copy(c.look, st.look)
-	c.lookH, c.lookN = st.lookH, st.lookN
-	c.pend, c.pendAt = st.pend, st.pendAt
-	c.blocked, c.probeStall, c.wake, c.dirty = st.blocked, st.probeStall, st.wake, st.dirty
-	c.Retired, c.Cycles = st.retired, st.cycles
+	copy(c.rob, st.Rob)
+	c.head, c.n, c.stores, c.loads = st.Head, st.N, st.Stores, st.Loads
+	c.stalled, c.hasStall = st.Stalled, st.HasStall
+	copy(c.look, st.Look)
+	c.lookH, c.lookN = st.LookH, st.LookN
+	c.pend, c.pendAt = st.Pend, st.PendAt
+	c.blocked, c.probeStall, c.wake, c.dirty = st.Blocked, st.ProbeStall, st.Wake, st.Dirty
+	c.Retired, c.Cycles = st.Retired, st.Cycles
 }

@@ -165,7 +165,7 @@ func (t Timing) Validate() error {
 		// (chanState.extCol) being monotone nondecreasing under legal
 		// command sequences; a read-to-write turnaround shorter than
 		// CL-CWL would let a WR's burst end before the preceding RD's,
-		// moving dataBusyUntil backwards.
+		// moving DataBusyUntil backwards.
 		return fmt.Errorf("dram: ReadToWrite (%d) < CL-CWL (%d): bus horizon not monotone", t.ReadToWrite(), t.CL-t.CWL)
 	}
 	return nil

@@ -5,107 +5,107 @@ import "fmt"
 // bankState tracks one bank's row state and per-bank timing horizons.
 // A horizon is the earliest cycle at which the named command may issue.
 type bankState struct {
-	open bool
-	row  int
+	Open bool
+	Row  int
 
-	nextACT int64
-	nextPRE int64
-	nextRD  int64
-	nextWR  int64
+	NextACT int64
+	NextPRE int64
+	NextRD  int64
+	NextWR  int64
 
 	// Cached earliest-issue horizons folding the bank-group, rank, tFAW,
 	// and refresh components (see rankState.horizons). Valid while
-	// hzStamp equals the owning rank's stamp; every Issue touching the
+	// HzStamp equals the owning rank's Stamp; every Issue touching the
 	// rank bumps the stamp, invalidating all of its banks at once. With
 	// the cache warm, CanIssue in a scheduler inner loop is a structural
 	// check plus one int64 compare.
-	hzStamp  int64
-	readyACT int64
-	readyPRE int64
-	readyRD  int64
-	readyWR  int64
+	HzStamp  int64
+	ReadyACT int64
+	ReadyPRE int64
+	ReadyRD  int64
+	ReadyWR  int64
 }
 
 // bgState tracks bank-group level horizons (tCCD_L, tRRD_L, tWTR_L).
 type bgState struct {
-	nextACT int64
-	nextRD  int64
-	nextWR  int64
+	NextACT int64
+	NextRD  int64
+	NextWR  int64
 }
 
 // rankState tracks rank-level horizons shared by host and NDA accesses:
 // cross-bank-group column spacing (tCCD_S), activation spacing (tRRD_S),
 // the tFAW window, and internal data-path read/write turnaround.
 type rankState struct {
-	banks []bankState // flat: bg*BanksPerGroup + bank
-	bgs   []bgState
+	Banks []bankState // flat: bg*BanksPerGroup + bank
+	BGs   []bgState
 
-	nextACT int64
-	nextRD  int64
-	nextWR  int64
+	NextACT int64
+	NextRD  int64
+	NextWR  int64
 
-	faw    []int64 // issue cycles of the last 4 ACTs (ring buffer)
-	fawIdx int
+	FAW    []int64 // issue cycles of the last 4 ACTs (ring buffer)
+	FAWIdx int
 
-	// stamp versions the rank's timing state for the per-bank horizon
+	// Stamp versions the rank's timing state for the per-bank horizon
 	// cache. It starts at 1 (so zero-valued bank caches are invalid) and
 	// is bumped by every Issue to the rank.
-	stamp int64
+	Stamp int64
 
-	// rowStamp counts the rank's row-state changes (ACT, PRE, WarmOpen),
+	// RowStamp counts the rank's row-state changes (ACT, PRE, WarmOpen),
 	// starting at 1. Schedulers learn which banks changed from the
 	// channel's row log instead (chanState.rowLog); the count stays as
 	// checkpointed state so the durable format is unchanged.
-	rowStamp int64
+	RowStamp int64
 
-	// dataBusyUntil is when the rank's data pins/internal IO finish the
+	// DataBusyUntil is when the rank's data pins/internal IO finish the
 	// current burst. Used for statistics and NDA idle detection.
-	dataBusyUntil int64
-	refreshUntil  int64
+	DataBusyUntil int64
+	RefreshUntil  int64
 }
 
 // horizons returns the bank's cached earliest-issue horizons, recomputing
 // them from the authoritative per-bank/bank-group/rank state when any
 // command has issued to the rank since the last computation.
 func (rk *rankState) horizons(t *Timing, bgIdx, flat int) *bankState {
-	b := &rk.banks[flat]
-	if b.hzStamp == rk.stamp {
+	b := &rk.Banks[flat]
+	if b.HzStamp == rk.Stamp {
 		return b
 	}
-	bg := &rk.bgs[bgIdx]
-	ru := rk.refreshUntil
-	b.readyACT = max(b.nextACT, bg.nextACT, rk.nextACT, rk.fawReady(t), ru)
-	b.readyPRE = max(b.nextPRE, ru)
-	b.readyRD = max(b.nextRD, bg.nextRD, rk.nextRD, ru)
-	b.readyWR = max(b.nextWR, bg.nextWR, rk.nextWR, ru)
-	b.hzStamp = rk.stamp
+	bg := &rk.BGs[bgIdx]
+	ru := rk.RefreshUntil
+	b.ReadyACT = max(b.NextACT, bg.NextACT, rk.NextACT, rk.fawReady(t), ru)
+	b.ReadyPRE = max(b.NextPRE, ru)
+	b.ReadyRD = max(b.NextRD, bg.NextRD, rk.NextRD, ru)
+	b.ReadyWR = max(b.NextWR, bg.NextWR, rk.NextWR, ru)
+	b.HzStamp = rk.Stamp
 	return b
 }
 
 // chanState tracks channel-level constraints that apply only to external
 // (host) accesses: the shared data bus and rank-switch penalties.
 type chanState struct {
-	ranks []rankState
+	Ranks []rankState
 
 	// Last external column command, for bus turnaround and tRTRS.
-	lastColValid bool
-	lastColRead  bool
-	lastColRank  int
-	lastColCycle int64
+	LastColValid bool
+	LastColRead  bool
+	LastColRank  int
+	LastColCycle int64
 
-	dataBusyUntil int64
-	nextRefresh   int64
+	DataBusyUntil int64
+	NextRefresh   int64
 
 	// Cached channel-bus horizons for external column commands, split by
-	// whether the target rank matches the last column's rank. colStamp is
-	// bumped by every external column issue; extStamp tracks the cached
-	// values (colStamp starts at 1 so the zero cache is invalid).
-	colStamp  int64
-	extStamp  int64
-	extRDSame int64
-	extRDDiff int64
-	extWRSame int64
-	extWRDiff int64
+	// whether the target rank matches the last column's rank. ColStamp is
+	// bumped by every external column issue; ExtStamp tracks the cached
+	// values (ColStamp starts at 1 so the zero cache is invalid).
+	ColStamp  int64
+	ExtStamp  int64
+	ExtRDSame int64
+	ExtRDDiff int64
+	ExtWRSame int64
+	ExtWRDiff int64
 
 	// Row-change log: every command that opens or closes a row (ACT,
 	// PRE, WarmOpen) appends its channel-local bank, rank*BanksPerRank +
@@ -119,9 +119,12 @@ type chanState struct {
 	// calendar's bucket keys) stays sound by revalidating exactly the
 	// banks logged since it last looked. The log is fixed-size: a reader
 	// that fell more than RowLogLen changes behind must presume every
-	// bank changed. It is a value array, so snapshots copy it whole.
-	rowLog [RowLogLen]int32
-	rowSeq uint64
+	// bank changed. It is a value array, so snapshots copy it whole. It
+	// is not durable: a decoded checkpoint restores an empty log, which
+	// the controllers restored with it never read (their rebuilt queues
+	// park every bank; see mc calSync).
+	rowLog [RowLogLen]int32 `json:"-"`
+	rowSeq uint64           `json:"-"`
 }
 
 // RowLogLen is the number of row changes a channel's row log retains
@@ -139,42 +142,42 @@ func (ch *chanState) logRow(local int32) {
 // column command of the given kind to the given rank (the channelColOK
 // constraints folded into a single horizon).
 func (ch *chanState) extCol(cmd Command, rank int, t *Timing) int64 {
-	if ch.extStamp != ch.colStamp {
-		busy := ch.dataBusyUntil
-		if !ch.lastColValid {
-			ch.extRDSame = busy - int64(t.CL)
-			ch.extRDDiff = ch.extRDSame
-			ch.extWRSame = busy - int64(t.CWL)
-			ch.extWRDiff = ch.extWRSame
+	if ch.ExtStamp != ch.ColStamp {
+		busy := ch.DataBusyUntil
+		if !ch.LastColValid {
+			ch.ExtRDSame = busy - int64(t.CL)
+			ch.ExtRDDiff = ch.ExtRDSame
+			ch.ExtWRSame = busy - int64(t.CWL)
+			ch.ExtWRDiff = ch.ExtWRSame
 		} else {
-			ch.extRDSame = busy - int64(t.CL)
-			ch.extRDDiff = busy + int64(t.RTRS) - int64(t.CL)
-			if !ch.lastColRead {
+			ch.ExtRDSame = busy - int64(t.CL)
+			ch.ExtRDDiff = busy + int64(t.RTRS) - int64(t.CL)
+			if !ch.LastColRead {
 				// Write-to-read across ranks: bus-only constraint.
-				ch.extRDDiff = max(ch.extRDDiff, ch.lastColCycle+int64(t.CWL+t.BL+t.RTRS-t.CL))
+				ch.ExtRDDiff = max(ch.ExtRDDiff, ch.LastColCycle+int64(t.CWL+t.BL+t.RTRS-t.CL))
 			}
-			ch.extWRSame = busy - int64(t.CWL)
-			ch.extWRDiff = busy + int64(t.RTRS) - int64(t.CWL)
-			if ch.lastColRead {
+			ch.ExtWRSame = busy - int64(t.CWL)
+			ch.ExtWRDiff = busy + int64(t.RTRS) - int64(t.CWL)
+			if ch.LastColRead {
 				// Read-to-write bus turnaround, any rank.
-				rtw := ch.lastColCycle + int64(t.ReadToWrite())
-				ch.extWRSame = max(ch.extWRSame, rtw)
-				ch.extWRDiff = max(ch.extWRDiff, rtw)
+				rtw := ch.LastColCycle + int64(t.ReadToWrite())
+				ch.ExtWRSame = max(ch.ExtWRSame, rtw)
+				ch.ExtWRDiff = max(ch.ExtWRDiff, rtw)
 			}
 		}
-		ch.extStamp = ch.colStamp
+		ch.ExtStamp = ch.ColStamp
 	}
-	same := !ch.lastColValid || ch.lastColRank == rank
+	same := !ch.LastColValid || ch.LastColRank == rank
 	if cmd == CmdRD {
 		if same {
-			return ch.extRDSame
+			return ch.ExtRDSame
 		}
-		return ch.extRDDiff
+		return ch.ExtRDDiff
 	}
 	if same {
-		return ch.extWRSame
+		return ch.ExtWRSame
 	}
-	return ch.extWRDiff
+	return ch.ExtWRDiff
 }
 
 // CmdCounts aggregates issued-command counters for energy and
@@ -261,25 +264,25 @@ func NewChecked(g Geometry, t Timing) (*Mem, error) {
 		cnts: make([]CmdCounts, g.Channels), chVer: make([]uint64, g.Channels)}
 	for c := range m.channels {
 		ch := &m.channels[c]
-		ch.ranks = make([]rankState, g.Ranks)
-		ch.colStamp = 1
-		for r := range ch.ranks {
-			rk := &ch.ranks[r]
-			rk.banks = make([]bankState, g.BanksPerRank())
-			rk.bgs = make([]bgState, g.BankGroups)
-			rk.faw = make([]int64, 4)
-			rk.stamp = 1
-			rk.rowStamp = 1
-			for i := range rk.faw {
-				rk.faw[i] = -(1 << 40) // far past: window initially empty
+		ch.Ranks = make([]rankState, g.Ranks)
+		ch.ColStamp = 1
+		for r := range ch.Ranks {
+			rk := &ch.Ranks[r]
+			rk.Banks = make([]bankState, g.BanksPerRank())
+			rk.BGs = make([]bgState, g.BankGroups)
+			rk.FAW = make([]int64, 4)
+			rk.Stamp = 1
+			rk.RowStamp = 1
+			for i := range rk.FAW {
+				rk.FAW[i] = -(1 << 40) // far past: window initially empty
 			}
 		}
 	}
 	return m, nil
 }
 
-func (m *Mem) rank(a Addr) *rankState { return &m.channels[a.Channel].ranks[a.Rank] }
-func (m *Mem) bank(a Addr) *bankState { return &m.rank(a).banks[a.GlobalBank(m.Geom)] }
+func (m *Mem) rank(a Addr) *rankState { return &m.channels[a.Channel].Ranks[a.Rank] }
+func (m *Mem) bank(a Addr) *bankState { return &m.rank(a).Banks[a.GlobalBank(m.Geom)] }
 func (m *Mem) checkAddr(a Addr) {
 	g := m.Geom
 	if a.Channel < 0 || a.Channel >= g.Channels || a.Rank < 0 || a.Rank >= g.Ranks ||
@@ -292,7 +295,7 @@ func (m *Mem) checkAddr(a Addr) {
 // OpenRow reports whether the addressed bank is open and, if so, which row.
 func (m *Mem) OpenRow(a Addr) (row int, open bool) {
 	b := m.bank(a)
-	return b.row, b.open
+	return b.Row, b.Open
 }
 
 // WarmOpen sets the addressed bank's row state — open at a.Row — at
@@ -308,11 +311,11 @@ func (m *Mem) WarmOpen(a Addr) {
 	m.checkAddr(a)
 	rk := m.rank(a)
 	flat := a.GlobalBank(m.Geom)
-	b := &rk.banks[flat]
-	b.open = true
-	b.row = a.Row
-	rk.stamp++
-	rk.rowStamp++
+	b := &rk.Banks[flat]
+	b.Open = true
+	b.Row = a.Row
+	rk.Stamp++
+	rk.RowStamp++
 	m.channels[a.Channel].logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
 	m.chVer[a.Channel]++
 }
@@ -323,10 +326,10 @@ func (m *Mem) WarmOpen(a Addr) {
 func (m *Mem) OpenBanks() int {
 	n := 0
 	for c := range m.channels {
-		for r := range m.channels[c].ranks {
-			banks := m.channels[c].ranks[r].banks
+		for r := range m.channels[c].Ranks {
+			banks := m.channels[c].Ranks[r].Banks
 			for b := range banks {
-				if banks[b].open {
+				if banks[b].Open {
 					n++
 				}
 			}
@@ -337,12 +340,12 @@ func (m *Mem) OpenBanks() int {
 
 // RankDataBusyUntil returns the cycle at which the rank's data path is free.
 func (m *Mem) RankDataBusyUntil(channel, rank int) int64 {
-	return m.channels[channel].ranks[rank].dataBusyUntil
+	return m.channels[channel].Ranks[rank].DataBusyUntil
 }
 
 // ChannelDataBusyUntil returns the cycle at which the channel bus is free.
 func (m *Mem) ChannelDataBusyUntil(channel int) int64 {
-	return m.channels[channel].dataBusyUntil
+	return m.channels[channel].DataBusyUntil
 }
 
 // ChVer returns the channel's issued-command version (see chVer).
@@ -356,7 +359,7 @@ func (m *Mem) ChVer(channel int) uint64 { return m.chVer[channel] }
 // bank, bank-group, rank, tFAW, or refresh horizons. Channel-bus
 // constraints are NOT covered; combine with ExtColReady.
 func (m *Mem) RankStamp(channel, rank int) int64 {
-	return m.channels[channel].ranks[rank].stamp
+	return m.channels[channel].Ranks[rank].Stamp
 }
 
 // RowSeq returns the channel's row-change sequence: how many row-state
@@ -379,8 +382,8 @@ func (m *Mem) RowChange(channel int, seq uint64) int32 {
 // Channel-bus constraints for external columns are separate
 // (ExtColReady).
 func (m *Mem) BankSched(channel, rank, bankGroup, flat int) (row int, open bool, readyACT, readyPRE, readyRD, readyWR int64) {
-	b := m.channels[channel].ranks[rank].horizons(&m.T, bankGroup, flat)
-	return b.row, b.open, b.readyACT, b.readyPRE, b.readyRD, b.readyWR
+	b := m.channels[channel].Ranks[rank].horizons(&m.T, bankGroup, flat)
+	return b.Row, b.Open, b.ReadyACT, b.ReadyPRE, b.ReadyRD, b.ReadyWR
 }
 
 // ExtColReady returns the earliest cycle the channel bus admits an
@@ -396,7 +399,7 @@ func (m *Mem) ExtColReady(channel int, cmd Command, rank int) int64 {
 // fawReady returns the earliest cycle an ACT may issue under tFAW.
 func (r *rankState) fawReady(t *Timing) int64 {
 	// The ring holds the last 4 ACT times; the next slot is the oldest.
-	return r.faw[r.fawIdx] + int64(t.FAW)
+	return r.FAW[r.FAWIdx] + int64(t.FAW)
 }
 
 // CanIssue reports whether cmd to address a may legally issue at cycle now.
@@ -409,32 +412,32 @@ func (r *rankState) fawReady(t *Timing) int64 {
 func (m *Mem) CanIssue(cmd Command, a Addr, now int64, internal bool) bool {
 	m.checkAddr(a)
 	ch := &m.channels[a.Channel]
-	rk := &ch.ranks[a.Rank]
+	rk := &ch.Ranks[a.Rank]
 	flat := a.GlobalBank(m.Geom)
 
 	switch cmd {
 	case CmdACT:
-		if rk.banks[flat].open {
+		if rk.Banks[flat].Open {
 			return false
 		}
-		return now >= rk.horizons(&m.T, a.BankGroup, flat).readyACT
+		return now >= rk.horizons(&m.T, a.BankGroup, flat).ReadyACT
 
 	case CmdPRE:
-		if !rk.banks[flat].open {
+		if !rk.Banks[flat].Open {
 			return false
 		}
-		return now >= rk.horizons(&m.T, a.BankGroup, flat).readyPRE
+		return now >= rk.horizons(&m.T, a.BankGroup, flat).ReadyPRE
 
 	case CmdRD, CmdWR:
-		if b := &rk.banks[flat]; !b.open || b.row != a.Row {
+		if b := &rk.Banks[flat]; !b.Open || b.Row != a.Row {
 			return false
 		}
 		hz := rk.horizons(&m.T, a.BankGroup, flat)
 		if cmd == CmdRD {
-			if now < hz.readyRD {
+			if now < hz.ReadyRD {
 				return false
 			}
-		} else if now < hz.readyWR {
+		} else if now < hz.ReadyWR {
 			return false
 		}
 		if internal {
@@ -443,16 +446,16 @@ func (m *Mem) CanIssue(cmd Command, a Addr, now int64, internal bool) bool {
 		return now >= ch.extCol(cmd, a.Rank, &m.T)
 
 	case CmdREF:
-		if now < rk.refreshUntil {
+		if now < rk.RefreshUntil {
 			return false
 		}
 		// All banks of the rank must be precharged.
-		for i := range rk.banks {
-			if rk.banks[i].open {
+		for i := range rk.Banks {
+			if rk.Banks[i].Open {
 				return false
 			}
 		}
-		return now >= rk.nextACT
+		return now >= rk.NextACT
 	}
 	return false
 }
@@ -462,38 +465,38 @@ func (m *Mem) CanIssue(cmd Command, a Addr, now int64, internal bool) bool {
 func (m *Mem) canIssueRef(cmd Command, a Addr, now int64, internal bool) bool {
 	m.checkAddr(a)
 	ch := &m.channels[a.Channel]
-	rk := &ch.ranks[a.Rank]
-	bg := &rk.bgs[a.BankGroup]
-	b := &rk.banks[a.GlobalBank(m.Geom)]
-	if now < rk.refreshUntil {
+	rk := &ch.Ranks[a.Rank]
+	bg := &rk.BGs[a.BankGroup]
+	b := &rk.Banks[a.GlobalBank(m.Geom)]
+	if now < rk.RefreshUntil {
 		return false
 	}
 
 	switch cmd {
 	case CmdACT:
-		if b.open {
+		if b.Open {
 			return false
 		}
-		if now < b.nextACT || now < bg.nextACT || now < rk.nextACT {
+		if now < b.NextACT || now < bg.NextACT || now < rk.NextACT {
 			return false
 		}
 		return now >= rk.fawReady(&m.T)
 
 	case CmdPRE:
-		if !b.open {
+		if !b.Open {
 			return false
 		}
-		return now >= b.nextPRE
+		return now >= b.NextPRE
 
 	case CmdRD, CmdWR:
-		if !b.open || b.row != a.Row {
+		if !b.Open || b.Row != a.Row {
 			return false
 		}
 		var bankNext, bgNext, rkNext int64
 		if cmd == CmdRD {
-			bankNext, bgNext, rkNext = b.nextRD, bg.nextRD, rk.nextRD
+			bankNext, bgNext, rkNext = b.NextRD, bg.NextRD, rk.NextRD
 		} else {
-			bankNext, bgNext, rkNext = b.nextWR, bg.nextWR, rk.nextWR
+			bankNext, bgNext, rkNext = b.NextWR, bg.NextWR, rk.NextWR
 		}
 		if now < bankNext || now < bgNext || now < rkNext {
 			return false
@@ -505,12 +508,12 @@ func (m *Mem) canIssueRef(cmd Command, a Addr, now int64, internal bool) bool {
 
 	case CmdREF:
 		// All banks of the rank must be precharged.
-		for i := range rk.banks {
-			if rk.banks[i].open {
+		for i := range rk.Banks {
+			if rk.Banks[i].Open {
 				return false
 			}
 		}
-		return now >= rk.nextACT
+		return now >= rk.NextACT
 	}
 	return false
 }
@@ -525,24 +528,24 @@ func (m *Mem) channelColOK(ch *chanState, cmd Command, a Addr, now int64) bool {
 	} else {
 		start = now + int64(t.CWL)
 	}
-	busFree := ch.dataBusyUntil
-	if ch.lastColValid && ch.lastColRank != a.Rank {
+	busFree := ch.DataBusyUntil
+	if ch.LastColValid && ch.LastColRank != a.Rank {
 		busFree += int64(t.RTRS)
 	}
 	if start < busFree {
 		return false
 	}
-	if !ch.lastColValid {
+	if !ch.LastColValid {
 		return true
 	}
-	gap := now - ch.lastColCycle
+	gap := now - ch.LastColCycle
 	switch {
-	case ch.lastColRead && cmd == CmdWR:
+	case ch.LastColRead && cmd == CmdWR:
 		// Read-to-write bus turnaround, any rank.
 		if gap < int64(t.ReadToWrite()) {
 			return false
 		}
-	case !ch.lastColRead && cmd == CmdRD && ch.lastColRank != a.Rank:
+	case !ch.LastColRead && cmd == CmdRD && ch.LastColRank != a.Rank:
 		// Write-to-read across ranks: bus constraint only (same-rank
 		// WTR is enforced by rank state).
 		if gap < int64(t.CWL+t.BL+t.RTRS-t.CL) {
@@ -569,31 +572,31 @@ const Never = int64(^uint64(0) >> 1)
 func (m *Mem) NextIssue(cmd Command, a Addr, now int64, internal bool) int64 {
 	m.checkAddr(a)
 	ch := &m.channels[a.Channel]
-	rk := &ch.ranks[a.Rank]
+	rk := &ch.Ranks[a.Rank]
 	flat := a.GlobalBank(m.Geom)
-	b := &rk.banks[flat]
+	b := &rk.Banks[flat]
 
 	switch cmd {
 	case CmdACT:
-		if b.open {
+		if b.Open {
 			return now
 		}
-		return max(now, rk.horizons(&m.T, a.BankGroup, flat).readyACT)
+		return max(now, rk.horizons(&m.T, a.BankGroup, flat).ReadyACT)
 
 	case CmdPRE:
-		if !b.open {
+		if !b.Open {
 			return now
 		}
-		return max(now, rk.horizons(&m.T, a.BankGroup, flat).readyPRE)
+		return max(now, rk.horizons(&m.T, a.BankGroup, flat).ReadyPRE)
 
 	case CmdRD, CmdWR:
-		if !b.open || b.row != a.Row {
+		if !b.Open || b.Row != a.Row {
 			return now
 		}
 		hz := rk.horizons(&m.T, a.BankGroup, flat)
-		ready := hz.readyRD
+		ready := hz.ReadyRD
 		if cmd == CmdWR {
-			ready = hz.readyWR
+			ready = hz.ReadyWR
 		}
 		if !internal {
 			ready = max(ready, ch.extCol(cmd, a.Rank, &m.T))
@@ -601,12 +604,12 @@ func (m *Mem) NextIssue(cmd Command, a Addr, now int64, internal bool) int64 {
 		return max(now, ready)
 
 	case CmdREF:
-		for i := range rk.banks {
-			if rk.banks[i].open {
+		for i := range rk.Banks {
+			if rk.Banks[i].Open {
 				return now
 			}
 		}
-		return max(now, rk.refreshUntil, rk.nextACT)
+		return max(now, rk.RefreshUntil, rk.NextACT)
 	}
 	return now
 }
@@ -619,12 +622,12 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 	}
 	t := &m.T
 	ch := &m.channels[a.Channel]
-	rk := &ch.ranks[a.Rank]
+	rk := &ch.Ranks[a.Rank]
 	flat := a.GlobalBank(m.Geom)
-	b := &rk.banks[flat]
+	b := &rk.Banks[flat]
 	cn := &m.cnts[a.Channel]
 	m.chVer[a.Channel]++
-	rk.stamp++ // invalidate the rank's bank horizon caches
+	rk.Stamp++ // invalidate the rank's bank horizon caches
 
 	maxi := func(p *int64, v int64) {
 		if v > *p {
@@ -635,31 +638,31 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 	switch cmd {
 	case CmdACT:
 		cn.ACT++
-		rk.rowStamp++
+		rk.RowStamp++
 		ch.logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
-		b.open = true
-		b.row = a.Row
-		b.nextRD = now + int64(t.RCD)
-		b.nextWR = now + int64(t.RCD)
-		b.nextPRE = now + int64(t.RAS)
-		b.nextACT = now + int64(t.RC)
-		for g := range rk.bgs {
+		b.Open = true
+		b.Row = a.Row
+		b.NextRD = now + int64(t.RCD)
+		b.NextWR = now + int64(t.RCD)
+		b.NextPRE = now + int64(t.RAS)
+		b.NextACT = now + int64(t.RC)
+		for g := range rk.BGs {
 			d := int64(t.RRDS)
 			if g == a.BankGroup {
 				d = int64(t.RRDL)
 			}
-			maxi(&rk.bgs[g].nextACT, now+d)
+			maxi(&rk.BGs[g].NextACT, now+d)
 		}
-		maxi(&rk.nextACT, now+int64(t.RRDS))
-		rk.faw[rk.fawIdx] = now
-		rk.fawIdx = (rk.fawIdx + 1) % 4
+		maxi(&rk.NextACT, now+int64(t.RRDS))
+		rk.FAW[rk.FAWIdx] = now
+		rk.FAWIdx = (rk.FAWIdx + 1) % 4
 
 	case CmdPRE:
 		cn.PRE++
-		rk.rowStamp++
+		rk.RowStamp++
 		ch.logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
-		b.open = false
-		maxi(&b.nextACT, now+int64(t.RP))
+		b.Open = false
+		maxi(&b.NextACT, now+int64(t.RP))
 
 	case CmdRD:
 		if internal {
@@ -667,27 +670,27 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 		} else {
 			cn.RD++
 		}
-		maxi(&b.nextPRE, now+int64(t.RTP))
-		for g := range rk.bgs {
+		maxi(&b.NextPRE, now+int64(t.RTP))
+		for g := range rk.BGs {
 			d := int64(t.CCDS)
 			if g == a.BankGroup {
 				d = int64(t.CCDL)
 			}
-			maxi(&rk.bgs[g].nextRD, now+d)
-			maxi(&rk.bgs[g].nextWR, now+d)
+			maxi(&rk.BGs[g].NextRD, now+d)
+			maxi(&rk.BGs[g].NextWR, now+d)
 		}
 		// Read-to-write turnaround on the rank's data path applies to
 		// both host and NDA accesses sharing that path.
-		maxi(&rk.nextWR, now+int64(t.ReadToWrite()))
+		maxi(&rk.NextWR, now+int64(t.ReadToWrite()))
 		end := now + int64(t.CL) + int64(t.BL)
-		maxi(&rk.dataBusyUntil, end)
+		maxi(&rk.DataBusyUntil, end)
 		if !internal {
-			ch.dataBusyUntil = end
-			ch.lastColValid = true
-			ch.lastColRead = true
-			ch.lastColRank = a.Rank
-			ch.lastColCycle = now
-			ch.colStamp++
+			ch.DataBusyUntil = end
+			ch.LastColValid = true
+			ch.LastColRead = true
+			ch.LastColRank = a.Rank
+			ch.LastColCycle = now
+			ch.ColStamp++
 		}
 
 	case CmdWR:
@@ -696,31 +699,31 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 		} else {
 			cn.WR++
 		}
-		maxi(&b.nextPRE, now+int64(t.CWL+t.BL+t.WR))
-		for g := range rk.bgs {
+		maxi(&b.NextPRE, now+int64(t.CWL+t.BL+t.WR))
+		for g := range rk.BGs {
 			ccd := int64(t.CCDS)
 			wtr := int64(t.WriteToReadDiffBG())
 			if g == a.BankGroup {
 				ccd = int64(t.CCDL)
 				wtr = int64(t.WriteToReadSameBG())
 			}
-			maxi(&rk.bgs[g].nextWR, now+ccd)
-			maxi(&rk.bgs[g].nextRD, now+wtr)
+			maxi(&rk.BGs[g].NextWR, now+ccd)
+			maxi(&rk.BGs[g].NextRD, now+wtr)
 		}
 		end := now + int64(t.CWL) + int64(t.BL)
-		maxi(&rk.dataBusyUntil, end)
+		maxi(&rk.DataBusyUntil, end)
 		if !internal {
-			ch.dataBusyUntil = end
-			ch.lastColValid = true
-			ch.lastColRead = false
-			ch.lastColRank = a.Rank
-			ch.lastColCycle = now
-			ch.colStamp++
+			ch.DataBusyUntil = end
+			ch.LastColValid = true
+			ch.LastColRead = false
+			ch.LastColRank = a.Rank
+			ch.LastColCycle = now
+			ch.ColStamp++
 		}
 
 	case CmdREF:
-		rk.refreshUntil = now + int64(t.RFC)
-		maxi(&rk.nextACT, rk.refreshUntil)
+		rk.RefreshUntil = now + int64(t.RFC)
+		maxi(&rk.NextACT, rk.RefreshUntil)
 	}
 }
 

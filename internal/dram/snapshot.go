@@ -1,25 +1,28 @@
 package dram
 
-// MemState is an opaque deep copy of a Mem's mutable state — bank/row
-// state, every timing horizon, the refresh and bus occupancy clocks,
-// command counters, and the chVer versions. It contains no pointers
-// into the live Mem, so one snapshot can seed any number of restores
-// (checkpoint forking).
+// MemState is a deep copy of a Mem's mutable state — bank/row state,
+// every timing horizon, the refresh and bus occupancy clocks, command
+// counters, and the chVer versions. It contains no pointers into the
+// live Mem, so one snapshot can seed any number of restores
+// (checkpoint forking). The channel, rank, bank and bank-group structs
+// are the live ones: their exported fields are also the durable
+// checkpoint encoding (encoding/json, no codec), and the in-memory-only
+// row log is tagged out of it.
 type MemState struct {
-	channels []chanState
-	cnts     []CmdCounts
-	chVer    []uint64
+	Channels []chanState
+	Cnts     []CmdCounts
+	ChVer    []uint64
 }
 
 // Snapshot captures the Mem's full mutable state.
 func (m *Mem) Snapshot() *MemState {
 	st := &MemState{
-		channels: make([]chanState, len(m.channels)),
-		cnts:     append([]CmdCounts(nil), m.cnts...),
-		chVer:    append([]uint64(nil), m.chVer...),
+		Channels: make([]chanState, len(m.channels)),
+		Cnts:     append([]CmdCounts(nil), m.cnts...),
+		ChVer:    append([]uint64(nil), m.chVer...),
 	}
 	for c := range m.channels {
-		copyChanState(&st.channels[c], &m.channels[c])
+		copyChanState(&st.Channels[c], &m.channels[c])
 	}
 	return st
 }
@@ -28,13 +31,13 @@ func (m *Mem) Snapshot() *MemState {
 // must have been built with the same Geometry as the snapshotted one
 // (callers restore onto a freshly constructed same-config system).
 func (m *Mem) Restore(st *MemState) {
-	if len(m.channels) != len(st.channels) {
+	if len(m.channels) != len(st.Channels) {
 		panic("dram: restore onto a Mem with different geometry")
 	}
-	copy(m.cnts, st.cnts)
-	copy(m.chVer, st.chVer)
+	copy(m.cnts, st.Cnts)
+	copy(m.chVer, st.ChVer)
 	for c := range m.channels {
-		copyChanState(&m.channels[c], &st.channels[c])
+		copyChanState(&m.channels[c], &st.Channels[c])
 	}
 }
 
@@ -42,28 +45,28 @@ func (m *Mem) Restore(st *MemState) {
 // slices when they are missing (snapshot) and reusing them when they
 // match (restore).
 func copyChanState(dst, src *chanState) {
-	ranks := dst.ranks
+	ranks := dst.Ranks
 	*dst = *src
-	if len(ranks) != len(src.ranks) {
-		ranks = make([]rankState, len(src.ranks))
+	if len(ranks) != len(src.Ranks) {
+		ranks = make([]rankState, len(src.Ranks))
 	}
-	dst.ranks = ranks
-	for r := range src.ranks {
-		s, d := &src.ranks[r], &dst.ranks[r]
-		banks, bgs, faw := d.banks, d.bgs, d.faw
+	dst.Ranks = ranks
+	for r := range src.Ranks {
+		s, d := &src.Ranks[r], &dst.Ranks[r]
+		banks, bgs, faw := d.Banks, d.BGs, d.FAW
 		*d = *s
-		if len(banks) != len(s.banks) {
-			banks = make([]bankState, len(s.banks))
+		if len(banks) != len(s.Banks) {
+			banks = make([]bankState, len(s.Banks))
 		}
-		if len(bgs) != len(s.bgs) {
-			bgs = make([]bgState, len(s.bgs))
+		if len(bgs) != len(s.BGs) {
+			bgs = make([]bgState, len(s.BGs))
 		}
-		if len(faw) != len(s.faw) {
-			faw = make([]int64, len(s.faw))
+		if len(faw) != len(s.FAW) {
+			faw = make([]int64, len(s.FAW))
 		}
-		d.banks, d.bgs, d.faw = banks, bgs, faw
-		copy(d.banks, s.banks)
-		copy(d.bgs, s.bgs)
-		copy(d.faw, s.faw)
+		d.Banks, d.BGs, d.FAW = banks, bgs, faw
+		copy(d.Banks, s.Banks)
+		copy(d.BGs, s.BGs)
+		copy(d.FAW, s.FAW)
 	}
 }

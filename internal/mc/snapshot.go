@@ -7,73 +7,80 @@ import (
 
 // reqState is one serialized queue entry. Done closures are not
 // serialized; restore rebuilds them through the caller's resolver from
-// (write, addr, tag) — a host read belongs to exactly one pending LLC
-// miss, and a tagged write is an NDA launch packet.
+// the durable identity (write, addr, tag) — a host read belongs to
+// exactly one pending LLC miss, and a tagged write is an NDA launch
+// packet.
 type reqState struct {
-	addr    uint64
-	daddr   dram.Addr
-	write   bool
-	arrive  int64
-	seq     int64
-	tag     uint64
-	hasDone bool
+	Addr    uint64
+	DAddr   dram.Addr
+	Write   bool
+	Arrive  int64
+	Seq     int64
+	Tag     uint64
+	HasDone bool
 }
 
 func reqStateOf(r *Request) reqState {
 	return reqState{
-		addr: r.Addr, daddr: r.DAddr, write: r.Write, arrive: r.Arrive,
-		seq: r.seq, tag: r.Tag, hasDone: r.Done != nil,
+		Addr: r.Addr, DAddr: r.DAddr, Write: r.Write, Arrive: r.Arrive,
+		Seq: r.seq, Tag: r.Tag, HasDone: r.Done != nil,
 	}
 }
 
-// ControllerState is an opaque deep copy of a Controller's mutable
-// state: both transaction queues in age order, the overflow ring,
+// ControllerState is a deep copy of a Controller's mutable state: both
+// transaction queues in age order, the overflow ring,
 // drain/sequence/version scalars, statistics, and the idle histograms.
+// Its exported fields are also the durable checkpoint encoding.
 // The scheduling caches (calendar, bank entries, fused horizon hint)
 // are NOT serialized: they only control which cycles may be skipped,
 // every skip is individually proven a no-op, and a restored queue
 // rebuilds them conservatively (every bank parked ready by its push),
 // so the restored controller makes decision-identical choices.
 type ControllerState struct {
-	rq, wq   []reqState
-	overflow []reqState
+	RQ, WQ   []reqState
+	Overflow []reqState
 
-	drain       bool
-	seqGen      int64
-	ver, qver   uint64
-	issuedRank  int
-	issuedIsCol bool
-	cross       bool
+	Drain       bool
+	SeqGen      int64
+	Ver, QVer   uint64
+	IssuedRank  int
+	IssuedIsCol bool
+	Cross       bool
 
-	idleHists []stats.IdleHist
+	IdleHists []stats.IdleHist
 
-	readsIssued, writesIssued int64
-	actsIssued, presIssued    int64
-	readLatencySum            int64
-	drains, refreshes         int64
-	nextRefresh               int64
+	ReadsIssued, WritesIssued int64
+	ActsIssued, PresIssued    int64
+	ReadLatencySum            int64
+	Drains, Refreshes         int64
+	NextRefresh               int64
 }
 
 // Snapshot captures the controller's full mutable state. It must be
 // taken between ticks (with any completion sink drained).
 func (c *Controller) Snapshot() *ControllerState {
 	st := &ControllerState{
-		drain: c.drain, seqGen: c.seqGen, ver: c.ver, qver: c.qver,
-		issuedRank: c.issuedRank, issuedIsCol: c.issuedIsCol, cross: c.cross,
-		idleHists:   append([]stats.IdleHist(nil), c.IdleHists...),
-		readsIssued: c.ReadsIssued, writesIssued: c.WritesIssued,
-		actsIssued: c.ActsIssued, presIssued: c.PresIssued,
-		readLatencySum: c.ReadLatencySum,
-		drains:         c.Drains, refreshes: c.Refreshes, nextRefresh: c.nextRefresh,
+		// Non-nil even when empty: the durable encoding writes [] here.
+		RQ:       make([]reqState, 0, c.rq.n),
+		WQ:       make([]reqState, 0, c.wq.n),
+		Overflow: make([]reqState, 0, c.overflow.Len()),
+
+		Drain: c.drain, SeqGen: c.seqGen, Ver: c.ver, QVer: c.qver,
+		IssuedRank: c.issuedRank, IssuedIsCol: c.issuedIsCol, Cross: c.cross,
+		IdleHists:   append([]stats.IdleHist(nil), c.IdleHists...),
+		ReadsIssued: c.ReadsIssued, WritesIssued: c.WritesIssued,
+		ActsIssued: c.ActsIssued, PresIssued: c.PresIssued,
+		ReadLatencySum: c.ReadLatencySum,
+		Drains:         c.Drains, Refreshes: c.Refreshes, NextRefresh: c.nextRefresh,
 	}
 	for r := c.rq.head; r != nil; r = r.qnext {
-		st.rq = append(st.rq, reqStateOf(r))
+		st.RQ = append(st.RQ, reqStateOf(r))
 	}
 	for r := c.wq.head; r != nil; r = r.qnext {
-		st.wq = append(st.wq, reqStateOf(r))
+		st.WQ = append(st.WQ, reqStateOf(r))
 	}
 	for i := 0; i < c.overflow.Len(); i++ {
-		st.overflow = append(st.overflow, reqStateOf(c.overflow.At(i)))
+		st.Overflow = append(st.Overflow, reqStateOf(c.overflow.At(i)))
 	}
 	return st
 }
@@ -106,39 +113,32 @@ func (c *Controller) Restore(st *ControllerState, resolve func(write bool, addr 
 	c.rq.init(c.mem.Geom.Channels*c.mem.Geom.Ranks, c.bpr)
 	c.wq.init(c.mem.Geom.Channels*c.mem.Geom.Ranks, c.bpr)
 
-	fill := func(q *reqQueue, reqs []reqState) {
-		for i := range reqs {
-			s := &reqs[i]
-			var done func(int64)
-			if s.hasDone && resolve != nil {
-				done = resolve(s.write, s.addr, s.tag)
-			}
-			r := c.alloc(s.addr, s.daddr, s.write, s.arrive, done)
-			r.seq = s.seq
-			r.Tag = s.tag
-			q.push(r)
-		}
-	}
-	fill(&c.rq, st.rq)
-	fill(&c.wq, st.wq)
-	for i := range st.overflow {
-		s := &st.overflow[i]
+	build := func(s *reqState) *Request {
 		var done func(int64)
-		if s.hasDone && resolve != nil {
-			done = resolve(s.write, s.addr, s.tag)
+		if s.HasDone && resolve != nil {
+			done = resolve(s.Write, s.Addr, s.Tag)
 		}
-		r := c.alloc(s.addr, s.daddr, s.write, s.arrive, done)
-		r.seq = s.seq
-		r.Tag = s.tag
-		c.overflow.Push(r)
+		r := c.alloc(s.Addr, s.DAddr, s.Write, s.Arrive, done)
+		r.seq = s.Seq
+		r.Tag = s.Tag
+		return r
+	}
+	for i := range st.RQ {
+		c.rq.push(build(&st.RQ[i]))
+	}
+	for i := range st.WQ {
+		c.wq.push(build(&st.WQ[i]))
+	}
+	for i := range st.Overflow {
+		c.overflow.Push(build(&st.Overflow[i]))
 	}
 
-	c.drain, c.seqGen, c.ver, c.qver = st.drain, st.seqGen, st.ver, st.qver
-	c.issuedRank, c.issuedIsCol, c.cross = st.issuedRank, st.issuedIsCol, st.cross
-	copy(c.IdleHists, st.idleHists)
-	c.ReadsIssued, c.WritesIssued = st.readsIssued, st.writesIssued
-	c.ActsIssued, c.PresIssued = st.actsIssued, st.presIssued
-	c.ReadLatencySum = st.readLatencySum
-	c.Drains, c.Refreshes, c.nextRefresh = st.drains, st.refreshes, st.nextRefresh
+	c.drain, c.seqGen, c.ver, c.qver = st.Drain, st.SeqGen, st.Ver, st.QVer
+	c.issuedRank, c.issuedIsCol, c.cross = st.IssuedRank, st.IssuedIsCol, st.Cross
+	copy(c.IdleHists, st.IdleHists)
+	c.ReadsIssued, c.WritesIssued = st.ReadsIssued, st.WritesIssued
+	c.ActsIssued, c.PresIssued = st.ActsIssued, st.PresIssued
+	c.ReadLatencySum = st.ReadLatencySum
+	c.Drains, c.Refreshes, c.nextRefresh = st.Drains, st.Refreshes, st.NextRefresh
 	c.hintValid = false // horizons re-derive from the rebuilt calendar
 }

@@ -31,7 +31,7 @@ func TestStochasticDecisionsPinnedAcrossRestore(t *testing.T) {
 	for c := int64(0); c < 8000; c++ {
 		if c == cut {
 			var err error
-			if st, err = e.Snapshot(nil); err != nil {
+			if st, err = e.Snapshot(func(any) int { return 0 }); err != nil {
 				t.Fatal(err)
 			}
 			if got := uint64(len(decisions)); got != n.fsm.coin.Draws() {
@@ -51,7 +51,7 @@ func TestStochasticDecisionsPinnedAcrossRestore(t *testing.T) {
 			t.Fatalf("cycle %d: coin drawn %d times in one tick", c, n.fsm.coin.Draws()-draws)
 		}
 	}
-	atCut := int(st.ranks[0][0].rngDraws)
+	atCut := int(st.Ranks[0][0].RNGDraws)
 	if atCut == 0 || atCut == len(decisions) {
 		t.Fatalf("snapshot at %d of %d decisions: want a cut strictly inside the run", atCut, len(decisions))
 	}
@@ -64,7 +64,7 @@ func TestStochasticDecisionsPinnedAcrossRestore(t *testing.T) {
 	}
 
 	fresh, _, _ := testSetup(cfg)
-	fresh.Restore(st, func(any) *Op { return mkOp() })
+	fresh.Restore(st, func(int) *Op { return mkOp() })
 	coin := fresh.Ranks[0][0].fsm.coin
 	if coin.Draws() != uint64(atCut) {
 		t.Fatalf("restored coin at %d draws, snapshot recorded %d", coin.Draws(), atCut)

@@ -34,7 +34,7 @@ func (rt *Runtime) NewSnapshotEncoder() *SnapEncoder {
 // EncodeTag is the nda engine's tag encoder: it registers an op's
 // blueprint (and transitively its vectors and handle) and returns the
 // blueprint's table index.
-func (e *SnapEncoder) EncodeTag(tag any) any { return e.bp(tag.(*opBP)) }
+func (e *SnapEncoder) EncodeTag(tag any) int { return e.bp(tag.(*opBP)) }
 
 func (e *SnapEncoder) bp(bp *opBP) int {
 	if i, ok := e.bpIdx[bp]; ok {
@@ -88,51 +88,56 @@ func (e *SnapEncoder) handle(h *Handle) int {
 // vecState rebuilds a vector from scratch: the layout is a pure
 // function of (base, bytes) under the runtime's fixed address mapping.
 type vecState struct {
-	base      uint64
-	n         int
-	bytes     uint64
-	placement Placement
-	color     osmem.Color
+	Base      uint64
+	N         int
+	Bytes     uint64
+	Placement Placement
+	Color     osmem.Color
 }
 
 type handleState struct {
-	pending  int
-	doneAt   int64
-	children []int
+	Pending  int
+	DoneAt   int64
+	Children []int
 }
 
 type bpState struct {
-	kind    nda.OpKind
-	reads   []int
-	write   int // -1 when none
-	ch, r   int
-	from, n int
-	total   int
-	h       int
+	Kind    nda.OpKind
+	Reads   []int
+	Write   int // -1 when none
+	Ch, R   int
+	From, N int
+	Total   int
+	H       int
 }
 
-// launchState is one in-flight control-register write's payload; id
+// launchState is one in-flight control-register write's payload; ID
 // matches the tagged request sitting in a controller queue.
 type launchState struct {
-	id    uint64
-	ch, r int
-	bps   []int
+	ID    uint64
+	Ch, R int
+	BPs   []int
 }
 
-// RuntimeState is an opaque deep copy of the runtime's snapshot-visible
-// state. Vectors, handles, and blueprints are serialized as index
-// tables; live ops and queued launch packets reference into them.
+// RuntimeState is a deep copy of the runtime's snapshot-visible state.
+// Vectors, handles, and blueprints are serialized as index tables; live
+// ops and queued launch packets reference into them. The tables carry
+// no pointers, so the exported fields are also the durable checkpoint
+// encoding. The one in-memory-only field is oldHandles: pre-snapshot
+// pointer identities cannot cross a process boundary, so a decoded
+// state has none, and code in a fresh process recovers handles by
+// table index (RestoredHandleAt) instead.
 type RuntimeState struct {
-	vecs       []vecState
-	handles    []handleState
-	oldHandles []*Handle // encoder order; keys for RestoredHandle
-	bps        []bpState
-	launches   []launchState
-	launchID   uint64
-	color      osmem.Color
-	colorSet   bool
-	copies     int64
-	nLaunches  int64
+	Vecs       []vecState
+	Handles    []handleState
+	oldHandles []*Handle `json:"-"` // encoder order; keys for RestoredHandle
+	BPs        []bpState
+	Launches   []launchState
+	LaunchID   uint64
+	Color      osmem.Color
+	ColorSet   bool
+	Copies     int64
+	NLaunches  int64
 }
 
 // Snapshot finalizes the encoder (whose EncodeTag the engine snapshot
@@ -145,8 +150,8 @@ func (rt *Runtime) Snapshot(enc *SnapEncoder) (*RuntimeState, error) {
 		return nil, errors.New("ndart: snapshot with host-mediated copies in flight")
 	}
 	st := &RuntimeState{
-		launchID: rt.launchID, color: rt.color, colorSet: rt.colorSet,
-		copies: rt.Copies, nLaunches: rt.Launches,
+		LaunchID: rt.launchID, Color: rt.color, ColorSet: rt.colorSet,
+		Copies: rt.Copies, NLaunches: rt.Launches,
 	}
 	ids := make([]uint64, 0, len(rt.pendingLaunches))
 	for id := range rt.pendingLaunches {
@@ -155,38 +160,38 @@ func (rt *Runtime) Snapshot(enc *SnapEncoder) (*RuntimeState, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		rec := rt.pendingLaunches[id]
-		ls := launchState{id: id, ch: rec.ch, r: rec.r}
+		ls := launchState{ID: id, Ch: rec.ch, R: rec.r}
 		for _, bp := range rec.bps {
-			ls.bps = append(ls.bps, enc.bp(bp))
+			ls.BPs = append(ls.BPs, enc.bp(bp))
 		}
-		st.launches = append(st.launches, ls)
+		st.Launches = append(st.Launches, ls)
 	}
 	for _, v := range enc.vecs {
-		st.vecs = append(st.vecs, vecState{
-			base: v.base, n: v.n, bytes: v.bytes,
-			placement: v.placement, color: v.color,
+		st.Vecs = append(st.Vecs, vecState{
+			Base: v.base, N: v.n, Bytes: v.bytes,
+			Placement: v.placement, Color: v.color,
 		})
 	}
 	for _, h := range enc.hs {
-		hs := handleState{pending: h.pending, doneAt: h.doneAt}
+		hs := handleState{Pending: h.pending, DoneAt: h.doneAt}
 		for _, c := range h.children {
-			hs.children = append(hs.children, enc.hIdx[c])
+			hs.Children = append(hs.Children, enc.hIdx[c])
 		}
-		st.handles = append(st.handles, hs)
+		st.Handles = append(st.Handles, hs)
 	}
 	st.oldHandles = append([]*Handle(nil), enc.hs...)
 	for _, bp := range enc.bps {
 		bs := bpState{
-			kind: bp.kind, write: -1, ch: bp.ch, r: bp.r,
-			from: bp.from, n: bp.n, total: bp.total, h: enc.hIdx[bp.h],
+			Kind: bp.kind, Write: -1, Ch: bp.ch, R: bp.r,
+			From: bp.from, N: bp.n, Total: bp.total, H: enc.hIdx[bp.h],
 		}
 		for _, v := range bp.reads {
-			bs.reads = append(bs.reads, enc.vecIdx[v])
+			bs.Reads = append(bs.Reads, enc.vecIdx[v])
 		}
 		if bp.write != nil {
-			bs.write = enc.vecIdx[bp.write]
+			bs.Write = enc.vecIdx[bp.write]
 		}
-		st.bps = append(st.bps, bs)
+		st.BPs = append(st.BPs, bs)
 	}
 	return st, nil
 }
@@ -195,57 +200,61 @@ func (rt *Runtime) Snapshot(enc *SnapEncoder) (*RuntimeState, error) {
 // the op decoder for the NDA engine's Restore. The runtime must be
 // freshly built over an OS whose allocator state was restored first
 // (the vectors' memory must already be allocated there).
-func (rt *Runtime) Restore(st *RuntimeState) func(tag any) *nda.Op {
-	vecs := make([]*Vector, len(st.vecs))
-	for i, vs := range st.vecs {
+func (rt *Runtime) Restore(st *RuntimeState) func(tag int) *nda.Op {
+	vecs := make([]*Vector, len(st.Vecs))
+	for i, vs := range st.Vecs {
 		v := &Vector{
-			rt: rt, base: vs.base, n: vs.n, bytes: vs.bytes,
-			placement: vs.placement, color: vs.color,
+			rt: rt, base: vs.Base, n: vs.N, bytes: vs.Bytes,
+			placement: vs.Placement, color: vs.Color,
 		}
 		v.indexBlocks()
 		vecs[i] = v
 	}
-	hs := make([]*Handle, len(st.handles))
-	for i := range st.handles {
+	hs := make([]*Handle, len(st.Handles))
+	for i := range st.Handles {
 		hs[i] = &Handle{}
 	}
-	rt.handleMap = make(map[*Handle]*Handle, len(hs))
-	for i := range st.handles {
-		s := &st.handles[i]
-		hs[i].pending, hs[i].doneAt = s.pending, s.doneAt
-		for _, c := range s.children {
+	for i := range st.Handles {
+		s := &st.Handles[i]
+		hs[i].pending, hs[i].doneAt = s.Pending, s.DoneAt
+		for _, c := range s.Children {
 			hs[i].children = append(hs[i].children, hs[c])
 		}
-		rt.handleMap[st.oldHandles[i]] = hs[i]
 	}
-	bps := make([]*opBP, len(st.bps))
-	for i := range st.bps {
-		bs := &st.bps[i]
+	// Only an in-memory snapshot knows the old pointers; a decoded one
+	// leaves the map empty.
+	rt.handleMap = make(map[*Handle]*Handle, len(st.oldHandles))
+	for i, old := range st.oldHandles {
+		rt.handleMap[old] = hs[i]
+	}
+	bps := make([]*opBP, len(st.BPs))
+	for i := range st.BPs {
+		bs := &st.BPs[i]
 		bp := &opBP{
-			kind: bs.kind, ch: bs.ch, r: bs.r,
-			from: bs.from, n: bs.n, total: bs.total, h: hs[bs.h],
+			kind: bs.Kind, ch: bs.Ch, r: bs.R,
+			from: bs.From, n: bs.N, total: bs.Total, h: hs[bs.H],
 		}
-		for _, vi := range bs.reads {
+		for _, vi := range bs.Reads {
 			bp.reads = append(bp.reads, vecs[vi])
 		}
-		if bs.write >= 0 {
-			bp.write = vecs[bs.write]
+		if bs.Write >= 0 {
+			bp.write = vecs[bs.Write]
 		}
 		bps[i] = bp
 	}
-	rt.pendingLaunches = make(map[uint64]*launchRec, len(st.launches))
-	for _, ls := range st.launches {
-		rec := &launchRec{ch: ls.ch, r: ls.r}
-		for _, bi := range ls.bps {
+	rt.pendingLaunches = make(map[uint64]*launchRec, len(st.Launches))
+	for _, ls := range st.Launches {
+		rec := &launchRec{ch: ls.Ch, r: ls.R}
+		for _, bi := range ls.BPs {
 			rec.bps = append(rec.bps, bps[bi])
 		}
-		rt.pendingLaunches[ls.id] = rec
+		rt.pendingLaunches[ls.ID] = rec
 	}
-	rt.launchID = st.launchID
-	rt.color, rt.colorSet = st.color, st.colorSet
-	rt.Copies, rt.Launches = st.copies, st.nLaunches
+	rt.launchID = st.LaunchID
+	rt.color, rt.colorSet = st.Color, st.ColorSet
+	rt.Copies, rt.Launches = st.Copies, st.NLaunches
 	rt.restored = hs
-	return func(tag any) *nda.Op { return rt.buildOp(bps[tag.(int)]) }
+	return func(tag int) *nda.Op { return rt.buildOp(bps[tag]) }
 }
 
 // RestoredHandleAt returns the rebuilt handle at encoder-table index i

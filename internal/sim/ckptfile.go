@@ -8,27 +8,29 @@
 //
 //	hierarchy length u64 LE | hierarchy JSON | core JSON
 //
-// The cache hierarchy dominates a checkpoint's bytes (the packed line
-// blob alone is megabytes), and encoding/json re-compacts every nested
-// MarshalJSON result byte by byte — embedding the hierarchy in the core
-// document would re-scan those megabytes on every periodic checkpoint
-// write, multiplying the encode cost several-fold. Carrying it as its
-// own length-prefixed section keeps the write cheap enough for a live
-// checkpoint cadence; the digest trailer still covers both sections.
+// The payload is the component snapshot states themselves: each State
+// type's exported fields are its durable form, written by plain
+// encoding/json. They hold the same durable identities — launch tags,
+// ROB slots, blueprint indices, RNG draw counts — the in-memory restore
+// resolves closures from, so a decoded checkpoint feeds the ordinary
+// Restore path unchanged and the reloaded system continues
+// bit-identically in a fresh process. The one codec is the cache
+// hierarchy's (cache.HierarchyState.MarshalJSON), which packs cache
+// lines into varint blobs. Those blobs dominate a checkpoint's bytes,
+// and encoding/json re-compacts every nested MarshalJSON result byte by
+// byte — embedding the hierarchy in the core document would re-scan
+// those megabytes on every periodic checkpoint write, multiplying the
+// encode cost several-fold. Carrying it as its own length-prefixed
+// section keeps the write cheap enough for a live checkpoint cadence;
+// the digest trailer still covers both sections.
 //
-// The payload is the component snapshot states' own wire encodings
-// (each State type carries a MarshalJSON that serializes through the
-// same durable identities — launch tags, ROB slots, blueprint indices,
-// RNG draw counts — the in-memory restore resolves closures from), so a
-// decoded checkpoint feeds the ordinary Restore path unchanged and the
-// reloaded system continues bit-identically in a fresh process. The
-// digest trailer covers every preceding byte: a torn write, a flipped
-// bit, or a stale partial file surfaces as ErrCorruptCheckpoint at load
-// time, never as a half-restored system. The fingerprint pins the
-// simulated configuration (observation and robustness knobs excluded,
-// exactly the fields Restore tolerates differing); restoring under a
-// different config is ErrCheckpointMismatch, a caller bug distinct from
-// file damage.
+// The digest trailer covers every preceding byte: a torn write, a
+// flipped bit, or a stale partial file surfaces as ErrCorruptCheckpoint
+// at load time, never as a half-restored system. The fingerprint pins
+// the simulated configuration (observation and robustness knobs
+// excluded, exactly the fields Restore tolerates differing); restoring
+// under a different config is ErrCheckpointMismatch, a caller bug
+// distinct from file damage.
 package sim
 
 import (
@@ -43,13 +45,6 @@ import (
 
 	"chopim/internal/atomicio"
 	"chopim/internal/cache"
-	"chopim/internal/cpu"
-	"chopim/internal/dram"
-	"chopim/internal/mc"
-	"chopim/internal/nda"
-	"chopim/internal/ndart"
-	"chopim/internal/osmem"
-	"chopim/internal/workload"
 )
 
 // Checkpoint file corruption vs misuse: corruption (truncation, bad
@@ -68,28 +63,6 @@ const ckptVersion = 1
 
 // ckptHeaderLen is magic + version + fingerprint + payload length.
 const ckptHeaderLen = 8 + 4 + sha256.Size + 8
-
-// ckptWire is the core JSON section: every component state except the
-// cache hierarchy (which rides as its own payload section, see the
-// package comment) plus the clock and measurement scalars Snapshot
-// captures.
-type ckptWire struct {
-	DRAM  *dram.MemState
-	OS    *osmem.OSState
-	MCs   []*mc.ControllerState
-	Cores []*cpu.CoreState
-	Gens  []*workload.GenState
-	Eng   *nda.EngineState
-	RT    *ndart.RuntimeState
-
-	DRAMCycle     int64
-	CPUCycle      int64
-	Credit        int
-	MeasStartDRAM int64
-	MeasStartCPU  int64
-	RetiredAtMeas []int64
-	CoreEpoch     []uint64
-}
 
 // ConfigFingerprint hashes the simulated configuration: the full Config
 // with the state-free knobs zeroed (profiling, robustness limits, and
@@ -125,13 +98,7 @@ func EncodeCheckpoint(cfg Config, ck *Checkpoint) ([]byte, error) {
 			return nil, fmt.Errorf("sim: encode checkpoint hierarchy: %w", err)
 		}
 	}
-	core, err := json.Marshal(&ckptWire{
-		DRAM: ck.dram, OS: ck.os, MCs: ck.mcs,
-		Cores: ck.cores, Gens: ck.gens, Eng: ck.eng, RT: ck.rt,
-		DRAMCycle: ck.dramCycle, CPUCycle: ck.cpuCycle, Credit: ck.credit,
-		MeasStartDRAM: ck.measStartDRAM, MeasStartCPU: ck.measStartCPU,
-		RetiredAtMeas: ck.retiredAtMeas, CoreEpoch: ck.coreEpoch,
-	})
+	core, err := json.Marshal(&ck.st)
 	if err != nil {
 		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
@@ -196,20 +163,14 @@ func DecodeCheckpoint(cfg Config, b []byte) (*Checkpoint, error) {
 			return nil, fmt.Errorf("%w: hierarchy section: %v", ErrCorruptCheckpoint, err)
 		}
 	}
-	var w ckptWire
-	if err := json.Unmarshal(payload[8+hlen:], &w); err != nil {
+	ck := &Checkpoint{hier: hier}
+	if err := json.Unmarshal(payload[8+hlen:], &ck.st); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrCorruptCheckpoint, err)
 	}
-	if w.DRAM == nil || w.OS == nil || w.Eng == nil || w.RT == nil {
+	if st := &ck.st; st.DRAM == nil || st.OS == nil || st.Eng == nil || st.RT == nil {
 		return nil, fmt.Errorf("%w: payload missing a required component", ErrCorruptCheckpoint)
 	}
-	return &Checkpoint{
-		dram: w.DRAM, os: w.OS, mcs: w.MCs, hier: hier,
-		cores: w.Cores, gens: w.Gens, eng: w.Eng, rt: w.RT,
-		dramCycle: w.DRAMCycle, cpuCycle: w.CPUCycle, credit: w.Credit,
-		measStartDRAM: w.MeasStartDRAM, measStartCPU: w.MeasStartCPU,
-		retiredAtMeas: w.RetiredAtMeas, coreEpoch: w.CoreEpoch,
-	}, nil
+	return ck, nil
 }
 
 // WriteCheckpoint writes the envelope to w. For files prefer

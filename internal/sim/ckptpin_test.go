@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -20,7 +21,8 @@ import (
 // scheduler last asked for: a scheduler change that keeps every
 // decision can still move those values, and must re-pin only that
 // hash. A deliberate format change re-pins all three and bumps
-// ckptVersion in the same change.
+// ckptVersion in the same change. Every cut must also survive a decode
+// and re-encode byte for byte, so no decoder drops an encoded field.
 func TestCheckpointBytesPinned(t *testing.T) {
 	const cut = 12_000
 	want := map[string]struct {
@@ -82,6 +84,19 @@ func TestCheckpointBytesPinned(t *testing.T) {
 			}
 			if got := hash(b); got != p.all {
 				t.Errorf("envelope moved: sha256 %s, pinned %s", got, p.all)
+			}
+			// Decoding must keep every encoded field: re-encoding the
+			// decoded checkpoint reproduces the file byte for byte.
+			dec, err := DecodeCheckpoint(s.Cfg, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			re, err := EncodeCheckpoint(s.Cfg, dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(re, b) {
+				t.Errorf("re-encoding the decoded checkpoint gives %d bytes (sha256 %s), not the original", len(re), hash(re))
 			}
 		})
 	}

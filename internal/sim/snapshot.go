@@ -27,26 +27,34 @@ import (
 // captured; restore marks them stale and they re-derive, which is
 // behavior-identical because skips are individually proven no-ops.
 type Checkpoint struct {
-	dram  *dram.MemState
-	os    *osmem.OSState
-	mcs   []*mc.ControllerState
-	hier  *cache.HierarchyState // nil when the system has no host cores
-	cores []*cpu.CoreState
-	gens  []*workload.GenState
-	eng   *nda.EngineState
-	rt    *ndart.RuntimeState
+	hier *cache.HierarchyState // nil when the system has no host cores
+	st   ckptState
+}
 
-	dramCycle     int64
-	cpuCycle      int64
-	credit        int
-	measStartDRAM int64
-	measStartCPU  int64
-	retiredAtMeas []int64
-	coreEpoch     []uint64
+// ckptState is every component state except the cache hierarchy, plus
+// the clock and measurement scalars. Its exported fields are the
+// checkpoint file's core section as they stand (see EncodeCheckpoint);
+// the hierarchy rides in a section of its own.
+type ckptState struct {
+	DRAM  *dram.MemState
+	OS    *osmem.OSState
+	MCs   []*mc.ControllerState
+	Cores []*cpu.CoreState
+	Gens  []*workload.GenState
+	Eng   *nda.EngineState
+	RT    *ndart.RuntimeState
+
+	DRAMCycle     int64
+	CPUCycle      int64
+	Credit        int
+	MeasStartDRAM int64
+	MeasStartCPU  int64
+	RetiredAtMeas []int64
+	CoreEpoch     []uint64
 }
 
 // Cycle returns the DRAM cycle the checkpoint was taken at.
-func (ck *Checkpoint) Cycle() int64 { return ck.dramCycle }
+func (ck *Checkpoint) Cycle() int64 { return ck.st.DRAMCycle }
 
 // Snapshot captures the system's full simulation state. It must be
 // called between steps (Run/RunFast/StepFast boundaries — the domain
@@ -85,26 +93,26 @@ func (s *System) SnapshotWithRoots(roots []*ndart.Handle) (*Checkpoint, []int, e
 	if err != nil {
 		return nil, nil, err
 	}
-	ck := &Checkpoint{
-		dram: s.Mem.Snapshot(),
-		os:   s.OS.Snapshot(),
-		eng:  engSt,
-		rt:   rtSt,
+	ck := &Checkpoint{st: ckptState{
+		DRAM: s.Mem.Snapshot(),
+		OS:   s.OS.Snapshot(),
+		Eng:  engSt,
+		RT:   rtSt,
 
-		dramCycle: s.dramCycle, cpuCycle: s.cpuCycle, credit: s.credit,
-		measStartDRAM: s.measStartDRAM, measStartCPU: s.measStartCPU,
-		retiredAtMeas: append([]int64(nil), s.retiredAtMeas...),
-		coreEpoch:     append([]uint64(nil), s.coreEpoch...),
-	}
+		DRAMCycle: s.dramCycle, CPUCycle: s.cpuCycle, Credit: s.credit,
+		MeasStartDRAM: s.measStartDRAM, MeasStartCPU: s.measStartCPU,
+		RetiredAtMeas: append([]int64(nil), s.retiredAtMeas...),
+		CoreEpoch:     append([]uint64(nil), s.coreEpoch...),
+	}}
 	for _, c := range s.MCs {
-		ck.mcs = append(ck.mcs, c.Snapshot())
+		ck.st.MCs = append(ck.st.MCs, c.Snapshot())
 	}
 	if s.Hier != nil {
 		ck.hier = s.Hier.Snapshot()
 	}
 	for i, c := range s.Cores {
-		ck.cores = append(ck.cores, c.Snapshot())
-		ck.gens = append(ck.gens, s.gens[i].Snapshot())
+		ck.st.Cores = append(ck.st.Cores, c.Snapshot())
+		ck.st.Gens = append(ck.st.Gens, s.gens[i].Snapshot())
 	}
 	return ck, rootIdx, nil
 }
@@ -115,23 +123,24 @@ func (s *System) SnapshotWithRoots(roots []*ndart.Handle) (*Checkpoint, []int, e
 // affect simulated state). Continuing a restored system is bit-identical to
 // continuing the original, on both the reference and fast paths.
 func (s *System) Restore(ck *Checkpoint) {
-	if len(ck.mcs) != len(s.MCs) || len(ck.cores) != len(s.Cores) ||
+	st := &ck.st
+	if len(st.MCs) != len(s.MCs) || len(st.Cores) != len(s.Cores) ||
 		(ck.hier == nil) != (s.Hier == nil) {
 		panic("sim: restore onto a system with a different configuration")
 	}
-	s.Mem.Restore(ck.dram)
-	s.OS.Restore(ck.os)
+	s.Mem.Restore(st.DRAM)
+	s.OS.Restore(st.OS)
 	for i, c := range s.Cores {
-		c.Restore(ck.cores[i])
-		s.gens[i].Restore(ck.gens[i])
+		c.Restore(st.Cores[i])
+		s.gens[i].Restore(st.Gens[i])
 	}
 	if s.Hier != nil {
 		s.Hier.Restore(ck.hier, func(core, slot int) func(int64) {
 			return s.Cores[core].DoneFn(slot)
 		})
 	}
-	dec := s.RT.Restore(ck.rt)
-	s.NDA.Restore(ck.eng, dec)
+	dec := s.RT.Restore(st.RT)
+	s.NDA.Restore(st.Eng, dec)
 	// Requests that carried completion closures reattach through the
 	// restored front-ends: a tagged write is a launch packet (registry
 	// callback), a read with a callback is a host demand miss (its MSHR
@@ -147,12 +156,12 @@ func (s *System) Restore(ck *Checkpoint) {
 		return s.Hier.FillFor(addr)
 	}
 	for i, c := range s.MCs {
-		c.Restore(ck.mcs[i], resolve)
+		c.Restore(st.MCs[i], resolve)
 	}
-	s.dramCycle, s.cpuCycle, s.credit = ck.dramCycle, ck.cpuCycle, ck.credit
-	s.measStartDRAM, s.measStartCPU = ck.measStartDRAM, ck.measStartCPU
-	copy(s.retiredAtMeas, ck.retiredAtMeas)
-	copy(s.coreEpoch, ck.coreEpoch)
+	s.dramCycle, s.cpuCycle, s.credit = st.DRAMCycle, st.CPUCycle, st.Credit
+	s.measStartDRAM, s.measStartCPU = st.MeasStartDRAM, st.MeasStartCPU
+	copy(s.retiredAtMeas, st.RetiredAtMeas)
+	copy(s.coreEpoch, st.CoreEpoch)
 	// Wake caches re-derive from restored state on the next survey.
 	for i := range s.mcStale {
 		s.mcStale[i] = true
