@@ -115,8 +115,8 @@ func NewSkylakeLike(g dram.Geometry) *XORMap {
 // NewSkylakeLikeChecked is NewSkylakeLike returning invalid geometry as
 // an error instead of panicking — the form sweep drivers use, where a
 // bad point must be rejectable without killing the process. Geometry
-// validation (positive powers of two everywhere) is the only failure
-// mode; past it, construction cannot fail.
+// validation (positive powers of two everywhere, at most 2³² blocks per
+// rank) is the only failure mode; past it, construction cannot fail.
 func NewSkylakeLikeChecked(g dram.Geometry) (*XORMap, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -12,7 +12,11 @@
 // All times are in DRAM bus-clock cycles (1.2 GHz for DDR4-2400).
 package dram
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+)
 
 // Command is a DRAM command type.
 type Command int
@@ -95,6 +99,11 @@ func (g Geometry) SystemRowBytes() int {
 	return g.Channels * g.Ranks * g.BanksPerRank() * g.RowBytes()
 }
 
+// ErrRankTooLarge reports a geometry whose ranks hold more than 2³²
+// blocks (a 256 GiB rank). The NDA runtime numbers a rank's blocks with
+// 32-bit keys, so a larger rank would alias silently.
+var ErrRankTooLarge = errors.New("dram: BanksPerRank·Rows·Cols exceeds 2^32 blocks per rank")
+
 // Validate reports an error if the geometry is not usable.
 func (g Geometry) Validate() error {
 	for _, v := range []struct {
@@ -107,6 +116,12 @@ func (g Geometry) Validate() error {
 		if v.n <= 0 || v.n&(v.n-1) != 0 {
 			return fmt.Errorf("dram: geometry field %s = %d must be a positive power of two", v.name, v.n)
 		}
+	}
+	// Sum exponents rather than multiply: the product of large powers of
+	// two can overflow int.
+	log2 := func(n int) int { return bits.TrailingZeros(uint(n)) }
+	if log2(g.BankGroups)+log2(g.BanksPerGroup)+log2(g.Rows)+log2(g.Cols) > 32 {
+		return fmt.Errorf("%w: %d·%d·%d·%d", ErrRankTooLarge, g.BankGroups, g.BanksPerGroup, g.Rows, g.Cols)
 	}
 	return nil
 }

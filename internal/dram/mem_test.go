@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -53,6 +54,17 @@ func TestGeometryValidate(t *testing.T) {
 	bad.Channels = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("Validate() accepted zero channels")
+	}
+	// 2^32 blocks per rank is the largest a 32-bit block number covers.
+	edge := g
+	edge.Rows = 1 << 32 / (g.BanksPerRank() * g.Cols)
+	if err := edge.Validate(); err != nil {
+		t.Errorf("Validate() rejected a rank of exactly 2^32 blocks: %v", err)
+	}
+	bad = edge
+	bad.Rows *= 2
+	if err := bad.Validate(); !errors.Is(err, ErrRankTooLarge) {
+		t.Errorf("Validate() on a rank of 2^33 blocks = %v, want ErrRankTooLarge", err)
 	}
 }
 

@@ -9,6 +9,7 @@ package ndart
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"chopim/internal/addrmap"
@@ -134,9 +135,46 @@ type layoutKey struct {
 }
 
 // vecLayout is an immutable decoded layout shared between vectors.
+// share[ch][rank] lists the rank-local block numbers (blockCodec.pack)
+// of the vector's blocks on that rank, in address order; channel and
+// rank are implied by which list holds an entry. A layout costs 4 bytes
+// of host memory per 64-byte block, plus the lists' append slack.
 type vecLayout struct {
-	rankBlocks [][][]int32
-	addrs      []dram.Addr
+	codec blockCodec
+	share [][][]uint32
+}
+
+// blockCodec converts between a DRAM address and its rank-local block
+// number, (flatBank·Rows + row)·Cols + col. Every geometry field is a
+// power of two and the product fits in 32 bits (Geometry.Validate), so
+// the number is a bit concatenation and unpacking is shifts and masks.
+type blockCodec struct {
+	colBits, rowBits, bankBits uint
+	colMask, rowMask, bankMask int
+}
+
+func newBlockCodec(g dram.Geometry) blockCodec {
+	log2 := func(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
+	return blockCodec{
+		colBits: log2(g.Cols), rowBits: log2(g.Rows), bankBits: log2(g.BanksPerGroup),
+		colMask: g.Cols - 1, rowMask: g.Rows - 1, bankMask: g.BanksPerGroup - 1,
+	}
+}
+
+// pack returns a's rank-local block number.
+func (c blockCodec) pack(a dram.Addr) uint32 {
+	flat := uint32(a.BankGroup)<<c.bankBits | uint32(a.Bank)
+	return (flat<<c.rowBits|uint32(a.Row))<<c.colBits | uint32(a.Col)
+}
+
+// unpack returns the address of block number k on rank (ch, r).
+func (c blockCodec) unpack(ch, r int, k uint32) dram.Addr {
+	flat := int(k >> (c.colBits + c.rowBits))
+	return dram.Addr{
+		Channel: ch, Rank: r,
+		BankGroup: flat >> c.bankBits, Bank: flat & c.bankMask,
+		Row: int(k>>c.colBits) & c.rowMask, Col: int(k) & c.colMask,
+	}
 }
 
 // globalLayoutKey identifies a decoded span across runtimes: the mapper
@@ -206,13 +244,10 @@ type Vector struct {
 	placement Placement
 	color     osmem.Color
 
-	// rankBlocks[ch][rank] lists the vector-relative block indices
-	// owned by that rank, in address order.
-	rankBlocks [][][]int32
-	// addrs caches the decoded DRAM address of every block (indexed by
-	// vector-relative block number); the XOR decode is hot enough that
-	// repeating it per access dominates NDA-side simulation time.
-	addrs []dram.Addr
+	// layout is each rank's share of the vector, decoded once. Decoding
+	// every NDA access instead costs 4-9% more host time per simulated
+	// cycle (DESIGN.md §2.14).
+	layout *vecLayout
 }
 
 // Matrix is a row-major float32 matrix; it shares Vector's layout
@@ -291,67 +326,74 @@ func (v *Vector) Base() uint64 { return v.base }
 // Color returns the vector's alignment color.
 func (v *Vector) Color() osmem.Color { return v.color }
 
-// indexBlocks precomputes each rank's share of the vector (block indices
+// indexBlocks precomputes each rank's share of the vector (block numbers
 // in processing order). This is the software view of the data layout of
 // Section III-A: with color-aligned operands every rank's share covers
 // the same element positions across operands.
 func (v *Vector) indexBlocks() {
 	key := layoutKey{base: v.base, bytes: v.bytes}
 	if l, ok := v.rt.decodeCache[key]; ok {
-		v.rankBlocks, v.addrs = l.rankBlocks, l.addrs
+		v.layout = l
 		return
 	}
 	gkey := globalLayoutKey{mapper: v.rt.mapper.Fingerprint(), base: v.base, bytes: v.bytes}
 	globalDecode.Lock()
 	l, ok := globalDecode.m[gkey]
 	globalDecode.Unlock()
-	if ok {
-		v.rankBlocks, v.addrs = l.rankBlocks, l.addrs
-		v.rt.decodeCache[key] = l
-		return
+	if !ok {
+		l = decodeLayout(v.rt.mapper, v.base, v.bytes)
+		globalDecode.Lock()
+		if len(globalDecode.m) >= globalDecodeCap {
+			globalDecode.m = make(map[globalLayoutKey]*vecLayout)
+		}
+		globalDecode.m[gkey] = l
+		globalDecode.Unlock()
 	}
-	g := v.rt.geom
-	v.rankBlocks = make([][][]int32, g.Channels)
-	for ch := range v.rankBlocks {
-		v.rankBlocks[ch] = make([][]int32, g.Ranks)
-	}
-	nBlocks := int32((v.bytes + dram.BlockBytes - 1) / dram.BlockBytes)
-	v.addrs = make([]dram.Addr, nBlocks)
-	for b := int32(0); b < nBlocks; b++ {
-		a := v.rt.mapper.Decode(v.base + uint64(b)*dram.BlockBytes)
-		v.addrs[b] = a
-		v.rankBlocks[a.Channel][a.Rank] = append(v.rankBlocks[a.Channel][a.Rank], b)
-	}
-	l = &vecLayout{rankBlocks: v.rankBlocks, addrs: v.addrs}
+	v.layout = l
 	v.rt.decodeCache[key] = l
-	globalDecode.Lock()
-	if len(globalDecode.m) >= globalDecodeCap {
-		globalDecode.m = make(map[globalLayoutKey]*vecLayout)
-	}
-	globalDecode.m[gkey] = l
-	globalDecode.Unlock()
 }
 
-// shareBlocks returns rank (ch,r)'s share, as vector block indices.
-func (v *Vector) shareBlocks(ch, r int) []int32 { return v.rankBlocks[ch][r] }
+// decodeLayout decodes the span [base, base+bytes) block by block,
+// appending each block's number to its rank's share in address order.
+func decodeLayout(m addrmap.Mapper, base, bytes uint64) *vecLayout {
+	g := m.Geometry()
+	l := &vecLayout{codec: newBlockCodec(g), share: make([][][]uint32, g.Channels)}
+	for ch := range l.share {
+		l.share[ch] = make([][]uint32, g.Ranks)
+	}
+	nBlocks := (bytes + dram.BlockBytes - 1) / dram.BlockBytes
+	for b := uint64(0); b < nBlocks; b++ {
+		a := m.Decode(base + b*dram.BlockBytes)
+		l.share[a.Channel][a.Rank] = append(l.share[a.Channel][a.Rank], l.codec.pack(a))
+	}
+	return l
+}
+
+// shareBlocks returns rank (ch,r)'s share, as rank-local block numbers.
+func (v *Vector) shareBlocks(ch, r int) []uint32 { return v.layout.share[ch][r] }
 
 // iterFor yields DRAM addresses for a slice [from, from+count) of the
 // rank's share.
 func (v *Vector) iterFor(ch, r int, from, count int) nda.Iter {
-	blocks := v.rankBlocks[ch][r]
-	end := from + count
-	if end > len(blocks) {
-		end = len(blocks)
-	}
-	i := from
+	share := v.chunk(ch, r, from, count)
+	c := v.layout.codec
+	i := 0
 	return func() (dram.Addr, bool) {
-		if i >= end {
+		if i >= len(share) {
 			return dram.Addr{}, false
 		}
-		a := v.addrs[blocks[i]]
+		a := c.unpack(ch, r, share[i])
 		i++
 		return a, true
 	}
+}
+
+// chunk returns the slice [from, from+count) of rank (ch,r)'s share,
+// clipped to the share's length.
+func (v *Vector) chunk(ch, r int, from, count int) []uint32 {
+	share := v.layout.share[ch][r]
+	end := min(from+count, len(share))
+	return share[min(from, end):end]
 }
 
 // RowView returns a Vector aliasing row i of the matrix (no allocation
@@ -379,9 +421,9 @@ func (m *Matrix) RowView(i int) *Vector {
 // controlAddr returns a DRAM address on the rank for launch packets (the
 // control-register region lives on each module).
 func (v *Vector) controlAddr(ch, r int) (dram.Addr, bool) {
-	blocks := v.rankBlocks[ch][r]
-	if len(blocks) == 0 {
+	share := v.layout.share[ch][r]
+	if len(share) == 0 {
 		return dram.Addr{}, false
 	}
-	return v.rt.mapper.Decode(v.base + uint64(blocks[0])*dram.BlockBytes), true
+	return v.layout.codec.unpack(ch, r, share[0]), true
 }

@@ -283,7 +283,8 @@ func TestDecodeCacheSharedAcrossRuntimes(t *testing.T) {
 		t.Fatalf("allocation sequences diverged: (%#x,%d) vs (%#x,%d)",
 			v1.base, v1.bytes, v2.base, v2.bytes)
 	}
-	if len(v1.addrs) == 0 || &v1.addrs[0] != &v2.addrs[0] {
+	s1, s2 := v1.shareBlocks(0, 0), v2.shareBlocks(0, 0)
+	if len(s1) == 0 || &s1[0] != &s2[0] {
 		t.Error("identical spans decoded twice: layouts not shared across runtimes")
 	}
 }

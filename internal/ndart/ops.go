@@ -359,23 +359,10 @@ func (rt *Runtime) rankOpBPs(spec Spec, ch, r int, h *Handle) []*opBP {
 // hardware this is a base/bound comparison per operand; the simulator
 // enumerates the chunk's blocks exactly.
 func (rt *Runtime) buildGuard(bp *opBP) func(dram.Addr) bool {
-	allowed := make(map[uint64]bool, bp.n*(len(bp.reads)+1))
-	pack := func(a dram.Addr) uint64 {
-		g := rt.geom
-		k := uint64(a.BankGroup)
-		k = k*uint64(g.BanksPerGroup) + uint64(a.Bank)
-		k = k*uint64(g.Rows) + uint64(a.Row)
-		k = k*uint64(g.Cols) + uint64(a.Col)
-		return k
-	}
+	allowed := make(map[uint32]bool, bp.n*(len(bp.reads)+1))
 	add := func(v *Vector) {
-		it := v.iterFor(bp.ch, bp.r, bp.from, bp.n)
-		for {
-			a, ok := it()
-			if !ok {
-				return
-			}
-			allowed[pack(a)] = true
+		for _, k := range v.chunk(bp.ch, bp.r, bp.from, bp.n) {
+			allowed[k] = true
 		}
 	}
 	for _, v := range bp.reads {
@@ -384,7 +371,8 @@ func (rt *Runtime) buildGuard(bp *opBP) func(dram.Addr) bool {
 	if bp.write != nil {
 		add(bp.write)
 	}
-	return func(a dram.Addr) bool { return allowed[pack(a)] }
+	c := newBlockCodec(rt.geom)
+	return func(a dram.Addr) bool { return allowed[c.pack(a)] }
 }
 
 // sendLaunch models the control-register write carrying the given
