@@ -72,22 +72,6 @@ type Core struct {
 	stalled  Instr
 	hasStall bool
 
-	// Window-batched retirement state (DESIGN.md §2.6). look is a small
-	// lookahead holding instructions BatchTick drew from the trace while
-	// scanning for the next issue group's boundary; Tick consumes it
-	// (through fetch) before drawing fresh instructions, so the trace
-	// order every component observes is identical to the unbatched
-	// core's. pend counts ROB entries issued by the last batched cycle
-	// whose slots were never written: they are all plain one-cycle
-	// instructions completing at pendAt, so consecutive batched cycles
-	// retire them arithmetically (Retired/head bookkeeping only) and
-	// materialize is invoked before any path that reads the slots.
-	look   []Instr
-	lookH  int // consume position
-	lookN  int // fill position
-	pend   int
-	pendAt int64
-
 	// Blocked-state tracking for the fast-forward machinery. After a
 	// Tick that made zero progress (no retire, no issue) the core is
 	// provably stuck until either its ROB head becomes retirable (wake,
@@ -111,7 +95,6 @@ type Core struct {
 // reused while its access is outstanding (a pending entry blocks retire).
 func NewCore(id int, cfg Config, trace TraceSource, hier *cache.Hierarchy) *Core {
 	c := &Core{ID: id, cfg: cfg, trace: trace, hier: hier, rob: make([]robEntry, cfg.ROBSize)}
-	c.look = make([]Instr, cfg.Width+1)
 	c.doneFns = make([]func(int64), cfg.ROBSize)
 	for i := range c.doneFns {
 		e := &c.rob[i]
@@ -181,9 +164,7 @@ func (c *Core) SkipCycles(k int64) { c.Cycles += k }
 
 // RetireFunctional retires n instructions at functional fidelity for
 // sampled-mode fast-forward (DESIGN.md §2.11). Instructions are drawn
-// in exact trace order — through the batch lookahead first, so the
-// post-jump stream resumes precisely where detailed execution left it —
-// counted into Retired, and memory instructions are handed to warm
+// in exact trace order, counted into Retired, and memory instructions are handed to warm
 // (nil to drop) instead of entering the ROB/LSQ. Cycles do not advance
 // here; the caller accounts the jump via SkipCycles. Everything
 // in-flight is left frozen: ROB occupancy, outstanding misses (their
@@ -196,8 +177,8 @@ func (c *Core) RetireFunctional(n int64, warm func(addr uint64, write bool)) int
 	var mem int64
 	for i := int64(0); i < n; i++ {
 		var in Instr
-		if c.lookH < c.lookN || fs == nil {
-			in = c.fetch()
+		if fs == nil {
+			in = c.trace.Next()
 		} else {
 			in = fs.NextFunctional()
 		}
@@ -212,145 +193,8 @@ func (c *Core) RetireFunctional(n int64, warm func(addr uint64, write bool)) int
 	return mem
 }
 
-// fetch returns the next trace instruction, consuming the batch
-// lookahead (instructions BatchTick already drew) before drawing fresh
-// ones, so batched and unbatched execution observe one trace order.
-func (c *Core) fetch() Instr {
-	if c.lookH < c.lookN {
-		in := c.look[c.lookH]
-		c.lookH++
-		if c.lookH == c.lookN {
-			c.lookH, c.lookN = 0, 0
-		}
-		return in
-	}
-	return c.trace.Next()
-}
-
-// materialize writes the deferred ROB entries of the last batched cycle
-// (see pend): plain one-cycle instructions completing at pendAt,
-// occupying the newest pend slots of the ROB. It must run before
-// anything reads ROB slots — Tick's retire does, so Tick materializes
-// on entry; BatchTick materializes on every path that reads real
-// entries or hands the cycle to Tick.
-func (c *Core) materialize() {
-	r := len(c.rob)
-	i := c.head + c.n - c.pend
-	if i >= r {
-		i -= r
-	}
-	for k := 0; k < c.pend; k++ {
-		c.rob[i] = robEntry{DoneAt: c.pendAt}
-		i++
-		if i == r {
-			i = 0
-		}
-	}
-	c.pend = 0
-}
-
-// BatchTick attempts to execute one CPU cycle in batched mode and
-// reports whether it did; on false the caller must run a normal
-// Tick(now), which picks up the cycle exactly where the scan left it
-// (drawn instructions wait in the lookahead). A batched cycle is
-// bit-exact to Tick but touches nothing outside the core — no
-// hierarchy access, no completion callbacks — which is also what makes
-// it safe to interleave freely with other cores inside one lockstep
-// CPU sub-cycle. The cycle batches when:
-//
-//   - the ROB holds nothing but the previous batched group (pend == n;
-//     any real entry — a load on a miss, hit latencies draining —
-//     rejects in one compare, BEFORE any scan work, so memory-bound
-//     phases pay essentially nothing for the attempt);
-//   - no completion callback arrived (dirty) and no stalled memory
-//     instruction is waiting to retry;
-//   - the whole upcoming issue group — bounded by issue width and by
-//     the next Serialize instruction, which reference issue() also
-//     stops at — is free of memory instructions;
-//   - the group fits the ROB outright (the ROB-wrap bound; reference
-//     issue would otherwise split the group across cycles).
-//
-// The group is then retired/issued arithmetically: Retired, head, and
-// Cycles advance (the SkipCycles-style bookkeeping), the slot writes
-// are deferred (materialize), and consecutive compute-bound cycles
-// never touch ROB memory at all.
-func (c *Core) BatchTick(now int64) bool {
-	if c.dirty || c.n != c.pend || (c.hasStall && c.stalled.Mem) || len(c.rob) < c.cfg.Width {
-		c.materialize()
-		return false
-	}
-	// Compact the lookahead so the scan's appends cannot outgrow it
-	// (at most Width+1 instructions are ever buffered ahead).
-	if c.lookH > 0 {
-		c.lookN = copy(c.look, c.look[c.lookH:c.lookN])
-		c.lookH = 0
-	}
-	// Scan (and extend) the lookahead to this cycle's issue group,
-	// before mutating any state: a memory instruction anywhere in the
-	// group hands the whole cycle to Tick, which must see the same
-	// pre-cycle core.
-	g := 0
-	if c.hasStall {
-		g = 1 // the stalled (non-memory) instruction issues at position 0
-	}
-	idx := c.lookH
-	for g < c.cfg.Width {
-		var in Instr
-		if idx < c.lookN {
-			in = c.look[idx]
-		} else {
-			in = c.trace.Next()
-			c.look[c.lookN] = in
-			c.lookN++
-		}
-		if in.Mem {
-			c.materialize()
-			return false
-		}
-		if in.Serialize && g > 0 {
-			break // dependency-chain head: first position of the next group
-		}
-		idx++
-		g++
-	}
-	if c.n+g > len(c.rob) {
-		c.materialize()
-		return false
-	}
-	// Retire the previous batched group arithmetically: pend plain
-	// one-cycle entries, all completing at pendAt.
-	if c.pend > 0 {
-		if c.pendAt > now {
-			c.materialize()
-			return false
-		}
-		c.Retired += int64(c.pend)
-		c.head += c.pend
-		if c.head >= len(c.rob) {
-			c.head -= len(c.rob)
-		}
-		c.n = 0
-		c.pend = 0
-	}
-	// Issue the group: g one-cycle instructions, slots deferred.
-	c.hasStall = false
-	c.lookH = idx
-	if c.lookH == c.lookN {
-		c.lookH, c.lookN = 0, 0
-	}
-	c.n += g
-	c.pend = g
-	c.pendAt = now + 1
-	c.Cycles++
-	c.blocked, c.dirty, c.probeStall = false, false, false
-	return true
-}
-
 // Tick advances the core by one CPU cycle.
 func (c *Core) Tick(now int64) {
-	if c.pend > 0 {
-		c.materialize()
-	}
 	c.Cycles++
 	r0 := c.Retired
 	c.retire(now)
@@ -399,7 +243,7 @@ func (c *Core) issue(now int64) int {
 		if c.hasStall {
 			in = c.stalled
 		} else {
-			in = c.fetch()
+			in = c.trace.Next()
 		}
 		if in.Serialize && issued > 0 {
 			// Dependency chain head: wait for the next cycle.

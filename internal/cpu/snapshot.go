@@ -1,8 +1,7 @@
 package cpu
 
 // CoreState is a deep copy of a Core's mutable state: the ROB contents,
-// LSQ occupancy, batch lookahead, blocked-state tracking, and retirement
-// counters. Its exported fields are also the durable checkpoint
+// LSQ occupancy, blocked-state tracking, and retirement counters. Its exported fields are also the durable checkpoint
 // encoding. Completion callbacks are not serialized — they are per-slot
 // closures the constructor rebuilds, so ROB slots serialize by position
 // and slot identity is the durable name of an in-flight load: restored
@@ -14,12 +13,6 @@ type CoreState struct {
 	Loads    int
 	Stalled  Instr
 	HasStall bool
-
-	Look   []Instr
-	LookH  int
-	LookN  int
-	Pend   int
-	PendAt int64
 
 	Blocked    bool
 	ProbeStall bool
@@ -36,8 +29,6 @@ func (c *Core) Snapshot() *CoreState {
 		Rob:  append([]robEntry(nil), c.rob...),
 		Head: c.head, N: c.n, Stores: c.stores, Loads: c.loads,
 		Stalled: c.stalled, HasStall: c.hasStall,
-		Look: append([]Instr(nil), c.look...), LookH: c.lookH, LookN: c.lookN,
-		Pend: c.pend, PendAt: c.pendAt,
 		Blocked: c.blocked, ProbeStall: c.probeStall, Wake: c.wake, Dirty: c.dirty,
 		Retired: c.Retired, Cycles: c.Cycles,
 	}
@@ -54,9 +45,6 @@ func (c *Core) Restore(st *CoreState) {
 	copy(c.rob, st.Rob)
 	c.head, c.n, c.stores, c.loads = st.Head, st.N, st.Stores, st.Loads
 	c.stalled, c.hasStall = st.Stalled, st.HasStall
-	copy(c.look, st.Look)
-	c.lookH, c.lookN = st.LookH, st.LookN
-	c.pend, c.pendAt = st.Pend, st.PendAt
 	c.blocked, c.probeStall, c.wake, c.dirty = st.Blocked, st.ProbeStall, st.Wake, st.Dirty
 	c.Retired, c.Cycles = st.Retired, st.Cycles
 }

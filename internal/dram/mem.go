@@ -18,12 +18,15 @@ type bankState struct {
 	// HzStamp equals the owning rank's Stamp; every Issue touching the
 	// rank bumps the stamp, invalidating all of its banks at once. With
 	// the cache warm, CanIssue in a scheduler inner loop is a structural
-	// check plus one int64 compare.
-	HzStamp  int64
-	ReadyACT int64
-	ReadyPRE int64
-	ReadyRD  int64
-	ReadyWR  int64
+	// check plus one int64 compare. The memo records which banks the
+	// schedulers last asked about, not simulated state, so it is not
+	// durable: a decoded checkpoint restores it zeroed, and since a
+	// rank's Stamp starts at 1 the first read re-derives it.
+	HzStamp  int64 `json:"-"`
+	ReadyACT int64 `json:"-"`
+	ReadyPRE int64 `json:"-"`
+	ReadyRD  int64 `json:"-"`
+	ReadyWR  int64 `json:"-"`
 }
 
 // bgState tracks bank-group level horizons (tCCD_L, tRRD_L, tWTR_L).
@@ -51,12 +54,6 @@ type rankState struct {
 	// cache. It starts at 1 (so zero-valued bank caches are invalid) and
 	// is bumped by every Issue to the rank.
 	Stamp int64
-
-	// RowStamp counts the rank's row-state changes (ACT, PRE, WarmOpen),
-	// starting at 1. Schedulers learn which banks changed from the
-	// channel's row log instead (chanState.rowLog); the count stays as
-	// checkpointed state so the durable format is unchanged.
-	RowStamp int64
 
 	// DataBusyUntil is when the rank's data pins/internal IO finish the
 	// current burst. Used for statistics and NDA idle detection.
@@ -203,8 +200,8 @@ func (c *CmdCounts) add(o CmdCounts) {
 // command timing; it does not schedule. Controllers (host and NDA side)
 // call CanIssue/Issue.
 //
-// All mutable state — timing horizons, row state, command counters, and
-// the chVer versions — is held per channel, and Issue touches only the
+// All mutable state — timing horizons, row state, the row-change log,
+// and command counters — is held per channel, and Issue touches only the
 // addressed channel's share. Channels are therefore free of write
 // sharing, which is what lets the sim package tick channel domains on
 // concurrent workers.
@@ -217,14 +214,6 @@ type Mem struct {
 	// cnts holds per-channel command counters (see CmdCounts); sharded
 	// so concurrent channel domains never write the same counter.
 	cnts []CmdCounts
-
-	// chVer counts issued commands per channel: a version for any
-	// conclusion cached from timing state (the system's per-controller
-	// wake cache keys on it, since NDA commands move horizons the
-	// channel's controller schedules against). Channels are timing-
-	// independent, so one channel's traffic never invalidates another's
-	// cached conclusions. It advances on every Issue and nothing else.
-	chVer []uint64
 }
 
 // Counts sums the per-channel command counters.
@@ -261,7 +250,7 @@ func NewChecked(g Geometry, t Timing) (*Mem, error) {
 		return nil, err
 	}
 	m := &Mem{Geom: g, T: t, channels: make([]chanState, g.Channels),
-		cnts: make([]CmdCounts, g.Channels), chVer: make([]uint64, g.Channels)}
+		cnts: make([]CmdCounts, g.Channels)}
 	for c := range m.channels {
 		ch := &m.channels[c]
 		ch.Ranks = make([]rankState, g.Ranks)
@@ -272,7 +261,6 @@ func NewChecked(g Geometry, t Timing) (*Mem, error) {
 			rk.BGs = make([]bgState, g.BankGroups)
 			rk.FAW = make([]int64, 4)
 			rk.Stamp = 1
-			rk.RowStamp = 1
 			for i := range rk.FAW {
 				rk.FAW[i] = -(1 << 40) // far past: window initially empty
 			}
@@ -303,8 +291,7 @@ func (m *Mem) OpenRow(a Addr) (row int, open bool) {
 // have performed for this access during a sampled-mode fast-forward
 // jump (DESIGN.md §2.11). Timing horizons are left alone: the jump
 // lands past every pre-jump horizon, so they are already dead. The
-// rank's stamp and the channel command version advance and the bank is
-// logged as a row change, so every cached scheduler conclusion derived
+// rank's stamp advances and the bank is logged as a row change, so every cached scheduler conclusion derived
 // from the old row state (per-bank horizon caches, mc calendar keys,
 // NDA sleep bounds) is invalidated before detailed execution resumes.
 func (m *Mem) WarmOpen(a Addr) {
@@ -315,9 +302,7 @@ func (m *Mem) WarmOpen(a Addr) {
 	b.Open = true
 	b.Row = a.Row
 	rk.Stamp++
-	rk.RowStamp++
 	m.channels[a.Channel].logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
-	m.chVer[a.Channel]++
 }
 
 // OpenBanks counts banks currently holding an open row, across all
@@ -347,9 +332,6 @@ func (m *Mem) RankDataBusyUntil(channel, rank int) int64 {
 func (m *Mem) ChannelDataBusyUntil(channel int) int64 {
 	return m.channels[channel].DataBusyUntil
 }
-
-// ChVer returns the channel's issued-command version (see chVer).
-func (m *Mem) ChVer(channel int) uint64 { return m.chVer[channel] }
 
 // RankStamp returns a version counter for the rank's timing and row
 // state: it advances on every command issued to the rank and on nothing
@@ -626,7 +608,6 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 	flat := a.GlobalBank(m.Geom)
 	b := &rk.Banks[flat]
 	cn := &m.cnts[a.Channel]
-	m.chVer[a.Channel]++
 	rk.Stamp++ // invalidate the rank's bank horizon caches
 
 	maxi := func(p *int64, v int64) {
@@ -638,7 +619,6 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 	switch cmd {
 	case CmdACT:
 		cn.ACT++
-		rk.RowStamp++
 		ch.logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
 		b.Open = true
 		b.Row = a.Row
@@ -659,7 +639,6 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 
 	case CmdPRE:
 		cn.PRE++
-		rk.RowStamp++
 		ch.logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
 		b.Open = false
 		maxi(&b.NextACT, now+int64(t.RP))

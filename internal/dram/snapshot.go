@@ -1,17 +1,16 @@
 package dram
 
 // MemState is a deep copy of a Mem's mutable state — bank/row state,
-// every timing horizon, the refresh and bus occupancy clocks, command
-// counters, and the chVer versions. It contains no pointers into the
-// live Mem, so one snapshot can seed any number of restores
-// (checkpoint forking). The channel, rank, bank and bank-group structs
-// are the live ones: their exported fields are also the durable
-// checkpoint encoding (encoding/json, no codec), and the in-memory-only
-// row log is tagged out of it.
+// every timing horizon, the refresh and bus occupancy clocks, and the
+// command counters. It contains no pointers into the live Mem, so one
+// snapshot can seed any number of restores (checkpoint forking). The
+// channel, rank, bank and bank-group structs are the live ones: their
+// exported fields are also the durable checkpoint encoding
+// (encoding/json, no codec), and the in-memory-only row log and
+// per-bank horizon memo are tagged out of it.
 type MemState struct {
 	Channels []chanState
 	Cnts     []CmdCounts
-	ChVer    []uint64
 }
 
 // Snapshot captures the Mem's full mutable state.
@@ -19,7 +18,6 @@ func (m *Mem) Snapshot() *MemState {
 	st := &MemState{
 		Channels: make([]chanState, len(m.channels)),
 		Cnts:     append([]CmdCounts(nil), m.cnts...),
-		ChVer:    append([]uint64(nil), m.chVer...),
 	}
 	for c := range m.channels {
 		copyChanState(&st.Channels[c], &m.channels[c])
@@ -35,7 +33,6 @@ func (m *Mem) Restore(st *MemState) {
 		panic("dram: restore onto a Mem with different geometry")
 	}
 	copy(m.cnts, st.Cnts)
-	copy(m.chVer, st.ChVer)
 	for c := range m.channels {
 		copyChanState(&m.channels[c], &st.Channels[c])
 	}

@@ -41,6 +41,15 @@ import (
 //   - Bucket mutations (enqueue, dequeue-with-survivors) park the bank
 //     in the ready region for unconditional revalidation at the next
 //     scan.
+//   - A ready PRE that the open-page rule blocks (rowWanted: a queued
+//     request still wants the open row) is not a candidate, so examine
+//     drops it from the bank's key and marks the entry preBlocked. The
+//     block lifts only when a request for the open row leaves either
+//     queue or the row itself changes: a dequeue from this queue's
+//     bucket is a bucket mutation, a dequeue from the other queue's
+//     bucket of the same bank clears the flag and force-readies the
+//     bank (issueColumn), and a row change is logged. A blocked bank
+//     with no row hit has no key at all and is parked off every list.
 //
 // Keys at or below the synced tick live on the ready list; keys inside
 // the ring window live in their exact slot (one key per slot); keys
@@ -53,6 +62,9 @@ import (
 func (q *reqQueue) calUnlink(bk int32) {
 	switch q.calWhere[bk] {
 	case calAbsent:
+		return
+	case calParked:
+		q.calWhere[bk] = calAbsent
 		return
 	case calBucket:
 		q.calCount--
@@ -104,8 +116,15 @@ func (q *reqQueue) calForceReady(bk int32) {
 
 // calPlace files a bank under key k relative to the synced tick now.
 // Callers run after calAdvance(now), so calBase == now+1 and any future
-// key inside the window maps to its exact slot.
+// key inside the window maps to its exact slot. A Never key (a
+// rowWanted-blocked PRE and no row hit) parks the bank off every list.
 func (q *reqQueue) calPlace(bk int32, k, now int64) {
+	if k == dram.Never {
+		q.calUnlink(bk)
+		q.calKey[bk] = k
+		q.calWhere[bk] = calParked
+		return
+	}
 	if k <= now {
 		if q.calWhere[bk] == calInReady {
 			return
@@ -251,8 +270,11 @@ func (c *Controller) calSync(q *reqQueue, now int64) {
 // bucket changed or a command issued to its rank since it was derived —
 // and returns it with its candidates' earliest issue cycles (Never when
 // absent), the channel-bus horizon folded into the column candidate's.
-// min(ready1, ready2) is the bank's calendar key.
-func (c *Controller) examine(q *reqQueue, bk int32, cmd dram.Command) (e *bankEntry, ready1, ready2 int64) {
+// A PRE ready at now is checked against the open-page rule once: when a
+// queued request still wants the open row it is marked preBlocked and
+// reported absent until an unblocking event clears the mark (see the
+// head of this file). min(ready1, ready2) is the bank's calendar key.
+func (c *Controller) examine(q *reqQueue, bk int32, cmd dram.Command, now int64) (e *bankEntry, ready1, ready2 int64) {
 	rank := int(bk>>q.shift) - c.channel*c.nrank
 	e = &q.sched[q.occPos[bk]]
 	if st := c.mem.RankStamp(c.channel, rank); e.dirty || e.rkStamp != st {
@@ -264,6 +286,10 @@ func (c *Controller) examine(q *reqQueue, bk int32, cmd dram.Command) (e *bankEn
 	}
 	if e.p2 != nil {
 		ready2 = e.p2Rank
+		if e.p2Cmd == dram.CmdPRE && (e.preBlocked || ready2 <= now && c.rowWanted(e.p2.DAddr, int(e.p2Row))) {
+			e.preBlocked = true
+			ready2 = dram.Never
+		}
 	}
 	return e, ready1, ready2
 }
@@ -271,29 +297,29 @@ func (c *Controller) examine(q *reqQueue, bk int32, cmd dram.Command) (e *bankEn
 // calScan is the calendar replacement for the per-tick occupied-bank
 // sweep: it validates only the ready region and returns the same
 // decision outputs the sweep derived — the oldest ready pass-1 request
-// and the oldest ready pass-2 entry — plus the min FUTURE candidate
-// horizon among the banks it examined (hzFuture: horizons strictly
-// beyond now). Ready candidates deliberately do not contribute to the
-// horizon: a ready pass-1 or unblocked pass-2 candidate issues this
-// very tick, and a no-issue tick therefore proves every ready pass-2
-// candidate rowWanted-blocked — a state that cannot change without a
-// queue mutation or a command issue, each of which bumps ver or ChVer
-// and re-dispatches the controller. The controller consequently SLEEPS
+// and the oldest ready issuable pass-2 entry (rowWanted-blocked PREs
+// excluded by examine) — plus the min FUTURE candidate horizon among
+// the banks it examined (hzFuture: horizons strictly beyond now). Ready
+// candidates deliberately do not contribute to the horizon: they issue
+// this very tick. Blocked PREs contribute nothing either: their block
+// lifts only on a queue mutation (ver) or a logged row change
+// (RowSeq), each of which re-dispatches the controller, so it SLEEPS
 // through rowWanted-blocked windows instead of polling them cycle by
 // cycle (the scan-on-tick cost the calendar exists to remove). Banks
 // found not ready are re-filed at their true ready cycle on the way
-// through, so a saturated channel's scan touches O(ready candidates)
-// banks per due tick. Decision equivalence with the rescan oracle is
-// inherited from the sweep's argument: the ready region provably
-// contains every bank with a ready candidate (calSync), readiness per
-// candidate is the same exact horizon compare, and oldest-first
-// selection by seq is order-independent.
+// through, and blocked banks leave the ready region, so a saturated
+// channel's scan touches O(ready candidates) banks per due tick.
+// Decision equivalence with the rescan oracle is inherited from the
+// sweep's argument: the ready region provably contains every bank with
+// a ready issuable candidate (calSync), readiness per candidate is the
+// same exact horizon compare plus the same rowWanted rule, and
+// oldest-first selection by seq is order-independent.
 func (c *Controller) calScan(q *reqQueue, cmd dram.Command, now int64) (best *Request, best2 *bankEntry, hzFuture int64) {
 	c.calSync(q, now)
 	hzFuture = dram.Never
 	for bk := q.calReady; bk != -1; {
 		nx := q.calNext[bk]
-		e, ready1, ready2 := c.examine(q, bk, cmd)
+		e, ready1, ready2 := c.examine(q, bk, cmd, now)
 		k := min(ready1, ready2)
 		if k > now {
 			if k < hzFuture {
@@ -345,7 +371,7 @@ func (c *Controller) calHorizon(q *reqQueue, cmd dram.Command, now int64, hzRead
 		s := int(k) & calMask
 		for bk := q.calBkt[s]; bk != -1; {
 			nx := q.calNext[bk]
-			_, ready1, ready2 := c.examine(q, bk, cmd)
+			_, ready1, ready2 := c.examine(q, bk, cmd, now)
 			if k2 := min(ready1, ready2); k2 != k {
 				// Keys are lower bounds, so a fresh key only moves
 				// later; re-file and keep validating the new minimum.

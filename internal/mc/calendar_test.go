@@ -33,8 +33,11 @@ type calCase struct {
 // equivalence fuzz: the production (calendar) controller is driven
 // wake-to-wake off NextEvent exactly as the system dispatcher drives it
 // — skipped cycles execute nothing but the per-cycle issued-rank reset
-// (ClearIssued), and the cached wake revalidates against Ver/ChVer like
-// sim.mcNext — while the rescan oracle ticks every cycle. On top of the
+// (ClearIssued), and the cached wake revalidates against Ver/RowSeq like
+// sim.mcNext — while the rescan oracle ticks every cycle. The cached
+// wake must survive internal columns (they only push horizons later),
+// so the run also asserts that the production controller slept
+// through some. On top of the
 // host request stream, NDA-style INTERNAL commands issue directly into
 // both device models: internal ACT/PRE exercise the row-log resync
 // (foreign row-state changes parking exactly their banks), internal
@@ -119,10 +122,29 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 	var doneA, doneB []int64
 	readDoneA := func(d int64) { doneA = append(doneA, d) }
 	readDoneB := func(d int64) { doneB = append(doneB, d) }
+	// step drives the production controller one cycle wake-to-wake,
+	// revalidating its cached bound exactly like the system's
+	// per-controller wake cache (sim.mcNext), and reports whether the
+	// cycle was skipped. colSinceWake records an internal column issued
+	// while the cached bound was held.
 	wake := int64(0)
-	wakeVer, wakeMemVer := uint64(0), uint64(0)
-	wakeValid := false
-	skipped, restores := 0, 0
+	wakeVer, wakeRowSeq := uint64(0), uint64(0)
+	wakeValid, colSinceWake := false, false
+	step := func(cyc int64) bool {
+		if !wakeValid || wakeVer != ctlA.Ver() || wakeRowSeq != memA.RowSeq(0) {
+			wake = ctlA.NextEvent(cyc)
+			wakeVer, wakeRowSeq = ctlA.Ver(), memA.RowSeq(0)
+			wakeValid, colSinceWake = true, false
+		}
+		if wake <= cyc {
+			ctlA.Tick(cyc)
+			wakeValid = false
+			return false
+		}
+		ctlA.ClearIssued()
+		return true
+	}
+	skipped, skippedAcrossCols, restores := 0, 0, 0
 	for cyc := int64(0); cyc < 40_000; cyc++ {
 		for rng.Intn(100) < 25 {
 			addr := nextAddr()
@@ -174,6 +196,7 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 				}
 			default:
 				s.cols--
+				colSinceWake = colSinceWake || wakeValid
 			}
 		}
 		if tc.warmBurst && cyc%700 == 350 {
@@ -213,17 +236,11 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 		// the cached bound exactly like the system's per-controller
 		// wake cache.
 		ctlB.Tick(cyc)
-		if !wakeValid || wakeVer != ctlA.Ver() || wakeMemVer != memA.ChVer(0) {
-			wake = ctlA.NextEvent(cyc)
-			wakeVer, wakeMemVer = ctlA.Ver(), memA.ChVer(0)
-			wakeValid = true
-		}
-		if wake <= cyc {
-			ctlA.Tick(cyc)
-			wakeValid = false
-		} else {
-			ctlA.ClearIssued()
+		if step(cyc) {
 			skipped++
+			if colSinceWake {
+				skippedAcrossCols++
+			}
 		}
 		if a, b := ctrlState(ctlA, memA), ctrlState(ctlB, memB); a != b {
 			t.Fatalf("cycle %d: state diverged:\n calendar: %s\n ref:      %s", cyc, a, b)
@@ -244,6 +261,9 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 	if skipped == 0 {
 		t.Fatal("wake-driven path never skipped a cycle; sleep machinery untested")
 	}
+	if skippedAcrossCols == 0 {
+		t.Fatal("no cycle was skipped on a wake bound held across an internal column")
+	}
 	if tc.restore && restores == 0 {
 		t.Fatal("no mid-run restore happened")
 	}
@@ -260,17 +280,7 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 			t.Fatalf("queues failed to drain: calendar %d/%d, ref %d/%d", ra, wa, rb, wb)
 		}
 		ctlB.Tick(cyc)
-		if !wakeValid || wakeVer != ctlA.Ver() || wakeMemVer != memA.ChVer(0) {
-			wake = ctlA.NextEvent(cyc)
-			wakeVer, wakeMemVer = ctlA.Ver(), memA.ChVer(0)
-			wakeValid = true
-		}
-		if wake <= cyc {
-			ctlA.Tick(cyc)
-			wakeValid = false
-		} else {
-			ctlA.ClearIssued()
-		}
+		step(cyc)
 	}
 	for i := range doneA {
 		if doneA[i] != doneB[i] {

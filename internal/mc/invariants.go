@@ -32,13 +32,9 @@ func (c *Controller) OverflowLen() int { return c.overflow.Len() }
 
 // CheckInvariants validates the controller's internal consistency: the
 // arrival lists against the occupancy counters and per-bank buckets,
-// the dense scheduling cache against the occupied set, calendar
-// membership (every occupied bank in exactly one region, bitmap in sync
-// with slot heads, keys inside their region's range), and — for banks
-// with no row change pending in the channel's row log — calendar
-// lower-bound soundness against a fresh rescan of the bank's
-// candidates. Returns the first violation
-// found, nil when consistent.
+// the dense scheduling cache against the occupied set, and the calendar
+// (see checkCalendar). Returns the first violation found, nil when
+// consistent.
 func (c *Controller) CheckInvariants() error {
 	if err := c.checkQueue(&c.rq, "rq", c.cfg.ReadQueue, dram.CmdRD); err != nil {
 		return err
@@ -129,10 +125,18 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 			return fmt.Errorf("%s bank %d holds %d requests but is not in the occupied set", name, bk, n)
 		}
 	}
+	return c.checkCalendar(q, name, cmd)
+}
 
-	// Calendar membership: every occupied bank in exactly one region,
-	// vacant banks absent, bitmap matching slot heads, keys inside their
-	// region's window.
+// checkCalendar validates one queue's calendar: membership (every
+// occupied bank in exactly one region, bitmap in sync with slot heads,
+// keys inside their region's range) and — for banks with no row change
+// pending in the channel's row log — key soundness against a fresh
+// rescan of the bank's candidates: a bucketed, overflowed or parked
+// bank's key lower-bounds its earliest issuable candidate, and a bank
+// held out of the ready region with a ready PRE is one the open-page
+// rule blocks.
+func (c *Controller) checkCalendar(q *reqQueue, name string, cmd dram.Command) error {
 	seen := make(map[int32]string)
 	mark := func(bk int32, where string) error {
 		if w, dup := seen[bk]; dup {
@@ -188,6 +192,17 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 		return fmt.Errorf("%s calCount=%d but ring holds %d banks", name, q.calCount, inRing)
 	}
 	for _, bk := range q.occ {
+		if q.calWhere[bk] != calParked {
+			continue
+		}
+		if q.calKey[bk] != dram.Never {
+			return fmt.Errorf("%s bank %d parked with key %d", name, bk, q.calKey[bk])
+		}
+		if err := mark(bk, "parked"); err != nil {
+			return err
+		}
+	}
+	for _, bk := range q.occ {
 		if _, ok := seen[bk]; !ok {
 			return fmt.Errorf("%s occupied bank %d is on no calendar region", name, bk)
 		}
@@ -196,15 +211,15 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 		return fmt.Errorf("%s calendar tracks %d banks but %d are occupied", name, len(seen), len(q.occ))
 	}
 
-	// Lower-bound soundness, spot-checked against a fresh rescan of
-	// each bank's candidates. Banks with a row change the queue has not
-	// yet replayed from the channel's row log are exempt: calSync parks
-	// them before any decision, so until then a stale-high key is
+	// Key soundness, spot-checked against a fresh rescan of each bank's
+	// candidates. Banks with a row change the queue has not yet
+	// replayed from the channel's row log are exempt: calSync parks
+	// them ready before any decision, so until then a stale-high key is
 	// legitimate — and when the log no longer covers the span since the
-	// queue's last sync, every bank is pending.
-	// Ready banks carry no key contract (the scan revalidates them), and
-	// the rescan paths (cross-channel harnesses, reference scheduler)
-	// never consult keys at all.
+	// queue's last sync, every bank is pending. Ready banks carry no key
+	// contract (the scan revalidates them), and the rescan paths
+	// (cross-channel harnesses, reference scheduler) never consult keys
+	// at all.
 	if c.cross || c.refSched {
 		return nil
 	}
@@ -217,44 +232,55 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 	for s := q.rowSeen; s < seq; s++ {
 		pending[base+c.mem.RowChange(c.channel, s)] = true
 	}
+	synced := q.calBase - 1 // the tick of the queue's last calSync
 	for _, bk := range q.occ {
-		if q.calWhere[bk] != calBucket && q.calWhere[bk] != calInOver || pending[bk] {
+		if q.calWhere[bk] == calInReady || pending[bk] {
 			continue
 		}
-		if oracle := c.bankOracle(q, bk, cmd); q.calKey[bk] > oracle {
+		oracle, freePRE := c.bankOracle(q, bk, cmd)
+		if freePRE <= synced {
+			return fmt.Errorf("%s bank %d held out of the ready region with a PRE ready at %d (synced %d) that no queued request blocks",
+				name, bk, freePRE, synced)
+		}
+		if q.calKey[bk] > oracle {
 			return fmt.Errorf("%s bank %d calendar key %d exceeds rescan-oracle ready cycle %d (lower bound violated)",
 				name, bk, q.calKey[bk], oracle)
+		}
+		if e := &q.sched[q.occPos[bk]]; e.preBlocked && (e.p2Cmd != dram.CmdPRE || !c.rowWanted(e.p2.DAddr, int(e.p2Row))) {
+			return fmt.Errorf("%s bank %d marked preBlocked but the open-page rule no longer blocks its PRE", name, bk)
 		}
 	}
 	return nil
 }
 
-// bankOracle recomputes the bank's earliest candidate-ready cycle the
-// way the rescan oracle would — a fresh bucket scan against fresh
+// bankOracle recomputes the bank's earliest issuable-candidate cycle
+// the way the rescan oracle would — a fresh bucket scan against fresh
 // horizons, min(max(p1 column ready, channel bus), p2 row-command
-// ready) — without touching the cached entry.
-func (c *Controller) bankOracle(q *reqQueue, bk int32, cmd dram.Command) int64 {
+// ready), with a PRE the open-page rule blocks (rowWanted) excluded —
+// without touching the cached entry. freePRE is the ready cycle of a
+// PRE candidate the rule does not block (Never when there is none).
+func (c *Controller) bankOracle(q *reqQueue, bk int32, cmd dram.Command) (k, freePRE int64) {
 	flat := int(bk) % c.bpr
 	rank := int(bk)/c.bpr - c.channel*c.nrank
 	row, open, readyACT, readyPRE, readyRD, readyWR := c.mem.BankSched(
 		c.channel, rank, flat/c.bpg, flat)
+	if !open {
+		return readyACT, dram.Never
+	}
 	col := readyRD
 	if cmd == dram.CmdWR {
 		col = readyWR
 	}
 	bl := &q.banks[bk]
-	k := dram.Never
-	if !open {
-		return readyACT
-	}
+	k, freePRE = dram.Never, dram.Never
 	for r := bl.head; r != nil; r = r.bnext {
 		if r.DAddr.Row == row {
 			k = max(col, c.mem.ExtColReady(c.channel, cmd, rank))
 			break
 		}
 	}
-	if bl.head.DAddr.Row != row && readyPRE < k {
-		k = readyPRE
+	if bl.head.DAddr.Row != row && !c.rowWanted(bl.head.DAddr, row) {
+		freePRE = readyPRE
 	}
-	return k
+	return min(k, freePRE), freePRE
 }

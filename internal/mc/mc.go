@@ -92,12 +92,12 @@ type Controller struct {
 	// Fused horizon hint: a Tick that attempts both queues and issues
 	// nothing records the min candidate horizon its failed sweeps
 	// already computed (sweepHz per queue), saving NextEvent the
-	// re-sweep. Valid while hintVer/hintMemVer match the live counters.
+	// re-sweep. Valid while hintVer/hintRowSeq match the live counters.
 	sweepHz    int64
 	hint       int64
 	hintValid  bool
 	hintVer    uint64
-	hintMemVer uint64
+	hintRowSeq uint64
 
 	// cross is set when any request ever decoded to a foreign channel.
 	// The system router routes one channel per controller, so this only
@@ -143,7 +143,8 @@ type Controller struct {
 	// channel bus) — so a host ACT/PRE elsewhere cannot change the
 	// taken branch, queue churn confined to other ranks' buckets cannot
 	// either, and a row/REF command to the NDA's own rank already
-	// forces a tick through the dispatcher's RankBusy rule. This is the
+	// forces the rank to step on that cycle (the issued-rank rule of
+	// nda.RankNDA.tick). This is the
 	// same staleness split the calendar applies to bank entries
 	// (rkStamp vs bucket dirtiness), applied to the engine's controller
 	// inputs.
@@ -424,16 +425,19 @@ func (c *Controller) NextEvent(now int64) int64 {
 	}
 	// A Tick that attempted both queues and issued nothing already
 	// derived the horizon as a byproduct of its failed scans; serve it
-	// while nothing it was derived from has moved (no enqueue or
-	// dequeue — ver — and no command on the channel — ChVer). The
-	// horizon covers only candidates that can mature on their own
-	// (future timing bounds): ready-but-rowWanted-blocked row commands
-	// are excluded, because their state is provably frozen until a
-	// queue mutation or command issue — events that bump ver or ChVer
-	// and re-derive this bound. Never therefore means "no timing-driven
-	// wake at all": the controller sleeps until such an event.
+	// while no enqueue or dequeue (ver) and no row change on the channel
+	// (RowSeq) happened since. Other commands on the channel — NDA
+	// columns above all — only push horizons later (the row-log
+	// argument, calendar.go), so the hint stays a lower bound across
+	// them: a wake that comes early costs one no-issue Tick, which
+	// re-derives it. The horizon covers only candidates that can mature
+	// on their own (future timing bounds): rowWanted-blocked PREs are
+	// excluded, because their block lifts only on a queue mutation or a
+	// row change — events that bump ver or RowSeq and re-derive this
+	// bound. Never therefore means "no timing-driven wake at all": the
+	// controller sleeps until such an event.
 	h := dram.Never
-	if c.hintValid && c.hintVer == c.ver && c.hintMemVer == c.mem.ChVer(c.channel) {
+	if c.hintValid && c.hintVer == c.ver && c.hintRowSeq == c.mem.RowSeq(c.channel) {
 		h = c.hint
 	} else {
 		h = min(c.queueHorizon(&c.rq, false, now), c.queueHorizon(&c.wq, true, now))
@@ -462,46 +466,15 @@ func (c *Controller) queueHorizon(q *reqQueue, writes bool, now int64) int64 {
 		cmd = dram.CmdWR
 	}
 	best, best2, hzFuture := c.calScan(q, cmd, now)
-	if best != nil || c.readyRow(q, now, best2) != nil {
+	if best != nil || best2 != nil {
 		// A ready column or an issuable row command: the controller is
-		// due this very cycle. (Ready row commands that are rowWanted-
-		// blocked are NOT due — their state is frozen until a ver/ChVer
-		// event re-derives this bound — which is what lets the
+		// due this very cycle. (rowWanted-blocked PREs are not
+		// candidates — their block lifts only on a ver/RowSeq event
+		// that re-derives this bound — which is what lets the
 		// controller sleep through blocked windows instead of polling.)
 		return now
 	}
 	return c.calHorizon(q, cmd, now, hzFuture)
-}
-
-// readyRow returns the oldest ready pass-2 entry whose row command can
-// actually issue this cycle: ACTs unconditionally, PREs only when the
-// open row is no longer wanted by any queued request. The rowWanted
-// re-check and oldest-first resume mirror the rescan's pass 2 exactly;
-// candidates are drawn from the calendar's ready region, which calScan
-// left validated and holding every bank with a ready candidate. It
-// evaluates without mutating, so both schedule (to issue) and
-// queueHorizon (to decide due-ness) share it.
-func (c *Controller) readyRow(q *reqQueue, now int64, best2 *bankEntry) *bankEntry {
-	lastSeq := int64(-1)
-	for best2 != nil {
-		r := best2.p2
-		if best2.p2Cmd == dram.CmdPRE && c.rowWanted(r.DAddr, int(best2.p2Row)) {
-			lastSeq = r.seq
-			best2 = nil
-			for bk := q.calReady; bk != -1; bk = q.calNext[bk] {
-				e := &q.sched[q.occPos[bk]]
-				if e.p2 == nil || e.p2Rank > now || e.p2.seq <= lastSeq {
-					continue
-				}
-				if best2 == nil || e.p2.seq < best2.p2.seq {
-					best2 = e
-				}
-			}
-			continue
-		}
-		return best2
-	}
-	return nil
 }
 
 // recomputeEntry re-derives one bank's candidates (see bankEntry). All
@@ -540,7 +513,7 @@ func (c *Controller) recomputeEntry(q *reqQueue, e *bankEntry, bk int32, cmd dra
 	bl := &q.banks[bk]
 	head := bl.head
 	a := &head.DAddr
-	e.p1, e.p2 = nil, nil
+	e.p1, e.p2, e.preBlocked = nil, nil, false
 	if !open {
 		e.p2, e.p2Cmd = head, dram.CmdACT
 		e.p2Rank = readyACT
@@ -628,7 +601,7 @@ func (c *Controller) setHint(h int64) {
 	c.hint = h
 	c.hintValid = true
 	c.hintVer = c.ver
-	c.hintMemVer = c.mem.ChVer(c.channel)
+	c.hintRowSeq = c.mem.RowSeq(c.channel)
 }
 
 // schedule applies FR-FCFS to the given queue: first a ready row-hit
@@ -669,13 +642,12 @@ func (c *Controller) schedule(q *reqQueue, now int64, writes bool) bool {
 		c.issueColumn(cmd, best, q, now, writes)
 		return true
 	}
-	// Pass 2: row commands in age order among the ready candidates. A
-	// PRE re-checks rowWanted at issue time (the open-page policy may
-	// have gained a waiter from the other queue since the entry was
-	// derived); on a skip readyRow resumes at the next-oldest ready
-	// candidate — still within the ready region, which calScan left
-	// holding every bank with a ready candidate, validated.
-	if e := c.readyRow(q, now, best2); e != nil {
+	// Pass 2: the oldest ready row command. calScan has already
+	// applied the open-page rule: a PRE whose open row a queued request
+	// still wants is not a candidate (examine evaluates rowWanted
+	// against this cycle's queues, or serves a block no event has
+	// lifted since).
+	if e := best2; e != nil {
 		c.mem.Issue(e.p2Cmd, e.p2.DAddr, now, false)
 		if e.p2Cmd == dram.CmdPRE {
 			c.PresIssued++
@@ -788,6 +760,17 @@ func (c *Controller) issueColumn(cmd dram.Command, r *Request, q *reqQueue, now 
 	c.qver++
 	c.issuedRank = r.DAddr.Rank
 	c.issuedIsCol = true
+	// The dequeue may lift the open-page block on the other queue's PRE
+	// to the same bank (r may have been the request wanting the row);
+	// this queue's entry is revalidated by remove's bucket mutation.
+	o := &c.rq
+	if q == o {
+		o = &c.wq
+	}
+	if i := o.occPos[r.bankKey]; i >= 0 && o.sched[i].preBlocked {
+		o.sched[i].preBlocked = false
+		o.calForceReady(r.bankKey)
+	}
 	q.remove(r)
 	var dataStart, dataEnd int64
 	if write {

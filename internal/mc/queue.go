@@ -57,9 +57,10 @@ type reqQueue struct {
 	// Calendar-queue state (see calendar.go). Every occupied bank is in
 	// exactly one of: a ring bucket (future ready cycle), the ready
 	// list (ready cycle <= the last synced tick, or pending
-	// revalidation), or the overflow list (ready cycle beyond the ring
-	// window). calKey holds the bank's bucket key; for ready/overflow
-	// membership it is advisory only.
+	// revalidation), the overflow list (ready cycle beyond the ring
+	// window), or parked (no candidate can issue before an unblocking
+	// event; on no list). calKey holds the bank's bucket key; for
+	// ready/overflow membership it is advisory only.
 	calBase  int64    // smallest key the ring can hold
 	calCount int      // banks currently in ring buckets
 	calBits  []uint64 // calWords words: non-empty bucket slots
@@ -67,7 +68,7 @@ type reqQueue struct {
 	calKey   []int64  // bankKey -> current key
 	calNext  []int32  // bankKey -> calendar list links
 	calPrev  []int32
-	calWhere []uint8 // bankKey -> calAbsent/calBucket/calReady/calOver
+	calWhere []uint8 // bankKey -> calAbsent/calBucket/calInReady/calInOver/calParked
 	calReady int32   // ready-list head
 	calOver  int32   // overflow-list head
 	// rowSeen is the channel's dram.Mem.RowSeq at the queue's last
@@ -93,6 +94,7 @@ const (
 	calBucket
 	calInReady
 	calInOver
+	calParked
 )
 
 func (q *reqQueue) init(rankGroups, banksPerRank int) {
@@ -219,12 +221,12 @@ func (q *reqQueue) remove(r *Request) {
 // column readiness deliberately stays out: it changes on every external
 // column anywhere on the channel, so it is read per check from the O(1)
 // per-channel cache (dram.Mem.ExtColReady). The cross-queue rowWanted
-// input also stays out: PRE candidates are cached unconditionally and
-// rowWanted is re-evaluated (an O(per-bank occupancy) bucket scan over
-// both queues) only when a PRE is actually about to issue — the same
-// cycle the rescan would have evaluated it. With clean entries, a
-// timing-blocked cycle costs a handful of int64 compares per occupied
-// bank; no CanIssue or OpenRow calls at all.
+// input is evaluated (an O(per-bank occupancy) bucket scan over both
+// queues) only once a PRE candidate is ready, and a positive answer is
+// cached as preBlocked until an event that can lift it (see
+// calendar.go). With clean entries, a timing-blocked cycle costs a
+// handful of int64 compares per occupied bank; no CanIssue or OpenRow
+// calls at all.
 // bankEntry fields are ordered and sized to pack the struct into a
 // single cache line: the dense sched array is streamed by the hottest
 // loop in the controller.
@@ -239,8 +241,7 @@ type bankEntry struct {
 
 	// Pass 2: the bank head's row command (ACT on a closed bank, PRE on
 	// a row conflict; nil when the head is itself the row hit), its
-	// ready cycle, and the open row for PRE's issue-time rowWanted
-	// re-check.
+	// ready cycle, and the open row for PRE's rowWanted check.
 	p2     *Request
 	p2Rank int64
 	p2Row  int32
@@ -256,4 +257,10 @@ type bankEntry struct {
 	idOpen  bool
 
 	dirty bool
+	// preBlocked marks a ready PRE candidate that the open-page rule
+	// holds back (rowWanted was true): examine reports it absent, so
+	// the bank leaves the ready region. Cleared by a full recompute
+	// (bucket or row change) and by a dequeue of the same bank from
+	// the other queue.
+	preBlocked bool
 }

@@ -121,9 +121,10 @@ type RankNDA struct {
 	//     valid under arbitrary host-queue churn; only a host command to
 	//     this rank invalidates it — Issue moves horizons monotonically
 	//     later and can close the row, and the engine provably steps the
-	//     rank on that very cycle (the dispatcher forces a Tick whenever
-	//     a host controller issues to a busy rank), marking the bound
-	//     stale before it could ever be consumed again.
+	//     rank on that very cycle (the dispatcher ticks a channel's NDAs
+	//     after every tick of its controller, and a rank the host issued
+	//     to steps), marking the bound stale before it could ever be
+	//     consumed again.
 	//   - impure (sleepPure false): the evaluation read host controller
 	//     state (oldest-read rank, per-bank demand), so the bound is
 	//     valid only while the controller's per-rank queue counter
@@ -134,8 +135,9 @@ type RankNDA struct {
 	//     itself at now and is never slept over.
 	//
 	// Bounds are derived lazily: a step marks sleepStale and the next
-	// NextEvent query evaluates nextEvent — under sustained host traffic
-	// every cycle executes anyway and eager evaluation would be waste.
+	// NextEvent query or fast-path tick evaluates nextEvent — under
+	// sustained host traffic every cycle executes anyway and eager
+	// evaluation would be waste.
 	// A stale or invalid bound is never trusted; stepping instead is
 	// always reference-exact.
 	sleepUntil int64
@@ -230,9 +232,9 @@ func (e *Engine) Busy() bool {
 
 // Tick advances every rank NDA by one DRAM cycle. Must run after the
 // host controllers' Tick for the same cycle (host priority). The
-// fast-forward dispatcher must invoke it on every cycle where a host
-// controller issued a command to a rank with NDA work (see
-// RankBusy) — the rank's yield accounting happens on that very cycle.
+// fast-forward dispatcher must invoke it (or TickChannel) on every
+// cycle where a host controller issued a command to a rank with NDA
+// work — the rank's yield accounting happens on that very cycle.
 func (e *Engine) Tick(now int64) {
 	for ch := range e.Ranks {
 		e.TickChannel(ch, now)
@@ -246,18 +248,9 @@ func (e *Engine) Tick(now int64) {
 // may tick on concurrent workers. Op completion callbacks are the one
 // exception, and they divert through the completion sink when set.
 func (e *Engine) TickChannel(ch int, now int64) {
-	host := e.hosts[ch]
-	hostRank := host.HostIssuedRank()
-	// Impure bounds revalidate against the per-rank queue counter, not
-	// the controller-wide version: the host reads on the evaluation
-	// path (OldestReadRank, HasDemandFor) observe only the read-queue
-	// head and this rank's bucket occupancy — exactly what NDAVer(rank)
-	// counts — and host row commands, which bump Ver but no queue
-	// counter, reach this rank through the issued-rank forced step
-	// instead. Queue churn confined to other ranks no longer disturbs
-	// this rank's cached bound.
+	hostRank := e.hosts[ch].HostIssuedRank()
 	for _, n := range e.Ranks[ch] {
-		n.tick(now, hostRank, host.NDAVer(n.Rank), e.fastForward)
+		n.tick(now, hostRank, e.fastForward)
 	}
 }
 
@@ -272,9 +265,7 @@ func (e *Engine) SetCompletionSink(ch int, sink func(done func(int64), at int64)
 	}
 }
 
-// RankBusy reports whether the rank's NDA has queued work: the
-// dispatcher uses it to force a Tick when a host command targets the
-// rank.
+// RankBusy reports whether the rank's NDA has queued work.
 func (e *Engine) RankBusy(channel, rank int) bool {
 	n := e.Ranks[channel][rank]
 	return len(n.fsm.ops) > 0 || n.fsm.wb.Len() > 0
@@ -286,10 +277,10 @@ func (e *Engine) RankBusy(channel, rank int) bool {
 // on any cycle where one does, so consuming the bound is sound). Stale
 // or version-invalidated bounds are re-derived here from current state:
 // between a rank's last step and this query nothing it reads can have
-// changed without either bumping its channel's Ver (impure bounds
-// revalidate against it) or issuing to the rank itself (which forced a
-// step), so the lazy evaluation equals the one the step would have
-// done. Stall counters that accrue per-cycle under host interference
+// changed without either bumping the rank's NDAVer on its channel's
+// controller (impure bounds revalidate against it) or issuing to the
+// rank itself (which forced a step), so the lazy evaluation equals the
+// one the step would have done. Stall counters that accrue per-cycle under host interference
 // all live behind branches whose bound is now, and are never slept
 // over.
 func (e *Engine) NextEvent(now int64) int64 {
@@ -308,31 +299,44 @@ func (e *Engine) NextEvent(now int64) int64 {
 // ChannelNextEvent is NextEvent restricted to one channel's rank NDAs.
 // Its validity assumptions are per channel: a host command to a busy
 // rank forces that channel's tick (RankBusy), and impure bounds
-// revalidate against that channel's controller version — so one
+// revalidate against that channel's controller (NDAVer) — so one
 // channel's host-queue churn never perturbs another channel's cached
 // bounds. It reads and refreshes only channel-local state, making it
 // safe to call from the channel's domain worker.
 func (e *Engine) ChannelNextEvent(ch int, now int64) int64 {
 	next := dram.Never
-	host := e.hosts[ch]
 	for _, n := range e.Ranks[ch] {
 		if len(n.fsm.ops) == 0 && n.fsm.wb.Len() == 0 {
 			continue
 		}
-		hv := host.NDAVer(n.Rank) // per-rank counter; see TickChannel
-		if n.sleepStale || (!n.sleepPure && n.derivedVer != hv) {
-			n.sleepUntil, n.sleepPure = n.nextEvent(now)
-			n.derivedVer = hv
-			n.sleepStale = false
-		}
-		if n.sleepUntil <= now {
+		w := n.bound(now)
+		if w <= now {
 			return now
 		}
-		if n.sleepUntil < next {
-			next = n.sleepUntil
+		if w < next {
+			next = w
 		}
 	}
 	return next
+}
+
+// bound returns the rank's cached sleep bound, re-deriving it first
+// when a step marked it stale or, for an impure bound, when the host
+// queue state it read moved. Impure bounds revalidate against the
+// per-rank queue counter, not the controller-wide version: the host
+// reads on the evaluation path (OldestReadRank, HasDemandFor) observe
+// only the read-queue head and this rank's bucket occupancy — exactly
+// what NDAVer(rank) counts — and host row commands, which bump Ver but
+// no queue counter, reach this rank through the issued-rank forced
+// step instead. Queue churn confined to other ranks never disturbs this
+// rank's cached bound.
+func (n *RankNDA) bound(now int64) int64 {
+	if n.sleepStale || !n.sleepPure && n.derivedVer != n.host.NDAVer(n.Rank) {
+		n.sleepUntil, n.sleepPure = n.nextEvent(now)
+		n.derivedVer = n.host.NDAVer(n.Rank)
+		n.sleepStale = false
+	}
+	return n.sleepUntil
 }
 
 // nextEvent mirrors stepFSM's decision tree without mutating: every
@@ -545,17 +549,18 @@ func (e *Engine) TotalStats() RankStats {
 // FSMs evaluate against identical pre-issue DRAM state; their observable
 // state must then agree.
 //
-// The fast path sleeps while the cached bound holds (see sleepUntil's
-// validity contract): fresh, pure-or-version-valid, no host command to
-// this rank this cycle. Everything else steps — stepping is what the
-// reference does every cycle, so it is always exact.
-func (n *RankNDA) tick(now int64, hostIssuedRank int, hostVer uint64, fastForward bool) {
+// The fast path sleeps while the bound holds (see sleepUntil's validity
+// contract), revalidating or re-deriving it here first, so a channel
+// needs no separate ChannelNextEvent pass before its tick. A host
+// command to this rank this cycle steps it without consulting the
+// bound. Stepping is what the reference does every cycle, so it is
+// always exact.
+func (n *RankNDA) tick(now int64, hostIssuedRank int, fastForward bool) {
 	if len(n.fsm.ops) == 0 && n.fsm.wb.Len() == 0 {
 		return
 	}
 	if fastForward {
-		if !n.sleepStale && (n.sleepPure || n.derivedVer == hostVer) &&
-			hostIssuedRank != n.Rank && now < n.sleepUntil {
+		if hostIssuedRank != n.Rank && now < n.bound(now) {
 			return
 		}
 		n.step(now, hostIssuedRank)

@@ -45,9 +45,8 @@ func TestTickLoopAllocFree(t *testing.T) {
 }
 
 // TestComputeHeavyAllocFree extends the zero-allocs contract to the
-// compute-heavy host path (BenchmarkHostComputeHeavy's shape): the
-// window-batched retirement machinery — the per-core issue-group
-// lookahead and the deferred ROB materialization — must run from
+// compute-heavy host path (BenchmarkHostComputeHeavy's shape): cores
+// that retire a full issue group nearly every cycle must run from
 // fixed per-core state, never the heap.
 func TestComputeHeavyAllocFree(t *testing.T) {
 	cfg := Default(-1)

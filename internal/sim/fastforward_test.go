@@ -269,6 +269,62 @@ func TestParallelDomainsMatchSerial(t *testing.T) {
 	}
 }
 
+// TestRunFastMatchesRunWideAndShared extends the Run≡RunFast contract,
+// with the invariant checker armed, to two configurations production
+// runs on the fast path that no golden covers: the Fig 14 geometry of
+// eight ranks per channel with host mix 1 and NDA DOT (the benchmark's
+// wide8_dot shape; four times the per-rank NDA state and calendar
+// banks), and unpartitioned mapping with host mix 1 and NDA COPY under
+// the issue-if-idle policy, where NDA rows and writes land on the
+// host's own banks. Both run every wake rule of the fast path: NDA
+// columns the controllers sleep across, precharges parked by the
+// open-page rule, surveys stopped at a due controller, and the single
+// NDA pass per channel.
+func TestRunFastMatchesRunWideAndShared(t *testing.T) {
+	app := func(op string) func(s *System) (func() (*ndart.Handle, error), error) {
+		return func(s *System) (func() (*ndart.Handle, error), error) {
+			a, err := apps.NewMicroPlaced(s.RT, op, (128<<10)/4, ndart.Private)
+			if err != nil {
+				return nil, err
+			}
+			return a.Iterate, nil
+		}
+	}
+	for _, w := range []ffWorkload{
+		{
+			name: "wide8-mix1-dot",
+			cfg: func() Config {
+				c := Default(1)
+				c.Geom.Ranks = 8
+				c.CheckInvariants = true
+				return c
+			},
+			app: app("dot"),
+		},
+		{
+			name: "shared-mix1-copy-issue-if-idle",
+			cfg: func() Config {
+				c := Default(1)
+				c.Partitioned = false
+				c.NDA.Policy = nda.IssueIfIdle
+				c.CheckInvariants = true
+				return c
+			},
+			app: app("copy"),
+		},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			slow := drive(t, w, false, 4, 5_000)
+			fast := drive(t, w, true, 4, 5_000)
+			for i := range slow {
+				if slow[i] != fast[i] {
+					t.Fatalf("segment %d diverged:\n slow: %s\n fast: %s", i, slow[i], fast[i])
+				}
+			}
+		})
+	}
+}
+
 // TestRunFastMatchesRunRandomized fuzzes the equivalence with randomized
 // segment boundaries: StepFast must land exactly on arbitrary limits
 // (mid-stall-window, mid-burst, single-cycle segments) with state

@@ -207,16 +207,18 @@ type System struct {
 	// Wake-schedule caches for the fast path (StepFast/RunFast); Run
 	// never consults them. Each controller's next-event bound is cached
 	// until the controller itself is ticked (mcStale), an external call
-	// mutates it (Ver), or a DRAM command moves its channel's timing
-	// horizons (Mem.ChVer — NDA traffic shifts horizons the controller
-	// schedules against). coreDue is per-tick scratch for the dispatch
-	// loop; coreEpoch records the memory epoch (hierarchy version plus
+	// mutates it (Ver), or a row changes on its channel (Mem.RowSeq — an
+	// NDA ACT or PRE can create a candidate or move one earlier). Other
+	// NDA commands only push the controller's horizons later, so the
+	// cached bound stays a sound lower bound across them (DESIGN.md
+	// §2.15). coreDue is per-tick scratch for the dispatch loop;
+	// coreEpoch records the memory epoch (hierarchy version plus
 	// controller versions) under which each probe-stalled core last
 	// evaluated its retry, so the retry re-runs only when the epoch
 	// moves.
 	mcWake    []int64
 	mcVer     []uint64
-	mcMemVer  []uint64
+	mcRowSeq  []uint64
 	mcStale   []bool
 	coreDue   []bool
 	coreEpoch []uint64
@@ -341,7 +343,7 @@ func New(cfg Config) (*System, error) {
 	s.retiredAtMeas = make([]int64, len(s.Cores))
 	s.mcWake = make([]int64, len(s.MCs))
 	s.mcVer = make([]uint64, len(s.MCs))
-	s.mcMemVer = make([]uint64, len(s.MCs))
+	s.mcRowSeq = make([]uint64, len(s.MCs))
 	s.mcStale = make([]bool, len(s.MCs))
 	for i := range s.mcStale {
 		s.mcStale[i] = true
@@ -491,21 +493,23 @@ func (s *System) dramOfCPU(w int64) int64 {
 func (s *System) NextEvent() int64 { return s.nextEventFast() }
 
 // mcNext returns controller i's cached next-event bound, recomputing it
-// only when a version it was derived from moved (the controller's own,
-// or its channel's DRAM command counter) or the controller was ticked
+// only when an input it was derived from moved (the controller's
+// version, or its channel's row log) or the controller was ticked
 // since. An unexpired cached bound is served as-is and an expired one
 // clamps to now (the controller is due) — both without touching the
 // controller, so the FR-FCFS horizon sweep runs once per blocked
-// window, not once per cycle.
+// window, not once per cycle. A controller ticked since usually
+// answers without a scan: it is due right after an issue, and a
+// no-issue tick left its fused hint behind.
 func (s *System) mcNext(i int, now int64) int64 {
 	c := s.MCs[i]
 	if !s.mcStale[i] && s.mcWake[i] <= now {
 		return now // due regardless of newer mutations; the tick refreshes
 	}
-	if s.mcStale[i] || s.mcVer[i] != c.Ver() || s.mcMemVer[i] != s.Mem.ChVer(c.Channel()) {
+	if s.mcStale[i] || s.mcVer[i] != c.Ver() || s.mcRowSeq[i] != s.Mem.RowSeq(c.Channel()) {
 		s.mcWake[i] = c.NextEvent(now)
 		s.mcVer[i] = c.Ver()
-		s.mcMemVer[i] = s.Mem.ChVer(c.Channel())
+		s.mcRowSeq[i] = s.Mem.RowSeq(c.Channel())
 		s.mcStale[i] = false
 	}
 	if s.mcWake[i] < now {
@@ -518,9 +522,10 @@ func (s *System) mcNext(i int, now int64) int64 {
 // schedule: identical values, but controller bounds come from the
 // per-controller cache. The NDA and runtime bounds it derives are
 // stashed (stepNDAWake/stepRTWake) for the tick that follows, valid
-// because nothing mutates between the survey and the tick; a survey
-// that early-outs on an active core stashes the not-surveyed sentinel
-// instead.
+// because nothing mutates between the survey and the tick. The survey
+// stops as soon as the answer is now — at an active core or at the
+// first due controller — and leaves the not-surveyed sentinel for
+// every bound it did not reach; the tick derives those itself.
 func (s *System) nextEventFast() int64 {
 	now := s.dramCycle
 	for d := range s.stepNDAWake {
@@ -540,7 +545,11 @@ func (s *System) nextEventFast() int64 {
 		}
 	}
 	for i := range s.MCs {
-		if t := s.mcNext(i, now); t < next {
+		t := s.mcNext(i, now)
+		if t <= now {
+			return now
+		}
+		if t < next {
 			next = t
 		}
 	}
@@ -585,26 +594,28 @@ func (s *System) skipIdle(k int64) {
 // state, its rank NDAs, and the domain's own slots of the wake-cache
 // arrays; the skips are individually proven no-ops:
 //
-//   - A controller whose cached bound lies ahead cannot schedule
-//     anything this cycle (the mc.NextEvent contract); only its
-//     per-cycle issued-rank scratch must be reset for the NDA hooks.
-//     The same holds for an idle controller (mc.Controller.Idle: empty
-//     queues, no drain, refresh off) whatever its cached bound says —
-//     host-only systems never refresh that bound, because the survey
-//     returns at the first active core.
-//   - The channel's rank NDAs are skipped when their bound lies ahead —
-//     unless this domain's controller issued a command to a rank with
-//     NDA work: the rank's yield (and its StallsHost accounting)
-//     happens on that very cycle, and pure sleep bounds rely on being
-//     invalidated here (a host command moves the rank's horizons and
-//     may close its row). The survey's stashed bound is reused only
-//     when this domain's controller did not tick this cycle: a
-//     controller tick can mutate the inputs an impure bound was derived
-//     from (a dequeue flipping the oldest-read rank, say), and the
-//     version revalidation must see the post-tick state. Cross-channel
-//     coupling cannot occur mid-phase: every NDA bound reads only its
-//     own channel's controller and timing state, and cross-channel
-//     effects are mailboxed until commit.
+//   - A controller whose bound lies ahead cannot schedule anything
+//     this cycle (the mc.NextEvent contract); only its per-cycle
+//     issued-rank scratch must be reset for the NDA hooks. The bound is
+//     the survey's when the survey reached the controller, and mcNext's
+//     revalidation otherwise (the survey stops at an active core or at
+//     the first due controller). An idle controller (mc.Controller.Idle:
+//     empty queues, no drain, refresh off) is skipped without asking.
+//   - The channel's rank NDAs are skipped as a whole when the survey's
+//     stashed bound for them lies ahead and this domain's controller
+//     did not tick: nothing they read has moved since the survey, and
+//     the controller issued nothing. Otherwise — no surveyed bound, or
+//     a controller tick that may have mutated the inputs an impure
+//     bound was derived from (a dequeue flipping the oldest-read rank,
+//     say) or issued to a rank with NDA work — TickChannel runs
+//     directly, and each rank revalidates or re-derives its own bound
+//     against the post-tick state before deciding to step (one pass
+//     over the ranks instead of a ChannelNextEvent pass plus a tick
+//     pass). A host command to a rank steps that rank regardless: its
+//     yield (and its StallsHost accounting) happens on that very
+//     cycle. Cross-channel coupling cannot occur mid-phase: every NDA
+//     bound reads only its own channel's controller and timing state,
+//     and cross-channel effects are mailboxed until commit.
 func (s *System) domainTick(d int, now int64) {
 	if s.prof != nil {
 		t0 := time.Now()
@@ -618,28 +629,15 @@ func (s *System) domainTick(d int, now int64) {
 // domainTickBody is domainTick minus the optional span measurement.
 func (s *System) domainTickBody(d int, now int64) {
 	c := s.MCs[d]
-	// Dispatch straight off the cached bound: due when it expired or
-	// when any derivation input moved (ticking on a stale bound is
-	// always exact — only skipping needs the proof).
-	mcTicked := !c.Idle() && (s.mcStale[d] || s.mcWake[d] <= now || s.mcVer[d] != c.Ver() ||
-		s.mcMemVer[d] != s.Mem.ChVer(c.Channel()))
+	mcTicked := !c.Idle() && s.mcNext(d, now) <= now
 	if mcTicked {
 		c.Tick(now)
 		s.mcStale[d] = true
 	} else {
 		c.ClearIssued()
 	}
-	ndaWake := s.stepNDAWake[d]
-	if ndaWake == notSurveyed || mcTicked {
-		ndaWake = s.NDA.ChannelNextEvent(d, now)
-	}
-	ndaDue := ndaWake <= now
-	if !ndaDue {
-		if r := c.HostIssuedRank(); r >= 0 && s.NDA.RankBusy(d, r) {
-			ndaDue = true
-		}
-	}
-	if ndaDue {
+	// notSurveyed is negative, so an unsurveyed bound always dispatches.
+	if mcTicked || s.stepNDAWake[d] <= now {
 		s.NDA.TickChannel(d, now)
 	}
 }
@@ -730,16 +728,7 @@ func (s *System) tickDue() {
 	for cc := s.cpuCycle; cc < cEnd; cc++ {
 		for i, core := range s.Cores {
 			if s.coreDue[i] {
-				// Window-batched retirement: a due core first attempts
-				// the batched cycle (bit-exact to Tick, and touching no
-				// shared state — so it cannot perturb other cores'
-				// probes or the epoch within this lockstep sub-cycle);
-				// cycles whose issue group reaches a memory instruction
-				// fall back to the full Tick. Run never batches — it is
-				// the instruction-at-a-time oracle.
-				if !core.BatchTick(cc) {
-					core.Tick(cc)
-				}
+				core.Tick(cc)
 				continue
 			}
 			if core.ProbeStalled() {

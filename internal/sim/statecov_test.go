@@ -75,7 +75,7 @@ func TestStateFieldCoverage(t *testing.T) {
 				"bpr": config, "bpg": config, "nrank": config, "refSched": config,
 				"free": pool, "csink": closure,
 				"sweepHz": schedMem, "hint": schedMem, "hintValid": schedMem, "hintVer": schedMem,
-				"hintMemVer": schedMem, "seen": schedMem, "seenGen": schedMem,
+				"hintRowSeq": schedMem, "seen": schedMem, "seenGen": schedMem,
 			}},
 		{live: hier, state: hierSt,
 			carriedBy: map[string]string{"pending": "MSHRs"},
@@ -122,7 +122,10 @@ func TestStateFieldCoverage(t *testing.T) {
 			skip: map[string]notCarried{"base": config, "size": config, "minOrder": config}},
 		{live: chanSt, skip: map[string]notCarried{"rowLog": memOnly, "rowSeq": memOnly}},
 		{live: rankSt},
-		{live: fieldType(t, rankSt, "Banks").Elem()},
+		{live: fieldType(t, rankSt, "Banks").Elem(),
+			skip: map[string]notCarried{
+				"HzStamp": schedMem, "ReadyACT": schedMem, "ReadyPRE": schedMem, "ReadyRD": schedMem, "ReadyWR": schedMem,
+			}},
 		{live: fieldType(t, rankSt, "BGs").Elem()},
 	}
 	for _, tc := range tables {
