@@ -71,18 +71,11 @@ var (
 var ckptSyncWrites bool
 
 // pointCkptKey fingerprints everything a mid-point checkpoint's state
-// depends on: the model version, the point's full simulation config
-// with the state-free knobs zeroed (as warmPoolKey), the cycle budget,
-// and the caller's point tag — the discriminator for sweeps whose
-// points share a config but differ in workload (the NDA-only op sweep
-// runs eight ops over one config).
+// depends on: the model version, the point's simulated config
+// (sim.StateConfig), the cycle budget, and the caller's point tag — the
+// discriminator for sweeps whose points share a config but differ in
+// workload (the NDA-only op sweep runs eight ops over one config).
 func pointCkptKey(cfg sim.Config, opt Options) (string, bool) {
-	cfg.ProfileDomains = false
-	cfg.CheckInvariants = false
-	cfg.WatchdogWindow = 0
-	cfg.MaxCycles = 0
-	cfg.MaxWallClock = 0
-	cfg.Cancel = nil
 	b, err := json.Marshal(struct {
 		Schema        string
 		Cfg           sim.Config
@@ -90,7 +83,7 @@ func pointCkptKey(cfg sim.Config, opt Options) (string, bool) {
 		Quick         bool
 		CycleByCycle  bool
 		Tag           string
-	}{cacheSchema, cfg, opt.WarmCycles, opt.MeasureCycles, opt.Quick, opt.CycleByCycle, opt.pointTag})
+	}{cacheSchema, sim.StateConfig(cfg), opt.WarmCycles, opt.MeasureCycles, opt.Quick, opt.CycleByCycle, opt.pointTag})
 	if err != nil {
 		return "", false
 	}

@@ -158,22 +158,14 @@ var (
 	warmPool = map[string]*sim.Checkpoint{}
 )
 
-// warmPoolKey fingerprints a point's warm-up: the full simulation
-// config with the state-free knobs zeroed (ProfileDomains and the
-// robustness knobs do not affect simulated state; sim.Restore
-// accepts any of them differing) plus the warm-cycle budget.
+// warmPoolKey fingerprints a point's warm-up: the simulated config
+// (sim.StateConfig) plus the warm-cycle budget.
 func warmPoolKey(cfg sim.Config, warm int64) (string, bool) {
-	cfg.ProfileDomains = false
-	cfg.CheckInvariants = false
-	cfg.WatchdogWindow = 0
-	cfg.MaxCycles = 0
-	cfg.MaxWallClock = 0
-	cfg.Cancel = nil
 	b, err := json.Marshal(struct {
 		Schema string
 		Cfg    sim.Config
 		Warm   int64
-	}{cacheSchema, cfg, warm})
+	}{cacheSchema, sim.StateConfig(cfg), warm})
 	if err != nil {
 		return "", false
 	}

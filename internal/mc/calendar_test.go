@@ -31,13 +31,12 @@ type calCase struct {
 
 // TestCalendarInvalidationMatchesReference is the calendar-path
 // equivalence fuzz: the production (calendar) controller is driven
-// wake-to-wake off NextEvent exactly as the system dispatcher drives it
-// — skipped cycles execute nothing but the per-cycle issued-rank reset
-// (ClearIssued), and the cached wake revalidates against Ver/RowSeq like
-// sim.mcNext — while the rescan oracle ticks every cycle. The cached
-// wake must survive internal columns (they only push horizons later),
-// so the run also asserts that the production controller slept
-// through some. On top of the
+// wake-to-wake off its memoized NextEvent exactly as the system
+// dispatcher drives it — skipped cycles execute nothing but the
+// per-cycle issued-rank reset (ClearIssued) — while the rescan oracle
+// ticks every cycle. The wake memo must survive internal columns (they
+// only push horizons later), so the run also asserts that the
+// production controller slept through some. On top of the
 // host request stream, NDA-style INTERNAL commands issue directly into
 // both device models: internal ACT/PRE exercise the row-log resync
 // (foreign row-state changes parking exactly their banks), internal
@@ -122,23 +121,23 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 	var doneA, doneB []int64
 	readDoneA := func(d int64) { doneA = append(doneA, d) }
 	readDoneB := func(d int64) { doneB = append(doneB, d) }
-	// step drives the production controller one cycle wake-to-wake,
-	// revalidating its cached bound exactly like the system's
-	// per-controller wake cache (sim.mcNext), and reports whether the
-	// cycle was skipped. colSinceWake records an internal column issued
-	// while the cached bound was held.
-	wake := int64(0)
-	wakeVer, wakeRowSeq := uint64(0), uint64(0)
-	wakeValid, colSinceWake := false, false
+	// step drives the production controller one cycle wake-to-wake on
+	// its own memoized NextEvent, as the system does, and reports
+	// whether the cycle was skipped. colMemo is the wake memo an
+	// internal column was issued under while the memo was pending
+	// (colUnderMemo); a skipped cycle still serving that same memo slept
+	// across the column.
+	type memo struct {
+		hint        int64
+		ver, rowSeq uint64
+	}
+	memoOf := func() memo { return memo{ctlA.hint, ctlA.hintVer, ctlA.hintRowSeq} }
+	var colMemo memo
+	colUnderMemo := false
 	step := func(cyc int64) bool {
-		if !wakeValid || wakeVer != ctlA.Ver() || wakeRowSeq != memA.RowSeq(0) {
-			wake = ctlA.NextEvent(cyc)
-			wakeVer, wakeRowSeq = ctlA.Ver(), memA.RowSeq(0)
-			wakeValid, colSinceWake = true, false
-		}
-		if wake <= cyc {
+		if ctlA.NextEvent(cyc) <= cyc {
 			ctlA.Tick(cyc)
-			wakeValid = false
+			colUnderMemo = false
 			return false
 		}
 		ctlA.ClearIssued()
@@ -196,7 +195,9 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 				}
 			default:
 				s.cols--
-				colSinceWake = colSinceWake || wakeValid
+				if ctlA.hintValid && ctlA.hint > cyc {
+					colMemo, colUnderMemo = memoOf(), true
+				}
 			}
 		}
 		if tc.warmBurst && cyc%700 == 350 {
@@ -229,16 +230,14 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 				}
 				return readDoneA
 			})
-			wakeValid = false // the system marks restored controllers stale
+			colUnderMemo = false // Restore drops the memo
 			restores++
 		}
-		// Oracle: every cycle. Production: wake-to-wake, revalidating
-		// the cached bound exactly like the system's per-controller
-		// wake cache.
+		// Oracle: every cycle. Production: wake-to-wake.
 		ctlB.Tick(cyc)
 		if step(cyc) {
 			skipped++
-			if colSinceWake {
+			if colUnderMemo && memoOf() == colMemo {
 				skippedAcrossCols++
 			}
 		}
@@ -262,7 +261,7 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 		t.Fatal("wake-driven path never skipped a cycle; sleep machinery untested")
 	}
 	if skippedAcrossCols == 0 {
-		t.Fatal("no cycle was skipped on a wake bound held across an internal column")
+		t.Fatal("no cycle was skipped on a wake memo held across an internal column")
 	}
 	if tc.restore && restores == 0 {
 		t.Fatal("no mid-run restore happened")
@@ -386,12 +385,18 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 		if q.calKey[bk] != rdReady {
 			t.Fatalf("column traffic moved the bucket key to %d; expected lazy staleness", q.calKey[bk])
 		}
-		if next := c.NextEvent(rdReady); next != pushed {
-			t.Fatalf("NextEvent(%d) = %d, want tCCD_L-pushed %d", rdReady, next, pushed)
+		if h := c.queueHorizon(q, false, rdReady); h != pushed {
+			t.Fatalf("queueHorizon(%d) = %d, want tCCD_L-pushed %d", rdReady, h, pushed)
 		}
 		if q.calWhere[bk] != calBucket || q.calKey[bk] != pushed {
 			t.Fatalf("stale key revalidated to where=%d key=%d, want bucketed at %d",
 				q.calWhere[bk], q.calKey[bk], pushed)
+		}
+		// The wake memo (rdReady) was derived before the column and may
+		// be served as the lower bound it still is, never beyond the
+		// pushed-out cycle.
+		if next := c.NextEvent(rdReady); next > pushed {
+			t.Fatalf("NextEvent(%d) = %d, beyond the pushed-out cycle %d", rdReady, next, pushed)
 		}
 	})
 

@@ -89,10 +89,12 @@ type Controller struct {
 	free   *Request // request node pool
 	seqGen int64
 
-	// Fused horizon hint: a Tick that attempts both queues and issues
-	// nothing records the min candidate horizon its failed sweeps
-	// already computed (sweepHz per queue), saving NextEvent the
-	// re-sweep. Valid while hintVer/hintRowSeq match the live counters.
+	// Wake memo: the horizon NextEvent serves. A Tick that attempts both
+	// queues and issues nothing records the min candidate horizon its
+	// failed sweeps already computed (sweepHz per queue); NextEvent
+	// records the horizon it derives itself. Valid while
+	// hintVer/hintRowSeq match the live counters, or once it has come
+	// due (see NextEvent).
 	sweepHz    int64
 	hint       int64
 	hintValid  bool
@@ -124,31 +126,12 @@ type Controller struct {
 	issuedRank  int
 	issuedIsCol bool
 
-	// ver counts externally visible controller mutations: enqueues,
-	// dequeues/issues (column and row commands, refresh), and overflow
-	// refills. Anything caching conclusions drawn from controller state
-	// — the system's per-controller wake cache — revalidates when it
-	// changes. Pure bookkeeping invisible from outside (drain hysteresis
-	// flips) does not bump it.
+	// ver counts controller mutations: enqueues, dequeues/issues
+	// (column and row commands, refresh), and overflow refills. It keys
+	// the wake memo (hintVer), which revalidates when it changes. Pure
+	// bookkeeping invisible from outside (drain hysteresis flips) does
+	// not bump it.
 	ver uint64
-
-	// qver counts only the mutations that move the controller's QUEUE
-	// state: enqueues, overflow refills, and column issues (dequeues).
-	// It deliberately excludes row/refresh commands (markRowCmd), which
-	// bump ver but leave every queue-derived input unchanged. The NDA
-	// engine's per-rank sleep bounds revalidate on the still-narrower
-	// NDAVer(rank): the impure NDA branches read OldestReadRank (the rq
-	// head) and HasDemandFor (bucket occupancy of the NDA's own rank),
-	// and NDA timing checks are rank-local (nda=true NextIssue, no
-	// channel bus) — so a host ACT/PRE elsewhere cannot change the
-	// taken branch, queue churn confined to other ranks' buckets cannot
-	// either, and a row/REF command to the NDA's own rank already
-	// forces the rank to step on that cycle (the issued-rank rule of
-	// nda.RankNDA.tick). This is the
-	// same staleness split the calendar applies to bank entries
-	// (rkStamp vs bucket dirtiness), applied to the engine's controller
-	// inputs.
-	qver uint64
 
 	// seen/seenGen implement the reference scheduler's per-Tick
 	// visited-bank set without per-cycle allocation.
@@ -210,24 +193,24 @@ func (c *Controller) SetCompletionSink(sink func(done func(int64), at int64)) {
 // Channel returns the channel index this controller owns.
 func (c *Controller) Channel() int { return c.channel }
 
-// Ver returns the externally-visible-mutation counter (see ver).
-func (c *Controller) Ver() uint64 { return c.ver }
-
-// QVer returns the queue-mutation counter (see qver).
-func (c *Controller) QVer() uint64 { return c.qver }
-
 // NDAVer returns a version counter over exactly the queue state the NDA
 // engine's impure sleep bounds read for the given rank: the read-queue
 // head identity (OldestReadRank's only input) and the rank's per-bank
 // bucket-occupancy zero-crossings in both queues (the only transitions
-// that can flip a HasDemandFor answer). It narrows qver the way qver
-// narrows ver: queue churn that provably cannot change the rank's taken
-// NDA branch — writes queued or drained against other ranks' banks,
-// column issues that neither move the read-queue head nor empty a
-// bucket of this rank — leaves it unchanged, so the rank's cached sleep
-// bound survives. A sum of monotone counters, so equality means none of
-// the covered inputs moved. O(channels) counter reads — effectively
-// O(1).
+// that can flip a HasDemandFor answer). It is far narrower than ver.
+// Row and refresh commands move no queue input, and a row/REF command
+// to the NDA's own rank already forces the rank to step on that cycle
+// (the issued-rank rule of nda.RankNDA.tick); NDA timing checks are
+// rank-local (nda=true NextIssue, no channel bus), so a host ACT/PRE
+// elsewhere cannot change the taken branch. Queue churn that provably
+// cannot change the rank's taken NDA branch — writes queued or drained
+// against other ranks' banks, column issues that neither move the
+// read-queue head nor empty a bucket of this rank — leaves it unchanged
+// too, so the rank's cached sleep bound survives. This is the same
+// staleness split the calendar applies to bank entries (rkStamp vs
+// bucket dirtiness), applied to the engine's controller inputs. A sum
+// of monotone counters, so equality means none of the covered inputs
+// moved. O(channels) counter reads — effectively O(1).
 func (c *Controller) NDAVer(rank int) uint64 {
 	v := c.rq.headVer
 	for g := rank; g < len(c.rq.demVer); g += c.nrank {
@@ -296,7 +279,6 @@ func (c *Controller) EnqueueReadDecoded(addr uint64, daddr dram.Addr, now int64,
 	c.seqGen++
 	c.rq.push(r)
 	c.ver++
-	c.qver++
 	return true
 }
 
@@ -331,7 +313,6 @@ func (c *Controller) EnqueueControlTagged(daddr dram.Addr, now int64, tag uint64
 // pushWrite routes a write into the write queue or the overflow buffer.
 func (c *Controller) pushWrite(r *Request) {
 	c.ver++
-	c.qver++
 	if c.wq.n >= c.cfg.WriteQueue {
 		c.overflow.Push(r)
 		return
@@ -393,6 +374,9 @@ func (c *Controller) HasAnyDemandFor(rank int) bool {
 // launch-heavy windows. Cycles where Tick performs internal bookkeeping
 // (overflow refill, drain-watermark flips, refresh interleaving) report
 // now.
+//
+// The horizon is memoized (the wake memo, setHint), so the FR-FCFS
+// horizon sweep runs once per blocked window, not once per query.
 func (c *Controller) NextEvent(now int64) int64 {
 	if c.rq.n == 0 && c.wq.n == 0 && c.overflow.Len() == 0 {
 		if c.mem.T.REFI > 0 {
@@ -414,7 +398,7 @@ func (c *Controller) NextEvent(now int64) int64 {
 		// report due. The common case is more ready work immediately
 		// after an issue, so horizon derivation is deferred until a
 		// cycle proves the pipeline drained (a Tick that issues nothing
-		// clears issuedRank and leaves a fused horizon hint behind).
+		// clears issuedRank and leaves a fused horizon memo behind).
 		return now
 	}
 	if c.overflow.Len() > 0 && c.wq.n < c.cfg.WriteQueue {
@@ -423,29 +407,26 @@ func (c *Controller) NextEvent(now int64) int64 {
 	if (!c.drain && c.wq.n >= c.cfg.DrainHigh) || (c.drain && c.wq.n <= c.cfg.DrainLow) {
 		return now // next Tick flips drain hysteresis (Drains counter)
 	}
-	// A Tick that attempted both queues and issued nothing already
-	// derived the horizon as a byproduct of its failed scans; serve it
-	// while no enqueue or dequeue (ver) and no row change on the channel
-	// (RowSeq) happened since. Other commands on the channel — NDA
-	// columns above all — only push horizons later (the row-log
-	// argument, calendar.go), so the hint stays a lower bound across
-	// them: a wake that comes early costs one no-issue Tick, which
-	// re-derives it. The horizon covers only candidates that can mature
-	// on their own (future timing bounds): rowWanted-blocked PREs are
-	// excluded, because their block lifts only on a queue mutation or a
-	// row change — events that bump ver or RowSeq and re-derive this
-	// bound. Never therefore means "no timing-driven wake at all": the
-	// controller sleeps until such an event.
-	h := dram.Never
-	if c.hintValid && c.hintVer == c.ver && c.hintRowSeq == c.mem.RowSeq(c.channel) {
-		h = c.hint
-	} else {
-		h = min(c.queueHorizon(&c.rq, false, now), c.queueHorizon(&c.wq, true, now))
+	// The memo is served while no enqueue or dequeue (ver) and no row
+	// change on the channel (RowSeq) happened since it was derived,
+	// whether by a Tick that attempted both queues and issued nothing
+	// (as a byproduct of its failed scans) or by an earlier query.
+	// Other commands on the channel — NDA columns above all — only push
+	// horizons later (the row-log argument, calendar.go), so the memo
+	// stays a lower bound across them. A memo that has come due is
+	// served without re-deriving, whatever moved since: reporting now
+	// is always exact, because a wake that comes early costs one
+	// no-issue Tick, which re-derives the memo. The horizon covers only
+	// candidates that can mature on their own (future timing bounds):
+	// rowWanted-blocked PREs are excluded, because their block lifts
+	// only on a queue mutation or a row change — events that bump ver
+	// or RowSeq and re-derive this bound. Never therefore means "no
+	// timing-driven wake at all": the controller sleeps until such an
+	// event.
+	if !c.hintValid || (c.hint > now && (c.hintVer != c.ver || c.hintRowSeq != c.mem.RowSeq(c.channel))) {
+		c.setHint(min(c.queueHorizon(&c.rq, false, now), c.queueHorizon(&c.wq, true, now)))
 	}
-	if h <= now {
-		return now
-	}
-	return h
+	return max(c.hint, now)
 }
 
 // queueHorizon bounds when any of the queue's FR-FCFS candidates (pass-1
@@ -560,7 +541,6 @@ func (c *Controller) Tick(now int64) {
 		c.seqGen++
 		c.wq.push(r)
 		c.ver++
-		c.qver++
 	}
 
 	// Write-drain mode hysteresis.
@@ -594,9 +574,9 @@ func (c *Controller) Tick(now int64) {
 	}
 }
 
-// setHint publishes the fused horizon derived by a no-issue Tick's
-// failed sweeps (see NextEvent), stamped with the state versions it was
-// derived under.
+// setHint records the wake memo NextEvent serves — the fused horizon of
+// a no-issue Tick's failed sweeps, or one NextEvent derived — stamped
+// with the state versions it was derived under.
 func (c *Controller) setHint(h int64) {
 	c.hint = h
 	c.hintValid = true
@@ -623,8 +603,8 @@ func (c *Controller) schedule(q *reqQueue, now int64, writes bool) bool {
 		return false
 	}
 	if c.refSched || c.cross {
-		// The rescan derives no horizon; a Never hint makes NextEvent
-		// report due (cycle-exact), which oracle mode wants anyway.
+		// The rescan derives no horizon; NextEvent reports these
+		// modes due every cycle (cycle-exact), as the oracle wants.
 		return c.scheduleRef(q, now, writes)
 	}
 	cmd := dram.CmdRD
@@ -633,7 +613,7 @@ func (c *Controller) schedule(q *reqQueue, now int64, writes bool) bool {
 	}
 	// The scan finds both passes' oldest ready candidates (the row hit
 	// — pass 1 — always wins over a row command, pass 2). The exact min
-	// candidate horizon (sweepHz, the fused hint NextEvent serves) is
+	// candidate horizon (sweepHz, the fused memo NextEvent serves) is
 	// derived only on the no-issue paths below — an issuing tick's
 	// horizon is never consumed.
 	best, best2, hzReady := c.calScan(q, cmd, now)
@@ -757,7 +737,6 @@ func (c *Controller) rowWantedRef(a dram.Addr, openRow int) bool {
 func (c *Controller) issueColumn(cmd dram.Command, r *Request, q *reqQueue, now int64, write bool) {
 	c.mem.Issue(cmd, r.DAddr, now, false)
 	c.ver++
-	c.qver++
 	c.issuedRank = r.DAddr.Rank
 	c.issuedIsCol = true
 	// The dequeue may lift the open-page block on the other queue's PRE

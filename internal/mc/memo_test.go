@@ -1,0 +1,128 @@
+package mc
+
+import (
+	"testing"
+
+	"chopim/internal/dram"
+)
+
+// TestNextEventMemo pins the controller's wake memo (NextEvent). The
+// fixture derives a memo from a host read whose row an NDA opened, then
+// lets an NDA column on another bank of the same rank push the read's
+// exact horizon past the memo without touching the queues or the row
+// log. The memo must survive that column as the lower bound it still
+// is, re-derive after every event that keys it (an enqueue, a dequeue,
+// a row change, a Restore), and, once due, stay due whatever moved.
+func TestNextEventMemo(t *testing.T) {
+	g := dram.DefaultGeometry()
+	other := dram.Addr{Bank: 1, Row: 5} // rank 0, bank group 0
+	hit := dram.Addr{Row: 100}          // rank 0, bank group 0, bank 0
+	far := dram.Addr{Rank: 1, Row: 7}   // another rank: its own column timing
+
+	// setup returns the controller with a memo of rdReady derived, the
+	// NDA column at c1 = rdReady-2 issued, and the exact pushed-out
+	// horizon pushed > rdReady. The two cycles of slack leave c1+1
+	// before the memo comes due.
+	setup := func(t *testing.T) (c *Controller, mem *dram.Mem, rdReady, c1, pushed int64) {
+		t.Helper()
+		mem = dram.New(g, dram.DDR42400())
+		c = NewController(DefaultConfig(), mem, nil, 0)
+		mem.Issue(dram.CmdACT, other, 0, true)
+		mem.Issue(dram.CmdACT, far, 0, true)
+		actHit := int64(mem.T.RRDL)
+		mem.Issue(dram.CmdACT, hit, actHit, true)
+		c.EnqueueReadDecoded(1<<20, hit, actHit, nil)
+		rdReady = actHit + int64(mem.T.RCD)
+		if next := c.NextEvent(actHit); next != rdReady {
+			t.Fatalf("NextEvent(%d) = %d, want tRCD = %d", actHit, next, rdReady)
+		}
+		c1 = rdReady - 2
+		if !mem.CanIssue(dram.CmdRD, other, c1, true) {
+			t.Fatalf("internal RD on the other bank illegal at %d", c1)
+		}
+		seq := mem.RowSeq(0)
+		mem.Issue(dram.CmdRD, other, c1, true)
+		if mem.RowSeq(0) != seq {
+			t.Fatal("internal column was logged as a row change")
+		}
+		pushed = c1 + int64(mem.T.CCDL)
+		return c, mem, rdReady, c1, pushed
+	}
+	// exact re-derives the horizon the memo bounds, bypassing the memo.
+	exact := func(c *Controller, now int64) int64 {
+		return max(min(c.queueHorizon(&c.rq, false, now), c.queueHorizon(&c.wq, true, now)), now)
+	}
+
+	t.Run("survives-nda-column", func(t *testing.T) {
+		c, _, rdReady, c1, pushed := setup(t)
+		for i := 0; i < 2; i++ {
+			if next := c.NextEvent(c1); next != rdReady {
+				t.Fatalf("query %d: NextEvent(%d) = %d, want the memo %d served across the column", i, c1, next, rdReady)
+			}
+		}
+		if h := exact(c, c1); h != pushed {
+			t.Fatalf("exact horizon %d, want tCCD_L-pushed %d", h, pushed)
+		}
+	})
+
+	for _, ev := range []struct {
+		name string
+		// apply performs the event at cycle c1 and returns the cycle to
+		// query at.
+		apply func(t *testing.T, c *Controller, mem *dram.Mem, c1 int64) int64
+	}{
+		{"enqueue", func(_ *testing.T, c *Controller, _ *dram.Mem, c1 int64) int64 {
+			c.EnqueueReadDecoded(2<<20, hit, c1, nil)
+			return c1
+		}},
+		{"dequeue", func(t *testing.T, c *Controller, _ *dram.Mem, c1 int64) int64 {
+			// A ready row hit on the other rank, issued by a directly
+			// driven Tick: the dequeue is the last mutation the memo
+			// missed.
+			c.EnqueueReadDecoded(3<<20, far, c1, nil)
+			c.Tick(c1)
+			if c.ReadsIssued != 1 || c.HostIssuedRank() != far.Rank {
+				t.Fatalf("the other rank's read did not issue at %d", c1)
+			}
+			c.ClearIssued()
+			return c1 + 1
+		}},
+		{"row-change", func(t *testing.T, c *Controller, mem *dram.Mem, c1 int64) int64 {
+			seq := mem.RowSeq(0)
+			mem.WarmOpen(dram.Addr{Rank: 1, BankGroup: 1, Row: 9})
+			if mem.RowSeq(0) == seq {
+				t.Fatal("WarmOpen was not logged as a row change")
+			}
+			return c1
+		}},
+		{"restore", func(_ *testing.T, c *Controller, _ *dram.Mem, c1 int64) int64 {
+			c.Restore(c.Snapshot(), nil)
+			return c1
+		}},
+	} {
+		t.Run(ev.name, func(t *testing.T) {
+			c, mem, rdReady, c1, _ := setup(t)
+			at := ev.apply(t, c, mem, c1)
+			next := c.NextEvent(at)
+			if want := exact(c, at); next != want || next <= rdReady {
+				t.Fatalf("NextEvent(%d) = %d, want the re-derived horizon %d (beyond the stale memo %d)", at, next, want, rdReady)
+			}
+		})
+	}
+
+	t.Run("due-stays-due", func(t *testing.T) {
+		c, _, rdReady, _, pushed := setup(t)
+		// The memo comes due at rdReady; an enqueue then moves ver, and
+		// the exact horizon lies beyond now, yet the due memo is served.
+		c.EnqueueReadDecoded(2<<20, hit, rdReady, nil)
+		if next := c.NextEvent(rdReady); next != rdReady {
+			t.Fatalf("NextEvent(%d) = %d, want the due memo served as now", rdReady, next)
+		}
+		if c.hint != rdReady {
+			t.Fatalf("due memo re-derived to %d", c.hint)
+		}
+		if h := exact(c, rdReady); h != pushed {
+			t.Fatalf("exact horizon %d, want tCCD_L-pushed %d", h, pushed)
+		}
+	})
+}

@@ -18,17 +18,13 @@ func TestBankEntryOneLine(t *testing.T) {
 
 // parkPair is a calendar controller and the rescan oracle on twin
 // devices, fed identical requests and internal (NDA) commands. The
-// calendar side is driven wake to wake like the system's wake cache
-// (sim.mcNext: revalidate on Ver and RowSeq); the oracle ticks every
-// cycle.
+// calendar side is driven wake to wake on its own memoized NextEvent,
+// as the system drives it; the oracle ticks every cycle.
 type parkPair struct {
 	t          *testing.T
 	memA, memB *dram.Mem
 	ctlA, ctlB *Controller
 
-	wake         int64
-	ver, rowSeq  uint64
-	valid        bool
 	skipped      int
 	doneA, doneB []int64
 }
@@ -67,13 +63,8 @@ func (p *parkPair) write(addr uint64, a dram.Addr, now int64) {
 func (p *parkPair) tick(cyc int64) {
 	p.t.Helper()
 	p.ctlB.Tick(cyc)
-	if !p.valid || p.ver != p.ctlA.Ver() || p.rowSeq != p.memA.RowSeq(0) {
-		p.wake = p.ctlA.NextEvent(cyc)
-		p.ver, p.rowSeq, p.valid = p.ctlA.Ver(), p.memA.RowSeq(0), true
-	}
-	if p.wake <= cyc {
+	if p.ctlA.NextEvent(cyc) <= cyc {
 		p.ctlA.Tick(cyc)
-		p.valid = false
 	} else {
 		p.ctlA.ClearIssued()
 		p.skipped++

@@ -35,8 +35,8 @@ type reqQueue struct {
 	banks []bankList // indexed by Request.bankKey
 	rankN []int      // queued requests per (channel, rank) group
 
-	// headVer and demVer narrow the controller's qver for the NDA
-	// engine's per-rank revalidation (Controller.NDAVer). headVer
+	// headVer and demVer are the inputs of the NDA engine's per-rank
+	// revalidation counter (Controller.NDAVer). headVer
 	// advances exactly when the queue's age-order head changes — the
 	// only input OldestReadRank reads. demVer[g] advances exactly when
 	// some bucket of rank group g crosses between empty and occupied —

@@ -28,21 +28,20 @@ func reqStateOf(r *Request) reqState {
 }
 
 // ControllerState is a deep copy of a Controller's mutable state: both
-// transaction queues in age order, the overflow ring,
-// drain/sequence/version scalars, statistics, and the idle histograms.
-// Its exported fields are also the durable checkpoint encoding.
-// The scheduling caches (calendar, bank entries, fused horizon hint)
-// are NOT serialized: they only control which cycles may be skipped,
-// every skip is individually proven a no-op, and a restored queue
-// rebuilds them conservatively (every bank parked ready by its push),
-// so the restored controller makes decision-identical choices.
+// transaction queues in age order, the overflow ring, drain and
+// sequence scalars, statistics, and the idle histograms. Its exported
+// fields are also the durable checkpoint encoding. The scheduling
+// caches (calendar, bank entries, the wake memo and the ver counter
+// that keys it) are NOT serialized: they only control which cycles may
+// be skipped, every skip is individually proven a no-op, and a restored
+// queue rebuilds them conservatively (every bank parked ready by its
+// push), so the restored controller makes decision-identical choices.
 type ControllerState struct {
 	RQ, WQ   []reqState
 	Overflow []reqState
 
 	Drain       bool
 	SeqGen      int64
-	Ver, QVer   uint64
 	IssuedRank  int
 	IssuedIsCol bool
 	Cross       bool
@@ -65,7 +64,7 @@ func (c *Controller) Snapshot() *ControllerState {
 		WQ:       make([]reqState, 0, c.wq.n),
 		Overflow: make([]reqState, 0, c.overflow.Len()),
 
-		Drain: c.drain, SeqGen: c.seqGen, Ver: c.ver, QVer: c.qver,
+		Drain: c.drain, SeqGen: c.seqGen,
 		IssuedRank: c.issuedRank, IssuedIsCol: c.issuedIsCol, Cross: c.cross,
 		IdleHists:   append([]stats.IdleHist(nil), c.IdleHists...),
 		ReadsIssued: c.ReadsIssued, WritesIssued: c.WritesIssued,
@@ -133,12 +132,12 @@ func (c *Controller) Restore(st *ControllerState, resolve func(write bool, addr 
 		c.overflow.Push(build(&st.Overflow[i]))
 	}
 
-	c.drain, c.seqGen, c.ver, c.qver = st.Drain, st.SeqGen, st.Ver, st.QVer
+	c.drain, c.seqGen = st.Drain, st.SeqGen
 	c.issuedRank, c.issuedIsCol, c.cross = st.IssuedRank, st.IssuedIsCol, st.Cross
 	copy(c.IdleHists, st.IdleHists)
 	c.ReadsIssued, c.WritesIssued = st.ReadsIssued, st.WritesIssued
 	c.ActsIssued, c.PresIssued = st.ActsIssued, st.PresIssued
 	c.ReadLatencySum = st.ReadLatencySum
 	c.Drains, c.Refreshes, c.nextRefresh = st.Drains, st.Refreshes, st.NextRefresh
-	c.hintValid = false // horizons re-derive from the rebuilt calendar
+	c.hintValid = false // the memo re-derives from the rebuilt calendar
 }

@@ -135,9 +135,9 @@ type RankNDA struct {
 	//     itself at now and is never slept over.
 	//
 	// Bounds are derived lazily: a step marks sleepStale and the next
-	// NextEvent query or fast-path tick evaluates nextEvent — under
-	// sustained host traffic every cycle executes anyway and eager
-	// evaluation would be waste.
+	// ChannelNextEvent query or fast-path tick evaluates nextEvent —
+	// under sustained host traffic every cycle executes anyway and
+	// eager evaluation would be waste.
 	// A stale or invalid bound is never trusted; stepping instead is
 	// always reference-exact.
 	sleepUntil int64
@@ -271,38 +271,21 @@ func (e *Engine) RankBusy(channel, rank int) bool {
 	return len(n.fsm.ops) > 0 || n.fsm.wb.Len() > 0
 }
 
-// NextEvent returns the earliest DRAM cycle >= now at which any rank
-// NDA can issue a command or mutate observable state, assuming no host
-// command targets a busy rank before then (the dispatcher forces a Tick
-// on any cycle where one does, so consuming the bound is sound). Stale
-// or version-invalidated bounds are re-derived here from current state:
-// between a rank's last step and this query nothing it reads can have
-// changed without either bumping the rank's NDAVer on its channel's
-// controller (impure bounds revalidate against it) or issuing to the
-// rank itself (which forced a step), so the lazy evaluation equals the
-// one the step would have done. Stall counters that accrue per-cycle under host interference
+// ChannelNextEvent returns the earliest DRAM cycle >= now at which any
+// of one channel's rank NDAs can issue a command or mutate observable
+// state, assuming no host command targets a busy rank before then (the
+// dispatcher forces that channel's tick on any cycle where one does, so
+// consuming the bound is sound). Stale or version-invalidated bounds are
+// re-derived here from current state: between a rank's last step and
+// this query nothing it reads can have changed without either bumping
+// the rank's NDAVer on its channel's controller (impure bounds
+// revalidate against it) or issuing to the rank itself (which forced a
+// step), so the lazy evaluation equals the one the step would have
+// done. Stall counters that accrue per-cycle under host interference
 // all live behind branches whose bound is now, and are never slept
-// over.
-func (e *Engine) NextEvent(now int64) int64 {
-	next := dram.Never
-	for ch := range e.Ranks {
-		if w := e.ChannelNextEvent(ch, now); w < next {
-			next = w
-			if next <= now {
-				return now
-			}
-		}
-	}
-	return next
-}
-
-// ChannelNextEvent is NextEvent restricted to one channel's rank NDAs.
-// Its validity assumptions are per channel: a host command to a busy
-// rank forces that channel's tick (RankBusy), and impure bounds
-// revalidate against that channel's controller (NDAVer) — so one
-// channel's host-queue churn never perturbs another channel's cached
-// bounds. It reads and refreshes only channel-local state, making it
-// safe to call from the channel's domain worker.
+// over. One channel's host-queue churn never perturbs another channel's
+// cached bounds, and the query reads and refreshes only channel-local
+// state, making it safe to call from the channel's domain worker.
 func (e *Engine) ChannelNextEvent(ch int, now int64) int64 {
 	next := dram.Never
 	for _, n := range e.Ranks[ch] {
@@ -409,7 +392,8 @@ func (n *RankNDA) accessEvent(col dram.Command, a dram.Addr, now int64) (int64, 
 // sampled-mode fast-forward jump calls it after functionally advancing
 // FSMs and warming row state: the cached bounds were derived from
 // pre-jump timing and queue state and must be re-derived before any
-// NextEvent query trusts them (mirrors what Restore does per rank).
+// ChannelNextEvent query trusts them (mirrors what Restore does per
+// rank).
 func (e *Engine) MarkAllStale() {
 	for _, row := range e.Ranks {
 		for _, n := range row {

@@ -59,25 +59,31 @@ var (
 var ckptMagic = [8]byte{'C', 'H', 'O', 'P', 'I', 'M', 'C', 'K'}
 
 // ckptVersion is the file format version; bump on any wire change.
-const ckptVersion = 2
+const ckptVersion = 3
 
 // ckptHeaderLen is magic + version + fingerprint + payload length.
 const ckptHeaderLen = 8 + 4 + sha256.Size + 8
 
-// ConfigFingerprint hashes the simulated configuration: the full Config
-// with the state-free knobs zeroed (profiling, robustness limits, and
-// the cancel flag neither affect simulated state nor
-// survive a process anyway — Restore accepts any of them differing).
-// Two configs with equal fingerprints produce interchangeable
-// checkpoint files.
-func ConfigFingerprint(cfg Config) ([sha256.Size]byte, error) {
+// StateConfig returns cfg with the state-free knobs zeroed: profiling,
+// invariant checking, robustness limits, and the cancel flag neither
+// affect simulated state nor survive a process anyway, and Restore
+// accepts any of them differing. Every fingerprint or cache key over a
+// config hashes this projection.
+func StateConfig(cfg Config) Config {
 	cfg.ProfileDomains = false
 	cfg.CheckInvariants = false
 	cfg.WatchdogWindow = 0
 	cfg.MaxCycles = 0
 	cfg.MaxWallClock = 0
 	cfg.Cancel = nil
-	b, err := json.Marshal(cfg)
+	return cfg
+}
+
+// ConfigFingerprint hashes the simulated configuration (StateConfig).
+// Two configs with equal fingerprints produce interchangeable
+// checkpoint files.
+func ConfigFingerprint(cfg Config) ([sha256.Size]byte, error) {
+	b, err := json.Marshal(StateConfig(cfg))
 	if err != nil {
 		return [sha256.Size]byte{}, fmt.Errorf("sim: fingerprint config: %w", err)
 	}

@@ -15,8 +15,9 @@ import (
 // the cache-hierarchy section byte for byte, and the whole envelope.
 // The DRAM section leaves out the per-bank horizon memo (HzStamp,
 // Ready*), which records which banks the schedulers last asked about,
-// so a scheduler change that keeps every decision leaves all three
-// values alone. A deliberate format change re-pins them and bumps
+// and the controllers leave out their wake memo and the ver counter
+// that keys it, so a scheduler change that keeps every decision leaves
+// all three values alone. A deliberate format change re-pins them and bumps
 // ckptVersion in the same change. Every cut must also survive a decode
 // and re-encode byte for byte, so no decoder drops an encoded field.
 func TestCheckpointBytesPinned(t *testing.T) {
@@ -26,17 +27,17 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		n         int
 	}{
 		"host-only": {"f9e97eaf8e552525d3a559e52b51873e93a69b929574b513f7c989ce1a919e65",
-			"ab57b556034d77192ac4f733add1632d4eae8f5e79b10291424651b2d06a3095", 870657},
+			"0debc0933ba481c1f3fa95bc0d315e745ab10c7c253913879e909656ae26aaa3", 870609},
 		"host-stall-heavy": {"11d42dec4937eff66ccd904dd81a80db2231f9b42a534c2aca3d2f06b3afaf6f",
-			"9aea506d24121fe90b064c2fe17ec4b1d1812f2f7e57dfa431dc9f5a79c04f09", 733052},
+			"11f775a74bec9f6e7b7ad0f4efd6a7f7fd7b859ee358f742569e0ee4eda44a06", 733004},
 		"nda-only-nrm2": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			"c72fd05c71a426e3040009ea6aaeb9493133696ecd0acb801f19d77ebd4cd93d", 9836},
+			"9f78c18287519d57d66e71166ad7d37239d6ed49cc1fa420c42566f5f51bc6bc", 9802},
 		"nda-only-copy-stochastic": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			"1ca8d620e710376d2cd8ba2fe70f815d3ec7577a620288262d5dbe967479b7fe", 14287},
+			"cf41f89a4c43bfff9828688d7a364ef5ebba401bba998748a9aac61f0fbe4bba", 14253},
 		"mixed-mix1-dot": {"f0b5868060c804188d71ea46c623fa3b85c03d20c8f71b2e5a45412fd4424182",
-			"66e6f7c83d35a4f2cf3b327957f6bc144e7f1622b0a3e4d69d01295ca1c5c127", 733775},
+			"feb78d11f76e893f5ce651361fece2546c71c9a69c2555d49ca3f130bdafe958", 733727},
 		"mixed-mix3-copy-shared": {"32eb41cbc51cc6755835509239013de281e5643054f1908d2049ce4c8c3dd14f",
-			"b7ccb0b8cb36d2b8a4bf44eca3ec25ab3025b18a32c748da8f072fce0e896dec", 757968},
+			"ae9f38667ede4125e83a02abbec42ce5eecc9eaa80e6fbdde814ea713c8afad9", 757922},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

@@ -203,7 +203,7 @@ func (s *System) DeadlineExceeded() error {
 
 // DiagDump renders the scheduler-relevant state for a livelock report:
 // controller queue occupancies and wake horizons, per-domain mailbox
-// and NDA survey state, core (ROB-head) status, and the in-flight miss
+// and NDA bounds, core (ROB-head) status, and the in-flight miss
 // count. It is diagnostic text for humans, built only on failure paths.
 func (s *System) DiagDump() string {
 	var b strings.Builder
@@ -220,8 +220,8 @@ func (s *System) DiagDump() string {
 			i, r, w-c.OverflowLen(), c.OverflowLen(), hz(c.NextEvent(s.dramCycle)))
 	}
 	for d := range s.doms {
-		fmt.Fprintf(&b, "  dom[%d]: outbox=%d ndaWake=%s ndaNext=%s\n",
-			d, len(s.doms[d].outbox), hz(s.stepNDAWake[d]), hz(s.NDA.ChannelNextEvent(d, s.dramCycle)))
+		fmt.Fprintf(&b, "  dom[%d]: outbox=%d ndaNext=%s\n",
+			d, len(s.doms[d].outbox), hz(s.NDA.ChannelNextEvent(d, s.dramCycle)))
 	}
 	fmt.Fprintf(&b, "  rt: copierBusy=%v next=%s\n", s.RT.CopierBusy(), hz(s.RT.NextEvent(s.dramCycle)))
 	if s.Hier != nil {

@@ -337,11 +337,14 @@ func (st *sampleState) window(m sampleMark) (ipc, ndaBW, hostBW, powerW, util fl
 // path (cache state and row buffers warm; in-flight misses stay
 // frozen), each rank NDA drains rate·k blocks of FSM work (row buffers
 // warm, completions fire through the mailboxes), and the CPU-credit
-// arithmetic advances exactly as skipIdle's would. Afterwards every
-// cached scheduler conclusion is invalidated — controller wake bounds,
-// NDA sleep bounds, the probe-stall epoch — mirroring what Restore
-// does after a snapshot, so the next detailed segment re-derives
-// everything from the post-jump state.
+// arithmetic advances exactly as skipIdle's would. Afterwards the
+// cached scheduler conclusions no version key covers are invalidated —
+// NDA sleep bounds, the probe-stall epoch — mirroring what Restore does
+// after a snapshot. Each controller's wake memo revalidates itself: the
+// jump's warm opens and any enqueue move the row log and the queue
+// counter it is keyed on, and the jump issues no command that could
+// move a horizon earlier. The next detailed segment therefore
+// re-derives everything the jump touched from the post-jump state.
 func (s *System) jumpFF(k int64, st *sampleState) {
 	if k <= 0 {
 		return
@@ -383,14 +386,7 @@ func (s *System) jumpFF(k int64, st *sampleState) {
 	// control packets, exactly as a commit phase would).
 	s.commit()
 
-	// Invalidate every cached scheduler conclusion derived pre-jump.
-	for i := range s.mcStale {
-		s.mcStale[i] = true
-	}
-	for d := range s.stepNDAWake {
-		s.stepNDAWake[d] = notSurveyed
-	}
-	s.stepRTWake = notSurveyed
+	// Invalidate the cached scheduler conclusions derived pre-jump.
 	s.NDA.MarkAllStale()
 	if s.Hier != nil {
 		s.Hier.AdvanceVer()

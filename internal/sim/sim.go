@@ -30,10 +30,6 @@ const (
 	cpuDivisor = 3
 )
 
-// notSurveyed marks a stashed wake bound the survey did not derive
-// (it early-outed on an active core); the tick recomputes it.
-const notSurveyed = int64(-1)
-
 // DRAMHz is the DDR4-2400 bus clock.
 const DRAMHz = 1.2e9
 
@@ -204,22 +200,11 @@ type System struct {
 	cpuCycle  int64
 	credit    int
 
-	// Wake-schedule caches for the fast path (StepFast/RunFast); Run
-	// never consults them. Each controller's next-event bound is cached
-	// until the controller itself is ticked (mcStale), an external call
-	// mutates it (Ver), or a row changes on its channel (Mem.RowSeq — an
-	// NDA ACT or PRE can create a candidate or move one earlier). Other
-	// NDA commands only push the controller's horizons later, so the
-	// cached bound stays a sound lower bound across them (DESIGN.md
-	// §2.15). coreDue is per-tick scratch for the dispatch loop;
-	// coreEpoch records the memory epoch (hierarchy version plus
-	// controller versions) under which each probe-stalled core last
-	// evaluated its retry, so the retry re-runs only when the epoch
-	// moves.
-	mcWake    []int64
-	mcVer     []uint64
-	mcRowSeq  []uint64
-	mcStale   []bool
+	// Core dispatch state for the fast path (StepFast/RunFast); Run
+	// never consults it. coreDue is per-tick scratch for the dispatch
+	// loop; coreEpoch records the memory epoch (hierarchy version plus
+	// read dequeues) under which each probe-stalled core last evaluated
+	// its retry, so the retry re-runs only when the epoch moves.
 	coreDue   []bool
 	coreEpoch []uint64
 
@@ -234,12 +219,6 @@ type System struct {
 	// phase of the cycle), which the pinned counters depend on
 	// (DESIGN.md §2.5).
 	doms []domain
-
-	// stepNDAWake carries the survey's per-channel NDA bounds into the
-	// same step's tick (notSurveyed when the survey early-outed before
-	// deriving them); stepRTWake is the runtime bound.
-	stepNDAWake []int64
-	stepRTWake  int64
 
 	// prof collects phase-span histograms when Config.ProfileDomains is
 	// set (nil otherwise; see PhaseSpans).
@@ -341,16 +320,8 @@ func New(cfg Config) (*System, error) {
 	s.RT.MaxBlocksPerInstr = cfg.MaxBlocksPerInstr
 	s.RT.ModelLaunches = cfg.ModelLaunches
 	s.retiredAtMeas = make([]int64, len(s.Cores))
-	s.mcWake = make([]int64, len(s.MCs))
-	s.mcVer = make([]uint64, len(s.MCs))
-	s.mcRowSeq = make([]uint64, len(s.MCs))
-	s.mcStale = make([]bool, len(s.MCs))
-	for i := range s.mcStale {
-		s.mcStale[i] = true
-	}
 	s.coreDue = make([]bool, len(s.Cores))
 	s.coreEpoch = make([]uint64, len(s.Cores))
-	s.stepNDAWake = make([]int64, len(s.MCs))
 	if cfg.ProfileDomains {
 		s.prof = &PhaseSpans{Front: make([]int64, phaseBuckets)}
 		for range s.MCs {
@@ -485,53 +456,13 @@ func (s *System) dramOfCPU(w int64) int64 {
 // the window. Blocked cores contribute their exact wake cycle; a core
 // blocked on an outstanding miss or a hierarchy Stall is woken by the
 // controller event that resolves it, which the controller bounds
-// report. It delegates to the cache-maintained survey StepFast uses —
-// one implementation, so the two cannot drift; touching the wake
-// caches is safe from any caller (they revalidate by version), and the
-// stashed NDA/runtime bounds are re-derived by StepFast's own survey
-// before any tick consumes them.
-func (s *System) NextEvent() int64 { return s.nextEventFast() }
-
-// mcNext returns controller i's cached next-event bound, recomputing it
-// only when an input it was derived from moved (the controller's
-// version, or its channel's row log) or the controller was ticked
-// since. An unexpired cached bound is served as-is and an expired one
-// clamps to now (the controller is due) — both without touching the
-// controller, so the FR-FCFS horizon sweep runs once per blocked
-// window, not once per cycle. A controller ticked since usually
-// answers without a scan: it is due right after an issue, and a
-// no-issue tick left its fused hint behind.
-func (s *System) mcNext(i int, now int64) int64 {
-	c := s.MCs[i]
-	if !s.mcStale[i] && s.mcWake[i] <= now {
-		return now // due regardless of newer mutations; the tick refreshes
-	}
-	if s.mcStale[i] || s.mcVer[i] != c.Ver() || s.mcRowSeq[i] != s.Mem.RowSeq(c.Channel()) {
-		s.mcWake[i] = c.NextEvent(now)
-		s.mcVer[i] = c.Ver()
-		s.mcRowSeq[i] = s.Mem.RowSeq(c.Channel())
-		s.mcStale[i] = false
-	}
-	if s.mcWake[i] < now {
-		return now
-	}
-	return s.mcWake[i]
-}
-
-// nextEventFast is NextEvent over the incrementally maintained wake
-// schedule: identical values, but controller bounds come from the
-// per-controller cache. The NDA and runtime bounds it derives are
-// stashed (stepNDAWake/stepRTWake) for the tick that follows, valid
-// because nothing mutates between the survey and the tick. The survey
-// stops as soon as the answer is now — at an active core or at the
-// first due controller — and leaves the not-surveyed sentinel for
-// every bound it did not reach; the tick derives those itself.
-func (s *System) nextEventFast() int64 {
+// report. It is a plain minimum over the components' NextEvent calls,
+// stopping as soon as the answer is now: each component memoizes its
+// own bound (the controller's wake memo, each rank NDA's sleepUntil)
+// and revalidates it on every query, so the survey keeps no state and
+// is safe to call from anywhere.
+func (s *System) NextEvent() int64 {
 	now := s.dramCycle
-	for d := range s.stepNDAWake {
-		s.stepNDAWake[d] = notSurveyed
-	}
-	s.stepRTWake = notSurveyed
 	next := dram.Never
 	for _, core := range s.Cores {
 		w := core.NextEvent(s.cpuCycle)
@@ -539,35 +470,24 @@ func (s *System) nextEventFast() int64 {
 			return now
 		}
 		if w < dram.Never {
-			if d := s.dramOfCPU(w); d < next {
-				next = d
-			}
+			next = min(next, s.dramOfCPU(w))
 		}
 	}
-	for i := range s.MCs {
-		t := s.mcNext(i, now)
-		if t <= now {
+	for _, c := range s.MCs {
+		w := c.NextEvent(now)
+		if w <= now {
 			return now
 		}
-		if t < next {
-			next = t
-		}
+		next = min(next, w)
 	}
 	for d := range s.doms {
 		w := s.NDA.ChannelNextEvent(d, now)
-		s.stepNDAWake[d] = w
-		if w < next {
-			next = w
+		if w <= now {
+			return now
 		}
+		next = min(next, w)
 	}
-	s.stepRTWake = s.RT.NextEvent(now)
-	if s.stepRTWake < next {
-		next = s.stepRTWake
-	}
-	if next < now {
-		next = now
-	}
-	return next
+	return max(min(next, s.RT.NextEvent(now)), now)
 }
 
 // skipIdle advances the clocks over k provably-idle DRAM cycles without
@@ -589,33 +509,25 @@ func (s *System) skipIdle(k int64) {
 }
 
 // domainTick advances one channel domain by one DRAM cycle, dispatching
-// only due components off the survey's cached bounds. It touches only
-// domain-local state — the domain's controller, its channel's DRAM
-// state, its rank NDAs, and the domain's own slots of the wake-cache
-// arrays; the skips are individually proven no-ops:
+// only due components. It touches only domain-local state — the
+// domain's controller, its channel's DRAM state, and its rank NDAs; the
+// skips are individually proven no-ops:
 //
-//   - A controller whose bound lies ahead cannot schedule anything
+//   - A controller whose NextEvent lies ahead cannot schedule anything
 //     this cycle (the mc.NextEvent contract); only its per-cycle
-//     issued-rank scratch must be reset for the NDA hooks. The bound is
-//     the survey's when the survey reached the controller, and mcNext's
-//     revalidation otherwise (the survey stops at an active core or at
-//     the first due controller). An idle controller (mc.Controller.Idle:
-//     empty queues, no drain, refresh off) is skipped without asking.
-//   - The channel's rank NDAs are skipped as a whole when the survey's
-//     stashed bound for them lies ahead and this domain's controller
-//     did not tick: nothing they read has moved since the survey, and
-//     the controller issued nothing. Otherwise — no surveyed bound, or
-//     a controller tick that may have mutated the inputs an impure
-//     bound was derived from (a dequeue flipping the oldest-read rank,
-//     say) or issued to a rank with NDA work — TickChannel runs
-//     directly, and each rank revalidates or re-derives its own bound
-//     against the post-tick state before deciding to step (one pass
-//     over the ranks instead of a ChannelNextEvent pass plus a tick
-//     pass). A host command to a rank steps that rank regardless: its
-//     yield (and its StallsHost accounting) happens on that very
-//     cycle. Cross-channel coupling cannot occur mid-phase: every NDA
-//     bound reads only its own channel's controller and timing state,
-//     and cross-channel effects are mailboxed until commit.
+//     issued-rank scratch must be reset for the NDA hooks. An idle
+//     controller (mc.Controller.Idle: empty queues, no drain, refresh
+//     off) is skipped without asking.
+//   - TickChannel runs every cycle, and each rank revalidates or
+//     re-derives its own sleep bound against the post-tick state before
+//     deciding to step (nda.RankNDA.tick), so a controller tick that
+//     mutated the inputs an impure bound was derived from (a dequeue
+//     flipping the oldest-read rank, say) is seen. A host command to a
+//     rank steps that rank regardless: its yield (and its StallsHost
+//     accounting) happens on that very cycle. Cross-channel coupling
+//     cannot occur mid-phase: every NDA bound reads only its own
+//     channel's controller and timing state, and cross-channel effects
+//     are mailboxed until commit.
 func (s *System) domainTick(d int, now int64) {
 	if s.prof != nil {
 		t0 := time.Now()
@@ -628,18 +540,12 @@ func (s *System) domainTick(d int, now int64) {
 
 // domainTickBody is domainTick minus the optional span measurement.
 func (s *System) domainTickBody(d int, now int64) {
-	c := s.MCs[d]
-	mcTicked := !c.Idle() && s.mcNext(d, now) <= now
-	if mcTicked {
+	if c := s.MCs[d]; !c.Idle() && c.NextEvent(now) <= now {
 		c.Tick(now)
-		s.mcStale[d] = true
 	} else {
 		c.ClearIssued()
 	}
-	// notSurveyed is negative, so an unsurveyed bound always dispatches.
-	if mcTicked || s.stepNDAWake[d] <= now {
-		s.NDA.TickChannel(d, now)
-	}
+	s.NDA.TickChannel(d, now)
 }
 
 // tickDue advances the system one DRAM cycle, dispatching only due
@@ -660,11 +566,7 @@ func (s *System) tickDue() {
 		profT0 = time.Now()
 	}
 	s.commit()
-	rtWake := s.stepRTWake
-	if rtWake == notSurveyed {
-		rtWake = s.RT.NextEvent(now)
-	}
-	if rtWake <= now {
+	if s.RT.NextEvent(now) <= now {
 		s.RT.Tick(now)
 	}
 	s.credit += cpuCredit
@@ -779,7 +681,7 @@ func (s *System) StepFast(limit int64) error {
 			return err
 		}
 	}
-	next := s.nextEventFast()
+	next := s.NextEvent()
 	if faults.Active() {
 		next = faults.Adjust(faults.SimNextEvent, next)
 	}

@@ -162,14 +162,6 @@ func (s *System) Restore(ck *Checkpoint) {
 	s.measStartDRAM, s.measStartCPU = st.MeasStartDRAM, st.MeasStartCPU
 	copy(s.retiredAtMeas, st.RetiredAtMeas)
 	copy(s.coreEpoch, st.CoreEpoch)
-	// Wake caches re-derive from restored state on the next survey.
-	for i := range s.mcStale {
-		s.mcStale[i] = true
-	}
-	for d := range s.stepNDAWake {
-		s.stepNDAWake[d] = notSurveyed
-	}
-	s.stepRTWake = notSurveyed
 	for d := range s.doms {
 		s.doms[d].outbox = s.doms[d].outbox[:0]
 	}

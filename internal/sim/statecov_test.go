@@ -75,7 +75,7 @@ func TestStateFieldCoverage(t *testing.T) {
 				"bpr": config, "bpg": config, "nrank": config, "refSched": config,
 				"free": pool, "csink": closure,
 				"sweepHz": schedMem, "hint": schedMem, "hintValid": schedMem, "hintVer": schedMem,
-				"hintRowSeq": schedMem, "seen": schedMem, "seenGen": schedMem,
+				"hintRowSeq": schedMem, "ver": schedMem, "seen": schedMem, "seenGen": schedMem,
 			}},
 		{live: hier, state: hierSt,
 			carriedBy: map[string]string{"pending": "MSHRs"},
