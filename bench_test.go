@@ -290,8 +290,9 @@ func BenchmarkHostStallHeavy(b *testing.B) {
 // whose issue groups are mostly free of memory instructions, with no NDA
 // traffic, through the production RunFast loop. An active core pins
 // NextEvent to now, so every DRAM tick executes and the cost is almost
-// entirely the CPU-credit loop. The window-batched retirement path collapses the
-// compute-bound issue groups arithmetically; allocs/op must stay zero.
+// entirely the CPU-credit loop, where the cores issue and retire the
+// plain runs that make up most issue groups a run at a time (DESIGN.md
+// §2.17); allocs/op must stay zero.
 func BenchmarkHostComputeHeavy(b *testing.B) {
 	const measureCycles = 100_000
 	b.ReportAllocs()

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	chopim [-quick] [-warm N] [-measure N] [-parallel N] [-profile-domains]
-//	       [-cache-dir D] [-checkpoint D [-resume]]
+//	chopim [-quick] [-warm N] [-measure N] [-parallel N] [-cache-dir D]
+//	       [-checkpoint D [-resume]]
 //	       [-checkpoint-every N] [-on-interrupt=checkpoint|drain|abort]
 //	       [-check-invariants] [-deadline D] [-point-retries N] [-fail-fast]
 //	       [-cpuprofile F] [-memprofile F] <experiment>
@@ -26,12 +26,6 @@
 // N workers (-1 = all CPUs). It is the only parallelism: each
 // simulation runs on one goroutine (DESIGN.md §2.10 records why).
 // Tables are identical for every setting.
-//
-// -profile-domains records each executed tick's per-channel memory-phase
-// span and front-end span (cheap counters inside the simulator;
-// sim.Config.ProfileDomains) and prints the aggregated power-of-two
-// histograms after the experiment — the quick way to see whether a
-// workload is bounded by one hot channel or by the front end.
 //
 // Robustness flags: -check-invariants arms the simulator's cross-layer
 // conservation checker on every point (results are bit-identical with
@@ -99,8 +93,6 @@ func run() (code int) {
 	parallel := flag.Int("parallel", -1, "workers for independent simulation points (-1 = all CPUs, 1 = serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	profileDomains := flag.Bool("profile-domains", false,
-		"record per-channel memory-phase and serial front-end tick spans and print the histograms after the experiment")
 	cacheDir := flag.String("cache-dir", "",
 		"content-addressed figure result cache: replay figures whose options fingerprint matches a stored entry, store the rest")
 	checkpoint := flag.String("checkpoint", "",
@@ -180,10 +172,6 @@ func run() (code int) {
 		opt.MeasureCycles = *measure
 	}
 	opt.Parallel = *parallel
-	opt.ProfileDomains = *profileDomains
-	if *profileDomains {
-		defer printPhaseSpans()
-	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintf(os.Stderr, "chopim: -resume requires -checkpoint DIR (the journals to resume from)\n")
 		return 2
@@ -340,56 +328,6 @@ func printSweepHealth() {
 		fmt.Fprintf(os.Stderr, "interrupt: %d points canceled, %d checkpoints written, %d points resumed mid-flight\n",
 			st.Canceled, st.CkptWrites, st.CkptRestores)
 	}
-}
-
-// printPhaseSpans renders the -profile-domains histograms: span counts
-// per power-of-two-nanosecond bucket, one row per channel domain plus
-// the per-tick front-end.
-func printPhaseSpans() {
-	p := experiments.ReadPhaseSpans()
-	if len(p.Domains) == 0 {
-		fmt.Println("\nprofile-domains: no fast-path ticks recorded")
-		return
-	}
-	// Trim to the occupied bucket range across all rows.
-	lo, hi := len(p.Front), 0
-	rows := append(append([][]int64{}, p.Domains...), p.Front)
-	for _, hist := range rows {
-		for b, n := range hist {
-			if n > 0 {
-				if b < lo {
-					lo = b
-				}
-				if b > hi {
-					hi = b
-				}
-			}
-		}
-	}
-	if lo > hi {
-		fmt.Println("\nprofile-domains: no fast-path ticks recorded")
-		return
-	}
-	fmt.Println("\nprofile-domains: executed-tick phase spans (count per <=2^k ns bucket)")
-	w := tw()
-	fmt.Fprint(w, "phase")
-	for b := lo; b <= hi; b++ {
-		fmt.Fprintf(w, "\t2^%d", b)
-	}
-	fmt.Fprintln(w)
-	for d, hist := range p.Domains {
-		fmt.Fprintf(w, "ch%d-memory", d)
-		for b := lo; b <= hi; b++ {
-			fmt.Fprintf(w, "\t%d", hist[b])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprint(w, "front-end")
-	for b := lo; b <= hi; b++ {
-		fmt.Fprintf(w, "\t%d", p.Front[b])
-	}
-	fmt.Fprintln(w)
-	w.Flush()
 }
 
 func runFig2(opt experiments.Options) error {

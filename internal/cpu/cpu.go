@@ -26,8 +26,15 @@ type Instr struct {
 }
 
 // TraceSource supplies an (endless) instruction stream.
+//
+// NextRun consumes the same stream a run at a time: it takes
+// instructions until it has max plain ones (neither Mem nor Serialize)
+// or reaches the first memory or serializing instruction, which it
+// returns as stop with ok set. It must take nothing past the max-th
+// plain instruction, so calls to Next and NextRun may interleave.
 type TraceSource interface {
 	Next() Instr
+	NextRun(max int) (plain int, stop Instr, ok bool)
 }
 
 // FunctionalSource is an optional TraceSource extension: NextFunctional
@@ -49,9 +56,12 @@ type Config struct {
 // DefaultConfig returns the paper's core parameters.
 func DefaultConfig() Config { return Config{Width: 8, ROBSize: 224, LSQSize: 64} }
 
-// robEntry tracks one in-flight instruction.
+// robEntry tracks in-flight instructions: one memory instruction, or a
+// run of Count non-memory ones issued in the same cycle, which share a
+// DoneAt and so retire exactly as Count single entries would.
 type robEntry struct {
-	DoneAt  int64 // CPU cycle at which the instruction may retire
+	DoneAt  int64 // CPU cycle at which the instructions may retire
+	Count   int32 // instructions in the entry (1 for a memory one)
 	Pending bool  // completion arrives via callback
 	IsLoad  bool
 	IsStore bool
@@ -66,7 +76,9 @@ type Core struct {
 
 	rob      []robEntry
 	doneFns  []func(cpuDone int64) // per-ROB-slot completion callbacks
-	head, n  int
+	head     int
+	n        int // instructions in flight (ROB occupancy)
+	ents     int // ROB entries in use, from head
 	stores   int // stores in flight (LSQ occupancy, with loads)
 	loads    int
 	stalled  Instr
@@ -93,6 +105,8 @@ type Core struct {
 // are created once per ROB slot (each captures only its slot index), so
 // issuing a memory instruction allocates nothing; a slot cannot be
 // reused while its access is outstanding (a pending entry blocks retire).
+// A slot is an entry index, and there are never more entries than
+// instructions, so ROBSize slots always suffice.
 func NewCore(id int, cfg Config, trace TraceSource, hier *cache.Hierarchy) *Core {
 	c := &Core{ID: id, cfg: cfg, trace: trace, hier: hier, rob: make([]robEntry, cfg.ROBSize)}
 	c.doneFns = make([]func(int64), cfg.ROBSize)
@@ -213,10 +227,19 @@ func (c *Core) Tick(now int64) {
 	}
 }
 
+// retire retires up to Width instructions from the ROB head, splitting
+// a plain run when the budget ends inside it.
 func (c *Core) retire(now int64) {
-	for retired := 0; retired < c.cfg.Width && c.n > 0; retired++ {
+	for budget := c.cfg.Width; budget > 0 && c.ents > 0; {
 		e := &c.rob[c.head]
 		if e.Pending || e.DoneAt > now {
+			return
+		}
+		k := int(e.Count)
+		if k > budget {
+			e.Count -= int32(budget)
+			c.n -= budget
+			c.Retired += int64(budget)
 			return
 		}
 		if e.IsLoad {
@@ -229,56 +252,84 @@ func (c *Core) retire(now int64) {
 		if c.head == len(c.rob) {
 			c.head = 0
 		}
-		c.n--
-		c.Retired++
+		c.ents--
+		c.n -= k
+		c.Retired += int64(k)
+		budget -= k
 	}
 }
 
 // issue places up to Width instructions into the ROB and returns how
-// many it placed.
+// many it placed. Plain instructions come from the trace a run at a
+// time and enter the ROB as one entry per stretch between memory
+// instructions.
 func (c *Core) issue(now int64) int {
-	issued := 0
-	for ; issued < c.cfg.Width && c.n < len(c.rob); issued++ {
-		var in Instr
-		if c.hasStall {
-			in = c.stalled
-		} else {
-			in = c.trace.Next()
+	issued, run := 0, 0 // run: plain instructions issued since the last entry
+	for issued < c.cfg.Width && c.n < len(c.rob) {
+		in := c.stalled
+		if !c.hasStall {
+			plain, stop, ok := c.trace.NextRun(min(c.cfg.Width-issued, len(c.rob)-c.n))
+			run += plain
+			issued += plain
+			c.n += plain
+			if !ok {
+				break
+			}
+			in = stop
 		}
 		if in.Serialize && issued > 0 {
 			// Dependency chain head: wait for the next cycle.
 			c.stalled = in
 			c.hasStall = true
-			return issued
+			break
 		}
-		if !c.tryIssue(in, now) {
-			c.stalled = in
-			c.hasStall = true
-			return issued
+		if in.Mem {
+			c.pushRun(run, now)
+			run = 0
+			if !c.tryIssue(in, now) {
+				c.stalled = in
+				c.hasStall = true
+				break
+			}
+		} else {
+			// A serializing plain instruction heading the group.
+			run++
+			c.n++
 		}
 		c.hasStall = false
+		issued++
 	}
+	c.pushRun(run, now)
 	return issued
 }
 
-// tryIssue places one instruction into the ROB, accessing memory if
-// needed. It returns false if a structural hazard requires a retry.
-func (c *Core) tryIssue(in Instr, now int64) bool {
-	slot := c.head + c.n
-	if slot >= len(c.rob) {
-		slot -= len(c.rob)
+// slot returns the ROB index i entries past the head.
+func (c *Core) slot(i int) int {
+	i += c.head
+	if i >= len(c.rob) {
+		i -= len(c.rob)
 	}
-	e := &c.rob[slot]
-	*e = robEntry{}
+	return i
+}
 
-	if !in.Mem {
-		e.DoneAt = now + 1
-		c.n++
-		return true
+// pushRun places an entry for k plain instructions issued at now (and
+// already counted in n); k == 0 places nothing.
+func (c *Core) pushRun(k int, now int64) {
+	if k > 0 {
+		c.rob[c.slot(c.ents)] = robEntry{DoneAt: now + 1, Count: int32(k)}
+		c.ents++
 	}
+}
+
+// tryIssue places one memory instruction into the ROB. It returns false
+// if a structural hazard requires a retry.
+func (c *Core) tryIssue(in Instr, now int64) bool {
 	if c.loads+c.stores >= c.cfg.LSQSize {
 		return false
 	}
+	slot := c.slot(c.ents)
+	e := &c.rob[slot]
+	*e = robEntry{Count: 1}
 	res, lat := c.hier.Access(c.ID, in.Addr, in.Write, slot, c.doneFns[slot])
 	switch res {
 	case cache.Stall:
@@ -297,5 +348,6 @@ func (c *Core) tryIssue(in Instr, now int64) bool {
 		c.loads++
 	}
 	c.n++
+	c.ents++
 	return true
 }

@@ -23,6 +23,18 @@ func (s *scriptTrace) Next() Instr {
 	return Instr{}
 }
 
+func (s *scriptTrace) NextRun(max int) (int, Instr, bool) { return runOf(s.Next, max) }
+
+// runOf implements TraceSource.NextRun over a per-instruction stream.
+func runOf(next func() Instr, max int) (int, Instr, bool) {
+	for plain := 0; plain < max; plain++ {
+		if in := next(); in.Mem || in.Serialize {
+			return plain, in, true
+		}
+	}
+	return max, Instr{}, false
+}
+
 type fakeBackend struct {
 	dones []func(int64)
 	full  bool
@@ -80,6 +92,8 @@ func TestSerializeLimitsILP(t *testing.T) {
 type serTrace struct{}
 
 func (serTrace) Next() Instr { return Instr{Serialize: true} }
+
+func (s serTrace) NextRun(max int) (int, Instr, bool) { return runOf(s.Next, max) }
 
 func TestLoadMissBlocksRetirement(t *testing.T) {
 	tr := &scriptTrace{instrs: []Instr{{Mem: true, Addr: 0x5000}}}
@@ -154,6 +168,8 @@ func (r *randTrace) Next() Instr {
 	}
 	return in
 }
+
+func (r *randTrace) NextRun(max int) (int, Instr, bool) { return runOf(r.Next, max) }
 
 // coreState reduces the observable core state (everything but the cycle
 // counter, which blocked ticks are defined to advance).

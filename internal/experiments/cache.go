@@ -32,8 +32,7 @@ const cacheSchema = "chopim-results-v1"
 // cacheKey fingerprints everything a figure's rows depend on: the model
 // version, the figure name, and the options that select simulated
 // behavior. Parallel is deliberately excluded — results are
-// bit-identical for any worker count — as is ProfileDomains, which only
-// observes.
+// bit-identical for any worker count.
 func (o Options) cacheKey(fig string) string {
 	k := struct {
 		Schema        string

@@ -45,15 +45,6 @@ type Options struct {
 	Sampled bool
 	Sample  sim.SampleConfig
 
-	// ProfileDomains enables sim.Config.ProfileDomains on every point
-	// this harness builds; the per-point histograms are merged
-	// process-wide as points complete (ReadPhaseSpans). Spans are only
-	// recorded on the fast path (CycleByCycle points contribute
-	// nothing), and concurrent points on a sharded runner time-slice
-	// one machine, so the histograms are a profile of where simulated
-	// time goes, not a cycle-exact measurement.
-	ProfileDomains bool
-
 	// CacheDir, when set, enables the content-addressed figure result
 	// cache: each figure's rows are stored under a hash of the model
 	// version and the behavior-selecting options, and a later run with
@@ -130,7 +121,6 @@ func (o Options) withTag(tag string) Options {
 // newSystem builds one simulation point's system with the options'
 // per-simulation settings applied.
 func (o Options) newSystem(cfg sim.Config) (*sim.System, error) {
-	cfg.ProfileDomains = o.ProfileDomains
 	cfg.CheckInvariants = o.CheckInvariants
 	cfg.MaxWallClock = o.PointTimeout
 	if o.Cancel != nil {
@@ -138,12 +128,6 @@ func (o Options) newSystem(cfg sim.Config) (*sim.System, error) {
 	}
 	return sim.New(cfg)
 }
-
-// Process-wide phase-span aggregate (see Options.ProfileDomains).
-var (
-	phaseMu    sync.Mutex
-	phaseSpans sim.PhaseSpans
-)
 
 // Warm-state pool: host-only figure points that share a configuration
 // also share their warm-up work. The first point to warm a given config
@@ -171,27 +155,6 @@ func warmPoolKey(cfg sim.Config, warm int64) (string, bool) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), true
-}
-
-// mergePhaseSpans folds one completed point's histograms into the
-// process-wide aggregate.
-func mergePhaseSpans(p *sim.PhaseSpans) {
-	if p == nil {
-		return
-	}
-	phaseMu.Lock()
-	phaseSpans.Merge(p)
-	phaseMu.Unlock()
-}
-
-// ReadPhaseSpans returns a copy of the process-wide phase-span
-// aggregate (empty histograms when no profiled point has completed).
-func ReadPhaseSpans() sim.PhaseSpans {
-	phaseMu.Lock()
-	defer phaseMu.Unlock()
-	var out sim.PhaseSpans
-	out.Merge(&phaseSpans)
-	return out
 }
 
 // DefaultOptions returns the full-fidelity budget. Warm-up must be long
@@ -228,7 +191,6 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 	if opt.Sampled {
 		return measureSampled(s, it, opt)
 	}
-	defer mergePhaseSpans(s.PhaseSpans())
 	var h *ndart.Handle
 	var err error
 	relaunch := func() error {
@@ -303,9 +265,9 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 	// Host-only points on the fast path share warm-up state through the
 	// pool: fork from a warmed checkpoint when one exists, seed it
 	// otherwise. NDA-driving points are excluded (their launcher holds
-	// handles bound to this system), as are profiled points (a restored
-	// warm-up records no spans) and the cycle-by-cycle cross-check path.
-	if it == nil && !opt.CycleByCycle && !opt.ProfileDomains &&
+	// handles bound to this system), as is the cycle-by-cycle
+	// cross-check path.
+	if it == nil && !opt.CycleByCycle &&
 		opt.WarmCycles > 0 && s.Now() == 0 {
 		if key, ok := warmPoolKey(s.Cfg, opt.WarmCycles); ok {
 			warmMu.Lock()
@@ -399,7 +361,6 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 // cycles accumulate only in detailed segments), kept for rough scale,
 // not cross-mode comparison.
 func measureSampled(s *sim.System, it launcher, opt Options) (Result, error) {
-	defer mergePhaseSpans(s.PhaseSpans())
 	if opt.CycleByCycle {
 		return Result{}, fmt.Errorf("experiments: Sampled and CycleByCycle are mutually exclusive")
 	}

@@ -59,18 +59,17 @@ var (
 var ckptMagic = [8]byte{'C', 'H', 'O', 'P', 'I', 'M', 'C', 'K'}
 
 // ckptVersion is the file format version; bump on any wire change.
-const ckptVersion = 3
+const ckptVersion = 4
 
 // ckptHeaderLen is magic + version + fingerprint + payload length.
 const ckptHeaderLen = 8 + 4 + sha256.Size + 8
 
-// StateConfig returns cfg with the state-free knobs zeroed: profiling,
-// invariant checking, robustness limits, and the cancel flag neither
+// StateConfig returns cfg with the state-free knobs zeroed: invariant
+// checking, robustness limits, and the cancel flag neither
 // affect simulated state nor survive a process anyway, and Restore
 // accepts any of them differing. Every fingerprint or cache key over a
 // config hashes this projection.
 func StateConfig(cfg Config) Config {
-	cfg.ProfileDomains = false
 	cfg.CheckInvariants = false
 	cfg.WatchdogWindow = 0
 	cfg.MaxCycles = 0

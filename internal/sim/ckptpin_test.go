@@ -26,18 +26,18 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		hier, all string
 		n         int
 	}{
-		"host-only": {"f9e97eaf8e552525d3a559e52b51873e93a69b929574b513f7c989ce1a919e65",
-			"0debc0933ba481c1f3fa95bc0d315e745ab10c7c253913879e909656ae26aaa3", 870609},
-		"host-stall-heavy": {"11d42dec4937eff66ccd904dd81a80db2231f9b42a534c2aca3d2f06b3afaf6f",
-			"11f775a74bec9f6e7b7ad0f4efd6a7f7fd7b859ee358f742569e0ee4eda44a06", 733004},
+		"host-only": {"36741e61ad3413fbc5839065c03751130931a69bbc6573d483cfef120bb7a563",
+			"a035587c7e47d4aab159f2aa1e8bcfe498b71d016f73b819913a1d86eeed6ec8", 796381},
+		"host-stall-heavy": {"5276cb8aa436117bd0844266e1b12ff1482e473b758889e7aa2b708fdcc29af8",
+			"dd4863dc19f931e5f43de2b339db4fbb80ef12f9a183cbbc746467f4b254e6d0", 689969},
 		"nda-only-nrm2": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			"9f78c18287519d57d66e71166ad7d37239d6ed49cc1fa420c42566f5f51bc6bc", 9802},
+			"09adc3c41091a465723fde3e2a2af81ec4f75203a9a5a3e90ff938eff5408705", 9802},
 		"nda-only-copy-stochastic": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			"cf41f89a4c43bfff9828688d7a364ef5ebba401bba998748a9aac61f0fbe4bba", 14253},
-		"mixed-mix1-dot": {"f0b5868060c804188d71ea46c623fa3b85c03d20c8f71b2e5a45412fd4424182",
-			"feb78d11f76e893f5ce651361fece2546c71c9a69c2555d49ca3f130bdafe958", 733727},
-		"mixed-mix3-copy-shared": {"32eb41cbc51cc6755835509239013de281e5643054f1908d2049ce4c8c3dd14f",
-			"ae9f38667ede4125e83a02abbec42ce5eecc9eaa80e6fbdde814ea713c8afad9", 757922},
+			"09cb23f677e02d147d771be1aaa106619866f22b9daa2fce3abc808af132ae18", 14253},
+		"mixed-mix1-dot": {"8aa5c770bd4c8078f7738ebc5ccaad72a58608c957eee95d10e9cf348bc39008",
+			"295be87dbb5b95e5ef49ef3bc7f0ee6558d4eb94dbf1f45c41dc5046f564a65a", 709835},
+		"mixed-mix3-copy-shared": {"5b65e23b7a431181c23b8d54e3c19d05837c0c03a5128c9be1dc0b17ec13a3b6",
+			"83a83dea8d2d5f729e670c7ad2f17f461ea574ce0989983357e5f1bc9c16a203", 734872},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

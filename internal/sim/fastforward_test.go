@@ -134,11 +134,11 @@ func ffWorkloads() []ffWorkload {
 			return a.Iterate, nil
 		},
 	}
-	// Compute-heavy shapes for the PR 5 window-batched retirement path:
-	// high-IPC cache-resident cores whose issue groups are mostly free of
-	// memory instructions (goldens pinned from the pre-refactor tree).
-	// The mixed variant layers NDA COPY traffic over the compute cores so
-	// batched windows interleave with fills, launches, and writebacks.
+	// Compute-heavy shapes: high-IPC cache-resident cores whose issue
+	// groups are mostly plain runs (goldens pinned from the
+	// instruction-at-a-time core). The mixed variant layers NDA COPY
+	// traffic over the compute cores so those runs interleave with
+	// fills, launches, and writebacks.
 	computeHeavy := ffWorkload{name: "host-compute-heavy", cfg: hostProfiles(workload.ComputeHeavy())}
 	mixedCompute := ffWorkload{
 		name: "mixed-compute-copy",

@@ -87,9 +87,9 @@ var goldenWant = map[string]string{
 	"host-store-heavy":       "ipc=0.6050669746651267 blocks=0 busy=39835 rd=11195 wr=0 ndard=0 ndawr=0",
 	"host-lsq-saturating":    "ipc=0.4121079394603027 blocks=0 busy=40267 rd=11277 wr=0 ndard=0 ndawr=0",
 	"mixed-stall-heavy-copy": "ipc=0.14947425262873687 blocks=4345 busy=36885 rd=10233 wr=4 ndard=2775 ndawr=2617",
-	// Compute-heavy shapes for the PR 5 window-batched retirement path,
-	// pinned from the pre-refactor instruction-at-a-time tree: the
-	// batched path must reproduce these bits exactly on both drive paths.
+	// Compute-heavy shapes, pinned from the instruction-at-a-time core:
+	// the run-length ROB, whose plain runs these groups are mostly made
+	// of, must reproduce these bits exactly on both drive paths.
 	"host-compute-heavy": "ipc=4.083684581577092 blocks=0 busy=15519 rd=4741 wr=0 ndard=0 ndawr=0",
 	"mixed-compute-copy": "ipc=4.06200968995155 blocks=6421 busy=15440 rd=4744 wr=4 ndard=4260 ndawr=3981",
 }

@@ -7,7 +7,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -62,16 +61,6 @@ type Config struct {
 	// ModelLaunches models control-register launch packets.
 	ModelLaunches bool
 
-	// ProfileDomains enables cheap per-domain phase-span counters on the
-	// fast path: every executed tick's per-channel memory phase and
-	// front end (commit, runtime, CPU-credit loop) record their
-	// wall-clock span into power-of-two-nanosecond histograms
-	// (PhaseSpans), showing whether a workload's time goes to one hot
-	// channel or to the front end. Observation only (pinned by
-	// TestProfileDomainsNeutral). Off by default: the tick loop then
-	// pays a single nil check per phase.
-	ProfileDomains bool
-
 	Seed int64
 
 	// CheckInvariants validates cross-layer conservation invariants at
@@ -111,55 +100,6 @@ type Config struct {
 	// by snapshots, fingerprints, and cache keys.
 	Cancel *atomic.Bool
 }
-
-// PhaseSpans is the domain-phase profiling result (Config.
-// ProfileDomains): per-channel memory-phase tick-span histograms and
-// front-end span histograms. Bucket i counts spans in [2^(i-1), 2^i)
-// nanoseconds. Front covers the whole post-memory-phase tick portion
-// (commit + runtime + CPU window) per executed tick.
-type PhaseSpans struct {
-	Domains [][]int64 // [channel][bucket]
-	Front   []int64   // commit + runtime + CPU phases, per tick
-}
-
-// phaseBuckets bounds the histograms: 2^24 ns ≈ 16 ms per tick-phase,
-// far beyond any real span.
-const phaseBuckets = 25
-
-// bucketNS files a span into its power-of-two bucket.
-func bucketNS(d time.Duration) int {
-	b := bits.Len64(uint64(d.Nanoseconds()))
-	if b >= phaseBuckets {
-		b = phaseBuckets - 1
-	}
-	return b
-}
-
-// Merge accumulates o into p, growing the domain list as needed (the
-// experiment runner merges points with differing channel counts).
-func (p *PhaseSpans) Merge(o *PhaseSpans) {
-	if o == nil {
-		return
-	}
-	for len(p.Domains) < len(o.Domains) {
-		p.Domains = append(p.Domains, make([]int64, phaseBuckets))
-	}
-	if p.Front == nil {
-		p.Front = make([]int64, phaseBuckets)
-	}
-	for d, hist := range o.Domains {
-		for b, n := range hist {
-			p.Domains[d][b] += n
-		}
-	}
-	for b, n := range o.Front {
-		p.Front[b] += n
-	}
-}
-
-// PhaseSpans returns the accumulated phase-span histograms, or nil when
-// the system was built without Config.ProfileDomains.
-func (s *System) PhaseSpans() *PhaseSpans { return s.prof }
 
 // Default returns the paper's baseline configuration running the given
 // mix with bank partitioning enabled.
@@ -219,10 +159,6 @@ type System struct {
 	// phase of the cycle), which the pinned counters depend on
 	// (DESIGN.md §2.5).
 	doms []domain
-
-	// prof collects phase-span histograms when Config.ProfileDomains is
-	// set (nil otherwise; see PhaseSpans).
-	prof *PhaseSpans
 
 	// robust holds the watchdog/deadline bookkeeping (robust.go); not
 	// part of checkpointed state.
@@ -322,12 +258,6 @@ func New(cfg Config) (*System, error) {
 	s.retiredAtMeas = make([]int64, len(s.Cores))
 	s.coreDue = make([]bool, len(s.Cores))
 	s.coreEpoch = make([]uint64, len(s.Cores))
-	if cfg.ProfileDomains {
-		s.prof = &PhaseSpans{Front: make([]int64, phaseBuckets)}
-		for range s.MCs {
-			s.prof.Domains = append(s.prof.Domains, make([]int64, phaseBuckets))
-		}
-	}
 	s.doms = make([]domain, len(s.MCs))
 	for d := range s.doms {
 		dom := &s.doms[d]
@@ -529,17 +459,6 @@ func (s *System) skipIdle(k int64) {
 //     channel's controller and timing state, and cross-channel effects
 //     are mailboxed until commit.
 func (s *System) domainTick(d int, now int64) {
-	if s.prof != nil {
-		t0 := time.Now()
-		s.domainTickBody(d, now)
-		s.prof.Domains[d][bucketNS(time.Since(t0))]++
-		return
-	}
-	s.domainTickBody(d, now)
-}
-
-// domainTickBody is domainTick minus the optional span measurement.
-func (s *System) domainTickBody(d int, now int64) {
 	if c := s.MCs[d]; !c.Idle() && c.NextEvent(now) <= now {
 		c.Tick(now)
 	} else {
@@ -558,12 +477,6 @@ func (s *System) tickDue() {
 	now := s.dramCycle
 	for d := range s.doms {
 		s.domainTick(d, now)
-	}
-	// Front-end span (Config.ProfileDomains): everything after the
-	// memory phase — commit, runtime, and the CPU-credit loop.
-	var profT0 time.Time
-	if s.prof != nil {
-		profT0 = time.Now()
 	}
 	s.commit()
 	if s.RT.NextEvent(now) <= now {
@@ -621,9 +534,6 @@ func (s *System) tickDue() {
 			}
 			s.cpuCycle = cEnd
 			s.dramCycle++
-			if s.prof != nil {
-				s.prof.Front[bucketNS(time.Since(profT0))]++
-			}
 			return
 		}
 	}
@@ -652,9 +562,6 @@ func (s *System) tickDue() {
 	}
 	s.cpuCycle = cEnd
 	s.dramCycle++
-	if s.prof != nil {
-		s.prof.Front[bucketNS(time.Since(profT0))]++
-	}
 }
 
 // StepFast advances the system to its next event (clamped to limit) and

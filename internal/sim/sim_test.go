@@ -186,44 +186,3 @@ func TestAsyncMacroOp(t *testing.T) {
 		t.Errorf("macro op used %d launches, want %d", s.RT.Launches, want)
 	}
 }
-
-// TestProfileDomainsNeutral pins that enabling the phase-span profiler
-// changes no observable behavior — counters bit-identical to an
-// unprofiled run — while actually recording spans for every executed
-// tick's memory phases and front end.
-func TestProfileDomainsNeutral(t *testing.T) {
-	run := func(profile bool) (*System, string) {
-		cfg := Default(1)
-		cfg.ProfileDomains = profile
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.RunFast(30_000)
-		return s, snapshot(s)
-	}
-	plain, wantSnap := run(false)
-	prof, gotSnap := run(true)
-	if wantSnap != gotSnap {
-		t.Fatalf("profiling changed behavior:\n off: %s\n on:  %s", wantSnap, gotSnap)
-	}
-	if plain.PhaseSpans() != nil {
-		t.Fatal("unprofiled system reports spans")
-	}
-	p := prof.PhaseSpans()
-	if p == nil || len(p.Domains) != len(prof.MCs) {
-		t.Fatalf("profiled system spans missing: %+v", p)
-	}
-	var mem, front int64
-	for _, hist := range p.Domains {
-		for _, n := range hist {
-			mem += n
-		}
-	}
-	for _, n := range p.Front {
-		front += n
-	}
-	if mem == 0 || front == 0 {
-		t.Fatalf("no spans recorded: memory=%d front=%d", mem, front)
-	}
-}

@@ -119,8 +119,8 @@ func (s *System) SnapshotWithRoots(roots []*ndart.Handle) (*Checkpoint, []int, e
 
 // Restore overwrites the system's state with the checkpoint. The system
 // must have been built from the same Config the checkpointed system was
-// (ProfileDomains and the robustness knobs may differ — they do not
-// affect simulated state). Continuing a restored system is bit-identical to
+// (the invariant checker and the robustness knobs may differ — they do
+// not affect simulated state). Continuing a restored system is bit-identical to
 // continuing the original, on both the reference and fast paths.
 func (s *System) Restore(ck *Checkpoint) {
 	st := &ck.st

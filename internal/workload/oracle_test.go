@@ -110,6 +110,45 @@ func TestGeneratorMatchesMathRandOracle(t *testing.T) {
 	}
 }
 
+// TestGeneratorNextRunMatchesOracle checks NextRun against the oracle's
+// per-instruction stream under random max in [1, 8]: every plain count
+// and stopping instruction, and after each call the same draw count as
+// a generator that made the same instructions through Next.
+func TestGeneratorNextRunMatchesOracle(t *testing.T) {
+	const n = 100_000
+	const base, size = 1 << 32, 64 << 20
+	pick := rand.New(rand.NewSource(3))
+	for i, p := range oracleProfiles() {
+		seed := int64(1000 + i)
+		g, byNext := NewGenerator(p, base, size, seed), NewGenerator(p, base, size, seed)
+		o := newOracleGen(p, base, size, seed)
+		plain := cpu.Instr{}
+		for k := 0; k < n; {
+			limit := 1 + pick.Intn(8)
+			got, stop, ok := g.NextRun(limit)
+			for j := 0; j < got; j++ {
+				byNext.Next()
+				if want := o.next(); want != plain {
+					t.Fatalf("%s instruction #%d: NextRun counted it plain, oracle %+v", p.Name, k+j, want)
+				}
+			}
+			k += got
+			if ok {
+				byNext.Next()
+				if want := o.next(); stop != want || !(stop.Mem || stop.Serialize) {
+					t.Fatalf("%s instruction #%d: NextRun stopped at %+v, oracle %+v", p.Name, k, stop, want)
+				}
+				k++
+			} else if got != limit {
+				t.Fatalf("%s: NextRun(%d) returned %d plain and no stop", p.Name, limit, got)
+			}
+			if g.src.Draws() != byNext.src.Draws() {
+				t.Fatalf("%s after instruction #%d: NextRun made %d draws, Next %d", p.Name, k, g.src.Draws(), byNext.src.Draws())
+			}
+		}
+	}
+}
+
 // TestGeneratorRestoreContinuesStream checks a generator restored from a
 // snapshot continues exactly where the snapshotted one did.
 func TestGeneratorRestoreContinuesStream(t *testing.T) {

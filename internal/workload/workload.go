@@ -165,6 +165,29 @@ func (g *Generator) Next() cpu.Instr {
 	if !g.src.Below(g.memCut) {
 		return cpu.Instr{Serialize: ser}
 	}
+	return g.memInstr(ser)
+}
+
+// NextRun implements cpu.TraceSource: it makes exactly Next's draws for
+// each instruction it consumes, and consumes none past the max-th plain
+// one, so a core interleaving NextRun and Next sees one stream.
+func (g *Generator) NextRun(max int) (plain int, stop cpu.Instr, ok bool) {
+	for plain < max {
+		ser := g.src.Below(g.serCut)
+		if g.src.Below(g.memCut) {
+			return plain, g.memInstr(ser), true
+		}
+		if ser {
+			return plain, cpu.Instr{Serialize: true}, true
+		}
+		plain++
+	}
+	return plain, cpu.Instr{}, false
+}
+
+// memInstr draws the tail of a memory instruction: stream or random
+// offset, then the store coin.
+func (g *Generator) memInstr(ser bool) cpu.Instr {
 	var off uint64
 	if g.src.Below(g.streamCut) {
 		i := g.src.Intn(len(g.streams))
@@ -248,9 +271,9 @@ func StallHeavy() Profile {
 // 256 KiB L2 after warm-up, MemRatio 0.04 makes most width-8 issue
 // groups free of memory instructions, and DepFrac 0.1 keeps dependency
 // chains long enough that issue runs near full width (per-core IPC in
-// the 5-6 range) — the shape that maximizes the compute-bound windows
-// the batched-retirement path can collapse, while still touching memory
-// often enough to exercise the batch/issue boundary.
+// the 5-6 range) — the shape whose issue groups are mostly long plain
+// runs, which the core issues and retires a run at a time, while still
+// touching memory often enough to split runs at memory instructions.
 func ComputeHeavy() Profile {
 	return Profile{Name: "compute_heavy", Class: Low, MemRatio: 0.04, WriteFrac: 0.2,
 		Footprint: 160 << 10, StreamFrac: 0.6, Streams: 2, DepFrac: 0.1}

@@ -142,3 +142,17 @@ func BenchmarkGeneratorNext(b *testing.B) {
 		})
 	}
 }
+
+func BenchmarkGeneratorNextRun(b *testing.B) {
+	for _, p := range []Profile{ComputeHeavy(), Profiles["mcf_r"]} {
+		b.Run(p.Name, func(b *testing.B) {
+			g := NewGenerator(p, 0, 1<<30, 1)
+			b.ReportAllocs()
+			var sink cpu.Instr
+			for i := 0; i < b.N; i++ {
+				_, sink, _ = g.NextRun(8)
+			}
+			_ = sink
+		})
+	}
+}
