@@ -361,34 +361,6 @@ func BenchmarkFig11BankPartitioning(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11Sampled regenerates Figure 11 in SMARTS-style sampled
-// mode with a production-shaped schedule (165k cycles per point: 1k
-// detailed prime, then 8 windows of 20k fast-forward, 200 warm-up, 300
-// measured — the default schedule's FF length with a trimmed detailed
-// fraction). It reports sim-cycles-per-op so scripts/bench.sh can gate
-// simulation THROUGHPUT — ns per simulated cycle, the standard sampled-
-// simulation speedup metric — against BenchmarkFig11BankPartitioning's
-// exact 45k-cycle points at >=10x. A matched-span ns/op ratio would
-// understate the win: the whole point of sampling is that long spans
-// cost almost nothing beyond their detailed windows, so the benchmark
-// covers 3.7x the exact span and still finishes several times sooner.
-func BenchmarkFig11Sampled(b *testing.B) {
-	opt := benchOptions()
-	opt.Sampled = true
-	opt.Sample = sim.SampleConfig{Windows: 8, Detail: 300, Warmup: 200, FF: 20000, Prime: 1000}
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig11(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := rows[len(rows)-1]
-		if r.SharedDOT.NDAUtil > 0 {
-			b.ReportMetric(r.PartDOT.NDAUtil/r.SharedDOT.NDAUtil, "partitioning-DOT-gain")
-		}
-		b.ReportMetric(float64(opt.Sample.TotalCycles()), "sim-cycles")
-	}
-}
-
 // BenchmarkFig12WriteThrottling regenerates Figure 12: the write-issue
 // policy comparison under the write-intensive COPY.
 func BenchmarkFig12WriteThrottling(b *testing.B) {

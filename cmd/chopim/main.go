@@ -87,7 +87,8 @@ func run() (code int) {
 			code = 3
 		}
 	}()
-	quick := flag.Bool("quick", false, "reduced simulation budget")
+	quick := flag.Bool("quick", false,
+		"smoke budget (5k warm-up + 40k measured cycles): sees no LLC write-back, so its numbers support no claim")
 	warm := flag.Int64("warm", 0, "warm-up cycles (0 = default)")
 	measure := flag.Int64("measure", 0, "measurement cycles (0 = default)")
 	parallel := flag.Int("parallel", -1, "workers for independent simulation points (-1 = all CPUs, 1 = serial)")
@@ -113,14 +114,6 @@ func run() (code int) {
 		"cycles between durable mid-point checkpoints of each in-flight simulation (0 = off; requires -checkpoint DIR)")
 	onInterrupt := flag.String("on-interrupt", "checkpoint",
 		"first SIGINT/SIGTERM behavior: checkpoint (cancel points at a quiescent boundary and persist them), drain (finish in-flight points, admit no more), abort (exit immediately)")
-	sampled := flag.Bool("sampled", false,
-		"SMARTS-style sampled execution: short detailed windows separated by functional fast-forward, reporting per-window means (approximate; see DESIGN.md §2.11)")
-	sampleWindows := flag.Int("sample-windows", 0,
-		"sampled mode: measured detailed windows per point (0 = default 8; implies -sampled)")
-	sampleDetail := flag.Int64("sample-detail", 0,
-		"sampled mode: measured cycles per window (0 = default 1000; implies -sampled)")
-	sampleFF := flag.Int64("sample-ff", 0,
-		"sampled mode: functionally fast-forwarded cycles between windows (0 = default 20000; implies -sampled)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: chopim [flags] <fig2|fig10|fig11|fig12|fig13|fig14|fig15a|fig15b|power|config|all>\n")
 		flag.PrintDefaults()
@@ -200,15 +193,6 @@ func run() (code int) {
 		}
 	}
 	opt.CheckpointEvery = *ckptEvery
-	if *sampleWindows > 0 || *sampleDetail > 0 || *sampleFF > 0 {
-		*sampled = true
-	}
-	if *sampled {
-		opt.Sampled = true
-		opt.Sample.Windows = *sampleWindows
-		opt.Sample.Detail = *sampleDetail
-		opt.Sample.FF = *sampleFF
-	}
 	cancel := &experiments.Canceler{}
 	opt.Cancel = cancel
 	var interrupted atomic.Bool

@@ -201,8 +201,8 @@ func (c *Cache) Insert(block uint64, dirty bool) (victim uint64, victimDirty boo
 	return 0, false
 }
 
-// ValidLines counts resident lines (the warm-state fidelity metric the
-// sampled-mode fuzz compares between functional and exact warming).
+// ValidLines counts resident lines. The packed-cache oracle test
+// compares it against the reference cache's count after every step.
 func (c *Cache) ValidLines() int {
 	n := 0
 	for _, t := range c.tags {

@@ -357,43 +357,6 @@ func (h *Hierarchy) writeback(block uint64) {
 	h.backend.EnqueueWrite(block * uint64(h.cfg.L1.BlockBytes))
 }
 
-// WarmAccess performs one access at functional fidelity for sampled-
-// mode fast-forward (DESIGN.md §2.11). It maintains the long-lived
-// shared state — LLC tags, LRU order, dirty bits — instantly: no MSHR
-// is allocated, no latency accrues, and nothing reaches the backend.
-// Dirty victims the exact path would have written back are handed to
-// sink instead (nil drops them), so the caller can warm DRAM row-buffer
-// state without bloating controller write queues mid-jump. The private
-// L1/L2 are deliberately NOT warmed (the SMARTS compromise): their
-// residency is hundreds of lines, so each window's detailed warm-up
-// re-trains them from the warm LLC in well under the warm-up budget,
-// and skipping the per-access three-level lookup/fill cascade is what
-// makes fast-forward cheap enough to pay off. Blocks with in-flight
-// MSHRs may be warm-filled early; the eventual onFill re-insert is an
-// in-place LRU refresh, so the frozen miss completes harmlessly in the
-// next detailed window. The stride prefetcher is deliberately not
-// trained (its state is timing-coupled) and ver is not advanced per
-// access — callers invalidate the probe epoch once per jump via
-// AdvanceVer. Reports whether the access hit in the LLC (fidelity
-// statistics; a warm "miss" is what touches DRAM row state).
-func (h *Hierarchy) WarmAccess(core int, addr uint64, write bool, sink func(addr uint64)) bool {
-	b := h.block(addr)
-	if h.llc.Lookup(b, write) {
-		return true
-	}
-	if v, vd := h.llc.Insert(b, write); vd && sink != nil {
-		sink(v * uint64(h.cfg.L1.BlockBytes))
-	}
-	return false
-}
-
-// AdvanceVer advances the mutation counter. The fast-forward jump calls
-// it once after warming: warm accesses move cache content without
-// touching ver (no core is probing mid-jump), so the epoch a
-// probe-stalled core stashed before the jump must be invalidated before
-// detailed execution resumes.
-func (h *Hierarchy) AdvanceVer() { h.ver++ }
-
 // maybePrefetch trains the per-core stride detector on LLC demand misses
 // and issues prefetches when confident.
 func (h *Hierarchy) maybePrefetch(core int, addr uint64) {

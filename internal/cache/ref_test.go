@@ -142,8 +142,7 @@ func (c *refCache) Insert(block uint64, dirty bool) (victim uint64, victimDirty 
 	return 0, false
 }
 
-// ValidLines counts resident lines (the warm-state fidelity metric the
-// sampled-mode fuzz compares between functional and exact warming).
+// ValidLines counts resident lines, mirroring Cache.ValidLines.
 func (c *refCache) ValidLines() int {
 	n := 0
 	for i := range c.lines {

@@ -37,15 +37,6 @@ type TraceSource interface {
 	NextRun(max int) (plain int, stop Instr, ok bool)
 }
 
-// FunctionalSource is an optional TraceSource extension: NextFunctional
-// draws the next instruction from the same distribution as Next through
-// a cheaper RNG recipe, for sampled-mode fast-forward where millions of
-// instructions retire purely to warm microarchitectural state. Sources
-// without it fall back to Next.
-type FunctionalSource interface {
-	NextFunctional() Instr
-}
-
 // Config sizes one core.
 type Config struct {
 	Width   int // issue and retire width
@@ -175,37 +166,6 @@ func (c *Core) WakeCycle() int64 { return c.wake }
 // nothing, and either retries a side-effect-free probe or cannot issue
 // at all — so bulk-adding the cycle count reproduces it bit-exactly.
 func (c *Core) SkipCycles(k int64) { c.Cycles += k }
-
-// RetireFunctional retires n instructions at functional fidelity for
-// sampled-mode fast-forward (DESIGN.md §2.11). Instructions are drawn
-// in exact trace order, counted into Retired, and memory instructions are handed to warm
-// (nil to drop) instead of entering the ROB/LSQ. Cycles do not advance
-// here; the caller accounts the jump via SkipCycles. Everything
-// in-flight is left frozen: ROB occupancy, outstanding misses (their
-// fills complete during the next detailed window), and a parked
-// stalled instruction, which retries when detailed execution resumes.
-// Returns the number of memory instructions drawn, for warm-traffic
-// accounting.
-func (c *Core) RetireFunctional(n int64, warm func(addr uint64, write bool)) int64 {
-	fs, _ := c.trace.(FunctionalSource)
-	var mem int64
-	for i := int64(0); i < n; i++ {
-		var in Instr
-		if fs == nil {
-			in = c.trace.Next()
-		} else {
-			in = fs.NextFunctional()
-		}
-		if in.Mem {
-			mem++
-			if warm != nil {
-				warm(in.Addr, in.Write)
-			}
-		}
-	}
-	c.Retired += n
-	return mem
-}
 
 // Tick advances the core by one CPU cycle.
 func (c *Core) Tick(now int64) {

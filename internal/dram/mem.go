@@ -286,14 +286,17 @@ func (m *Mem) OpenRow(a Addr) (row int, open bool) {
 	return b.Row, b.Open
 }
 
-// WarmOpen sets the addressed bank's row state — open at a.Row — at
-// functional fidelity, modeling the activation the exact path would
-// have performed for this access during a sampled-mode fast-forward
-// jump (DESIGN.md §2.11). Timing horizons are left alone: the jump
-// lands past every pre-jump horizon, so they are already dead. The
-// rank's stamp advances and the bank is logged as a row change, so every cached scheduler conclusion derived
-// from the old row state (per-bank horizon caches, mc calendar keys,
-// NDA sleep bounds) is invalidated before detailed execution resumes.
+// WarmOpen sets the addressed bank's row state — open at a.Row —
+// without issuing a command: an out-of-band row change. Timing horizons
+// are left alone. The rank's stamp advances and the bank is logged as a
+// row change, so every cached scheduler conclusion derived from the old
+// row state (per-bank horizon caches, mc calendar keys) must be
+// revalidated. No simulation path calls it. The mc calendar and memo
+// equivalence tests use it to inject such a change, and a burst of more
+// than RowLogLen of them to force the row-log overflow resync. That
+// resync stays reachable in production: the log can wrap during a long
+// idle stretch, and a device restored behind the queue forces it too
+// (see mc calSync).
 func (m *Mem) WarmOpen(a Addr) {
 	m.checkAddr(a)
 	rk := m.rank(a)
@@ -303,24 +306,6 @@ func (m *Mem) WarmOpen(a Addr) {
 	b.Row = a.Row
 	rk.Stamp++
 	m.channels[a.Channel].logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
-}
-
-// OpenBanks counts banks currently holding an open row, across all
-// channels and ranks. A coarse row-state summary for warm-state
-// fidelity checks of the sampled fast-forward path.
-func (m *Mem) OpenBanks() int {
-	n := 0
-	for c := range m.channels {
-		for r := range m.channels[c].Ranks {
-			banks := m.channels[c].Ranks[r].Banks
-			for b := range banks {
-				if banks[b].Open {
-					n++
-				}
-			}
-		}
-	}
-	return n
 }
 
 // RankDataBusyUntil returns the cycle at which the rank's data path is free.

@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"chopim/internal/atomicio"
-	"chopim/internal/sim"
 )
 
 // cacheSchema names the simulation-model version baked into every cache
@@ -41,9 +40,7 @@ func (o Options) cacheKey(fig string) string {
 		MeasureCycles int64
 		Quick         bool
 		CycleByCycle  bool
-		Sampled       bool
-		Sample        sim.SampleConfig
-	}{cacheSchema, fig, o.WarmCycles, o.MeasureCycles, o.Quick, o.CycleByCycle, o.Sampled, o.Sample}
+	}{cacheSchema, fig, o.WarmCycles, o.MeasureCycles, o.Quick, o.CycleByCycle}
 	b, err := json.Marshal(k)
 	if err != nil {
 		panic("experiments: cache key not marshalable: " + err.Error())

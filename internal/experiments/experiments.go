@@ -31,20 +31,6 @@ type Options struct {
 	Parallel      int
 	CycleByCycle  bool
 
-	// Sampled switches every measurement point to SMARTS-style sampled
-	// execution (sim.System.RunSampled, DESIGN.md §2.11): short detailed
-	// windows separated by functional fast-forward, with metrics
-	// reported as per-window means. Sample is the schedule; zero fields
-	// take the sim defaults. WarmCycles and MeasureCycles are ignored on
-	// sampled points — the schedule's prime segment is the warm-up and
-	// its windows are the measurement — as are the mid-point checkpoint
-	// and warm-pool machinery (sampled points are cheap by
-	// construction). Mutually exclusive with CycleByCycle; the figure
-	// cache keys on both the flag and the schedule, so sampled rows
-	// never satisfy exact lookups.
-	Sampled bool
-	Sample  sim.SampleConfig
-
 	// CacheDir, when set, enables the content-addressed figure result
 	// cache: each figure's rows are stored under a hash of the model
 	// version and the behavior-selecting options, and a later run with
@@ -157,14 +143,19 @@ func warmPoolKey(cfg sim.Config, warm int64) (string, bool) {
 	return hex.EncodeToString(sum[:]), true
 }
 
-// DefaultOptions returns the full-fidelity budget. Warm-up must be long
-// enough to fill the 8 MiB LLC so steady-state hit rates and writeback
-// traffic are established before measurement.
+// DefaultOptions returns the full budget: 250k warm-up and 400k
+// measured DRAM cycles. The warm-up does not reach steady state. The
+// 8 MiB LLC fills with dirty lines before it writes any back, so host
+// IPC keeps falling until ~600k cycles and the measured window spans
+// the tail of that write-back ramp (ROADMAP.md item 1).
 func DefaultOptions() Options {
 	return Options{WarmCycles: 250_000, MeasureCycles: 400_000}
 }
 
-// QuickOptions returns a reduced budget for tests.
+// QuickOptions returns a smoke budget for tests: 5k warm-up and 40k
+// measured cycles. It ends before the LLC writes anything back, so its
+// host numbers are far from steady state and support no claim about
+// the paper's figures.
 func QuickOptions() Options {
 	return Options{WarmCycles: 5_000, MeasureCycles: 40_000, Quick: true}
 }
@@ -188,9 +179,6 @@ type launcher func() (*ndart.Handle, error)
 // measureConcurrent drives a system with an optional NDA relaunch loop
 // through warm-up and measurement.
 func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) {
-	if opt.Sampled {
-		return measureSampled(s, it, opt)
-	}
 	var h *ndart.Handle
 	var err error
 	relaunch := func() error {
@@ -349,53 +337,6 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 	// so the mid-point file has nothing left to resume.
 	ckpt.remove()
 	return finalize(), nil
-}
-
-// measureSampled is measureConcurrent's sampled-execution twin: it
-// drives the point through sim.RunSampled and maps the per-window means
-// onto the exact path's Result shape, so every figure renders sampled
-// rows without change. NDA work relaunches at window boundaries — the
-// schedule's only quiescent points — rather than cycle-exactly, one of
-// the sampled mode's documented approximations. NDABlocks and HostBusy
-// are whole-run totals (blocks include functionally-drained work; busy
-// cycles accumulate only in detailed segments), kept for rough scale,
-// not cross-mode comparison.
-func measureSampled(s *sim.System, it launcher, opt Options) (Result, error) {
-	if opt.CycleByCycle {
-		return Result{}, fmt.Errorf("experiments: Sampled and CycleByCycle are mutually exclusive")
-	}
-	var h *ndart.Handle
-	relaunch := func() error {
-		if it == nil {
-			return nil
-		}
-		if h == nil || h.Done() {
-			var err error
-			if h, err = it(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := relaunch(); err != nil {
-		return Result{}, err
-	}
-	res, err := s.RunSampledFunc(opt.Sample, func(int) error { return relaunch() })
-	if err != nil {
-		return Result{}, err
-	}
-	for _, c := range s.MCs {
-		c.FinalizeStats(s.Now())
-	}
-	return Result{
-		HostIPC:   res.HostIPC.Mean,
-		NDAUtil:   res.NDAUtil.Mean,
-		NDABWGBs:  res.NDABWGBs.Mean,
-		HostBWGBs: res.HostBWGBs.Mean,
-		NDABlocks: s.NDABlocks(),
-		HostBusy:  s.HostBusyCycles(),
-		Cycles:    res.TotalCycles,
-	}, nil
 }
 
 // microVectorElems returns a Private vector length giving each rank

@@ -238,9 +238,8 @@ func (q *reqQueue) calAdvance(now int64) {
 // revalidation a few cycles early when their old key comes due (the
 // scan re-files them at the fresh horizon). When the log no longer
 // covers the span since the last sync (it wrapped during a long idle
-// stretch or a sampled-mode jump, or the device was restored behind
-// the queue, which wraps the unsigned distance), every occupied bank is
-// parked. A queue rebuilt by Restore needs no such signal: every push
+// stretch, or the device was restored behind the queue, which wraps
+// the unsigned distance), every occupied bank is parked. A queue rebuilt by Restore needs no such signal: every push
 // parks its bank, so all of them start out ready. After calSync,
 // every bank outside the ready region provably has no candidate ready
 // at or before its key (the lower-bound invariant at the head of this

@@ -19,7 +19,7 @@ type calCase struct {
 	// host-occupied banks, half the time on the host's own row).
 	hostBanks bool
 	// warmBurst periodically opens more banks than the row log holds
-	// (dram.Mem.WarmOpen, as a sampled-mode jump does) between two scans
+	// (dram.Mem.WarmOpen, an out-of-band row change) between two scans
 	// of both queues, forcing the log-overflow full resync.
 	warmBurst bool
 	// restore periodically rebuilds the calendar controller from its own
@@ -464,8 +464,8 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 			t.Fatal("row change on an unqueued bank revalidated bank B's entry")
 		}
 
-		// A row change on A itself — a warm open at the host's row, as a
-		// sampled-mode jump performs — makes A's read a row hit ready
+		// A row change on A itself — an out-of-band open at the host's
+		// row — makes A's read a row hit ready
 		// now, long before A's bucket key. The sync must park exactly A,
 		// leave B bucketed, and the controller must issue A's read now.
 		now++

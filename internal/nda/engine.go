@@ -265,12 +265,6 @@ func (e *Engine) SetCompletionSink(ch int, sink func(done func(int64), at int64)
 	}
 }
 
-// RankBusy reports whether the rank's NDA has queued work.
-func (e *Engine) RankBusy(channel, rank int) bool {
-	n := e.Ranks[channel][rank]
-	return len(n.fsm.ops) > 0 || n.fsm.wb.Len() > 0
-}
-
 // ChannelNextEvent returns the earliest DRAM cycle >= now at which any
 // of one channel's rank NDAs can issue a command or mutate observable
 // state, assuming no host command targets a busy rank before then (the
@@ -386,118 +380,6 @@ func (n *RankNDA) accessEvent(col dram.Command, a dram.Addr, now int64) (int64, 
 		return n.mem.NextIssue(dram.CmdPRE, a, now, true), false
 	}
 	return n.mem.NextIssue(dram.CmdACT, a, now, true), false
-}
-
-// MarkAllStale invalidates every rank's cached sleep bound. The
-// sampled-mode fast-forward jump calls it after functionally advancing
-// FSMs and warming row state: the cached bounds were derived from
-// pre-jump timing and queue state and must be re-derived before any
-// ChannelNextEvent query trusts them (mirrors what Restore does per
-// rank).
-func (e *Engine) MarkAllStale() {
-	for _, row := range e.Ranks {
-		for _, n := range row {
-			n.sleepStale = true
-		}
-	}
-}
-
-// DrainFunctional advances one rank's NDA by up to maxBlocks blocks of
-// work at functional fidelity for sampled-mode fast-forward (DESIGN.md
-// §2.11). Work retires in exact FSM order — reads, batch-boundary
-// result-write emission, buffer drains, op completion — but without
-// timing checks, policy throttles, or RNG draws: determinism across
-// runs and worker counts requires the functional path to consume no
-// randomness, and policy effects are timing artifacts the detailed
-// windows re-measure. Row-buffer state warms through dram.Mem.WarmOpen
-// exactly where the exact path would have activated, and the
-// BlocksRead/BlocksWritten/RowActs counters advance so bandwidth
-// accounting stays meaningful. Completion callbacks fire at cycle now
-// (the post-jump cycle), through the completion sink when installed —
-// the caller must flush its commit phase afterwards. Returns the
-// blocks processed (< maxBlocks only when the rank ran dry).
-//
-// Incompatible with the FSM-verification replica: the replica predicts
-// from timing state the functional path does not advance, so it would
-// diverge in the next detailed window. RunSampled rejects VerifyFSM
-// configurations; reaching here with a replica armed panics.
-func (e *Engine) DrainFunctional(channel, rank, maxBlocks int, now int64) int {
-	n := e.Ranks[channel][rank]
-	if n.replica != nil {
-		panic("nda: DrainFunctional with the VerifyFSM replica armed")
-	}
-	f := &n.fsm
-	done := 0
-	for done < maxBlocks {
-		if len(f.ops) == 0 && f.wb.Len() == 0 {
-			break
-		}
-		wantWrite := false
-		switch {
-		case f.wb.Len() >= n.cfg.WriteBufCap:
-			f.draining = true
-			wantWrite = true
-		case f.draining && f.wb.Len() > 0:
-			wantWrite = true
-		case f.wb.Len() > 0 && (len(f.ops) == 0 || f.ops[0].exhausted):
-			f.draining = true
-			wantWrite = true
-		default:
-			f.draining = false
-		}
-		if wantWrite {
-			front := f.wb.Front()
-			n.warmRow(f, front.addr)
-			f.wb.Pop()
-			f.stats.BlocksWritten++
-			front.owner.pendingWr--
-			n.maybeComplete(f, front.owner, now)
-			done++
-			continue
-		}
-		op := f.ops[0]
-		if op.Kind.WritesResult() && f.wb.Len() > n.cfg.WriteBufCap-BatchBlocks {
-			f.draining = true // backpressure: next iteration drains
-			continue
-		}
-		a, ok := op.nextRead()
-		if !ok {
-			// All reads done: flush remaining result writes (drained by
-			// subsequent iterations) or complete the op outright.
-			n.emitWrites(f, op, BatchBlocks)
-			if op.pendingWr == 0 {
-				n.maybeComplete(f, op, now)
-			}
-			continue
-		}
-		n.warmRow(f, a)
-		f.stats.BlocksRead++
-		f.readsRun++
-		if f.readsRun >= op.batchReads() {
-			f.readsRun = 0
-			n.emitWrites(f, op, BatchBlocks)
-		}
-		done++
-	}
-	if done > 0 {
-		n.sleepStale = true
-	}
-	return done
-}
-
-// warmRow opens the bank row a functional access targets, accounting
-// the activation the exact path would have issued. The rank/channel
-// protection assertion is kept; per-op Guard bounds are asserted on the
-// exact path only.
-func (n *RankNDA) warmRow(f *rankFSM, a dram.Addr) {
-	if a.Channel != n.Channel || a.Rank != n.Rank {
-		panic(fmt.Sprintf("nda: protection fault: ch%d/rk%d NDA accessed ch%d/rk%d",
-			n.Channel, n.Rank, a.Channel, a.Rank))
-	}
-	if row, open := n.mem.OpenRow(a); !open || row != a.Row {
-		f.stats.RowActs++
-		n.mem.WarmOpen(a)
-	}
 }
 
 // BytesMoved returns total NDA data movement in bytes.

@@ -270,16 +270,18 @@ func TestParallelDomainsMatchSerial(t *testing.T) {
 }
 
 // TestRunFastMatchesRunWideAndShared extends the Run≡RunFast contract,
-// with the invariant checker armed, to two configurations production
-// runs on the fast path that no golden covers: the Fig 14 geometry of
-// eight ranks per channel with host mix 1 and NDA DOT (the benchmark's
+// with the invariant checker armed, to configurations production runs
+// on the fast path that no golden covers: the Fig 14 geometry of eight
+// ranks per channel with host mix 1 and NDA DOT (the benchmark's
 // wide8_dot shape; four times the per-rank NDA state and calendar
 // banks), and unpartitioned mapping with host mix 1 and NDA COPY under
 // the issue-if-idle policy, where NDA rows and writes land on the
 // host's own banks. Both run every wake rule of the fast path: NDA
 // columns the controllers sleep across, precharges parked by the
 // open-page rule, surveys stopped at a due controller, and the single
-// NDA pass per channel.
+// NDA pass per channel. The remaining rows cover refresh-enabled
+// timing, the stochastic and next-rank policies on the unpartitioned
+// mapping, and the settings of the three ablation studies.
 func TestRunFastMatchesRunWideAndShared(t *testing.T) {
 	app := func(op string) func(s *System) (func() (*ndart.Handle, error), error) {
 		return func(s *System) (func() (*ndart.Handle, error), error) {
@@ -311,6 +313,72 @@ func TestRunFastMatchesRunWideAndShared(t *testing.T) {
 				return c
 			},
 			app: app("copy"),
+		},
+		{
+			name: "refresh-mix1-copy",
+			cfg: func() Config {
+				c := Default(1)
+				c.Timing.REFI = 9360
+				c.Timing.RFC = 420
+				c.CheckInvariants = true
+				return c
+			},
+			app: app("copy"),
+		},
+		{
+			name: "shared-mix1-copy-stochastic-1in16",
+			cfg: func() Config {
+				c := Default(1)
+				c.Partitioned = false
+				c.NDA.Policy = nda.Stochastic
+				c.NDA.StochasticProb = 1.0 / 16
+				c.CheckInvariants = true
+				return c
+			},
+			app: app("copy"),
+		},
+		{
+			name: "shared-4rank-mix2-dot-next-rank",
+			cfg: func() Config {
+				c := Default(2)
+				c.Geom.Ranks = 4
+				c.Partitioned = false
+				c.NDA.Policy = nda.NextRank
+				c.CheckInvariants = true
+				return c
+			},
+			app: app("dot"),
+		},
+		{
+			name: "ablation-reserved-banks-4-dot",
+			cfg: func() Config {
+				c := Default(1)
+				c.ReservedBanks = 4
+				c.CheckInvariants = true
+				return c
+			},
+			app: app("dot"),
+		},
+		{
+			name: "ablation-write-buffer-16-copy",
+			cfg: func() Config {
+				c := Default(1)
+				c.NDA.WriteBufCap = 16
+				c.CheckInvariants = true
+				return c
+			},
+			app: app("copy"),
+		},
+		{
+			name: "ablation-free-launches-16-blocks-nrm2",
+			cfg: func() Config {
+				c := Default(1)
+				c.MaxBlocksPerInstr = 16
+				c.ModelLaunches = false
+				c.CheckInvariants = true
+				return c
+			},
+			app: app("nrm2"),
 		},
 	} {
 		t.Run(w.name, func(t *testing.T) {

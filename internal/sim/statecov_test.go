@@ -117,7 +117,6 @@ func TestStateFieldCoverage(t *testing.T) {
 			skip: map[string]notCarried{
 				"prof": config, "base": config, "size": config,
 				"serCut": config, "memCut": config, "streamCut": config, "writeCut": config,
-				"serThresh32": config, "memThresh32": config, "streamThresh16": config, "writeThresh16": config,
 			}},
 		{live: reflect.TypeOf(osmem.Allocator{}), state: fieldType(t, reflect.TypeOf(osmem.OSState{}), "Host"),
 			skip: map[string]notCarried{"base": config, "size": config, "minOrder": config}},

@@ -55,29 +55,6 @@ func (o *oracleGen) next() cpu.Instr {
 	}
 }
 
-func (o *oracleGen) nextFunctional() cpu.Instr {
-	u := o.rng.Uint64()
-	ser := uint32(u) < thresh32(o.dep)
-	if uint32(u>>32) >= thresh32(o.prof.MemRatio) {
-		return cpu.Instr{Serialize: ser}
-	}
-	v := o.rng.Uint64()
-	var off uint64
-	if uint16(v>>16) < thresh16(o.prof.StreamFrac) {
-		i := int((v >> 32) % uint64(len(o.streams)))
-		o.streams[i] = (o.streams[i] + 8) % o.prof.Footprint
-		off = o.streams[i]
-	} else {
-		off = (v >> 32) % o.prof.Footprint
-	}
-	return cpu.Instr{
-		Mem:       true,
-		Write:     uint16(v) < thresh16(o.prof.WriteFrac),
-		Serialize: ser,
-		Addr:      o.base + off&^7,
-	}
-}
-
 // oracleProfiles is every Table II profile plus the two synthetic ones,
 // in a fixed order.
 func oracleProfiles() []Profile {
@@ -99,12 +76,6 @@ func TestGeneratorMatchesMathRandOracle(t *testing.T) {
 		for k := 0; k < n; k++ {
 			if got, want := g.Next(), o.next(); got != want {
 				t.Fatalf("%s Next #%d: %+v, oracle %+v", p.Name, k, got, want)
-			}
-		}
-		g, o = NewGenerator(p, base, size, seed), newOracleGen(p, base, size, seed)
-		for k := 0; k < n; k++ {
-			if got, want := g.NextFunctional(), o.nextFunctional(); got != want {
-				t.Fatalf("%s NextFunctional #%d: %+v, oracle %+v", p.Name, k, got, want)
 			}
 		}
 	}

@@ -110,13 +110,6 @@ type Generator struct {
 	// src.Below(cut) decides exactly as math/rand's Float64() < p.
 	serCut, memCut, streamCut, writeCut rng.Cut
 
-	// Integer-comparison thresholds for NextFunctional's bit-packed
-	// draws, precomputed from the profile fractions.
-	serThresh32    uint32
-	memThresh32    uint32
-	streamThresh16 uint16
-	writeThresh16  uint16
-
 	src rng.Source // last, so its 8 KiB ring does not separate the fields above from its draw counter
 }
 
@@ -147,10 +140,6 @@ func NewGenerator(prof Profile, base, size uint64, seed int64) *Generator {
 	g.memCut = rng.CutOf(g.prof.MemRatio)
 	g.streamCut = rng.CutOf(g.prof.StreamFrac)
 	g.writeCut = rng.CutOf(g.prof.WriteFrac)
-	g.serThresh32 = thresh32(dep)
-	g.memThresh32 = thresh32(g.prof.MemRatio)
-	g.streamThresh16 = thresh16(g.prof.StreamFrac)
-	g.writeThresh16 = thresh16(g.prof.WriteFrac)
 	return g
 }
 
@@ -202,55 +191,6 @@ func (g *Generator) memInstr(ser bool) cpu.Instr {
 		Serialize: ser,
 		Addr:      g.base + off&^7,
 	}
-}
-
-// NextFunctional implements cpu.FunctionalSource: the next instruction
-// drawn from the same distribution as Next but with a bit-packed RNG
-// recipe — one source advance for a non-memory instruction, two for a
-// memory one, against Next's two and five. Sampled-mode fast-forward
-// (DESIGN.md §2.11) retires millions of instructions through this path
-// purely to warm cache and row state, so the draw cost is the budget;
-// the sequence differs from Next's (fewer, differently-sliced draws),
-// which is exactly the approximation sampled mode already accepts.
-// Stream state advances identically, keeping the spatial-locality
-// structure the warm path exists to reproduce.
-func (g *Generator) NextFunctional() cpu.Instr {
-	u := g.src.Uint64()
-	ser := uint32(u) < g.serThresh32
-	if uint32(u>>32) >= g.memThresh32 {
-		return cpu.Instr{Serialize: ser}
-	}
-	v := g.src.Uint64()
-	var off uint64
-	if uint16(v>>16) < g.streamThresh16 {
-		i := int((v >> 32) % uint64(len(g.streams)))
-		g.streams[i] = (g.streams[i] + 8) % g.prof.Footprint
-		off = g.streams[i]
-	} else {
-		off = (v >> 32) % g.prof.Footprint
-	}
-	return cpu.Instr{
-		Mem:       true,
-		Write:     uint16(v) < g.writeThresh16,
-		Serialize: ser,
-		Addr:      g.base + off&^7,
-	}
-}
-
-// thresh32 and thresh16 convert a probability to a uniform-integer
-// comparison threshold.
-func thresh32(p float64) uint32 {
-	if p >= 1 {
-		return ^uint32(0)
-	}
-	return uint32(p * (1 << 32))
-}
-
-func thresh16(p float64) uint16 {
-	if p >= 1 {
-		return ^uint16(0)
-	}
-	return uint16(p * (1 << 16))
 }
 
 // StallHeavy returns the synthetic profile behind BenchmarkHostStallHeavy

@@ -35,12 +35,9 @@
 # or BenchmarkHostComputeHeavy report any steady-state allocations in
 # the tick loop (the allocation-free contract also pinned by
 # TestTickLoopAllocFree, TestStallHeavyAllocFree, and
-# TestComputeHeavyAllocFree), if the durable-checkpoint cadence
+# TestComputeHeavyAllocFree), or if the durable-checkpoint cadence
 # (BenchmarkMixedHostNDACheckpointed) costs more than 5% per simulated
-# cycle over the un-checkpointed MixedHostNDA, or if sampled mode
-# (BenchmarkFig11Sampled) simulates cycles less than 10x faster than
-# the exact Figure 11 benchmark (ns per simulated cycle; see the
-# sampled gate below).
+# cycle over the un-checkpointed MixedHostNDA.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,7 +55,7 @@ NPROC="$(nproc 2>/dev/null || echo 1)"
 COUNT="${BENCH_COUNT:-3}"
 
 go test -run '^$' \
-    -bench 'BenchmarkMixedHostNDA$|BenchmarkMixedHostNDACheckpointed$|BenchmarkHostStallHeavy$|BenchmarkHostComputeHeavy$|BenchmarkFig14Wide8Ranks$|BenchmarkFig11BankPartitioning$|BenchmarkFig11Sampled$|BenchmarkFig12WriteThrottling$|BenchmarkFig12CachedRegen$|BenchmarkCalibrationSpin$' \
+    -bench 'BenchmarkMixedHostNDA$|BenchmarkMixedHostNDACheckpointed$|BenchmarkHostStallHeavy$|BenchmarkHostComputeHeavy$|BenchmarkFig14Wide8Ranks$|BenchmarkFig11BankPartitioning$|BenchmarkFig12WriteThrottling$|BenchmarkFig12CachedRegen$|BenchmarkCalibrationSpin$' \
     -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAW"
 
 CHOPIM_BENCH_WORKERS="$NPROC" go test -run '^$' \
@@ -93,14 +90,8 @@ def parse(path):
             am = re.search(r"(\d+) allocs/op", m.group(3))
             if am:
                 allocs = int(am.group(1))
-            cycles = None
-            cm = re.search(r"(\d+(?:e\+?\d+)?(?:\.\d+)?) sim-cycles", m.group(3))
-            if cm:
-                cycles = int(float(cm.group(1)))
             if name not in benches:
                 benches[name] = {"ns_per_op": ns, "allocs_per_op": allocs}
-                if cycles:
-                    benches[name]["sim_cycles"] = cycles
                 order.append(name)
             else:
                 e = benches[name]
@@ -208,36 +199,6 @@ if uncached and cached:
         f.write("\n")
     if speedup < 10:
         sys.exit(f"bench.sh: FAIL: cached regeneration only {speedup}x faster, want >=10x")
-
-# Sampled-simulation gate: Fig11 in SMARTS-style sampled mode must
-# simulate cycles >=10x faster than the exact Fig11 benchmark. The
-# metric is simulation throughput (ns per simulated cycle): the sampled
-# benchmark covers 165k cycles per point (its sim-cycles metric) while
-# the exact quick budget covers 45k (QuickOptions: 5k warm + 40k
-# measured), so a raw ns/op ratio would mix span with speed.
-EXACT_FIG11_CYCLES = 45000
-exact = benches.get("Fig11BankPartitioning", {}).get("ns_per_op")
-samp = benches.get("Fig11Sampled", {})
-if exact and samp.get("ns_per_op") and samp.get("sim_cycles"):
-    exact_per_cyc = exact / EXACT_FIG11_CYCLES
-    samp_per_cyc = samp["ns_per_op"] / samp["sim_cycles"]
-    speedup = round(exact_per_cyc / samp_per_cyc, 1)
-    doc["sampled"] = {
-        "note": "Fig11 regenerated in sampled mode (8 windows x 300 measured "
-                "cycles over a 165k-cycle span) versus exact simulation of the "
-                "45k-cycle quick budget; speedup is the ns-per-simulated-cycle "
-                "ratio, gated at >=10x. Accuracy is pinned separately by "
-                "TestSampledCICoverage (exact IPC inside the reported CI, "
-                "<=3% relative error, on every golden workload).",
-        "exact_ns_per_cycle": round(exact_per_cyc, 1),
-        "sampled_ns_per_cycle": round(samp_per_cyc, 1),
-        "speedup": speedup,
-    }
-    with open(out, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    if speedup < 10:
-        sys.exit(f"bench.sh: FAIL: sampled mode only {speedup}x exact throughput, want >=10x")
 
 # Checkpoint-overhead gate: MixedHostNDACheckpointed runs the same
 # workload with one durable checkpoint per 100k-cycle cadence interval
