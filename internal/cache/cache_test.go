@@ -125,14 +125,36 @@ func TestCapacityInvariant(t *testing.T) {
 }
 
 // Property: after Insert(b), Lookup(b) hits until b is evicted by
-// inserts into the same set.
+// inserts into the same set. Blocks are drawn from the range a packed
+// 32-bit key covers (Config.MaxBlock); index panics past it.
 func TestInsertThenLookupHits(t *testing.T) {
-	f := func(b uint64) bool {
+	f := func(r uint64) bool {
 		c := New(smallConfig())
+		b := r % (smallConfig().MaxBlock() + 1)
 		c.Insert(b, false)
 		return c.Lookup(b, false)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestKeyRange pins the packed key range: the largest block a level
+// admits round-trips, and the next one panics rather than aliasing.
+func TestKeyRange(t *testing.T) {
+	c := New(smallConfig())
+	top := smallConfig().MaxBlock()
+	c.Insert(top, true)
+	if !c.Contains(top) || c.Contains(top&c.smask) {
+		t.Fatal("largest admitted block does not round-trip")
+	}
+	if v, d := c.Insert(top, false); d || v != 0 {
+		t.Fatalf("re-insert of the largest block evicted (%#x, %v)", v, d)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a block past the key range was admitted")
+		}
+	}()
+	c.Insert(top+1, false)
 }

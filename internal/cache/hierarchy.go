@@ -21,6 +21,9 @@ type Backend interface {
 	EnqueueRead(addr uint64, done func(dramDone int64)) bool
 	// EnqueueWrite submits a block writeback. Returns false if full.
 	EnqueueWrite(addr uint64) bool
+	// ReadFull reports whether EnqueueRead(addr, ...) would return false
+	// now, without side effects.
+	ReadFull(addr uint64) bool
 }
 
 // Clock converts between the DRAM and CPU clock domains.
@@ -91,30 +94,24 @@ type Hierarchy struct {
 	Prefetches int64
 	Demand     int64
 
-	// ver counts mutations that can change a blocked retry's outcome:
-	// fills (cache content, MSHR and L1-pending occupancy) and every
-	// Access that reached the shared LLC/MSHR layer (insertions, MSHR
-	// allocation, merges). Together with the controllers' queue-space
-	// versions it forms the memory epoch a probe-stalled core's retry
-	// outcome depends on: while the epoch is unchanged, the retry
-	// provably stalls again (the Stall contract on Access) and may be
-	// skipped. Private hits deliberately do NOT advance it — neither
-	// pure L1 hits nor L2 hits whose fill cascade stays inside the
-	// hitting core's private L1/L2. The L1 argument extends to L2
-	// unchanged: such a hit mutates only the hitting core's private
-	// caches (LRU order, dirty bits, an L1 castout absorbed by its own
-	// L2), none of which a retry probe reads — the probing core is
-	// blocked, so the private state a hit touched belongs to a
-	// different core, and a stalled access's outcome is decided by LLC
-	// content and MSHR/queue occupancy, which only shared-path accesses
-	// and fills move. An L2 hit whose cascade spills a dirty L2 victim
-	// into the LLC DOES advance ver (it changed LLC content and may
-	// have queued a writeback).
-	ver uint64
+	// stalls holds each core's stall mark: the access that last
+	// returned Stall and the version of its LLC set then (see
+	// StillStalls). llcVer counts insertions per LLC set. Only the LLC
+	// is versioned: a block enters an L1 or L2 only by a fill that
+	// inserts it into the LLC first.
+	stalls []stallMark
+	llcVer []uint32
 }
 
-// Ver returns the hierarchy mutation counter (see ver).
-func (h *Hierarchy) Ver() uint64 { return h.ver }
+// stallMark records one core's stalled access and the insert version
+// of the block's LLC set at the stall (see StillStalls).
+type stallMark struct {
+	addr  uint64
+	block uint64
+	ver   uint32
+	write bool
+	armed bool
+}
 
 // allocMSHR pops a pooled MSHR node (or grows the pool).
 func (h *Hierarchy) allocMSHR(core int, block uint64, dirty, prefetch bool) *mshr {
@@ -166,6 +163,8 @@ func NewHierarchy(cfg HierarchyConfig, backend Backend, clock Clock) *Hierarchy 
 		maxWaiters: cfg.Cores * cfg.L1.MSHRs,
 		l1Pending:  make([]int, cfg.Cores),
 		prefetch:   make([]strideState, cfg.Cores),
+		stalls:     make([]stallMark, cfg.Cores),
+		llcVer:     make([]uint32, cfg.LLC.Sets()),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1 = append(h.l1, New(cfg.L1))
@@ -195,25 +194,21 @@ func (h *Hierarchy) block(addr uint64) uint64 { return addr / uint64(h.cfg.L1.Bl
 // Access that returns Stall leaves the hierarchy bit-identical to the
 // state it found — the three miss lookups it performed are rolled back
 // (stall below), the MSHR pool round-trips through its LIFO free list,
-// and no queue, counter, or replacement state changes. A blocked core
-// therefore re-probes with identical outcome until some other component
-// mutates hierarchy or controller state, so skipping its retry cycles
-// is exact.
+// and no queue, counter, or replacement state changes. It only records
+// the core's stall mark, so StillStalls can tell, without probing,
+// when a retry would stall again and may be skipped.
 func (h *Hierarchy) Access(core int, addr uint64, write bool, slot int, done func(cpuDone int64)) (Result, int64) {
 	b := h.block(addr)
 	l1, l2 := h.l1[core], h.l2[core]
 
 	if l1.Lookup(b, write) {
-		return Hit, h.cfg.L1.LatencyCPU // private-L1 hit: epoch unmoved (see ver)
+		return Hit, h.cfg.L1.LatencyCPU
 	}
 	if l2.Lookup(b, write) {
-		if h.fillFromL2(core, b, write) {
-			h.ver++ // the cascade spilled into the shared LLC
-		}
+		h.fill(core, b, write, l1, nil)
 		return Hit, h.cfg.L2.LatencyCPU
 	}
 
-	h.ver++ // rolled back on Stall; every deeper outcome mutates shared state
 	if h.llc.Lookup(b, write) {
 		h.fill(core, b, write, l1, l2)
 		return Hit, h.cfg.LLC.LatencyCPU
@@ -227,7 +222,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, slot int, done fun
 			return Hit, h.cfg.LLC.LatencyCPU
 		}
 		if h.l1Pending[core] >= h.cfg.L1.MSHRs {
-			return h.stall(core)
+			return h.stall(core, addr, b, write)
 		}
 		h.l1Pending[core]++
 		m.waiters = append(m.waiters, waiter{core: core, slot: slot, done: done})
@@ -235,10 +230,10 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, slot int, done fun
 	}
 
 	if h.pending.len() >= h.cfg.LLC.MSHRs {
-		return h.stall(core)
+		return h.stall(core, addr, b, write)
 	}
 	if !write && h.l1Pending[core] >= h.cfg.L1.MSHRs {
-		return h.stall(core)
+		return h.stall(core, addr, b, write)
 	}
 
 	m := h.allocMSHR(core, b, write, false)
@@ -251,7 +246,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, slot int, done fun
 			h.l1Pending[core]--
 		}
 		h.freeMSHR(m)
-		return h.stall(core)
+		return h.stall(core, addr, b, write)
 	}
 	h.pending.put(b, m)
 	h.Demand++
@@ -263,30 +258,41 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, slot int, done fun
 }
 
 // stall rolls back the three miss lookups a stalling Access performed
-// (every Stall path misses L1, L2, and the LLC first) and reports Stall.
-// See the Stall contract on Access.
-func (h *Hierarchy) stall(core int) (Result, int64) {
-	h.ver--
+// (every Stall path misses L1, L2, and the LLC first), records the
+// core's stall mark, and reports Stall. See the Stall contract on
+// Access.
+func (h *Hierarchy) stall(core int, addr, b uint64, write bool) (Result, int64) {
 	h.l1[core].unMiss()
 	h.l2[core].unMiss()
 	h.llc.unMiss()
+	h.stalls[core] = stallMark{addr: addr, block: b, ver: h.llcVer[h.llc.setOf(b)], write: write, armed: true}
 	return Stall, 0
 }
 
-// fillFromL2 propagates an L2 hit on b into core's L1, cascading the
-// castouts (exactly fill(core, b, dirty, l1, nil)), and reports whether
-// the cascade reached the shared LLC — the ver classification Access
-// keys on.
-func (h *Hierarchy) fillFromL2(core int, b uint64, dirty bool) bool {
-	if v, vd := h.l1[core].Insert(b, dirty); vd {
-		if ev, evd := h.l2[core].Insert(v, true); evd {
-			if ev2, evd2 := h.llc.Insert(ev, true); evd2 {
-				h.writeback(ev2)
-			}
-			return true
-		}
+// StillStalls reports whether the core's last stalled access, retried
+// now, would stall again: a true answer means Access would return
+// Stall and change nothing, so a blocked core may skip the retry. It
+// re-derives Access's stall decision in Access's own order. The block
+// is still absent from the core's L1 and L2 and from the LLC while its
+// LLC set has had no insertion since the stall (a block enters an L1 or
+// L2 only through a fill that inserts it into the LLC first;
+// Invalidate only removes). The rest is live state: the MSHR covering
+// the block (merge path), the MSHR table, the core's L1 MSHR budget,
+// and the backend's read queue. A false answer only asks for a real
+// re-probe, which re-arms the mark.
+func (h *Hierarchy) StillStalls(core int) bool {
+	m := &h.stalls[core]
+	if !m.armed || h.llcVer[h.llc.setOf(m.block)] != m.ver {
+		return false
 	}
-	return false
+	busy := h.l1Pending[core] >= h.cfg.L1.MSHRs
+	if h.pending.get(m.block) != nil {
+		return !m.write && busy
+	}
+	if h.pending.len() >= h.cfg.LLC.MSHRs || !m.write && busy {
+		return true
+	}
+	return h.backend.ReadFull(m.addr)
 }
 
 // onFill handles data arriving from memory for the MSHR's block at DRAM
@@ -294,12 +300,9 @@ func (h *Hierarchy) fillFromL2(core int, b uint64, dirty bool) bool {
 // fills install in the LLC only. Waiters complete at the equivalent CPU
 // cycle plus the LLC-to-core fill latency, releasing their L1 MSHR.
 func (h *Hierarchy) onFill(m *mshr, dramDone int64) {
-	h.ver++
 	h.pending.del(m.block)
 	if m.prefetch {
-		if v, vd := h.llc.Insert(m.block, m.dirty); vd {
-			h.writeback(v)
-		}
+		h.insertLLC(m.block, m.dirty)
 	} else {
 		h.insertAll(m.core, m.block, m.dirty)
 	}
@@ -313,40 +316,34 @@ func (h *Hierarchy) onFill(m *mshr, dramDone int64) {
 	h.freeMSHR(m)
 }
 
-// fill propagates a block into upper levels after a lower-level hit.
+// fill propagates a block into upper levels after a lower-level hit:
+// into l2 unless it is nil (an L2 hit), then into l1, cascading the
+// castouts.
 func (h *Hierarchy) fill(core int, b uint64, dirty bool, l1, l2 *Cache) {
 	if l2 != nil {
 		if v, vd := l2.Insert(b, false); vd {
-			if ev, evd := h.llc.Insert(v, true); evd {
-				h.writeback(ev)
-			}
+			h.insertLLC(v, true)
 		}
 	}
 	if v, vd := l1.Insert(b, dirty); vd {
 		if ev, evd := h.l2[core].Insert(v, true); evd {
-			if ev2, evd2 := h.llc.Insert(ev, true); evd2 {
-				h.writeback(ev2)
-			}
+			h.insertLLC(ev, true)
 		}
 	}
 }
 
 // insertAll fills a block into LLC, L2, and L1, cascading evictions.
 func (h *Hierarchy) insertAll(core int, b uint64, dirty bool) {
+	h.insertLLC(b, dirty)
+	h.fill(core, b, dirty, h.l1[core], h.l2[core])
+}
+
+// insertLLC fills b into the LLC, advancing its set's insert version
+// (see StillStalls), and writes back a dirty victim.
+func (h *Hierarchy) insertLLC(b uint64, dirty bool) {
+	h.llcVer[h.llc.setOf(b)]++
 	if v, vd := h.llc.Insert(b, dirty); vd {
 		h.writeback(v)
-	}
-	if v, vd := h.l2[core].Insert(b, false); vd {
-		if ev, evd := h.llc.Insert(v, true); evd {
-			h.writeback(ev)
-		}
-	}
-	if v, vd := h.l1[core].Insert(b, dirty); vd {
-		if ev, evd := h.l2[core].Insert(v, true); evd {
-			if ev2, evd2 := h.llc.Insert(ev, true); evd2 {
-				h.writeback(ev2)
-			}
-		}
 	}
 }
 

@@ -24,6 +24,8 @@ func (f *fakeBackend) EnqueueWrite(addr uint64) bool {
 	return true
 }
 
+func (f *fakeBackend) ReadFull(addr uint64) bool { return f.full }
+
 func (f *fakeBackend) completeAll(at int64) {
 	for _, d := range f.dones {
 		d(at)
@@ -150,122 +152,5 @@ func TestPrefetcherIssuesOnStride(t *testing.T) {
 	}
 	if h.Prefetches == 0 {
 		t.Error("stride prefetcher never fired on a regular stream")
-	}
-}
-
-// TestL2PrivateHitKeepsEpoch pins the L2 half of the narrowed epoch
-// argument (see ver): an L2 hit whose fill cascade stays inside the
-// hitting core's private L1/L2 must not advance Ver — neither when the
-// L1 absorbs the block into an invalid way, nor when the L1's dirty
-// victim is re-absorbed in place by the core's own L2.
-func TestL2PrivateHitKeepsEpoch(t *testing.T) {
-	h, _ := testHier(1)
-
-	// Invalid-way case: block resident in L2 only, L1 set empty.
-	h.l2[0].Insert(100, false)
-	v0 := h.Ver()
-	res, lat := h.Access(0, 100*64, false, 0, nil)
-	if res != Hit || lat != h.cfg.L2.LatencyCPU {
-		t.Fatalf("access = %v/%d, want L2 hit", res, lat)
-	}
-	if h.Ver() != v0 {
-		t.Fatalf("private L2 hit moved the epoch: %d -> %d", v0, h.Ver())
-	}
-
-	// Dirty-victim-absorbed case: the L1's victim is dirty but resident
-	// in the core's own L2, so the castout updates it in place.
-	l1sets := uint64(h.cfg.L1.Sets())
-	dirty := uint64(200)              // will become the L1 victim
-	b := dirty + l1sets               // same L1 set, different L2 set
-	h.l2[0].Insert(dirty, false)      // castout target, in own L2
-	h.l2[0].Insert(b, false)          // the block to hit
-	h.l1[0].Insert(dirty, true)       // dirty, oldest in its L1 set
-	for i := uint64(2); i <= 8; i++ { // fill the set; dirty is LRU
-		h.l1[0].Insert(dirty+i*l1sets, false)
-	}
-	v0 = h.Ver()
-	res, lat = h.Access(0, b*64, false, 0, nil)
-	if res != Hit || lat != h.cfg.L2.LatencyCPU {
-		t.Fatalf("access = %v/%d, want L2 hit", res, lat)
-	}
-	if h.Ver() != v0 {
-		t.Fatalf("absorbed-castout L2 hit moved the epoch: %d -> %d", v0, h.Ver())
-	}
-	if !h.l1[0].Contains(b) || !h.l2[0].Contains(dirty) {
-		t.Fatal("fill cascade did not land where expected")
-	}
-}
-
-// TestL2SharedCascadeBumpsEpoch is the boundary of the narrowing: an L2
-// hit whose castout chain spills a dirty L2 victim into the shared LLC
-// must advance Ver exactly once — it changed LLC content, which a
-// probe-stalled core's retry outcome can depend on.
-func TestL2SharedCascadeBumpsEpoch(t *testing.T) {
-	h, _ := testHier(1)
-	l1sets := uint64(h.cfg.L1.Sets())
-	l2sets := uint64(h.cfg.L2.Sets())
-
-	dirty := uint64(300)  // L1's dirty victim, NOT in L2
-	b := dirty + l1sets*2 // same L1 set (and a different L2 set)
-	h.l2[0].Insert(b, false)
-	h.l1[0].Insert(dirty, true)
-	for i := uint64(1); i <= 7; i++ { // fill the rest; dirty is LRU
-		h.l1[0].Insert(b+i*l1sets, false)
-	}
-	// Fill dirty's entire L2 set with dirty lines, so inserting the
-	// castout must evict one into the LLC.
-	for i := uint64(0); i < uint64(h.cfg.L2.Ways); i++ {
-		h.l2[0].Insert(dirty+(i+1)*l2sets, true)
-	}
-	v0 := h.Ver()
-	res, lat := h.Access(0, b*64, false, 0, nil)
-	if res != Hit || lat != h.cfg.L2.LatencyCPU {
-		t.Fatalf("access = %v/%d, want L2 hit", res, lat)
-	}
-	if h.Ver() != v0+1 {
-		t.Fatalf("shared-cascade L2 hit moved the epoch by %d, want 1", h.Ver()-v0)
-	}
-}
-
-// TestProbeRetrySkipAcrossPrivateL2Hits is the probe-retry regression
-// the narrowing must uphold: while a core sits probe-stalled, another
-// core's private L2 hits leave the epoch unmoved AND the stalled
-// retry's outcome genuinely unchanged — so a scheduler that skips the
-// retry while the epoch holds still is exact. A shared-path access
-// then moves the epoch, signaling the retry must re-run.
-func TestProbeRetrySkipAcrossPrivateL2Hits(t *testing.T) {
-	h, b := testHier(2)
-
-	// Core 1 probe-stalls: the backend refuses its demand read.
-	b.full = true
-	res, _ := h.Access(1, 0x40000, false, 0, nil)
-	if res != Stall {
-		t.Fatalf("access with full backend = %v, want Stall", res)
-	}
-	v0 := h.Ver()
-
-	// Core 0 performs private L2 hits; the epoch must hold still and
-	// core 1's retry must still stall (skipping it was sound).
-	h.l2[0].Insert(7, false)
-	h.l2[0].Insert(8, false)
-	for _, blk := range []uint64{7, 8} {
-		if res, _ := h.Access(0, blk*64, false, 0, nil); res != Hit {
-			t.Fatalf("core 0 access = %v, want Hit", res)
-		}
-	}
-	if h.Ver() != v0 {
-		t.Fatalf("private L2 hits moved the epoch: %d -> %d", v0, h.Ver())
-	}
-	if res, _ := h.Access(1, 0x40000, false, 0, nil); res != Stall {
-		t.Fatalf("retry after private hits = %v, want Stall", res)
-	}
-
-	// A shared-path access (an LLC miss that queues) moves the epoch.
-	b.full = false
-	if res, _ := h.Access(0, 0x80000, false, 0, nil); res != Queued {
-		t.Fatal("expected a queued LLC miss")
-	}
-	if h.Ver() == v0 {
-		t.Fatal("shared-path access left the epoch unmoved")
 	}
 }

@@ -198,16 +198,31 @@ func refPackLines(lines []refLine) []byte {
 // return value and counter must agree at every step; ValidLines and the
 // checkpoint line encoding must agree at checkpoints along the way,
 // including across a snapshot/restore and a wire round trip mid-stream.
+// The Renorm runs lower the stamp limit so stamps renormalise many
+// times; the reference keeps its uint64 counters, so there the line
+// encodings differ and each set's recency order must agree instead.
 func TestPackedCacheMatchesReference(t *testing.T) {
 	h := DefaultHierarchyConfig(1)
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{{"L1", h.L1}, {"L2", h.L2}, {"LLC", h.LLC}} {
+		name  string
+		cfg   Config
+		limit uint64 // stamp limit; 0 keeps the packed word's
+	}{
+		{"L1", h.L1, 0}, {"L2", h.L2, 0}, {"LLC", h.LLC, 0},
+		{"L1Renorm", h.L1, 20}, {"L2Renorm", h.L2, 200}, {"LLCRenorm", h.LLC, 4000},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const ops = 120_000
 			rng := rand.New(rand.NewSource(int64(len(tc.name)) * 7919))
-			c, r := New(tc.cfg), newRefCache(tc.cfg)
+			newC := func() *Cache {
+				c := New(tc.cfg)
+				if tc.limit != 0 {
+					c.limit = tc.limit
+				}
+				return c
+			}
+			c, r := newC(), newRefCache(tc.cfg)
+			renorms, clock := 0, c.clock
 			sets, ways := uint64(tc.cfg.Sets()), tc.cfg.Ways
 			last := uint64(0)
 			draw := func() uint64 {
@@ -225,9 +240,24 @@ func TestPackedCacheMatchesReference(t *testing.T) {
 				if got, want := c.ValidLines(), r.ValidLines(); got != want {
 					t.Fatalf("op %d: ValidLines %d, reference %d", op, got, want)
 				}
-				st := c.snapshot()
-				if !bytes.Equal(packLines(&st), refPackLines(r.lines)) {
-					t.Fatalf("op %d: checkpoint line encoding differs from the reference", op)
+				if tc.limit == 0 {
+					st := c.snapshot()
+					if !bytes.Equal(packLines(&st), refPackLines(r.lines)) {
+						t.Fatalf("op %d: checkpoint line encoding differs from the reference", op)
+					}
+					return
+				}
+				for i, l := range c.lines {
+					rl := r.lines[i]
+					if (l != 0) != rl.valid || rl.valid && (l>>keyShift-1 != rl.tag || l&dirtyBit != 0 != rl.dirty) {
+						t.Fatalf("op %d: way %d holds %#x, reference %+v", op, i, l, rl)
+					}
+					base := i - i%ways
+					for j := base; j < base+ways; j++ {
+						if rl.valid && r.lines[j].valid && (l&stampMask < c.lines[j]&stampMask) != (rl.lru < r.lines[j].lru) {
+							t.Fatalf("op %d: ways %d and %d are in the opposite recency order to the reference's", op, i, j)
+						}
+					}
 				}
 			}
 			for op := 0; op < ops; op++ {
@@ -258,12 +288,19 @@ func TestPackedCacheMatchesReference(t *testing.T) {
 				if c.Hits != r.Hits || c.Misses != r.Misses {
 					t.Fatalf("op %d: hits/misses %d/%d, reference %d/%d", op, c.Hits, c.Misses, r.Hits, r.Misses)
 				}
+				if c.clock < clock {
+					renorms++
+				}
+				clock = c.clock
+				if tc.limit != 0 && op%4096 == 0 {
+					check(op)
+				}
 				switch op {
 				case ops / 3:
 					// Continue on a restored copy: the MRU filter must
 					// start empty and refill from live tags.
 					check(op)
-					c2 := New(tc.cfg)
+					c2 := newC()
 					c2.restore(c.snapshot())
 					c = c2
 				case 2 * ops / 3:
@@ -275,12 +312,15 @@ func TestPackedCacheMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					c2 := New(tc.cfg)
+					c2 := newC()
 					c2.restore(dec)
 					c = c2
 				}
 			}
 			check(ops)
+			if tc.limit != 0 && renorms < 20 || tc.limit == 0 && renorms != 0 {
+				t.Fatalf("stamps renormalised %d times", renorms)
+			}
 			if r.Hits == 0 || r.Misses == 0 || r.ValidLines() == 0 {
 				t.Fatalf("degenerate stream: hits=%d misses=%d valid=%d", r.Hits, r.Misses, r.ValidLines())
 			}

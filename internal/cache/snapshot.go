@@ -1,34 +1,25 @@
 package cache
 
 // cacheState is a deep copy of one level's mutable state: the packed
-// tag, last-touch and dirty arrays (see Cache). The MRU filter is not
-// captured: it is a pure acceleration of the way scan (the filtered
+// way words (see Cache), so a snapshot is one copy. The MRU filter is
+// not captured: it is a pure acceleration of the way scan (the filtered
 // path performs identical state updates), so restore simply empties it.
 type cacheState struct {
-	tags   []uint64
-	lru    []uint64
-	dirty  []bool
+	lines  []uint64
 	clock  uint64
 	hits   int64
 	misses int64
 }
 
 func (c *Cache) snapshot() cacheState {
-	return cacheState{
-		tags:  append([]uint64(nil), c.tags...),
-		lru:   append([]uint64(nil), c.lru...),
-		dirty: append([]bool(nil), c.dirty...),
-		clock: c.clock, hits: c.Hits, misses: c.Misses,
-	}
+	return cacheState{lines: append([]uint64(nil), c.lines...), clock: c.clock, hits: c.Hits, misses: c.Misses}
 }
 
 func (c *Cache) restore(st cacheState) {
-	if len(st.tags) != len(c.tags) {
+	if len(st.lines) != len(c.lines) {
 		panic("cache: restore onto a cache with different geometry")
 	}
-	copy(c.tags, st.tags)
-	copy(c.lru, st.lru)
-	copy(c.dirty, st.dirty)
+	copy(c.lines, st.lines)
 	c.clock, c.Hits, c.Misses = st.clock, st.hits, st.misses
 	c.lastKey = 0 // MRU filter revalidates on the next lookup
 }
@@ -52,6 +43,9 @@ type mshrState struct {
 // HierarchyState is a deep copy of the hierarchy's mutable state: every
 // cache level's contents, the in-flight MSHR set with its waiters,
 // per-core L1 MSHR occupancy, prefetch stride detectors, and counters.
+// The stall marks and LLC set versions are not carried: restore clears
+// the marks, so each probe-stalled core re-probes once and re-arms its
+// own (see StillStalls).
 // Fill callbacks are not serialized — restored MSHRs get fresh pool
 // nodes whose closures are equivalent, and controller-queue restore
 // reattaches reads to them through FillFor; an MSHR waiter's durable
@@ -66,7 +60,6 @@ type HierarchyState struct {
 	Prefetch   []strideState
 	Prefetches int64
 	Demand     int64
-	Ver        uint64
 }
 
 // Snapshot captures the hierarchy's full mutable state.
@@ -77,7 +70,6 @@ func (h *Hierarchy) Snapshot() *HierarchyState {
 		Prefetch:   append([]strideState(nil), h.prefetch...),
 		Prefetches: h.Prefetches,
 		Demand:     h.Demand,
-		Ver:        h.ver,
 	}
 	for i := range h.l1 {
 		st.L1 = append(st.L1, h.l1[i].snapshot())
@@ -131,7 +123,8 @@ func (h *Hierarchy) Restore(st *HierarchyState, done func(core, slot int) func(i
 	}
 	copy(h.l1Pending, st.L1Pending)
 	copy(h.prefetch, st.Prefetch)
-	h.Prefetches, h.Demand, h.ver = st.Prefetches, st.Demand, st.Ver
+	h.Prefetches, h.Demand = st.Prefetches, st.Demand
+	clear(h.stalls) // no stall is vouched for until its core re-probes
 }
 
 // FillFor returns the fill callback of the in-flight miss covering

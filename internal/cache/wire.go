@@ -17,36 +17,35 @@ import (
 )
 
 // packLines encodes a level's lines in way order. An invalid way packs
-// as tag 0, lru 0, clean — what the packed arrays hold for it.
+// as tag 0, lru 0, clean — what its all-zero word holds.
 func packLines(st *cacheState) []byte {
-	b := make([]byte, 0, len(st.tags)*3)
+	b := make([]byte, 0, len(st.lines)*3)
 	var tmp [2 * binary.MaxVarintLen64]byte
-	for i, key := range st.tags {
+	for _, l := range st.lines {
 		var f byte
 		var tag uint64
-		if key != 0 {
+		if key := l >> keyShift; key != 0 {
 			f |= 1
 			tag = key - 1
 		}
-		if st.dirty[i] {
+		if l&dirtyBit != 0 {
 			f |= 2
 		}
 		n := binary.PutUvarint(tmp[:], tag)
-		n += binary.PutUvarint(tmp[n:], st.lru[i])
+		n += binary.PutUvarint(tmp[n:], l&stampMask>>1)
 		b = append(append(b, f), tmp[:n]...)
 	}
 	return b
 }
 
-// unpackLines decodes count packed lines into st's tag arrays. A line
-// flagged invalid restores as an empty way whatever tag it carries.
+// unpackLines decodes count packed lines into st's way words. A line
+// flagged invalid restores as an empty way whatever else it carries; a
+// valid line's tag and stamp must fit the packed word.
 func unpackLines(b []byte, count int, st *cacheState) error {
 	if count < 0 {
 		return fmt.Errorf("cache: negative packed line count %d", count)
 	}
-	st.tags = make([]uint64, count)
-	st.lru = make([]uint64, count)
-	st.dirty = make([]bool, count)
+	st.lines = make([]uint64, count)
 	for i := 0; i < count; i++ {
 		if len(b) == 0 {
 			return fmt.Errorf("cache: packed line blob ends at line %d of %d", i, count)
@@ -63,10 +62,17 @@ func unpackLines(b []byte, count int, st *cacheState) error {
 			return fmt.Errorf("cache: bad lru varint at line %d", i)
 		}
 		b = b[n:]
-		if f&1 != 0 {
-			st.tags[i] = tag + 1
+		if f&1 == 0 {
+			continue
 		}
-		st.lru[i], st.dirty[i] = lru, f&2 != 0
+		if tag >= maxKey || lru > maxStamp {
+			return fmt.Errorf("cache: line %d (tag %#x, lru %d) does not fit a packed way", i, tag, lru)
+		}
+		l := (tag+1)<<keyShift | lru<<1
+		if f&2 != 0 {
+			l |= dirtyBit
+		}
+		st.lines[i] = l
 	}
 	if len(b) != 0 {
 		return fmt.Errorf("cache: %d trailing bytes after %d packed lines", len(b), count)
@@ -84,7 +90,7 @@ type cacheWire struct {
 }
 
 func cacheToWire(st *cacheState) cacheWire {
-	return cacheWire{NLines: len(st.tags), Lines: packLines(st), Clock: st.clock, Hits: st.hits, Misses: st.misses}
+	return cacheWire{NLines: len(st.lines), Lines: packLines(st), Clock: st.clock, Hits: st.hits, Misses: st.misses}
 }
 
 func cacheFromWire(w *cacheWire) (cacheState, error) {

@@ -150,9 +150,10 @@ func (c *Core) NextEvent(now int64) int64 {
 func (c *Core) Blocked() bool { return c.blocked && !c.dirty }
 
 // ProbeStalled reports that the blocked core's stalled instruction got
-// cache.Stall from the hierarchy: its retry outcome depends on MSHR and
-// controller-queue state, so the core must run on every executed cycle
-// (any component may have freed the resource it is waiting on).
+// cache.Stall from the hierarchy: its retry outcome depends on cache,
+// MSHR and controller-queue state that any component may change, so the
+// core must retry on every executed cycle unless the hierarchy vouches
+// that the retry stalls again (cache.Hierarchy.StillStalls).
 func (c *Core) ProbeStalled() bool { return c.probeStall }
 
 // WakeCycle returns the blocked core's self-known wake bound: the CPU

@@ -48,6 +48,7 @@ func (f *fakeBackend) EnqueueRead(addr uint64, done func(int64)) bool {
 	return true
 }
 func (f *fakeBackend) EnqueueWrite(addr uint64) bool { return true }
+func (f *fakeBackend) ReadFull(addr uint64) bool     { return f.full }
 
 type fixedClock struct{}
 

@@ -187,6 +187,8 @@ func (b *lockBackend) EnqueueWrite(addr uint64) bool {
 	return true
 }
 
+func (b *lockBackend) ReadFull(addr uint64) bool { return b.full }
+
 // lockHierarchy is a small hierarchy, so a lockstep run sees evictions,
 // write-backs and MSHR stalls within a few thousand cycles.
 func lockHierarchy() cache.HierarchyConfig {
@@ -220,8 +222,9 @@ func hierBytes(t *testing.T, h *cache.Hierarchy) []byte {
 // own hierarchy. One random schedule toggles both backends' fullness and
 // fires their read completions at the same cycles. After every tick the
 // two must agree on retirement, ROB and LSQ occupancy, the stalled
-// instruction, the blocked-state report, the hierarchy's shared-path
-// access count and LLC counters, and every memory request in order.
+// instruction, the blocked-state report, whether the hierarchy vouches
+// that the stalled retry stalls again, the LLC counters, and every
+// memory request in order.
 // Every 256 cycles and at the end they must also agree on the whole
 // hierarchy state: every level's lines, recency stamps and hit/miss
 // counters, which record the order of the accesses themselves.
@@ -248,11 +251,11 @@ func RunLockstep(t *testing.T, mk func() TraceSource, cycles int64, seed int64) 
 		}
 		c.Tick(cyc)
 		r.tick(cyc)
-		const f = "retired=%d n=%d loads=%d stores=%d stalled=%+v/%v probe=%v blocked=%v wake=%d reqs=%d ver=%d llc=%d/%d"
+		const f = "retired=%d n=%d loads=%d stores=%d stalled=%+v/%v probe=%v blocked=%v wake=%d reqs=%d stills=%v llc=%d/%d"
 		got := fmt.Sprintf(f, c.Retired, c.n, c.loads, c.stores, c.stalled, c.hasStall, c.probeStall,
-			c.Blocked(), c.WakeCycle(), len(bs[0].log), hs[0].Ver(), hs[0].LLC().Hits, hs[0].LLC().Misses)
+			c.Blocked(), c.WakeCycle(), len(bs[0].log), hs[0].StillStalls(0), hs[0].LLC().Hits, hs[0].LLC().Misses)
 		want := fmt.Sprintf(f, r.retired, r.n, r.loads, r.stores, r.stalled, r.hasStall, r.probeStall,
-			r.Blocked(), r.WakeCycle(), len(bs[1].log), hs[1].Ver(), hs[1].LLC().Hits, hs[1].LLC().Misses)
+			r.Blocked(), r.WakeCycle(), len(bs[1].log), hs[1].StillStalls(0), hs[1].LLC().Hits, hs[1].LLC().Misses)
 		if got != want {
 			t.Fatalf("cycle %d: core diverged from the per-instruction reference:\n got  %s\n want %s", cyc, got, want)
 		}

@@ -267,11 +267,15 @@ func (c *Controller) EnqueueRead(addr uint64, now int64, done func(int64)) bool 
 	return c.EnqueueReadDecoded(addr, c.mapper.Decode(addr), now, done)
 }
 
+// ReadFull reports whether the read queue is full, so EnqueueRead
+// would return false.
+func (c *Controller) ReadFull() bool { return c.rq.n >= c.cfg.ReadQueue }
+
 // EnqueueReadDecoded is EnqueueRead for callers that already decoded the
 // address (the router decodes to route; re-decoding per request is
 // measurable on the hot path).
 func (c *Controller) EnqueueReadDecoded(addr uint64, daddr dram.Addr, now int64, done func(int64)) bool {
-	if c.rq.n >= c.cfg.ReadQueue {
+	if c.ReadFull() {
 		return false
 	}
 	r := c.alloc(addr, daddr, false, now, done)

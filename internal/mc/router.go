@@ -30,5 +30,11 @@ func (r *Router) EnqueueWrite(addr uint64) bool {
 	return true
 }
 
+// ReadFull implements cache.Backend: whether the read queue of addr's
+// channel would refuse a read now.
+func (r *Router) ReadFull(addr uint64) bool {
+	return r.ctrls[r.mapper.Decode(addr).Channel].ReadFull()
+}
+
 // Controllers returns the underlying per-channel controllers.
 func (r *Router) Controllers() []*Controller { return r.ctrls }

@@ -59,7 +59,7 @@ var (
 var ckptMagic = [8]byte{'C', 'H', 'O', 'P', 'I', 'M', 'C', 'K'}
 
 // ckptVersion is the file format version; bump on any wire change.
-const ckptVersion = 4
+const ckptVersion = 5
 
 // ckptHeaderLen is magic + version + fingerprint + payload length.
 const ckptHeaderLen = 8 + 4 + sha256.Size + 8

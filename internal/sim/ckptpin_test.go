@@ -26,18 +26,18 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		hier, all string
 		n         int
 	}{
-		"host-only": {"36741e61ad3413fbc5839065c03751130931a69bbc6573d483cfef120bb7a563",
-			"a035587c7e47d4aab159f2aa1e8bcfe498b71d016f73b819913a1d86eeed6ec8", 796381},
-		"host-stall-heavy": {"5276cb8aa436117bd0844266e1b12ff1482e473b758889e7aa2b708fdcc29af8",
-			"dd4863dc19f931e5f43de2b339db4fbb80ef12f9a183cbbc746467f4b254e6d0", 689969},
+		"host-only": {"e761cdf1dccd10684634e09638b3855a24fbd2fc81e49abd730fda89e19e5f8d",
+			"7595dc8695d206c5376051056089ceebdc217f4698930ed9fd54361936ff2efc", 796307},
+		"host-stall-heavy": {"1db9f8ad4e5b268d16db8ceb55d6bffe916b014b0066966b6387c21d14749b07",
+			"1b39d6a1dbeae718470cab279e6a90dd1da42c47cf0ac7cb2dfdd2f83f94f8b5", 689919},
 		"nda-only-nrm2": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			"09adc3c41091a465723fde3e2a2af81ec4f75203a9a5a3e90ff938eff5408705", 9802},
+			"093b0b823c8aa7b553f8e91feec9c09ead44c2e7a04f1d53e15fa6d0dde52a27", 9785},
 		"nda-only-copy-stochastic": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			"09cb23f677e02d147d771be1aaa106619866f22b9daa2fce3abc808af132ae18", 14253},
-		"mixed-mix1-dot": {"8aa5c770bd4c8078f7738ebc5ccaad72a58608c957eee95d10e9cf348bc39008",
-			"295be87dbb5b95e5ef49ef3bc7f0ee6558d4eb94dbf1f45c41dc5046f564a65a", 709835},
-		"mixed-mix3-copy-shared": {"5b65e23b7a431181c23b8d54e3c19d05837c0c03a5128c9be1dc0b17ec13a3b6",
-			"83a83dea8d2d5f729e670c7ad2f17f461ea574ce0989983357e5f1bc9c16a203", 734872},
+			"b8a4ece913f69ab68d3c07e8fdaa4349461a2123414ef38133b76d39e51fd53f", 14236},
+		"mixed-mix1-dot": {"77179565b2c6a544792bddaf56155a081c5f109ddd8bcb26e96389bb84f8b559",
+			"93f9b823a605073d92d912f80359ee9e02d3d02cbfba6177494f24ce9245f867", 709785},
+		"mixed-mix3-copy-shared": {"dc47c119c95a62051b1b0664d2fc6031d1e75ddcfe7789fd51aba884181af833",
+			"93286209197b790baf9bc6e5a54b0e7bdb1142032c2d4dd83832f04f1c19547b", 734822},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

@@ -399,7 +399,7 @@ func TestRunFastMatchesRunWideAndShared(t *testing.T) {
 // bit-identical to the single-stepped reference at every boundary. The
 // stress trace profiles each drive a different blocked-core cause, so
 // this exercises every wake class of the core-skip machinery: head-wake
-// (ROB/LSQ), probe-stall epochs, controller hints, and NDA sleep
+// (ROB/LSQ), the probe-stall predicate, controller hints, and NDA sleep
 // bounds.
 func TestRunFastMatchesRunRandomized(t *testing.T) {
 	stress := map[string]bool{

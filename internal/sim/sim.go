@@ -140,13 +140,10 @@ type System struct {
 	cpuCycle  int64
 	credit    int
 
-	// Core dispatch state for the fast path (StepFast/RunFast); Run
-	// never consults it. coreDue is per-tick scratch for the dispatch
-	// loop; coreEpoch records the memory epoch (hierarchy version plus
-	// read dequeues) under which each probe-stalled core last evaluated
-	// its retry, so the retry re-runs only when the epoch moves.
-	coreDue   []bool
-	coreEpoch []uint64
+	// coreFrom is per-tick scratch for the fast path's core dispatch
+	// (tickDue): the first CPU sub-cycle of the tick each core executes
+	// unconditionally. Run never consults it.
+	coreFrom []int64
 
 	// doms holds one channel domain per memory channel. Domain d owns
 	// MCs[d], the rank NDAs of channel d, and channel d's share of Mem;
@@ -238,6 +235,9 @@ func New(cfg Config) (*System, error) {
 		if err := hcfg.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: invalid config: %w", err)
 		}
+		if err := hcfg.CheckSpan(cfg.Geom.Capacity()); err != nil {
+			return nil, fmt.Errorf("sim: invalid config: %w", err)
+		}
 		s.Hier = cache.NewHierarchy(hcfg, s.Router, s)
 		for i, p := range profs {
 			fp := p.Footprint
@@ -256,8 +256,7 @@ func New(cfg Config) (*System, error) {
 	s.RT.MaxBlocksPerInstr = cfg.MaxBlocksPerInstr
 	s.RT.ModelLaunches = cfg.ModelLaunches
 	s.retiredAtMeas = make([]int64, len(s.Cores))
-	s.coreDue = make([]bool, len(s.Cores))
-	s.coreEpoch = make([]uint64, len(s.Cores))
+	s.coreFrom = make([]int64, len(s.Cores))
 	s.doms = make([]domain, len(s.MCs))
 	for d := range s.doms {
 		dom := &s.doms[d]
@@ -265,19 +264,6 @@ func New(cfg Config) (*System, error) {
 		s.NDA.SetCompletionSink(d, dom.push)
 	}
 	return s, nil
-}
-
-// rdSum counts read dequeues across controllers: the only controller
-// activity that can change a probe-stalled core's retry outcome (read-
-// queue space frees on a read issue; writes are never refused). Row
-// commands and write drains cannot unstall a core, so they do not move
-// the epoch.
-func (s *System) rdSum() uint64 {
-	var e uint64
-	for _, c := range s.MCs {
-		e += uint64(c.ReadsIssued)
-	}
-	return e
 }
 
 // CPUOfDRAM implements cache.Clock.
@@ -489,38 +475,31 @@ func (s *System) tickDue() {
 		m++
 	}
 	cEnd := s.cpuCycle + m
-	// Core dispatch. Active cores and cores whose wake falls inside this
-	// tick's CPU window run every sub-cycle, exactly as in Tick. A
-	// probe-stalled core runs a sub-cycle only when the memory epoch —
-	// hierarchy version plus read dequeues, everything its retry probe
-	// reads — moved since the epoch recorded just before its previous
-	// probe; otherwise the probe provably re-stalls (the Stall contract)
-	// and the sub-cycle reduces to its cycle counter. The epoch is
-	// re-read per core per sub-cycle, so a mutation by an
-	// earlier-dispatched core re-probes later cores in the same order
-	// the reference interleaving would. Other blocked cores cannot
-	// change state before their wake and skip the window arithmetically.
-	rd := s.rdSum()
+	// Core dispatch. An active core runs every sub-cycle, exactly as in
+	// Tick. A blocked core cannot retire before its wake, and nothing in
+	// the CPU loop can wake it earlier (completions land only at
+	// commit), so it runs every sub-cycle from its wake on. Before that,
+	// a core blocked on ROB or LSQ space cannot issue either, and its
+	// sub-cycles reduce to its cycle counter. A probe-stalled core runs
+	// such a sub-cycle only when the hierarchy cannot vouch that its
+	// retry stalls again (Hierarchy.StillStalls, the Stall contract on
+	// Access), asked per core per sub-cycle, so a mutation by an
+	// earlier-dispatched core re-probes later cores in the order the
+	// reference interleaving would.
 	anyDue := false
-	nDue := 0
 	for i, core := range s.Cores {
-		due := !core.Blocked() || core.WakeCycle() < cEnd
-		s.coreDue[i] = due
-		anyDue = anyDue || due
-		if due {
-			nDue++
+		from := s.cpuCycle
+		if core.Blocked() {
+			from = min(max(core.WakeCycle(), from), cEnd)
 		}
+		s.coreFrom[i] = from
+		anyDue = anyDue || from < cEnd
 	}
 	if !anyDue {
 		bulk := true
-		e := uint64(0)
-		if s.Hier != nil {
-			e = rd + s.Hier.Ver()
-		}
 		for i, core := range s.Cores {
-			if core.ProbeStalled() && e != s.coreEpoch[i] {
-				// Leave the core to the sub-cycle probe branch below,
-				// which re-probes and records the observed epoch.
+			if core.ProbeStalled() && !s.Hier.StillStalls(i) {
+				// Leave the core to the sub-cycle probe branch below.
 				bulk = false
 				break
 			}
@@ -539,23 +518,18 @@ func (s *System) tickDue() {
 	}
 	for cc := s.cpuCycle; cc < cEnd; cc++ {
 		for i, core := range s.Cores {
-			if s.coreDue[i] {
+			if cc >= s.coreFrom[i] {
 				core.Tick(cc)
 				continue
 			}
-			if core.ProbeStalled() {
-				e := rd + s.Hier.Ver()
-				if e != s.coreEpoch[i] {
-					core.Tick(cc)
-					if core.Blocked() && core.ProbeStalled() {
-						s.coreEpoch[i] = e
-					} else {
-						// Progressed or changed kind: reference
-						// semantics for the rest of the window.
-						s.coreDue[i] = true
-					}
-					continue
+			if core.ProbeStalled() && !s.Hier.StillStalls(i) {
+				core.Tick(cc)
+				if !core.Blocked() || !core.ProbeStalled() {
+					// Progressed or changed kind: reference
+					// semantics for the rest of the window.
+					s.coreFrom[i] = cc + 1
 				}
+				continue
 			}
 			core.SkipCycles(1)
 		}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
+	"chopim/internal/cache"
 	"chopim/internal/dram"
 	"chopim/internal/ndart"
 )
@@ -184,5 +186,23 @@ func TestAsyncMacroOp(t *testing.T) {
 	// One launch packet per rank, not per iteration.
 	if want := int64(4); s.RT.Launches != want {
 		t.Errorf("macro op used %d launches, want %d", s.RT.Launches, want)
+	}
+}
+
+// TestNewRejectsUnkeyableGeometry: the cache levels pack a block's tag
+// into a 32-bit key, so a memory whose largest block has no key is
+// refused by New with an error, never simulated with aliasing tags.
+// 8 channels of 8 ranks of 2^32 blocks is one block range past the L1's
+// keys; 4 ranks per channel fits.
+func TestNewRejectsUnkeyableGeometry(t *testing.T) {
+	cfg := Default(0)
+	cfg.Geom.Channels, cfg.Geom.Ranks = 8, 8
+	cfg.Geom.Rows = 1 << 32 / (cfg.Geom.BanksPerRank() * cfg.Geom.Cols)
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "32-bit key") {
+		t.Fatalf("New on a %d-byte memory = %v, want a key-range error", cfg.Geom.Capacity(), err)
+	}
+	hcfg := cache.DefaultHierarchyConfig(1)
+	if err := hcfg.CheckSpan(cfg.Geom.Capacity() / 2); err != nil {
+		t.Fatalf("half that memory is refused: %v", err)
 	}
 }

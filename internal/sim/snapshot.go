@@ -50,7 +50,6 @@ type ckptState struct {
 	MeasStartDRAM int64
 	MeasStartCPU  int64
 	RetiredAtMeas []int64
-	CoreEpoch     []uint64
 }
 
 // Cycle returns the DRAM cycle the checkpoint was taken at.
@@ -102,7 +101,6 @@ func (s *System) SnapshotWithRoots(roots []*ndart.Handle) (*Checkpoint, []int, e
 		DRAMCycle: s.dramCycle, CPUCycle: s.cpuCycle, Credit: s.credit,
 		MeasStartDRAM: s.measStartDRAM, MeasStartCPU: s.measStartCPU,
 		RetiredAtMeas: append([]int64(nil), s.retiredAtMeas...),
-		CoreEpoch:     append([]uint64(nil), s.coreEpoch...),
 	}}
 	for _, c := range s.MCs {
 		ck.st.MCs = append(ck.st.MCs, c.Snapshot())
@@ -161,7 +159,6 @@ func (s *System) Restore(ck *Checkpoint) {
 	s.dramCycle, s.cpuCycle, s.credit = st.DRAMCycle, st.CPUCycle, st.Credit
 	s.measStartDRAM, s.measStartCPU = st.MeasStartDRAM, st.MeasStartCPU
 	copy(s.retiredAtMeas, st.RetiredAtMeas)
-	copy(s.coreEpoch, st.CoreEpoch)
 	for d := range s.doms {
 		s.doms[d].outbox = s.doms[d].outbox[:0]
 	}

@@ -25,6 +25,7 @@ const (
 	config   notCarried = "config: a construction input, wiring, or a value derived from them"
 	schedMem notCarried = "a scheduling or decode cache that re-derives after restore"
 	memOnly  notCarried = "in-memory only, never durable"
+	rearmed  notCarried = "skip bookkeeping that restore clears and the next probe re-arms"
 )
 
 // stateCoverage maps one live struct a Snapshot reads onto its state.
@@ -82,10 +83,11 @@ func TestStateFieldCoverage(t *testing.T) {
 			carriedBy: map[string]string{"pending": "MSHRs"},
 			skip: map[string]notCarried{
 				"cfg": config, "backend": config, "clock": config, "maxWaiters": config, "mshrFree": pool,
+				"stalls": rearmed, "llcVer": rearmed,
 			}},
 		{live: reflect.TypeOf(cache.Cache{}), state: fieldType(t, hierSt, "LLC"),
 			skip: map[string]notCarried{
-				"cfg": config, "nsets": config, "smask": config, "shift": config, "ways": config,
+				"cfg": config, "nsets": config, "smask": config, "shift": config, "ways": config, "limit": config,
 				"lastBlock": schedMem, "lastKey": schedMem, "lastWay": schedMem,
 			}},
 		{live: fieldType(t, hier, "prefetch").Elem()},
