@@ -215,7 +215,7 @@ func BenchmarkMixedHostNDACheckpointed(b *testing.B) {
 // the default geometry's 32 — with mix1 host traffic and a long-running
 // NDA COPY, through the production RunFast loop. Wide geometries stress
 // every per-bank and per-rank structure at 4x the default fan-out: the
-// FR-FCFS scan width, the calendar's bank-event population, the NDA
+// FR-FCFS scan width, the controller's lazy bank-key population, the NDA
 // sleep-bound derivation across 8 rank FSMs per channel. Setup and
 // warm-up run off the timer; allocs/op must stay zero like the other
 // host-path benchmarks.

@@ -176,9 +176,9 @@ func (t Timing) Validate() error {
 		return fmt.Errorf("dram: same-bank-group timings must dominate: %+v", t)
 	}
 	if t.ReadToWrite() < t.CL-t.CWL {
-		// The mc calendar queue relies on the channel-bus horizon
-		// (chanState.extCol) being monotone nondecreasing under legal
-		// command sequences; a read-to-write turnaround shorter than
+		// The mc controller's lazy bank keys rely on the channel-bus
+		// horizon (chanState.extCol) being monotone nondecreasing under
+		// legal command sequences; a read-to-write turnaround shorter than
 		// CL-CWL would let a WR's burst end before the preceding RD's,
 		// moving DataBusyUntil backwards.
 		return fmt.Errorf("dram: ReadToWrite (%d) < CL-CWL (%d): bus horizon not monotone", t.ReadToWrite(), t.CL-t.CWL)

@@ -113,13 +113,13 @@ type chanState struct {
 	// no other bank's candidates, and column commands and REF only push
 	// horizons forward. So a scheduler holding per-bank conclusions of
 	// the form "bank b has no candidate ready before cycle T" (the mc
-	// calendar's bucket keys) stays sound by revalidating exactly the
-	// banks logged since it last looked. The log is fixed-size: a reader
+	// controller's lazy bank keys) stays sound by revalidating exactly
+	// the banks logged since it last looked. The log is fixed-size: a reader
 	// that fell more than RowLogLen changes behind must presume every
 	// bank changed. It is a value array, so snapshots copy it whole. It
 	// is not durable: a decoded checkpoint restores an empty log, which
 	// the controllers restored with it never read (their rebuilt queues
-	// park every bank; see mc calSync).
+	// start every bank's key at -1, "revalidate"; see mc sync).
 	rowLog [RowLogLen]int32 `json:"-"`
 	rowSeq uint64           `json:"-"`
 }
@@ -290,13 +290,13 @@ func (m *Mem) OpenRow(a Addr) (row int, open bool) {
 // without issuing a command: an out-of-band row change. Timing horizons
 // are left alone. The rank's stamp advances and the bank is logged as a
 // row change, so every cached scheduler conclusion derived from the old
-// row state (per-bank horizon caches, mc calendar keys) must be
-// revalidated. No simulation path calls it. The mc calendar and memo
+// row state (per-bank horizon caches, mc lazy bank keys) must be
+// revalidated. No simulation path calls it. The mc key and memo
 // equivalence tests use it to inject such a change, and a burst of more
 // than RowLogLen of them to force the row-log overflow resync. That
 // resync stays reachable in production: the log can wrap during a long
 // idle stretch, and a device restored behind the queue forces it too
-// (see mc calSync).
+// (see mc sync).
 func (m *Mem) WarmOpen(a Addr) {
 	m.checkAddr(a)
 	rk := m.rank(a)

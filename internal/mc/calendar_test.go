@@ -338,14 +338,17 @@ func TestCalendarRowStampRebucket(t *testing.T) {
 
 }
 
+// keyOf returns occupied bank bk's lazy key in q.
+func keyOf(q *reqQueue, bk int32) int64 { return q.key[q.occPos[bk]] }
+
 // TestCalendarLazyVsEagerInvalidation pins the invalidation split at
-// the bucket level (white box). Internal column traffic must NOT
-// trigger a resync: the staled key is a lower bound that gets
-// revalidated when it comes due, and re-files at the exact pushed-out
-// cycle. A row change (ACT, PRE, WarmOpen) must park exactly its own
-// bank in the ready region when the queue holds it, before any horizon
-// is trusted — and nothing otherwise: other banks of the same rank keep
-// their buckets and their (now stale) entries untouched.
+// the key level (white box). Internal column traffic must NOT reset a
+// key: the staled key is a lower bound that gets revalidated when it
+// comes due, and is rewritten at the exact pushed-out cycle. A row
+// change (ACT, PRE, WarmOpen) must reset exactly its own bank's key
+// when the queue holds it, before any horizon is trusted — and nothing
+// otherwise: other banks of the same rank keep their keys and their
+// (now stale) entries untouched.
 func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 	g := dram.DefaultGeometry()
 	mapper := addrmap.NewSkylakeLike(g)
@@ -355,7 +358,7 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 		c := NewController(DefaultConfig(), mem, mapper, 0)
 		// Open a row internally and enqueue a host hit against it: the
 		// bank's pass-1 candidate is fenced by tRCD, so the first
-		// horizon derivation buckets the bank at ACT+tRCD.
+		// horizon derivation keys the bank at ACT+tRCD.
 		addr := addrOnChannel0(mapper, 0)
 		da := mapper.Decode(addr)
 		mem.Issue(dram.CmdACT, da, 0, true)
@@ -368,29 +371,27 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 		}
 		bk := int32(da.Rank*g.BanksPerRank() + da.GlobalBank(g))
 		q := &c.rq
-		if q.calWhere[bk] != calBucket || q.calKey[bk] != rdReady {
-			t.Fatalf("bank filed at where=%d key=%d, want bucketed at %d",
-				q.calWhere[bk], q.calKey[bk], rdReady)
+		if k := keyOf(q, bk); k != rdReady {
+			t.Fatalf("bank keyed at %d, want %d", k, rdReady)
 		}
 		// An internal column on the same rank pushes the rank's column
 		// horizons (tCCD) but changes no row state: nothing is logged,
-		// the bucket key stays put, and revalidation at the stale key
-		// re-files at the exact pushed-out cycle.
+		// the key stays put, and revalidation at the stale key rewrites
+		// it at the exact pushed-out cycle.
 		seq := mem.RowSeq(0)
 		mem.Issue(dram.CmdRD, da, rdReady, true)
 		pushed := rdReady + int64(mem.T.CCDL)
 		if mem.RowSeq(0) != seq {
 			t.Fatal("internal column was logged as a row change")
 		}
-		if q.calKey[bk] != rdReady {
-			t.Fatalf("column traffic moved the bucket key to %d; expected lazy staleness", q.calKey[bk])
+		if k := keyOf(q, bk); k != rdReady {
+			t.Fatalf("column traffic moved the key to %d; expected lazy staleness", k)
 		}
 		if h := c.queueHorizon(q, false, rdReady); h != pushed {
 			t.Fatalf("queueHorizon(%d) = %d, want tCCD_L-pushed %d", rdReady, h, pushed)
 		}
-		if q.calWhere[bk] != calBucket || q.calKey[bk] != pushed {
-			t.Fatalf("stale key revalidated to where=%d key=%d, want bucketed at %d",
-				q.calWhere[bk], q.calKey[bk], pushed)
+		if k := keyOf(q, bk); k != pushed {
+			t.Fatalf("stale key revalidated to %d, want %d", k, pushed)
 		}
 		// The wake memo (rdReady) was derived before the column and may
 		// be served as the lower bound it still is, never beyond the
@@ -435,27 +436,24 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 			bk  int32
 			key int64
 		}{{bkA, keyA}, {bkB, keyB}} {
-			if q.calWhere[b.bk] != calBucket || q.calKey[b.bk] != b.key {
-				t.Fatalf("bank %d filed at where=%d key=%d, want bucketed at %d",
-					b.bk, q.calWhere[b.bk], q.calKey[b.bk], b.key)
+			if k := keyOf(q, b.bk); k != b.key {
+				t.Fatalf("bank %d keyed at %d, want %d", b.bk, k, b.key)
 			}
 		}
 
 		// An NDA ACT on C: logged, but the queue holds no request for C,
-		// so the sync parks nothing. A and B stay in their buckets, and
-		// B's entry is not even recomputed (its rank stamp moved, but
+		// so the sync resets nothing. A and B keep their keys, and B's
+		// entry is not even recomputed (its rank stamp moved, but
 		// nothing revisits it before its key comes due).
 		now++
 		mem.Issue(dram.CmdACT, bankC, now, true)
 		stB := q.sched[q.occPos[bkB]].rkStamp
-		c.calSync(q, now)
+		c.sync(q)
 		if q.rowSeen != mem.RowSeq(0) {
-			t.Fatal("calSync did not consume the row log")
+			t.Fatal("sync did not consume the row log")
 		}
-		if q.calWhere[bkA] != calBucket || q.calKey[bkA] != keyA ||
-			q.calWhere[bkB] != calBucket || q.calKey[bkB] != keyB {
-			t.Fatalf("row change on an unqueued bank re-filed queued banks: A where=%d key=%d, B where=%d key=%d",
-				q.calWhere[bkA], q.calKey[bkA], q.calWhere[bkB], q.calKey[bkB])
+		if kA, kB := keyOf(q, bkA), keyOf(q, bkB); kA != keyA || kB != keyB {
+			t.Fatalf("row change on an unqueued bank reset queued banks: A key=%d, B key=%d", kA, kB)
 		}
 		if next := c.NextEvent(now); next != keyA {
 			t.Fatalf("NextEvent(%d) = %d after the ACT on C, want %d", now, next, keyA)
@@ -465,17 +463,17 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 		}
 
 		// A row change on A itself — an out-of-band open at the host's
-		// row — makes A's read a row hit ready
-		// now, long before A's bucket key. The sync must park exactly A,
-		// leave B bucketed, and the controller must issue A's read now.
+		// row — makes A's read a row hit ready now, long before A's key.
+		// The sync must reset exactly A's key, leave B's, and the
+		// controller must issue A's read now.
 		now++
 		mem.WarmOpen(hostA)
-		c.calSync(q, now)
-		if q.calWhere[bkA] != calInReady {
-			t.Fatalf("row change on queued bank A left it at where=%d key=%d", q.calWhere[bkA], q.calKey[bkA])
+		c.sync(q)
+		if k := keyOf(q, bkA); k != -1 {
+			t.Fatalf("row change on queued bank A left its key at %d", k)
 		}
-		if q.calWhere[bkB] != calBucket || q.calKey[bkB] != keyB {
-			t.Fatalf("row change on bank A re-filed bank B: where=%d key=%d", q.calWhere[bkB], q.calKey[bkB])
+		if k := keyOf(q, bkB); k != keyB {
+			t.Fatalf("row change on bank A moved bank B's key to %d", k)
 		}
 		if next := c.NextEvent(now); next != now {
 			t.Fatalf("NextEvent(%d) = %d, want due now (A's read is a ready row hit)", now, next)

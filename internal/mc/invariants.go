@@ -32,8 +32,8 @@ func (c *Controller) OverflowLen() int { return c.overflow.Len() }
 
 // CheckInvariants validates the controller's internal consistency: the
 // arrival lists against the occupancy counters and per-bank buckets,
-// the dense scheduling cache against the occupied set, and the calendar
-// (see checkCalendar). Returns the first violation found, nil when
+// the dense scheduling cache against the occupied set, and the lazy
+// keys (see checkKeys). Returns the first violation found, nil when
 // consistent.
 func (c *Controller) CheckInvariants() error {
 	if err := c.checkQueue(&c.rq, "rq", c.cfg.ReadQueue, dram.CmdRD); err != nil {
@@ -125,101 +125,25 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 			return fmt.Errorf("%s bank %d holds %d requests but is not in the occupied set", name, bk, n)
 		}
 	}
-	return c.checkCalendar(q, name, cmd)
+	return c.checkKeys(q, name, cmd)
 }
 
-// checkCalendar validates one queue's calendar: membership (every
-// occupied bank in exactly one region, bitmap in sync with slot heads,
-// keys inside their region's range) and — for banks with no row change
-// pending in the channel's row log — key soundness against a fresh
-// rescan of the bank's candidates: a bucketed, overflowed or parked
-// bank's key lower-bounds its earliest issuable candidate, and a bank
-// held out of the ready region with a ready PRE is one the open-page
-// rule blocks.
-func (c *Controller) checkCalendar(q *reqQueue, name string, cmd dram.Command) error {
-	seen := make(map[int32]string)
-	mark := func(bk int32, where string) error {
-		if w, dup := seen[bk]; dup {
-			return fmt.Errorf("%s bank %d on both %s and %s calendar regions", name, bk, w, where)
-		}
-		seen[bk] = where
-		return nil
+// checkKeys validates one queue's lazy keys: one key per occupied bank
+// and — for banks with no row change pending in the channel's row log
+// and no reset (-1) pending — key soundness against a fresh rescan of
+// the bank's candidates: the key lower-bounds its earliest issuable
+// candidate (a parked bank, keyed Never, therefore has none), and a
+// preBlocked mark holds only while the open-page rule blocks the PRE.
+func (c *Controller) checkKeys(q *reqQueue, name string, cmd dram.Command) error {
+	if len(q.key) != len(q.occ) {
+		return fmt.Errorf("%s holds %d keys for %d occupied banks", name, len(q.key), len(q.occ))
 	}
-	for bk := q.calReady; bk != -1; bk = q.calNext[bk] {
-		if q.calWhere[bk] != calInReady {
-			return fmt.Errorf("%s bank %d on ready list with calWhere=%d", name, bk, q.calWhere[bk])
-		}
-		if err := mark(bk, "ready"); err != nil {
-			return err
-		}
-	}
-	for bk := q.calOver; bk != -1; bk = q.calNext[bk] {
-		if q.calWhere[bk] != calInOver {
-			return fmt.Errorf("%s bank %d on overflow list with calWhere=%d", name, bk, q.calWhere[bk])
-		}
-		if q.calKey[bk]-q.calBase < calSlots {
-			return fmt.Errorf("%s bank %d on overflow with in-window key %d (base %d)", name, bk, q.calKey[bk], q.calBase)
-		}
-		if err := mark(bk, "overflow"); err != nil {
-			return err
-		}
-	}
-	inRing := 0
-	for s := 0; s < calSlots; s++ {
-		headSet := q.calBkt[s] != -1
-		bitSet := q.calBits[s>>6]&(1<<uint(s&63)) != 0
-		if headSet != bitSet {
-			return fmt.Errorf("%s calendar slot %d: bitmap=%v but head set=%v", name, s, bitSet, headSet)
-		}
-		for bk := q.calBkt[s]; bk != -1; bk = q.calNext[bk] {
-			if q.calWhere[bk] != calBucket {
-				return fmt.Errorf("%s bank %d in ring slot %d with calWhere=%d", name, bk, s, q.calWhere[bk])
-			}
-			k := q.calKey[bk]
-			if k < q.calBase || k-q.calBase >= calSlots {
-				return fmt.Errorf("%s bank %d ring key %d outside window [%d,%d)", name, bk, k, q.calBase, q.calBase+calSlots)
-			}
-			if int(k)&calMask != s {
-				return fmt.Errorf("%s bank %d key %d filed in slot %d, expected %d", name, bk, k, s, int(k)&calMask)
-			}
-			if err := mark(bk, "ring"); err != nil {
-				return err
-			}
-			inRing++
-		}
-	}
-	if inRing != q.calCount {
-		return fmt.Errorf("%s calCount=%d but ring holds %d banks", name, q.calCount, inRing)
-	}
-	for _, bk := range q.occ {
-		if q.calWhere[bk] != calParked {
-			continue
-		}
-		if q.calKey[bk] != dram.Never {
-			return fmt.Errorf("%s bank %d parked with key %d", name, bk, q.calKey[bk])
-		}
-		if err := mark(bk, "parked"); err != nil {
-			return err
-		}
-	}
-	for _, bk := range q.occ {
-		if _, ok := seen[bk]; !ok {
-			return fmt.Errorf("%s occupied bank %d is on no calendar region", name, bk)
-		}
-	}
-	if len(seen) != len(q.occ) {
-		return fmt.Errorf("%s calendar tracks %d banks but %d are occupied", name, len(seen), len(q.occ))
-	}
-
-	// Key soundness, spot-checked against a fresh rescan of each bank's
-	// candidates. Banks with a row change the queue has not yet
-	// replayed from the channel's row log are exempt: calSync parks
-	// them ready before any decision, so until then a stale-high key is
-	// legitimate — and when the log no longer covers the span since the
-	// queue's last sync, every bank is pending. Ready banks carry no key
-	// contract (the scan revalidates them), and the rescan paths
-	// (cross-channel harnesses, reference scheduler) never consult keys
-	// at all.
+	// Banks with a row change the queue has not yet replayed from the
+	// channel's row log are exempt: sync resets their keys before any
+	// decision, so until then a stale-high key is legitimate — and when
+	// the log no longer covers the span since the queue's last sync,
+	// every bank is pending. The rescan paths (cross-channel harnesses,
+	// reference scheduler) never consult keys at all.
 	if c.cross || c.refSched {
 		return nil
 	}
@@ -232,21 +156,15 @@ func (c *Controller) checkCalendar(q *reqQueue, name string, cmd dram.Command) e
 	for s := q.rowSeen; s < seq; s++ {
 		pending[base+c.mem.RowChange(c.channel, s)] = true
 	}
-	synced := q.calBase - 1 // the tick of the queue's last calSync
-	for _, bk := range q.occ {
-		if q.calWhere[bk] == calInReady || pending[bk] {
+	for i, bk := range q.occ {
+		if q.key[i] == -1 || pending[bk] {
 			continue
 		}
-		oracle, freePRE := c.bankOracle(q, bk, cmd)
-		if freePRE <= synced {
-			return fmt.Errorf("%s bank %d held out of the ready region with a PRE ready at %d (synced %d) that no queued request blocks",
-				name, bk, freePRE, synced)
+		if oracle := c.bankOracle(q, bk, cmd); q.key[i] > oracle {
+			return fmt.Errorf("%s bank %d key %d exceeds rescan-oracle ready cycle %d (lower bound violated)",
+				name, bk, q.key[i], oracle)
 		}
-		if q.calKey[bk] > oracle {
-			return fmt.Errorf("%s bank %d calendar key %d exceeds rescan-oracle ready cycle %d (lower bound violated)",
-				name, bk, q.calKey[bk], oracle)
-		}
-		if e := &q.sched[q.occPos[bk]]; e.preBlocked && (e.p2Cmd != dram.CmdPRE || !c.rowWanted(e.p2.DAddr, int(e.p2Row))) {
+		if e := &q.sched[i]; e.preBlocked && (e.p2Cmd != dram.CmdPRE || !c.rowWanted(e.p2.DAddr, int(e.p2Row))) {
 			return fmt.Errorf("%s bank %d marked preBlocked but the open-page rule no longer blocks its PRE", name, bk)
 		}
 	}
@@ -257,22 +175,21 @@ func (c *Controller) checkCalendar(q *reqQueue, name string, cmd dram.Command) e
 // the way the rescan oracle would — a fresh bucket scan against fresh
 // horizons, min(max(p1 column ready, channel bus), p2 row-command
 // ready), with a PRE the open-page rule blocks (rowWanted) excluded —
-// without touching the cached entry. freePRE is the ready cycle of a
-// PRE candidate the rule does not block (Never when there is none).
-func (c *Controller) bankOracle(q *reqQueue, bk int32, cmd dram.Command) (k, freePRE int64) {
+// without touching the cached entry.
+func (c *Controller) bankOracle(q *reqQueue, bk int32, cmd dram.Command) int64 {
 	flat := int(bk) % c.bpr
 	rank := int(bk)/c.bpr - c.channel*c.nrank
 	row, open, readyACT, readyPRE, readyRD, readyWR := c.mem.BankSched(
 		c.channel, rank, flat/c.bpg, flat)
 	if !open {
-		return readyACT, dram.Never
+		return readyACT
 	}
 	col := readyRD
 	if cmd == dram.CmdWR {
 		col = readyWR
 	}
 	bl := &q.banks[bk]
-	k, freePRE = dram.Never, dram.Never
+	k := dram.Never
 	for r := bl.head; r != nil; r = r.bnext {
 		if r.DAddr.Row == row {
 			k = max(col, c.mem.ExtColReady(c.channel, cmd, rank))
@@ -280,7 +197,7 @@ func (c *Controller) bankOracle(q *reqQueue, bk int32, cmd dram.Command) (k, fre
 		}
 	}
 	if bl.head.DAddr.Row != row && !c.rowWanted(bl.head.DAddr, row) {
-		freePRE = readyPRE
+		k = min(k, readyPRE)
 	}
-	return min(k, freePRE), freePRE
+	return k
 }

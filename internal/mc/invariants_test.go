@@ -8,7 +8,7 @@ import (
 )
 
 // loadedController returns a ticked controller with reads still pending
-// across several banks — live queue, buckets, and calendar state for
+// across several banks — live queue, buckets, and key state for
 // the corruption tests to mutilate.
 func loadedController(t *testing.T) *Controller {
 	t.Helper()
@@ -71,18 +71,9 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		{"bucket-count", func(t *testing.T, c *Controller) {
 			c.rq.banks[c.rq.occ[0]].n++
 		}, "bucket count"},
-		{"calendar-bitmap", func(t *testing.T, c *Controller) {
-			for s := 0; s < calSlots; s++ {
-				if c.rq.calBkt[s] == -1 && c.rq.calBits[s>>6]&(1<<uint(s&63)) == 0 {
-					c.rq.calBits[s>>6] |= 1 << uint(s&63)
-					return
-				}
-			}
-			t.Skip("no empty calendar slot to corrupt")
-		}, "bitmap"},
-		{"calendar-count", func(t *testing.T, c *Controller) {
-			c.rq.calCount++
-		}, "calCount"},
+		{"key-count", func(t *testing.T, c *Controller) {
+			c.rq.key = c.rq.key[:len(c.rq.key)-1]
+		}, "keys for"},
 		{"age-order", func(t *testing.T, c *Controller) {
 			if c.rq.head == nil || c.rq.head.qnext == nil {
 				t.Skip("need two queued requests")
@@ -105,19 +96,19 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestCheckInvariantsDetectsUnsoundKey files an occupied bank under a
-// far-future calendar key — breaking the lower-bound contract the lazy
-// scheduler depends on — and asserts the rescan-oracle spot check
-// catches it. Banks with a row change still pending in the row log are
-// exempt from the contract, so the test first replays the log.
+// TestCheckInvariantsDetectsUnsoundKey gives an occupied bank a
+// far-future key — breaking the lower-bound contract the lazy scheduler
+// depends on — and asserts the rescan-oracle spot check catches it.
+// Banks with a row change still pending in the row log are exempt from
+// the contract, so the test first replays the log.
 func TestCheckInvariantsDetectsUnsoundKey(t *testing.T) {
 	c := loadedController(t)
 	q := &c.rq
-	c.calSync(q, q.calBase-1) // replays the log; before calBase, no bucket drains
+	c.sync(q)
 	if q.rowSeen != c.mem.RowSeq(c.channel) {
-		t.Fatal("calSync left row changes pending")
+		t.Fatal("sync left row changes pending")
 	}
-	q.calPlace(q.occ[0], q.calBase+calSlots+100_000, q.calBase-1)
+	q.key[0] = dram.Never - 1
 	err := c.CheckInvariants()
 	if err == nil {
 		t.Fatal("unsound far-future key not detected")

@@ -8,11 +8,11 @@
 // and pending-demand checks used to prioritize host row commands.
 //
 // Scheduling is event-driven: requests are bucketed per (rank, flat
-// bank) at enqueue time (see queue.go), and the occupied banks are
-// filed in a calendar queue keyed by each bank's exact earliest-issue
-// cycle (see calendar.go), so a due tick examines only the ready
-// candidates instead of sweeping every occupied bank; the NDA
-// coordination hooks are O(1) counter reads. The calendar scheduler is
+// bank) at enqueue time (see queue.go), and each occupied bank carries
+// a lazy key that lower-bounds its earliest-issue cycle (see keys.go),
+// so a due tick's linear scan of the keys examines only the banks that
+// may be ready instead of re-deriving every occupied bank; the NDA
+// coordination hooks are O(1) counter reads. The key scheduler is
 // decision-for-decision equivalent to the original full-rescan one; the
 // rescan survives as scheduleRef, the oracle for the randomized
 // equivalence tests (TestBucketedSchedulerMatchesReference,
@@ -207,7 +207,7 @@ func (c *Controller) Channel() int { return c.channel }
 // against other ranks' banks, column issues that neither move the
 // read-queue head nor empty a bucket of this rank — leaves it unchanged
 // too, so the rank's cached sleep bound survives. This is the same
-// staleness split the calendar applies to bank entries (rkStamp vs
+// staleness split the scheduler applies to bank entries (rkStamp vs
 // bucket dirtiness), applied to the engine's controller inputs. A sum
 // of monotone counters, so equality means none of the covered inputs
 // moved. O(channels) counter reads — effectively O(1).
@@ -416,7 +416,7 @@ func (c *Controller) NextEvent(now int64) int64 {
 	// whether by a Tick that attempted both queues and issued nothing
 	// (as a byproduct of its failed scans) or by an earlier query.
 	// Other commands on the channel — NDA columns above all — only push
-	// horizons later (the row-log argument, calendar.go), so the memo
+	// horizons later (the row-log argument, keys.go), so the memo
 	// stays a lower bound across them. A memo that has come due is
 	// served without re-deriving, whatever moved since: reporting now
 	// is always exact, because a wake that comes early costs one
@@ -433,15 +433,13 @@ func (c *Controller) NextEvent(now int64) int64 {
 	return max(c.hint, now)
 }
 
-// queueHorizon bounds when any of the queue's FR-FCFS candidates (pass-1
-// row hits and pass-2 row commands) can first issue, assuming no
-// intervening commands. It runs the same calendar scan the scheduler
-// uses (ready region validated exactly, future banks contribute their
-// lower-bound keys), so the bound is sound — never beyond the true
-// earliest issue — and tightens to exact as candidates approach
-// readiness. Requests blocked structurally on another request's
-// progress (row kept open for an older hit) are covered by that
-// request's own candidate horizon.
+// queueHorizon returns the earliest cycle any of the queue's FR-FCFS
+// candidates (pass-1 row hits and pass-2 row commands) can issue,
+// assuming no intervening commands: now when scan finds one ready
+// (rowWanted-blocked PREs are not candidates), else the exact horizon.
+// Requests blocked structurally on another request's progress (row kept
+// open for an older hit) are covered by that request's own candidate
+// horizon.
 func (c *Controller) queueHorizon(q *reqQueue, writes bool, now int64) int64 {
 	if q.n == 0 {
 		return dram.Never
@@ -450,16 +448,10 @@ func (c *Controller) queueHorizon(q *reqQueue, writes bool, now int64) int64 {
 	if writes {
 		cmd = dram.CmdWR
 	}
-	best, best2, hzFuture := c.calScan(q, cmd, now)
-	if best != nil || best2 != nil {
-		// A ready column or an issuable row command: the controller is
-		// due this very cycle. (rowWanted-blocked PREs are not
-		// candidates — their block lifts only on a ver/RowSeq event
-		// that re-derives this bound — which is what lets the
-		// controller sleep through blocked windows instead of polling.)
-		return now
+	if best, best2, hz := c.scan(q, cmd, now); best == nil && best2 == nil {
+		return c.horizon(q, cmd, now, hz)
 	}
-	return c.calHorizon(q, cmd, now, hzFuture)
+	return now
 }
 
 // recomputeEntry re-derives one bank's candidates (see bankEntry). All
@@ -592,12 +584,12 @@ func (c *Controller) setHint(h int64) {
 // column command in oldest-first order, then a row command (ACT or PRE)
 // for the oldest request per bank. Returns true if a command issued.
 //
-// Candidate selection runs off the calendar queue (calendar.go): the
+// Candidate selection runs off the lazy per-bank keys (keys.go): the
 // per-bank entries are unchanged (pass 1's only viable requests are
 // each open bank's oldest row hit, pass 2's are the bucket heads —
 // exactly the requests the rescan's visited-bank set selected), but
-// only the ready region is examined per due tick instead of every
-// occupied bank. A candidate is ready iff now has reached its exact
+// only the banks whose key is due are examined per tick instead of
+// every occupied bank. A candidate is ready iff now has reached its exact
 // horizon — the cached rank-side bound plus, for columns, the O(1)
 // channel-bus bound — so "oldest ready" equals the rescan's "first in
 // arrival order passing CanIssue".
@@ -620,13 +612,13 @@ func (c *Controller) schedule(q *reqQueue, now int64, writes bool) bool {
 	// candidate horizon (sweepHz, the fused memo NextEvent serves) is
 	// derived only on the no-issue paths below — an issuing tick's
 	// horizon is never consumed.
-	best, best2, hzReady := c.calScan(q, cmd, now)
+	best, best2, hzReady := c.scan(q, cmd, now)
 	c.sweepHz = hzReady
 	if best != nil {
 		c.issueColumn(cmd, best, q, now, writes)
 		return true
 	}
-	// Pass 2: the oldest ready row command. calScan has already
+	// Pass 2: the oldest ready row command. scan has already
 	// applied the open-page rule: a PRE whose open row a queued request
 	// still wants is not a candidate (examine evaluates rowWanted
 	// against this cycle's queues, or serves a block no event has
@@ -641,7 +633,7 @@ func (c *Controller) schedule(q *reqQueue, now int64, writes bool) bool {
 		c.markRowCmd(e.p2.DAddr, now)
 		return true
 	}
-	c.sweepHz = c.calHorizon(q, cmd, now, hzReady)
+	c.sweepHz = c.horizon(q, cmd, now, hzReady)
 	return false
 }
 
@@ -752,7 +744,7 @@ func (c *Controller) issueColumn(cmd dram.Command, r *Request, q *reqQueue, now 
 	}
 	if i := o.occPos[r.bankKey]; i >= 0 && o.sched[i].preBlocked {
 		o.sched[i].preBlocked = false
-		o.calForceReady(r.bankKey)
+		o.key[i] = -1
 	}
 	q.remove(r)
 	var dataStart, dataEnd int64

@@ -16,10 +16,10 @@ func TestBankEntryOneLine(t *testing.T) {
 	}
 }
 
-// parkPair is a calendar controller and the rescan oracle on twin
-// devices, fed identical requests and internal (NDA) commands. The
-// calendar side is driven wake to wake on its own memoized NextEvent,
-// as the system drives it; the oracle ticks every cycle.
+// parkPair is a production (lazy-key) controller and the rescan oracle
+// on twin devices, fed identical requests and internal (NDA) commands.
+// The production side is driven wake to wake on its own memoized
+// NextEvent, as the system drives it; the oracle ticks every cycle.
 type parkPair struct {
 	t          *testing.T
 	memA, memB *dram.Mem
@@ -59,7 +59,7 @@ func (p *parkPair) write(addr uint64, a dram.Addr, now int64) {
 }
 
 // tick runs one cycle on both controllers and checks that they made
-// the same decision and that the calendar's invariants hold.
+// the same decision and that the production side's invariants hold.
 func (p *parkPair) tick(cyc int64) {
 	p.t.Helper()
 	p.ctlB.Tick(cyc)
@@ -70,7 +70,7 @@ func (p *parkPair) tick(cyc int64) {
 		p.skipped++
 	}
 	if a, b := ctrlState(p.ctlA, p.memA), ctrlState(p.ctlB, p.memB); a != b {
-		p.t.Fatalf("cycle %d: decisions diverged:\n calendar: %s\n ref:      %s", cyc, a, b)
+		p.t.Fatalf("cycle %d: decisions diverged:\n keys: %s\n ref:      %s", cyc, a, b)
 	}
 	if err := p.ctlA.CheckInvariants(); err != nil {
 		p.t.Fatalf("cycle %d: %v", cyc, err)
@@ -88,16 +88,16 @@ func (p *parkPair) drain(from int64) {
 			break
 		}
 		if cyc > from+10_000 {
-			p.t.Fatalf("queues failed to drain: calendar %d/%d, ref %d/%d", ra, wa, rb, wb)
+			p.t.Fatalf("queues failed to drain: keys %d/%d, ref %d/%d", ra, wa, rb, wb)
 		}
 		p.tick(cyc)
 	}
 	if len(p.doneA) != len(p.doneB) {
-		p.t.Fatalf("read completions: calendar %v, ref %v", p.doneA, p.doneB)
+		p.t.Fatalf("read completions: keys %v, ref %v", p.doneA, p.doneB)
 	}
 	for i := range p.doneA {
 		if p.doneA[i] != p.doneB[i] {
-			p.t.Fatalf("read completion %d: calendar %d, ref %d", i, p.doneA[i], p.doneB[i])
+			p.t.Fatalf("read completion %d: keys %d, ref %d", i, p.doneA[i], p.doneB[i])
 		}
 	}
 }
@@ -106,14 +106,14 @@ func (p *parkPair) drain(from int64) {
 // open-page rule blocks. A read queued to a row conflict makes its
 // bank's candidate a PRE; a write to the open row, held back by the
 // rank's read-to-write turnaround, keeps that PRE blocked (rowWanted).
-// The blocked PRE must leave the ready region — the read queue has no
-// row hit on the bank, so the bank is parked — and the controller must
-// sleep until the write matures instead of polling the PRE. The PRE
-// returns on either event that can lift the block, with every decision
+// The blocked PRE must drop out of the bank's key — the read queue has
+// no row hit on the bank, so the bank is parked at key Never — and the
+// controller must sleep until the write matures instead of polling the
+// PRE. The PRE returns on either event that can lift the block, with every decision
 // identical to the rescan oracle:
 //
 //   - other-queue-dequeue: the write issues, which clears the read
-//     queue's mark and force-readies the bank;
+//     queue's mark and resets the bank's key to -1;
 //   - row-change: an NDA closes the row first, which the channel's row
 //     log reports.
 func TestBlockedPrechargeParks(t *testing.T) {
@@ -146,8 +146,8 @@ func TestBlockedPrechargeParks(t *testing.T) {
 
 			q := &p.ctlA.rq
 			e := &q.sched[q.occPos[bk]]
-			if !e.preBlocked || q.calWhere[bk] != calParked {
-				t.Fatalf("blocked PRE: preBlocked=%v where=%d, want a parked bank", e.preBlocked, q.calWhere[bk])
+			if k := keyOf(q, bk); !e.preBlocked || k != dram.Never {
+				t.Fatalf("blocked PRE: preBlocked=%v key=%d, want a parked bank (key Never)", e.preBlocked, k)
 			}
 			if next := p.ctlA.NextEvent(now + 1); next != wrReady {
 				t.Fatalf("NextEvent(%d) = %d, want the write's turnaround horizon %d", now+1, next, wrReady)
@@ -157,7 +157,7 @@ func TestBlockedPrechargeParks(t *testing.T) {
 				if cyc == tc.closeAt {
 					p.internal(dram.CmdPRE, bank, cyc)
 					p.tick(cyc)
-					if q.calWhere[bk] == calParked {
+					if keyOf(q, bk) == dram.Never {
 						t.Fatalf("cycle %d: row change left the bank parked", cyc)
 					}
 					continue
@@ -169,16 +169,16 @@ func TestBlockedPrechargeParks(t *testing.T) {
 				if p.ctlA.WritesIssued != 1 {
 					t.Fatalf("write did not issue at its horizon %d", wrReady)
 				}
-				if e := &q.sched[q.occPos[bk]]; e.preBlocked || q.calWhere[bk] != calInReady {
-					t.Fatalf("after the write's dequeue: preBlocked=%v where=%d, want an unmarked ready bank",
-						e.preBlocked, q.calWhere[bk])
+				if e, k := &q.sched[q.occPos[bk]], keyOf(q, bk); e.preBlocked || k != -1 {
+					t.Fatalf("after the write's dequeue: preBlocked=%v key=%d, want an unmarked bank keyed for revalidation (-1)",
+						e.preBlocked, k)
 				}
 				p.drain(wrReady + 1)
 			} else {
 				p.drain(wrReady)
 			}
 			if p.skipped == 0 {
-				t.Fatal("the calendar controller never slept through the blocked window")
+				t.Fatal("the production controller never slept through the blocked window")
 			}
 			if p.ctlA.PresIssued == 0 || p.ctlA.ReadsIssued != 1 || p.ctlA.WritesIssued != 1 {
 				t.Fatalf("degenerate run: pres=%d reads=%d writes=%d",

@@ -49,53 +49,18 @@ type reqQueue struct {
 	demVer  []uint64
 	occ     []int32 // occupied bank keys, unordered (swap-removed)
 	occPos  []int32 // bankKey -> index into occ, -1 when absent
-	// sched is the per-bank scheduling cache, kept DENSE: sched[i] is
-	// the entry for occ[i], maintained through the same swap-removal.
-	// The calendar's examine loops resolve entries through occPos.
+	// sched is the per-bank scheduling cache and key the per-bank lazy
+	// lower-bound keys (see keys.go), both kept DENSE: sched[i] and
+	// key[i] belong to occ[i], maintained through the same swap-removal.
+	// A key of -1 means "revalidate at the next scan"; dram.Never means
+	// parked (a rowWanted-blocked PRE and no row hit).
 	sched []bankEntry
-
-	// Calendar-queue state (see calendar.go). Every occupied bank is in
-	// exactly one of: a ring bucket (future ready cycle), the ready
-	// list (ready cycle <= the last synced tick, or pending
-	// revalidation), the overflow list (ready cycle beyond the ring
-	// window), or parked (no candidate can issue before an unblocking
-	// event; on no list). calKey holds the bank's bucket key; for
-	// ready/overflow membership it is advisory only.
-	calBase  int64    // smallest key the ring can hold
-	calCount int      // banks currently in ring buckets
-	calBits  []uint64 // calWords words: non-empty bucket slots
-	calBkt   []int32  // calSlots slot heads (bankKey), -1 when empty
-	calKey   []int64  // bankKey -> current key
-	calNext  []int32  // bankKey -> calendar list links
-	calPrev  []int32
-	calWhere []uint8 // bankKey -> calAbsent/calBucket/calInReady/calInOver/calParked
-	calReady int32   // ready-list head
-	calOver  int32   // overflow-list head
+	key   []int64
 	// rowSeen is the channel's dram.Mem.RowSeq at the queue's last
-	// calSync: the row changes logged since then are the banks the next
-	// sync must park ready.
+	// sync: the row changes logged since then are the banks the next
+	// sync must reset.
 	rowSeen uint64
 }
-
-// Calendar geometry: the ring covers calSlots consecutive cycles, one
-// exact key per slot (key & calMask). With refresh disabled every
-// earliest-issue horizon lies within ~tRC of the cycle it was derived
-// at, far inside the window; refresh pushes horizons by tRFC, which the
-// overflow list absorbs.
-const (
-	calSlots = 256
-	calMask  = calSlots - 1
-	calWords = calSlots / 64
-)
-
-// Calendar membership states (reqQueue.calWhere).
-const (
-	calAbsent uint8 = iota
-	calBucket
-	calInReady
-	calInOver
-	calParked
-)
 
 func (q *reqQueue) init(rankGroups, banksPerRank int) {
 	nb := rankGroups * banksPerRank
@@ -108,19 +73,9 @@ func (q *reqQueue) init(rankGroups, banksPerRank int) {
 	q.demVer = make([]uint64, rankGroups)
 	q.occ = make([]int32, 0, nb)
 	q.occPos = make([]int32, nb)
-	q.calBits = make([]uint64, calWords)
-	q.calBkt = make([]int32, calSlots)
-	q.calKey = make([]int64, nb)
-	q.calNext = make([]int32, nb)
-	q.calPrev = make([]int32, nb)
-	q.calWhere = make([]uint8, nb)
-	q.calReady = -1
-	q.calOver = -1
+	q.key = make([]int64, 0, nb)
 	for i := range q.occPos {
 		q.occPos[i] = -1
-	}
-	for i := range q.calBkt {
-		q.calBkt[i] = -1
 	}
 }
 
@@ -141,18 +96,19 @@ func (q *reqQueue) push(r *Request) {
 	r.bnext, r.bprev = nil, bl.tail
 	if bl.tail != nil {
 		bl.tail.bnext = r
-		q.sched[q.occPos[r.bankKey]].dirty = true
+		i := q.occPos[r.bankKey]
+		q.sched[i].dirty = true
 		// The new request can add an earlier candidate (a row hit where
-		// the entry only had a row command); park the bank in the ready
-		// region so the next scan revalidates it.
-		q.calForceReady(r.bankKey)
+		// the entry only had a row command); the next scan revalidates
+		// the bank.
+		q.key[i] = -1
 	} else {
 		bl.head = r
 		q.demVer[r.bankKey>>q.shift]++ // bucket empty -> occupied
 		q.occPos[r.bankKey] = int32(len(q.occ))
 		q.occ = append(q.occ, r.bankKey)
 		q.sched = append(q.sched, bankEntry{dirty: true})
-		q.calPushReady(r.bankKey)
+		q.key = append(q.key, -1)
 	}
 	bl.tail = r
 	bl.n++
@@ -160,7 +116,8 @@ func (q *reqQueue) push(r *Request) {
 
 // remove unlinks r from the queue and its bank bucket.
 func (q *reqQueue) remove(r *Request) {
-	q.sched[q.occPos[r.bankKey]].dirty = true
+	i := q.occPos[r.bankKey]
+	q.sched[i].dirty = true
 	if r.qprev != nil {
 		r.qprev.qnext = r.qnext
 	} else {
@@ -189,9 +146,8 @@ func (q *reqQueue) remove(r *Request) {
 	bl.n--
 	if bl.n == 0 {
 		q.demVer[r.bankKey>>q.shift]++ // bucket occupied -> empty
-		// Swap-remove the bank (and its dense sched entry) from the
-		// occupied set.
-		i := q.occPos[r.bankKey]
+		// Swap-remove the bank (and its dense sched entry and key)
+		// from the occupied set.
 		last := int32(len(q.occ) - 1)
 		moved := q.occ[last]
 		q.occ[i] = moved
@@ -202,11 +158,12 @@ func (q *reqQueue) remove(r *Request) {
 		// request nodes are pooled for the controller's lifetime.
 		q.sched[i] = q.sched[last]
 		q.sched = q.sched[:last]
-		q.calUnlink(r.bankKey)
+		q.key[i] = q.key[last]
+		q.key = q.key[:last]
 	} else {
 		// The bank head (pass-2 candidate) or oldest row hit may have
 		// changed; revalidate on the next scan.
-		q.calForceReady(r.bankKey)
+		q.key[i] = -1
 	}
 	r.qnext, r.qprev, r.bnext, r.bprev = nil, nil, nil, nil
 }
@@ -223,10 +180,9 @@ func (q *reqQueue) remove(r *Request) {
 // per-channel cache (dram.Mem.ExtColReady). The cross-queue rowWanted
 // input is evaluated (an O(per-bank occupancy) bucket scan over both
 // queues) only once a PRE candidate is ready, and a positive answer is
-// cached as preBlocked until an event that can lift it (see
-// calendar.go). With clean entries, a timing-blocked cycle costs a
-// handful of int64 compares per occupied bank; no CanIssue or OpenRow
-// calls at all.
+// cached as preBlocked until an event that can lift it (see keys.go).
+// A bank whose key is not due costs a scan one int64 compare; no
+// CanIssue or OpenRow calls at all.
 // bankEntry fields are ordered and sized to pack the struct into a
 // single cache line: the dense sched array is streamed by the hottest
 // loop in the controller.
@@ -259,7 +215,7 @@ type bankEntry struct {
 	dirty bool
 	// preBlocked marks a ready PRE candidate that the open-page rule
 	// holds back (rowWanted was true): examine reports it absent, so
-	// the bank leaves the ready region. Cleared by a full recompute
+	// the bank's key skips it. Cleared by a full recompute
 	// (bucket or row change) and by a dequeue of the same bank from
 	// the other queue.
 	preBlocked bool

@@ -31,11 +31,12 @@ func reqStateOf(r *Request) reqState {
 // transaction queues in age order, the overflow ring, drain and
 // sequence scalars, statistics, and the idle histograms. Its exported
 // fields are also the durable checkpoint encoding. The scheduling
-// caches (calendar, bank entries, the wake memo and the ver counter
-// that keys it) are NOT serialized: they only control which cycles may
-// be skipped, every skip is individually proven a no-op, and a restored
-// queue rebuilds them conservatively (every bank parked ready by its
-// push), so the restored controller makes decision-identical choices.
+// caches (lazy bank keys, bank entries, the wake memo and the ver
+// counter that keys it) are NOT serialized: they only control which
+// banks a scan examines and which cycles may be skipped, every skip is
+// individually proven a no-op, and a restored queue rebuilds them
+// conservatively (every bank keyed -1 by its push), so the restored
+// controller makes decision-identical choices.
 type ControllerState struct {
 	RQ, WQ   []reqState
 	Overflow []reqState
@@ -92,7 +93,7 @@ func (c *Controller) Snapshot() *ControllerState {
 // wires both). Requests whose snapshot recorded no Done get nil.
 func (c *Controller) Restore(st *ControllerState, resolve func(write bool, addr uint64, tag uint64) func(int64)) {
 	// Release any live requests, then rebuild the queues from scratch
-	// (re-init reallocates the bucket/calendar arrays; restore is not a
+	// (re-init reallocates the bucket and key arrays; restore is not a
 	// steady-state path).
 	for r := c.rq.head; r != nil; {
 		next := r.qnext
@@ -139,5 +140,5 @@ func (c *Controller) Restore(st *ControllerState, resolve func(write bool, addr 
 	c.ActsIssued, c.PresIssued = st.ActsIssued, st.PresIssued
 	c.ReadLatencySum = st.ReadLatencySum
 	c.Drains, c.Refreshes, c.nextRefresh = st.Drains, st.Refreshes, st.NextRefresh
-	c.hintValid = false // the memo re-derives from the rebuilt calendar
+	c.hintValid = false // the memo re-derives from the rebuilt keys
 }

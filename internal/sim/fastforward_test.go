@@ -273,7 +273,7 @@ func TestParallelDomainsMatchSerial(t *testing.T) {
 // with the invariant checker armed, to configurations production runs
 // on the fast path that no golden covers: the Fig 14 geometry of eight
 // ranks per channel with host mix 1 and NDA DOT (the benchmark's
-// wide8_dot shape; four times the per-rank NDA state and calendar
+// wide8_dot shape; four times the per-rank NDA state and keyed
 // banks), and unpartitioned mapping with host mix 1 and NDA COPY under
 // the issue-if-idle policy, where NDA rows and writes land on the
 // host's own banks. Both run every wake rule of the fast path: NDA

@@ -65,9 +65,9 @@ type Config struct {
 
 	// CheckInvariants validates cross-layer conservation invariants at
 	// every commit-phase barrier (MSHR accounting vs the LLC pending
-	// table, controller queue occupancy vs bank buckets vs calendar
-	// membership, calendar lower-bound soundness against the rescan
-	// oracle, mailboxes drained empty). A violation panics with an
+	// table, controller queue occupancy vs bank buckets vs lazy bank
+	// keys, key lower-bound soundness against the rescan oracle,
+	// mailboxes drained empty). A violation panics with an
 	// *InvariantError — corrupted state is not recoverable — which the
 	// experiment runner's per-point recovery quarantines. Zero cost when
 	// off: the commit path pays one bool check per tick.
