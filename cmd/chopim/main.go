@@ -7,7 +7,7 @@
 //	chopim [-quick] [-warm N] [-measure N] [-parallel N] [-cache-dir D]
 //	       [-checkpoint D [-resume]]
 //	       [-checkpoint-every N] [-on-interrupt=checkpoint|drain|abort]
-//	       [-check-invariants] [-deadline D] [-point-retries N] [-fail-fast]
+//	       [-check-invariants] [-deadline D] [-fail-fast]
 //	       [-cpuprofile F] [-memprofile F] <experiment>
 //
 // Experiments: fig2 fig10 fig11 fig12 fig13 fig14 fig15a fig15b power
@@ -30,12 +30,12 @@
 // Robustness flags: -check-invariants arms the simulator's cross-layer
 // conservation checker on every point (results are bit-identical with
 // it on or off; violations quarantine the point instead of corrupting
-// the table). -deadline D bounds each point's wall-clock time;
-// -point-retries N retries transient point failures with backoff.
-// Sweeps run in partial-failure mode by default — healthy points
-// complete and the failures are reported together — while -fail-fast
-// restores abort-on-first-error. -inject arms a named fault for the
-// fault-injection smoke tests (see internal/faults).
+// the table). -deadline D bounds each point's wall-clock time. Each
+// point gets exactly one attempt. Sweeps run in partial-failure mode by
+// default — healthy points complete and the failures are reported
+// together — while -fail-fast restores abort-on-first-error. -inject
+// arms a named fault for the fault-injection smoke tests (see
+// internal/faults).
 //
 // Interrupt & resume: -checkpoint-every N additionally persists each
 // in-flight point's full simulator state every N cycles into the
@@ -104,12 +104,10 @@ func run() (code int) {
 		"validate cross-layer conservation invariants at every commit barrier (bit-identical results, slower; violations quarantine the point)")
 	deadline := flag.Duration("deadline", 0,
 		"per-point wall-clock deadline (0 = none); an expired point fails with partial stats and the sweep continues")
-	pointRetries := flag.Int("point-retries", 0,
-		"retries with exponential backoff for transient per-point failures")
 	failFast := flag.Bool("fail-fast", false,
 		"abort a sweep at the first failing point instead of completing the healthy ones")
 	inject := flag.String("inject", "",
-		"arm a fault for smoke testing: panic-point=K, point-err=K:N, stuck-horizon=C, ckpt-torn=K, ckpt-badsum=K, or die-after-ckpt=N")
+		"arm a fault for smoke testing: panic-point=K, stuck-horizon=C, ckpt-torn=K, ckpt-badsum=K, or die-after-ckpt=N")
 	ckptEvery := flag.Int64("checkpoint-every", 0,
 		"cycles between durable mid-point checkpoints of each in-flight simulation (0 = off; requires -checkpoint DIR)")
 	onInterrupt := flag.String("on-interrupt", "checkpoint",
@@ -184,7 +182,6 @@ func run() (code int) {
 	opt.Resume = *resume
 	opt.CheckInvariants = *checkInvariants
 	opt.PointTimeout = *deadline
-	opt.PointRetries = *pointRetries
 	opt.KeepGoing = !*failFast
 	if *inject != "" {
 		if err := faults.ArmSpec(*inject); err != nil {
@@ -299,14 +296,13 @@ func printCacheStats() {
 }
 
 // printSweepHealth reports fault-handling activity on stderr after any
-// run where it occurred: panics quarantined, transient retries, or
-// deadline expiries. Quiet on healthy runs; CI's fault-injection smoke
-// greps for it.
+// run where it occurred: panics quarantined or deadline expiries.
+// Quiet on healthy runs; CI's fault-injection smoke greps for it.
 func printSweepHealth() {
 	st := experiments.ReadRunnerStats()
-	if st.Panics != 0 || st.Retries != 0 || st.Timeouts != 0 || st.Quarantined != 0 {
-		fmt.Fprintf(os.Stderr, "sweep health: %d panics (%d points quarantined), %d retries, %d deadline expiries\n",
-			st.Panics, st.Quarantined, st.Retries, st.Timeouts)
+	if st.Panics != 0 || st.Timeouts != 0 || st.Quarantined != 0 {
+		fmt.Fprintf(os.Stderr, "sweep health: %d panics (%d points quarantined), %d deadline expiries\n",
+			st.Panics, st.Quarantined, st.Timeouts)
 	}
 	if st.Canceled != 0 || st.CkptWrites != 0 || st.CkptRestores != 0 {
 		fmt.Fprintf(os.Stderr, "interrupt: %d points canceled, %d checkpoints written, %d points resumed mid-flight\n",

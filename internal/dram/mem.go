@@ -225,9 +225,6 @@ func (m *Mem) Counts() CmdCounts {
 	return t
 }
 
-// ChannelCounts returns one channel's command counters.
-func (m *Mem) ChannelCounts(ch int) CmdCounts { return m.cnts[ch] }
-
 // New builds a Mem with the given geometry and timing. It panics on
 // invalid configuration; configurations are programmer-supplied constants.
 // Sweep drivers, whose geometry/timing arrive from user-reachable config,
@@ -306,16 +303,6 @@ func (m *Mem) WarmOpen(a Addr) {
 	b.Row = a.Row
 	rk.Stamp++
 	m.channels[a.Channel].logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
-}
-
-// RankDataBusyUntil returns the cycle at which the rank's data path is free.
-func (m *Mem) RankDataBusyUntil(channel, rank int) int64 {
-	return m.channels[channel].Ranks[rank].DataBusyUntil
-}
-
-// ChannelDataBusyUntil returns the cycle at which the channel bus is free.
-func (m *Mem) ChannelDataBusyUntil(channel int) int64 {
-	return m.channels[channel].DataBusyUntil
 }
 
 // RankStamp returns a version counter for the rank's timing and row

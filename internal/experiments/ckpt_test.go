@@ -334,7 +334,7 @@ func TestSweepDrainCancel(t *testing.T) {
 		t.Errorf("resumed %d points from the journal, want 2", n)
 	}
 
-	// A pre-canceled sweep admits nothing, on the parallel path too.
+	// A pre-canceled sweep admits nothing, with four workers too.
 	pre := &Canceler{}
 	pre.CancelAdmission()
 	opt := Options{Parallel: 4, Cancel: pre}

@@ -8,7 +8,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -57,12 +56,6 @@ type Options struct {
 	// DeadlineError, counted in RunnerStats.Timeouts, and under
 	// KeepGoing the rest of the sweep still completes.
 	PointTimeout time.Duration
-
-	// PointRetries bounds retry-with-backoff for transient point
-	// failures (I/O interruptions, injected transient faults). 0
-	// disables retry; simulation errors are deterministic and are never
-	// retried regardless.
-	PointRetries int
 
 	// KeepGoing switches a sweep from fail-fast to partial-failure
 	// mode: every healthy point completes, and the failures are
@@ -339,18 +332,6 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 	return finalize(), nil
 }
 
-// microVectorElems returns a Private vector length giving each rank
-// roughly bytesPerRank of data.
-func microVectorElems(bytesPerRank int) int { return bytesPerRank / 4 }
-
-// scaleForQuick shrinks a size under Quick options.
-func scaleForQuick(opt Options, n int) int {
-	if opt.Quick && n > 1<<16 {
-		return n / 8
-	}
-	return n
-}
-
 // geomWithRanks returns the baseline geometry with the given ranks per
 // channel.
 func geomWithRanks(ranks int) dram.Geometry {
@@ -359,11 +340,5 @@ func geomWithRanks(ranks int) dram.Geometry {
 	return g
 }
 
-// fmtF renders a float for table output.
-func fmtF(v float64) string { return fmt.Sprintf("%.3f", v) }
-
-// Placement aliases so figure files read cleanly.
-const (
-	ndartShared  = ndart.Shared
-	ndartPrivate = ndart.Private
-)
+// ndartPrivate aliases the placement so figure files read cleanly.
+const ndartPrivate = ndart.Private

@@ -36,23 +36,41 @@ func fig14Rows(opt Options) ([]Fig14Row, error) {
 		workloads = []string{"dot", "copy"}
 		rankCounts = []int{2}
 	}
+	// The RP host half runs host-only on half the ranks, so it depends
+	// on the rank count alone: one point per rank count, shared by every
+	// workload's row.
+	rpHost, err := sharded(opt, len(rankCounts), func(i int) (float64, error) {
+		cfg := sim.Default(1)
+		cfg.Geom = geomWithRanks(rankCounts[i] / 2)
+		s, err := opt.newSystem(cfg)
+		if err != nil {
+			return 0, err
+		}
+		res, err := measureConcurrent(s, nil,
+			opt.withTag(fmt.Sprintf("fig14-rp-host-r%d", rankCounts[i])))
+		return res.HostIPC, err
+	})
+	if err != nil {
+		return nil, err
+	}
 	type point struct {
-		ranks int
-		wl    string
+		ri int // index into rankCounts
+		wl string
 	}
 	var points []point
-	for _, ranks := range rankCounts {
+	for ri := range rankCounts {
 		for _, wl := range workloads {
-			points = append(points, point{ranks, wl})
+			points = append(points, point{ri, wl})
 		}
 	}
 	return sharded(opt, len(points), func(i int) (Fig14Row, error) {
 		p := points[i]
-		row := Fig14Row{Ranks: p.ranks, Workload: p.wl}
+		ranks := rankCounts[p.ri]
+		row := Fig14Row{Ranks: ranks, Workload: p.wl, RPHostIPC: rpHost[p.ri]}
 
 		// Chopim: full system, concurrent sharing.
 		cfg := sim.Default(1)
-		cfg.Geom = geomWithRanks(p.ranks)
+		cfg.Geom = geomWithRanks(ranks)
 		s, err := opt.newSystem(cfg)
 		if err != nil {
 			return row, err
@@ -62,30 +80,16 @@ func fig14Rows(opt Options) ([]Fig14Row, error) {
 			return row, fmt.Errorf("fig14 %s: %w", p.wl, err)
 		}
 		res, err := measureConcurrent(s, it,
-			opt.withTag(fmt.Sprintf("fig14-chopim-r%d-%s", p.ranks, p.wl)))
+			opt.withTag(fmt.Sprintf("fig14-chopim-r%d-%s", ranks, p.wl)))
 		if err != nil {
 			return row, err
 		}
 		row.ChopimHostIPC = res.HostIPC
 		row.ChopimNDABW = res.NDABWGBs
 
-		// Rank partitioning: host on half the ranks...
-		hcfg := sim.Default(1)
-		hcfg.Geom = geomWithRanks(p.ranks / 2)
-		hs, err := opt.newSystem(hcfg)
-		if err != nil {
-			return row, err
-		}
-		hres, err := measureConcurrent(hs, nil,
-			opt.withTag(fmt.Sprintf("fig14-rp-host-r%d-%s", p.ranks, p.wl)))
-		if err != nil {
-			return row, err
-		}
-		row.RPHostIPC = hres.HostIPC
-
-		// ...and NDAs on the other half, alone.
+		// Rank partitioning: NDAs on the other half of the ranks, alone.
 		ncfg := sim.Default(-1)
-		ncfg.Geom = geomWithRanks(p.ranks / 2)
+		ncfg.Geom = geomWithRanks(ranks / 2)
 		nsys, err := opt.newSystem(ncfg)
 		if err != nil {
 			return row, err
@@ -95,7 +99,7 @@ func fig14Rows(opt Options) ([]Fig14Row, error) {
 			return row, err
 		}
 		nres, err := measureConcurrent(nsys, nit,
-			opt.withTag(fmt.Sprintf("fig14-rp-nda-r%d-%s", p.ranks, p.wl)))
+			opt.withTag(fmt.Sprintf("fig14-rp-nda-r%d-%s", ranks, p.wl)))
 		if err != nil {
 			return row, err
 		}

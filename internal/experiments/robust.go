@@ -1,11 +1,15 @@
 // Per-point fault isolation for the sharded runner: a panicking point —
 // any of the simulator's internal impossible-state panics, an armed
 // invariant checker, or an injected fault — is recovered into a
-// PointError and quarantined instead of killing the process, transient
-// I/O failures retry with exponential backoff, and deadline expiries
-// are counted separately. Under Options.KeepGoing a sweep completes
-// every healthy point and reports the failures together as a
-// SweepError; the default remains fail-fast on the lowest-index error.
+// PointError and quarantined instead of killing the process, and
+// deadline expiries and cancels are counted separately. Every point
+// gets exactly one attempt: simulation, placement and config errors
+// are deterministic, and the journal, cache and checkpoint I/O errors
+// degrade to recompute without failing the point, so no failure a
+// point returns would pass on a second try. Under Options.KeepGoing a
+// sweep completes every healthy point and reports the failures
+// together as a SweepError; the default remains fail-fast on the
+// lowest-index error.
 package experiments
 
 import (
@@ -13,7 +17,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strings"
-	"syscall"
 	"time"
 
 	"chopim/internal/faults"
@@ -78,9 +81,8 @@ func asPointError(i int, err error) *PointError {
 // guardedJob runs one point attempt with panic isolation: a panic
 // anywhere below — simulator internals, an armed invariant checker, an
 // injected fault — comes back as a PointError carrying the stack. The
-// fault-injection sites for the runner live here too, inside the
-// recovery scope, so injected panics exercise the same path real ones
-// take.
+// runner's fault-injection site lives here too, inside the recovery
+// scope, so injected panics exercise the same path real ones take.
 func guardedJob[T any](i int, job func(int) (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -89,60 +91,33 @@ func guardedJob[T any](i int, job func(int) (T, error)) (v T, err error) {
 	}()
 	if faults.Active() {
 		faults.Adjust(faults.RunnerPoint, int64(i)) // an armed panic hook fires here
-		if ferr := faults.FireErr(faults.RunnerPointErr, int64(i)); ferr != nil {
-			return v, ferr
-		}
 	}
 	return job(i)
 }
 
-// isTransient classifies an error as worth retrying: anything
-// advertising Temporary() (injected faults do), or the interrupted/
-// try-again syscall failures a journaling sweep can hit under I/O
-// pressure. Simulation errors are deterministic and never retried.
-func isTransient(err error) bool {
-	var t interface{ Temporary() bool }
-	if errors.As(err, &t) && t.Temporary() {
-		return true
+// runPoint executes one sweep point's single attempt with isolation,
+// timing and classification: panics quarantine, deadline expiries
+// count as timeouts, and cooperative cancels count as cancels.
+func runPoint[T any](i int, job func(int) (T, error)) (T, error) {
+	start := time.Now()
+	v, err := guardedJob(i, job)
+	statBusy.Add(int64(time.Since(start)))
+	statJobs.Add(1)
+	if err == nil {
+		return v, nil
 	}
-	return errors.Is(err, syscall.EINTR) || errors.Is(err, syscall.EAGAIN)
-}
-
-// runPoint executes one sweep point with isolation, classification, and
-// bounded retry: panics quarantine immediately (retrying corrupt state
-// re-crashes), deadline expiries count and fail without retry (the
-// point would time out again), and transient errors retry up to
-// Options.PointRetries times with exponential backoff.
-func runPoint[T any](opt Options, i int, job func(int) (T, error)) (T, error) {
-	var zero T
-	for attempt := 0; ; attempt++ {
-		v, err := timedJob(i, func(i int) (T, error) { return guardedJob(i, job) })
-		if err == nil {
-			return v, nil
-		}
-		var pe *PointError
-		if errors.As(err, &pe) && pe.Panic != nil {
-			statPanics.Add(1)
-			statQuarantined.Add(1)
-			return zero, err
-		}
-		var de *sim.DeadlineError
-		if errors.As(err, &de) {
-			statTimeouts.Add(1)
-			return zero, err
-		}
-		var ce *sim.CanceledError
-		if errors.As(err, &ce) {
-			// Cooperative cancel is deliberate, not a fault: count it,
-			// surface it, never retry (the flag is sticky).
-			statCanceled.Add(1)
-			return zero, err
-		}
-		if attempt < opt.PointRetries && isTransient(err) {
-			statRetries.Add(1)
-			time.Sleep(time.Duration(1<<uint(attempt)) * time.Millisecond)
-			continue
-		}
-		return zero, err
+	statErrs.Add(1)
+	var pe *PointError
+	var de *sim.DeadlineError
+	var ce *sim.CanceledError
+	switch {
+	case errors.As(err, &pe) && pe.Panic != nil:
+		statPanics.Add(1)
+		statQuarantined.Add(1)
+	case errors.As(err, &de):
+		statTimeouts.Add(1)
+	case errors.As(err, &ce):
+		statCanceled.Add(1)
 	}
+	return v, err
 }

@@ -90,52 +90,12 @@ func TestInjectedPanicViaRegistry(t *testing.T) {
 	}
 }
 
-// TestTransientRetry: a point failing with a Temporary() error succeeds
-// on a later attempt within Options.PointRetries, and the retries are
-// counted.
-func TestTransientRetry(t *testing.T) {
-	if err := faults.ArmSpec("point-err=2:2"); err != nil {
-		t.Fatal(err)
-	}
-	defer disarmAll(t)
-	before := ReadRunnerStats()
-	vals, err := sharded(Options{Parallel: 2, PointRetries: 3}, 4, func(i int) (int, error) {
-		return i * 10, nil
-	})
-	if err != nil {
-		t.Fatalf("sweep failed despite retry budget: %v", err)
-	}
-	if !reflect.DeepEqual(vals, []int{0, 10, 20, 30}) {
-		t.Fatalf("results = %v", vals)
-	}
-	after := ReadRunnerStats()
-	if after.Retries-before.Retries != 2 {
-		t.Errorf("retry counter moved by %d, want 2", after.Retries-before.Retries)
-	}
-}
-
-// TestTransientExhaustsBudget: more consecutive transient failures than
-// the retry budget fails the point with the transient error.
-func TestTransientExhaustsBudget(t *testing.T) {
-	if err := faults.ArmSpec("point-err=1:10"); err != nil {
-		t.Fatal(err)
-	}
-	defer disarmAll(t)
-	_, err := sharded(Options{Parallel: 1, PointRetries: 2}, 3, func(i int) (int, error) {
-		return i, nil
-	})
-	var ie *faults.InjectedError
-	if !errors.As(err, &ie) {
-		t.Fatalf("got %v, want the injected transient error after budget exhaustion", err)
-	}
-}
-
 // TestDeterministicErrorNotRetried: plain simulation errors are
-// deterministic; the runner must not burn retries on them.
+// deterministic; the runner gives every point exactly one attempt.
 func TestDeterministicErrorNotRetried(t *testing.T) {
 	var calls atomic.Int64
 	boom := errors.New("deterministic model error")
-	_, err := sharded(Options{Parallel: 1, PointRetries: 5}, 1, func(i int) (int, error) {
+	_, err := sharded(Options{Parallel: 1}, 1, func(i int) (int, error) {
 		calls.Add(1)
 		return 0, boom
 	})
@@ -148,11 +108,11 @@ func TestDeterministicErrorNotRetried(t *testing.T) {
 }
 
 // TestDeadlineCounted: a point failing with a sim DeadlineError is
-// classified as a timeout, not retried.
+// classified as a timeout and attempted once.
 func TestDeadlineCounted(t *testing.T) {
 	before := ReadRunnerStats()
 	var calls atomic.Int64
-	_, err := sharded(Options{Parallel: 1, PointRetries: 5, KeepGoing: true}, 2, func(i int) (int, error) {
+	_, err := sharded(Options{Parallel: 1, KeepGoing: true}, 2, func(i int) (int, error) {
 		if i == 1 {
 			calls.Add(1)
 			return 0, &sim.DeadlineError{Cycle: 123, Kind: "wall-clock"}

@@ -47,7 +47,6 @@ type RunnerStats struct {
 	WarmForks   int64 // points forked from a pooled warm checkpoint
 
 	Panics      int64 // points that panicked (recovered and quarantined)
-	Retries     int64 // point attempts retried after a transient error
 	Timeouts    int64 // points that hit their deadline (Options.PointTimeout)
 	Quarantined int64 // points abandoned after a panic
 
@@ -66,7 +65,6 @@ var (
 	statResumed     atomic.Int64
 	statWarmForks   atomic.Int64
 	statPanics      atomic.Int64
-	statRetries     atomic.Int64
 	statTimeouts    atomic.Int64
 	statQuarantined atomic.Int64
 )
@@ -85,7 +83,6 @@ func ReadRunnerStats() RunnerStats {
 		WarmForks:   statWarmForks.Load(),
 
 		Panics:      statPanics.Load(),
-		Retries:     statRetries.Load(),
 		Timeouts:    statTimeouts.Load(),
 		Quarantined: statQuarantined.Load(),
 
@@ -102,17 +99,18 @@ func ReadRunnerStats() RunnerStats {
 var ErrSweepCanceled = errors.New("experiments: sweep canceled before all points ran")
 
 // sharded runs n independent jobs with the worker count opt implies and
-// returns the results in index order. Every attempt runs under panic
-// isolation with retry/quarantine classification (see runPoint). The
-// default is fail-fast: the first error by index aborts the figure
-// (matching the serial harness, which stops at the first failing
-// point); later jobs already in flight are still drained, and pending
-// submissions are cancelled both before and after the worker-slot
-// acquire, so a failure never admits a stale submission that was
-// already parked on the semaphore. Under Options.KeepGoing every point
-// runs regardless of failures and the failed ones come back together
-// as a *SweepError; quarantined points are never journaled as done, so
-// a resumed sweep recomputes exactly them.
+// returns the results in index order. Every point gets exactly one
+// attempt under panic isolation (see runPoint). One admission loop
+// serves every worker count: a point is admitted only once a worker
+// slot is free, and admission stops at a cancel or, by default
+// (fail-fast), at the first failure, which a point records before it
+// releases its slot. One worker therefore runs the points in order and
+// stops at the first failing one; more workers still drain the points
+// already in flight, and the lowest-index error wins. Under
+// Options.KeepGoing every point runs regardless of failures and the
+// failed ones come back together as a *SweepError; quarantined points
+// are never journaled as done, so a resumed sweep recomputes exactly
+// them.
 func sharded[T any](opt Options, n int, job func(i int) (T, error)) ([]T, error) {
 	workers := opt.parallelism()
 	if prev := statShard.Load(); int64(workers) > prev {
@@ -129,7 +127,7 @@ func sharded[T any](opt Options, n int, job func(i int) (T, error)) ([]T, error)
 		if done != nil && done[i] {
 			return nil
 		}
-		v, err := runPoint(opt, i, job)
+		v, err := runPoint(i, job)
 		if err != nil {
 			return err
 		}
@@ -137,94 +135,46 @@ func sharded[T any](opt Options, n int, job func(i int) (T, error)) ([]T, error)
 		journalRecord(jf, i, v)
 		return nil
 	}
-	if workers == 1 || n <= 1 {
-		var fails []*PointError
-		for i := 0; i < n; i++ {
-			if opt.Cancel.AdmissionStopped() {
-				return results, ErrSweepCanceled
-			}
-			if err := runOne(i); err != nil {
-				if !opt.KeepGoing {
-					return nil, err
-				}
-				fails = append(fails, asPointError(i, err))
-			}
-		}
-		if len(fails) > 0 {
-			return results, &SweepError{Total: n, Failures: fails}
-		}
-		return results, nil
-	}
 	errs := make([]error, n)
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	var failed atomic.Bool
 	admissionStopped := false
 	for i := 0; i < n; i++ {
-		if opt.Cancel.AdmissionStopped() {
-			admissionStopped = true
-			break // drain: in-flight points finish, no new ones start
-		}
-		if !opt.KeepGoing && failed.Load() {
-			break // abort before queueing on a worker slot
-		}
+		// Admission is decided after the slot acquire: a point records
+		// its failure before it releases its slot, so a failure or
+		// cancel that lands while this point waits is seen here.
 		sem <- struct{}{}
-		if opt.Cancel.AdmissionStopped() {
-			admissionStopped = true
-			<-sem
-			break
-		}
-		if !opt.KeepGoing && failed.Load() {
-			// The failure landed while this submission waited on the
-			// semaphore; release the slot and abort.
-			<-sem
-			break
+		admissionStopped = opt.Cancel.AdmissionStopped()
+		if admissionStopped || !opt.KeepGoing && failed.Load() {
+			break // in-flight points finish, no new ones start
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			errs[i] = runOne(i)
-			if errs[i] != nil {
+			if errs[i] = runOne(i); errs[i] != nil {
 				failed.Store(true)
 			}
 		}(i)
 	}
 	wg.Wait()
-	if opt.KeepGoing {
-		if admissionStopped {
-			return results, ErrSweepCanceled
+	var fails []*PointError
+	for i, err := range errs {
+		if err == nil {
+			continue
 		}
-		var fails []*PointError
-		for i, err := range errs {
-			if err != nil {
-				fails = append(fails, asPointError(i, err))
-			}
-		}
-		if len(fails) > 0 {
-			return results, &SweepError{Total: n, Failures: fails}
-		}
-		return results, nil
-	}
-	for _, err := range errs {
-		if err != nil {
+		if !opt.KeepGoing {
 			return nil, err
 		}
+		fails = append(fails, asPointError(i, err))
 	}
 	if admissionStopped {
 		return results, ErrSweepCanceled
 	}
-	return results, nil
-}
-
-func timedJob[T any](i int, job func(int) (T, error)) (T, error) {
-	start := time.Now()
-	v, err := job(i)
-	statBusy.Add(int64(time.Since(start)))
-	statJobs.Add(1)
-	if err != nil {
-		statErrs.Add(1)
+	if len(fails) > 0 {
+		return results, &SweepError{Total: n, Failures: fails}
 	}
-	return v, err
+	return results, nil
 }
 
 // NDAOnlyRow is one point of the NDA-only throughput sweep.

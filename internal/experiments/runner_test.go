@@ -19,58 +19,30 @@ func TestParallelMatchesSerial(t *testing.T) {
 	parallel := QuickOptions()
 	parallel.Parallel = 8
 
-	t.Run("fig2", func(t *testing.T) {
-		a, err := Fig2(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Fig2(parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("fig2 tables differ:\n serial:   %+v\n parallel: %+v", a, b)
-		}
-	})
-	t.Run("fig10", func(t *testing.T) {
-		a, err := Fig10(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Fig10(parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("fig10 tables differ:\n serial:   %+v\n parallel: %+v", a, b)
-		}
-	})
-	t.Run("fig12", func(t *testing.T) {
-		a, err := Fig12(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Fig12(parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("fig12 tables differ:\n serial:   %+v\n parallel: %+v", a, b)
-		}
-	})
-	t.Run("power", func(t *testing.T) {
-		a, err := Power(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Power(parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("power tables differ:\n serial:   %+v\n parallel: %+v", a, b)
-		}
-	})
+	for _, fig := range []struct {
+		name string
+		run  func(Options) (any, error)
+	}{
+		{"fig2", func(o Options) (any, error) { return Fig2(o) }},
+		{"fig10", func(o Options) (any, error) { return Fig10(o) }},
+		{"fig12", func(o Options) (any, error) { return Fig12(o) }},
+		{"fig14", func(o Options) (any, error) { return Fig14(o) }},
+		{"power", func(o Options) (any, error) { return Power(o) }},
+	} {
+		t.Run(fig.name, func(t *testing.T) {
+			a, err := fig.run(serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := fig.run(parallel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("%s tables differ:\n serial:   %+v\n parallel: %+v", fig.name, a, b)
+			}
+		})
+	}
 }
 
 // TestReferenceMatchesFastParallel is the end-to-end equivalence claim:
@@ -99,29 +71,36 @@ func TestReferenceMatchesFastParallel(t *testing.T) {
 
 // TestShardedOrderingAndErrors pins the runner's contract directly:
 // results arrive in enumeration order and the lowest-index error wins
-// regardless of worker count.
+// regardless of worker count. One worker runs the points in order and
+// admits none after the first failure.
 func TestShardedOrderingAndErrors(t *testing.T) {
-	opt := Options{Parallel: 8}
-	vals, err := sharded(opt, 64, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vals {
-		if v != i*i {
-			t.Fatalf("result %d = %d, want %d", i, v, i*i)
+	for _, workers := range []int{1, 8} {
+		opt := Options{Parallel: workers}
+		vals, err := sharded(opt, 64, func(i int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		for i, v := range vals {
+			if v != i*i {
+				t.Fatalf("workers %d: result %d = %d, want %d", workers, i, v, i*i)
+			}
+		}
 
-	// The lowest-index failure wins regardless of worker count.
-	boom := errors.New("boom")
-	_, err = sharded(opt, 64, func(i int) (int, error) {
-		if i == 5 {
-			return 0, fmt.Errorf("point %d: %w", i, boom)
+		boom := errors.New("boom")
+		var ran atomic.Int64
+		_, err = sharded(opt, 64, func(i int) (int, error) {
+			ran.Add(1)
+			if i == 5 {
+				return 0, fmt.Errorf("point %d: %w", i, boom)
+			}
+			return i, nil
+		})
+		if err == nil || !errors.Is(err, boom) || err.Error() != "point 5: boom" {
+			t.Fatalf("workers %d: err = %v, want point 5 failure", workers, err)
 		}
-		return i, nil
-	})
-	if err == nil || !errors.Is(err, boom) || err.Error() != "point 5: boom" {
-		t.Fatalf("err = %v, want point 5 failure", err)
+		if n := ran.Load(); workers == 1 && n != 6 {
+			t.Errorf("one worker ran %d points, want 6 (points 0-5, none after the failure)", n)
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package faults is the fault-injection registry behind the robustness
 // tests: named injection sites in the simulator and the experiment
 // runner consult it, and tests (or the hidden -inject CLI flag) arm
-// hooks that corrupt values, return transient errors, or panic at a
-// chosen point. The registry exists so the detectors built in this
-// layer — the livelock watchdog, point quarantine, retry-with-backoff —
-// are proven to FIRE, not merely to exist.
+// hooks that corrupt values or bytes, or panic, at a chosen point. The
+// registry exists so the detectors built in this layer — the livelock
+// watchdog, point quarantine, checkpoint digest checks — are proven to
+// FIRE, not merely to exist.
 //
 // Disarmed cost is one atomic load per consultation (sites are
 // consulted per fast-path wake, not per cycle, and the hot benchmarks
@@ -36,9 +36,6 @@ const (
 	// RunnerPoint fires with each sweep point's index before the point
 	// simulates; a hook that panics simulates a crashing point.
 	RunnerPoint = "experiments.point"
-	// RunnerPointErr may return an error for a sweep point's index;
-	// returning a transient error exercises the retry path.
-	RunnerPointErr = "experiments.point-err"
 	// CkptWrite mutates a checkpoint file's bytes as they are written;
 	// truncating them simulates a torn write, flipping a bit simulates
 	// silent media corruption. Both must surface as a clean
@@ -57,7 +54,6 @@ var (
 
 	mu      sync.Mutex
 	adjusts = map[string]func(int64) int64{}
-	errs    = map[string]func(int64) error{}
 	mutates = map[string]func([]byte) []byte{}
 )
 
@@ -74,21 +70,6 @@ func ArmAdjust(site string, fn func(int64) int64) (disarm func()) {
 	return func() {
 		mu.Lock()
 		delete(adjusts, site)
-		mu.Unlock()
-		armed.Add(-1)
-	}
-}
-
-// ArmErr installs an error-returning hook at site and returns its
-// disarm closure.
-func ArmErr(site string, fn func(int64) error) (disarm func()) {
-	mu.Lock()
-	errs[site] = fn
-	mu.Unlock()
-	armed.Add(1)
-	return func() {
-		mu.Lock()
-		delete(errs, site)
 		mu.Unlock()
 		armed.Add(-1)
 	}
@@ -114,9 +95,8 @@ func ArmMutate(site string, fn func([]byte) []byte) (disarm func()) {
 // hooks through ArmSpec, which returns no individual disarm closures.
 func DisarmAll() {
 	mu.Lock()
-	n := len(adjusts) + len(errs) + len(mutates)
+	n := len(adjusts) + len(mutates)
 	adjusts = map[string]func(int64) int64{}
-	errs = map[string]func(int64) error{}
 	mutates = map[string]func([]byte) []byte{}
 	mu.Unlock()
 	armed.Add(-int32(n))
@@ -138,20 +118,6 @@ func Adjust(site string, v int64) int64 {
 	return fn(v)
 }
 
-// FireErr returns the site's injected error for v, or nil.
-func FireErr(site string, v int64) error {
-	if armed.Load() == 0 {
-		return nil
-	}
-	mu.Lock()
-	fn := errs[site]
-	mu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn(v)
-}
-
 // Mutate passes b through the site's hook, or returns it unchanged
 // when none is armed. Callers should guard with Active() to keep the
 // disarmed path to a single atomic load.
@@ -168,26 +134,10 @@ func Mutate(site string, b []byte) []byte {
 	return fn(b)
 }
 
-// InjectedError is the error ArmSpec's point-err hook returns. It
-// reports Temporary() true, so the runner's transient classification
-// retries it.
-type InjectedError struct {
-	Site  string
-	Point int64
-}
-
-func (e *InjectedError) Error() string {
-	return fmt.Sprintf("faults: injected transient error at %s (point %d)", e.Site, e.Point)
-}
-
-// Temporary marks the injected failure retryable.
-func (e *InjectedError) Temporary() bool { return true }
-
 // ArmSpec arms hooks from a comma-separated CLI spec (the chopim
 // -inject flag). Supported forms:
 //
 //	panic-point=K     panic when sweep point K runs
-//	point-err=K:N     fail point K with a transient error N times
 //	stuck-horizon=C   report Never as the wake bound once the bound
 //	                  reaches cycle C (livelock injection)
 //	ckpt-torn=K       truncate the Kth checkpoint write (torn write)
@@ -218,28 +168,6 @@ func ArmSpec(spec string) error {
 					panic(fmt.Sprintf("faults: injected panic at point %d", k))
 				}
 				return v
-			})
-		case "point-err":
-			ks, ns, ok := strings.Cut(arg, ":")
-			if !ok {
-				ns = "1"
-				ks = arg
-			}
-			k, err := strconv.ParseInt(ks, 10, 64)
-			if err != nil {
-				return fmt.Errorf("faults: point-err: %v", err)
-			}
-			n, err := strconv.ParseInt(ns, 10, 64)
-			if err != nil {
-				return fmt.Errorf("faults: point-err: %v", err)
-			}
-			var left atomic.Int64
-			left.Store(n)
-			ArmErr(RunnerPointErr, func(v int64) error {
-				if v == k && left.Add(-1) >= 0 {
-					return &InjectedError{Site: RunnerPointErr, Point: v}
-				}
-				return nil
 			})
 		case "stuck-horizon":
 			c, err := strconv.ParseInt(arg, 10, 64)
@@ -293,7 +221,7 @@ func ArmSpec(spec string) error {
 				return v
 			})
 		default:
-			return fmt.Errorf("faults: unknown injection %q (want panic-point, point-err, stuck-horizon, ckpt-torn, ckpt-badsum, die-after-ckpt)", name)
+			return fmt.Errorf("faults: unknown injection %q (want panic-point, stuck-horizon, ckpt-torn, ckpt-badsum, die-after-ckpt)", name)
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"errors"
 	"testing"
 
 	"chopim/internal/dram"
@@ -13,9 +12,6 @@ func TestDisarmedIsInert(t *testing.T) {
 	}
 	if got := Adjust(SimNextEvent, 42); got != 42 {
 		t.Fatalf("disarmed Adjust changed value: got %d", got)
-	}
-	if err := FireErr(RunnerPointErr, 0); err != nil {
-		t.Fatalf("disarmed FireErr returned %v", err)
 	}
 }
 
@@ -40,31 +36,6 @@ func TestArmAdjustAndDisarm(t *testing.T) {
 	}
 }
 
-func TestArmErrAndDisarm(t *testing.T) {
-	want := errors.New("boom")
-	disarm := ArmErr(RunnerPointErr, func(v int64) error {
-		if v == 3 {
-			return want
-		}
-		return nil
-	})
-	defer disarm()
-	if err := FireErr(RunnerPointErr, 2); err != nil {
-		t.Fatalf("unmatched point fired: %v", err)
-	}
-	if err := FireErr(RunnerPointErr, 3); err != want {
-		t.Fatalf("got %v, want %v", err, want)
-	}
-}
-
-func TestInjectedErrorIsTemporary(t *testing.T) {
-	err := error(&InjectedError{Site: RunnerPointErr, Point: 7})
-	var tmp interface{ Temporary() bool }
-	if !errors.As(err, &tmp) || !tmp.Temporary() {
-		t.Fatal("InjectedError must advertise Temporary() true")
-	}
-}
-
 func TestArmSpecPanicPoint(t *testing.T) {
 	if err := ArmSpec("panic-point=2"); err != nil {
 		t.Fatal(err)
@@ -79,27 +50,6 @@ func TestArmSpecPanicPoint(t *testing.T) {
 		}
 	}()
 	Adjust(RunnerPoint, 2)
-}
-
-func TestArmSpecPointErrBudget(t *testing.T) {
-	if err := ArmSpec("point-err=1:2"); err != nil {
-		t.Fatal(err)
-	}
-	defer drainHooks(t)
-	if err := FireErr(RunnerPointErr, 0); err != nil {
-		t.Fatalf("non-target point errored: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		var ie *InjectedError
-		if err := FireErr(RunnerPointErr, 1); !errors.As(err, &ie) {
-			t.Fatalf("attempt %d: got %v, want InjectedError", i, err)
-		}
-	}
-	// The budget of 2 is spent; the point now succeeds (a transient
-	// fault that a retry survives).
-	if err := FireErr(RunnerPointErr, 1); err != nil {
-		t.Fatalf("exhausted budget still firing: %v", err)
-	}
 }
 
 func TestArmSpecStuckHorizon(t *testing.T) {

@@ -298,16 +298,12 @@ func (c *Controller) EnqueueWriteDecoded(addr uint64, daddr dram.Addr, now int64
 	c.pushWrite(c.alloc(addr, daddr, true, now, nil))
 }
 
-// EnqueueControl submits an NDA launch packet: a write transaction to the
-// rank's control registers that occupies the command/data channel like
-// any host write (Section V). done fires when the write issues.
-func (c *Controller) EnqueueControl(daddr dram.Addr, now int64, done func(int64)) {
-	c.EnqueueControlTagged(daddr, now, 0, done)
-}
-
-// EnqueueControlTagged is EnqueueControl with a caller-assigned identity
-// tag, so checkpoint restore can rebuild the done closure (launch
-// acknowledgements) for in-flight packets.
+// EnqueueControlTagged submits an NDA launch packet: a write
+// transaction to the rank's control registers that occupies the
+// command/data channel like any host write (Section V). done fires when
+// the write issues. The caller-assigned identity tag lets checkpoint
+// restore rebuild the done closure (launch acknowledgements) for
+// in-flight packets.
 func (c *Controller) EnqueueControlTagged(daddr dram.Addr, now int64, tag uint64, done func(int64)) {
 	r := c.alloc(0, daddr, true, now, done)
 	r.Tag = tag

@@ -35,6 +35,3 @@ func (r *Router) EnqueueWrite(addr uint64) bool {
 func (r *Router) ReadFull(addr uint64) bool {
 	return r.ctrls[r.mapper.Decode(addr).Channel].ReadFull()
 }
-
-// Controllers returns the underlying per-channel controllers.
-func (r *Router) Controllers() []*Controller { return r.ctrls }

@@ -382,17 +382,6 @@ func (n *RankNDA) accessEvent(col dram.Command, a dram.Addr, now int64) (int64, 
 	return n.mem.NextIssue(dram.CmdACT, a, now, true), false
 }
 
-// BytesMoved returns total NDA data movement in bytes.
-func (e *Engine) BytesMoved() int64 {
-	var b int64
-	for _, row := range e.Ranks {
-		for _, n := range row {
-			b += (n.fsm.stats.BlocksRead + n.fsm.stats.BlocksWritten) * dram.BlockBytes
-		}
-	}
-	return b
-}
-
 // TotalStats sums per-rank statistics.
 func (e *Engine) TotalStats() RankStats {
 	var t RankStats

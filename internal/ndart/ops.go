@@ -112,11 +112,6 @@ func Nrm2Spec(x *Vector) Spec {
 	return Spec{Kind: nda.OpNRM2, Reads: []*Vector{x}}
 }
 
-// GemvSpec builds the y = A*x spec.
-func GemvSpec(a *Matrix) Spec {
-	return Spec{Kind: nda.OpGEMV, Reads: []*Vector{&a.Vector}}
-}
-
 // AxpbySpec builds the z = a*x + b*y spec.
 func AxpbySpec(z, x, y *Vector) Spec {
 	return Spec{Kind: nda.OpAXPBY, Reads: []*Vector{x, y}, Write: z}

@@ -274,8 +274,5 @@ func (o *OS) PickColor(n uint64) (Color, error) {
 // FreeShared releases a shared allocation.
 func (o *OS) FreeShared(base uint64) error { return o.shared.Free(base) }
 
-// FreeHost releases a host allocation.
-func (o *OS) FreeHost(base uint64) error { return o.host.Free(base) }
-
 // Mapper exposes the address mapping in use.
 func (o *OS) Mapper() addrmap.Mapper { return o.mapper }

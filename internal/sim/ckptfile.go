@@ -40,7 +40,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"chopim/internal/atomicio"
@@ -176,26 +175,6 @@ func DecodeCheckpoint(cfg Config, b []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: payload missing a required component", ErrCorruptCheckpoint)
 	}
 	return ck, nil
-}
-
-// WriteCheckpoint writes the envelope to w. For files prefer
-// SaveCheckpoint, which also gets atomic-replace and fsync discipline.
-func WriteCheckpoint(w io.Writer, cfg Config, ck *Checkpoint) error {
-	b, err := EncodeCheckpoint(cfg, ck)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// ReadCheckpoint reads and validates one envelope from r.
-func ReadCheckpoint(r io.Reader, cfg Config) (*Checkpoint, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeCheckpoint(cfg, b)
 }
 
 // SaveCheckpoint durably persists the checkpoint at path: the envelope
