@@ -32,6 +32,12 @@ type Mapper interface {
 	// system-row-aligned allocations whose addresses agree on these bits
 	// interleave identically across the memory system.
 	ColorBits() []uint
+	// ColumnBits returns the physical-address bits that feed the column
+	// field and no other field. Flipping any subset x of them leaves
+	// every decoded field but Col unchanged and XORs Col by a value that
+	// depends on x alone, so one Decode per distinct value of the other
+	// bits determines the columns of all of them.
+	ColumnBits() uint64
 	// Fingerprint identifies the mapping function: two mappers with equal
 	// fingerprints decode every physical address identically. Decoded-
 	// layout caches key on it to share results across mapper instances
@@ -76,6 +82,7 @@ type XORMap struct {
 
 	ch, rank, bg, bank, row, col field
 	colorBits                    []uint
+	colOnly                      uint64 // see ColumnBits
 	// rowMSBLow is the lowest of the top bank-field-width row physical
 	// bits; those bits are contiguous, so the partitioned mapping reads
 	// them as one shifted field.
@@ -180,6 +187,16 @@ func NewSkylakeLikeChecked(g dram.Geometry) (*XORMap, error) {
 			}
 		}
 	}
+	// Column-only bits: in the column masks and in no other field's.
+	var other uint64
+	for _, f := range []field{m.ch, m.rank, m.bg, m.bank, m.row} {
+		for _, mk := range f.masks {
+			other |= mk
+		}
+	}
+	for _, mk := range m.col.masks {
+		m.colOnly |= mk &^ other
+	}
 	// Record the top bank-field-width row physical bits for partitioning
 	// (pos is one past the highest physical bit).
 	m.rowMSBLow = pos - (nBG + nBank)
@@ -207,6 +224,11 @@ func (m *XORMap) Geometry() dram.Geometry { return m.geom }
 
 // ColorBits implements Mapper.
 func (m *XORMap) ColorBits() []uint { return m.colorBits }
+
+// ColumnBits implements Mapper. Every field is linear in the address
+// bits, so flipping bits no other field reads moves only Col, by the
+// column decode of the flipped bits.
+func (m *XORMap) ColumnBits() uint64 { return m.colOnly }
 
 // Fingerprint implements Mapper.
 func (m *XORMap) Fingerprint() string { return m.fp }
@@ -300,6 +322,11 @@ func (p *PartitionedMap) Geometry() dram.Geometry { return p.Base.geom }
 
 // ColorBits implements Mapper.
 func (p *PartitionedMap) ColorBits() []uint { return p.Base.ColorBits() }
+
+// ColumnBits implements Mapper. The reserved-bank swap reads and writes
+// only the bank fields and the row MSBs, neither of which a column-only
+// bit feeds, so the base mapping's column-only bits keep the contract.
+func (p *PartitionedMap) ColumnBits() uint64 { return p.Base.ColumnBits() }
 
 // Fingerprint implements Mapper.
 func (p *PartitionedMap) Fingerprint() string {

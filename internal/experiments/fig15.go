@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"chopim/internal/apps"
 	"chopim/internal/sim"
@@ -23,6 +24,47 @@ func DefaultSVRGScale() SVRGScale { return SVRGScale{N: 4096, D: 768, K: 10, Lam
 
 // quickSVRGScale shrinks the study for tests.
 func quickSVRGScale() SVRGScale { return SVRGScale{N: 512, D: 128, K: 10, Lambda: 1e-3} }
+
+// Fig 15's dataset and optimum seeds: both panels train on
+// svrg.Synthetic(scale.N, scale.D, scale.K, fig15DataSeed) and measure
+// loss against svrg.Optimum(ds, scale.Lambda, fig15OptimumSeed).
+const (
+	fig15DataSeed    = 7
+	fig15OptimumSeed = 11
+)
+
+// svrgOptima memoizes svrgOptimum per process, keyed by the scale (the
+// seeds are the constants above). Each entry's once makes a concurrent
+// second caller wait for the first's result rather than recompute it.
+var svrgOptima = struct {
+	sync.Mutex
+	m map[SVRGScale]*optimumEntry
+}{m: make(map[SVRGScale]*optimumEntry)}
+
+type optimumEntry struct {
+	once sync.Once
+	v    float64
+}
+
+// computeOptimum is the memoized computation (a variable so a test can
+// count calls).
+var computeOptimum = svrg.Optimum
+
+// svrgOptimum returns svrg.Optimum(ds, scale.Lambda, fig15OptimumSeed)
+// for ds built by svrg.Synthetic with fig15DataSeed, computing it once
+// per process: the optimum is a pure function of the scale, and its
+// long host-only run costs ~31 s of CPU at full budget.
+func svrgOptimum(ds *svrg.Dataset, scale SVRGScale) float64 {
+	svrgOptima.Lock()
+	e := svrgOptima.m[scale]
+	if e == nil {
+		e = &optimumEntry{}
+		svrgOptima.m[scale] = e
+	}
+	svrgOptima.Unlock()
+	e.once.Do(func() { e.v = computeOptimum(ds, scale.Lambda, fig15OptimumSeed) })
+	return e.v
+}
 
 // CalibrateTiming measures the SVRG phase times on the simulated machine
 // for a system with the given ranks per channel.
@@ -125,12 +167,12 @@ func fig15aRun(opt Options) (fig15aResult, error) {
 		scale = quickSVRGScale()
 		outers = 8
 	}
-	ds := svrg.Synthetic(scale.N, scale.D, scale.K, 7)
+	ds := svrg.Synthetic(scale.N, scale.D, scale.K, fig15DataSeed)
 	timing, err := CalibrateTiming(scale, 4, opt)
 	if err != nil {
 		return fig15aResult{}, err
 	}
-	opt15 := svrg.Optimum(ds, scale.Lambda, 11)
+	opt15 := svrgOptimum(ds, scale)
 
 	lr := 0.05
 	modes := []struct {
@@ -181,8 +223,8 @@ func fig15bRows(opt Options) ([]Fig15bRow, error) {
 		outers = 10
 		ndaCounts = []int{4, 8}
 	}
-	ds := svrg.Synthetic(scale.N, scale.D, scale.K, 7)
-	optimum := svrg.Optimum(ds, scale.Lambda, 11)
+	ds := svrg.Synthetic(scale.N, scale.D, scale.K, fig15DataSeed)
+	optimum := svrgOptimum(ds, scale)
 
 	// Host-only reference runs. The convergence threshold is adaptive:
 	// 1.5x the best final loss gap any host-only run achieves, so every

@@ -64,7 +64,7 @@ func checkShareMatchesDecode(t testing.TB, m addrmap.Mapper, v *Vector, chunk in
 	for ch := 0; ch < g.Channels; ch++ {
 		for r := 0; r < g.Ranks; r++ {
 			w := want[ch][r]
-			n := len(v.shareBlocks(ch, r))
+			n := v.layout.shareLen(ch, r)
 			if got := drain(v.iterFor(ch, r, 0, n)); !slices.Equal(got, w) {
 				t.Fatalf("rank (%d,%d): share yields %d blocks, decode places %d (or their order differs)",
 					ch, r, len(got), len(w))
@@ -179,9 +179,10 @@ func layoutFootprint(t *testing.T, v reflect.Value, path string, out map[string]
 	}
 }
 
-// TestLayoutFootprint pins a layout's host memory at 8 bytes per
-// 64-byte block (4 for the block number, the rest append slack) on the
-// Fig 14-class operand: 8 ranks per channel, Private, 2 MiB per rank.
+// TestLayoutFootprint pins a layout's host memory at a quarter byte per
+// 64-byte block on the Fig 14-class operand: 8 ranks per channel,
+// Private, 2 MiB per rank. Each rank's share is whole DRAM rows of 128
+// blocks, one 12-byte run each (~0.09 per block), plus append slack.
 // The walk is by reflection, so a field added to vecLayout later is
 // counted and named in the failure.
 func TestLayoutFootprint(t *testing.T) {
@@ -200,8 +201,8 @@ func TestLayoutFootprint(t *testing.T) {
 		total += b
 	}
 	t.Logf("layout: %d bytes for %d blocks (%.2f per block)", total, blocks, float64(total)/float64(blocks))
-	if total > 8*blocks {
-		t.Errorf("layout holds %d bytes for %d blocks (%.2f per block), want at most 8 per block; by field: %v",
+	if 4*total > blocks {
+		t.Errorf("layout holds %d bytes for %d blocks (%.2f per block), want at most 0.25 per block; by field: %v",
 			total, blocks, float64(total)/float64(blocks), per)
 	}
 }
@@ -238,5 +239,78 @@ func TestGuardRefusesForeignBlocks(t *testing.T) {
 		if guard(a) {
 			t.Fatalf("guard accepts %+v of an operand the instruction does not name", a)
 		}
+	}
+}
+
+// TestGuardRefusesRunNeighbours checks the guard's interval ends. The
+// instruction's slice starts and ends mid-run; for every maximal run of
+// consecutive block numbers its operands cover, the guard must refuse
+// the block one before the run and the block one past it, unless the
+// instruction itself covers that block through another operand.
+func TestGuardRefusesRunNeighbours(t *testing.T) {
+	h := newHarness(t)
+	h.rt.MaxBlocksPerInstr = 200 // not a multiple of the 128-block row
+	x, _ := h.rt.NewVector(64*1024, Shared)
+	y, _ := h.rt.NewVector(64*1024, Shared)
+	bps := h.rt.rankOpBPs(Spec{Kind: nda.OpCOPY, Reads: []*Vector{x}, Write: y}, 0, 0, &Handle{})
+	if len(bps) < 3 {
+		t.Fatalf("rank share split into %d instructions, want at least 3", len(bps))
+	}
+	bp := bps[1]
+	guard := h.rt.buildGuard(bp)
+	c := x.layout.codec
+	own := map[uint32]bool{}
+	var keys [][]uint32
+	for _, v := range []*Vector{x, y} {
+		var ks []uint32
+		for _, a := range drain(v.iterFor(bp.ch, bp.r, bp.from, bp.n)) {
+			ks = append(ks, c.pack(a))
+			own[c.pack(a)] = true
+		}
+		keys = append(keys, ks)
+	}
+	checked := 0
+	for _, ks := range keys {
+		for i, k := range ks {
+			var edges []uint32
+			if i == 0 || ks[i-1] != k-1 {
+				edges = append(edges, k-1)
+			}
+			if i == len(ks)-1 || ks[i+1] != k+1 {
+				edges = append(edges, k+1)
+			}
+			for _, e := range edges {
+				if own[e] {
+					continue
+				}
+				checked++
+				if a := c.unpack(bp.ch, bp.r, e); guard(a) {
+					t.Fatalf("guard accepts %+v, next to a run of the instruction's blocks", a)
+				}
+			}
+		}
+	}
+	if checked < 4 {
+		t.Fatalf("only %d run neighbours checked, want one before and one past each operand's runs", checked)
+	}
+}
+
+// TestIterForAllocs pins an operand iterator at two heap allocations,
+// its closure and its walk state, however many runs the slice spans:
+// iterFor runs once per operand of every NDA instruction launched.
+func TestIterForAllocs(t *testing.T) {
+	rt := layoutRuntime(t, dram.DefaultGeometry(), true)
+	v, err := rt.NewVector(64*1024, Shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := v.layout.shareLen(0, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		it := v.iterFor(0, 0, 100, n)
+		for _, ok := it(); ok; _, ok = it() {
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("iterFor over %d blocks allocates %.0f times, want 2", n-100, allocs)
 	}
 }

@@ -135,13 +135,47 @@ type layoutKey struct {
 }
 
 // vecLayout is an immutable decoded layout shared between vectors.
-// share[ch][rank] lists the rank-local block numbers (blockCodec.pack)
-// of the vector's blocks on that rank, in address order; channel and
-// rank are implied by which list holds an entry. A layout costs 4 bytes
-// of host memory per 64-byte block, plus the lists' append slack.
+// runs[ch][rank] holds that rank's share of the vector in address order,
+// as runs of consecutive rank-local block numbers (blockCodec.pack);
+// channel and rank are implied by which list holds a run. A colored
+// operand's share is whole DRAM rows, so a run usually covers a row and
+// a layout costs ~12 bytes per row rather than 4 per block (DESIGN.md
+// §2.14).
 type vecLayout struct {
 	codec blockCodec
-	share [][][]uint32
+	runs  [][][]blockRun
+}
+
+// blockRun is the n block numbers start, start+1, ...; first is the
+// index of its first block in the rank's share.
+type blockRun struct {
+	start, n, first uint32
+}
+
+// shareLen returns the number of blocks in rank (ch,r)'s share.
+func (l *vecLayout) shareLen(ch, r int) int {
+	runs := l.runs[ch][r]
+	if len(runs) == 0 {
+		return 0
+	}
+	last := runs[len(runs)-1]
+	return int(last.first) + int(last.n)
+}
+
+// seek returns the index of the run holding share index from, or
+// len(runs) past the share's end. The binary search is written out
+// because a sort.Search closure escapes and allocates on every launch.
+func seek(runs []blockRun, from int) int {
+	lo, hi := 0, len(runs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(runs[m].first)+int(runs[m].n) <= from {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // blockCodec converts between a DRAM address and its rank-local block
@@ -244,9 +278,9 @@ type Vector struct {
 	placement Placement
 	color     osmem.Color
 
-	// layout is each rank's share of the vector, decoded once. Decoding
-	// every NDA access instead costs 4-9% more host time per simulated
-	// cycle (DESIGN.md §2.14).
+	// layout is each rank's share of the vector as runs of consecutive
+	// blocks, decoded once. Decoding every NDA access instead costs 4-9%
+	// more host time per simulated cycle (DESIGN.md §2.14).
 	layout *vecLayout
 }
 
@@ -354,46 +388,114 @@ func (v *Vector) indexBlocks() {
 }
 
 // decodeLayout decodes the span [base, base+bytes) block by block,
-// appending each block's number to its rank's share in address order.
+// appending each block to its rank's runs in address order. It decodes
+// only each distinct head, a block with its column-only bits
+// (Mapper.ColumnBits) cleared, and derives the head's blocks from it by
+// the ColumnBits contract; with no such bits every block is a head.
 func decodeLayout(m addrmap.Mapper, base, bytes uint64) *vecLayout {
 	g := m.Geometry()
-	l := &vecLayout{codec: newBlockCodec(g), share: make([][][]uint32, g.Channels)}
-	for ch := range l.share {
-		l.share[ch] = make([][]uint32, g.Ranks)
+	l := &vecLayout{codec: newBlockCodec(g), runs: make([][][]blockRun, g.Channels)}
+	for ch := range l.runs {
+		l.runs[ch] = make([][]blockRun, g.Ranks)
+	}
+	colBits := m.ColumnBits()
+	// colDelta[i] is the column XOR of flipping column-only bit i, the
+	// same at every address by the ColumnBits contract.
+	var colDelta [64]uint32
+	col0 := m.Decode(0).Col
+	for x := colBits; x != 0; x &= x - 1 {
+		i := bits.TrailingZeros64(x)
+		colDelta[i] = uint32(m.Decode(1<<i).Col ^ col0)
+	}
+	// Heads that alternate in address order (one per channel in the
+	// default mapping) differ in the lowest non-column bits above the
+	// block offset, so a cache indexed by four of them holds them all.
+	var slotBits [4]uint
+	for i, b := 0, uint(6); i < len(slotBits) && b < 64; b++ {
+		if colBits>>b&1 == 0 {
+			slotBits[i] = b
+			i++
+		}
+	}
+	var heads [1 << len(slotBits)]struct {
+		pa    uint64
+		ch, r int
+		k     uint32 // the head's block number
+		set   bool
 	}
 	nBlocks := (bytes + dram.BlockBytes - 1) / dram.BlockBytes
 	for b := uint64(0); b < nBlocks; b++ {
-		a := m.Decode(base + b*dram.BlockBytes)
-		l.share[a.Channel][a.Rank] = append(l.share[a.Channel][a.Rank], l.codec.pack(a))
+		pa := base + b*dram.BlockBytes
+		hpa, slot := pa&^colBits, 0
+		for i, sb := range slotBits {
+			slot |= int(hpa>>sb&1) << i
+		}
+		h := &heads[slot]
+		if !h.set || h.pa != hpa {
+			a := m.Decode(hpa)
+			h.pa, h.ch, h.r, h.k, h.set = hpa, a.Channel, a.Rank, l.codec.pack(a), true
+		}
+		k := h.k
+		for x := pa & colBits; x != 0; x &= x - 1 {
+			k ^= colDelta[bits.TrailingZeros64(x)]
+		}
+		runs := l.runs[h.ch][h.r]
+		if n := len(runs); n > 0 {
+			// k != 0: a run ending at the rank's last block number wraps
+			// start+n to 0, and block 0 cannot extend it.
+			if last := &runs[n-1]; last.start+last.n == k && k != 0 {
+				last.n++
+				continue
+			}
+		}
+		l.runs[h.ch][h.r] = append(runs, blockRun{start: k, n: 1, first: uint32(l.shareLen(h.ch, h.r))})
 	}
 	return l
 }
 
-// shareBlocks returns rank (ch,r)'s share, as rank-local block numbers.
-func (v *Vector) shareBlocks(ch, r int) []uint32 { return v.layout.share[ch][r] }
-
 // iterFor yields DRAM addresses for a slice [from, from+count) of the
-// rank's share.
+// rank's share, walking its runs from the one holding from.
 func (v *Vector) iterFor(ch, r int, from, count int) nda.Iter {
-	share := v.chunk(ch, r, from, count)
+	runs := v.layout.runs[ch][r]
+	// The walk's state is one variable: the closure escapes, and every
+	// captured variable it assigns is a heap allocation of its own.
+	var w struct {
+		i, left int
+		k, end  uint32
+	}
+	w.i, w.left = seek(runs, from), min(count, v.layout.shareLen(ch, r)-from)
+	if w.left > 0 {
+		w.k = runs[w.i].start + uint32(from-int(runs[w.i].first))
+		w.end = runs[w.i].start + runs[w.i].n
+	}
 	c := v.layout.codec
-	i := 0
 	return func() (dram.Addr, bool) {
-		if i >= len(share) {
+		if w.left <= 0 {
 			return dram.Addr{}, false
 		}
-		a := c.unpack(ch, r, share[i])
-		i++
+		if w.k == w.end {
+			w.i++
+			w.k, w.end = runs[w.i].start, runs[w.i].start+runs[w.i].n
+		}
+		w.left--
+		a := c.unpack(ch, r, w.k)
+		w.k++
 		return a, true
 	}
 }
 
-// chunk returns the slice [from, from+count) of rank (ch,r)'s share,
-// clipped to the share's length.
-func (v *Vector) chunk(ch, r int, from, count int) []uint32 {
-	share := v.layout.share[ch][r]
-	end := min(from+count, len(share))
-	return share[min(from, end):end]
+// appendSpans appends to dst the block-number intervals that the slice
+// [from, from+count) of rank (ch,r)'s share covers, one per run it
+// touches (first unset).
+func (v *Vector) appendSpans(dst []blockRun, ch, r, from, count int) []blockRun {
+	runs := v.layout.runs[ch][r]
+	for i := seek(runs, from); i < len(runs) && count > 0; i++ {
+		off := max(from-int(runs[i].first), 0)
+		n := min(int(runs[i].n)-off, count)
+		dst = append(dst, blockRun{start: runs[i].start + uint32(off), n: uint32(n)})
+		count -= n
+	}
+	return dst
 }
 
 // RowView returns a Vector aliasing row i of the matrix (no allocation
@@ -421,9 +523,9 @@ func (m *Matrix) RowView(i int) *Vector {
 // controlAddr returns a DRAM address on the rank for launch packets (the
 // control-register region lives on each module).
 func (v *Vector) controlAddr(ch, r int) (dram.Addr, bool) {
-	share := v.layout.share[ch][r]
-	if len(share) == 0 {
+	runs := v.layout.runs[ch][r]
+	if len(runs) == 0 {
 		return dram.Addr{}, false
 	}
-	return v.layout.codec.unpack(ch, r, share[0]), true
+	return v.layout.codec.unpack(ch, r, runs[0].start), true
 }

@@ -63,7 +63,7 @@ func TestVectorAllocationAndShares(t *testing.T) {
 	total := 0
 	for ch := 0; ch < g.Channels; ch++ {
 		for r := 0; r < g.Ranks; r++ {
-			n := len(v.shareBlocks(ch, r))
+			n := v.layout.shareLen(ch, r)
 			if n == 0 {
 				t.Errorf("rank (%d,%d) holds no share of a 4 MiB vector", ch, r)
 			}
@@ -86,7 +86,7 @@ func TestPrivateAllocationGivesFullShares(t *testing.T) {
 	want := n * 4 / dram.BlockBytes
 	for ch := 0; ch < g.Channels; ch++ {
 		for r := 0; r < g.Ranks; r++ {
-			got := len(v.shareBlocks(ch, r))
+			got := v.layout.shareLen(ch, r)
 			if got < want/2 || got > want*2 {
 				t.Errorf("private share on (%d,%d) = %d blocks, want ~%d", ch, r, got, want)
 			}
@@ -214,7 +214,7 @@ func TestRowViewCoversRow(t *testing.T) {
 	g := dram.DefaultGeometry()
 	for ch := 0; ch < g.Channels; ch++ {
 		for r := 0; r < g.Ranks; r++ {
-			total += len(v.shareBlocks(ch, r))
+			total += v.layout.shareLen(ch, r)
 		}
 	}
 	if total != wantBlocks {
@@ -283,8 +283,7 @@ func TestDecodeCacheSharedAcrossRuntimes(t *testing.T) {
 		t.Fatalf("allocation sequences diverged: (%#x,%d) vs (%#x,%d)",
 			v1.base, v1.bytes, v2.base, v2.bytes)
 	}
-	s1, s2 := v1.shareBlocks(0, 0), v2.shareBlocks(0, 0)
-	if len(s1) == 0 || &s1[0] != &s2[0] {
+	if v1.layout == nil || v1.layout != v2.layout {
 		t.Error("identical spans decoded twice: layouts not shared across runtimes")
 	}
 }

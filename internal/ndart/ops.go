@@ -313,7 +313,7 @@ func (rt *Runtime) launchBP(bp *opBP) {
 // returning one blueprint per NDA instruction. The handle's pending
 // count is incremented here, at API-call time.
 func (rt *Runtime) rankOpBPs(spec Spec, ch, r int, h *Handle) []*opBP {
-	share := len(spec.Reads[0].shareBlocks(ch, r))
+	share := spec.Reads[0].layout.shareLen(ch, r)
 	if share == 0 {
 		return nil
 	}
@@ -333,7 +333,7 @@ func (rt *Runtime) rankOpBPs(spec Spec, ch, r int, h *Handle) []*opBP {
 		// PeekRead during fast-forward.
 		total := 0
 		for _, v := range spec.Reads {
-			c := len(v.shareBlocks(ch, r)) - from
+			c := v.layout.shareLen(ch, r) - from
 			if c > n {
 				c = n
 			}
@@ -350,24 +350,27 @@ func (rt *Runtime) rankOpBPs(spec Spec, ch, r int, h *Handle) []*opBP {
 }
 
 // buildGuard returns the NDA-side bounds check for one instruction: the
-// set of DRAM blocks the launch packet's operand descriptors cover. In
-// hardware this is a base/bound comparison per operand; the simulator
-// enumerates the chunk's blocks exactly.
+// block-number intervals the launch packet's operand descriptors cover,
+// one per run of each operand's slice. In hardware this is a base/bound
+// comparison per operand; an access passes if any interval holds it.
 func (rt *Runtime) buildGuard(bp *opBP) func(dram.Addr) bool {
-	allowed := make(map[uint32]bool, bp.n*(len(bp.reads)+1))
-	add := func(v *Vector) {
-		for _, k := range v.chunk(bp.ch, bp.r, bp.from, bp.n) {
-			allowed[k] = true
-		}
-	}
+	var spans []blockRun
 	for _, v := range bp.reads {
-		add(v)
+		spans = v.appendSpans(spans, bp.ch, bp.r, bp.from, bp.n)
 	}
 	if bp.write != nil {
-		add(bp.write)
+		spans = bp.write.appendSpans(spans, bp.ch, bp.r, bp.from, bp.n)
 	}
 	c := newBlockCodec(rt.geom)
-	return func(a dram.Addr) bool { return allowed[c.pack(a)] }
+	return func(a dram.Addr) bool {
+		k := c.pack(a)
+		for _, s := range spans {
+			if k-s.start < s.n {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // sendLaunch models the control-register write carrying the given
