@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"chopim/internal/apps"
-	"chopim/internal/atomicio"
 	"chopim/internal/dram"
 	"chopim/internal/experiments"
 	"chopim/internal/ndart"
@@ -138,76 +137,6 @@ func BenchmarkMixedHostNDA(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(measureCycles), "DRAM-cycles/op")
-}
-
-// BenchmarkMixedHostNDACheckpointed is BenchmarkMixedHostNDA with the
-// durable-checkpoint machinery armed at a production cadence: one full
-// durable cut per 100k simulated cycles, through the same shape the
-// experiments layer uses — the snapshot (an immutable deep copy) is
-// taken on the measurement loop, while encoding and the fsynced atomic
-// write proceed on a background writer as simulation continues. The
-// measured window spans two cadence intervals so the writer's work
-// genuinely overlaps measured simulation instead of draining off the
-// timer. scripts/bench.sh normalizes this per-cycle against plain
-// MixedHostNDA (which measures half the cycles) and gates the
-// checkpoint overhead at <=5%; the writer allocates by design (encode
-// + file I/O), so the zero-allocs contract is gated on the
-// un-checkpointed benchmark only.
-func BenchmarkMixedHostNDACheckpointed(b *testing.B) {
-	const (
-		measureCycles = 200_000
-		ckptEvery     = 100_000
-	)
-	path := b.TempDir() + "/bench.ckpt"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := sim.Default(1)
-		s, err := sim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Sized so the op outlives warm-up plus the measured window.
-		app, err := apps.NewMicroPlaced(s.RT, "copy", (16<<20)/4, ndart.Private)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h, err := app.Iterate()
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.RunFast(50_000)
-		jobs := make(chan *sim.Checkpoint, 1)
-		done := make(chan struct{})
-		go func() {
-			for ck := range jobs {
-				if env, err := sim.EncodeCheckpoint(cfg, ck); err == nil {
-					_ = atomicio.WriteFile(path, env)
-				}
-			}
-			close(done)
-		}()
-		b.StartTimer()
-		s.RunFast(ckptEvery)
-		ck, _, err := s.SnapshotWithRoots([]*ndart.Handle{h})
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs <- ck
-		s.RunFast(measureCycles - ckptEvery)
-		b.StopTimer()
-		close(jobs)
-		<-done
-		if h.Done() {
-			b.Fatal("NDA op finished inside the measured window")
-		}
-		if _, err := os.Stat(path); err != nil {
-			b.Fatal("checkpoint write never landed:", err)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(measureCycles), "DRAM-cycles/op")
-	b.ReportMetric(1, "ckpt-writes/op")
 }
 
 // BenchmarkFig14Wide8Ranks measures the widest Figure 14 class

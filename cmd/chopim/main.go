@@ -5,8 +5,7 @@
 // Usage:
 //
 //	chopim [-quick] [-warm N] [-measure N] [-parallel N] [-cache-dir D]
-//	       [-checkpoint D [-resume]]
-//	       [-checkpoint-every N] [-on-interrupt=checkpoint|drain|abort]
+//	       [-checkpoint D [-resume]] [-on-interrupt=drain|abort]
 //	       [-check-invariants] [-deadline D] [-fail-fast]
 //	       [-cpuprofile F] [-memprofile F] <experiment>
 //
@@ -37,15 +36,12 @@
 // arms a named fault for the fault-injection smoke tests (see
 // internal/faults).
 //
-// Interrupt & resume: -checkpoint-every N additionally persists each
-// in-flight point's full simulator state every N cycles into the
-// -checkpoint directory, so a kill -9 costs at most N cycles of one
-// point; the next -resume run restores the newest valid mid-point
-// checkpoint and continues bit-identically. SIGINT/SIGTERM cancel the
-// sweep cooperatively per -on-interrupt — checkpoint (default: stop
-// every point at its next quiescent boundary and persist it), drain
-// (finish in-flight points, admit no more), or abort — then exit 130;
-// a second signal force-exits immediately.
+// Interrupt & resume: resume is point-granular. A kill -9 loses only
+// the points in flight; the next -resume run replays every journaled
+// point and recomputes the rest, printing a byte-identical figure.
+// SIGINT/SIGTERM stop the sweep per -on-interrupt — drain (default:
+// finish and journal in-flight points, admit no more) or abort (exit
+// at once) — then exit 130; a second signal force-exits immediately.
 //
 // -cpuprofile / -memprofile write pprof profiles covering the selected
 // experiment (see README.md, "Profiling").
@@ -68,7 +64,6 @@ import (
 	"chopim/internal/dram"
 	"chopim/internal/experiments"
 	"chopim/internal/faults"
-	"chopim/internal/sim"
 	"chopim/internal/stats"
 )
 
@@ -107,11 +102,9 @@ func run() (code int) {
 	failFast := flag.Bool("fail-fast", false,
 		"abort a sweep at the first failing point instead of completing the healthy ones")
 	inject := flag.String("inject", "",
-		"arm a fault for smoke testing: panic-point=K, stuck-horizon=C, ckpt-torn=K, ckpt-badsum=K, or die-after-ckpt=N")
-	ckptEvery := flag.Int64("checkpoint-every", 0,
-		"cycles between durable mid-point checkpoints of each in-flight simulation (0 = off; requires -checkpoint DIR)")
-	onInterrupt := flag.String("on-interrupt", "checkpoint",
-		"first SIGINT/SIGTERM behavior: checkpoint (cancel points at a quiescent boundary and persist them), drain (finish in-flight points, admit no more), abort (exit immediately)")
+		"arm a fault for smoke testing: panic-point=K, stuck-horizon=C, or die-after-point=N")
+	onInterrupt := flag.String("on-interrupt", "drain",
+		"first SIGINT/SIGTERM behavior: drain (finish in-flight points, admit no more) or abort (exit immediately)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: chopim [flags] <fig2|fig10|fig11|fig12|fig13|fig14|fig15a|fig15b|power|config|all>\n")
 		flag.PrintDefaults()
@@ -167,14 +160,8 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "chopim: -resume requires -checkpoint DIR (the journals to resume from)\n")
 		return 2
 	}
-	if *ckptEvery > 0 && *checkpoint == "" {
-		fmt.Fprintf(os.Stderr, "chopim: -checkpoint-every requires -checkpoint DIR (where the checkpoints live)\n")
-		return 2
-	}
-	switch *onInterrupt {
-	case "checkpoint", "drain", "abort":
-	default:
-		fmt.Fprintf(os.Stderr, "chopim: -on-interrupt=%q (want checkpoint, drain, or abort)\n", *onInterrupt)
+	if *onInterrupt != "drain" && *onInterrupt != "abort" {
+		fmt.Fprintf(os.Stderr, "chopim: -on-interrupt=%q (want drain or abort)\n", *onInterrupt)
 		return 2
 	}
 	opt.CacheDir = *cacheDir
@@ -189,7 +176,6 @@ func run() (code int) {
 			return 2
 		}
 	}
-	opt.CheckpointEvery = *ckptEvery
 	cancel := &experiments.Canceler{}
 	opt.Cancel = cancel
 	var interrupted atomic.Bool
@@ -202,16 +188,11 @@ func run() (code int) {
 				fmt.Fprintln(os.Stderr, "chopim: second signal, forcing exit")
 				os.Exit(130)
 			}
-			switch *onInterrupt {
-			case "drain":
-				fmt.Fprintln(os.Stderr, "chopim: interrupt: draining in-flight points (signal again to force exit)")
-				cancel.CancelAdmission()
-			case "abort":
+			if *onInterrupt == "abort" {
 				os.Exit(130)
-			default: // checkpoint
-				fmt.Fprintln(os.Stderr, "chopim: interrupt: stopping (checkpointing in-flight points; signal again to force exit)")
-				cancel.CancelPoints()
 			}
+			fmt.Fprintln(os.Stderr, "chopim: interrupt: draining in-flight points (signal again to force exit)")
+			cancel.CancelAdmission()
 		}
 	}()
 	if *cacheDir != "" || *checkpoint != "" {
@@ -238,7 +219,7 @@ func run() (code int) {
 			fmt.Printf("\n===== %s =====\n", n)
 			if err := cmds[n](opt); err != nil {
 				fmt.Fprintf(os.Stderr, "chopim %s: %v\n", n, err)
-				if canceledRun(err) {
+				if errors.Is(err, experiments.ErrSweepCanceled) {
 					return 130
 				}
 				return 1
@@ -256,7 +237,7 @@ func run() (code int) {
 	}
 	if err := cmd(opt); err != nil {
 		fmt.Fprintf(os.Stderr, "chopim %s: %v\n", name, err)
-		if canceledRun(err) {
+		if errors.Is(err, experiments.ErrSweepCanceled) {
 			return 130
 		}
 		return 1
@@ -268,18 +249,6 @@ func run() (code int) {
 		return 130
 	}
 	return 0
-}
-
-// canceledRun classifies an experiment error as cooperative
-// cancellation — a drained sweep (ErrSweepCanceled) or a point cut by
-// the stop flag (*sim.CanceledError) — so the process exits 130, the
-// conventional interrupted status, rather than 1.
-func canceledRun(err error) bool {
-	if errors.Is(err, experiments.ErrSweepCanceled) {
-		return true
-	}
-	var ce *sim.CanceledError
-	return errors.As(err, &ce)
 }
 
 func tw() *tabwriter.Writer {
@@ -303,10 +272,6 @@ func printSweepHealth() {
 	if st.Panics != 0 || st.Timeouts != 0 || st.Quarantined != 0 {
 		fmt.Fprintf(os.Stderr, "sweep health: %d panics (%d points quarantined), %d deadline expiries\n",
 			st.Panics, st.Quarantined, st.Timeouts)
-	}
-	if st.Canceled != 0 || st.CkptWrites != 0 || st.CkptRestores != 0 {
-		fmt.Fprintf(os.Stderr, "interrupt: %d points canceled, %d checkpoints written, %d points resumed mid-flight\n",
-			st.Canceled, st.CkptWrites, st.CkptRestores)
 	}
 }
 

@@ -5,11 +5,9 @@
 // torn intermediate — and a rename that was observed survives power
 // loss (the directory entry is forced out with the data).
 //
-// The figure result cache, the sweep journals' directory creation, and
-// the checkpoint writers all route through here; before this package
-// each had its own temp-file+rename variant with no fsync, so a crash
-// at the wrong instant could publish a rename whose data blocks were
-// still in the page cache.
+// The figure result cache writes its entries through here, so a crash
+// at the wrong instant can never publish a rename whose data blocks
+// are still in the page cache.
 package atomicio
 
 import (

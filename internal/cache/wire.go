@@ -1,13 +1,12 @@
-// On-disk form of the cache levels. Cache line arrays dominate a
+// Encoded form of the cache levels. Cache line arrays dominate a
 // checkpoint's size (the LLC alone is >100k lines), so they pack into a
 // varint-coded binary blob rather than per-line JSON objects: a line is
 // flags(1) uvarint(tag) uvarint(lru), so an invalid line costs 3 bytes
-// and a typical valid one under ten — the difference between a periodic
-// checkpoint write costing milliseconds and costing a noticeable
-// fraction of the simulation budget. The line count rides alongside the
-// blob, so truncation is detected structurally (and the envelope digest
-// covers the bytes anyway). Everything else in HierarchyState encodes
-// as its own exported fields.
+// and a typical valid one under ten, which keeps an encode to
+// milliseconds. The line count rides alongside the blob, so truncation
+// is detected structurally (and the envelope digest covers the bytes
+// anyway). Everything else in HierarchyState encodes as its own
+// exported fields.
 package cache
 
 import (
@@ -116,7 +115,7 @@ type hierarchyWire struct {
 	*hierarchyFields
 }
 
-// MarshalJSON encodes the snapshot for the durable checkpoint file.
+// MarshalJSON encodes the snapshot for the checkpoint envelope.
 func (st *HierarchyState) MarshalJSON() ([]byte, error) {
 	w := hierarchyWire{LLC: cacheToWire(&st.LLC), hierarchyFields: (*hierarchyFields)(st)}
 	for i := range st.L1 {

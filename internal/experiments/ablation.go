@@ -46,8 +46,7 @@ func AblationLayout(opt Options) ([]AblationRow, error) {
 			return AblationRow{}, err
 		}
 		it := func() (*ndart.Handle, error) { return s.RT.Dot(x, y) }
-		res, err := measureConcurrent(s, it,
-			opt.withTag(fmt.Sprintf("ablate-layout-aligned=%v", aligned)))
+		res, err := measureConcurrent(s, it, opt)
 		if err != nil {
 			return AblationRow{}, err
 		}
@@ -80,8 +79,7 @@ func AblationReservedBanks(opt Options) ([]AblationRow, error) {
 		if err != nil {
 			return AblationRow{}, err
 		}
-		res, err := measureConcurrent(s, app.Iterate,
-			opt.withTag(fmt.Sprintf("ablate-rb-%d", rb)))
+		res, err := measureConcurrent(s, app.Iterate, opt)
 		if err != nil {
 			return AblationRow{}, err
 		}
@@ -108,8 +106,7 @@ func AblationWriteBuffer(opt Options) ([]AblationRow, error) {
 		if err != nil {
 			return AblationRow{}, err
 		}
-		res, err := measureConcurrent(s, app.Iterate,
-			opt.withTag(fmt.Sprintf("ablate-wb-%d", caps[i])))
+		res, err := measureConcurrent(s, app.Iterate, opt)
 		if err != nil {
 			return AblationRow{}, err
 		}
@@ -138,8 +135,7 @@ func AblationLaunchModel(opt Options) ([]AblationRow, error) {
 		if err != nil {
 			return AblationRow{}, err
 		}
-		res, err := measureConcurrent(s, app.Iterate,
-			opt.withTag(fmt.Sprintf("ablate-launch-model=%v", model)))
+		res, err := measureConcurrent(s, app.Iterate, opt)
 		if err != nil {
 			return AblationRow{}, err
 		}

@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"chopim/internal/atomicio"
+	"chopim/internal/faults"
 )
 
 // cacheSchema names the simulation-model version baked into every cache
@@ -327,8 +328,10 @@ func journalRecord[T any](jf *journalFile, i int, v T) {
 	}
 	jf.f.Write(append(line, '\n'))
 	// A SIGKILL must not lose a point the sweep believes is journaled:
-	// the crash-resume harness kills the process right after a
-	// checkpoint lands, and the journal's view has to be at least as
-	// fresh when it does.
+	// the crash-resume harness (faults.PointJournaled) kills the
+	// process the instant this record is durable.
 	jf.f.Sync()
+	if faults.Active() {
+		faults.Adjust(faults.PointJournaled, int64(i))
+	}
 }

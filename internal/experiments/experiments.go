@@ -7,7 +7,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"sync"
 	"time"
 
@@ -62,39 +61,15 @@ type Options struct {
 	// reported together as a *SweepError.
 	KeepGoing bool
 
-	// CheckpointEvery, when positive (and JournalDir is set),
-	// periodically persists each in-flight point's state to a durable
-	// checkpoint file every that-many simulated cycles. A resumed run
-	// (Resume) restores the newest valid checkpoint and continues from
-	// its cycle instead of recomputing from zero — the mid-point
-	// complement to the per-point journal. Corrupt or torn files
-	// degrade to recompute; results are bit-identical with
-	// checkpointing on, off, or resumed (see ckpt.go).
-	CheckpointEvery int64
-
 	// Cancel, when set, lets a signal handler or peer goroutine drain
-	// the sweep cooperatively: stop admitting points, or additionally
-	// cut every in-flight point at its next quiescent boundary (a final
-	// checkpoint is persisted when CheckpointEvery is armed). A
-	// canceled sweep returns an error — partial results are never
-	// cached as complete — with the completed points journaled.
+	// the sweep cooperatively: no new points start, in-flight ones run
+	// to completion and are journaled. A canceled sweep returns
+	// ErrSweepCanceled, so partial results are never cached as complete.
 	Cancel *Canceler
 
 	// journal carries the figure's resume-journal context from
 	// figCached into its sharded sweeps.
 	journal *journalCtx
-
-	// pointTag discriminates a sweep point's durable checkpoint when
-	// the config and budget alone do not (sweeps whose points differ
-	// only in workload). Sweep closures set it via withTag.
-	pointTag string
-}
-
-// withTag returns a copy of the options carrying the point's durable
-// checkpoint tag (see Options.pointTag).
-func (o Options) withTag(tag string) Options {
-	o.pointTag = tag
-	return o
 }
 
 // newSystem builds one simulation point's system with the options'
@@ -102,9 +77,6 @@ func (o Options) withTag(tag string) Options {
 func (o Options) newSystem(cfg sim.Config) (*sim.System, error) {
 	cfg.CheckInvariants = o.CheckInvariants
 	cfg.MaxWallClock = o.PointTimeout
-	if o.Cancel != nil {
-		cfg.Cancel = o.Cancel.simFlag()
-	}
 	return sim.New(cfg)
 }
 
@@ -203,43 +175,6 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 	}
 	warmEnd := s.Now() + opt.WarmCycles
 	measEnd := warmEnd + opt.MeasureCycles
-	// Mid-point durable checkpoints (Options.CheckpointEvery): resume
-	// restores the newest valid cut — driver handle recovered by table
-	// index, measurement baselines from the metadata line — before the
-	// first launch touches the fresh system, then the loops below
-	// persist a new cut each time the cadence comes due. Restore is
-	// bit-identical to having simulated (the sim package proves it), so
-	// a resumed point's rows match an uninterrupted run's exactly.
-	ckpt := openPointCkpt(s, opt)
-	// Every exit must drain the background writer: an abandoned worker
-	// goroutine would leak, and an in-flight write racing the caller's
-	// teardown could land after the point is gone.
-	defer ckpt.flush()
-	measuring := false
-	var busy0, blocks0 int64
-	if opt.Resume {
-		if meta, ok := ckpt.load(s); ok {
-			measuring = meta.Measuring
-			busy0, blocks0 = meta.Busy0, meta.Blocks0
-			if meta.HandleIdx >= 0 {
-				h = s.RT.RestoredHandleAt(meta.HandleIdx)
-			}
-		}
-	}
-	// ckptOnErr persists a final cut when a step error is a cooperative
-	// cancel: the point's progress survives the shutdown, and a resumed
-	// sweep picks up from this exact boundary. Other errors (livelock,
-	// deadline, invariant) leave any previous checkpoint in place.
-	ckptOnErr := func(err error) {
-		var ce *sim.CanceledError
-		if errors.As(err, &ce) {
-			// Drain pending periodic cuts first so an older one cannot
-			// land after this final, newest cut; then write it
-			// synchronously — the process may exit right after.
-			ckpt.flush()
-			ckpt.write(s, h, measuring, busy0, blocks0)
-		}
-	}
 	if err := relaunch(); err != nil {
 		return Result{}, err
 	}
@@ -275,21 +210,14 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 	}
 	for s.Now() < warmEnd {
 		if err := step(warmEnd); err != nil {
-			ckptOnErr(err)
 			return Result{}, err
 		}
 		if err := relaunch(); err != nil {
 			return Result{}, err
 		}
-		if ckpt.due(s.Now()) {
-			ckpt.writeAsync(s, h, measuring, busy0, blocks0)
-		}
 	}
-	if !measuring {
-		s.BeginMeasurement()
-		busy0, blocks0 = s.HostBusyCycles(), s.NDABlocks()
-		measuring = true
-	}
+	s.BeginMeasurement()
+	busy0, blocks0 := s.HostBusyCycles(), s.NDABlocks()
 	// finalize folds whatever has been measured so far into a Result —
 	// the complete window normally, a truncated one when a deadline or
 	// livelock aborts mid-measurement (the partial stats ride back
@@ -316,19 +244,12 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 	}
 	for s.Now() < measEnd {
 		if err := step(measEnd); err != nil {
-			ckptOnErr(err)
 			return finalize(), err
 		}
 		if err := relaunch(); err != nil {
 			return Result{}, err
 		}
-		if ckpt.due(s.Now()) {
-			ckpt.writeAsync(s, h, measuring, busy0, blocks0)
-		}
 	}
-	// The point completed: the journal (and cache) now own its result,
-	// so the mid-point file has nothing left to resume.
-	ckpt.remove()
 	return finalize(), nil
 }
 

@@ -25,7 +25,7 @@ func fig2Rows(opt Options) ([]Fig2Row, error) {
 		if err != nil {
 			return Fig2Row{}, err
 		}
-		if _, err := measureConcurrent(s, nil, opt.withTag("fig2-"+workload.MixName(mix))); err != nil {
+		if _, err := measureConcurrent(s, nil, opt); err != nil {
 			return Fig2Row{}, err
 		}
 		var total [stats.NumIdleBuckets]int64

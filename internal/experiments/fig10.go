@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"chopim/internal/apps"
 	"chopim/internal/dram"
 	"chopim/internal/ndart"
@@ -58,8 +56,7 @@ func fig10Rows(opt Options) ([]Fig10Row, error) {
 		if err != nil {
 			return Fig10Row{}, err
 		}
-		res, err := measureConcurrent(s, app.Iterate,
-			opt.withTag(fmt.Sprintf("fig10-r%d-n%d", p.ranks, p.n)))
+		res, err := measureConcurrent(s, app.Iterate, opt)
 		if err != nil {
 			return Fig10Row{}, err
 		}

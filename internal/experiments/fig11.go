@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"chopim/internal/apps"
 	"chopim/internal/sim"
 	"chopim/internal/workload"
@@ -75,8 +73,7 @@ func fig11Mixes(opt Options, mixes []int) ([]Fig11Row, error) {
 			}
 			it = app.Iterate
 		}
-		tag := fmt.Sprintf("fig11-%s-part=%v-%s", workload.MixName(p.mix), p.part, p.op)
-		return measureConcurrent(s, it, opt.withTag(tag))
+		return measureConcurrent(s, it, opt)
 	})
 	if err != nil {
 		return nil, err

@@ -60,8 +60,7 @@ func fig13Rows(opt Options) ([]Fig13Row, error) {
 	}
 	return sharded(opt, len(points), func(i int) (Fig13Row, error) {
 		p := points[i]
-		res, err := runFig13Point(p.op, p.bytes, p.async,
-			opt.withTag("fig13-"+p.op+"-"+p.name))
+		res, err := runFig13Point(p.op, p.bytes, p.async, opt)
 		if err != nil {
 			return Fig13Row{}, fmt.Errorf("fig13 %s/%s: %w", p.op, p.name, err)
 		}

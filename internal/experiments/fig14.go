@@ -46,8 +46,7 @@ func fig14Rows(opt Options) ([]Fig14Row, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := measureConcurrent(s, nil,
-			opt.withTag(fmt.Sprintf("fig14-rp-host-r%d", rankCounts[i])))
+		res, err := measureConcurrent(s, nil, opt)
 		return res.HostIPC, err
 	})
 	if err != nil {
@@ -79,8 +78,7 @@ func fig14Rows(opt Options) ([]Fig14Row, error) {
 		if err != nil {
 			return row, fmt.Errorf("fig14 %s: %w", p.wl, err)
 		}
-		res, err := measureConcurrent(s, it,
-			opt.withTag(fmt.Sprintf("fig14-chopim-r%d-%s", ranks, p.wl)))
+		res, err := measureConcurrent(s, it, opt)
 		if err != nil {
 			return row, err
 		}
@@ -98,8 +96,7 @@ func fig14Rows(opt Options) ([]Fig14Row, error) {
 		if err != nil {
 			return row, err
 		}
-		nres, err := measureConcurrent(nsys, nit,
-			opt.withTag(fmt.Sprintf("fig14-rp-nda-r%d-%s", ranks, p.wl)))
+		nres, err := measureConcurrent(nsys, nit, opt)
 		if err != nil {
 			return row, err
 		}

@@ -125,7 +125,7 @@ func hostStreamBandwidth(opt Options) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := measureConcurrent(s, nil, opt.withTag("fig15-hostbw"))
+	res, err := measureConcurrent(s, nil, opt)
 	if err != nil {
 		return 0, err
 	}

@@ -48,7 +48,7 @@ func powerRows(opt Options) ([]PowerRow, error) {
 			}
 			it = ag.Run
 		}
-		if _, err := measureConcurrent(s, it, opt.withTag("power-"+sc.name)); err != nil {
+		if _, err := measureConcurrent(s, it, opt); err != nil {
 			return PowerRow{}, err
 		}
 		// Energy counters accumulate from cycle zero, so use the full

@@ -2,14 +2,13 @@
 // any of the simulator's internal impossible-state panics, an armed
 // invariant checker, or an injected fault — is recovered into a
 // PointError and quarantined instead of killing the process, and
-// deadline expiries and cancels are counted separately. Every point
-// gets exactly one attempt: simulation, placement and config errors
-// are deterministic, and the journal, cache and checkpoint I/O errors
-// degrade to recompute without failing the point, so no failure a
-// point returns would pass on a second try. Under Options.KeepGoing a
-// sweep completes every healthy point and reports the failures
-// together as a SweepError; the default remains fail-fast on the
-// lowest-index error.
+// deadline expiries are counted separately. Every point gets exactly
+// one attempt: simulation, placement and config errors are
+// deterministic, and journal and cache I/O errors degrade to recompute
+// without failing the point, so no failure a point returns would pass
+// on a second try. Under Options.KeepGoing a sweep completes every
+// healthy point and reports the failures together as a SweepError; the
+// default remains fail-fast on the lowest-index error.
 package experiments
 
 import (
@@ -96,8 +95,8 @@ func guardedJob[T any](i int, job func(int) (T, error)) (v T, err error) {
 }
 
 // runPoint executes one sweep point's single attempt with isolation,
-// timing and classification: panics quarantine, deadline expiries
-// count as timeouts, and cooperative cancels count as cancels.
+// timing and classification: panics quarantine and deadline expiries
+// count as timeouts.
 func runPoint[T any](i int, job func(int) (T, error)) (T, error) {
 	start := time.Now()
 	v, err := guardedJob(i, job)
@@ -109,15 +108,12 @@ func runPoint[T any](i int, job func(int) (T, error)) (T, error) {
 	statErrs.Add(1)
 	var pe *PointError
 	var de *sim.DeadlineError
-	var ce *sim.CanceledError
 	switch {
 	case errors.As(err, &pe) && pe.Panic != nil:
 		statPanics.Add(1)
 		statQuarantined.Add(1)
 	case errors.As(err, &de):
 		statTimeouts.Add(1)
-	case errors.As(err, &ce):
-		statCanceled.Add(1)
 	}
 	return v, err
 }

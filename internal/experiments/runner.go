@@ -49,10 +49,6 @@ type RunnerStats struct {
 	Panics      int64 // points that panicked (recovered and quarantined)
 	Timeouts    int64 // points that hit their deadline (Options.PointTimeout)
 	Quarantined int64 // points abandoned after a panic
-
-	Canceled     int64 // points cut by cooperative cancellation
-	CkptWrites   int64 // mid-point checkpoint files persisted
-	CkptRestores int64 // points resumed from a mid-point checkpoint
 }
 
 var (
@@ -85,12 +81,21 @@ func ReadRunnerStats() RunnerStats {
 		Panics:      statPanics.Load(),
 		Timeouts:    statTimeouts.Load(),
 		Quarantined: statQuarantined.Load(),
-
-		Canceled:     statCanceled.Load(),
-		CkptWrites:   statCkptWrites.Load(),
-		CkptRestores: statCkptRestores.Load(),
 	}
 }
+
+// Canceler drains a sweep cooperatively from a signal handler or peer
+// goroutine: once CancelAdmission is called, the runner admits no new
+// points while in-flight ones run to completion and are journaled.
+// Sticky and safe to call from any goroutine, any number of times.
+type Canceler struct{ admit atomic.Bool }
+
+// CancelAdmission stops the runner from admitting new points.
+func (c *Canceler) CancelAdmission() { c.admit.Store(true) }
+
+// AdmissionStopped reports whether new points may still start.
+// Nil-safe: no canceler means admission never stops.
+func (c *Canceler) AdmissionStopped() bool { return c != nil && c.admit.Load() }
 
 // ErrSweepCanceled reports that admission stopped before every point
 // ran. It always surfaces as the sweep's error — a drained sweep's
@@ -208,9 +213,7 @@ func ndaOnlyRows(opt Options, ops []string) ([]NDAOnlyRow, error) {
 		if err != nil {
 			return NDAOnlyRow{}, err
 		}
-		// Every point of this sweep shares one config; the tag is the
-		// only thing telling their checkpoints apart.
-		res, err := measureConcurrent(s, app.Iterate, opt.withTag("ndaonly-"+ops[i]))
+		res, err := measureConcurrent(s, app.Iterate, opt)
 		if err != nil {
 			return NDAOnlyRow{}, err
 		}

@@ -65,8 +65,32 @@ func TestArmSpecStuckHorizon(t *testing.T) {
 	}
 }
 
+// TestArmSpecDieAfterPoint checks the crash-harness spec parses and
+// arms the journal site, and that a bad point count is rejected. The
+// kill itself is exercised end to end by the experiments package's
+// TestCrashResumeSIGKILL.
+func TestArmSpecDieAfterPoint(t *testing.T) {
+	if err := ArmSpec("die-after-point=3"); err != nil {
+		t.Fatal(err)
+	}
+	defer drainHooks(t)
+	if !Active() {
+		t.Fatal("die-after-point armed nothing")
+	}
+	// Below the count the hook passes the point index through.
+	if got := Adjust(PointJournaled, 7); got != 7 {
+		t.Fatalf("first journaled point adjusted: %d", got)
+	}
+	for _, spec := range []string{"die-after-point=", "die-after-point=x", "die-after-point=0", "die-after-point=-1"} {
+		if err := ArmSpec(spec); err == nil {
+			t.Errorf("spec %q accepted", spec)
+		}
+	}
+}
+
 func TestArmSpecRejectsBadSpecs(t *testing.T) {
-	for _, spec := range []string{"panic-point", "panic-point=x", "point-err=a:b", "stuck-horizon=", "nonsense=1"} {
+	for _, spec := range []string{"panic-point", "panic-point=x", "point-err=a:b", "stuck-horizon=", "nonsense=1",
+		"ckpt-torn=1", "ckpt-badsum=1", "die-after-ckpt=1"} {
 		if err := ArmSpec(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 			drainHooks(t)

@@ -1,5 +1,10 @@
-// Durable on-disk codec for Checkpoint. The file is a versioned binary
-// envelope around a deterministic JSON payload:
+// Byte codec for Checkpoint. No checkpoint outlives its process: the
+// warm pool and sweep resume work from in-memory snapshots and the
+// per-point journal. The codec stays because the benchmark's fork
+// check measures it (per-layer ckpt.* metrics) and because a decode
+// followed by Restore proves a Checkpoint carries every field a fresh
+// process would need. The bytes are a versioned binary envelope around
+// a deterministic JSON payload:
 //
 //	magic "CHOPIMCK" | version u32 LE | config fingerprint (32 B)
 //	| payload length u64 LE | payload | SHA-256 digest (32 B)
@@ -9,28 +14,26 @@
 //	hierarchy length u64 LE | hierarchy JSON | core JSON
 //
 // The payload is the component snapshot states themselves: each State
-// type's exported fields are its durable form, written by plain
+// type's exported fields are its wire form, written by plain
 // encoding/json. They hold the same durable identities — launch tags,
 // ROB slots, blueprint indices, RNG draw counts — the in-memory restore
 // resolves closures from, so a decoded checkpoint feeds the ordinary
 // Restore path unchanged and the reloaded system continues
-// bit-identically in a fresh process. The one codec is the cache
-// hierarchy's (cache.HierarchyState.MarshalJSON), which packs cache
-// lines into varint blobs. Those blobs dominate a checkpoint's bytes,
-// and encoding/json re-compacts every nested MarshalJSON result byte by
+// bit-identically. The one codec is the cache hierarchy's
+// (cache.HierarchyState.MarshalJSON), which packs cache lines into
+// varint blobs. Those blobs dominate a checkpoint's bytes, and
+// encoding/json re-compacts every nested MarshalJSON result byte by
 // byte — embedding the hierarchy in the core document would re-scan
-// those megabytes on every periodic checkpoint write, multiplying the
-// encode cost several-fold. Carrying it as its own length-prefixed
-// section keeps the write cheap enough for a live checkpoint cadence;
-// the digest trailer still covers both sections.
+// those megabytes on every encode, multiplying its cost several-fold.
+// Carrying it as its own length-prefixed section avoids that; the
+// digest trailer still covers both sections.
 //
-// The digest trailer covers every preceding byte: a torn write, a
-// flipped bit, or a stale partial file surfaces as ErrCorruptCheckpoint
-// at load time, never as a half-restored system. The fingerprint pins
-// the simulated configuration (observation and robustness knobs
-// excluded, exactly the fields Restore tolerates differing); restoring
-// under a different config is ErrCheckpointMismatch, a caller bug
-// distinct from file damage.
+// The digest trailer covers every preceding byte: truncation or a
+// flipped bit surfaces as ErrCorruptCheckpoint at decode time, never
+// as a half-restored system. The fingerprint pins the simulated
+// configuration (observation and robustness knobs excluded, exactly
+// the fields Restore tolerates differing); decoding under a different
+// config is ErrCheckpointMismatch, a caller bug distinct from damage.
 package sim
 
 import (
@@ -40,9 +43,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
-	"chopim/internal/atomicio"
 	"chopim/internal/cache"
 )
 
@@ -57,23 +58,23 @@ var (
 
 var ckptMagic = [8]byte{'C', 'H', 'O', 'P', 'I', 'M', 'C', 'K'}
 
-// ckptVersion is the file format version; bump on any wire change.
+// ckptVersion is the envelope format version. No encoded checkpoint
+// outlives the process that wrote it, so a wire change need not bump
+// it.
 const ckptVersion = 5
 
 // ckptHeaderLen is magic + version + fingerprint + payload length.
 const ckptHeaderLen = 8 + 4 + sha256.Size + 8
 
 // StateConfig returns cfg with the state-free knobs zeroed: invariant
-// checking, robustness limits, and the cancel flag neither
-// affect simulated state nor survive a process anyway, and Restore
-// accepts any of them differing. Every fingerprint or cache key over a
+// checking and the robustness limits neither affect simulated state
+// nor survive a process anyway, and Restore accepts any of them
+// differing. Every fingerprint or cache key over a
 // config hashes this projection.
 func StateConfig(cfg Config) Config {
 	cfg.CheckInvariants = false
-	cfg.WatchdogWindow = 0
 	cfg.MaxCycles = 0
 	cfg.MaxWallClock = 0
-	cfg.Cancel = nil
 	return cfg
 }
 
@@ -175,25 +176,4 @@ func DecodeCheckpoint(cfg Config, b []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: payload missing a required component", ErrCorruptCheckpoint)
 	}
 	return ck, nil
-}
-
-// SaveCheckpoint durably persists the checkpoint at path: the envelope
-// is written to a temp file, fsynced, and renamed into place, so a
-// crash at any instant leaves either the previous file or the complete
-// new one — never a torn mixture.
-func SaveCheckpoint(path string, cfg Config, ck *Checkpoint) error {
-	b, err := EncodeCheckpoint(cfg, ck)
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFile(path, b)
-}
-
-// LoadCheckpoint reads and validates the checkpoint at path.
-func LoadCheckpoint(path string, cfg Config) (*Checkpoint, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeCheckpoint(cfg, b)
 }

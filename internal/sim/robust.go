@@ -1,5 +1,5 @@
-// Robustness layer for the fast path: a forward-progress watchdog that
-// turns wrong NextEvent bounds into structured LivelockErrors instead of
+// Robustness layer for the fast path: a livelock detector that turns
+// wrong NextEvent bounds into structured LivelockErrors instead of
 // silent hangs, per-run cycle and wall-clock deadlines, and the opt-in
 // cross-layer invariant checker (Config.CheckInvariants). The detectors
 // run at wake granularity — a handful of compares per executed step, not
@@ -18,9 +18,7 @@ import (
 // LivelockError reports that the fast path detected a state from which
 // the simulation can make no further progress: NextEvent claims no
 // component will ever change state while work is demonstrably pending
-// (the bug class a wrong sleep bound produces), or the forward-progress
-// watchdog saw Config.WatchdogWindow simulated cycles elapse with no
-// retirement, command issue, or NDA progress while work was pending.
+// (the bug class a wrong sleep bound produces).
 type LivelockError struct {
 	Cycle  int64  // DRAM cycle at detection
 	Reason string // which detector fired and why
@@ -47,20 +45,6 @@ func (e *DeadlineError) Error() string {
 	return fmt.Sprintf("sim: cycle deadline exceeded at cycle %d", e.Cycle)
 }
 
-// CanceledError reports that the run's cooperative stop flag
-// (Config.Cancel) was observed set. Like a DeadlineError it is sticky
-// and leaves every counter readable; unlike one it is an orderly,
-// driver-requested stop — the system sits at a quiescent step boundary,
-// so the caller may Snapshot it for a durable checkpoint before
-// discarding it.
-type CanceledError struct {
-	Cycle int64
-}
-
-func (e *CanceledError) Error() string {
-	return fmt.Sprintf("sim: run canceled at cycle %d", e.Cycle)
-}
-
 // InvariantError reports a cross-layer conservation violation found by
 // Config.CheckInvariants. It is delivered by panic — a violated
 // invariant means simulator state is already corrupt, the same class as
@@ -79,12 +63,11 @@ func (e *InvariantError) Error() string {
 // one per this many executed steps.
 const wallCheckEvery = 256
 
-// robustState is the watchdog/deadline bookkeeping on System. All of it
-// is driver-level transience: checkpoints neither save nor restore it.
+// robustState is the livelock/deadline bookkeeping on System. All of
+// it is driver-level transience: checkpoints neither save nor restore
+// it.
 type robustState struct {
-	err       error  // sticky first failure; every later StepFast returns it
-	sig       uint64 // progress signature at the last observed progress
-	sigCycle  int64  // cycle of the last observed progress
+	err       error // sticky first failure; every later StepFast returns it
 	wallStart time.Time
 	wallSeen  uint32 // step counter for the rate-limited time.Now
 }
@@ -98,14 +81,13 @@ func (s *System) fail(err error) error {
 	return s.robust.err
 }
 
-// RunError returns the sticky failure recorded by the watchdog or
+// RunError returns the sticky failure recorded by the livelock or
 // deadline checks (nil while the run is healthy).
 func (s *System) RunError() error { return s.robust.err }
 
 // workPending reports whether any component demonstrably holds
 // unfinished work, with a description of the first found. Called only
-// on the cold paths (a Never bound, a tripped watchdog window), never
-// per wake.
+// on the cold path (a Never bound), never per wake.
 func (s *System) workPending() (bool, string) {
 	for i, c := range s.MCs {
 		r, w := c.QueueOccupancy()
@@ -127,55 +109,11 @@ func (s *System) workPending() (bool, string) {
 	return false, ""
 }
 
-// progressSig folds every forward-progress counter into one value:
-// DRAM commands issued (host and NDA), instructions retired, and
-// refreshes. Any genuine progress moves at least one term. O(channels +
-// cores) per executed wake.
-func (s *System) progressSig() uint64 {
-	cnt := s.Mem.Counts()
-	sig := uint64(cnt.ACT + cnt.PRE + cnt.RD + cnt.WR + cnt.NDARD + cnt.NDAWR)
-	for _, c := range s.MCs {
-		sig += uint64(c.Refreshes)
-	}
-	for _, core := range s.Cores {
-		sig += uint64(core.Retired)
-	}
-	return sig
-}
-
-// watchdog runs after each executed fast-path tick when
-// Config.WatchdogWindow > 0: if the progress signature has not moved
-// for more than the window of simulated cycles while work is pending,
-// the run fails with a LivelockError. Windows spent provably idle
-// (skipIdle jumps) never execute ticks, so they cannot trip it.
-func (s *System) watchdog() error {
-	sig := s.progressSig()
-	if sig != s.robust.sig {
-		s.robust.sig = sig
-		s.robust.sigCycle = s.dramCycle
-		return nil
-	}
-	if s.dramCycle-s.robust.sigCycle <= s.Cfg.WatchdogWindow {
-		return nil
-	}
-	if pend, what := s.workPending(); pend {
-		return s.fail(&LivelockError{
-			Cycle: s.dramCycle,
-			Reason: fmt.Sprintf("no forward progress for %d executed-tick cycles while %s",
-				s.dramCycle-s.robust.sigCycle, what),
-			Dump: s.DiagDump(),
-		})
-	}
-	s.robust.sigCycle = s.dramCycle // idle by design; restart the window
-	return nil
-}
-
 // DeadlineExceeded checks the per-run deadlines (Config.MaxCycles,
-// Config.MaxWallClock) and the cooperative stop flag (Config.Cancel),
-// recording a sticky DeadlineError or CanceledError when one fires.
-// StepFast consults it once per wake; cycle-by-cycle drivers (the
-// reference Tick path) call it directly. The wall-clock read and the
-// cancel-flag load are rate-limited to one per wallCheckEvery calls.
+// Config.MaxWallClock), recording a sticky DeadlineError when one
+// fires. StepFast consults it once per wake; cycle-by-cycle drivers
+// (the reference Tick path) call it directly. The wall-clock read is
+// rate-limited to one per wallCheckEvery calls.
 func (s *System) DeadlineExceeded() error {
 	if s.robust.err != nil {
 		return s.robust.err
@@ -183,19 +121,14 @@ func (s *System) DeadlineExceeded() error {
 	if s.Cfg.MaxCycles > 0 && s.dramCycle >= s.Cfg.MaxCycles {
 		return s.fail(&DeadlineError{Cycle: s.dramCycle, Kind: "cycle"})
 	}
-	if s.Cfg.MaxWallClock > 0 || s.Cfg.Cancel != nil {
+	if s.Cfg.MaxWallClock > 0 {
 		if s.robust.wallStart.IsZero() {
 			s.robust.wallStart = time.Now()
 		}
 		s.robust.wallSeen++
-		if s.robust.wallSeen%wallCheckEvery == 0 {
-			if s.Cfg.Cancel != nil && s.Cfg.Cancel.Load() {
-				return s.fail(&CanceledError{Cycle: s.dramCycle})
-			}
-			if s.Cfg.MaxWallClock > 0 &&
-				time.Since(s.robust.wallStart) > s.Cfg.MaxWallClock {
-				return s.fail(&DeadlineError{Cycle: s.dramCycle, Kind: "wall-clock", Limit: s.Cfg.MaxWallClock})
-			}
+		if s.robust.wallSeen%wallCheckEvery == 0 &&
+			time.Since(s.robust.wallStart) > s.Cfg.MaxWallClock {
+			return s.fail(&DeadlineError{Cycle: s.dramCycle, Kind: "wall-clock", Limit: s.Cfg.MaxWallClock})
 		}
 	}
 	return nil

@@ -7,7 +7,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"chopim/internal/addrmap"
@@ -73,14 +72,6 @@ type Config struct {
 	// off: the commit path pays one bool check per tick.
 	CheckInvariants bool
 
-	// WatchdogWindow arms the forward-progress watchdog on the fast
-	// path: if this many simulated cycles elapse across executed ticks
-	// with no retirement, command issue, or NDA progress while work is
-	// pending, StepFast returns a LivelockError with a diagnostic dump.
-	// 0 disables the watchdog (the Never-with-pending-work detector is
-	// always on — it costs nothing).
-	WatchdogWindow int64
-
 	// MaxCycles, when positive, is an absolute DRAM-cycle deadline:
 	// StepFast returns a DeadlineError once Now() reaches it, leaving
 	// all counters readable for partial statistics.
@@ -89,16 +80,6 @@ type Config struct {
 	// MaxWallClock, when positive, bounds the run's host wall-clock
 	// time; checked every few hundred wakes (one time.Now per check).
 	MaxWallClock time.Duration
-
-	// Cancel, when non-nil, is a cooperative stop flag: once it reads
-	// true, StepFast returns a sticky *CanceledError, leaving all
-	// counters readable for partial statistics and the system at a
-	// quiescent (checkpointable) boundary. Checked on the same
-	// rate-limited cadence as MaxWallClock, so arming it does not
-	// perturb the steady-state fast path. Drivers set the flag from
-	// signal handlers or peer goroutines; the field itself is ignored
-	// by snapshots, fingerprints, and cache keys.
-	Cancel *atomic.Bool
 }
 
 // Default returns the paper's baseline configuration running the given
@@ -157,7 +138,7 @@ type System struct {
 	// (DESIGN.md §2.5).
 	doms []domain
 
-	// robust holds the watchdog/deadline bookkeeping (robust.go); not
+	// robust holds the livelock/deadline bookkeeping (robust.go); not
 	// part of checkpointed state.
 	robust robustState
 
@@ -544,9 +525,8 @@ func (s *System) tickDue() {
 // bit-identical to ticking every cycle.
 //
 // A non-nil return reports a robustness failure — a LivelockError from
-// the Never-with-pending-work detector or the forward-progress watchdog
-// (Config.WatchdogWindow), or a DeadlineError from the per-run
-// deadlines (Config.MaxCycles, Config.MaxWallClock) — and is sticky:
+// the Never-with-pending-work detector, or a DeadlineError from the
+// per-run deadlines (Config.MaxCycles, Config.MaxWallClock) — and is sticky:
 // every subsequent call returns the same error. On the livelock path
 // the clock still advances to limit (the wake bound was wrong, so the
 // only exact continuation is the idle skip the bound claims), keeping
@@ -557,7 +537,7 @@ func (s *System) StepFast(limit int64) error {
 		return s.robust.err
 	}
 	s.NDA.SetFastForward(true)
-	if s.Cfg.MaxCycles > 0 || s.Cfg.MaxWallClock > 0 || s.Cfg.Cancel != nil {
+	if s.Cfg.MaxCycles > 0 || s.Cfg.MaxWallClock > 0 {
 		if err := s.DeadlineExceeded(); err != nil {
 			return err
 		}
@@ -583,18 +563,13 @@ func (s *System) StepFast(limit int64) error {
 	}
 	if s.dramCycle < limit {
 		s.tickDue()
-		if s.Cfg.WatchdogWindow > 0 {
-			if err := s.watchdog(); err != nil {
-				return err
-			}
-		}
 	}
 	return s.robust.err
 }
 
 // RunFast advances n DRAM cycles, jumping the clock over idle windows.
-// It stops early and returns the failure when a watchdog or deadline
-// fires (see StepFast).
+// It stops early and returns the failure when the livelock detector or
+// a deadline fires (see StepFast).
 func (s *System) RunFast(n int64) error {
 	end := s.dramCycle + n
 	for s.dramCycle < end {

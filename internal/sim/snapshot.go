@@ -33,7 +33,7 @@ type Checkpoint struct {
 
 // ckptState is every component state except the cache hierarchy, plus
 // the clock and measurement scalars. Its exported fields are the
-// checkpoint file's core section as they stand (see EncodeCheckpoint);
+// encoded checkpoint's core section as they stand (see EncodeCheckpoint);
 // the hierarchy rides in a section of its own.
 type ckptState struct {
 	DRAM  *dram.MemState
@@ -68,11 +68,11 @@ func (s *System) Snapshot() (*Checkpoint, error) {
 // SnapshotWithRoots is Snapshot plus explicit root handles: each handle
 // in roots is registered in the checkpoint's handle table even when no
 // in-flight op references it, and its table index is returned in
-// matching order. The indices are the durable names a driver persists
-// alongside the checkpoint file; after restoring in a fresh process,
+// matching order. The indices are the names a driver keeps alongside
+// an encoded checkpoint; after DecodeCheckpoint and RestoreSystem,
 // RT.RestoredHandleAt(index) recovers the rebuilt handle (the old
-// pointer, the in-memory RestoredHandle key, does not survive a process
-// boundary).
+// pointer, the in-memory RestoredHandle key, does not survive the
+// encoding).
 func (s *System) SnapshotWithRoots(roots []*ndart.Handle) (*Checkpoint, []int, error) {
 	for d := range s.doms {
 		if len(s.doms[d].outbox) != 0 {

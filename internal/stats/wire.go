@@ -1,4 +1,4 @@
-// On-disk codec for IdleHist: the histogram rides inside controller
+// Wire codec for IdleHist: the histogram rides inside controller
 // checkpoints, so it round-trips through JSON via an exported mirror of
 // its unexported accumulator state.
 package stats

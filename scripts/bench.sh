@@ -35,9 +35,7 @@
 # or BenchmarkHostComputeHeavy report any steady-state allocations in
 # the tick loop (the allocation-free contract also pinned by
 # TestTickLoopAllocFree, TestStallHeavyAllocFree, and
-# TestComputeHeavyAllocFree), or if the durable-checkpoint cadence
-# (BenchmarkMixedHostNDACheckpointed) costs more than 5% per simulated
-# cycle over the un-checkpointed MixedHostNDA.
+# TestComputeHeavyAllocFree).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,7 +53,7 @@ NPROC="$(nproc 2>/dev/null || echo 1)"
 COUNT="${BENCH_COUNT:-3}"
 
 go test -run '^$' \
-    -bench 'BenchmarkMixedHostNDA$|BenchmarkMixedHostNDACheckpointed$|BenchmarkHostStallHeavy$|BenchmarkHostComputeHeavy$|BenchmarkFig14Wide8Ranks$|BenchmarkFig11BankPartitioning$|BenchmarkFig12WriteThrottling$|BenchmarkFig12CachedRegen$|BenchmarkCalibrationSpin$' \
+    -bench 'BenchmarkMixedHostNDA$|BenchmarkHostStallHeavy$|BenchmarkHostComputeHeavy$|BenchmarkFig14Wide8Ranks$|BenchmarkFig11BankPartitioning$|BenchmarkFig12WriteThrottling$|BenchmarkFig12CachedRegen$|BenchmarkCalibrationSpin$' \
     -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAW"
 
 CHOPIM_BENCH_WORKERS="$NPROC" go test -run '^$' \
@@ -199,31 +197,6 @@ if uncached and cached:
         f.write("\n")
     if speedup < 10:
         sys.exit(f"bench.sh: FAIL: cached regeneration only {speedup}x faster, want >=10x")
-
-# Checkpoint-overhead gate: MixedHostNDACheckpointed runs the same
-# workload with one durable checkpoint per 100k-cycle cadence interval
-# (snapshot on the measurement loop, encode+fsync on the background
-# writer) over a 200k-cycle window — twice the plain benchmark's — so
-# the per-cycle ratio is ckpt_ns / (2 * base_ns). Gate at <=1.05: a
-# live checkpoint cadence must cost no more than 5% of the simulation.
-base = benches.get("MixedHostNDA", {}).get("ns_per_op")
-ckpt = benches.get("MixedHostNDACheckpointed", {}).get("ns_per_op")
-if base and ckpt:
-    ratio = round(ckpt / (2 * base), 3)
-    doc["checkpoint"] = {
-        "note": "MixedHostNDA with one durable checkpoint write per 100k-cycle "
-                "cadence interval, measured over a 200k-cycle window; "
-                "per_cycle_ratio is ns-per-cycle versus the un-checkpointed "
-                "benchmark, gated at <=1.05",
-        "ckpt_ns_per_op": ckpt,
-        "base_ns_per_op": base,
-        "per_cycle_ratio": ratio,
-    }
-    with open(out, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    if ratio > 1.05:
-        sys.exit(f"bench.sh: FAIL: checkpoint cadence costs {ratio}x per cycle, want <=1.05")
 
 # Zero-allocs gate: every host-path benchmark's steady-state loop must
 # stay allocation-free.

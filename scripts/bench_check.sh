@@ -64,15 +64,8 @@ for name, r in sorted(ratios.items()):
         bad = True
 
 # The allocation gate is absolute: every host-path benchmark's
-# steady-state loop must stay allocation-free on any machine. The
-# checkpointed-cadence benchmark is exempt — its durable encode
-# allocates by design on the background writer; the zero-allocs
-# contract covers the tick loop with checkpointing off, and its cost
-# is gated separately by bench.sh's per-cycle ratio.
-ALLOC_EXEMPT = {"MixedHostNDACheckpointed"}
+# steady-state loop must stay allocation-free on any machine.
 for name in sorted(f):
-    if name in ALLOC_EXEMPT:
-        continue
     allocs = f[name].get("allocs_per_op")
     if allocs not in (None, 0):
         print(f"  {name}: {allocs} allocs/op, want 0 [FAIL]")
