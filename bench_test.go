@@ -39,6 +39,15 @@ func benchOptions() experiments.Options {
 	return opt
 }
 
+// freshFigure clears the host-only outcome memo off the timer, so the
+// iteration that follows regenerates its whole figure instead of
+// replaying host-only points an earlier iteration or benchmark measured.
+func freshFigure(b *testing.B) {
+	b.StopTimer()
+	experiments.ResetHostOnlyMemo()
+	b.StartTimer()
+}
+
 // BenchmarkCalibrationSpin is a pure-CPU integer spin with no memory
 // traffic: a workload-independent anchor for cross-machine ns/op
 // normalization. scripts/bench_check.sh divides every other
@@ -245,6 +254,7 @@ func BenchmarkHostComputeHeavy(b *testing.B) {
 // breakdown across the Table II mixes.
 func BenchmarkFig02IdleHistogram(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		freshFigure(b)
 		rows, err := experiments.Fig2(benchOptions())
 		if err != nil {
 			b.Fatal(err)
@@ -279,6 +289,7 @@ func BenchmarkFig10CoarseGrain(b *testing.B) {
 // partitioned banks under DOT and COPY.
 func BenchmarkFig11BankPartitioning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		freshFigure(b)
 		rows, err := experiments.Fig11(benchOptions())
 		if err != nil {
 			b.Fatal(err)
@@ -359,6 +370,7 @@ func BenchmarkFig13OpSweep(b *testing.B) {
 // partitioning across rank counts and workloads.
 func BenchmarkFig14Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		freshFigure(b)
 		rows, err := experiments.Fig14(benchOptions())
 		if err != nil {
 			b.Fatal(err)
@@ -375,6 +387,7 @@ func BenchmarkFig14Scalability(b *testing.B) {
 // trajectories under all execution modes.
 func BenchmarkFig15aConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		freshFigure(b)
 		curves, optimum, err := experiments.Fig15a(benchOptions())
 		if err != nil {
 			b.Fatal(err)
@@ -390,6 +403,7 @@ func BenchmarkFig15aConvergence(b *testing.B) {
 // speedup versus NDA count.
 func BenchmarkFig15bScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		freshFigure(b)
 		rows, err := experiments.Fig15b(benchOptions())
 		if err != nil {
 			b.Fatal(err)
@@ -438,6 +452,7 @@ func BenchmarkAblationLaunchModel(b *testing.B) {
 // BenchmarkPower regenerates the Section VII memory-power estimates.
 func BenchmarkPower(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		freshFigure(b)
 		rows, err := experiments.Power(benchOptions())
 		if err != nil {
 			b.Fatal(err)

@@ -260,8 +260,8 @@ func tw() *tabwriter.Writer {
 // second run of a cached figure hits).
 func printCacheStats() {
 	st := experiments.ReadRunnerStats()
-	fmt.Printf("\ncache: %d hits, %d misses; resumed %d points; %d warm forks\n",
-		st.CacheHits, st.CacheMisses, st.Resumed, st.WarmForks)
+	fmt.Printf("\ncache: %d hits, %d misses; resumed %d points; %d host-only reuses\n",
+		st.CacheHits, st.CacheMisses, st.Resumed, st.HostOnlyReuses)
 }
 
 // printSweepHealth reports fault-handling activity on stderr after any

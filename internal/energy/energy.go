@@ -26,12 +26,6 @@ type Counts struct {
 	Seconds    float64
 }
 
-// FromMem extracts DRAM event counts from the device model, leaving the
-// PE-side counters for the caller.
-func FromMem(m *dram.Mem, seconds float64, pes int) Counts {
-	return FromCmdCounts(m.Counts(), seconds, pes)
-}
-
 // FromCmdCounts builds Counts from an explicit command-counter snapshot
 // (useful for windows measured as deltas of dram.Mem.Counts, and for
 // tests).

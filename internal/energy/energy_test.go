@@ -64,9 +64,9 @@ func TestFromCmdCounts(t *testing.T) {
 	if c.Acts != 5 || c.HostBlocks != 10 || c.NDABlocks != 13 || c.PEs != 4 || c.Seconds != 2.0 {
 		t.Errorf("FromCmdCounts = %+v", c)
 	}
-	// FromMem on a fresh device reports all-zero counters.
+	// A fresh device's counters give all-zero counts.
 	m := dram.New(dram.DefaultGeometry(), dram.DDR42400())
-	if got := FromMem(m, 1.0, 4); got.Acts != 0 || got.HostBlocks != 0 || got.NDABlocks != 0 {
-		t.Errorf("FromMem on fresh Mem = %+v", got)
+	if got := FromCmdCounts(m.Counts(), 1.0, 4); got.Acts != 0 || got.HostBlocks != 0 || got.NDABlocks != 0 {
+		t.Errorf("FromCmdCounts on fresh Mem = %+v", got)
 	}
 }

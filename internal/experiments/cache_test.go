@@ -4,8 +4,11 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"chopim/internal/faults"
 	"chopim/internal/sim"
 )
 
@@ -105,17 +108,30 @@ func TestResumeJournal(t *testing.T) {
 	}
 }
 
-// TestWarmPoolFork proves host-only points share warm-up state: the
-// second point with the same configuration forks from the pooled
-// checkpoint and still measures the same result as warming afresh.
-func TestWarmPoolFork(t *testing.T) {
-	opt := QuickOptions()
-	opt.WarmCycles, opt.MeasureCycles = 3_000, 10_000
-	// A config no other test warms at this budget (distinct pool key).
-	cfg := sim.Default(5)
+// TestHostOnlyMemo proves host-only figure points share one simulation:
+// a quick Fig 11 after a quick Fig 2 reuses Fig 2's outcomes and still
+// reads what a freshly built host-only system measures; concurrent
+// requests share one run; a failed request is not memoized; and every
+// checked request (invariants, cycle-by-cycle, an armed fault) simulates
+// afresh to the same outcome.
+func TestHostOnlyMemo(t *testing.T) {
+	ResetHostOnlyMemo()
+	reuses := func() int64 { return ReadRunnerStats().HostOnlyReuses }
 
-	measure := func() Result {
-		s, err := opt.newSystem(cfg)
+	opt := QuickOptions()
+	if _, err := Fig2(opt); err != nil {
+		t.Fatal(err)
+	}
+	before := reuses()
+	rows, err := Fig11(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reuses() - before; got != int64(len(rows)) {
+		t.Fatalf("Fig 11 after Fig 2 reused %d host-only outcomes; want %d", got, len(rows))
+	}
+	for mix, r := range rows {
+		s, err := opt.newSystem(sim.Default(mix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,16 +139,71 @@ func TestWarmPoolFork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		if r.IdealHostIPC != res.HostIPC {
+			t.Errorf("%s: IdealHostIPC %v, fresh host-only run %v", r.Mix, r.IdealHostIPC, res.HostIPC)
+		}
 	}
-	before := ReadRunnerStats()
-	first := measure()
-	second := measure()
-	after := ReadRunnerStats()
-	if after.WarmForks-before.WarmForks < 1 {
-		t.Fatal("second identical point did not fork from the warm pool")
+
+	// A budget no other request uses, so each step below starts cold.
+	small := opt
+	small.WarmCycles, small.MeasureCycles = 3_000, 10_000
+	cfg := sim.Default(5)
+
+	// A failed request returns its error and leaves the slot empty.
+	late := small
+	late.PointTimeout = time.Nanosecond
+	var de *sim.DeadlineError
+	if _, err := late.hostOnly(cfg); !errors.As(err, &de) {
+		t.Fatalf("1ns deadline: got %v, want a DeadlineError", err)
 	}
-	if first != second {
-		t.Fatalf("pooled warm-up changed the measurement:\n warm: %+v\n fork: %+v", first, second)
+
+	// Concurrent requests for one key wait for the first.
+	const n = 4
+	outs := make([]hostOnlyOutcome, n)
+	before = reuses()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if outs[i], err = small.hostOnly(cfg); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := reuses() - before; got != n-1 {
+		t.Fatalf("%d concurrent requests after a failed one reused %d outcomes; want %d", n, got, n-1)
+	}
+	for i := 1; i < n; i++ {
+		if outs[i] != outs[0] {
+			t.Fatalf("concurrent request %d got %+v, want %+v", i, outs[i], outs[0])
+		}
+	}
+
+	checked := []struct {
+		name string
+		arm  func(*Options) (disarm func())
+	}{
+		{"check-invariants", func(o *Options) func() { o.CheckInvariants = true; return func() {} }},
+		{"cycle-by-cycle", func(o *Options) func() { o.CycleByCycle = true; return func() {} }},
+		{"armed-fault", func(*Options) func() { return faults.ArmAdjust("memo-test-noop", func(v int64) int64 { return v }) }},
+	}
+	for _, c := range checked {
+		o := small
+		disarm := c.arm(&o)
+		before := reuses()
+		out, err := o.hostOnly(cfg)
+		disarm()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if reuses() != before {
+			t.Errorf("%s: served from the memo", c.name)
+		}
+		if out != outs[0] {
+			t.Errorf("%s: got %+v, want %+v", c.name, out, outs[0])
+		}
 	}
 }

@@ -4,15 +4,15 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"sync"
 	"time"
 
 	"chopim/internal/dram"
+	"chopim/internal/faults"
 	"chopim/internal/ndart"
 	"chopim/internal/sim"
+	"chopim/internal/stats"
 )
 
 // Options sets the simulation budget. Quick shrinks runs for tests.
@@ -80,32 +80,88 @@ func (o Options) newSystem(cfg sim.Config) (*sim.System, error) {
 	return sim.New(cfg)
 }
 
-// Warm-state pool: host-only figure points that share a configuration
-// also share their warm-up work. The first point to warm a given config
-// snapshots the system at the end of warm-up; every later point with
-// the same fingerprint restores that checkpoint instead of re-simulating
-// the warm window. Restore is bit-identical to having warmed (the sim
-// package proves it), so pooled and unpooled runs produce the same
-// tables. One checkpoint fans out to any number of forks — sim.Restore
-// never mutates it.
-var (
-	warmMu   sync.Mutex
-	warmPool = map[string]*sim.Checkpoint{}
-)
+// Host-only outcome memo. Several figures measure the same host-only
+// point (Fig 2's mixes are Fig 11's idealized runs, Fig 15's stream
+// calibration and the power study's host-only rows), and a point is a
+// pure function of its simulated config and budget, so one simulation
+// serves every request for it in the process.
+var hostOnlyMemo = struct {
+	sync.Mutex
+	m map[string]*hostOnlySlot
+}{m: map[string]*hostOnlySlot{}}
 
-// warmPoolKey fingerprints a point's warm-up: the simulated config
-// (sim.StateConfig) plus the warm-cycle budget.
-func warmPoolKey(cfg sim.Config, warm int64) (string, bool) {
-	b, err := json.Marshal(struct {
-		Schema string
-		Cfg    sim.Config
-		Warm   int64
-	}{cacheSchema, sim.StateConfig(cfg), warm})
-	if err != nil {
-		return "", false
+// hostOnlySlot is one key's memo entry. A request holds its lock while
+// it simulates, so a concurrent request for the key waits; out is set
+// only by a request that succeeded.
+type hostOnlySlot struct {
+	sync.Mutex
+	out *hostOnlyOutcome
+}
+
+// hostOnlyOutcome is what host-only callers read: the Result, the idle
+// cycles per bucket summed over all ranks (Fig 2), and the end cycle,
+// DRAM command counts and NDA count (power).
+type hostOnlyOutcome struct {
+	Result
+	Idle   [stats.NumIdleBuckets]int64
+	End    int64
+	Counts dram.CmdCounts
+	PEs    int
+}
+
+// ResetHostOnlyMemo forgets every memoized host-only outcome, so the
+// next request for each point simulates it again. Benchmarks call it
+// between iterations to time whole figure regenerations.
+func ResetHostOnlyMemo() {
+	hostOnlyMemo.Lock()
+	hostOnlyMemo.m = map[string]*hostOnlySlot{}
+	hostOnlyMemo.Unlock()
+}
+
+// hostOnly measures the host-only point cfg under o's budget. Requests
+// with the same simulated config and budget share one simulation; a
+// concurrent request waits for the first. A failure is not memoized (a
+// deadline depends on wall-clock time): it returns to its own caller,
+// and a waiter then simulates the point itself. Checked runs bypass the
+// memo, so every check runs on every point.
+func (o Options) hostOnly(cfg sim.Config) (out hostOnlyOutcome, err error) {
+	key, err := json.Marshal(struct {
+		Schema        string
+		Cfg           sim.Config
+		Warm, Measure int64
+	}{cacheSchema, sim.StateConfig(cfg), o.WarmCycles, o.MeasureCycles})
+	var slot *hostOnlySlot
+	if err == nil && !o.CheckInvariants && !o.CycleByCycle && !faults.Active() {
+		hostOnlyMemo.Lock()
+		if slot = hostOnlyMemo.m[string(key)]; slot == nil {
+			slot = new(hostOnlySlot)
+			hostOnlyMemo.m[string(key)] = slot
+		}
+		hostOnlyMemo.Unlock()
+		slot.Lock()
+		defer slot.Unlock()
+		if slot.out != nil {
+			statHostOnlyReuses.Add(1)
+			return *slot.out, nil
+		}
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), true
+	s, err := o.newSystem(cfg)
+	if err != nil {
+		return out, err
+	}
+	out.Result, err = measureConcurrent(s, nil, o)
+	out.End, out.Counts, out.PEs = s.Now(), s.Mem.Counts(), s.RT.NDACount()
+	for _, c := range s.MCs {
+		for i := range c.IdleHists {
+			for b, v := range c.IdleHists[i].Cycles() {
+				out.Idle[b] += v
+			}
+		}
+	}
+	if slot != nil && err == nil {
+		slot.out = &out
+	}
+	return out, err
 }
 
 // DefaultOptions returns the full budget: 250k warm-up and 400k
@@ -177,36 +233,6 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 	measEnd := warmEnd + opt.MeasureCycles
 	if err := relaunch(); err != nil {
 		return Result{}, err
-	}
-	// Host-only points on the fast path share warm-up state through the
-	// pool: fork from a warmed checkpoint when one exists, seed it
-	// otherwise. NDA-driving points are excluded (their launcher holds
-	// handles bound to this system), as is the cycle-by-cycle
-	// cross-check path.
-	if it == nil && !opt.CycleByCycle &&
-		opt.WarmCycles > 0 && s.Now() == 0 {
-		if key, ok := warmPoolKey(s.Cfg, opt.WarmCycles); ok {
-			warmMu.Lock()
-			ck := warmPool[key]
-			warmMu.Unlock()
-			if ck != nil {
-				s.Restore(ck)
-				statWarmForks.Add(1)
-			} else {
-				for s.Now() < warmEnd {
-					if err := step(warmEnd); err != nil {
-						return Result{}, err
-					}
-				}
-				if ck, err := s.Snapshot(); err == nil {
-					warmMu.Lock()
-					if _, dup := warmPool[key]; !dup {
-						warmPool[key] = ck
-					}
-					warmMu.Unlock()
-				}
-			}
-		}
 	}
 	for s.Now() < warmEnd {
 		if err := step(warmEnd); err != nil {

@@ -21,27 +21,17 @@ func Fig2(opt Options) ([]Fig2Row, error) { return figCached(opt, "fig2", fig2Ro
 
 func fig2Rows(opt Options) ([]Fig2Row, error) {
 	return sharded(opt, len(workload.Mixes), func(mix int) (Fig2Row, error) {
-		s, err := opt.newSystem(sim.Default(mix))
+		out, err := opt.hostOnly(sim.Default(mix))
 		if err != nil {
 			return Fig2Row{}, err
 		}
-		if _, err := measureConcurrent(s, nil, opt); err != nil {
-			return Fig2Row{}, err
-		}
-		var total [stats.NumIdleBuckets]int64
 		var sum int64
-		for _, c := range s.MCs {
-			for i := range c.IdleHists {
-				cyc := c.IdleHists[i].Cycles()
-				for b, v := range cyc {
-					total[b] += v
-					sum += v
-				}
-			}
+		for _, v := range out.Idle {
+			sum += v
 		}
 		row := Fig2Row{Mix: workload.MixName(mix)}
 		if sum > 0 {
-			for b, v := range total {
+			for b, v := range out.Idle {
 				row.Fractions[b] = float64(v) / float64(sum)
 			}
 		}

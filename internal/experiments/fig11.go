@@ -58,22 +58,20 @@ func fig11Mixes(opt Options, mixes []int) ([]Fig11Row, error) {
 	results, err := sharded(opt, len(points), func(i int) (Result, error) {
 		p := points[i]
 		cfg := sim.Default(p.mix)
-		if p.op != "" {
-			cfg.Partitioned = p.part
+		if p.op == "" {
+			out, err := opt.hostOnly(cfg)
+			return out.Result, err
 		}
+		cfg.Partitioned = p.part
 		s, err := opt.newSystem(cfg)
 		if err != nil {
 			return Result{}, err
 		}
-		var it launcher
-		if p.op != "" {
-			app, err := apps.NewMicroPlaced(s.RT, p.op, perRankBytes/4, ndartPrivate)
-			if err != nil {
-				return Result{}, err
-			}
-			it = app.Iterate
+		app, err := apps.NewMicroPlaced(s.RT, p.op, perRankBytes/4, ndartPrivate)
+		if err != nil {
+			return Result{}, err
 		}
-		return measureConcurrent(s, it, opt)
+		return measureConcurrent(s, app.Iterate, opt)
 	})
 	if err != nil {
 		return nil, err

@@ -42,12 +42,8 @@ func fig14Rows(opt Options) ([]Fig14Row, error) {
 	rpHost, err := sharded(opt, len(rankCounts), func(i int) (float64, error) {
 		cfg := sim.Default(1)
 		cfg.Geom = geomWithRanks(rankCounts[i] / 2)
-		s, err := opt.newSystem(cfg)
-		if err != nil {
-			return 0, err
-		}
-		res, err := measureConcurrent(s, nil, opt)
-		return res.HostIPC, err
+		out, err := opt.hostOnly(cfg)
+		return out.HostIPC, err
 	})
 	if err != nil {
 		return nil, err

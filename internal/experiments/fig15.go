@@ -121,19 +121,15 @@ func CalibrateTiming(scale SVRGScale, ranksPerChannel int, opt Options) (svrg.Ti
 // bandwidth (bytes/s) on the baseline system using the lbm-like
 // streaming mix running alone.
 func hostStreamBandwidth(opt Options) (float64, error) {
-	s, err := opt.newSystem(sim.Default(3)) // lbm-led streaming mix
+	out, err := opt.hostOnly(sim.Default(3)) // lbm-led streaming mix
 	if err != nil {
 		return 0, err
 	}
-	res, err := measureConcurrent(s, nil, opt)
-	if err != nil {
-		return 0, err
-	}
-	if res.HostBWGBs <= 0 {
+	if out.HostBWGBs <= 0 {
 		return 0, fmt.Errorf("fig15: calibration produced zero bandwidth")
 	}
 	// Per-core share of the measured aggregate bandwidth.
-	return res.HostBWGBs * 1e9 / 4, nil
+	return out.HostBWGBs * 1e9 / 4, nil
 }
 
 // Fig15aCurve is one convergence trajectory.
@@ -260,9 +256,16 @@ func fig15bRows(opt Options) ([]Fig15bRow, error) {
 		return nil, fmt.Errorf("fig15b: host-only runs never reached adaptive eps=%g", eps)
 	}
 
+	// The accelerated and delayed-update runs are read only up to their
+	// first point under eps, so they stop there.
+	reached := func(p svrg.Point) bool { return svrg.Reached(p, optimum, eps) }
 	return sharded(opt, len(ndaCounts), func(i int) (Fig15bRow, error) {
 		ndas := ndaCounts[i]
-		timing, err := CalibrateTiming(scale, ndas/2, opt)
+		// timing0 is the 2-rank calibration; other rank counts measure their own.
+		timing, err := timing0, error(nil)
+		if ndas/2 != 2 {
+			timing, err = CalibrateTiming(scale, ndas/2, opt)
+		}
 		if err != nil {
 			return Fig15bRow{}, err
 		}
@@ -270,7 +273,7 @@ func fig15bRows(opt Options) ([]Fig15bRow, error) {
 		for _, e := range []int{scale.N, scale.N / 2, scale.N / 4} {
 			pts := svrg.Run(ds, scale.Lambda, svrg.RunConfig{
 				Mode: svrg.Accelerated, Epoch: e, LR: 0.05, Momentum: 0.9,
-				Outers: outers, Seed: 99, Timing: timing,
+				Outers: outers, Seed: 99, Timing: timing, Stop: reached,
 			})
 			if tt, ok := svrg.TimeToReach(pts, optimum, eps); ok && tt < accBest {
 				accBest = tt
@@ -290,7 +293,7 @@ func fig15bRows(opt Options) ([]Fig15bRow, error) {
 		for _, lr := range []float64{0.03, 0.05} {
 			pts := svrg.Run(ds, scale.Lambda, svrg.RunConfig{
 				Mode: svrg.DelayedUpdate, LR: lr, Momentum: 0.9,
-				Outers: duOuters, Seed: 99, Timing: timing,
+				Outers: duOuters, Seed: 99, Timing: timing, Stop: reached,
 			})
 			if tt, ok := svrg.TimeToReach(pts, optimum, eps); ok && tt < delayed {
 				delayed = tt

@@ -3,6 +3,7 @@ package experiments
 import (
 	"chopim/internal/apps"
 	"chopim/internal/energy"
+	"chopim/internal/nda"
 	"chopim/internal/sim"
 )
 
@@ -32,12 +33,14 @@ func powerRows(opt Options) ([]PowerRow, error) {
 	return sharded(opt, len(scenarios), func(i int) (PowerRow, error) {
 		sc := scenarios[i]
 		cfg := sim.Default(sc.mix)
-		s, err := opt.newSystem(cfg)
-		if err != nil {
-			return PowerRow{}, err
-		}
-		var it launcher
+		var out hostOnlyOutcome
+		var st nda.RankStats // zero on host-only runs
+		var err error
 		if sc.withNDA {
+			s, err := opt.newSystem(cfg)
+			if err != nil {
+				return PowerRow{}, err
+			}
 			n, d := 2048, 512
 			if opt.Quick {
 				n = 512
@@ -46,16 +49,17 @@ func powerRows(opt Options) ([]PowerRow, error) {
 			if err != nil {
 				return PowerRow{}, err
 			}
-			it = ag.Run
-		}
-		if _, err := measureConcurrent(s, it, opt); err != nil {
+			if _, err := measureConcurrent(s, ag.Run, opt); err != nil {
+				return PowerRow{}, err
+			}
+			out.End, out.Counts, out.PEs = s.Now(), s.Mem.Counts(), s.RT.NDACount()
+			st = s.NDA.TotalStats()
+		} else if out, err = opt.hostOnly(cfg); err != nil {
 			return PowerRow{}, err
 		}
 		// Energy counters accumulate from cycle zero, so use the full
 		// run duration for average power.
-		sec := sim.Seconds(s.Now())
-		st := s.NDA.TotalStats()
-		c := energy.FromMem(s.Mem, sec, s.RT.NDACount())
+		c := energy.FromCmdCounts(out.Counts, sim.Seconds(out.End), out.PEs)
 		// PE-side counters: one FMA per pair of floats read and one
 		// buffer access per block moved (Fig 9 pipeline).
 		c.FMAs = st.BlocksRead * 8

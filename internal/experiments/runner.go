@@ -41,10 +41,10 @@ type RunnerStats struct {
 	BusyTime  time.Duration // summed per-point wall time across workers
 	MaxShards int64         // largest worker pool used
 
-	CacheHits   int64 // figures replayed from the result cache
-	CacheMisses int64 // figures simulated and stored (CacheDir set)
-	Resumed     int64 // points replayed from resume journals
-	WarmForks   int64 // points forked from a pooled warm checkpoint
+	CacheHits      int64 // figures replayed from the result cache
+	CacheMisses    int64 // figures simulated and stored (CacheDir set)
+	Resumed        int64 // points replayed from resume journals
+	HostOnlyReuses int64 // host-only points served from the outcome memo
 
 	Panics      int64 // points that panicked (recovered and quarantined)
 	Timeouts    int64 // points that hit their deadline (Options.PointTimeout)
@@ -52,17 +52,17 @@ type RunnerStats struct {
 }
 
 var (
-	statJobs        atomic.Int64
-	statErrs        atomic.Int64
-	statBusy        atomic.Int64
-	statShard       atomic.Int64
-	statCacheHits   atomic.Int64
-	statCacheMisses atomic.Int64
-	statResumed     atomic.Int64
-	statWarmForks   atomic.Int64
-	statPanics      atomic.Int64
-	statTimeouts    atomic.Int64
-	statQuarantined atomic.Int64
+	statJobs           atomic.Int64
+	statErrs           atomic.Int64
+	statBusy           atomic.Int64
+	statShard          atomic.Int64
+	statCacheHits      atomic.Int64
+	statCacheMisses    atomic.Int64
+	statResumed        atomic.Int64
+	statHostOnlyReuses atomic.Int64
+	statPanics         atomic.Int64
+	statTimeouts       atomic.Int64
+	statQuarantined    atomic.Int64
 )
 
 // ReadRunnerStats returns the aggregated runner statistics.
@@ -73,10 +73,10 @@ func ReadRunnerStats() RunnerStats {
 		BusyTime:  time.Duration(statBusy.Load()),
 		MaxShards: statShard.Load(),
 
-		CacheHits:   statCacheHits.Load(),
-		CacheMisses: statCacheMisses.Load(),
-		Resumed:     statResumed.Load(),
-		WarmForks:   statWarmForks.Load(),
+		CacheHits:      statCacheHits.Load(),
+		CacheMisses:    statCacheMisses.Load(),
+		Resumed:        statResumed.Load(),
+		HostOnlyReuses: statHostOnlyReuses.Load(),
 
 		Panics:      statPanics.Load(),
 		Timeouts:    statTimeouts.Load(),

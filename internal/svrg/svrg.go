@@ -222,6 +222,10 @@ type RunConfig struct {
 	Outers   int // outer-loop iterations to run
 	Seed     int64
 	Timing   Timing
+
+	// Stop, when set, ends the run at the first point it accepts. The
+	// points before it are those of the full run.
+	Stop func(Point) bool
 }
 
 // Run trains and returns the convergence trajectory (loss after each
@@ -252,6 +256,9 @@ func Run(ds *Dataset, lambda float64, cfg RunConfig) []Point {
 	pts := []Point{{now, m.Loss(ds)}}
 
 	for outer := 0; outer < cfg.Outers; outer++ {
+		if cfg.Stop != nil && cfg.Stop(pts[len(pts)-1]) {
+			break
+		}
 		epoch := cfg.Epoch
 		useSnap, useG := snap, g
 		if cfg.Mode == DelayedUpdate {
@@ -300,12 +307,15 @@ func Run(ds *Dataset, lambda float64, cfg RunConfig) []Point {
 // to optimum drops below eps, or ok=false.
 func TimeToReach(pts []Point, optimum, eps float64) (float64, bool) {
 	for _, p := range pts {
-		if p.Loss-optimum <= eps {
+		if Reached(p, optimum, eps) {
 			return p.Seconds, true
 		}
 	}
 	return 0, false
 }
+
+// Reached is TimeToReach's test: p's loss gap to optimum is at most eps.
+func Reached(p Point, optimum, eps float64) bool { return p.Loss-optimum <= eps }
 
 // Optimum estimates the minimal loss by running a long, small-step
 // host-only configuration.

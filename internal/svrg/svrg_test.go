@@ -113,6 +113,42 @@ func TestTimeToReach(t *testing.T) {
 	}
 }
 
+// TestRunStopsAtFirstReachedPoint: a run with a stop rule is the full
+// run's prefix up to the first point the rule accepts, for both the
+// serialized and the delayed-update loop.
+func TestRunStopsAtFirstReachedPoint(t *testing.T) {
+	ds := smallDataset()
+	for _, mode := range []Mode{Accelerated, DelayedUpdate} {
+		cfg := RunConfig{
+			Mode: mode, Epoch: ds.N, LR: 0.05, Momentum: 0.9, Outers: 10, Seed: 3,
+			Timing: Timing{SummarizeNDA: 1e-3, InnerIter: 1e-5, Exchange: 1e-6},
+		}
+		full := Run(ds, 1e-3, cfg)
+		// A threshold the run first meets midway.
+		eps := full[len(full)/2].Loss
+		first := -1
+		for i, p := range full {
+			if Reached(p, 0, eps) {
+				first = i
+				break
+			}
+		}
+		if first <= 0 || first == len(full)-1 {
+			t.Fatalf("%v: eps %v first reached at point %d of %d; want an interior point", mode, eps, first, len(full))
+		}
+		cfg.Stop = func(p Point) bool { return Reached(p, 0, eps) }
+		got := Run(ds, 1e-3, cfg)
+		if len(got) != first+1 {
+			t.Fatalf("%v: stopped run has %d points, want %d", mode, len(got), first+1)
+		}
+		for i := range got {
+			if got[i] != full[i] {
+				t.Fatalf("%v: point %d = %+v, full run's %+v", mode, i, got[i], full[i])
+			}
+		}
+	}
+}
+
 func TestOptimumBelowTrainedLoss(t *testing.T) {
 	ds := smallDataset()
 	opt := Optimum(ds, 1e-3, 2)
