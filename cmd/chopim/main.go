@@ -10,7 +10,7 @@
 //	       [-cpuprofile F] [-memprofile F] <experiment>
 //
 // Experiments: fig2 fig10 fig11 fig12 fig13 fig14 fig15a fig15b power
-// config all
+// ablate config all
 //
 // -cache-dir D keeps a content-addressed result cache: every figure's
 // rows are stored under a hash of the model version and the
@@ -106,7 +106,7 @@ func run() (code int) {
 	onInterrupt := flag.String("on-interrupt", "drain",
 		"first SIGINT/SIGTERM behavior: drain (finish in-flight points, admit no more) or abort (exit immediately)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: chopim [flags] <fig2|fig10|fig11|fig12|fig13|fig14|fig15a|fig15b|power|config|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: chopim [flags] <fig2|fig10|fig11|fig12|fig13|fig14|fig15a|fig15b|power|ablate|config|all>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

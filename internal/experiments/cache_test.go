@@ -12,33 +12,54 @@ import (
 	"chopim/internal/sim"
 )
 
+// resetHostOnlyMemo forgets every memoized host-only outcome, so the
+// next request for each point simulates it again.
+func resetHostOnlyMemo() {
+	hostOnlyMemo.Lock()
+	hostOnlyMemo.m = map[string]*hostOnlySlot{}
+	hostOnlyMemo.Unlock()
+}
+
 // TestFigureCacheRoundTrip proves the content-addressed cache replays a
 // figure exactly: the second run with the same options returns identical
-// rows without simulating, and a changed budget misses (different key).
+// rows without simulating, at least 10x faster than the run that
+// simulated them, and a changed budget misses (different key).
 func TestFigureCacheRoundTrip(t *testing.T) {
 	opt := QuickOptions()
 	opt.WarmCycles, opt.MeasureCycles = 2_000, 8_000
 	opt.CacheDir = t.TempDir()
 
+	// Fig 2's points are host-only: with their outcomes memoized (by an
+	// earlier test, -count pass or run) a run would skip simulating
+	// them, so each run starts with an empty memo.
+	resetHostOnlyMemo()
 	before := ReadRunnerStats()
+	start := time.Now()
 	first, err := Fig2(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	generate := time.Since(start)
 	mid := ReadRunnerStats()
 	if hits, misses := mid.CacheHits-before.CacheHits, mid.CacheMisses-before.CacheMisses; hits != 0 || misses != 1 {
 		t.Fatalf("first run: %d hits, %d misses; want 0, 1", hits, misses)
 	}
+	resetHostOnlyMemo()
+	start = time.Now()
 	second, err := Fig2(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	replay := time.Since(start)
 	after := ReadRunnerStats()
 	if hits := after.CacheHits - mid.CacheHits; hits != 1 {
 		t.Fatalf("second run: %d cache hits; want 1", hits)
 	}
 	if jobs := after.Jobs - mid.Jobs; jobs != 0 {
 		t.Fatalf("second run simulated %d points; want 0 (cache hit)", jobs)
+	}
+	if replay*10 > generate {
+		t.Fatalf("cache hit took %v against %v to generate; want at least 10x faster", replay, generate)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("cached rows differ from generated rows:\n gen: %+v\n hit: %+v", first, second)
@@ -115,7 +136,7 @@ func TestResumeJournal(t *testing.T) {
 // checked request (invariants, cycle-by-cycle, an armed fault) simulates
 // afresh to the same outcome.
 func TestHostOnlyMemo(t *testing.T) {
-	ResetHostOnlyMemo()
+	resetHostOnlyMemo()
 	reuses := func() int64 { return ReadRunnerStats().HostOnlyReuses }
 
 	opt := QuickOptions()

@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section VII). Each FigNN function returns printable rows;
-// cmd/chopim renders them and bench_test.go wraps them as benchmarks.
+// cmd/chopim renders them.
 package experiments
 
 import (
@@ -107,15 +107,6 @@ type hostOnlyOutcome struct {
 	End    int64
 	Counts dram.CmdCounts
 	PEs    int
-}
-
-// ResetHostOnlyMemo forgets every memoized host-only outcome, so the
-// next request for each point simulates it again. Benchmarks call it
-// between iterations to time whole figure regenerations.
-func ResetHostOnlyMemo() {
-	hostOnlyMemo.Lock()
-	hostOnlyMemo.m = map[string]*hostOnlySlot{}
-	hostOnlyMemo.Unlock()
 }
 
 // hostOnly measures the host-only point cfg under o's budget. Requests

@@ -190,10 +190,8 @@ type NDAOnlyRow struct {
 }
 
 // NDAOnlySweep measures NDA-only (no host cores) throughput for a set
-// of Table I operations through the sharded runner. It doubles as the
-// speed benchmark workload: NDA-only points are where fast-forward
-// skips the most cycles, and the points are fully independent, so the
-// sweep exercises both layers of the speed subsystem at once.
+// of Table I operations through the sharded runner, as one cached,
+// journaled figure. The crash-resume tests kill and resume it.
 func NDAOnlySweep(opt Options, ops []string) ([]NDAOnlyRow, error) {
 	return figCached(opt, "ndaonly-"+strings.Join(ops, "+"),
 		func(opt Options) ([]NDAOnlyRow, error) { return ndaOnlyRows(opt, ops) })

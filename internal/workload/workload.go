@@ -193,7 +193,7 @@ func (g *Generator) memInstr(ser bool) cpu.Instr {
 	}
 }
 
-// StallHeavy returns the synthetic profile behind BenchmarkHostStallHeavy
+// StallHeavy returns the synthetic profile behind TestStallHeavyAllocFree
 // and the stall-window equivalence tests: serialize-heavy (DepFrac 0.9
 // caps issue at ~1 instruction/cycle) and almost purely LLC-defeating
 // random loads over a 64 MiB footprint (MemRatio 0.85), so a core fills
@@ -205,8 +205,8 @@ func StallHeavy() Profile {
 		Footprint: 64 << 20, StreamFrac: 0.05, Streams: 2, DepFrac: 0.9}
 }
 
-// ComputeHeavy returns the synthetic profile behind
-// BenchmarkHostComputeHeavy and the compute-heavy goldens: a high-IPC,
+// ComputeHeavy returns the synthetic profile behind the host_compute
+// benchmark workload (bench/) and the compute-heavy goldens: a high-IPC,
 // cache-resident core. The 160 KiB footprint sits entirely inside the
 // 256 KiB L2 after warm-up, MemRatio 0.04 makes most width-8 issue
 // groups free of memory instructions, and DepFrac 0.1 keeps dependency
