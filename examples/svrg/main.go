@@ -35,12 +35,13 @@ func main() {
 	}{
 		{svrg.HostOnly, scale.N, "host-only, epoch N"},
 		{svrg.Accelerated, scale.N / 4, "NDA-accelerated, epoch N/4"},
-		{svrg.DelayedUpdate, 0, "delayed update (parallel)"},
+		{svrg.DelayedUpdate, timing.DelayedEpoch(), "delayed update (parallel)"},
 	} {
-		pts := svrg.Run(ds, scale.Lambda, svrg.RunConfig{
-			Mode: m.mode, Epoch: m.epoch, LR: 0.05, Momentum: 0.9,
-			Outers: 12, Seed: 99, Timing: timing,
+		losses := svrg.Train(ds, scale.Lambda, svrg.TrainConfig{
+			Epoch: m.epoch, LR: 0.05, Momentum: 0.9, Outers: 12, Seed: 99,
+			Delayed: m.mode == svrg.DelayedUpdate,
 		})
+		pts := svrg.Stamp(losses, m.mode, m.epoch, timing)
 		last := pts[len(pts)-1]
 		fmt.Printf("%-28s after %6.2f ms: loss gap %.3e\n",
 			m.label, 1e3*last.Seconds, last.Loss-optimum)

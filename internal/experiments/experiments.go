@@ -20,8 +20,8 @@ import (
 // many workers (0/1 serial, negative = GOMAXPROCS); results are
 // identical for every worker count. CycleByCycle forces the
 // reference Tick path instead of fast-forward — counters are identical
-// either way (the sim package proves it), so it exists for
-// cross-checking and speedup benchmarks.
+// either way (the sim package proves it), so it exists as the oracle
+// of TestReferenceMatchesFastParallel.
 type Options struct {
 	WarmCycles    int64
 	MeasureCycles int64

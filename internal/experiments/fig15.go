@@ -8,6 +8,7 @@ import (
 	"chopim/internal/apps"
 	"chopim/internal/sim"
 	"chopim/internal/svrg"
+	"chopim/internal/workload"
 )
 
 // SVRGScale sizes the Fig 15 study. The paper trains on CIFAR-10
@@ -95,9 +96,9 @@ func CalibrateTiming(scale SVRGScale, ranksPerChannel int, opt Options) (svrg.Ti
 	t.SummarizeNDA = sim.Seconds(s.Now() - start)
 
 	// Host summarization: the host streams X twice (GEMV pass plus the
-	// per-row AXPY pass) at its achievable stream bandwidth, measured by
-	// a single-core streaming calibration run, and additionally pays the
-	// gradient arithmetic at the core's FMA rate.
+	// per-row AXPY pass) at one core's share of the streaming mix's
+	// measured bandwidth, and additionally pays the gradient arithmetic
+	// at the core's FMA rate.
 	bw, err := hostStreamBandwidth(opt)
 	if err != nil {
 		return t, err
@@ -117,19 +118,19 @@ func CalibrateTiming(scale SVRGScale, ranksPerChannel int, opt Options) (svrg.Ti
 	return t, nil
 }
 
-// hostStreamBandwidth measures achievable single-stream host read
-// bandwidth (bytes/s) on the baseline system using the lbm-like
-// streaming mix running alone.
+// hostStreamBandwidth measures one core's share (bytes/s) of the host
+// read bandwidth the lbm-led streaming mix achieves running alone on
+// the baseline system.
 func hostStreamBandwidth(opt Options) (float64, error) {
-	out, err := opt.hostOnly(sim.Default(3)) // lbm-led streaming mix
+	const mix = 3 // lbm-led streaming mix
+	out, err := opt.hostOnly(sim.Default(mix))
 	if err != nil {
 		return 0, err
 	}
 	if out.HostBWGBs <= 0 {
 		return 0, fmt.Errorf("fig15: calibration produced zero bandwidth")
 	}
-	// Per-core share of the measured aggregate bandwidth.
-	return out.HostBWGBs * 1e9 / 4, nil
+	return out.HostBWGBs * 1e9 / float64(len(workload.Mixes[mix])), nil
 }
 
 // Fig15aCurve is one convergence trajectory.
@@ -170,31 +171,30 @@ func fig15aRun(opt Options) (fig15aResult, error) {
 	}
 	opt15 := svrgOptimum(ds, scale)
 
-	lr := 0.05
-	modes := []struct {
-		mode  svrg.Mode
-		epoch int
-		label string
-	}{
-		{svrg.HostOnly, scale.N, "HO, Epoch (N)"},
-		{svrg.HostOnly, scale.N / 2, "HO, Epoch (N/2)"},
-		{svrg.HostOnly, scale.N / 4, "HO, Epoch (N/4)"},
-		{svrg.Accelerated, scale.N, "ACC, Epoch (N)"},
-		{svrg.Accelerated, scale.N / 2, "ACC, Epoch (N/2)"},
-		{svrg.Accelerated, scale.N / 4, "ACC, Epoch (N/4)"},
-		{svrg.DelayedUpdate, 0, "DelayedUpdate"},
-	}
-	curves, err := sharded(opt, len(modes), func(i int) (Fig15aCurve, error) {
-		m := modes[i]
-		pts := svrg.Run(ds, scale.Lambda, svrg.RunConfig{
-			Mode: m.mode, Epoch: m.epoch, LR: lr, Momentum: 0.9,
-			Outers: outers, Seed: 99, Timing: timing,
-		})
-		return Fig15aCurve{Label: m.label, Points: pts}, nil
+	// Host-only and accelerated training differ only in time stamps, so
+	// each epoch trains once and is stamped in both modes. The last
+	// point trains delayed update.
+	epochs := []int{scale.N, scale.N / 2, scale.N / 4, timing.DelayedEpoch()}
+	du := len(epochs) - 1
+	losses, err := sharded(opt, len(epochs), func(i int) ([]float64, error) {
+		return svrg.Train(ds, scale.Lambda, svrg.TrainConfig{
+			Epoch: epochs[i], LR: 0.05, Momentum: 0.9, Outers: outers, Seed: 99, Delayed: i == du,
+		}), nil
 	})
 	if err != nil {
 		return fig15aResult{}, err
 	}
+	var curves []Fig15aCurve
+	for _, m := range []struct {
+		mode   svrg.Mode
+		prefix string
+	}{{svrg.HostOnly, "HO"}, {svrg.Accelerated, "ACC"}} {
+		for i, e := range []string{"N", "N/2", "N/4"} {
+			label := fmt.Sprintf("%s, Epoch (%s)", m.prefix, e)
+			curves = append(curves, Fig15aCurve{label, svrg.Stamp(losses[i], m.mode, epochs[i], timing)})
+		}
+	}
+	curves = append(curves, Fig15aCurve{"DelayedUpdate", svrg.Stamp(losses[du], svrg.DelayedUpdate, 0, timing)})
 	return fig15aResult{Curves: curves, Optimum: opt15}, nil
 }
 
@@ -230,15 +230,14 @@ func fig15bRows(opt Options) ([]Fig15bRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hoRuns [][]svrg.Point
+	epochs := []int{scale.N, scale.N / 2, scale.N / 4}
+	hoLosses := make([][]float64, len(epochs))
 	bestFinalGap := math.Inf(1)
-	for _, e := range []int{scale.N, scale.N / 2, scale.N / 4} {
-		pts := svrg.Run(ds, scale.Lambda, svrg.RunConfig{
-			Mode: svrg.HostOnly, Epoch: e, LR: 0.05, Momentum: 0.9,
-			Outers: outers, Seed: 99, Timing: timing0,
+	for i, e := range epochs {
+		hoLosses[i] = svrg.Train(ds, scale.Lambda, svrg.TrainConfig{
+			Epoch: e, LR: 0.05, Momentum: 0.9, Outers: outers, Seed: 99,
 		})
-		hoRuns = append(hoRuns, pts)
-		if gap := pts[len(pts)-1].Loss - optimum; gap < bestFinalGap {
+		if gap := hoLosses[i][len(hoLosses[i])-1] - optimum; gap < bestFinalGap {
 			bestFinalGap = gap
 		}
 	}
@@ -246,19 +245,25 @@ func fig15bRows(opt Options) ([]Fig15bRow, error) {
 	if eps <= 0 {
 		eps = 1e-12
 	}
-	hoBest := math.Inf(1)
-	for _, pts := range hoRuns {
-		if tt, ok := svrg.TimeToReach(pts, optimum, eps); ok && tt < hoBest {
-			hoBest = tt
+	// bestTime is the earliest time any of the reference losses, stamped
+	// in mode under t, reaches eps.
+	bestTime := func(mode svrg.Mode, t svrg.Timing) float64 {
+		best := math.Inf(1)
+		for i, e := range epochs {
+			if tt, ok := svrg.TimeToReach(svrg.Stamp(hoLosses[i], mode, e, t), optimum, eps); ok && tt < best {
+				best = tt
+			}
 		}
+		return best
 	}
+	hoBest := bestTime(svrg.HostOnly, timing0)
 	if math.IsInf(hoBest, 1) {
 		return nil, fmt.Errorf("fig15b: host-only runs never reached adaptive eps=%g", eps)
 	}
 
-	// The accelerated and delayed-update runs are read only up to their
-	// first point under eps, so they stop there.
-	reached := func(p svrg.Point) bool { return svrg.Reached(p, optimum, eps) }
+	// The delayed-update runs are read only up to their first point
+	// under eps, so they stop there.
+	reached := func(loss float64) bool { return svrg.Reached(loss, optimum, eps) }
 	return sharded(opt, len(ndaCounts), func(i int) (Fig15bRow, error) {
 		ndas := ndaCounts[i]
 		// timing0 is the 2-rank calibration; other rank counts measure their own.
@@ -269,16 +274,9 @@ func fig15bRows(opt Options) ([]Fig15bRow, error) {
 		if err != nil {
 			return Fig15bRow{}, err
 		}
-		accBest := math.Inf(1)
-		for _, e := range []int{scale.N, scale.N / 2, scale.N / 4} {
-			pts := svrg.Run(ds, scale.Lambda, svrg.RunConfig{
-				Mode: svrg.Accelerated, Epoch: e, LR: 0.05, Momentum: 0.9,
-				Outers: outers, Seed: 99, Timing: timing, Stop: reached,
-			})
-			if tt, ok := svrg.TimeToReach(pts, optimum, eps); ok && tt < accBest {
-				accBest = tt
-			}
-		}
+		// Accelerated training is the host-only reference's: only the
+		// stamps differ.
+		accBest := bestTime(svrg.Accelerated, timing)
 		// Delayed update's outer iterations are short (summarize +
 		// exchange only); give it enough to span the host-only
 		// reference wall-clock so time-to-reach is comparable.
@@ -291,10 +289,11 @@ func fig15bRows(opt Options) ([]Fig15bRow, error) {
 		}
 		delayed := math.Inf(1)
 		for _, lr := range []float64{0.03, 0.05} {
-			pts := svrg.Run(ds, scale.Lambda, svrg.RunConfig{
-				Mode: svrg.DelayedUpdate, LR: lr, Momentum: 0.9,
-				Outers: duOuters, Seed: 99, Timing: timing, Stop: reached,
+			losses := svrg.Train(ds, scale.Lambda, svrg.TrainConfig{
+				Epoch: timing.DelayedEpoch(), LR: lr, Momentum: 0.9,
+				Outers: duOuters, Seed: 99, Delayed: true, Stop: reached,
 			})
+			pts := svrg.Stamp(losses, svrg.DelayedUpdate, 0, timing)
 			if tt, ok := svrg.TimeToReach(pts, optimum, eps); ok && tt < delayed {
 				delayed = tt
 			}

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -42,5 +46,50 @@ func TestSVRGOptimumMemoized(t *testing.T) {
 		if math.Float64bits(v) != math.Float64bits(want) {
 			t.Errorf("call %d returned %v, svrg.Optimum gives %v", i, v, want)
 		}
+	}
+}
+
+// TestFig15QuickPinned pins the quick Fig 15 numbers bit for bit: a
+// SHA-256 over the float64 bits of the optimum and every 15a curve
+// point (with the curve labels), and over every 15b row. Training and
+// time stamping may be restructured only if these hashes hold; an
+// intended change to Fig 15's numbers re-pins them.
+func TestFig15QuickPinned(t *testing.T) {
+	const (
+		want15a = "e4b2577d967de1de92da40f12c8159cac05b71b84196d177a9d43a28cee18fae"
+		want15b = "6a340bbbf4d820ff71cd57498d5c6057f72aac8a007da0277c1ee4cd4de8cf92"
+	)
+	opt := QuickOptions()
+	curves, optimum, err := Fig15a(opt)
+	if err != nil {
+		t.Fatal("fig15a:", err)
+	}
+	h := sha256.New()
+	put := func(v float64) { binary.Write(h, binary.LittleEndian, math.Float64bits(v)) }
+	put(optimum)
+	for _, c := range curves {
+		io.WriteString(h, c.Label)
+		binary.Write(h, binary.LittleEndian, int64(len(c.Points)))
+		for _, p := range c.Points {
+			put(p.Seconds)
+			put(p.Loss)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want15a {
+		t.Errorf("quick fig15a hash %s, pinned %s", got, want15a)
+	}
+
+	rows, err := Fig15b(opt)
+	if err != nil {
+		t.Fatal("fig15b:", err)
+	}
+	h.Reset()
+	for _, r := range rows {
+		binary.Write(h, binary.LittleEndian, int64(r.NDAs))
+		put(r.SpeedupACCBest)
+		put(r.SpeedupDelayed)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want15b {
+		t.Errorf("quick fig15b hash %s, pinned %s", got, want15b)
 	}
 }

@@ -220,9 +220,10 @@ type globalLayoutKey struct {
 }
 
 // globalDecode is the process-wide second level of the decode cache.
-// Snapshot restores and sweep forks build fresh runtimes whose
-// first-level caches start empty; without this level every fork
-// re-decodes every operand block on its first relaunch. Entries are
+// The points of a sweep place the same operands on fresh runtimes
+// (as do snapshot restores), whose first-level caches start empty;
+// without this level every such runtime re-decodes every operand
+// block on its first relaunch. Entries are
 // immutable, so sharing across concurrently running systems is safe.
 var globalDecode = struct {
 	sync.Mutex

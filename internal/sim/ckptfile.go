@@ -1,9 +1,9 @@
-// Byte codec for Checkpoint. No checkpoint outlives its process: the
-// warm pool and sweep resume work from in-memory snapshots and the
-// per-point journal. The codec stays because the benchmark's fork
-// check measures it (per-layer ckpt.* metrics) and because a decode
-// followed by Restore proves a Checkpoint carries every field a fresh
-// process would need. The bytes are a versioned binary envelope around
+// Byte codec for Checkpoint. No checkpoint outlives its process: sweep
+// resume replays completed points from the JSON journal. The codec's
+// only users are the benchmark's fork check, which measures it
+// (per-layer ckpt.* metrics), and the tests, where a decode followed by
+// Restore proves a Checkpoint carries every field a fresh process
+// would need. The bytes are a versioned binary envelope around
 // a deterministic JSON payload:
 //
 //	magic "CHOPIMCK" | version u32 LE | config fingerprint (32 B)

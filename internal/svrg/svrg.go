@@ -8,7 +8,9 @@
 // The optimization math is real (losses are actually minimized); the
 // execution times attached to each phase come from the performance
 // simulation (see internal/experiments), so convergence-versus-time
-// curves reflect the simulated machine.
+// curves reflect the simulated machine. The modes differ in time, not
+// arithmetic, except for delayed update's stale correction: Train
+// computes a loss sequence once, and Stamp times it for each mode.
 package svrg
 
 import (
@@ -194,18 +196,9 @@ const (
 	DelayedUpdate
 )
 
-// String returns the figure legend prefix.
-func (m Mode) String() string {
-	switch m {
-	case HostOnly:
-		return "HO"
-	case Accelerated:
-		return "ACC"
-	case DelayedUpdate:
-		return "DelayedUpdate"
-	}
-	return "?"
-}
+// DelayedEpoch is the delayed-update epoch: the inner iterations the host
+// runs while the NDAs summarize.
+func (t Timing) DelayedEpoch() int { return int(t.SummarizeNDA/t.InnerIter) + 1 }
 
 // Point is one convergence sample.
 type Point struct {
@@ -213,62 +206,51 @@ type Point struct {
 	Loss    float64
 }
 
-// RunConfig controls one training run.
-type RunConfig struct {
-	Mode     Mode
-	Epoch    int     // inner iterations per outer loop (HostOnly/Accelerated)
+// TrainConfig controls one training run. Host-only and accelerated
+// training are the same optimization; delayed update differs only in
+// the stale correction term and its epoch, Timing.DelayedEpoch.
+type TrainConfig struct {
+	Epoch    int     // inner iterations per outer loop
 	LR       float64 // learning rate
 	Momentum float64
 	Outers   int // outer-loop iterations to run
 	Seed     int64
-	Timing   Timing
 
-	// Stop, when set, ends the run at the first point it accepts. The
-	// points before it are those of the full run.
-	Stop func(Point) bool
+	// Delayed corrects with the snapshot one outer iteration stale, as
+	// delayed update does while the NDAs summarize the current one.
+	Delayed bool
+
+	// Stop, when set, ends training at the first loss it accepts. The
+	// losses before it are those of the full run.
+	Stop func(loss float64) bool
 }
 
-// Run trains and returns the convergence trajectory (loss after each
-// outer iteration against cumulative simulated time).
-func Run(ds *Dataset, lambda float64, cfg RunConfig) []Point {
+// Train returns the loss before the first outer iteration and after
+// each one.
+func Train(ds *Dataset, lambda float64, cfg TrainConfig) []float64 {
 	m := NewModel(ds.D, ds.K, lambda)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	dk := ds.D * ds.K
 
 	snap := m.Clone()          // s: snapshot the correction is computed at
 	g := snap.FullGradient(ds) // g: correction term for snap
-	prevSnap := snap           // delayed update: one epoch behind
-	prevG := g
+	prevSnap, prevG := snap, g // delayed update: one outer iteration behind
 	vel := make([]float64, dk) // momentum buffer
 
 	z := make([]float64, ds.K)
 	gw := make([]float64, dk)
 	gs := make([]float64, dk)
 
-	var now float64
-	// Initial summarization cost.
-	switch cfg.Mode {
-	case HostOnly:
-		now += cfg.Timing.SummarizeHost
-	default:
-		now += cfg.Timing.SummarizeNDA
-	}
-	pts := []Point{{now, m.Loss(ds)}}
-
+	losses := []float64{m.Loss(ds)}
 	for outer := 0; outer < cfg.Outers; outer++ {
-		if cfg.Stop != nil && cfg.Stop(pts[len(pts)-1]) {
+		if cfg.Stop != nil && cfg.Stop(losses[len(losses)-1]) {
 			break
 		}
-		epoch := cfg.Epoch
 		useSnap, useG := snap, g
-		if cfg.Mode == DelayedUpdate {
-			// Summarization of `snap` runs on the NDAs concurrently;
-			// the host iterates with the stale (prevSnap, prevG) for
-			// as long as the summarization takes.
-			epoch = int(cfg.Timing.SummarizeNDA/cfg.Timing.InnerIter) + 1
+		if cfg.Delayed {
 			useSnap, useG = prevSnap, prevG
 		}
-		for it := 0; it < epoch; it++ {
+		for it := 0; it < cfg.Epoch; it++ {
 			i := rng.Intn(ds.N)
 			m.sampleGradInto(ds, i, z, gw)
 			useSnap.sampleGradInto(ds, i, z, gs)
@@ -280,25 +262,37 @@ func Run(ds *Dataset, lambda float64, cfg RunConfig) []Point {
 		}
 
 		// Outer boundary: take a new snapshot and its correction term.
-		switch cfg.Mode {
-		case HostOnly:
-			now += float64(epoch)*cfg.Timing.InnerIter + cfg.Timing.SummarizeHost
-			snap = m.Clone()
-			g = snap.FullGradient(ds)
-		case Accelerated:
-			// Serialized: host idles while NDAs summarize.
-			now += float64(epoch)*cfg.Timing.InnerIter + cfg.Timing.SummarizeNDA
-			snap = m.Clone()
-			g = snap.FullGradient(ds)
-		case DelayedUpdate:
-			// Parallel: the epoch's wall time is the summarization
-			// time (inner loop fully overlapped) plus the exchange.
-			now += cfg.Timing.SummarizeNDA + cfg.Timing.Exchange
-			prevSnap, prevG = snap, snap.FullGradient(ds)
-			snap = m.Clone()
-			g = prevG // not used until promoted
+		if cfg.Delayed {
+			prevSnap, prevG = snap, g
 		}
-		pts = append(pts, Point{now, m.Loss(ds)})
+		snap = m.Clone()
+		g = snap.FullGradient(ds)
+		losses = append(losses, m.Loss(ds))
+	}
+	return losses
+}
+
+// Stamp attaches to losses from Train the cumulative simulated time of
+// training them in mode under t. epoch is the run's inner iterations per
+// outer loop; delayed update, whose inner loop the summarization hides,
+// ignores it.
+func Stamp(losses []float64, mode Mode, epoch int, t Timing) []Point {
+	var now, step float64
+	switch mode {
+	case HostOnly:
+		now, step = t.SummarizeHost, float64(epoch)*t.InnerIter+t.SummarizeHost
+	case Accelerated:
+		// Serialized: host idles while NDAs summarize.
+		now, step = t.SummarizeNDA, float64(epoch)*t.InnerIter+t.SummarizeNDA
+	case DelayedUpdate:
+		// Parallel: the epoch's wall time is the summarization time
+		// (inner loop fully overlapped) plus the exchange.
+		now, step = t.SummarizeNDA, t.SummarizeNDA+t.Exchange
+	}
+	pts := make([]Point, len(losses))
+	for i, l := range losses {
+		pts[i] = Point{now, l}
+		now += step
 	}
 	return pts
 }
@@ -307,28 +301,25 @@ func Run(ds *Dataset, lambda float64, cfg RunConfig) []Point {
 // to optimum drops below eps, or ok=false.
 func TimeToReach(pts []Point, optimum, eps float64) (float64, bool) {
 	for _, p := range pts {
-		if Reached(p, optimum, eps) {
+		if Reached(p.Loss, optimum, eps) {
 			return p.Seconds, true
 		}
 	}
 	return 0, false
 }
 
-// Reached is TimeToReach's test: p's loss gap to optimum is at most eps.
-func Reached(p Point, optimum, eps float64) bool { return p.Loss-optimum <= eps }
+// Reached is TimeToReach's test: the loss gap to optimum is at most eps.
+func Reached(loss, optimum, eps float64) bool { return loss-optimum <= eps }
 
-// Optimum estimates the minimal loss by running a long, small-step
-// host-only configuration.
+// Optimum estimates the minimal loss by a long training run.
 func Optimum(ds *Dataset, lambda float64, seed int64) float64 {
-	pts := Run(ds, lambda, RunConfig{
-		Mode: HostOnly, Epoch: 2 * ds.N, LR: 0.05, Momentum: 0.9,
-		Outers: 40, Seed: seed,
-		Timing: Timing{SummarizeHost: 1, InnerIter: 1e-6},
+	losses := Train(ds, lambda, TrainConfig{
+		Epoch: 2 * ds.N, LR: 0.05, Momentum: 0.9, Outers: 40, Seed: seed,
 	})
 	min := math.Inf(1)
-	for _, p := range pts {
-		if p.Loss < min {
-			min = p.Loss
+	for _, l := range losses {
+		if l < min {
+			min = l
 		}
 	}
 	return min
