@@ -32,6 +32,9 @@ func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 || c.BlockBytes <= 0 {
 		return fmt.Errorf("cache: non-positive size field in %+v", c)
 	}
+	if c.Ways > maxWays {
+		return fmt.Errorf("cache: %d ways, at most %d fit a set's recency word", c.Ways, maxWays)
+	}
 	if c.SizeBytes%(c.Ways*c.BlockBytes) != 0 {
 		return fmt.Errorf("cache: size %d not divisible into %d ways of %dB blocks",
 			c.SizeBytes, c.Ways, c.BlockBytes)
@@ -45,27 +48,32 @@ func (c Config) Validate() error {
 
 // Cache is a single set-associative level. Each way is one packed word
 // in set-major order, so the per-access way scan — the hottest loop in
-// the whole simulator — reads one word per way and a 16-way LLC set
-// spans 128 B:
+// the whole simulator — reads 4 B per way and a 16-way LLC set spans
+// 64 B:
 //
-//	bits 63..32  key: tag+1, or 0 for an invalid way
-//	bits 31..1   last-touch stamp
-//	bit  0       dirty
+//	bits 31..1  key: tag+1, or 0 for an invalid way
+//	bit  0      dirty
 //
-// An invalid way is the all-zero word. Keys must fit 32 bits, so the
-// largest block a level holds is below (2^32-1)·Sets (see
-// HierarchyConfig.CheckSpan); index panics past it. Stamps must fit 31
-// bits: before one would overflow, renorm rewrites every set's stamps
-// as their order within the set, which is all victim choice reads.
+// An invalid way is the zero word. Keys must fit 31 bits, so the
+// largest block a level holds is below (2^31-1)·Sets (see
+// HierarchyConfig.CheckSpan); index panics past it.
+//
+// Recency is kept per set: LRU is a stack algorithm, so victim choice
+// reads only the order of touches within a set, never a time. order[s]
+// lists set s's way indices as 4-bit nibbles, from the least recently
+// touched (bits 3..0) to the most recently touched (nibble ways-1). A
+// hit or a fill moves its way's nibble to the top; a full set's victim
+// is the bottom nibble. Invalid ways sit anywhere in the order: a way
+// becomes valid only by a fill, which moves it to the top.
 type Cache struct {
 	cfg   Config
-	lines []uint64
+	lines []uint32
+	order []uint64 // per set: way indices, least recently touched first
 	nsets uint64
 	smask uint64 // nsets-1; Validate guarantees nsets is a power of two
 	shift uint   // log2(nsets)
 	ways  int
-	clock uint64 // advanced by every Lookup and Insert; a touched way takes it as its stamp
-	limit uint64 // largest stamp (maxStamp; tests lower it to exercise renorm)
+	top   uint // bit offset of the most recently touched nibble, 4·(ways-1)
 
 	// One-entry MRU filter: the last block that hit and the way that
 	// held it. Streaming cores touch the same 64-byte block for several
@@ -73,10 +81,10 @@ type Cache struct {
 	// filter is validated against the way's live key (a replacement
 	// that reuses the slot fails the check; lastKey 0 marks the filter
 	// empty), and the filtered path performs exactly the state updates
-	// the scan would — clock, stamp, dirty, Hits — so behavior is
+	// the scan would — recency, dirty, Hits — so behavior is
 	// bit-identical.
 	lastBlock uint64
-	lastKey   uint64 // key of the filtered way, 0 when empty
+	lastKey   uint32 // key of the filtered way, 0 when empty
 	lastWay   int    // index into lines of the filtered way
 
 	Hits, Misses int64
@@ -84,11 +92,12 @@ type Cache struct {
 
 // Packed way layout (see Cache).
 const (
-	keyShift  = 32
-	stampMask = 1<<32 - 2 // bits 31..1
-	dirtyBit  = 1
-	maxKey    = 1<<32 - 1
-	maxStamp  = 1<<31 - 1
+	dirtyBit = 1
+	maxKey   = 1<<31 - 1
+	maxWays  = 16 // nibbles in a set's order word
+
+	nibbleOnes  = 0x1111111111111111
+	nibbleHighs = 0x8888888888888888
 )
 
 // New builds a cache level. It panics on invalid configuration.
@@ -96,14 +105,24 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	// Every set starts with its ways listed in index order.
+	var o uint64
+	for w := 0; w < cfg.Ways; w++ {
+		o |= uint64(w) << (4 * w)
+	}
+	order := make([]uint64, cfg.Sets())
+	for i := range order {
+		order[i] = o
+	}
 	return &Cache{
 		cfg:   cfg,
-		lines: make([]uint64, cfg.Sets()*cfg.Ways),
+		lines: make([]uint32, cfg.Sets()*cfg.Ways),
+		order: order,
 		nsets: uint64(cfg.Sets()),
 		smask: uint64(cfg.Sets()) - 1,
 		shift: uint(bits.TrailingZeros64(uint64(cfg.Sets()))),
 		ways:  cfg.Ways,
-		limit: maxStamp,
+		top:   uint(4 * (cfg.Ways - 1)),
 	}
 }
 
@@ -119,104 +138,76 @@ func (c Config) MaxBlock() uint64 {
 // validated to be a power of two, so mask/shift compute exactly
 // block%nsets and block/nsets without two 64-bit divisions on the
 // hottest path in the simulator.
-func (c *Cache) index(block uint64) (set int, key uint64) {
+func (c *Cache) index(block uint64) (set int, key uint32) {
 	tag := block >> c.shift
 	if tag >= maxKey {
-		panic("cache: block does not fit a 32-bit key")
+		panic("cache: block does not fit a 31-bit key")
 	}
-	return c.setOf(block), tag + 1
+	return c.setOf(block), uint32(tag) + 1
 }
 
 // setOf returns the block's set.
 func (c *Cache) setOf(block uint64) int { return int(block & c.smask) }
 
-// stamp advances the clock and returns it in a way's stamp bits, for
-// the way a hit or a fill touches. It renormalises first when the stamp
-// would pass the limit; renorm keeps every way's key and dirty bit.
-func (c *Cache) stamp() uint64 {
-	if c.clock >= c.limit {
-		c.renorm()
+// touch makes way w of the set its most recently touched: w's nibble
+// leaves its place, the nibbles above it shift down one, and w goes on
+// top. Each way index appears once in the order word, so the lowest
+// zero nibble of o^(w in every nibble) is w's; the SWAR test below
+// flags a zero nibble exactly, and can misflag only above a true one.
+func (c *Cache) touch(set, w int) {
+	o := c.order[set]
+	if o>>c.top == uint64(w) {
+		return
 	}
-	c.clock++
-	return c.clock << 1
-}
-
-// renorm rewrites each set's stamps as their ranks within the set (1 for
-// the least recently touched valid way) and restarts the clock above
-// them. Stamps within a set are distinct (each write takes a fresh clock
-// value), and victim choice reads only their order, which renorm
-// keeps, so the cache behaves exactly as before.
-func (c *Cache) renorm() {
-	rank := make([]uint64, c.ways)
-	for base := 0; base < len(c.lines); base += c.ways {
-		set := c.lines[base : base+c.ways]
-		for i, w := range set {
-			rank[i] = 1
-			for _, o := range set {
-				if o != 0 && o&stampMask < w&stampMask {
-					rank[i]++
-				}
-			}
-		}
-		for i, w := range set {
-			if w != 0 {
-				set[i] = w&^stampMask | rank[i]<<1
-			}
-		}
-	}
-	c.clock = uint64(c.ways)
+	x := o ^ uint64(w)*nibbleOnes
+	p := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHighs)) &^ 3
+	c.order[set] = o&(1<<p-1) | o>>(p+4)<<p | uint64(w)<<c.top
 }
 
 // Lookup probes for the block (address divided by block size), updating
 // LRU and hit/miss counters. If write, a hit marks the line dirty.
 func (c *Cache) Lookup(block uint64, write bool) bool {
 	w := c.lastWay
-	if block != c.lastBlock || c.lastKey == 0 || c.lines[w]>>keyShift != c.lastKey {
+	if block != c.lastBlock || c.lastKey == 0 || c.lines[w]>>1 != c.lastKey {
 		set, key := c.index(block)
 		base := set * c.ways
 		w = -1
 		for i, l := range c.lines[base : base+c.ways] {
-			if l>>keyShift == key {
+			if l>>1 == key {
 				w = base + i
 				break
 			}
 		}
 		if w < 0 {
-			c.clock++
 			c.Misses++
 			return false
 		}
 		c.lastBlock, c.lastKey, c.lastWay = block, key, w
 	}
-	st := c.stamp()
-	l := c.lines[w]&^stampMask | st
+	set := c.setOf(block)
+	c.touch(set, w-set*c.ways)
 	if write {
-		l |= dirtyBit
+		c.lines[w] |= dirtyBit
 	}
-	c.lines[w] = l
 	c.Hits++
 	return true
 }
 
-// unMiss reverses the counter effects of an immediately preceding Lookup
-// that missed (one Misses increment and one clock advance; a missed
-// Lookup touches no line and never renormalises, so nothing else
-// changed). The hierarchy uses it to keep stalled accesses
-// side-effect-free: an Access that returns Stall is retried every cycle
-// by a blocked core, and those retry probes must leave the caches in
-// exactly the state they found them for the fast-forward machinery to
-// skip the retries.
-func (c *Cache) unMiss() {
-	c.Misses--
-	c.clock--
-}
+// unMiss reverses the counter effect of an immediately preceding Lookup
+// that missed (one Misses increment; a missed Lookup touches no line
+// and no recency order, so nothing else changed). The hierarchy uses it
+// to keep stalled accesses side-effect-free: an Access that returns
+// Stall is retried every cycle by a blocked core, and those retry
+// probes must leave the caches in exactly the state they found them for
+// the fast-forward machinery to skip the retries.
+func (c *Cache) unMiss() { c.Misses-- }
 
 // Contains probes without side effects.
 func (c *Cache) Contains(block uint64) bool {
 	set, key := c.index(block)
 	base := set * c.ways
 	for _, l := range c.lines[base : base+c.ways] {
-		if l>>keyShift == key {
+		if l>>1 == key {
 			return true
 		}
 	}
@@ -225,21 +216,21 @@ func (c *Cache) Contains(block uint64) bool {
 
 // Insert fills the block, returning any evicted dirty victim. A block
 // already present is refreshed in place. Otherwise the victim is the
-// last invalid way of the set, or, in a full set, the way with the
-// smallest stamp.
+// last invalid way of the set, or, in a full set, its least recently
+// touched way.
 func (c *Cache) Insert(block uint64, dirty bool) (victim uint64, victimDirty bool) {
 	set, key := c.index(block)
 	base := set * c.ways
 	lines := c.lines[base : base+c.ways]
+	var d uint32
+	if dirty {
+		d = dirtyBit
+	}
 	vi := -1
 	for i, l := range lines {
-		if l>>keyShift == key {
-			st := c.stamp()
-			l = lines[i]&^stampMask | st
-			if dirty {
-				l |= dirtyBit
-			}
-			lines[i] = l
+		if l>>1 == key {
+			lines[i] = l | d
+			c.touch(set, i)
 			return 0, false
 		}
 		if l == 0 {
@@ -247,23 +238,13 @@ func (c *Cache) Insert(block uint64, dirty bool) (victim uint64, victimDirty boo
 		}
 	}
 	if vi < 0 {
-		// Stamps in a set are distinct, so the dirty bit below them
-		// never decides the comparison.
-		vi = 0
-		for i := 1; i < len(lines); i++ {
-			if uint32(lines[i]) < uint32(lines[vi]) {
-				vi = i
-			}
-		}
+		vi = int(c.order[set] & 0xf)
 	}
 	old := lines[vi]
-	l := key<<keyShift | c.stamp()
-	if dirty {
-		l |= dirtyBit
-	}
-	lines[vi] = l
+	lines[vi] = key<<1 | d
+	c.touch(set, vi)
 	if old&dirtyBit != 0 {
-		return (old>>keyShift-1)*c.nsets + uint64(set), true
+		return uint64(old>>1-1)*c.nsets + uint64(set), true
 	}
 	return 0, false
 }
@@ -285,7 +266,7 @@ func (c *Cache) Invalidate(block uint64) (wasDirty bool) {
 	set, key := c.index(block)
 	base := set * c.ways
 	for i, l := range c.lines[base : base+c.ways] {
-		if l>>keyShift == key {
+		if l>>1 == key {
 			c.lines[base+i] = 0
 			return l&dirtyBit != 0
 		}

@@ -23,6 +23,15 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("accepted zero ways")
 	}
+	// A set's recency word holds 16 four-bit way indices.
+	wide := Config{SizeBytes: 16 * 64 * 16, Ways: 16, BlockBytes: 64}
+	if err := wide.Validate(); err != nil {
+		t.Errorf("rejected 16 ways: %v", err)
+	}
+	wide.Ways, wide.SizeBytes = 32, 32*64*16
+	if err := wide.Validate(); err == nil {
+		t.Error("accepted 32 ways")
+	}
 }
 
 func TestLookupInsert(t *testing.T) {
@@ -126,7 +135,7 @@ func TestCapacityInvariant(t *testing.T) {
 
 // Property: after Insert(b), Lookup(b) hits until b is evicted by
 // inserts into the same set. Blocks are drawn from the range a packed
-// 32-bit key covers (Config.MaxBlock); index panics past it.
+// 31-bit key covers (Config.MaxBlock); index panics past it.
 func TestInsertThenLookupHits(t *testing.T) {
 	f := func(r uint64) bool {
 		c := New(smallConfig())

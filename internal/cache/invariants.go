@@ -28,7 +28,7 @@ func (cfg HierarchyConfig) Validate() error {
 }
 
 // CheckSpan rejects a memory of capacity bytes whose largest block does
-// not fit some level's 32-bit way key (see Cache): such a geometry
+// not fit some level's 31-bit way key (see Cache): such a geometry
 // would alias blocks in the packed tag store.
 func (cfg HierarchyConfig) CheckSpan(capacity uint64) error {
 	last := (capacity - 1) / uint64(cfg.L1.BlockBytes)
@@ -37,7 +37,7 @@ func (cfg HierarchyConfig) CheckSpan(capacity uint64) error {
 		c    Config
 	}{{"L1", cfg.L1}, {"L2", cfg.L2}, {"LLC", cfg.LLC}} {
 		if max := lvl.c.MaxBlock(); last > max {
-			return fmt.Errorf("cache: %s: a %d-byte memory has blocks up to %#x, past the 32-bit key range (largest block %#x)",
+			return fmt.Errorf("cache: %s: a %d-byte memory has blocks up to %#x, past the 31-bit key range (largest block %#x)",
 				lvl.name, capacity, last, max)
 		}
 	}

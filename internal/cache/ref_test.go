@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -189,40 +191,81 @@ func refPackLines(lines []refLine) []byte {
 	return b
 }
 
-// TestPackedCacheMatchesReference drives the packed-tag cache and the
-// array-of-structs reference with one random Lookup/Insert/Invalidate/
-// Contains stream on the L1, L2 and LLC geometries of the default
-// hierarchy. Traffic concentrates on a few sets so they fill, evict and
-// reuse invalidated ways, and repeats the previous block so the MRU
-// filter serves hits (and must reject ways refilled under it). Every
-// return value and counter must agree at every step; ValidLines and the
-// checkpoint line encoding must agree at checkpoints along the way,
-// including across a snapshot/restore and a wire round trip mid-stream.
-// The Renorm runs lower the stamp limit so stamps renormalise many
-// times; the reference keeps its uint64 counters, so there the line
-// encodings differ and each set's recency order must agree instead.
+// recency returns the set's valid ways, least recently touched first.
+func (c *refCache) recency(set int) []int {
+	ways := c.set(set)
+	var ws []int
+	for i := range ways {
+		if ways[i].valid {
+			ws = append(ws, i)
+		}
+	}
+	sort.Slice(ws, func(a, b int) bool { return ways[ws[a]].lru < ways[ws[b]].lru })
+	return ws
+}
+
+// rankedLines returns the reference lines with each valid line's lru
+// replaced by its rank within its set (1 for the least recently
+// touched), the form Cache checkpoints write.
+func (c *refCache) rankedLines() []refLine {
+	out := append([]refLine(nil), c.lines...)
+	for set := 0; set < int(c.nsets); set++ {
+		for r, w := range c.recency(set) {
+			out[set*c.ways+w].lru = uint64(r + 1)
+		}
+	}
+	return out
+}
+
+// recency returns the set's valid ways, least recently touched first,
+// after checking that its order word lists every way exactly once.
+func (c *Cache) recency(t *testing.T, set int) []int {
+	t.Helper()
+	o := c.order[set]
+	if o>>c.top>>4 != 0 {
+		t.Fatalf("set %d: order word %#x has bits above its %d ways", set, o, c.ways)
+	}
+	var seen uint32
+	var ws []int
+	for k := 0; k < c.ways; k, o = k+1, o>>4 {
+		w := int(o & 0xf)
+		if w >= c.ways || seen&(1<<w) != 0 {
+			t.Fatalf("set %d: order word %#x is not a permutation of its %d ways", set, c.order[set], c.ways)
+		}
+		seen |= 1 << w
+		if c.lines[set*c.ways+w] != 0 {
+			ws = append(ws, w)
+		}
+	}
+	return ws
+}
+
+// TestPackedCacheMatchesReference drives the packed cache and the
+// array-of-structs reference, whose ways carry global last-touch
+// stamps, with one random Lookup/Insert/Invalidate/Contains stream on
+// the L1, L2 and LLC geometries of the default hierarchy. Traffic
+// concentrates on a few sets so they fill, evict and reuse invalidated
+// ways, and repeats the previous block so the MRU filter serves hits
+// (and must reject ways refilled under it). Every return value and
+// counter must agree at every step, and so must the contents and the
+// recency order of the set each operation addressed (no operation
+// reaches another set). At checkpoints along the way every set is
+// compared, with ValidLines and the checkpoint line encoding (the
+// reference's stamps ranked within each set). The stream continues
+// across a mid-stream snapshot/restore, a wire round trip, and a
+// restore from the reference's lines packed with their global stamps,
+// the encoding older checkpoints wrote: the decoded order, and every
+// victim after it, must match.
 func TestPackedCacheMatchesReference(t *testing.T) {
 	h := DefaultHierarchyConfig(1)
 	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		limit uint64 // stamp limit; 0 keeps the packed word's
-	}{
-		{"L1", h.L1, 0}, {"L2", h.L2, 0}, {"LLC", h.LLC, 0},
-		{"L1Renorm", h.L1, 20}, {"L2Renorm", h.L2, 200}, {"LLCRenorm", h.LLC, 4000},
-	} {
+		name string
+		cfg  Config
+	}{{"L1", h.L1}, {"L2", h.L2}, {"LLC", h.LLC}} {
 		t.Run(tc.name, func(t *testing.T) {
 			const ops = 120_000
 			rng := rand.New(rand.NewSource(int64(len(tc.name)) * 7919))
-			newC := func() *Cache {
-				c := New(tc.cfg)
-				if tc.limit != 0 {
-					c.limit = tc.limit
-				}
-				return c
-			}
-			c, r := newC(), newRefCache(tc.cfg)
-			renorms, clock := 0, c.clock
+			c, r := New(tc.cfg), newRefCache(tc.cfg)
 			sets, ways := uint64(tc.cfg.Sets()), tc.cfg.Ways
 			last := uint64(0)
 			draw := func() uint64 {
@@ -235,30 +278,40 @@ func TestPackedCacheMatchesReference(t *testing.T) {
 					return uint64(rng.Intn(3*ways))*sets + uint64(rng.Intn(8))
 				}
 			}
+			checkSet := func(op, set int) {
+				t.Helper()
+				for i := set * ways; i < (set+1)*ways; i++ {
+					l, rl := c.lines[i], r.lines[i]
+					if (l != 0) != rl.valid || rl.valid && (uint64(l>>1-1) != rl.tag || l&dirtyBit != 0 != rl.dirty) {
+						t.Fatalf("op %d: way %d holds %#x, reference %+v", op, i, l, rl)
+					}
+				}
+				if got, want := c.recency(t, set), r.recency(set); !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d: set %d recency order %v, reference %v", op, set, got, want)
+				}
+			}
 			check := func(op int) {
 				t.Helper()
 				if got, want := c.ValidLines(), r.ValidLines(); got != want {
 					t.Fatalf("op %d: ValidLines %d, reference %d", op, got, want)
 				}
-				if tc.limit == 0 {
-					st := c.snapshot()
-					if !bytes.Equal(packLines(&st), refPackLines(r.lines)) {
-						t.Fatalf("op %d: checkpoint line encoding differs from the reference", op)
-					}
-					return
+				for set := 0; set < int(sets); set++ {
+					checkSet(op, set)
 				}
-				for i, l := range c.lines {
-					rl := r.lines[i]
-					if (l != 0) != rl.valid || rl.valid && (l>>keyShift-1 != rl.tag || l&dirtyBit != 0 != rl.dirty) {
-						t.Fatalf("op %d: way %d holds %#x, reference %+v", op, i, l, rl)
-					}
-					base := i - i%ways
-					for j := base; j < base+ways; j++ {
-						if rl.valid && r.lines[j].valid && (l&stampMask < c.lines[j]&stampMask) != (rl.lru < r.lines[j].lru) {
-							t.Fatalf("op %d: ways %d and %d are in the opposite recency order to the reference's", op, i, j)
-						}
-					}
+				st := c.snapshot()
+				if !bytes.Equal(packLines(&st), refPackLines(r.rankedLines())) {
+					t.Fatalf("op %d: checkpoint line encoding differs from the reference's ranked lines", op)
 				}
+			}
+			// restoreWire continues the stream on a copy decoded from w.
+			restoreWire := func(w cacheWire) {
+				t.Helper()
+				dec, err := cacheFromWire(&w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c = New(tc.cfg)
+				c.restore(dec)
 			}
 			for op := 0; op < ops; op++ {
 				b := draw()
@@ -288,39 +341,29 @@ func TestPackedCacheMatchesReference(t *testing.T) {
 				if c.Hits != r.Hits || c.Misses != r.Misses {
 					t.Fatalf("op %d: hits/misses %d/%d, reference %d/%d", op, c.Hits, c.Misses, r.Hits, r.Misses)
 				}
-				if c.clock < clock {
-					renorms++
-				}
-				clock = c.clock
-				if tc.limit != 0 && op%4096 == 0 {
-					check(op)
-				}
+				checkSet(op, c.setOf(b))
 				switch op {
-				case ops / 3:
+				case ops / 4:
 					// Continue on a restored copy: the MRU filter must
 					// start empty and refill from live tags.
 					check(op)
-					c2 := newC()
+					c2 := New(tc.cfg)
 					c2.restore(c.snapshot())
 					c = c2
-				case 2 * ops / 3:
+				case ops / 2:
 					// Continue on a copy decoded from the wire format.
 					check(op)
 					st := c.snapshot()
-					w := cacheToWire(&st)
-					dec, err := cacheFromWire(&w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					c2 := newC()
-					c2.restore(dec)
-					c = c2
+					restoreWire(cacheToWire(&st))
+				case 3 * ops / 4:
+					// Continue on a copy decoded from the reference's
+					// lines packed with their global stamps.
+					check(op)
+					restoreWire(cacheWire{NLines: len(r.lines), Lines: refPackLines(r.lines), Hits: r.Hits, Misses: r.Misses})
+					check(op)
 				}
 			}
 			check(ops)
-			if tc.limit != 0 && renorms < 20 || tc.limit == 0 && renorms != 0 {
-				t.Fatalf("stamps renormalised %d times", renorms)
-			}
 			if r.Hits == 0 || r.Misses == 0 || r.ValidLines() == 0 {
 				t.Fatalf("degenerate stream: hits=%d misses=%d valid=%d", r.Hits, r.Misses, r.ValidLines())
 			}

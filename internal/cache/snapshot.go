@@ -1,27 +1,76 @@
 package cache
 
 // cacheState is a deep copy of one level's mutable state: the packed
-// way words (see Cache), so a snapshot is one copy. The MRU filter is
-// not captured: it is a pure acceleration of the way scan (the filtered
-// path performs identical state updates), so restore simply empties it.
+// way words (see Cache) and, per way, its recency rank within its set.
+// A valid way's lru is 1 for the set's least recently touched valid way
+// and counts up; an invalid way's is 0. restore reads only the order of
+// the lru values within a set, so a decoded checkpoint may carry any
+// values in that order (older encodings stored global last-touch
+// stamps). The MRU filter is not captured: it is a pure acceleration
+// of the way scan (the filtered path performs identical state updates),
+// so restore simply empties it.
 type cacheState struct {
-	lines  []uint64
-	clock  uint64
+	lines  []uint32
+	lru    []uint32
 	hits   int64
 	misses int64
 }
 
 func (c *Cache) snapshot() cacheState {
-	return cacheState{lines: append([]uint64(nil), c.lines...), clock: c.clock, hits: c.Hits, misses: c.Misses}
+	st := cacheState{
+		lines:  append([]uint32(nil), c.lines...),
+		lru:    make([]uint32, len(c.lines)),
+		hits:   c.Hits,
+		misses: c.Misses,
+	}
+	for set, o := range c.order {
+		base := set * c.ways
+		var r uint32
+		for k := 0; k < c.ways; k, o = k+1, o>>4 {
+			if w := base + int(o&0xf); st.lines[w] != 0 {
+				r++
+				st.lru[w] = r
+			}
+		}
+	}
+	return st
 }
 
 func (c *Cache) restore(st cacheState) {
-	if len(st.lines) != len(c.lines) {
+	if len(st.lines) != len(c.lines) || len(st.lru) != len(c.lines) {
 		panic("cache: restore onto a cache with different geometry")
 	}
 	copy(c.lines, st.lines)
-	c.clock, c.Hits, c.Misses = st.clock, st.hits, st.misses
+	for set := range c.order {
+		base := set * c.ways
+		c.order[set] = recencyOrder(st.lines[base:base+c.ways], st.lru[base:base+c.ways])
+	}
+	c.Hits, c.Misses = st.hits, st.misses
 	c.lastKey = 0 // MRU filter revalidates on the next lookup
+}
+
+// recencyOrder builds a set's order word from its ways' lru values:
+// invalid ways first, then valid ways by ascending lru, ties in way
+// order. A way's position is the number of ways whose sort key is
+// below its own; the way index in the key's low bits makes keys unique.
+func recencyOrder(lines, lru []uint32) uint64 {
+	key := func(w int) uint64 {
+		if lines[w] == 0 {
+			return uint64(w)
+		}
+		return 1<<36 | uint64(lru[w])<<4 | uint64(w)
+	}
+	var o uint64
+	for w := range lines {
+		pos := 0
+		for v := range lines {
+			if key(v) < key(w) {
+				pos++
+			}
+		}
+		o |= uint64(w) << (4 * pos)
+	}
+	return o
 }
 
 // waiterState identifies one MSHR waiter by (core, ROB slot); restore

@@ -13,38 +13,40 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // packLines encodes a level's lines in way order. An invalid way packs
-// as tag 0, lru 0, clean — what its all-zero word holds.
+// as tag 0, lru 0, clean — what its zero word holds.
 func packLines(st *cacheState) []byte {
 	b := make([]byte, 0, len(st.lines)*3)
 	var tmp [2 * binary.MaxVarintLen64]byte
-	for _, l := range st.lines {
+	for i, l := range st.lines {
 		var f byte
 		var tag uint64
-		if key := l >> keyShift; key != 0 {
+		if key := l >> 1; key != 0 {
 			f |= 1
-			tag = key - 1
+			tag = uint64(key) - 1
 		}
 		if l&dirtyBit != 0 {
 			f |= 2
 		}
 		n := binary.PutUvarint(tmp[:], tag)
-		n += binary.PutUvarint(tmp[n:], l&stampMask>>1)
+		n += binary.PutUvarint(tmp[n:], uint64(st.lru[i]))
 		b = append(append(b, f), tmp[:n]...)
 	}
 	return b
 }
 
-// unpackLines decodes count packed lines into st's way words. A line
-// flagged invalid restores as an empty way whatever else it carries; a
-// valid line's tag and stamp must fit the packed word.
+// unpackLines decodes count packed lines into st's way words and lru
+// values. A line flagged invalid restores as an empty way whatever else
+// it carries; a valid line's tag must fit the packed word and its lru
+// 32 bits.
 func unpackLines(b []byte, count int, st *cacheState) error {
 	if count < 0 {
 		return fmt.Errorf("cache: negative packed line count %d", count)
 	}
-	st.lines = make([]uint64, count)
+	st.lines, st.lru = make([]uint32, count), make([]uint32, count)
 	for i := 0; i < count; i++ {
 		if len(b) == 0 {
 			return fmt.Errorf("cache: packed line blob ends at line %d of %d", i, count)
@@ -64,14 +66,14 @@ func unpackLines(b []byte, count int, st *cacheState) error {
 		if f&1 == 0 {
 			continue
 		}
-		if tag >= maxKey || lru > maxStamp {
+		if tag >= maxKey || lru > math.MaxUint32 {
 			return fmt.Errorf("cache: line %d (tag %#x, lru %d) does not fit a packed way", i, tag, lru)
 		}
-		l := (tag+1)<<keyShift | lru<<1
+		l := uint32(tag+1) << 1
 		if f&2 != 0 {
 			l |= dirtyBit
 		}
-		st.lines[i] = l
+		st.lines[i], st.lru[i] = l, uint32(lru)
 	}
 	if len(b) != 0 {
 		return fmt.Errorf("cache: %d trailing bytes after %d packed lines", len(b), count)
@@ -83,17 +85,16 @@ func unpackLines(b []byte, count int, st *cacheState) error {
 type cacheWire struct {
 	NLines int
 	Lines  []byte // packLines
-	Clock  uint64
 	Hits   int64
 	Misses int64
 }
 
 func cacheToWire(st *cacheState) cacheWire {
-	return cacheWire{NLines: len(st.lines), Lines: packLines(st), Clock: st.clock, Hits: st.hits, Misses: st.misses}
+	return cacheWire{NLines: len(st.lines), Lines: packLines(st), Hits: st.hits, Misses: st.misses}
 }
 
 func cacheFromWire(w *cacheWire) (cacheState, error) {
-	st := cacheState{clock: w.Clock, hits: w.Hits, misses: w.Misses}
+	st := cacheState{hits: w.Hits, misses: w.Misses}
 	if err := unpackLines(w.Lines, w.NLines, &st); err != nil {
 		return cacheState{}, err
 	}

@@ -403,9 +403,10 @@ func (m *Mem) CanIssue(cmd Command, a Addr, now int64, internal bool) bool {
 		if now < rk.RefreshUntil {
 			return false
 		}
-		// All banks of the rank must be precharged.
+		// All banks of the rank must be precharged, each for at least
+		// tRP (a PRE pushes its bank's NextACT to tRP after it).
 		for i := range rk.Banks {
-			if rk.Banks[i].Open {
+			if b := &rk.Banks[i]; b.Open || now < b.NextACT {
 				return false
 			}
 		}
@@ -461,9 +462,10 @@ func (m *Mem) canIssueRef(cmd Command, a Addr, now int64, internal bool) bool {
 		return m.channelColOK(ch, cmd, a, now)
 
 	case CmdREF:
-		// All banks of the rank must be precharged.
+		// All banks of the rank must be precharged, each for at least
+		// tRP.
 		for i := range rk.Banks {
-			if rk.Banks[i].Open {
+			if rk.Banks[i].Open || now < rk.Banks[i].NextACT {
 				return false
 			}
 		}
@@ -558,12 +560,14 @@ func (m *Mem) NextIssue(cmd Command, a Addr, now int64, internal bool) int64 {
 		return max(now, ready)
 
 	case CmdREF:
+		ready := max(now, rk.RefreshUntil, rk.NextACT)
 		for i := range rk.Banks {
 			if rk.Banks[i].Open {
 				return now
 			}
+			ready = max(ready, rk.Banks[i].NextACT)
 		}
-		return max(now, rk.RefreshUntil, rk.NextACT)
+		return ready
 	}
 	return now
 }

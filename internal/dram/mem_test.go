@@ -281,6 +281,31 @@ func TestRefresh(t *testing.T) {
 	}
 }
 
+// TestRefreshWaitsForPrecharge: REF needs every bank precharged for
+// tRP. After ACT at 0 and PRE at tRAS, the cached check, its oracle and
+// NextIssue all hold REF until PRE+tRP.
+func TestRefreshWaitsForPrecharge(t *testing.T) {
+	tm := DDR42400()
+	tm.REFI, tm.RFC = 9360, 420
+	m := New(DefaultGeometry(), tm)
+	a := Addr{BankGroup: 1, Bank: 2, Row: 5}
+	m.Issue(CmdACT, a, 0, false)
+	pre := int64(tm.RAS)
+	m.Issue(CmdPRE, a, pre, false)
+	ready := pre + int64(tm.RP)
+	for now := pre + 1; now < ready; now++ {
+		if m.CanIssue(CmdREF, a, now, false) || m.canIssueRef(CmdREF, a, now, false) {
+			t.Fatalf("REF allowed at cycle %d, %d cycles after PRE (tRP %d)", now, now-pre, tm.RP)
+		}
+	}
+	if !m.CanIssue(CmdREF, a, ready, false) || !m.canIssueRef(CmdREF, a, ready, false) {
+		t.Errorf("REF refused at PRE+tRP (cycle %d)", ready)
+	}
+	if got := m.NextIssue(CmdREF, a, pre+1, false); got != ready {
+		t.Errorf("NextIssue(REF) = %d, want PRE+tRP = %d", got, ready)
+	}
+}
+
 func TestIssueIllegalPanics(t *testing.T) {
 	m := testMem(t)
 	defer func() {

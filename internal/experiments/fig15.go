@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"chopim/internal/apps"
@@ -219,25 +220,49 @@ func fig15bRows(opt Options) ([]Fig15bRow, error) {
 		outers = 10
 		ndaCounts = []int{4, 8}
 	}
-	ds := svrg.Synthetic(scale.N, scale.D, scale.K, fig15DataSeed)
-	optimum := svrgOptimum(ds, scale)
-
-	// Host-only reference runs. The convergence threshold is adaptive:
-	// 1.5x the best final loss gap any host-only run achieves, so every
-	// configuration's time-to-reach is well defined at any study scale
-	// (the paper uses a fixed 1e-13 on its much longer runs).
+	// timing0 is the 2-rank calibration; other rank counts measure their own.
 	timing0, err := CalibrateTiming(scale, 2, opt)
 	if err != nil {
 		return nil, err
 	}
+	calibrate := func(ndas int) (svrg.Timing, error) {
+		if ndas/2 == 2 {
+			return timing0, nil
+		}
+		return CalibrateTiming(scale, ndas/2, opt)
+	}
+	return fig15bScaling(opt, scale, outers, ndaCounts, timing0, calibrate)
+}
+
+// fig15bScaling computes Fig 15b's rows once the timings are known:
+// timing0 stamps the host-only reference, and each NDA count's row
+// stamps its runs with calibrate(ndas).
+func fig15bScaling(opt Options, scale SVRGScale, outers int, ndaCounts []int, timing0 svrg.Timing,
+	calibrate func(ndas int) (svrg.Timing, error)) ([]Fig15bRow, error) {
+	ds := svrg.Synthetic(scale.N, scale.D, scale.K, fig15DataSeed)
+
+	// The optimum and the host-only reference runs are independent, so
+	// they share one sharded call: shard 0, the longest, is the optimum,
+	// and shard i>0 trains epochs[i-1]. The convergence threshold is
+	// adaptive: 1.5x the best final loss gap any host-only run achieves,
+	// so every configuration's time-to-reach is well defined at any
+	// study scale (the paper uses a fixed 1e-13 on its much longer runs).
 	epochs := []int{scale.N, scale.N / 2, scale.N / 4}
-	hoLosses := make([][]float64, len(epochs))
+	ref, err := sharded(opt, 1+len(epochs), func(i int) ([]float64, error) {
+		if i == 0 {
+			return []float64{svrgOptimum(ds, scale)}, nil
+		}
+		return svrg.Train(ds, scale.Lambda, svrg.TrainConfig{
+			Epoch: epochs[i-1], LR: 0.05, Momentum: 0.9, Outers: outers, Seed: 99,
+		}), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	optimum, hoLosses := ref[0][0], ref[1:]
 	bestFinalGap := math.Inf(1)
-	for i, e := range epochs {
-		hoLosses[i] = svrg.Train(ds, scale.Lambda, svrg.TrainConfig{
-			Epoch: e, LR: 0.05, Momentum: 0.9, Outers: outers, Seed: 99,
-		})
-		if gap := hoLosses[i][len(hoLosses[i])-1] - optimum; gap < bestFinalGap {
+	for _, l := range hoLosses {
+		if gap := l[len(l)-1] - optimum; gap < bestFinalGap {
 			bestFinalGap = gap
 		}
 	}
@@ -262,15 +287,13 @@ func fig15bRows(opt Options) ([]Fig15bRow, error) {
 	}
 
 	// The delayed-update runs are read only up to their first point
-	// under eps, so they stop there.
+	// under eps, so they stop there. More NDAs run more (shorter) outer
+	// iterations, each with a full gradient, so the largest count takes
+	// longest: shards run the counts in reverse.
 	reached := func(loss float64) bool { return svrg.Reached(loss, optimum, eps) }
-	return sharded(opt, len(ndaCounts), func(i int) (Fig15bRow, error) {
-		ndas := ndaCounts[i]
-		// timing0 is the 2-rank calibration; other rank counts measure their own.
-		timing, err := timing0, error(nil)
-		if ndas/2 != 2 {
-			timing, err = CalibrateTiming(scale, ndas/2, opt)
-		}
+	rows, err := sharded(opt, len(ndaCounts), func(i int) (Fig15bRow, error) {
+		ndas := ndaCounts[len(ndaCounts)-1-i]
+		timing, err := calibrate(ndas)
 		if err != nil {
 			return Fig15bRow{}, err
 		}
@@ -307,4 +330,6 @@ func fig15bRows(opt Options) ([]Fig15bRow, error) {
 		}
 		return row, nil
 	})
+	slices.Reverse(rows)
+	return rows, err
 }

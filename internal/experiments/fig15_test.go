@@ -93,3 +93,39 @@ func TestFig15QuickPinned(t *testing.T) {
 		t.Errorf("quick fig15b hash %s, pinned %s", got, want15b)
 	}
 }
+
+// TestFig15bRowsUseOwnTiming gives each NDA count its own svrg.Timing
+// and checks that each Fig 15b row is stamped with its own: the rows
+// differ, and swapping the two counts' timings swaps the rows. At the
+// quick scale the 2- and 4-rank calibrations are bit-identical, so
+// TestFig15QuickPinned alone cannot see a row stamped with another
+// count's timing.
+func TestFig15bRowsUseOwnTiming(t *testing.T) {
+	scale := quickSVRGScale()
+	base := svrg.Timing{SummarizeNDA: 3.1e-4, SummarizeHost: 1.7e-3, InnerIter: 1.3e-6, Exchange: 2.9e-6}
+	fast := base
+	fast.SummarizeNDA, fast.Exchange = 1.6e-4, 1.9e-6
+	rows := func(t4, t8 svrg.Timing) []Fig15bRow {
+		t.Helper()
+		own := map[int]svrg.Timing{4: t4, 8: t8}
+		r, err := fig15bScaling(QuickOptions(), scale, 10, []int{4, 8}, base, func(ndas int) (svrg.Timing, error) {
+			return own[ndas], nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	got, swapped := rows(base, fast), rows(fast, base)
+	if got[0].NDAs != 4 || got[1].NDAs != 8 {
+		t.Fatalf("rows for %d and %d NDAs, want 4 and 8", got[0].NDAs, got[1].NDAs)
+	}
+	if got[0].SpeedupACCBest == got[1].SpeedupACCBest || got[0].SpeedupDelayed == got[1].SpeedupDelayed {
+		t.Errorf("distinct timings gave equal speedups: %+v", got)
+	}
+	for i, j := range []int{1, 0} {
+		if g, s := got[i], swapped[j]; g.SpeedupACCBest != s.SpeedupACCBest || g.SpeedupDelayed != s.SpeedupDelayed {
+			t.Errorf("row %d under its timing %+v, the other count's row under the same timing %+v", i, g, s)
+		}
+	}
+}

@@ -28,18 +28,18 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		hier, all string
 		n         int
 	}{
-		"host-only": {"e761cdf1dccd10684634e09638b3855a24fbd2fc81e49abd730fda89e19e5f8d",
-			"14a597afeda66216edf946fb1294db71c795ec5e7941aa2a80e87429cf01c640", 796307},
-		"host-stall-heavy": {"1db9f8ad4e5b268d16db8ceb55d6bffe916b014b0066966b6387c21d14749b07",
-			"0cb9978f59b02e727870482793603468950e3204ec4fb8cba9eb92b5ace9b662", 689919},
+		"host-only": {"9e6ca874e7d8691f8fcb05bdb21259541ea426c2a512fbd26fb0a6dff09e278c",
+			"3130cada6395ad45d36e27bc9995c43b0cadc403340323d943815f105f907fa3", 778232},
+		"host-stall-heavy": {"9faf485b94ad60bd6566841a1d03ff7cbb61be60c2896d13ac5020f9650bc329",
+			"4cb9b3b5b452cdec15a6b692c05c09ee7cd94a70b40cd88b0d303efba517b7a9", 672905},
 		"nda-only-nrm2": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 			"371200f2f28fc8729eb4261457faf8307d1f3aadf9ba0b747e0e6ca4f2df84a6", 9785},
 		"nda-only-copy-stochastic": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 			"74c41769a4ff65a3f38d3a96b7899ddcc976690be7a10f4146fe925fda07aa4e", 14236},
-		"mixed-mix1-dot": {"77179565b2c6a544792bddaf56155a081c5f109ddd8bcb26e96389bb84f8b559",
-			"6a6e54dc182964419f2cd7fac7cb76b8a431697c24ab07528d12727d42cf7c4b", 709785},
-		"mixed-mix3-copy-shared": {"dc47c119c95a62051b1b0664d2fc6031d1e75ddcfe7789fd51aba884181af833",
-			"8613a51e16bc9304bbe9f872bcd5c88afe841dbf5ecfb29be3757611e96480b4", 734822},
+		"mixed-mix1-dot": {"3528493e42cc923f3ad399c02707958cb51ccb05627ef03a40c94dc46147f3f6",
+			"95396db0111b69a94d3015f5abfc34feb158f52de9b64deb27c7438b29ba4c85", 693139},
+		"mixed-mix3-copy-shared": {"b368b0342019efd7ada443482811d22480b4655e1caf261724323926a080fc8d",
+			"71d84cba2591b5d50ce947c00d586ac0f9e5e0a725fba150dc9acba32c59464f", 718836},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

@@ -190,15 +190,15 @@ func TestAsyncMacroOp(t *testing.T) {
 }
 
 // TestNewRejectsUnkeyableGeometry: the cache levels pack a block's tag
-// into a 32-bit key, so a memory whose largest block has no key is
+// into a 31-bit key, so a memory whose largest block has no key is
 // refused by New with an error, never simulated with aliasing tags.
-// 8 channels of 8 ranks of 2^32 blocks is one block range past the L1's
+// 8 channels of 8 ranks of 2^31 blocks is one block range past the L1's
 // keys; 4 ranks per channel fits.
 func TestNewRejectsUnkeyableGeometry(t *testing.T) {
 	cfg := Default(0)
 	cfg.Geom.Channels, cfg.Geom.Ranks = 8, 8
-	cfg.Geom.Rows = 1 << 32 / (cfg.Geom.BanksPerRank() * cfg.Geom.Cols)
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "32-bit key") {
+	cfg.Geom.Rows = 1 << 31 / (cfg.Geom.BanksPerRank() * cfg.Geom.Cols)
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "31-bit key") {
 		t.Fatalf("New on a %d-byte memory = %v, want a key-range error", cfg.Geom.Capacity(), err)
 	}
 	hcfg := cache.DefaultHierarchyConfig(1)

@@ -86,8 +86,9 @@ func TestStateFieldCoverage(t *testing.T) {
 				"stalls": rearmed, "llcVer": rearmed,
 			}},
 		{live: reflect.TypeOf(cache.Cache{}), state: fieldType(t, hierSt, "LLC"),
+			carriedBy: map[string]string{"order": "lru"}, // each way's rank within its set
 			skip: map[string]notCarried{
-				"cfg": config, "nsets": config, "smask": config, "shift": config, "ways": config, "limit": config,
+				"cfg": config, "nsets": config, "smask": config, "shift": config, "ways": config, "top": config,
 				"lastBlock": schedMem, "lastKey": schedMem, "lastWay": schedMem,
 			}},
 		{live: fieldType(t, hier, "prefetch").Elem()},

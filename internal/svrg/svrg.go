@@ -232,9 +232,8 @@ func Train(ds *Dataset, lambda float64, cfg TrainConfig) []float64 {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	dk := ds.D * ds.K
 
-	snap := m.Clone()          // s: snapshot the correction is computed at
-	g := snap.FullGradient(ds) // g: correction term for snap
-	prevSnap, prevG := snap, g // delayed update: one outer iteration behind
+	var snap, prevSnap *Model  // s: snapshot the correction is computed at
+	var g, prevG []float64     // g: correction term for snap
 	vel := make([]float64, dk) // momentum buffer
 
 	z := make([]float64, ds.K)
@@ -246,8 +245,15 @@ func Train(ds *Dataset, lambda float64, cfg TrainConfig) []float64 {
 		if cfg.Stop != nil && cfg.Stop(losses[len(losses)-1]) {
 			break
 		}
+		// Outer boundary: take a new snapshot and its correction term,
+		// only once another outer iteration will read them. Delayed
+		// update corrects with the previous one (the first iteration
+		// has none, so it uses its own).
+		prevSnap, prevG = snap, g
+		snap = m.Clone()
+		g = snap.FullGradient(ds)
 		useSnap, useG := snap, g
-		if cfg.Delayed {
+		if cfg.Delayed && outer > 0 {
 			useSnap, useG = prevSnap, prevG
 		}
 		for it := 0; it < cfg.Epoch; it++ {
@@ -260,13 +266,6 @@ func Train(ds *Dataset, lambda float64, cfg TrainConfig) []float64 {
 				m.W[j] += vel[j]
 			}
 		}
-
-		// Outer boundary: take a new snapshot and its correction term.
-		if cfg.Delayed {
-			prevSnap, prevG = snap, g
-		}
-		snap = m.Clone()
-		g = snap.FullGradient(ds)
 		losses = append(losses, m.Loss(ds))
 	}
 	return losses
