@@ -214,36 +214,37 @@ func run() (code int) {
 		"ablate": runAblate,
 	}
 	name := flag.Arg(0)
+	names := []string{name}
 	if name == "all" {
-		for _, n := range []string{"config", "fig2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15a", "fig15b", "power"} {
-			fmt.Printf("\n===== %s =====\n", n)
-			if err := cmds[n](opt); err != nil {
-				fmt.Fprintf(os.Stderr, "chopim %s: %v\n", n, err)
-				if errors.Is(err, experiments.ErrSweepCanceled) {
-					return 130
-				}
-				return 1
-			}
-		}
-		st := experiments.ReadRunnerStats()
-		fmt.Printf("\nrunner: %d points (%d failed), %s simulation time across <=%d workers\n",
-			st.Jobs, st.Errors, st.BusyTime.Round(time.Millisecond), st.MaxShards)
-		return 0
-	}
-	cmd, ok := cmds[name]
-	if !ok {
+		names = []string{"config", "fig2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15a", "fig15b", "power"}
+	} else if cmds[name] == nil {
 		flag.Usage()
 		return 2
 	}
-	if err := cmd(opt); err != nil {
-		fmt.Fprintf(os.Stderr, "chopim %s: %v\n", name, err)
-		if errors.Is(err, experiments.ErrSweepCanceled) {
-			return 130
+	for _, n := range names {
+		if interrupted.Load() {
+			// A drained interrupt admits no further experiment: not
+			// even one whose rows would replay from the cache.
+			break
 		}
-		return 1
+		if name == "all" {
+			fmt.Printf("\n===== %s =====\n", n)
+		}
+		if err := cmds[n](opt); err != nil {
+			fmt.Fprintf(os.Stderr, "chopim %s: %v\n", n, err)
+			if errors.Is(err, experiments.ErrSweepCanceled) {
+				return 130
+			}
+			return 1
+		}
+	}
+	if name == "all" {
+		st := experiments.ReadRunnerStats()
+		fmt.Printf("\nrunner: %d points (%d failed), %s simulation time across <=%d workers\n",
+			st.Jobs, st.Errors, st.BusyTime.Round(time.Millisecond), st.MaxShards)
 	}
 	if interrupted.Load() {
-		// The signal landed after the last point finished: the tables
+		// The signal may land after the last point finished: the tables
 		// above are complete, but a cancel-requested run still reports
 		// the conventional interrupted exit status.
 		return 130

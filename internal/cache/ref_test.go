@@ -1,11 +1,11 @@
 package cache
 
 import (
-	"bytes"
-	"encoding/binary"
+	"encoding/json"
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -170,27 +170,6 @@ func (c *refCache) Invalidate(block uint64) (wasDirty bool) {
 	return false
 }
 
-// refPackLines is the checkpoint line packer over the reference layout:
-// flags(1) uvarint(tag) uvarint(lru) per line, as the wire format
-// defines it.
-func refPackLines(lines []refLine) []byte {
-	var b []byte
-	var tmp [2 * binary.MaxVarintLen64]byte
-	for _, ln := range lines {
-		var f byte
-		if ln.valid {
-			f |= 1
-		}
-		if ln.dirty {
-			f |= 2
-		}
-		n := binary.PutUvarint(tmp[:], ln.tag)
-		n += binary.PutUvarint(tmp[n:], ln.lru)
-		b = append(append(b, f), tmp[:n]...)
-	}
-	return b
-}
-
 // recency returns the set's valid ways, least recently touched first.
 func (c *refCache) recency(set int) []int {
 	ways := c.set(set)
@@ -202,19 +181,6 @@ func (c *refCache) recency(set int) []int {
 	}
 	sort.Slice(ws, func(a, b int) bool { return ways[ws[a]].lru < ways[ws[b]].lru })
 	return ws
-}
-
-// rankedLines returns the reference lines with each valid line's lru
-// replaced by its rank within its set (1 for the least recently
-// touched), the form Cache checkpoints write.
-func (c *refCache) rankedLines() []refLine {
-	out := append([]refLine(nil), c.lines...)
-	for set := 0; set < int(c.nsets); set++ {
-		for r, w := range c.recency(set) {
-			out[set*c.ways+w].lru = uint64(r + 1)
-		}
-	}
-	return out
 }
 
 // recency returns the set's valid ways, least recently touched first,
@@ -250,12 +216,9 @@ func (c *Cache) recency(t *testing.T, set int) []int {
 // counter must agree at every step, and so must the contents and the
 // recency order of the set each operation addressed (no operation
 // reaches another set). At checkpoints along the way every set is
-// compared, with ValidLines and the checkpoint line encoding (the
-// reference's stamps ranked within each set). The stream continues
-// across a mid-stream snapshot/restore, a wire round trip, and a
-// restore from the reference's lines packed with their global stamps,
-// the encoding older checkpoints wrote: the decoded order, and every
-// victim after it, must match.
+// compared, with ValidLines. The stream continues across a mid-stream
+// snapshot/restore and a JSON round trip of the level's state, which
+// must restore its way and order words bit for bit.
 func TestPackedCacheMatchesReference(t *testing.T) {
 	h := DefaultHierarchyConfig(1)
 	for _, tc := range []struct {
@@ -298,20 +261,6 @@ func TestPackedCacheMatchesReference(t *testing.T) {
 				for set := 0; set < int(sets); set++ {
 					checkSet(op, set)
 				}
-				st := c.snapshot()
-				if !bytes.Equal(packLines(&st), refPackLines(r.rankedLines())) {
-					t.Fatalf("op %d: checkpoint line encoding differs from the reference's ranked lines", op)
-				}
-			}
-			// restoreWire continues the stream on a copy decoded from w.
-			restoreWire := func(w cacheWire) {
-				t.Helper()
-				dec, err := cacheFromWire(&w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c = New(tc.cfg)
-				c.restore(dec)
 			}
 			for op := 0; op < ops; op++ {
 				b := draw()
@@ -351,16 +300,24 @@ func TestPackedCacheMatchesReference(t *testing.T) {
 					c2.restore(c.snapshot())
 					c = c2
 				case ops / 2:
-					// Continue on a copy decoded from the wire format.
+					// Continue on a copy decoded from JSON: every way
+					// and order word, invalid ways' included, must
+					// come back as it was.
 					check(op)
-					st := c.snapshot()
-					restoreWire(cacheToWire(&st))
-				case 3 * ops / 4:
-					// Continue on a copy decoded from the reference's
-					// lines packed with their global stamps.
-					check(op)
-					restoreWire(cacheWire{NLines: len(r.lines), Lines: refPackLines(r.lines), Hits: r.Hits, Misses: r.Misses})
-					check(op)
+					b, err := json.Marshal(c.snapshot())
+					if err != nil {
+						t.Fatal(err)
+					}
+					var dec cacheState
+					if err := json.Unmarshal(b, &dec); err != nil {
+						t.Fatal(err)
+					}
+					c2 := New(tc.cfg)
+					c2.restore(dec)
+					if !slices.Equal(c2.lines, c.lines) || !slices.Equal(c2.order, c.order) {
+						t.Fatalf("op %d: JSON round trip changed the way or order words", op)
+					}
+					c = c2
 				}
 			}
 			check(ops)

@@ -1,76 +1,34 @@
 package cache
 
 // cacheState is a deep copy of one level's mutable state: the packed
-// way words (see Cache) and, per way, its recency rank within its set.
-// A valid way's lru is 1 for the set's least recently touched valid way
-// and counts up; an invalid way's is 0. restore reads only the order of
-// the lru values within a set, so a decoded checkpoint may carry any
-// values in that order (older encodings stored global last-touch
-// stamps). The MRU filter is not captured: it is a pure acceleration
-// of the way scan (the filtered path performs identical state updates),
-// so restore simply empties it.
+// way words and the per-set recency words, verbatim (see Cache), and
+// the counters. The MRU filter is not captured: it is a pure
+// acceleration of the way scan (the filtered path performs identical
+// state updates), so restore simply empties it.
 type cacheState struct {
-	lines  []uint32
-	lru    []uint32
-	hits   int64
-	misses int64
+	Lines  []uint32
+	Order  []uint64
+	Hits   int64
+	Misses int64
 }
 
 func (c *Cache) snapshot() cacheState {
-	st := cacheState{
-		lines:  append([]uint32(nil), c.lines...),
-		lru:    make([]uint32, len(c.lines)),
-		hits:   c.Hits,
-		misses: c.Misses,
+	return cacheState{
+		Lines:  append([]uint32(nil), c.lines...),
+		Order:  append([]uint64(nil), c.order...),
+		Hits:   c.Hits,
+		Misses: c.Misses,
 	}
-	for set, o := range c.order {
-		base := set * c.ways
-		var r uint32
-		for k := 0; k < c.ways; k, o = k+1, o>>4 {
-			if w := base + int(o&0xf); st.lines[w] != 0 {
-				r++
-				st.lru[w] = r
-			}
-		}
-	}
-	return st
 }
 
 func (c *Cache) restore(st cacheState) {
-	if len(st.lines) != len(c.lines) || len(st.lru) != len(c.lines) {
+	if len(st.Lines) != len(c.lines) || len(st.Order) != len(c.order) {
 		panic("cache: restore onto a cache with different geometry")
 	}
-	copy(c.lines, st.lines)
-	for set := range c.order {
-		base := set * c.ways
-		c.order[set] = recencyOrder(st.lines[base:base+c.ways], st.lru[base:base+c.ways])
-	}
-	c.Hits, c.Misses = st.hits, st.misses
+	copy(c.lines, st.Lines)
+	copy(c.order, st.Order)
+	c.Hits, c.Misses = st.Hits, st.Misses
 	c.lastKey = 0 // MRU filter revalidates on the next lookup
-}
-
-// recencyOrder builds a set's order word from its ways' lru values:
-// invalid ways first, then valid ways by ascending lru, ties in way
-// order. A way's position is the number of ways whose sort key is
-// below its own; the way index in the key's low bits makes keys unique.
-func recencyOrder(lines, lru []uint32) uint64 {
-	key := func(w int) uint64 {
-		if lines[w] == 0 {
-			return uint64(w)
-		}
-		return 1<<36 | uint64(lru[w])<<4 | uint64(w)
-	}
-	var o uint64
-	for w := range lines {
-		pos := 0
-		for v := range lines {
-			if key(v) < key(w) {
-				pos++
-			}
-		}
-		o |= uint64(w) << (4 * pos)
-	}
-	return o
 }
 
 // waiterState identifies one MSHR waiter by (core, ROB slot); restore
@@ -99,11 +57,10 @@ type mshrState struct {
 // nodes whose closures are equivalent, and controller-queue restore
 // reattaches reads to them through FillFor; an MSHR waiter's durable
 // name is its (core, ROB slot). The exported fields are also the
-// durable checkpoint encoding, except that the cache levels pack into
-// varint line blobs (see MarshalJSON).
+// durable checkpoint encoding.
 type HierarchyState struct {
-	L1, L2     []cacheState `json:"-"` // packed by MarshalJSON
-	LLC        cacheState   `json:"-"`
+	L1, L2     []cacheState
+	LLC        cacheState
 	MSHRs      []mshrState
 	L1Pending  []int
 	Prefetch   []strideState

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -210,7 +211,7 @@ func hierBytes(t *testing.T, h *cache.Hierarchy) []byte {
 			st.MSHRs[i].Waiters[j].Slot = 0
 		}
 	}
-	b, err := st.MarshalJSON()
+	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func hierBytes(t *testing.T, h *cache.Hierarchy) []byte {
 // that the stalled retry stalls again, the LLC counters, and every
 // memory request in order.
 // Every 256 cycles and at the end they must also agree on the whole
-// hierarchy state: every level's lines, recency stamps and hit/miss
+// hierarchy state: every level's lines, recency order and hit/miss
 // counters, which record the order of the accesses themselves.
 func RunLockstep(t *testing.T, mk func() TraceSource, cycles int64, seed int64) {
 	t.Helper()

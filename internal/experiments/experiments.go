@@ -144,7 +144,7 @@ func (o Options) hostOnly(cfg sim.Config) (out hostOnlyOutcome, err error) {
 	out.End, out.Counts, out.PEs = s.Now(), s.Mem.Counts(), s.RT.NDACount()
 	for _, c := range s.MCs {
 		for i := range c.IdleHists {
-			for b, v := range c.IdleHists[i].Cycles() {
+			for b, v := range c.IdleHists[i].Cycles {
 				out.Idle[b] += v
 			}
 		}

@@ -115,16 +115,10 @@ type Runtime struct {
 	pendingLaunches map[uint64]*launchRec
 	launchID        uint64
 
-	// handleMap, populated by Restore, maps pre-snapshot handles to
-	// their rebuilt counterparts (see RestoredHandle).
-	handleMap map[*Handle]*Handle
-
-	// restored, also populated by Restore, holds the rebuilt handles in
-	// encoder-table order. It is the cross-process counterpart of
-	// handleMap: a driver that recorded a handle's table index at
-	// snapshot time (SnapEncoder.RegisterHandle) recovers the handle in
-	// a fresh process through RestoredHandleAt, where pointer identity
-	// cannot survive.
+	// restored, populated by Restore, holds the rebuilt handles in
+	// encoder-table order: a driver that recorded a handle's table index
+	// at snapshot time (SnapEncoder.RegisterHandle) recovers the handle
+	// through RestoredHandleAt.
 	restored []*Handle
 }
 

@@ -67,8 +67,8 @@ func (e *SnapEncoder) vec(v *Vector) int {
 // RegisterHandle adds a handle (and its children) to the encoder's
 // table and returns its stable index. Drivers call it for root join
 // handles they hold across a checkpoint: a root may not be reachable
-// from any in-flight op's blueprint walk, and the returned index is the
-// durable name that survives a process boundary (RestoredHandleAt).
+// from any in-flight op's blueprint walk, and the returned index is its
+// name in the restored runtime (RestoredHandleAt).
 // Register roots before Snapshot finalizes the tables.
 func (e *SnapEncoder) RegisterHandle(h *Handle) int { return e.handle(h) }
 
@@ -123,21 +123,18 @@ type launchState struct {
 // Vectors, handles, and blueprints are serialized as index tables; live
 // ops and queued launch packets reference into them. The tables carry
 // no pointers, so the exported fields are also the durable checkpoint
-// encoding. The one in-memory-only field is oldHandles: pre-snapshot
-// pointer identities cannot cross a process boundary, so a decoded
-// state has none, and code in a fresh process recovers handles by
-// table index (RestoredHandleAt) instead.
+// encoding, and a driver recovers a handle by its table index
+// (RestoredHandleAt).
 type RuntimeState struct {
-	Vecs       []vecState
-	Handles    []handleState
-	oldHandles []*Handle `json:"-"` // encoder order; keys for RestoredHandle
-	BPs        []bpState
-	Launches   []launchState
-	LaunchID   uint64
-	Color      osmem.Color
-	ColorSet   bool
-	Copies     int64
-	NLaunches  int64
+	Vecs      []vecState
+	Handles   []handleState
+	BPs       []bpState
+	Launches  []launchState
+	LaunchID  uint64
+	Color     osmem.Color
+	ColorSet  bool
+	Copies    int64
+	NLaunches int64
 }
 
 // Snapshot finalizes the encoder (whose EncodeTag the engine snapshot
@@ -179,7 +176,6 @@ func (rt *Runtime) Snapshot(enc *SnapEncoder) (*RuntimeState, error) {
 		}
 		st.Handles = append(st.Handles, hs)
 	}
-	st.oldHandles = append([]*Handle(nil), enc.hs...)
 	for _, bp := range enc.bps {
 		bs := bpState{
 			Kind: bp.kind, Write: -1, Ch: bp.ch, R: bp.r,
@@ -221,12 +217,6 @@ func (rt *Runtime) Restore(st *RuntimeState) func(tag int) *nda.Op {
 			hs[i].children = append(hs[i].children, hs[c])
 		}
 	}
-	// Only an in-memory snapshot knows the old pointers; a decoded one
-	// leaves the map empty.
-	rt.handleMap = make(map[*Handle]*Handle, len(st.oldHandles))
-	for i, old := range st.oldHandles {
-		rt.handleMap[old] = hs[i]
-	}
 	bps := make([]*opBP, len(st.BPs))
 	for i := range st.BPs {
 		bs := &st.BPs[i]
@@ -258,37 +248,11 @@ func (rt *Runtime) Restore(st *RuntimeState) func(tag int) *nda.Op {
 }
 
 // RestoredHandleAt returns the rebuilt handle at encoder-table index i
-// after a Restore, or nil when out of range. It is the cross-process
-// form of RestoredHandle for roots registered with RegisterHandle.
+// after a Restore, or nil when out of range. Roots registered with
+// RegisterHandle are recovered this way.
 func (rt *Runtime) RestoredHandleAt(i int) *Handle {
 	if i < 0 || i >= len(rt.restored) {
 		return nil
 	}
 	return rt.restored[i]
-}
-
-// RestoredHandle maps a handle obtained before a snapshot to its
-// counterpart in this restored runtime. A handle that had no in-flight
-// work at snapshot time has no counterpart and maps to itself (it was
-// complete and stays so). Join handles map structurally through their
-// children.
-func (rt *Runtime) RestoredHandle(h *Handle) *Handle {
-	if nh, ok := rt.handleMap[h]; ok {
-		return nh
-	}
-	if len(h.children) == 0 {
-		return h
-	}
-	mapped := make([]*Handle, len(h.children))
-	changed := false
-	for i, c := range h.children {
-		mapped[i] = rt.RestoredHandle(c)
-		if mapped[i] != c {
-			changed = true
-		}
-	}
-	if !changed {
-		return h
-	}
-	return &Handle{pending: h.pending, doneAt: h.doneAt, children: mapped}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -85,9 +86,7 @@ func (a *ckApp) launch(s *System) (*ndart.Handle, error) {
 }
 
 // ckDriver relaunches the workload whenever its handle completes,
-// exactly as the experiment harness does. fork maps the in-flight
-// handle into a restored system so the fork's relaunch decisions match
-// the original's cycle for cycle.
+// exactly as the experiment harness does.
 type ckDriver struct {
 	app *ckApp
 	h   *ndart.Handle
@@ -107,10 +106,31 @@ func (d *ckDriver) relaunch(t *testing.T, s *System) {
 	}
 }
 
-func (d *ckDriver) fork(s *System) *ckDriver {
-	nd := &ckDriver{app: d.app}
+// cut snapshots s with the driver's in-flight handle, if any, as a
+// root, and returns the checkpoint and the root's table index.
+func (d *ckDriver) cut(t *testing.T, s *System) (*Checkpoint, []int) {
+	t.Helper()
+	var roots []*ndart.Handle
 	if d.h != nil {
-		nd.h = s.RT.RestoredHandle(d.h)
+		roots = append(roots, d.h)
+	}
+	ck, idx, err := s.SnapshotWithRoots(roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck, idx
+}
+
+// resumed returns the driver of s, restored from a cut with root index
+// idx: it holds the rebuilt handle, so its relaunch decisions match
+// the original's cycle for cycle.
+func (d *ckDriver) resumed(t *testing.T, s *System, idx []int) *ckDriver {
+	t.Helper()
+	nd := &ckDriver{app: d.app}
+	if len(idx) == 1 {
+		if nd.h = s.RT.RestoredHandleAt(idx[0]); nd.h == nil {
+			t.Fatal("root handle index did not survive the restore")
+		}
 	}
 	return nd
 }
@@ -132,7 +152,10 @@ func ckAdvance(t *testing.T, s *System, d *ckDriver, end int64, fast bool) {
 // snapshotted mid-run and restored into a fresh instance continues
 // bit-identically to the original, on the reference path and on the
 // fast path — with NDA ops in flight,
-// launch packets queued, and misses outstanding at the cut.
+// launch packets queued, and misses outstanding at the cut. The
+// restored system must also snapshot to the same bytes as the cut, so
+// restore drops no carried state (such as a cache set's recency order)
+// that the continuation might not reach.
 func TestSnapshotRestoreContinue(t *testing.T) {
 	const n1, n2 = 12_000, 10_000
 	for _, w := range ckWorkloads() {
@@ -148,12 +171,12 @@ func TestSnapshotRestoreContinue(t *testing.T) {
 			drv := &ckDriver{app: app}
 			drv.relaunch(t, a)
 			ckAdvance(t, a, drv, n1, false)
-			ck, err := a.Snapshot()
+			ck, rootIdx := drv.cut(t, a)
+			fpCut := snapshot(a)
+			cutBytes, err := EncodeCheckpoint(a.Cfg, ck)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fpCut := snapshot(a)
-			hCut := drv.h
 
 			// Continue the original on the reference path: the oracle.
 			ckAdvance(t, a, drv, n1+n2, false)
@@ -174,9 +197,12 @@ func TestSnapshotRestoreContinue(t *testing.T) {
 					if got := snapshot(b); got != fpCut {
 						t.Fatalf("restored state differs at the cut:\n orig: %s\n fork: %s", fpCut, got)
 					}
-					bd := &ckDriver{app: app}
-					if hCut != nil {
-						bd.h = b.RT.RestoredHandle(hCut)
+					bd := drv.resumed(t, b, rootIdx)
+					again, _ := bd.cut(t, b)
+					if got, err := EncodeCheckpoint(cfg, again); err != nil {
+						t.Fatal(err)
+					} else if !bytes.Equal(got, cutBytes) {
+						t.Fatal("the restored system snapshots to different bytes than the cut")
 					}
 					ckAdvance(t, b, bd, n1+n2, fast)
 					if got := snapshot(b); got != want {
@@ -225,8 +251,8 @@ func TestSnapshotRestoreRandomized(t *testing.T) {
 
 			type forkPoint struct {
 				ck    *Checkpoint
-				h     *ndart.Handle
-				bound int // index of the boundary the checkpoint was cut at
+				idx   []int // the driver's root handle index
+				bound int   // index of the boundary the checkpoint was cut at
 			}
 			var forks []forkPoint
 			fps := make([]string, len(bounds))
@@ -237,11 +263,8 @@ func TestSnapshotRestoreRandomized(t *testing.T) {
 				}
 				fps[i] = snapshot(a)
 				if i%4 == 1 {
-					ck, err := a.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
-					forks = append(forks, forkPoint{ck: ck, h: drv.h, bound: i})
+					ck, idx := drv.cut(t, a)
+					forks = append(forks, forkPoint{ck: ck, idx: idx, bound: i})
 				}
 			}
 			for _, f := range forks {
@@ -253,10 +276,7 @@ func TestSnapshotRestoreRandomized(t *testing.T) {
 					t.Fatalf("fork at boundary %d differs at the cut:\n orig: %s\n fork: %s",
 						f.bound, fps[f.bound], got)
 				}
-				bd := &ckDriver{app: app}
-				if f.h != nil {
-					bd.h = b.RT.RestoredHandle(f.h)
-				}
+				bd := drv.resumed(t, b, f.idx)
 				last := f.bound + 6
 				if last > len(bounds)-1 {
 					last = len(bounds) - 1

@@ -3,30 +3,19 @@
 // only users are the benchmark's fork check, which measures it
 // (per-layer ckpt.* metrics), and the tests, where a decode followed by
 // Restore proves a Checkpoint carries every field a fresh process
-// would need. The bytes are a versioned binary envelope around
-// a deterministic JSON payload:
+// would need. The bytes are a versioned binary envelope around one
+// JSON payload:
 //
 //	magic "CHOPIMCK" | version u32 LE | config fingerprint (32 B)
 //	| payload length u64 LE | payload | SHA-256 digest (32 B)
 //
-// and the payload itself is two sections:
-//
-//	hierarchy length u64 LE | hierarchy JSON | core JSON
-//
-// The payload is the component snapshot states themselves: each State
-// type's exported fields are its wire form, written by plain
-// encoding/json. They hold the same durable identities — launch tags,
-// ROB slots, blueprint indices, RNG draw counts — the in-memory restore
-// resolves closures from, so a decoded checkpoint feeds the ordinary
-// Restore path unchanged and the reloaded system continues
-// bit-identically. The one codec is the cache hierarchy's
-// (cache.HierarchyState.MarshalJSON), which packs cache lines into
-// varint blobs. Those blobs dominate a checkpoint's bytes, and
-// encoding/json re-compacts every nested MarshalJSON result byte by
-// byte — embedding the hierarchy in the core document would re-scan
-// those megabytes on every encode, multiplying its cost several-fold.
-// Carrying it as its own length-prefixed section avoids that; the
-// digest trailer still covers both sections.
+// The payload is the component snapshot states themselves, written by
+// plain encoding/json: each State type's exported fields are its wire
+// form, with no per-type codec. They hold the same durable identities —
+// launch tags, ROB slots, blueprint indices, RNG draw counts — the
+// in-memory restore resolves closures from, so a decoded checkpoint
+// feeds the ordinary Restore path unchanged and the reloaded system
+// continues bit-identically.
 //
 // The digest trailer covers every preceding byte: truncation or a
 // flipped bit surfaces as ErrCorruptCheckpoint at decode time, never
@@ -43,8 +32,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-
-	"chopim/internal/cache"
 )
 
 // Checkpoint file corruption vs misuse: corruption (truncation, bad
@@ -97,25 +84,16 @@ func EncodeCheckpoint(cfg Config, ck *Checkpoint) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hier []byte
-	if ck.hier != nil {
-		if hier, err = ck.hier.MarshalJSON(); err != nil {
-			return nil, fmt.Errorf("sim: encode checkpoint hierarchy: %w", err)
-		}
-	}
-	core, err := json.Marshal(&ck.st)
+	payload, err := json.Marshal(&ck.st)
 	if err != nil {
 		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
 	}
-	plen := 8 + len(hier) + len(core)
-	b := make([]byte, 0, ckptHeaderLen+plen+sha256.Size)
+	b := make([]byte, 0, ckptHeaderLen+len(payload)+sha256.Size)
 	b = append(b, ckptMagic[:]...)
 	b = binary.LittleEndian.AppendUint32(b, ckptVersion)
 	b = append(b, fp[:]...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(plen))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(hier)))
-	b = append(b, hier...)
-	b = append(b, core...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	b = append(b, payload...)
 	digest := sha256.Sum256(b)
 	b = append(b, digest[:]...)
 	return b, nil
@@ -153,23 +131,8 @@ func DecodeCheckpoint(cfg Config, b []byte) (*Checkpoint, error) {
 	if !bytes.Equal(fp[:], b[12:12+sha256.Size]) {
 		return nil, ErrCheckpointMismatch
 	}
-	payload := b[ckptHeaderLen : len(b)-sha256.Size]
-	if len(payload) < 8 {
-		return nil, fmt.Errorf("%w: payload shorter than its section header", ErrCorruptCheckpoint)
-	}
-	hlen := binary.LittleEndian.Uint64(payload[:8])
-	if hlen > uint64(len(payload)-8) {
-		return nil, fmt.Errorf("%w: hierarchy section length %d exceeds payload", ErrCorruptCheckpoint, hlen)
-	}
-	var hier *cache.HierarchyState
-	if hlen > 0 {
-		hier = new(cache.HierarchyState)
-		if err := hier.UnmarshalJSON(payload[8 : 8+hlen]); err != nil {
-			return nil, fmt.Errorf("%w: hierarchy section: %v", ErrCorruptCheckpoint, err)
-		}
-	}
-	ck := &Checkpoint{hier: hier}
-	if err := json.Unmarshal(payload[8+hlen:], &ck.st); err != nil {
+	ck := new(Checkpoint)
+	if err := json.Unmarshal(body[ckptHeaderLen:], &ck.st); err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrCorruptCheckpoint, err)
 	}
 	if st := &ck.st; st.DRAM == nil || st.OS == nil || st.Eng == nil || st.RT == nil {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-
-	"chopim/internal/ndart"
 )
 
 // TestCheckpointFileRoundTrip proves the checkpoint codec's contract:
@@ -36,14 +34,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 			drv.relaunch(t, a)
 			ckAdvance(t, a, drv, cut, true)
 
-			var roots []*ndart.Handle
-			if drv.h != nil {
-				roots = append(roots, drv.h)
-			}
-			ck, rootIdx, err := a.SnapshotWithRoots(roots)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ck, rootIdx := drv.cut(t, a)
 			if ck.Cycle() != cut {
 				t.Fatalf("checkpoint cycle %d, want %d", ck.Cycle(), cut)
 			}
@@ -87,13 +78,7 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 					if got := snapshot(b); got != fpCut {
 						t.Fatalf("reloaded state differs at the cut:\n orig: %s\n file: %s", fpCut, got)
 					}
-					bd := &ckDriver{app: app}
-					if len(rootIdx) == 1 {
-						bd.h = b.RT.RestoredHandleAt(rootIdx[0])
-						if bd.h == nil {
-							t.Fatal("root handle index did not survive the file round trip")
-						}
-					}
+					bd := drv.resumed(t, b, rootIdx)
 					ckAdvance(t, b, bd, end, fast)
 					if got := snapshot(b); got != want {
 						t.Fatalf("reloaded fork diverged after continue:\n orig: %s\n file: %s", want, got)

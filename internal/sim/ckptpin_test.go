@@ -3,19 +3,15 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"testing"
-
-	"chopim/internal/ndart"
 )
 
-// TestCheckpointBytesPinned pins the checkpoint encoding of
-// every checkpoint workload cut at a fixed cycle: the envelope length,
-// the cache-hierarchy section byte for byte, and the whole envelope.
-// The DRAM section leaves out the per-bank horizon memo (HzStamp,
-// Ready*), which records which banks the schedulers last asked about,
-// and the controllers leave out their wake memo and the ver counter
+// TestCheckpointBytesPinned pins the checkpoint encoding of every
+// checkpoint workload cut at a fixed cycle: the envelope length and the
+// whole envelope byte for byte. The DRAM state leaves out the per-bank
+// horizon memo (HzStamp, Ready*), which records which banks the
+// schedulers last asked about, and the controllers leave out their wake memo and the ver counter
 // that keys it, so a scheduler change that keeps every decision leaves
 // all three values alone. The pins catch an encoding change nobody
 // meant; no encoded checkpoint outlives its process, so a deliberate
@@ -25,21 +21,15 @@ import (
 func TestCheckpointBytesPinned(t *testing.T) {
 	const cut = 12_000
 	want := map[string]struct {
-		hier, all string
-		n         int
+		all string
+		n   int
 	}{
-		"host-only": {"9e6ca874e7d8691f8fcb05bdb21259541ea426c2a512fbd26fb0a6dff09e278c",
-			"3130cada6395ad45d36e27bc9995c43b0cadc403340323d943815f105f907fa3", 778232},
-		"host-stall-heavy": {"9faf485b94ad60bd6566841a1d03ff7cbb61be60c2896d13ac5020f9650bc329",
-			"4cb9b3b5b452cdec15a6b692c05c09ee7cd94a70b40cd88b0d303efba517b7a9", 672905},
-		"nda-only-nrm2": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			"371200f2f28fc8729eb4261457faf8307d1f3aadf9ba0b747e0e6ca4f2df84a6", 9785},
-		"nda-only-copy-stochastic": {"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			"74c41769a4ff65a3f38d3a96b7899ddcc976690be7a10f4146fe925fda07aa4e", 14236},
-		"mixed-mix1-dot": {"3528493e42cc923f3ad399c02707958cb51ccb05627ef03a40c94dc46147f3f6",
-			"95396db0111b69a94d3015f5abfc34feb158f52de9b64deb27c7438b29ba4c85", 693139},
-		"mixed-mix3-copy-shared": {"b368b0342019efd7ada443482811d22480b4655e1caf261724323926a080fc8d",
-			"71d84cba2591b5d50ce947c00d586ac0f9e5e0a725fba150dc9acba32c59464f", 718836},
+		"host-only":                {"b790370faed687ed9a8c188d263855a46bb2182683432dc1a12068f097e6ab9a", 701591},
+		"host-stall-heavy":         {"266ccefe66a95d708764e1f0e21c5742f102e6949058b0dbc66abcb22a41210f", 602940},
+		"nda-only-nrm2":            {"c60e55074b0d21fde8d4665720f8214ef70e99d46ebc2d86862fabbb11f7b3aa", 9749},
+		"nda-only-copy-stochastic": {"b1192cd13eb4ac51aab6bfd04dfc7fe6e4e0c253c68634cc637d08365926d86d", 14200},
+		"mixed-mix1-dot":           {"814e3a6f141ea3ea23d4018cfeeca4a21c1e837feb3b6707673a8d8da18f679d", 622464},
+		"mixed-mix3-copy-shared":   {"4c9559dedb5d8bd78bf9fc5acc5932e80fa88d548d676fd586f91f260c7ff733", 640054},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)
@@ -58,28 +48,14 @@ func TestCheckpointBytesPinned(t *testing.T) {
 			drv := &ckDriver{app: app}
 			drv.relaunch(t, s)
 			ckAdvance(t, s, drv, cut, true)
-			var roots []*ndart.Handle
-			if drv.h != nil {
-				roots = append(roots, drv.h)
-			}
-			ck, _, err := s.SnapshotWithRoots(roots)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ck, _ := drv.cut(t, s)
 			b, err := EncodeCheckpoint(s.Cfg, ck)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The hierarchy section follows the header and its own
-			// 8-byte length (see EncodeCheckpoint).
-			hl := int(binary.LittleEndian.Uint64(b[ckptHeaderLen : ckptHeaderLen+8]))
-			hier := b[ckptHeaderLen+8 : ckptHeaderLen+8+hl]
 			p := want[w.name]
 			if len(b) != p.n {
 				t.Errorf("envelope is %d bytes, pinned %d", len(b), p.n)
-			}
-			if got := hash(hier); got != p.hier {
-				t.Errorf("hierarchy section moved: sha256 %s, pinned %s", got, p.hier)
 			}
 			if got := hash(b); got != p.all {
 				t.Errorf("envelope moved: sha256 %s, pinned %s", got, p.all)

@@ -27,20 +27,19 @@ import (
 // captured; restore marks them stale and they re-derive, which is
 // behavior-identical because skips are individually proven no-ops.
 type Checkpoint struct {
-	hier *cache.HierarchyState // nil when the system has no host cores
-	st   ckptState
+	st ckptState
 }
 
-// ckptState is every component state except the cache hierarchy, plus
-// the clock and measurement scalars. Its exported fields are the
-// encoded checkpoint's core section as they stand (see EncodeCheckpoint);
-// the hierarchy rides in a section of its own.
+// ckptState is every component state plus the clock and measurement
+// scalars. Its exported fields are the encoded checkpoint's payload as
+// they stand (see EncodeCheckpoint).
 type ckptState struct {
 	DRAM  *dram.MemState
 	OS    *osmem.OSState
 	MCs   []*mc.ControllerState
 	Cores []*cpu.CoreState
 	Gens  []*workload.GenState
+	Hier  *cache.HierarchyState // nil when the system has no host cores
 	Eng   *nda.EngineState
 	RT    *ndart.RuntimeState
 
@@ -69,10 +68,9 @@ func (s *System) Snapshot() (*Checkpoint, error) {
 // in roots is registered in the checkpoint's handle table even when no
 // in-flight op references it, and its table index is returned in
 // matching order. The indices are the names a driver keeps alongside
-// an encoded checkpoint; after DecodeCheckpoint and RestoreSystem,
-// RT.RestoredHandleAt(index) recovers the rebuilt handle (the old
-// pointer, the in-memory RestoredHandle key, does not survive the
-// encoding).
+// the checkpoint: after RestoreSystem (from the checkpoint itself or
+// from DecodeCheckpoint's copy of it), RT.RestoredHandleAt(index)
+// recovers the rebuilt handle.
 func (s *System) SnapshotWithRoots(roots []*ndart.Handle) (*Checkpoint, []int, error) {
 	for d := range s.doms {
 		if len(s.doms[d].outbox) != 0 {
@@ -106,7 +104,7 @@ func (s *System) SnapshotWithRoots(roots []*ndart.Handle) (*Checkpoint, []int, e
 		ck.st.MCs = append(ck.st.MCs, c.Snapshot())
 	}
 	if s.Hier != nil {
-		ck.hier = s.Hier.Snapshot()
+		ck.st.Hier = s.Hier.Snapshot()
 	}
 	for i, c := range s.Cores {
 		ck.st.Cores = append(ck.st.Cores, c.Snapshot())
@@ -123,7 +121,7 @@ func (s *System) SnapshotWithRoots(roots []*ndart.Handle) (*Checkpoint, []int, e
 func (s *System) Restore(ck *Checkpoint) {
 	st := &ck.st
 	if len(st.MCs) != len(s.MCs) || len(st.Cores) != len(s.Cores) ||
-		(ck.hier == nil) != (s.Hier == nil) {
+		(st.Hier == nil) != (s.Hier == nil) {
 		panic("sim: restore onto a system with a different configuration")
 	}
 	s.Mem.Restore(st.DRAM)
@@ -133,7 +131,7 @@ func (s *System) Restore(ck *Checkpoint) {
 		s.gens[i].Restore(st.Gens[i])
 	}
 	if s.Hier != nil {
-		s.Hier.Restore(ck.hier, func(core, slot int) func(int64) {
+		s.Hier.Restore(st.Hier, func(core, slot int) func(int64) {
 			return s.Cores[core].DoneFn(slot)
 		})
 	}

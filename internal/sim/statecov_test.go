@@ -12,6 +12,7 @@ import (
 	"chopim/internal/nda"
 	"chopim/internal/ndart"
 	"chopim/internal/osmem"
+	"chopim/internal/stats"
 	"chopim/internal/workload"
 )
 
@@ -79,6 +80,7 @@ func TestStateFieldCoverage(t *testing.T) {
 				"sweepHz": schedMem, "hint": schedMem, "hintValid": schedMem, "hintVer": schedMem,
 				"hintRowSeq": schedMem, "ver": schedMem, "seen": schedMem, "seenGen": schedMem,
 			}},
+		{live: reflect.TypeOf(stats.IdleHist{})},
 		{live: hier, state: hierSt,
 			carriedBy: map[string]string{"pending": "MSHRs"},
 			skip: map[string]notCarried{
@@ -86,7 +88,6 @@ func TestStateFieldCoverage(t *testing.T) {
 				"stalls": rearmed, "llcVer": rearmed,
 			}},
 		{live: reflect.TypeOf(cache.Cache{}), state: fieldType(t, hierSt, "LLC"),
-			carriedBy: map[string]string{"order": "lru"}, // each way's rank within its set
 			skip: map[string]notCarried{
 				"cfg": config, "nsets": config, "smask": config, "shift": config, "ways": config, "top": config,
 				"lastBlock": schedMem, "lastKey": schedMem, "lastWay": schedMem,
@@ -113,7 +114,7 @@ func TestStateFieldCoverage(t *testing.T) {
 				"os": config, "mapper": config, "geom": config, "eng": config, "mcs": config,
 				"MaxBlocksPerInstr": config, "ModelLaunches": config, "GuardOps": config,
 				"now": closure, "copier": closure, "decodeCache": schedMem,
-				"handleMap": memOnly, "restored": memOnly,
+				"restored": memOnly,
 			}},
 		{live: reflect.TypeOf(workload.Generator{}), state: reflect.TypeOf(workload.GenState{}),
 			carriedBy: map[string]string{"src": "Draws"},

@@ -61,12 +61,12 @@ func bucketOf(gap int64) IdleBucket {
 
 // IdleHist accumulates a per-rank busy/idle cycle breakdown. Busy
 // intervals must be reported in non-decreasing start order (as a memory
-// controller naturally does).
+// controller naturally does). Its exported fields are its whole state,
+// so controller checkpoints copy and encode it as it stands.
 type IdleHist struct {
-	cycles  [NumIdleBuckets]int64
-	start   int64 // observation window start
-	busyEnd int64 // end of the latest busy interval seen
-	started bool
+	Cycles  [NumIdleBuckets]int64 // raw per-bucket cycle counts
+	BusyEnd int64                 // end of the latest busy interval seen
+	Started bool
 }
 
 // MarkBusy records that the rank was busy during [from, to).
@@ -74,31 +74,30 @@ func (h *IdleHist) MarkBusy(from, to int64) {
 	if to <= from {
 		return
 	}
-	if !h.started {
-		h.started = true
-		h.start = 0
-		h.busyEnd = 0
+	if !h.Started {
+		h.Started = true
+		h.BusyEnd = 0
 	}
-	if from > h.busyEnd {
-		gap := from - h.busyEnd
-		h.cycles[bucketOf(gap)] += gap
+	if from > h.BusyEnd {
+		gap := from - h.BusyEnd
+		h.Cycles[bucketOf(gap)] += gap
 	}
-	if from < h.busyEnd {
-		from = h.busyEnd
+	if from < h.BusyEnd {
+		from = h.BusyEnd
 	}
 	if to > from {
-		h.cycles[Busy] += to - from
-		h.busyEnd = to
+		h.Cycles[Busy] += to - from
+		h.BusyEnd = to
 	}
 }
 
 // Finalize closes the observation window at cycle end, accounting the
 // trailing idle gap.
 func (h *IdleHist) Finalize(end int64) {
-	if end > h.busyEnd {
-		gap := end - h.busyEnd
-		h.cycles[bucketOf(gap)] += gap
-		h.busyEnd = end
+	if end > h.BusyEnd {
+		gap := end - h.BusyEnd
+		h.Cycles[bucketOf(gap)] += gap
+		h.BusyEnd = end
 	}
 }
 
@@ -106,20 +105,17 @@ func (h *IdleHist) Finalize(end int64) {
 func (h *IdleHist) Fractions() [NumIdleBuckets]float64 {
 	var out [NumIdleBuckets]float64
 	var total int64
-	for _, c := range h.cycles {
+	for _, c := range h.Cycles {
 		total += c
 	}
 	if total == 0 {
 		return out
 	}
-	for i, c := range h.cycles {
+	for i, c := range h.Cycles {
 		out[i] = float64(c) / float64(total)
 	}
 	return out
 }
 
-// Cycles returns the raw per-bucket cycle counts.
-func (h *IdleHist) Cycles() [NumIdleBuckets]int64 { return h.cycles }
-
 // BusyCycles returns cycles the rank spent servicing host traffic.
-func (h *IdleHist) BusyCycles() int64 { return h.cycles[Busy] }
+func (h *IdleHist) BusyCycles() int64 { return h.Cycles[Busy] }

@@ -28,7 +28,7 @@ func TestIdleHistAccounting(t *testing.T) {
 	h.MarkBusy(15, 20)   // 5-cycle gap, 5 busy
 	h.MarkBusy(320, 330) // 300-cycle gap, 10 busy
 	h.Finalize(340)      // 10-cycle trailing gap
-	c := h.Cycles()
+	c := h.Cycles
 	if c[Busy] != 25 {
 		t.Errorf("busy = %d, want 25", c[Busy])
 	}
