@@ -110,7 +110,9 @@ func run() (code int) {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if flag.NArg() < 1 {
+	// Parsing stops at the first non-flag, so a flag after the
+	// experiment name would be silently ignored: refuse it.
+	if flag.NArg() != 1 {
 		flag.Usage()
 		return 2
 	}

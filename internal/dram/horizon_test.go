@@ -25,7 +25,8 @@ var allCommands = []Command{CmdACT, CmdPRE, CmdRD, CmdWR, CmdREF}
 // CanIssue and the uncached canIssueRef agree for a battery of random
 // (cmd, addr, now, internal) probes, and that NextIssue is consistent
 // with both: no issue opportunity before the bound, an admitted issue at
-// the bound for non-structurally-blocked commands.
+// the bound for non-structurally-blocked commands. Legal commands issue
+// through TryIssue, which must refuse every probe the reference rejects.
 func TestCanIssueCacheMatchesReference(t *testing.T) {
 	g := DefaultGeometry()
 	g.Rows = 256
@@ -42,7 +43,9 @@ func TestCanIssueCacheMatchesReference(t *testing.T) {
 			a := randAddr(rng, g)
 			internal := rng.Intn(2) == 0
 			if m.canIssueRef(cmd, a, now, internal) {
-				m.Issue(cmd, a, now, internal)
+				if !m.TryIssue(cmd, a, now, internal) {
+					t.Fatalf("step %d: TryIssue(%v,%+v,%d,%v) refused a legal command", step, cmd, a, now, internal)
+				}
 				now++ // one command per cycle per channel at most
 			}
 			for probe := 0; probe < 4; probe++ {
@@ -55,6 +58,9 @@ func TestCanIssueCacheMatchesReference(t *testing.T) {
 				if got != want {
 					t.Fatalf("step %d: CanIssue(%v,%+v,%d,%v) cached=%v ref=%v",
 						step, pc, pa, pn, pi, got, want)
+				}
+				if !want && m.TryIssue(pc, pa, pn, pi) {
+					t.Fatalf("step %d: TryIssue(%v,%+v,%d,%v) applied an illegal command", step, pc, pa, pn, pi)
 				}
 				ni := m.NextIssue(pc, pa, pn, pi)
 				if ni > pn && m.canIssueRef(pc, pa, ni-1, pi) {

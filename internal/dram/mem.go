@@ -305,17 +305,6 @@ func (m *Mem) WarmOpen(a Addr) {
 	m.channels[a.Channel].logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
 }
 
-// RankStamp returns a version counter for the rank's timing and row
-// state: it advances on every command issued to the rank and on nothing
-// else. A scheduler caching per-bank conclusions ("request r's column is
-// ready at cycle T", "bank b needs an ACT") may reuse them while the
-// stamp is unchanged — commands to other ranks cannot move this rank's
-// bank, bank-group, rank, tFAW, or refresh horizons. Channel-bus
-// constraints are NOT covered; combine with ExtColReady.
-func (m *Mem) RankStamp(channel, rank int) int64 {
-	return m.channels[channel].Ranks[rank].Stamp
-}
-
 // RowSeq returns the channel's row-change sequence: how many row-state
 // changes (ACT, PRE, WarmOpen) its row log has recorded. See
 // chanState.rowLog for the staleness contract the log grants
@@ -331,7 +320,8 @@ func (m *Mem) RowChange(channel int, seq uint64) int32 {
 
 // BankSched returns the addressed bank's row state together with every
 // cached rank-side earliest-issue horizon (see rankState.horizons) in
-// one call — the scheduler's per-bank recompute input. Horizons are raw
+// one call — what the host scheduler reads on every bank visit, keeping
+// no copy of its own. Horizons are raw
 // (not clamped to any current cycle); callers compare them against now.
 // Channel-bus constraints for external columns are separate
 // (ExtColReady).
@@ -366,9 +356,11 @@ func (r *rankState) fawReady(t *Timing) int64 {
 func (m *Mem) CanIssue(cmd Command, a Addr, now int64, internal bool) bool {
 	m.checkAddr(a)
 	ch := &m.channels[a.Channel]
-	rk := &ch.Ranks[a.Rank]
-	flat := a.GlobalBank(m.Geom)
+	return m.legal(ch, &ch.Ranks[a.Rank], a.GlobalBank(m.Geom), cmd, a, now, internal)
+}
 
+// legal is CanIssue on an already resolved channel, rank and flat bank.
+func (m *Mem) legal(ch *chanState, rk *rankState, flat int, cmd Command, a Addr, now int64, internal bool) bool {
 	switch cmd {
 	case CmdACT:
 		if rk.Banks[flat].Open {
@@ -573,15 +565,26 @@ func (m *Mem) NextIssue(cmd Command, a Addr, now int64, internal bool) int64 {
 }
 
 // Issue applies cmd at cycle now, updating all affected timing horizons.
-// It panics if the command is illegal; callers must CanIssue first.
+// It panics if the command is illegal; callers must CanIssue first, or
+// call TryIssue.
 func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
-	if !m.CanIssue(cmd, a, now, internal) {
+	if !m.TryIssue(cmd, a, now, internal) {
 		panic(fmt.Sprintf("dram: illegal %v to %+v at cycle %d (internal=%v)", cmd, a, now, internal))
 	}
+}
+
+// TryIssue applies cmd at cycle now when CanIssue admits it and reports
+// whether it did: one address check and one bank lookup for both the
+// legality check and the update. An illegal command changes nothing.
+func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
+	m.checkAddr(a)
 	t := &m.T
 	ch := &m.channels[a.Channel]
 	rk := &ch.Ranks[a.Rank]
 	flat := a.GlobalBank(m.Geom)
+	if !m.legal(ch, rk, flat, cmd, a, now, internal) {
+		return false
+	}
 	b := &rk.Banks[flat]
 	cn := &m.cnts[a.Channel]
 	rk.Stamp++ // invalidate the rank's bank horizon caches
@@ -680,6 +683,7 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 		rk.RefreshUntil = now + int64(t.RFC)
 		maxi(&rk.NextACT, rk.RefreshUntil)
 	}
+	return true
 }
 
 // ReadLatency returns cycles from RD issue to the end of the data burst.

@@ -32,14 +32,42 @@ func (c *Controller) OverflowLen() int { return c.overflow.Len() }
 
 // CheckInvariants validates the controller's internal consistency: the
 // arrival lists against the occupancy counters and per-bank buckets,
-// the dense scheduling cache against the occupied set, and the lazy
-// keys (see checkKeys). Returns the first violation found, nil when
-// consistent.
-func (c *Controller) CheckInvariants() error {
+// the dense scheduling cache against the occupied set, the lazy keys
+// (see checkKeys) and the wake memo (see checkMemo). now is the last
+// cycle the controller was ticked or queried at. Returns the first
+// violation found, nil when consistent.
+func (c *Controller) CheckInvariants(now int64) error {
 	if err := c.checkQueue(&c.rq, "rq", c.cfg.ReadQueue, dram.CmdRD); err != nil {
 		return err
 	}
-	return c.checkQueue(&c.wq, "wq", c.cfg.WriteQueue, dram.CmdWR)
+	if err := c.checkQueue(&c.wq, "wq", c.cfg.WriteQueue, dram.CmdWR); err != nil {
+		return err
+	}
+	return c.checkMemo(now)
+}
+
+// checkMemo validates the wake memo's soundness: a memo NextEvent would
+// serve as a future wake — valid, current under ver and RowSeq, and not
+// yet due at now — is at most the earliest cycle any candidate in
+// either queue can issue, as bankOracle re-derives it. A memo above
+// that cycle would let the system skip a cycle on which the rescan
+// oracle issues.
+func (c *Controller) checkMemo(now int64) error {
+	if !c.hintValid || c.hint <= now || c.hintVer != c.ver ||
+		c.hintRowSeq != c.mem.RowSeq(c.channel) || c.cross || c.refSched {
+		return nil
+	}
+	oracle := dram.Never
+	for _, bk := range c.rq.occ {
+		oracle = min(oracle, c.bankOracle(&c.rq, bk, dram.CmdRD))
+	}
+	for _, bk := range c.wq.occ {
+		oracle = min(oracle, c.bankOracle(&c.wq, bk, dram.CmdWR))
+	}
+	if c.hint > oracle {
+		return fmt.Errorf("wake memo %d exceeds rescan-oracle ready cycle %d (lower bound violated)", c.hint, oracle)
+	}
+	return nil
 }
 
 func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram.Command) error {
@@ -164,7 +192,7 @@ func (c *Controller) checkKeys(q *reqQueue, name string, cmd dram.Command) error
 			return fmt.Errorf("%s bank %d key %d exceeds rescan-oracle ready cycle %d (lower bound violated)",
 				name, bk, q.key[i], oracle)
 		}
-		if e := &q.sched[i]; e.preBlocked && (e.p2Cmd != dram.CmdPRE || !c.rowWanted(e.p2.DAddr, int(e.p2Row))) {
+		if e := &q.sched[i]; e.preBlocked && (e.p2Cmd != dram.CmdPRE || !c.rowWanted(e.p2.DAddr, int(e.idRow))) {
 			return fmt.Errorf("%s bank %d marked preBlocked but the open-page rule no longer blocks its PRE", name, bk)
 		}
 	}
@@ -180,7 +208,7 @@ func (c *Controller) bankOracle(q *reqQueue, bk int32, cmd dram.Command) int64 {
 	flat := int(bk) % c.bpr
 	rank := int(bk)/c.bpr - c.channel*c.nrank
 	row, open, readyACT, readyPRE, readyRD, readyWR := c.mem.BankSched(
-		c.channel, rank, flat/c.bpg, flat)
+		c.channel, rank, flat/c.mem.Geom.BanksPerGroup, flat)
 	if !open {
 		return readyACT
 	}

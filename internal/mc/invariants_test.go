@@ -7,6 +7,9 @@ import (
 	"chopim/internal/dram"
 )
 
+// loadedAt is the last cycle loadedController ticks.
+const loadedAt = 39
+
 // loadedController returns a ticked controller with reads still pending
 // across several banks — live queue, buckets, and key state for
 // the corruption tests to mutilate.
@@ -20,13 +23,13 @@ func loadedController(t *testing.T) *Controller {
 			t.Fatalf("enqueue %d refused", i)
 		}
 	}
-	for cyc := int64(0); cyc < 40; cyc++ {
+	for cyc := int64(0); cyc <= loadedAt; cyc++ {
 		c.Tick(cyc)
 	}
 	if r, _ := c.QueueOccupancy(); r == 0 {
 		t.Fatal("all reads completed before the corruption tests could run")
 	}
-	if err := c.CheckInvariants(); err != nil {
+	if err := c.CheckInvariants(loadedAt); err != nil {
 		t.Fatalf("healthy controller fails its own invariants: %v", err)
 	}
 	return c
@@ -49,7 +52,7 @@ func TestCheckInvariantsHealthy(t *testing.T) {
 		}
 		c.Tick(cyc)
 		if cyc%50 == 0 {
-			if err := c.CheckInvariants(); err != nil {
+			if err := c.CheckInvariants(cyc); err != nil {
 				t.Fatalf("cycle %d: %v", cyc, err)
 			}
 		}
@@ -85,7 +88,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := loadedController(t)
 			tc.corrupt(t, c)
-			err := c.CheckInvariants()
+			err := c.CheckInvariants(loadedAt)
 			if err == nil {
 				t.Fatal("corruption not detected")
 			}
@@ -109,12 +112,39 @@ func TestCheckInvariantsDetectsUnsoundKey(t *testing.T) {
 		t.Fatal("sync left row changes pending")
 	}
 	q.key[0] = dram.Never - 1
-	err := c.CheckInvariants()
+	err := c.CheckInvariants(loadedAt)
 	if err == nil {
 		t.Fatal("unsound far-future key not detected")
 	}
 	if !strings.Contains(err.Error(), "lower bound violated") {
 		t.Errorf("error %q does not identify the soundness violation", err)
+	}
+}
+
+// TestCheckInvariantsDetectsUnsoundMemo derives a wake memo at a host
+// read's exact column horizon, then sets it one cycle late — a wake
+// past the cycle the rescan oracle issues on — and asserts the memo
+// soundness check catches it.
+func TestCheckInvariantsDetectsUnsoundMemo(t *testing.T) {
+	mem := dram.New(dram.DefaultGeometry(), dram.DDR42400())
+	c := NewController(DefaultConfig(), mem, nil, 0)
+	a := dram.Addr{Row: 100}
+	mem.Issue(dram.CmdACT, a, 0, true)
+	c.EnqueueReadDecoded(1<<20, a, 0, nil)
+	rdReady := int64(mem.T.RCD)
+	if next := c.NextEvent(0); next != rdReady {
+		t.Fatalf("NextEvent(0) = %d, want tRCD = %d", next, rdReady)
+	}
+	if err := c.CheckInvariants(0); err != nil {
+		t.Fatalf("exact memo fails the invariants: %v", err)
+	}
+	c.hint++
+	err := c.CheckInvariants(0)
+	if err == nil {
+		t.Fatal("memo one cycle past the oracle not detected")
+	}
+	if !strings.Contains(err.Error(), "wake memo") {
+		t.Errorf("error %q does not identify the memo violation", err)
 	}
 }
 

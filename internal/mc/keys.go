@@ -4,13 +4,17 @@ import "chopim/internal/dram"
 
 // Lazy per-bank keys (DESIGN.md §2.6). Each occupied bank carries a
 // key (reqQueue.key, dense and parallel to occ) that lower-bounds the
-// earliest cycle any of its FR-FCFS candidates can issue:
+// earliest cycle any of its FR-FCFS candidates can issue. The bank's
+// readiness itself lives only in dram.Mem's per-bank horizon cache
+// (BankSched, plus ExtColReady for the channel bus): the key is the
+// value examine last derived from it,
 //
-//	key = min( max(p1Rank, ExtColReady), p2Rank )
+//	key = min( max(column horizon, ExtColReady), row-command horizon )
 //
 // A due tick's scan walks the keys linearly and examines only the banks
 // whose key has reached now, -1 ("revalidate at the next scan")
-// included. The lower-bound property is what makes lazy keys sound:
+// included; the smallest key is the controller's wake memo. The
+// lower-bound property is what makes lazy keys sound:
 //
 //   - ACT and PRE change one bank's row state: they can create
 //     candidates for that bank or move its horizons outright (earlier
@@ -66,29 +70,40 @@ func (c *Controller) sync(q *reqQueue) {
 	q.rowSeen = seq
 }
 
-// examine brings bank bk's entry current — recomputing it when its
-// bucket changed or a command issued to its rank since it was derived —
-// and returns it with its candidates' earliest issue cycles (Never when
-// absent), the channel-bus horizon folded into the column candidate's.
-// A PRE ready at now is checked against the open-page rule once: when a
-// queued request still wants the open row it is marked preBlocked and
-// reported absent until an unblocking event clears the mark (see the
-// head of this file). min(ready1, ready2) is the bank's key.
+// examine reads bank bk's row state and ready cycles from dram and
+// returns its entry with its candidates' earliest issue cycles (Never
+// when absent), the channel-bus horizon folded into the column
+// candidate's. The candidates themselves are re-derived only when the
+// bucket changed (dirty) or the bank's row state no longer matches the
+// entry's identity. A PRE ready at now is checked against the
+// open-page rule once: when a queued request still wants the open row
+// it is marked preBlocked and reported absent until an unblocking event
+// clears the mark (see the head of this file). min(ready1, ready2) is
+// the bank's key.
 func (c *Controller) examine(q *reqQueue, bk int32, cmd dram.Command, now int64) (e *bankEntry, ready1, ready2 int64) {
 	rank := int(bk>>q.shift) - c.channel*c.nrank
+	flat := int(bk) & (1<<q.shift - 1)
+	row, open, readyACT, readyPRE, readyRD, readyWR := c.mem.BankSched(c.channel, rank, flat>>c.bgShift, flat)
 	e = &q.sched[q.occPos[bk]]
-	if st := c.mem.RankStamp(c.channel, rank); e.dirty || e.rkStamp != st {
-		c.recomputeEntry(q, e, bk, cmd, st)
+	if e.dirty || e.idOpen != open || e.idRow != int32(row) {
+		e.derive(q.banks[bk].head, row, open)
 	}
 	ready1, ready2 = dram.Never, dram.Never
 	if e.p1 != nil {
-		ready1 = max(e.p1Rank, c.mem.ExtColReady(c.channel, cmd, rank))
+		col := readyRD
+		if cmd == dram.CmdWR {
+			col = readyWR
+		}
+		ready1 = max(col, c.mem.ExtColReady(c.channel, cmd, rank))
 	}
 	if e.p2 != nil {
-		ready2 = e.p2Rank
-		if e.p2Cmd == dram.CmdPRE && (e.preBlocked || ready2 <= now && c.rowWanted(e.p2.DAddr, int(e.p2Row))) {
+		switch {
+		case e.p2Cmd == dram.CmdACT:
+			ready2 = readyACT
+		case e.preBlocked || readyPRE <= now && c.rowWanted(e.p2.DAddr, int(e.idRow)):
 			e.preBlocked = true
-			ready2 = dram.Never
+		default:
+			ready2 = readyPRE
 		}
 	}
 	return e, ready1, ready2
@@ -97,38 +112,43 @@ func (c *Controller) examine(q *reqQueue, bk int32, cmd dram.Command, now int64)
 // scan examines the banks whose key is due (at or below now, -1
 // included) and writes each one's fresh key back. It returns the oldest
 // ready pass-1 request, the oldest ready issuable pass-2 entry
-// (rowWanted-blocked PREs excluded by examine), and the min FUTURE
-// candidate horizon among the banks it examined. Ready candidates do
-// not contribute to the horizon (they issue this very tick), nor do
-// blocked PREs: their block lifts only on a queue mutation (ver) or a
-// logged row change (RowSeq), each of which re-derives the wake memo,
-// so the controller sleeps through rowWanted-blocked windows. The
-// decisions equal the rescan oracle's: after sync the due banks include
-// every bank with a ready issuable candidate, readiness is the same
-// exact horizon compare plus the same rowWanted rule, and oldest-first
-// selection by seq is order-independent.
-func (c *Controller) scan(q *reqQueue, cmd dram.Command, now int64) (best *Request, best2 *bankEntry, hzFuture int64) {
+// (rowWanted-blocked PREs excluded by examine), and a lower bound on
+// every FUTURE candidate horizon in the queue: the min over the fresh
+// future horizons of the banks it examined and the keys of the banks it
+// did not. Ready candidates do not contribute to the bound (they issue
+// this very tick), nor do blocked PREs: their block lifts only on a
+// queue mutation (ver) or a logged row change (RowSeq), each of which
+// re-derives the wake memo, so the controller sleeps through
+// rowWanted-blocked windows. The bound may come due early — a stale key
+// under-estimates — which costs one no-issue Tick, whose scan rewrites
+// the stale keys and derives a fresh bound. The decisions equal the
+// rescan oracle's: after sync the due banks include every bank with a
+// ready issuable candidate, readiness is the same exact horizon compare
+// plus the same rowWanted rule, and oldest-first selection by seq is
+// order-independent.
+func (c *Controller) scan(q *reqQueue, cmd dram.Command, now int64) (best *Request, best2 *bankEntry, hz int64) {
 	c.sync(q)
-	hzFuture = dram.Never
+	hz = dram.Never
 	for i, k := range q.key {
 		if k > now {
+			hz = min(hz, k)
 			continue
 		}
 		e, ready1, ready2 := c.examine(q, q.occ[i], cmd, now)
 		k = min(ready1, ready2)
 		q.key[i] = k
 		if k > now {
-			hzFuture = min(hzFuture, k)
+			hz = min(hz, k)
 			continue
 		}
 		// A ready bank can still carry one future-side candidate (an
 		// open bank whose PRE is ready but whose row hit matures later);
 		// its maturation needs a wake of its own.
 		if ready1 > now {
-			hzFuture = min(hzFuture, ready1)
+			hz = min(hz, ready1)
 		}
 		if ready2 > now {
-			hzFuture = min(hzFuture, ready2)
+			hz = min(hz, ready2)
 		}
 		if ready1 <= now && (best == nil || e.p1.seq < best.seq) {
 			best = e.p1
@@ -137,35 +157,5 @@ func (c *Controller) scan(q *reqQueue, cmd dram.Command, now int64) (best *Reque
 			best2 = e
 		}
 	}
-	return best, best2, hzFuture
-}
-
-// horizon returns the exact min candidate horizon of the queue after a
-// scan at now found nothing to issue (every key is then above now),
-// given hz, the scan's horizon over the banks it examined. The bank
-// holding the smallest key below hz is re-examined, its key rewritten
-// at its fresh (later) cycle, until one survives unchanged: that key is
-// the true minimum, since every other bank's readiness is bounded below
-// by its own key. The result feeds the wake memo, so the controller
-// sleeps until a candidate truly matures.
-func (c *Controller) horizon(q *reqQueue, cmd dram.Command, now, hz int64) int64 {
-	for {
-		at, m := -1, hz
-		for i, k := range q.key {
-			if k < m {
-				at, m = i, k
-			}
-		}
-		if at < 0 {
-			return hz
-		}
-		_, ready1, ready2 := c.examine(q, q.occ[at], cmd, now)
-		if k := min(ready1, ready2); k != m {
-			// A fresh key only moves later; keep validating the new
-			// minimum.
-			q.key[at] = k
-			continue
-		}
-		return m
-	}
+	return best, best2, hz
 }

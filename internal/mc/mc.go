@@ -83,18 +83,18 @@ type Controller struct {
 	overflow ring.Ring[*Request]
 	drain    bool
 
-	bpr    int      // banks per rank (bankKey stride)
-	bpg    int      // banks per group (flat bank -> bank group)
-	nrank  int      // ranks per channel
-	free   *Request // request node pool
-	seqGen int64
+	bpr     int      // banks per rank (bankKey stride)
+	bgShift uint     // log2(banks per group): flat bank >> bgShift = bank group
+	nrank   int      // ranks per channel
+	free    *Request // request node pool
+	seqGen  int64
 
-	// Wake memo: the horizon NextEvent serves. A Tick that attempts both
-	// queues and issues nothing records the min candidate horizon its
-	// failed sweeps already computed (sweepHz per queue); NextEvent
-	// records the horizon it derives itself. Valid while
-	// hintVer/hintRowSeq match the live counters, or once it has come
-	// due (see NextEvent).
+	// Wake memo: the horizon NextEvent serves, a lower bound on the
+	// earliest cycle any candidate can issue. A Tick that attempts both
+	// queues and issues nothing records the bound its failed scans
+	// already computed (sweepHz per queue); NextEvent records the bound
+	// it derives itself. Valid while hintVer/hintRowSeq match the live
+	// counters, or once it has come due (see NextEvent).
 	sweepHz    int64
 	hint       int64
 	hintValid  bool
@@ -154,11 +154,13 @@ func NewController(cfg Config, mem *dram.Mem, mapper addrmap.Mapper, channel int
 	c := &Controller{
 		cfg: cfg, mem: mem, mapper: mapper, channel: channel,
 		bpr:        mem.Geom.BanksPerRank(),
-		bpg:        mem.Geom.BanksPerGroup,
 		nrank:      mem.Geom.Ranks,
 		issuedRank: -1,
 		seen:       make([]int64, nb),
 		IdleHists:  make([]stats.IdleHist, mem.Geom.Ranks),
+	}
+	for 1<<c.bgShift < mem.Geom.BanksPerGroup {
+		c.bgShift++ // geometry fields are validated powers of two
 	}
 	c.rq.init(mem.Geom.Channels*mem.Geom.Ranks, c.bpr)
 	c.wq.init(mem.Geom.Channels*mem.Geom.Ranks, c.bpr)
@@ -207,10 +209,11 @@ func (c *Controller) Channel() int { return c.channel }
 // against other ranks' banks, column issues that neither move the
 // read-queue head nor empty a bucket of this rank — leaves it unchanged
 // too, so the rank's cached sleep bound survives. This is the same
-// staleness split the scheduler applies to bank entries (rkStamp vs
-// bucket dirtiness), applied to the engine's controller inputs. A sum
-// of monotone counters, so equality means none of the covered inputs
-// moved. O(channels) counter reads — effectively O(1).
+// narrowing the scheduler applies to bank entries, which re-derive
+// their candidates only on a bucket change or a row change of their own
+// bank, applied to the engine's controller inputs. A sum of monotone
+// counters, so equality means none of the covered inputs moved.
+// O(channels) counter reads — effectively O(1).
 func (c *Controller) NDAVer(rank int) uint64 {
 	v := c.rq.headVer
 	for g := rank; g < len(c.rq.demVer); g += c.nrank {
@@ -365,18 +368,21 @@ func (c *Controller) HasAnyDemandFor(rank int) bool {
 }
 
 // NextEvent returns the earliest DRAM cycle >= now at which the
-// controller can change observable state. With all queues empty only the
-// refresh deadline (when refresh is enabled) can wake it. With requests
-// queued it reports the earliest cycle any FR-FCFS candidate's command
-// can legally issue — when every queued request is timing-blocked that
-// horizon lies beyond now, and every cycle before it is provably a
-// scheduler no-op, extending fast-forward into write-drain and
-// launch-heavy windows. Cycles where Tick performs internal bookkeeping
-// (overflow refill, drain-watermark flips, refresh interleaving) report
-// now.
+// controller can change observable state, or an earlier cycle. With all
+// queues empty only the refresh deadline (when refresh is enabled) can
+// wake it. With requests queued it reports a lower bound on the earliest
+// cycle any FR-FCFS candidate's command can legally issue — when every
+// queued request is timing-blocked that bound lies beyond now, and every
+// cycle before it is provably a scheduler no-op, extending fast-forward
+// into write-drain and launch-heavy windows. The bound is the smallest
+// lazy key (keys.go), so it may come due before any candidate is ready;
+// that early wake costs one no-issue Tick, which re-derives it from the
+// keys that Tick rewrote. Cycles where Tick performs internal
+// bookkeeping (overflow refill, drain-watermark flips, refresh
+// interleaving) report now.
 //
-// The horizon is memoized (the wake memo, setHint), so the FR-FCFS
-// horizon sweep runs once per blocked window, not once per query.
+// The bound is memoized (the wake memo, setHint), so a blocked window
+// costs one scan, not one per query.
 func (c *Controller) NextEvent(now int64) int64 {
 	if c.rq.n == 0 && c.wq.n == 0 && c.overflow.Len() == 0 {
 		if c.mem.T.REFI > 0 {
@@ -398,7 +404,7 @@ func (c *Controller) NextEvent(now int64) int64 {
 		// report due. The common case is more ready work immediately
 		// after an issue, so horizon derivation is deferred until a
 		// cycle proves the pipeline drained (a Tick that issues nothing
-		// clears issuedRank and leaves a fused horizon memo behind).
+		// clears issuedRank and leaves a fused memo behind).
 		return now
 	}
 	if c.overflow.Len() > 0 && c.wq.n < c.cfg.WriteQueue {
@@ -415,7 +421,7 @@ func (c *Controller) NextEvent(now int64) int64 {
 	// horizons later (the row-log argument, keys.go), so the memo
 	// stays a lower bound across them. A memo that has come due is
 	// served without re-deriving, whatever moved since: reporting now
-	// is always exact, because a wake that comes early costs one
+	// is always sound, because a wake that comes early costs one
 	// no-issue Tick, which re-derives the memo. The horizon covers only
 	// candidates that can mature on their own (future timing bounds):
 	// rowWanted-blocked PREs are excluded, because their block lifts
@@ -429,10 +435,10 @@ func (c *Controller) NextEvent(now int64) int64 {
 	return max(c.hint, now)
 }
 
-// queueHorizon returns the earliest cycle any of the queue's FR-FCFS
-// candidates (pass-1 row hits and pass-2 row commands) can issue,
-// assuming no intervening commands: now when scan finds one ready
-// (rowWanted-blocked PREs are not candidates), else the exact horizon.
+// queueHorizon returns a lower bound on the earliest cycle any of the
+// queue's FR-FCFS candidates (pass-1 row hits and pass-2 row commands)
+// can issue, assuming no intervening commands: now when scan finds one
+// ready (rowWanted-blocked PREs are not candidates), else scan's bound.
 // Requests blocked structurally on another request's progress (row kept
 // open for an older hit) are covered by that request's own candidate
 // horizon.
@@ -445,73 +451,9 @@ func (c *Controller) queueHorizon(q *reqQueue, writes bool, now int64) int64 {
 		cmd = dram.CmdWR
 	}
 	if best, best2, hz := c.scan(q, cmd, now); best == nil && best2 == nil {
-		return c.horizon(q, cmd, now, hz)
+		return hz
 	}
 	return now
-}
-
-// recomputeEntry re-derives one bank's candidates (see bankEntry). All
-// timing inputs come from one BankSched read; ready cycles are raw
-// horizons (the callers' <= now compares make clamping unnecessary).
-// When only timing moved — the bucket is clean and the bank's row state
-// matches the identity cache — the candidates themselves are reused and
-// just their ready cycles refresh, skipping the bucket scan.
-func (c *Controller) recomputeEntry(q *reqQueue, e *bankEntry, bk int32, cmd dram.Command, st int64) {
-	// Bank coordinates come from the key, not the bucket head: the
-	// identity-fast branch must not touch the request at all (a pointer
-	// chase the packed entry layout exists to avoid).
-	flat := int(bk) % c.bpr
-	rank := int(bk)/c.bpr - c.channel*c.nrank
-	row, open, readyACT, readyPRE, readyRD, readyWR := c.mem.BankSched(
-		c.channel, rank, flat/c.bpg, flat)
-	if !e.dirty && e.idValid && e.idOpen == open && (!open || e.idRow == int32(row)) {
-		if e.p1 != nil {
-			if cmd == dram.CmdRD {
-				e.p1Rank = readyRD
-			} else {
-				e.p1Rank = readyWR
-			}
-		}
-		if e.p2 != nil {
-			switch e.p2Cmd {
-			case dram.CmdACT:
-				e.p2Rank = readyACT
-			default:
-				e.p2Rank = readyPRE
-			}
-		}
-		e.rkStamp = st
-		return
-	}
-	bl := &q.banks[bk]
-	head := bl.head
-	a := &head.DAddr
-	e.p1, e.p2, e.preBlocked = nil, nil, false
-	if !open {
-		e.p2, e.p2Cmd = head, dram.CmdACT
-		e.p2Rank = readyACT
-	} else {
-		for r := bl.head; r != nil; r = r.bnext {
-			if r.DAddr.Row == row {
-				// Rank-side bound only; the channel bus is checked per
-				// cycle through ExtColReady.
-				e.p1 = r
-				if cmd == dram.CmdRD {
-					e.p1Rank = readyRD
-				} else {
-					e.p1Rank = readyWR
-				}
-				break
-			}
-		}
-		if a.Row != row {
-			e.p2, e.p2Cmd, e.p2Row = head, dram.CmdPRE, int32(row)
-			e.p2Rank = readyPRE
-		}
-	}
-	e.dirty = false
-	e.idValid, e.idOpen, e.idRow = true, open, int32(row)
-	e.rkStamp = st
 }
 
 // Tick advances the controller one DRAM cycle, issuing at most one
@@ -566,9 +508,9 @@ func (c *Controller) Tick(now int64) {
 	}
 }
 
-// setHint records the wake memo NextEvent serves — the fused horizon of
-// a no-issue Tick's failed sweeps, or one NextEvent derived — stamped
-// with the state versions it was derived under.
+// setHint records the wake memo NextEvent serves — the fused bound of a
+// no-issue Tick's failed scans, or one NextEvent derived — stamped with
+// the state versions it was derived under.
 func (c *Controller) setHint(h int64) {
 	c.hint = h
 	c.hintValid = true
@@ -586,7 +528,7 @@ func (c *Controller) setHint(h int64) {
 // exactly the requests the rescan's visited-bank set selected), but
 // only the banks whose key is due are examined per tick instead of
 // every occupied bank. A candidate is ready iff now has reached its exact
-// horizon — the cached rank-side bound plus, for columns, the O(1)
+// horizon — dram's cached rank-side bound plus, for columns, the O(1)
 // channel-bus bound — so "oldest ready" equals the rescan's "first in
 // arrival order passing CanIssue".
 func (c *Controller) schedule(q *reqQueue, now int64, writes bool) bool {
@@ -604,12 +546,11 @@ func (c *Controller) schedule(q *reqQueue, now int64, writes bool) bool {
 		cmd = dram.CmdWR
 	}
 	// The scan finds both passes' oldest ready candidates (the row hit
-	// — pass 1 — always wins over a row command, pass 2). The exact min
-	// candidate horizon (sweepHz, the fused memo NextEvent serves) is
-	// derived only on the no-issue paths below — an issuing tick's
-	// horizon is never consumed.
-	best, best2, hzReady := c.scan(q, cmd, now)
-	c.sweepHz = hzReady
+	// — pass 1 — always wins over a row command, pass 2) and the lower
+	// bound a no-issue Tick fuses into the memo NextEvent serves
+	// (sweepHz); an issuing tick's bound is never consumed.
+	best, best2, hz := c.scan(q, cmd, now)
+	c.sweepHz = hz
 	if best != nil {
 		c.issueColumn(cmd, best, q, now, writes)
 		return true
@@ -629,7 +570,6 @@ func (c *Controller) schedule(q *reqQueue, now int64, writes bool) bool {
 		c.markRowCmd(e.p2.DAddr, now)
 		return true
 	}
-	c.sweepHz = c.horizon(q, cmd, now, hzReady)
 	return false
 }
 

@@ -6,18 +6,23 @@ import (
 	"chopim/internal/dram"
 )
 
-// TestNextEventMemo pins the controller's wake memo (NextEvent). The
+// TestNextEventMemo pins the controller's wake memo (NextEvent), a
+// lower bound on the earliest cycle any candidate can issue. The
 // fixture derives a memo from a host read whose row an NDA opened, then
 // lets an NDA column on another bank of the same rank push the read's
-// exact horizon past the memo without touching the queues or the row
-// log. The memo must survive that column as the lower bound it still
-// is, re-derive after every event that keys it (an enqueue, a dequeue,
-// a row change, a Restore), and, once due, stay due whatever moved.
+// horizon past the memo without touching the queues or the row log.
+// The memo must survive that column as the lower bound it still is and
+// never exceed the rescan oracle's earliest issuable cycle; the due
+// scan at the memo must rewrite the bank's key to the exact pushed-out
+// cycle and wake there; every event that keys the memo (an enqueue, a
+// dequeue, a row change, a Restore) must re-derive it; and a due memo
+// must stay due whatever moved.
 func TestNextEventMemo(t *testing.T) {
 	g := dram.DefaultGeometry()
 	other := dram.Addr{Bank: 1, Row: 5} // rank 0, bank group 0
 	hit := dram.Addr{Row: 100}          // rank 0, bank group 0, bank 0
 	far := dram.Addr{Rank: 1, Row: 7}   // another rank: its own column timing
+	bk := int32(hit.GlobalBank(g))      // channel 0, rank 0
 
 	// setup returns the controller with a memo of rdReady derived, the
 	// NDA column at c1 = rdReady-2 issued, and the exact pushed-out
@@ -48,9 +53,23 @@ func TestNextEventMemo(t *testing.T) {
 		pushed = c1 + int64(mem.T.CCDL)
 		return c, mem, rdReady, c1, pushed
 	}
-	// exact re-derives the horizon the memo bounds, bypassing the memo.
-	exact := func(c *Controller, now int64) int64 {
-		return max(min(c.queueHorizon(&c.rq, false, now), c.queueHorizon(&c.wq, true, now)), now)
+	// oracle re-derives the earliest cycle at or after now any queued
+	// candidate can issue, the way the rescan oracle sees it, bypassing
+	// the keys and the memo.
+	oracle := func(c *Controller, now int64) int64 {
+		o := dram.Never
+		for _, b := range c.rq.occ {
+			o = min(o, c.bankOracle(&c.rq, b, dram.CmdRD))
+		}
+		for _, b := range c.wq.occ {
+			o = min(o, c.bankOracle(&c.wq, b, dram.CmdWR))
+		}
+		return max(o, now)
+	}
+	// current reports whether the memo is stamped with the live
+	// versions, so NextEvent serves it without re-deriving.
+	current := func(c *Controller, mem *dram.Mem) bool {
+		return c.hintValid && c.hintVer == c.ver && c.hintRowSeq == mem.RowSeq(0)
 	}
 
 	t.Run("survives-nda-column", func(t *testing.T) {
@@ -60,8 +79,35 @@ func TestNextEventMemo(t *testing.T) {
 				t.Fatalf("query %d: NextEvent(%d) = %d, want the memo %d served across the column", i, c1, next, rdReady)
 			}
 		}
-		if h := exact(c, c1); h != pushed {
-			t.Fatalf("exact horizon %d, want tCCD_L-pushed %d", h, pushed)
+		if o := oracle(c, c1); o != pushed {
+			t.Fatalf("oracle horizon %d, want tCCD_L-pushed %d", o, pushed)
+		}
+		if err := c.CheckInvariants(c1); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("due-scan-rewrites-key", func(t *testing.T) {
+		c, _, rdReady, _, pushed := setup(t)
+		if next := c.NextEvent(rdReady); next != rdReady {
+			t.Fatalf("NextEvent(%d) = %d, want the memo due", rdReady, next)
+		}
+		// The early wake: the scan finds the read's column pushed out,
+		// issues nothing, rewrites the stale key at the exact cycle and
+		// leaves it behind as the memo.
+		c.Tick(rdReady)
+		if c.ReadsIssued != 0 || c.HostIssuedRank() != -1 {
+			t.Fatalf("issued at %d, before the pushed-out cycle %d", rdReady, pushed)
+		}
+		if k := keyOf(&c.rq, bk); k != pushed {
+			t.Fatalf("due scan rewrote the key to %d, want tCCD_L-pushed %d", k, pushed)
+		}
+		if next := c.NextEvent(rdReady + 1); next != pushed {
+			t.Fatalf("NextEvent(%d) = %d, want the rewritten key %d", rdReady+1, next, pushed)
+		}
+		c.Tick(pushed)
+		if c.ReadsIssued != 1 {
+			t.Fatalf("read did not issue at its pushed-out cycle %d", pushed)
 		}
 	})
 
@@ -89,7 +135,7 @@ func TestNextEventMemo(t *testing.T) {
 		}},
 		{"row-change", func(t *testing.T, c *Controller, mem *dram.Mem, c1 int64) int64 {
 			seq := mem.RowSeq(0)
-			mem.WarmOpen(dram.Addr{Rank: 1, BankGroup: 1, Row: 9})
+			mem.WarmOpen(hit) // the queued bank, reopened at its own row
 			if mem.RowSeq(0) == seq {
 				t.Fatal("WarmOpen was not logged as a row change")
 			}
@@ -103,9 +149,18 @@ func TestNextEventMemo(t *testing.T) {
 		t.Run(ev.name, func(t *testing.T) {
 			c, mem, rdReady, c1, _ := setup(t)
 			at := ev.apply(t, c, mem, c1)
+			if current(c, mem) {
+				t.Fatal("the event left the memo current")
+			}
 			next := c.NextEvent(at)
-			if want := exact(c, at); next != want || next <= rdReady {
-				t.Fatalf("NextEvent(%d) = %d, want the re-derived horizon %d (beyond the stale memo %d)", at, next, want, rdReady)
+			if !current(c, mem) {
+				t.Fatalf("NextEvent(%d) served the stale memo %d without re-deriving", at, rdReady)
+			}
+			if o := oracle(c, at); next > o {
+				t.Fatalf("NextEvent(%d) = %d, beyond the oracle's earliest issue cycle %d", at, next, o)
+			}
+			if err := c.CheckInvariants(at); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -113,7 +168,8 @@ func TestNextEventMemo(t *testing.T) {
 	t.Run("due-stays-due", func(t *testing.T) {
 		c, _, rdReady, _, pushed := setup(t)
 		// The memo comes due at rdReady; an enqueue then moves ver, and
-		// the exact horizon lies beyond now, yet the due memo is served.
+		// the oracle's horizon lies beyond now, yet the due memo is
+		// served.
 		c.EnqueueReadDecoded(2<<20, hit, rdReady, nil)
 		if next := c.NextEvent(rdReady); next != rdReady {
 			t.Fatalf("NextEvent(%d) = %d, want the due memo served as now", rdReady, next)
@@ -121,8 +177,8 @@ func TestNextEventMemo(t *testing.T) {
 		if c.hint != rdReady {
 			t.Fatalf("due memo re-derived to %d", c.hint)
 		}
-		if h := exact(c, rdReady); h != pushed {
-			t.Fatalf("exact horizon %d, want tCCD_L-pushed %d", h, pushed)
+		if o := oracle(c, rdReady); o != pushed {
+			t.Fatalf("oracle horizon %d, want tCCD_L-pushed %d", o, pushed)
 		}
 	})
 }

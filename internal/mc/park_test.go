@@ -9,10 +9,10 @@ import (
 
 // TestBankEntryOneLine pins the scheduling cache's layout: the dense
 // sched array is streamed by the controller's hottest loop, and each
-// entry must stay one 64-byte cache line.
+// entry must stay 32 bytes, two to a 64-byte cache line.
 func TestBankEntryOneLine(t *testing.T) {
-	if n := unsafe.Sizeof(bankEntry{}); n != 64 {
-		t.Fatalf("bankEntry is %d bytes, want 64", n)
+	if n := unsafe.Sizeof(bankEntry{}); n != 32 {
+		t.Fatalf("bankEntry is %d bytes, want 32", n)
 	}
 }
 
@@ -72,7 +72,7 @@ func (p *parkPair) tick(cyc int64) {
 	if a, b := ctrlState(p.ctlA, p.memA), ctrlState(p.ctlB, p.memB); a != b {
 		p.t.Fatalf("cycle %d: decisions diverged:\n keys: %s\n ref:      %s", cyc, a, b)
 	}
-	if err := p.ctlA.CheckInvariants(); err != nil {
+	if err := p.ctlA.CheckInvariants(cyc); err != nil {
 		p.t.Fatalf("cycle %d: %v", cyc, err)
 	}
 }

@@ -169,54 +169,61 @@ func (q *reqQueue) remove(r *Request) {
 }
 
 // bankEntry is one bank's slot in a queue's scheduling cache: the
-// bank's FR-FCFS candidates and the rank-side component of their exact
-// earliest-issue cycles (dram.Mem.NextIssue over bank, bank-group, rank,
-// tFAW, and refresh horizons). An entry is recomputed only when its
-// bucket changes (dirty, set by push/remove) or a command issues to its
-// rank (rkStamp versus dram.Mem.RankStamp — the only way the bank's row
-// state or rank-side horizons move). The channel-bus component of
-// column readiness deliberately stays out: it changes on every external
-// column anywhere on the channel, so it is read per check from the O(1)
-// per-channel cache (dram.Mem.ExtColReady). The cross-queue rowWanted
-// input is evaluated (an O(per-bank occupancy) bucket scan over both
-// queues) only once a PRE candidate is ready, and a positive answer is
-// cached as preBlocked until an event that can lift it (see keys.go).
-// A bank whose key is not due costs a scan one int64 compare; no
-// CanIssue or OpenRow calls at all.
-// bankEntry fields are ordered and sized to pack the struct into a
-// single cache line: the dense sched array is streamed by the hottest
-// loop in the controller.
+// bank's FR-FCFS candidates and the row identity they were derived
+// under. It holds no timing: examine reads the candidates' ready cycles
+// from dram.Mem on every visit (BankSched, the per-bank horizon cache,
+// and ExtColReady for the channel bus). The candidates depend only on
+// the bucket's content and the bank's row state, so an entry is
+// re-derived only when its bucket changes (dirty, set by push/remove)
+// or the bank's row state no longer matches (idOpen, idRow). The
+// cross-queue rowWanted input is evaluated (an O(per-bank occupancy)
+// bucket scan over both queues) only once a PRE candidate is ready, and
+// a positive answer is cached as preBlocked until an event that can
+// lift it (see keys.go). A bank whose key is not due costs a scan one
+// int64 compare and no dram read at all. Two entries share a cache
+// line: the dense sched array is streamed by the hottest loop in the
+// controller.
 type bankEntry struct {
-	rkStamp int64
-
 	// Pass 1: the bank's oldest row hit (nil when the bank is closed or
-	// no queued request matches the open row) and the rank-side bound on
-	// its column command.
-	p1     *Request
-	p1Rank int64
-
+	// no queued request matches the open row).
+	p1 *Request
 	// Pass 2: the bank head's row command (ACT on a closed bank, PRE on
-	// a row conflict; nil when the head is itself the row hit), its
-	// ready cycle, and the open row for PRE's rowWanted check.
-	p2     *Request
-	p2Rank int64
-	p2Row  int32
-	p2Cmd  dram.Command
+	// a row conflict; nil when the head is itself the row hit).
+	p2    *Request
+	p2Cmd dram.Command
 
-	// Identity cache: the candidates (which requests, which commands)
-	// depend only on the bucket's content and the bank's row state, not
-	// on timing horizons. While the bucket is clean and (idOpen, idRow)
-	// match the bank, a stamp-invalidated entry refreshes only the two
-	// ready cycles from the bank's cached horizons — no bucket scan.
-	idRow   int32
-	idValid bool
-	idOpen  bool
+	// Row identity: the bank's row state the candidates were derived
+	// under. A closed bank's row never changes until it opens, so the
+	// pair compares exactly. idRow is also the open row a PRE closes.
+	idRow  int32
+	idOpen bool
 
 	dirty bool
 	// preBlocked marks a ready PRE candidate that the open-page rule
 	// holds back (rowWanted was true): examine reports it absent, so
-	// the bank's key skips it. Cleared by a full recompute
-	// (bucket or row change) and by a dequeue of the same bank from
-	// the other queue.
+	// the bank's key skips it. Cleared by a re-derivation (bucket or
+	// row change) and by a dequeue of the same bank from the other
+	// queue.
 	preBlocked bool
+}
+
+// derive re-derives the entry's candidates from the bucket (head is its
+// oldest request) and the bank's row state.
+func (e *bankEntry) derive(head *Request, row int, open bool) {
+	e.p1, e.p2, e.preBlocked = nil, nil, false
+	if !open {
+		e.p2, e.p2Cmd = head, dram.CmdACT
+	} else {
+		for r := head; r != nil; r = r.bnext {
+			if r.DAddr.Row == row {
+				e.p1 = r
+				break
+			}
+		}
+		if head.DAddr.Row != row {
+			e.p2, e.p2Cmd = head, dram.CmdPRE
+		}
+	}
+	e.dirty = false
+	e.idOpen, e.idRow = open, int32(row)
 }

@@ -596,13 +596,7 @@ func (n *RankNDA) access(f *rankFSM, col dram.Command, a dram.Addr, now int64, a
 	}
 	row, open := n.mem.OpenRow(a)
 	if open && row == a.Row {
-		if !n.mem.CanIssue(col, a, now, true) {
-			return false
-		}
-		if apply {
-			n.mem.Issue(col, a, now, true)
-		}
-		return true
+		return n.issue(col, a, now, apply)
 	}
 	// Row command needed: the host's pending requests to this bank take
 	// priority over NDA row commands (Section III-B).
@@ -611,16 +605,23 @@ func (n *RankNDA) access(f *rankFSM, col dram.Command, a dram.Addr, now int64, a
 		return false
 	}
 	if open {
-		if n.mem.CanIssue(dram.CmdPRE, a, now, true) && apply {
-			n.mem.Issue(dram.CmdPRE, a, now, true)
+		if apply {
+			n.mem.TryIssue(dram.CmdPRE, a, now, true)
 		}
 		return false
 	}
-	if n.mem.CanIssue(dram.CmdACT, a, now, true) {
-		if apply {
-			n.mem.Issue(dram.CmdACT, a, now, true)
-		}
+	if n.issue(dram.CmdACT, a, now, apply) {
 		f.stats.RowActs++
 	}
 	return false
+}
+
+// issue reports whether the internal command cmd to a is legal at now,
+// and on the primary FSM (apply) issues it in the same call. The replica
+// only checks.
+func (n *RankNDA) issue(cmd dram.Command, a dram.Addr, now int64, apply bool) bool {
+	if apply {
+		return n.mem.TryIssue(cmd, a, now, true)
+	}
+	return n.mem.CanIssue(cmd, a, now, true)
 }

@@ -203,7 +203,7 @@ func (s *System) verifyInvariants() {
 		}
 	}
 	for i, c := range s.MCs {
-		if err := c.CheckInvariants(); err != nil {
+		if err := c.CheckInvariants(s.dramCycle); err != nil {
 			panic(&InvariantError{Cycle: s.dramCycle, Msg: fmt.Sprintf("controller %d: %v", i, err)})
 		}
 	}
