@@ -5,7 +5,7 @@
 // Usage:
 //
 //	chopim [-quick] [-warm N] [-measure N] [-parallel N] [-cache-dir D]
-//	       [-checkpoint D [-resume]] [-on-interrupt=drain|abort]
+//	       [-on-interrupt=drain|abort]
 //	       [-check-invariants] [-deadline D] [-fail-fast]
 //	       [-cpuprofile F] [-memprofile F] <experiment>
 //
@@ -16,10 +16,11 @@
 // rows are stored under a hash of the model version and the
 // behavior-selecting options, and a later run whose fingerprint matches
 // replays the stored rows without simulating (figures are deterministic,
-// so the replay is exact). -checkpoint D journals each completed
-// simulation point of every sweep as it finishes; -resume makes an
-// interrupted run pick up at the last completed point. A run with
-// either flag reports cache hits/misses and resumed points at exit.
+// so the replay is exact). While a figure runs, each completed
+// simulation point is stored in the same cache, so rerunning an
+// interrupted figure with the same -cache-dir replays those points and
+// simulates only the rest. A run with -cache-dir reports cache
+// hits/misses and resumed points at exit.
 //
 // -parallel N shards each figure's independent simulation points across
 // N workers (-1 = all CPUs). It is the only parallelism: each
@@ -37,11 +38,12 @@
 // internal/faults).
 //
 // Interrupt & resume: resume is point-granular. A kill -9 loses only
-// the points in flight; the next -resume run replays every journaled
-// point and recomputes the rest, printing a byte-identical figure.
-// SIGINT/SIGTERM stop the sweep per -on-interrupt — drain (default:
-// finish and journal in-flight points, admit no more) or abort (exit
-// at once) — then exit 130; a second signal force-exits immediately.
+// the points in flight; the next run on the same -cache-dir replays
+// every stored point and recomputes the rest, printing a byte-identical
+// figure. SIGINT/SIGTERM stop the sweep per -on-interrupt — drain
+// (default: finish and store in-flight points, admit no more) or abort
+// (exit at once) — then exit 130; a second signal force-exits
+// immediately.
 //
 // -cpuprofile / -memprofile write pprof profiles covering the selected
 // experiment (see README.md, "Profiling").
@@ -90,11 +92,7 @@ func run() (code int) {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	cacheDir := flag.String("cache-dir", "",
-		"content-addressed figure result cache: replay figures whose options fingerprint matches a stored entry, store the rest")
-	checkpoint := flag.String("checkpoint", "",
-		"sweep progress journal directory: record each completed simulation point as it finishes")
-	resume := flag.Bool("resume", false,
-		"pick an interrupted sweep up at the last completed point recorded in the -checkpoint journals")
+		"content-addressed result cache: replay figures and completed sweep points whose options fingerprint matches a stored entry, store the rest")
 	checkInvariants := flag.Bool("check-invariants", false,
 		"validate cross-layer conservation invariants at every commit barrier (bit-identical results, slower; violations quarantine the point)")
 	deadline := flag.Duration("deadline", 0,
@@ -158,17 +156,11 @@ func run() (code int) {
 		opt.MeasureCycles = *measure
 	}
 	opt.Parallel = *parallel
-	if *resume && *checkpoint == "" {
-		fmt.Fprintf(os.Stderr, "chopim: -resume requires -checkpoint DIR (the journals to resume from)\n")
-		return 2
-	}
 	if *onInterrupt != "drain" && *onInterrupt != "abort" {
 		fmt.Fprintf(os.Stderr, "chopim: -on-interrupt=%q (want drain or abort)\n", *onInterrupt)
 		return 2
 	}
 	opt.CacheDir = *cacheDir
-	opt.JournalDir = *checkpoint
-	opt.Resume = *resume
 	opt.CheckInvariants = *checkInvariants
 	opt.PointTimeout = *deadline
 	opt.KeepGoing = !*failFast
@@ -197,7 +189,7 @@ func run() (code int) {
 			cancel.CancelAdmission()
 		}
 	}()
-	if *cacheDir != "" || *checkpoint != "" {
+	if *cacheDir != "" {
 		defer printCacheStats()
 	}
 	defer printSweepHealth()
@@ -259,8 +251,8 @@ func tw() *tabwriter.Writer {
 }
 
 // printCacheStats reports result-cache and resume activity after a run
-// with -cache-dir or -checkpoint (CI greps this line to assert the
-// second run of a cached figure hits).
+// with -cache-dir (CI greps this line to assert the second run of a
+// cached figure hits and a rerun after a crash replays points).
 func printCacheStats() {
 	st := experiments.ReadRunnerStats()
 	fmt.Printf("\ncache: %d hits, %d misses; resumed %d points; %d host-only reuses\n",

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -79,12 +82,14 @@ func TestFigureCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResumeJournal interrupts a sweep (an injected point failure) and
-// proves the resumed run replays the completed points and recomputes
-// only the rest, with the final rows identical to an uninterrupted run.
-func TestResumeJournal(t *testing.T) {
+// TestResumePointStore interrupts a sweep (an injected point failure)
+// and proves a rerun on the same cache directory replays the completed
+// points and recomputes only the rest, with the final rows identical to
+// an uninterrupted run and no point entries left once the figure is
+// stored.
+func TestResumePointStore(t *testing.T) {
 	opt := QuickOptions()
-	opt.JournalDir = t.TempDir()
+	opt.CacheDir = t.TempDir()
 	opt.Parallel = 1 // deterministic completion order up to the failure
 
 	boom := errors.New("injected point failure")
@@ -103,7 +108,6 @@ func TestResumeJournal(t *testing.T) {
 		t.Fatalf("interrupted run: got %v, want injected failure", err)
 	}
 	before := ReadRunnerStats()
-	opt.Resume = true
 	rows, err := figCached(opt, "resume-test", gen(-1))
 	if err != nil {
 		t.Fatal(err)
@@ -119,13 +123,52 @@ func TestResumeJournal(t *testing.T) {
 	if !reflect.DeepEqual(rows, want) {
 		t.Fatalf("resumed rows = %v, want %v", rows, want)
 	}
-	// The completed figure removes its journals.
-	ents, err := os.ReadDir(opt.JournalDir)
-	if err != nil {
-		t.Fatal(err)
+	// The completed figure leaves its entry and removes its points.
+	assertNoPoints(t, opt.CacheDir)
+	if figs, _ := filepath.Glob(filepath.Join(opt.CacheDir, "resume-test-*.json")); len(figs) != 1 {
+		t.Fatalf("figure entries = %v, want one", figs)
 	}
-	if len(ents) != 0 {
-		t.Fatalf("journal dir not cleaned after completion: %v", ents)
+}
+
+// assertNoPoints fails the test if dir holds any point store.
+func assertNoPoints(t *testing.T, dir string) {
+	t.Helper()
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.points")); len(left) != 0 {
+		t.Fatalf("point stores left after the figure completed: %v", left)
+	}
+}
+
+// TestUnmarshalablePointNotStored: a point whose result cannot be
+// marshaled (a NaN) still comes back in the sweep's results. It is not
+// stored, its neighbours are, and a rerun recomputes exactly it.
+func TestUnmarshalablePointNotStored(t *testing.T) {
+	dir := t.TempDir()
+	mkOpt := func() Options { return Options{points: &pointStore{dir: dir, key: "nanfig"}} }
+	job := func(i int) (float64, error) {
+		if i == 1 {
+			return math.NaN(), nil
+		}
+		return float64(i) + 0.5, nil
+	}
+	check := func(vals []float64, err error) {
+		t.Helper()
+		if err != nil || len(vals) != 3 || vals[0] != 0.5 || !math.IsNaN(vals[1]) || vals[2] != 2.5 {
+			t.Fatalf("sweep = %v, %v; want [0.5 NaN 2.5]", vals, err)
+		}
+	}
+	check(sharded(mkOpt(), 3, job))
+	for i, want := range []bool{true, false, true} {
+		_, err := os.Stat(filepath.Join(dir, fmt.Sprintf("0-3-%d.json", i)))
+		if stored := err == nil; stored != want {
+			t.Errorf("point %d stored = %v, want %v", i, stored, want)
+		}
+	}
+
+	before := ReadRunnerStats()
+	check(sharded(mkOpt(), 3, job))
+	after := ReadRunnerStats()
+	if res, jobs := after.Resumed-before.Resumed, after.Jobs-before.Jobs; res != 2 || jobs != 1 {
+		t.Fatalf("rerun replayed %d points and simulated %d; want 2 and 1", res, jobs)
 	}
 }
 

@@ -9,10 +9,9 @@ import (
 	"testing"
 )
 
-// corruptions is the shared mutation table: every way a cache entry or
-// journal on disk can rot — truncation, garbage, bit flips at every
-// position — must read back as a miss (recompute) or a clean partial
-// resume, never as wrong rows.
+// corruptions is the shared mutation table: every way a figure or point
+// entry on disk can rot — truncation, garbage, bit flips at every
+// position — must read back as a miss (recompute), never as wrong rows.
 func corruptions(pristine []byte) map[string][]byte {
 	muts := map[string][]byte{
 		"empty":           {},
@@ -96,27 +95,31 @@ func TestCacheCorruptionRecomputesIdentically(t *testing.T) {
 	}
 }
 
-// TestJournalCorruptionResumesCleanly seeds a complete journal, then for
-// every mutation reruns the sweep under -resume: whatever survives the
-// checksummed replay is reused, the rest recomputes, and the final
+// TestJournalCorruptionResumesCleanly seeds a sweep's point entries,
+// then mutilates one point's entry every way in the table and reruns
+// the sweep: the mutilated entry reads as a miss and recomputes (and is
+// rewritten to its pristine bytes), every intact entry replays, and the
 // results are always identical to a clean run.
 func TestJournalCorruptionResumesCleanly(t *testing.T) {
 	dir := t.TempDir()
-	job := func(i int) (int, error) { return i*3 + 1, nil }
-	want := []int{1, 4, 7, 10, 13, 16}
-	mkOpt := func() Options {
-		opt := Options{JournalDir: dir, Resume: true}
-		opt.journal = newJournalCtx(opt, "jfig", "feedfacefeedfacefeedface")
-		return opt
+	ops := []string{"copy", "dot", "nrm2", "scal", "axpy", "gemv"}
+	job := func(i int) (NDAOnlyRow, error) {
+		return NDAOnlyRow{Op: ops[i], NDABlocks: int64(i*3 + 1), BWGBs: float64(i) / 4}, nil
 	}
-	if v, err := sharded(mkOpt(), 6, job); err != nil || !reflect.DeepEqual(v, want) {
+	want := make([]NDAOnlyRow, len(ops))
+	for i := range want {
+		want[i], _ = job(i)
+	}
+	key := Options{}.cacheKey("pfig")
+	mkOpt := func() Options { return Options{points: &pointStore{dir: dir, key: key}} }
+	if v, err := sharded(mkOpt(), len(ops), job); err != nil || !reflect.DeepEqual(v, want) {
 		t.Fatalf("seed sweep: %v %v", v, err)
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "jfig-*.journal"))
-	if len(files) != 1 {
-		t.Fatalf("journal files = %v, want one", files)
+	files, _ := filepath.Glob(filepath.Join(dir, "0-6-*.json"))
+	if len(files) != len(ops) {
+		t.Fatalf("point entries = %v, want %d", files, len(ops))
 	}
-	path := files[0]
+	path := filepath.Join(dir, "0-6-3.json")
 	pristineBytes, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -127,23 +130,36 @@ func TestJournalCorruptionResumesCleanly(t *testing.T) {
 			if err := os.WriteFile(path, mut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			v, err := sharded(mkOpt(), 6, job)
+			before := ReadRunnerStats()
+			v, err := sharded(mkOpt(), len(ops), job)
 			if err != nil {
-				t.Fatalf("resume over corrupt journal errored: %v", err)
+				t.Fatalf("rerun over a corrupt point entry errored: %v", err)
 			}
 			if !reflect.DeepEqual(v, want) {
 				t.Fatalf("results after corruption = %v, want %v", v, want)
 			}
+			after := ReadRunnerStats()
+			if res, jobs := after.Resumed-before.Resumed, after.Jobs-before.Jobs; res != 5 || jobs != 1 {
+				t.Fatalf("rerun replayed %d points and simulated %d; want 5 and 1", res, jobs)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, pristineBytes) {
+				t.Errorf("rewritten entry differs from pristine encoding:\n got:  %q\n want: %q", got, pristineBytes)
+			}
 		})
 	}
 
-	// A journal bound to a different sweep width must be discarded
-	// outright, not partially replayed.
-	if err := os.WriteFile(path, pristineBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := sharded(mkOpt(), 4, func(i int) (int, error) { return i, nil }); err != nil ||
-		!reflect.DeepEqual(v, []int{0, 1, 2, 3}) {
+	// Entries stored under a different sweep width are other entries:
+	// nothing replays, every point recomputes.
+	before := ReadRunnerStats()
+	if v, err := sharded(mkOpt(), 4, func(i int) (NDAOnlyRow, error) { return NDAOnlyRow{NDABlocks: int64(i)}, nil }); err != nil ||
+		!reflect.DeepEqual(v, []NDAOnlyRow{{NDABlocks: 0}, {NDABlocks: 1}, {NDABlocks: 2}, {NDABlocks: 3}}) {
 		t.Fatalf("width-changed sweep: %v %v", v, err)
+	}
+	if res := ReadRunnerStats().Resumed - before.Resumed; res != 0 {
+		t.Fatalf("width-changed sweep replayed %d points, want 0", res)
 	}
 }

@@ -34,15 +34,10 @@ type Options struct {
 	// version and the behavior-selecting options, and a later run with
 	// the same fingerprint replays the stored rows without simulating
 	// (see cache.go; figures are deterministic so the replay is exact).
+	// While a figure runs, each completed sweep point is stored as an
+	// entry too, so a rerun of an interrupted figure replays them and
+	// simulates only the rest.
 	CacheDir string
-
-	// JournalDir, when set, checkpoints sweep progress: every sharded
-	// sweep appends each completed point to a journal file as it
-	// finishes. Resume then makes an interrupted run pick up at the
-	// last completed point — journals with a stale fingerprint are
-	// discarded, and a figure that completes removes its journals.
-	JournalDir string
-	Resume     bool
 
 	// CheckInvariants arms sim.Config.CheckInvariants on every point:
 	// cross-layer conservation invariants validated at each commit
@@ -63,13 +58,13 @@ type Options struct {
 
 	// Cancel, when set, lets a signal handler or peer goroutine drain
 	// the sweep cooperatively: no new points start, in-flight ones run
-	// to completion and are journaled. A canceled sweep returns
+	// to completion and are stored. A canceled sweep returns
 	// ErrSweepCanceled, so partial results are never cached as complete.
 	Cancel *Canceler
 
-	// journal carries the figure's resume-journal context from
-	// figCached into its sharded sweeps.
-	journal *journalCtx
+	// points carries the figure's point store from figCached into its
+	// sharded sweeps.
+	points *pointStore
 }
 
 // newSystem builds one simulation point's system with the options'

@@ -12,13 +12,13 @@ import (
 )
 
 // crashSweepOpts is the shared budget for the crash-resume test: small
-// enough to run in seconds. The crash child and the resumed run must
-// build it the same way — the journal header fingerprints it.
+// enough to run in seconds. The crash child and the rerun must build it
+// the same way — the cache key fingerprints it.
 func crashSweepOpts(dir string) Options {
 	opt := QuickOptions()
 	opt.WarmCycles, opt.MeasureCycles = 2_000, 28_000
 	opt.Parallel = 1
-	opt.JournalDir = dir
+	opt.CacheDir = dir
 	return opt
 }
 
@@ -31,14 +31,12 @@ func crashSweepRows(opt Options) ([]NDAOnlyRow, error) {
 // TestSweepDrainCancel proves the graceful-drain level: stopping
 // admission mid-sweep lets the point in hand finish, fails the sweep
 // with ErrSweepCanceled (partial results must never read as complete),
-// journals the completed points, and a resumed run replays them and
-// computes only the rest.
+// stores the completed points, and a rerun replays them and computes
+// only the rest.
 func TestSweepDrainCancel(t *testing.T) {
 	dir := t.TempDir()
 	mkOpt := func(c *Canceler) Options {
-		opt := Options{Parallel: 1, JournalDir: dir, Resume: true, Cancel: c}
-		opt.journal = newJournalCtx(opt, "drainfig", "feedfacefeedfacefeedface")
-		return opt
+		return Options{Parallel: 1, Cancel: c, points: &pointStore{dir: dir, key: "drainfig"}}
 	}
 	job := func(i int) (int, error) { return 10*i + 1, nil }
 
@@ -71,8 +69,8 @@ func TestSweepDrainCancel(t *testing.T) {
 		t.Fatalf("resumed results = %v, want %v", vals, want)
 	}
 	after := ReadRunnerStats()
-	if n := after.Resumed - before.Resumed; n != 2 {
-		t.Errorf("resumed %d points from the journal, want 2", n)
+	if res, jobs := after.Resumed-before.Resumed, after.Jobs-before.Jobs; res != 2 || jobs != 3 {
+		t.Errorf("rerun replayed %d stored points and simulated %d, want 2 and 3", res, jobs)
 	}
 
 	// A pre-canceled sweep admits nothing, with four workers too.
@@ -87,10 +85,10 @@ func TestSweepDrainCancel(t *testing.T) {
 // TestCrashResumeSIGKILL is the crash harness: a subprocess runs the
 // sweep with die-after-point=1 armed, so the kernel kills it with
 // SIGKILL — no deferred cleanup, no flushes — the instant its first
-// point's journal record is durable. The parent asserts the process
-// died by signal, then resumes from the survivor directory and proves
-// the journaled point replays and the rows are identical to an
-// uninterrupted run.
+// point's cache entry is durable. The parent asserts the process died
+// by signal, then reruns on the survivor cache directory and proves
+// the stored point replays, the rows are identical to an uninterrupted
+// run, and the completed figure leaves no point entries behind.
 func TestCrashResumeSIGKILL(t *testing.T) {
 	if dir := os.Getenv("CHOPIM_CRASH_DIR"); dir != "" {
 		// Child payload: never returns normally.
@@ -122,17 +120,16 @@ func TestCrashResumeSIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ReadRunnerStats()
-	opt := crashSweepOpts(dir)
-	opt.Resume = true
-	rows, err := crashSweepRows(opt)
+	rows, err := crashSweepRows(crashSweepOpts(dir))
 	if err != nil {
-		t.Fatalf("resume after SIGKILL failed: %v", err)
+		t.Fatalf("rerun after SIGKILL failed: %v", err)
 	}
 	after := ReadRunnerStats()
 	if n := after.Resumed - before.Resumed; n < 1 {
-		t.Errorf("resume replayed %d journaled points, want >=1 (recomputed instead?)", n)
+		t.Errorf("rerun replayed %d stored points, want >=1 (recomputed instead?)", n)
 	}
 	if !reflect.DeepEqual(rows, ref) {
-		t.Fatalf("crash+resume rows diverged from the uninterrupted run:\n want: %+v\n  got: %+v", ref, rows)
+		t.Fatalf("crash+rerun rows diverged from the uninterrupted run:\n want: %+v\n  got: %+v", ref, rows)
 	}
+	assertNoPoints(t, dir)
 }

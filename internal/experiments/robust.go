@@ -4,9 +4,9 @@
 // PointError and quarantined instead of killing the process, and
 // deadline expiries are counted separately. Every point gets exactly
 // one attempt: simulation, placement and config errors are
-// deterministic, and journal and cache I/O errors degrade to recompute
-// without failing the point, so no failure a point returns would pass
-// on a second try. Under Options.KeepGoing a sweep completes every
+// deterministic, and cache I/O errors degrade to recompute without
+// failing the point, so no failure a point returns would pass on a
+// second try. Under Options.KeepGoing a sweep completes every
 // healthy point and reports the failures together as a SweepError; the
 // default remains fail-fast on the lowest-index error.
 package experiments

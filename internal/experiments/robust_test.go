@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -149,10 +150,10 @@ func TestPointTimeoutEndToEnd(t *testing.T) {
 	}
 }
 
-// TestQuarantinedPointNotJournaled: a panicking point must not be
-// journaled as done — a resumed sweep recomputes exactly it, and once
-// the fault is gone the resumed table is byte-identical to a clean run.
-func TestQuarantinedPointNotJournaled(t *testing.T) {
+// TestQuarantinedPointNotStored: a panicking point must never be
+// stored — a rerun recomputes exactly it, and once the fault is gone
+// the rerun's table is byte-identical to a clean run.
+func TestQuarantinedPointNotStored(t *testing.T) {
 	dir := t.TempDir()
 	fail := true
 	job := func(i int) (int, error) {
@@ -162,9 +163,7 @@ func TestQuarantinedPointNotJournaled(t *testing.T) {
 		return i*i + 1, nil
 	}
 	mkOpt := func() Options {
-		opt := Options{Parallel: 2, KeepGoing: true, JournalDir: dir, Resume: true}
-		opt.journal = newJournalCtx(opt, "qfig", "deadbeefdeadbeefdeadbeef")
-		return opt
+		return Options{Parallel: 2, KeepGoing: true, points: &pointStore{dir: dir, key: "qfig"}}
 	}
 	_, err := sharded(mkOpt(), 5, job)
 	var se *SweepError
@@ -172,34 +171,29 @@ func TestQuarantinedPointNotJournaled(t *testing.T) {
 		t.Fatalf("got %v, want point 2 quarantined", err)
 	}
 
-	// The journal must hold every healthy point and not point 2.
-	files, _ := filepath.Glob(filepath.Join(dir, "qfig-*.journal"))
-	if len(files) != 1 {
-		t.Fatalf("journal files = %v, want exactly one", files)
-	}
-	b, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(b), `"I":2,`) {
-		t.Fatalf("quarantined point journaled as done:\n%s", b)
+	// The store must hold every healthy point and not point 2.
+	for i := 0; i < 5; i++ {
+		_, err := os.Stat(filepath.Join(dir, fmt.Sprintf("0-5-%d.json", i)))
+		if stored := err == nil; stored != (i != 2) {
+			t.Fatalf("point %d stored = %v (point 2 is quarantined)", i, stored)
+		}
 	}
 
-	// Fault cleared: the resumed run replays the healthy points and
+	// Fault cleared: the rerun replays the healthy points and
 	// recomputes only the quarantined one.
 	fail = false
 	before := ReadRunnerStats()
 	vals, err := sharded(mkOpt(), 5, job)
 	if err != nil {
-		t.Fatalf("resumed sweep failed: %v", err)
+		t.Fatalf("rerun failed: %v", err)
 	}
 	want := []int{1, 2, 5, 10, 17}
 	if !reflect.DeepEqual(vals, want) {
-		t.Fatalf("resumed results = %v, want %v", vals, want)
+		t.Fatalf("rerun results = %v, want %v", vals, want)
 	}
 	after := ReadRunnerStats()
-	if after.Resumed-before.Resumed != 4 {
-		t.Errorf("resumed %d points, want 4", after.Resumed-before.Resumed)
+	if res, jobs := after.Resumed-before.Resumed, after.Jobs-before.Jobs; res != 4 || jobs != 1 {
+		t.Errorf("rerun replayed %d points and simulated %d, want 4 and 1", res, jobs)
 	}
 }
 

@@ -42,8 +42,8 @@ type RunnerStats struct {
 	MaxShards int64         // largest worker pool used
 
 	CacheHits      int64 // figures replayed from the result cache
-	CacheMisses    int64 // figures simulated and stored (CacheDir set)
-	Resumed        int64 // points replayed from resume journals
+	CacheMisses    int64 // figures looked up and not found (CacheDir set)
+	Resumed        int64 // point entries replayed from the result cache
 	HostOnlyReuses int64 // host-only points served from the outcome memo
 
 	Panics      int64 // points that panicked (recovered and quarantined)
@@ -86,7 +86,7 @@ func ReadRunnerStats() RunnerStats {
 
 // Canceler drains a sweep cooperatively from a signal handler or peer
 // goroutine: once CancelAdmission is called, the runner admits no new
-// points while in-flight ones run to completion and are journaled.
+// points while in-flight ones run to completion and are stored.
 // Sticky and safe to call from any goroutine, any number of times.
 type Canceler struct{ admit atomic.Bool }
 
@@ -99,8 +99,7 @@ func (c *Canceler) AdmissionStopped() bool { return c != nil && c.admit.Load() }
 
 // ErrSweepCanceled reports that admission stopped before every point
 // ran. It always surfaces as the sweep's error — a drained sweep's
-// partial results must never be journaled as finished or cached as a
-// complete figure.
+// partial results must never be cached as a complete figure.
 var ErrSweepCanceled = errors.New("experiments: sweep canceled before all points ran")
 
 // sharded runs n independent jobs with the worker count opt implies and
@@ -114,22 +113,23 @@ var ErrSweepCanceled = errors.New("experiments: sweep canceled before all points
 // already in flight, and the lowest-index error wins. Under
 // Options.KeepGoing every point runs regardless of failures and the
 // failed ones come back together as a *SweepError; quarantined points
-// are never journaled as done, so a resumed sweep recomputes exactly
-// them.
+// are never stored, so a rerun recomputes exactly them.
 func sharded[T any](opt Options, n int, job func(i int) (T, error)) ([]T, error) {
 	workers := opt.parallelism()
 	if prev := statShard.Load(); int64(workers) > prev {
 		statShard.CompareAndSwap(prev, int64(workers))
 	}
 	results := make([]T, n)
-	// Resume journal (Options.JournalDir): replay points a previous run
-	// completed, log each point this run completes. Replayed points skip
-	// simulation entirely; a figure's points are independent, so the
-	// remaining ones compute exactly what they would have.
-	jf := opt.journal.open(n)
-	done := journalLoad(jf, results)
+	// Point store (a figure run with CacheDir): replay the points a
+	// previous run completed, store each point this run completes.
+	// Replayed points skip simulation entirely; a figure's points are
+	// independent, so the remaining ones compute exactly what they
+	// would have.
+	sw := opt.points.sweep(n)
 	runOne := func(i int) error {
-		if done != nil && done[i] {
+		if v, ok := loadPoint[T](sw, i); ok {
+			results[i] = v
+			statResumed.Add(1)
 			return nil
 		}
 		v, err := runPoint(i, job)
@@ -137,7 +137,7 @@ func sharded[T any](opt Options, n int, job func(i int) (T, error)) ([]T, error)
 			return err
 		}
 		results[i] = v
-		journalRecord(jf, i, v)
+		storePoint(sw, i, v)
 		return nil
 	}
 	errs := make([]error, n)
@@ -190,8 +190,8 @@ type NDAOnlyRow struct {
 }
 
 // NDAOnlySweep measures NDA-only (no host cores) throughput for a set
-// of Table I operations through the sharded runner, as one cached,
-// journaled figure. The crash-resume tests kill and resume it.
+// of Table I operations through the sharded runner, as one cached
+// figure. The crash-resume test kills and reruns it.
 func NDAOnlySweep(opt Options, ops []string) ([]NDAOnlyRow, error) {
 	return figCached(opt, "ndaonly-"+strings.Join(ops, "+"),
 		func(opt Options) ([]NDAOnlyRow, error) { return ndaOnlyRows(opt, ops) })

@@ -3,7 +3,7 @@
 // runner consult it, and tests (or the hidden -inject CLI flag) arm
 // hooks that corrupt values, panic, or kill the process at a chosen
 // point. The registry exists so the detectors built in this layer —
-// the livelock detector, point quarantine, journal resume after a
+// the livelock detector, point quarantine, point resume after a
 // crash — are proven to FIRE, not merely to exist.
 //
 // Disarmed cost is one atomic load per consultation (sites are
@@ -36,10 +36,10 @@ const (
 	// RunnerPoint fires with each sweep point's index before the point
 	// simulates; a hook that panics simulates a crashing point.
 	RunnerPoint = "experiments.point"
-	// PointJournaled fires with a sweep point's index once its resume
-	// journal record has been fsynced; the die-after-point spec SIGKILLs
-	// the process here, the crash-resume harness's injection point.
-	PointJournaled = "experiments.point-journaled"
+	// PointStored fires with a sweep point's index once its result
+	// cache entry is durable; the die-after-point spec SIGKILLs the
+	// process here, the crash-resume harness's injection point.
+	PointStored = "experiments.point-stored"
 )
 
 var (
@@ -102,7 +102,7 @@ func Adjust(site string, v int64) int64 {
 //	stuck-horizon=C   report Never as the wake bound once the bound
 //	                  reaches cycle C (livelock injection)
 //	die-after-point=N SIGKILL this process the moment the Nth sweep
-//	                  point's journal record is durable (crash-resume
+//	                  point's cache entry is durable (crash-resume
 //	                  harness)
 //
 // Hooks armed through ArmSpec stay armed for the process lifetime.
@@ -145,11 +145,11 @@ func ArmSpec(spec string) error {
 				return fmt.Errorf("faults: die-after-point=%q: want a point count >= 1", arg)
 			}
 			var seen atomic.Int64
-			ArmAdjust(PointJournaled, func(v int64) int64 {
+			ArmAdjust(PointStored, func(v int64) int64 {
 				if seen.Add(1) >= n {
 					// A real crash, not an exit: no deferred cleanup, no
-					// atexit flushes. The journal records already on
-					// disk are all a resume gets.
+					// atexit flushes. The point entries already on
+					// disk are all a rerun gets.
 					syscall.Kill(os.Getpid(), syscall.SIGKILL)
 				}
 				return v

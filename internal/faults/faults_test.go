@@ -66,7 +66,7 @@ func TestArmSpecStuckHorizon(t *testing.T) {
 }
 
 // TestArmSpecDieAfterPoint checks the crash-harness spec parses and
-// arms the journal site, and that a bad point count is rejected. The
+// arms the point-stored site, and that a bad point count is rejected. The
 // kill itself is exercised end to end by the experiments package's
 // TestCrashResumeSIGKILL.
 func TestArmSpecDieAfterPoint(t *testing.T) {
@@ -78,8 +78,8 @@ func TestArmSpecDieAfterPoint(t *testing.T) {
 		t.Fatal("die-after-point armed nothing")
 	}
 	// Below the count the hook passes the point index through.
-	if got := Adjust(PointJournaled, 7); got != 7 {
-		t.Fatalf("first journaled point adjusted: %d", got)
+	if got := Adjust(PointStored, 7); got != 7 {
+		t.Fatalf("first stored point adjusted: %d", got)
 	}
 	for _, spec := range []string{"die-after-point=", "die-after-point=x", "die-after-point=0", "die-after-point=-1"} {
 		if err := ArmSpec(spec); err == nil {

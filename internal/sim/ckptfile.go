@@ -1,5 +1,5 @@
 // Byte codec for Checkpoint. No checkpoint outlives its process: sweep
-// resume replays completed points from the JSON journal. The codec's
+// resume replays completed points from the result cache. The codec's
 // only users are the benchmark's fork check, which measures it
 // (per-layer ckpt.* metrics), and the tests, where a decode followed by
 // Restore proves a Checkpoint carries every field a fresh process
