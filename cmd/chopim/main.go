@@ -234,7 +234,9 @@ func run() (code int) {
 	}
 	if name == "all" {
 		st := experiments.ReadRunnerStats()
-		fmt.Printf("\nrunner: %d points (%d failed), %s simulation time across <=%d workers\n",
+		// Wall time varies run to run, so it goes to stderr: stdout
+		// holds only the tables, which are deterministic.
+		fmt.Fprintf(os.Stderr, "\nrunner: %d points (%d failed), %s simulation time across <=%d workers\n",
 			st.Jobs, st.Errors, st.BusyTime.Round(time.Millisecond), st.MaxShards)
 	}
 	if interrupted.Load() {

@@ -23,12 +23,13 @@ type Command int
 
 // DRAM commands. Auto-precharge variants are not modeled because the
 // simulated controllers use an open-page policy with explicit precharge.
+// Refresh is not modeled either: the paper's Table II configuration runs
+// with refresh off.
 const (
 	CmdACT Command = iota
 	CmdPRE
 	CmdRD
 	CmdWR
-	CmdREF
 )
 
 // String returns the conventional mnemonic for the command.
@@ -42,8 +43,6 @@ func (c Command) String() string {
 		return "RD"
 	case CmdWR:
 		return "WR"
-	case CmdREF:
-		return "REF"
 	}
 	return fmt.Sprintf("Command(%d)", int(c))
 }
@@ -149,13 +148,9 @@ type Timing struct {
 	RRDS int // ACT to ACT, different bank group
 	RRDL int // ACT to ACT, same bank group
 	FAW  int // four-activation window
-	REFI int // refresh interval (0 disables refresh)
-	RFC  int // refresh cycle time
 }
 
 // DDR42400 returns the paper's Table II DDR4 timing parameters.
-// Refresh is disabled by default to match the paper's configuration; set
-// REFI/RFC explicitly to enable it.
 func DDR42400() Timing {
 	return Timing{
 		BL: 4, CCDS: 4, CCDL: 6, RTRS: 2, CL: 16, RCD: 16,

@@ -13,8 +13,8 @@ type bankState struct {
 	NextRD  int64
 	NextWR  int64
 
-	// Cached earliest-issue horizons folding the bank-group, rank, tFAW,
-	// and refresh components (see rankState.horizons). Valid while
+	// Cached earliest-issue horizons folding the bank-group, rank and
+	// tFAW components (see rankState.horizons). Valid while
 	// HzStamp equals the owning rank's Stamp; every Issue touching the
 	// rank bumps the stamp, invalidating all of its banks at once. With
 	// the cache warm, CanIssue in a scheduler inner loop is a structural
@@ -58,7 +58,6 @@ type rankState struct {
 	// DataBusyUntil is when the rank's data pins/internal IO finish the
 	// current burst. Used for statistics and NDA idle detection.
 	DataBusyUntil int64
-	RefreshUntil  int64
 }
 
 // horizons returns the bank's cached earliest-issue horizons, recomputing
@@ -70,11 +69,10 @@ func (rk *rankState) horizons(t *Timing, bgIdx, flat int) *bankState {
 		return b
 	}
 	bg := &rk.BGs[bgIdx]
-	ru := rk.RefreshUntil
-	b.ReadyACT = max(b.NextACT, bg.NextACT, rk.NextACT, rk.fawReady(t), ru)
-	b.ReadyPRE = max(b.NextPRE, ru)
-	b.ReadyRD = max(b.NextRD, bg.NextRD, rk.NextRD, ru)
-	b.ReadyWR = max(b.NextWR, bg.NextWR, rk.NextWR, ru)
+	b.ReadyACT = max(b.NextACT, bg.NextACT, rk.NextACT, rk.fawReady(t))
+	b.ReadyPRE = b.NextPRE
+	b.ReadyRD = max(b.NextRD, bg.NextRD, rk.NextRD)
+	b.ReadyWR = max(b.NextWR, bg.NextWR, rk.NextWR)
 	b.HzStamp = rk.Stamp
 	return b
 }
@@ -91,7 +89,6 @@ type chanState struct {
 	LastColCycle int64
 
 	DataBusyUntil int64
-	NextRefresh   int64
 
 	// Cached channel-bus horizons for external column commands, split by
 	// whether the target rank matches the last column's rank. ColStamp is
@@ -110,8 +107,8 @@ type chanState struct {
 	// change is the only event that can give a bank a new FR-FCFS
 	// candidate or move a candidate's earliest-issue cycle EARLIER (an
 	// ACT reassigns the bank's column/PRE horizons outright); it touches
-	// no other bank's candidates, and column commands and REF only push
-	// horizons forward. So a scheduler holding per-bank conclusions of
+	// no other bank's candidates, and column commands only push horizons
+	// forward. So a scheduler holding per-bank conclusions of
 	// the form "bank b has no candidate ready before cycle T" (the mc
 	// controller's lazy bank keys) stays sound by revalidating exactly
 	// the banks logged since it last looked. The log is fixed-size: a reader
@@ -390,19 +387,6 @@ func (m *Mem) legal(ch *chanState, rk *rankState, flat int, cmd Command, a Addr,
 			return true
 		}
 		return now >= ch.extCol(cmd, a.Rank, &m.T)
-
-	case CmdREF:
-		if now < rk.RefreshUntil {
-			return false
-		}
-		// All banks of the rank must be precharged, each for at least
-		// tRP (a PRE pushes its bank's NextACT to tRP after it).
-		for i := range rk.Banks {
-			if b := &rk.Banks[i]; b.Open || now < b.NextACT {
-				return false
-			}
-		}
-		return now >= rk.NextACT
 	}
 	return false
 }
@@ -415,9 +399,6 @@ func (m *Mem) canIssueRef(cmd Command, a Addr, now int64, internal bool) bool {
 	rk := &ch.Ranks[a.Rank]
 	bg := &rk.BGs[a.BankGroup]
 	b := &rk.Banks[a.GlobalBank(m.Geom)]
-	if now < rk.RefreshUntil {
-		return false
-	}
 
 	switch cmd {
 	case CmdACT:
@@ -452,16 +433,6 @@ func (m *Mem) canIssueRef(cmd Command, a Addr, now int64, internal bool) bool {
 			return true
 		}
 		return m.channelColOK(ch, cmd, a, now)
-
-	case CmdREF:
-		// All banks of the rank must be precharged, each for at least
-		// tRP.
-		for i := range rk.Banks {
-			if rk.Banks[i].Open || now < rk.Banks[i].NextACT {
-				return false
-			}
-		}
-		return now >= rk.NextACT
 	}
 	return false
 }
@@ -550,16 +521,6 @@ func (m *Mem) NextIssue(cmd Command, a Addr, now int64, internal bool) int64 {
 			ready = max(ready, ch.extCol(cmd, a.Rank, &m.T))
 		}
 		return max(now, ready)
-
-	case CmdREF:
-		ready := max(now, rk.RefreshUntil, rk.NextACT)
-		for i := range rk.Banks {
-			if rk.Banks[i].Open {
-				return now
-			}
-			ready = max(ready, rk.Banks[i].NextACT)
-		}
-		return ready
 	}
 	return now
 }
@@ -678,10 +639,6 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 			ch.LastColCycle = now
 			ch.ColStamp++
 		}
-
-	case CmdREF:
-		rk.RefreshUntil = now + int64(t.RFC)
-		maxi(&rk.NextACT, rk.RefreshUntil)
 	}
 	return true
 }

@@ -259,53 +259,6 @@ func TestInternalAccessSharesRankState(t *testing.T) {
 	}
 }
 
-func TestRefresh(t *testing.T) {
-	tm := DDR42400()
-	tm.REFI = 9360
-	tm.RFC = 420
-	m := New(DefaultGeometry(), tm)
-	a := Addr{Row: 0}
-	if !m.CanIssue(CmdREF, a, 0, false) {
-		t.Fatal("REF refused on idle rank")
-	}
-	m.Issue(CmdREF, a, 0, false)
-	if m.CanIssue(CmdACT, a, int64(tm.RFC)-1, false) {
-		t.Error("ACT allowed during tRFC")
-	}
-	if !m.CanIssue(CmdACT, a, int64(tm.RFC), false) {
-		t.Error("ACT refused after tRFC")
-	}
-	m.Issue(CmdACT, a, int64(tm.RFC), false)
-	if m.CanIssue(CmdREF, a, int64(tm.RFC)+1, false) {
-		t.Error("REF allowed with a bank open")
-	}
-}
-
-// TestRefreshWaitsForPrecharge: REF needs every bank precharged for
-// tRP. After ACT at 0 and PRE at tRAS, the cached check, its oracle and
-// NextIssue all hold REF until PRE+tRP.
-func TestRefreshWaitsForPrecharge(t *testing.T) {
-	tm := DDR42400()
-	tm.REFI, tm.RFC = 9360, 420
-	m := New(DefaultGeometry(), tm)
-	a := Addr{BankGroup: 1, Bank: 2, Row: 5}
-	m.Issue(CmdACT, a, 0, false)
-	pre := int64(tm.RAS)
-	m.Issue(CmdPRE, a, pre, false)
-	ready := pre + int64(tm.RP)
-	for now := pre + 1; now < ready; now++ {
-		if m.CanIssue(CmdREF, a, now, false) || m.canIssueRef(CmdREF, a, now, false) {
-			t.Fatalf("REF allowed at cycle %d, %d cycles after PRE (tRP %d)", now, now-pre, tm.RP)
-		}
-	}
-	if !m.CanIssue(CmdREF, a, ready, false) || !m.canIssueRef(CmdREF, a, ready, false) {
-		t.Errorf("REF refused at PRE+tRP (cycle %d)", ready)
-	}
-	if got := m.NextIssue(CmdREF, a, pre+1, false); got != ready {
-		t.Errorf("NextIssue(REF) = %d, want PRE+tRP = %d", got, ready)
-	}
-}
-
 func TestIssueIllegalPanics(t *testing.T) {
 	m := testMem(t)
 	defer func() {

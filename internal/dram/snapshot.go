@@ -1,8 +1,8 @@
 package dram
 
 // MemState is a deep copy of a Mem's mutable state — bank/row state,
-// every timing horizon, the refresh and bus occupancy clocks, and the
-// command counters. It contains no pointers into the live Mem, so one
+// every timing horizon, the bus occupancy clocks, and the command
+// counters. It contains no pointers into the live Mem, so one
 // snapshot can seed any number of restores (checkpoint forking). The
 // channel, rank, bank and bank-group structs are the live ones: their
 // exported fields are also the durable checkpoint encoding

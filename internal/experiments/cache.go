@@ -12,33 +12,57 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"chopim/internal/atomicio"
 	"chopim/internal/faults"
 )
 
-// cacheSchema names the simulation-model version baked into every cache
-// key. Bump it whenever a change alters any figure's numbers, so entries
-// written by older binaries can never satisfy a lookup.
-const cacheSchema = "chopim-results-v1"
+// envelopeFormat tags the entry layout. It does not version the model:
+// the cache key hashes the executable, so a binary built from any
+// other code never reads this one's entries. The tag is redundant with
+// that key; it stays so entry sizes, and the bit-flip offsets the
+// corruption tests derive from them, do not move.
+const envelopeFormat = "chopim-results-v1"
 
-// cacheKey fingerprints everything a figure's rows depend on: the model
-// version, the figure name, and the options that select simulated
-// behavior. Parallel is deliberately excluded — results are
+// exeHash returns the hex SHA-256 of the running executable, hashed
+// once per process, or "" when the executable cannot be read.
+var exeHash = sync.OnceValue(func() string {
+	path, err := os.Executable()
+	var f *os.File
+	if err == nil {
+		f, err = os.Open(path)
+	}
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return ""
+	}
+	return hex.EncodeToString(h.Sum(nil))
+})
+
+// cacheKey fingerprints everything a figure's rows depend on: the code
+// (exe, the executable's hash), the figure name, and the options that
+// select simulated behavior. Any change to the code changes the binary
+// and so the key. Parallel is deliberately excluded — results are
 // bit-identical for any worker count.
-func (o Options) cacheKey(fig string) string {
+func (o Options) cacheKey(exe, fig string) string {
 	k := struct {
-		Schema        string
+		Exe           string
 		Fig           string
 		WarmCycles    int64
 		MeasureCycles int64
 		Quick         bool
 		CycleByCycle  bool
-	}{cacheSchema, fig, o.WarmCycles, o.MeasureCycles, o.Quick, o.CycleByCycle}
+	}{exe, fig, o.WarmCycles, o.MeasureCycles, o.Quick, o.CycleByCycle}
 	b, err := json.Marshal(k)
 	if err != nil {
 		panic("experiments: cache key not marshalable: " + err.Error())
@@ -48,17 +72,18 @@ func (o Options) cacheKey(fig string) string {
 }
 
 // figCached wraps a figure generator with the content-addressed cache.
-// With no CacheDir the generator runs directly and nothing is stored.
-// With one, a hit deserializes the stored rows and skips simulation
-// entirely; a miss runs the generator with a point store, so its
-// sweeps replay every point an interrupted run completed. Entries are
+// With no CacheDir, or an executable that cannot be hashed, the
+// generator runs directly and nothing is stored. Otherwise a hit
+// deserializes the stored rows and skips simulation entirely; a miss
+// runs the generator with a point store, so its sweeps replay every
+// point an interrupted run completed. Entries are
 // written atomically (temp file + rename), so a killed run never
 // leaves a torn cache file.
 func figCached[T any](opt Options, fig string, gen func(Options) (T, error)) (T, error) {
-	if opt.CacheDir == "" {
+	if opt.CacheDir == "" || exeHash() == "" {
 		return gen(opt)
 	}
-	key := opt.cacheKey(fig)
+	key := opt.cacheKey(exeHash(), fig)
 	base := filepath.Join(opt.CacheDir, fig+"-"+key[:20])
 	if v, ok := readEntry[T](base+".json", key); ok {
 		statCacheHits.Add(1)
@@ -81,7 +106,7 @@ func figCached[T any](opt Options, fig string, gen func(Options) (T, error)) (T,
 }
 
 // cacheEnvelope wraps a cache entry's rows with everything needed to
-// prove them trustworthy on read-back: the model schema, the full cache
+// prove them trustworthy on read-back: the layout tag, the full cache
 // key (the filename only embeds a prefix), and a checksum of the rows.
 // Any mismatch — truncation, bit flips, a hand-edited file, an entry
 // written under a colliding filename — reads as a miss and the figure
@@ -100,7 +125,7 @@ func encodeCacheEntry[T any](key string, v T) ([]byte, bool) {
 	}
 	sum := sha256.Sum256(rows)
 	b, err := json.Marshal(cacheEnvelope{
-		Schema: cacheSchema,
+		Schema: envelopeFormat,
 		Key:    key,
 		Sum:    hex.EncodeToString(sum[:]),
 		Rows:   rows,
@@ -115,7 +140,7 @@ func decodeCacheEntry[T any](key string, b []byte) (T, bool) {
 	var zero T
 	var env cacheEnvelope
 	if json.Unmarshal(b, &env) != nil ||
-		env.Schema != cacheSchema || env.Key != key {
+		env.Schema != envelopeFormat || env.Key != key {
 		return zero, false
 	}
 	sum := sha256.Sum256(env.Rows)

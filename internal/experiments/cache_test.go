@@ -71,14 +71,31 @@ func TestFigureCacheRoundTrip(t *testing.T) {
 	// A different measurement budget must key differently.
 	opt2 := opt
 	opt2.MeasureCycles = 9_000
-	if opt2.cacheKey("fig2") == opt.cacheKey("fig2") {
+	exe := exeHash()
+	if opt2.cacheKey(exe, "fig2") == opt.cacheKey(exe, "fig2") {
 		t.Fatal("cache key ignores MeasureCycles")
 	}
 	// The worker count must NOT key differently (results are identical).
 	opt3 := opt
 	opt3.Parallel = 7
-	if opt3.cacheKey("fig2") != opt.cacheKey("fig2") {
+	if opt3.cacheKey(exe, "fig2") != opt.cacheKey(exe, "fig2") {
 		t.Fatal("cache key depends on the worker count")
+	}
+}
+
+// TestCacheKeyBindsExecutable: the key hashes the executable, so two
+// builds never share an entry. Two executable hashes must give two
+// keys for the same figure and options, and this process must be able
+// to hash its own executable (else nothing is ever cached).
+func TestCacheKeyBindsExecutable(t *testing.T) {
+	exe := exeHash()
+	if len(exe) != 64 {
+		t.Fatalf("exeHash() = %q, want 64 hex digits", exe)
+	}
+	opt := Options{Quick: true}
+	other := fmt.Sprintf("%064x", 1)
+	if opt.cacheKey(exe, "fig2") == opt.cacheKey(other, "fig2") {
+		t.Fatal("cache key ignores the executable hash")
 	}
 }
 

@@ -110,7 +110,7 @@ func TestJournalCorruptionResumesCleanly(t *testing.T) {
 	for i := range want {
 		want[i], _ = job(i)
 	}
-	key := Options{}.cacheKey("pfig")
+	key := Options{}.cacheKey(exeHash(), "pfig")
 	mkOpt := func() Options { return Options{points: &pointStore{dir: dir, key: key}} }
 	if v, err := sharded(mkOpt(), len(ops), job); err != nil || !reflect.DeepEqual(v, want) {
 		t.Fatalf("seed sweep: %v %v", v, err)

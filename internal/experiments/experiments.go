@@ -112,10 +112,9 @@ type hostOnlyOutcome struct {
 // memo, so every check runs on every point.
 func (o Options) hostOnly(cfg sim.Config) (out hostOnlyOutcome, err error) {
 	key, err := json.Marshal(struct {
-		Schema        string
 		Cfg           sim.Config
 		Warm, Measure int64
-	}{cacheSchema, sim.StateConfig(cfg), o.WarmCycles, o.MeasureCycles})
+	}{sim.StateConfig(cfg), o.WarmCycles, o.MeasureCycles})
 	var slot *hostOnlySlot
 	if err == nil && !o.CheckInvariants && !o.CycleByCycle && !faults.Active() {
 		hostOnlyMemo.Lock()

@@ -54,7 +54,7 @@ func (c *Controller) CheckInvariants(now int64) error {
 // oracle issues.
 func (c *Controller) checkMemo(now int64) error {
 	if !c.hintValid || c.hint <= now || c.hintVer != c.ver ||
-		c.hintRowSeq != c.mem.RowSeq(c.channel) || c.cross || c.refSched {
+		c.hintRowSeq != c.mem.RowSeq(c.channel) || c.refSched {
 		return nil
 	}
 	oracle := dram.Never
@@ -76,9 +76,9 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 	}
 
 	// Arrival list: length, link symmetry, FR-FCFS age order, and the
-	// per-group / per-bank tallies every O(1) hook reads.
+	// per-rank / per-bank tallies every O(1) hook reads.
 	perBank := make(map[int32]int)
-	perGroup := make(map[int32]int)
+	perRank := make(map[int32]int)
 	count := 0
 	lastSeq := int64(-1)
 	var prev *Request
@@ -90,12 +90,12 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 			return fmt.Errorf("%s arrival list: seq %d not increasing at position %d", name, r.seq, count)
 		}
 		lastSeq = r.seq
-		wantKey := int32((r.DAddr.Channel*c.nrank+r.DAddr.Rank)*c.bpr + r.DAddr.GlobalBank(c.mem.Geom))
+		wantKey := int32(r.DAddr.Rank*c.bpr + r.DAddr.GlobalBank(c.mem.Geom))
 		if r.bankKey != wantKey {
 			return fmt.Errorf("%s request seq %d: bankKey %d != decoded %d", name, r.seq, r.bankKey, wantKey)
 		}
 		perBank[r.bankKey]++
-		perGroup[r.bankKey>>q.shift]++
+		perRank[r.bankKey>>q.shift]++
 		prev = r
 		count++
 		if count > q.n+1 {
@@ -109,8 +109,8 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 		return fmt.Errorf("%s arrival list tail does not match last element", name)
 	}
 	for g, n := range q.rankN {
-		if n != perGroup[int32(g)] {
-			return fmt.Errorf("%s rankN[%d]=%d but arrival list holds %d for the group", name, g, n, perGroup[int32(g)])
+		if n != perRank[int32(g)] {
+			return fmt.Errorf("%s rankN[%d]=%d but arrival list holds %d for the rank", name, g, n, perRank[int32(g)])
 		}
 	}
 
@@ -170,9 +170,9 @@ func (c *Controller) checkKeys(q *reqQueue, name string, cmd dram.Command) error
 	// channel's row log are exempt: sync resets their keys before any
 	// decision, so until then a stale-high key is legitimate — and when
 	// the log no longer covers the span since the queue's last sync,
-	// every bank is pending. The rescan paths (cross-channel harnesses,
-	// reference scheduler) never consult keys at all.
-	if c.cross || c.refSched {
+	// every bank is pending. The reference scheduler never consults
+	// keys at all.
+	if c.refSched {
 		return nil
 	}
 	seq := c.mem.RowSeq(c.channel)
@@ -180,9 +180,8 @@ func (c *Controller) checkKeys(q *reqQueue, name string, cmd dram.Command) error
 		return nil
 	}
 	pending := make(map[int32]bool)
-	base := int32(c.channel * c.nrank * c.bpr)
 	for s := q.rowSeen; s < seq; s++ {
-		pending[base+c.mem.RowChange(c.channel, s)] = true
+		pending[c.mem.RowChange(c.channel, s)] = true
 	}
 	for i, bk := range q.occ {
 		if q.key[i] == -1 || pending[bk] {
@@ -192,7 +191,7 @@ func (c *Controller) checkKeys(q *reqQueue, name string, cmd dram.Command) error
 			return fmt.Errorf("%s bank %d key %d exceeds rescan-oracle ready cycle %d (lower bound violated)",
 				name, bk, q.key[i], oracle)
 		}
-		if e := &q.sched[i]; e.preBlocked && (e.p2Cmd != dram.CmdPRE || !c.rowWanted(e.p2.DAddr, int(e.idRow))) {
+		if e := &q.sched[i]; e.preBlocked && (e.p2Cmd != dram.CmdPRE || !c.rowWanted(bk, int(e.idRow))) {
 			return fmt.Errorf("%s bank %d marked preBlocked but the open-page rule no longer blocks its PRE", name, bk)
 		}
 	}
@@ -206,7 +205,7 @@ func (c *Controller) checkKeys(q *reqQueue, name string, cmd dram.Command) error
 // without touching the cached entry.
 func (c *Controller) bankOracle(q *reqQueue, bk int32, cmd dram.Command) int64 {
 	flat := int(bk) % c.bpr
-	rank := int(bk)/c.bpr - c.channel*c.nrank
+	rank := int(bk) / c.bpr
 	row, open, readyACT, readyPRE, readyRD, readyWR := c.mem.BankSched(
 		c.channel, rank, flat/c.mem.Geom.BanksPerGroup, flat)
 	if !open {
@@ -224,7 +223,7 @@ func (c *Controller) bankOracle(q *reqQueue, bk int32, cmd dram.Command) int64 {
 			break
 		}
 	}
-	if bl.head.DAddr.Row != row && !c.rowWanted(bl.head.DAddr, row) {
+	if bl.head.DAddr.Row != row && !c.rowWanted(bk, row) {
 		k = min(k, readyPRE)
 	}
 	return k

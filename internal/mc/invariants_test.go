@@ -36,7 +36,7 @@ func loadedController(t *testing.T) *Controller {
 }
 
 // TestCheckInvariantsHealthy drives a controller through enqueues,
-// completions, drains, and refreshes, validating at every stride: a
+// completions and drains, validating at every stride: a
 // legitimately-operating scheduler must never trip the checker.
 func TestCheckInvariantsHealthy(t *testing.T) {
 	c, _, m := testController()
@@ -44,11 +44,11 @@ func TestCheckInvariantsHealthy(t *testing.T) {
 	next := uint64(0)
 	for cyc := int64(0); cyc < 4_000; cyc++ {
 		if cyc%7 == 0 {
-			c.EnqueueRead(a+next*(1<<13)*dram.BlockBytes, cyc, nil)
+			c.EnqueueRead(addrOnChannel0(m, a+next*(1<<13)*dram.BlockBytes), cyc, nil)
 			next++
 		}
 		if cyc%13 == 0 {
-			c.EnqueueWrite(a+(next+1000)*(1<<13)*dram.BlockBytes, cyc)
+			c.EnqueueWrite(addrOnChannel0(m, a+(next+1000)*(1<<13)*dram.BlockBytes), cyc)
 		}
 		c.Tick(cyc)
 		if cyc%50 == 0 {

@@ -22,7 +22,7 @@ import "chopim/internal/dram"
 //     which sync replays to reset exactly the logged banks' keys before
 //     any decision or horizon is derived. To every OTHER bank of the
 //     rank an ACT only pushes tRRD/tFAW forward and a PRE changes
-//     nothing; column commands and REF only push horizons forward
+//     nothing; column commands only push horizons forward
 //     (dram.Issue maxi semantics). Keys staled by these under-estimate,
 //     and the banks are revalidated when their old key comes due.
 //   - The channel-bus horizon folded into column keys moves only on
@@ -60,9 +60,8 @@ func (c *Controller) sync(q *reqQueue) {
 			q.key[i] = -1
 		}
 	} else {
-		base := int32(c.channel * c.nrank * c.bpr)
 		for s := q.rowSeen; s < seq; s++ {
-			if i := q.occPos[base+c.mem.RowChange(c.channel, s)]; i >= 0 {
+			if i := q.occPos[c.mem.RowChange(c.channel, s)]; i >= 0 {
 				q.key[i] = -1
 			}
 		}
@@ -81,7 +80,7 @@ func (c *Controller) sync(q *reqQueue) {
 // clears the mark (see the head of this file). min(ready1, ready2) is
 // the bank's key.
 func (c *Controller) examine(q *reqQueue, bk int32, cmd dram.Command, now int64) (e *bankEntry, ready1, ready2 int64) {
-	rank := int(bk>>q.shift) - c.channel*c.nrank
+	rank := int(bk >> q.shift)
 	flat := int(bk) & (1<<q.shift - 1)
 	row, open, readyACT, readyPRE, readyRD, readyWR := c.mem.BankSched(c.channel, rank, flat>>c.bgShift, flat)
 	e = &q.sched[q.occPos[bk]]
@@ -100,7 +99,7 @@ func (c *Controller) examine(q *reqQueue, bk int32, cmd dram.Command, now int64)
 		switch {
 		case e.p2Cmd == dram.CmdACT:
 			ready2 = readyACT
-		case e.preBlocked || readyPRE <= now && c.rowWanted(e.p2.DAddr, int(e.idRow)):
+		case e.preBlocked || readyPRE <= now && c.rowWanted(bk, int(e.idRow)):
 			e.preBlocked = true
 		default:
 			ready2 = readyPRE

@@ -20,6 +20,8 @@
 package mc
 
 import (
+	"fmt"
+
 	"chopim/internal/addrmap"
 	"chopim/internal/dram"
 	"chopim/internal/ring"
@@ -38,12 +40,11 @@ type Request struct {
 	// packets; see EnqueueControlTagged). Zero for everything else.
 	Tag uint64
 
-	// bankKey is the request's (channel, rank, flat-bank) bucket index —
-	// (Channel*Ranks+Rank)*BanksPerRank + DAddr.GlobalBank — decoded
-	// once at enqueue (the scheduler and demand hooks read it every
-	// cycle). The channel is folded in so buckets never mix channels:
-	// the system router always routes one channel per controller, but
-	// direct Enqueue* callers (unit harnesses) may not.
+	// bankKey is the request's (rank, flat-bank) bucket index —
+	// Rank*BanksPerRank + DAddr.GlobalBank — decoded once at enqueue
+	// (the scheduler and demand hooks read it every cycle). A
+	// controller holds only its own channel's requests (alloc refuses
+	// a foreign one), so the channel needs no place in the key.
 	bankKey int32
 	// seq is the queue-insertion order FR-FCFS ages by. It is assigned
 	// when the request enters its scheduling queue — an overflow-buffered
@@ -85,7 +86,6 @@ type Controller struct {
 
 	bpr     int      // banks per rank (bankKey stride)
 	bgShift uint     // log2(banks per group): flat bank >> bgShift = bank group
-	nrank   int      // ranks per channel
 	free    *Request // request node pool
 	seqGen  int64
 
@@ -100,14 +100,6 @@ type Controller struct {
 	hintValid  bool
 	hintVer    uint64
 	hintRowSeq uint64
-
-	// cross is set when any request ever decoded to a foreign channel.
-	// The system router routes one channel per controller, so this only
-	// trips in unit harnesses that enqueue raw addresses; the controller
-	// then runs the seed-exact rescan scheduler, whose per-request
-	// evaluation (and channel-agnostic visited-bank marking) reproduces
-	// the original behavior for mixed-channel queues.
-	cross bool
 
 	// refSched selects the original full-rescan FR-FCFS pass (the test
 	// oracle); see SetReferenceScheduler.
@@ -127,7 +119,7 @@ type Controller struct {
 	issuedIsCol bool
 
 	// ver counts controller mutations: enqueues, dequeues/issues
-	// (column and row commands, refresh), and overflow refills. It keys
+	// (column and row commands), and overflow refills. It keys
 	// the wake memo (hintVer), which revalidates when it changes. Pure
 	// bookkeeping invisible from outside (drain hysteresis flips) does
 	// not bump it.
@@ -144,26 +136,23 @@ type Controller struct {
 	ReadsIssued, WritesIssued int64
 	ActsIssued, PresIssued    int64
 	ReadLatencySum            int64
-	Drains, Refreshes         int64
-	nextRefresh               int64
+	Drains                    int64
 }
 
 // NewController builds a controller for the given channel.
 func NewController(cfg Config, mem *dram.Mem, mapper addrmap.Mapper, channel int) *Controller {
-	nb := mem.Geom.Channels * mem.Geom.Ranks * mem.Geom.BanksPerRank()
 	c := &Controller{
 		cfg: cfg, mem: mem, mapper: mapper, channel: channel,
 		bpr:        mem.Geom.BanksPerRank(),
-		nrank:      mem.Geom.Ranks,
 		issuedRank: -1,
-		seen:       make([]int64, nb),
+		seen:       make([]int64, mem.Geom.Ranks*mem.Geom.BanksPerRank()),
 		IdleHists:  make([]stats.IdleHist, mem.Geom.Ranks),
 	}
 	for 1<<c.bgShift < mem.Geom.BanksPerGroup {
 		c.bgShift++ // geometry fields are validated powers of two
 	}
-	c.rq.init(mem.Geom.Channels*mem.Geom.Ranks, c.bpr)
-	c.wq.init(mem.Geom.Channels*mem.Geom.Ranks, c.bpr)
+	c.rq.init(mem.Geom.Ranks, c.bpr)
+	c.wq.init(mem.Geom.Ranks, c.bpr)
 	for i := 0; i < cfg.ReadQueue+cfg.WriteQueue; i++ {
 		c.free = &Request{qnext: c.free}
 	}
@@ -200,9 +189,9 @@ func (c *Controller) Channel() int { return c.channel }
 // head identity (OldestReadRank's only input) and the rank's per-bank
 // bucket-occupancy zero-crossings in both queues (the only transitions
 // that can flip a HasDemandFor answer). It is far narrower than ver.
-// Row and refresh commands move no queue input, and a row/REF command
-// to the NDA's own rank already forces the rank to step on that cycle
-// (the issued-rank rule of nda.RankNDA.tick); NDA timing checks are
+// Row commands move no queue input, and a row command to the NDA's own
+// rank already forces the rank to step on that cycle (the issued-rank
+// rule of nda.RankNDA.tick); NDA timing checks are
 // rank-local (nda=true NextIssue, no channel bus), so a host ACT/PRE
 // elsewhere cannot change the taken branch. Queue churn that provably
 // cannot change the rank's taken NDA branch — writes queued or drained
@@ -213,13 +202,9 @@ func (c *Controller) Channel() int { return c.channel }
 // their candidates only on a bucket change or a row change of their own
 // bank, applied to the engine's controller inputs. A sum of monotone
 // counters, so equality means none of the covered inputs moved.
-// O(channels) counter reads — effectively O(1).
+// Three counter reads.
 func (c *Controller) NDAVer(rank int) uint64 {
-	v := c.rq.headVer
-	for g := rank; g < len(c.rq.demVer); g += c.nrank {
-		v += c.rq.demVer[g] + c.wq.demVer[g]
-	}
-	return v
+	return c.rq.headVer + c.rq.demVer[rank] + c.wq.demVer[rank]
 }
 
 // ClearIssued resets the per-cycle issued-command scratch without
@@ -232,17 +217,22 @@ func (c *Controller) ClearIssued() {
 }
 
 // Idle reports whether a Tick would be a no-op beyond ClearIssued: both
-// queues and the overflow buffer are empty, the controller is not
-// draining, and refresh is off. Such a Tick issues nothing, refills
-// nothing, flips no drain state, and its only write — a Never horizon
-// hint — is invalidated by the enqueue (ver bump) that must precede any
-// later use of the hint.
+// queues and the overflow buffer are empty and the controller is not
+// draining. Such a Tick issues nothing, refills nothing, flips no drain
+// state, and its only write — a Never horizon hint — is invalidated by
+// the enqueue (ver bump) that must precede any later use of the hint.
 func (c *Controller) Idle() bool {
-	return c.rq.n == 0 && c.wq.n == 0 && c.overflow.Len() == 0 && !c.drain && c.mem.T.REFI == 0
+	return c.rq.n == 0 && c.wq.n == 0 && c.overflow.Len() == 0 && !c.drain
 }
 
-// alloc pops a pooled request node (or grows the pool).
+// alloc pops a pooled request node (or grows the pool). It panics on
+// an address of another channel: the controller keys its state by
+// (rank, bank) alone, and the system router sends each controller only
+// its own channel's requests.
 func (c *Controller) alloc(addr uint64, daddr dram.Addr, write bool, now int64, done func(int64)) *Request {
+	if daddr.Channel != c.channel {
+		panic(fmt.Sprintf("mc: channel %d controller given an address of channel %d: %+v", c.channel, daddr.Channel, daddr))
+	}
 	r := c.free
 	if r != nil {
 		c.free = r.qnext
@@ -251,10 +241,7 @@ func (c *Controller) alloc(addr uint64, daddr dram.Addr, write bool, now int64, 
 		r = &Request{}
 	}
 	r.Addr, r.DAddr, r.Write, r.Arrive, r.Done = addr, daddr, write, now, done
-	r.bankKey = int32((daddr.Channel*c.nrank+daddr.Rank)*c.bpr + daddr.GlobalBank(c.mem.Geom))
-	if daddr.Channel != c.channel {
-		c.cross = true
-	}
+	r.bankKey = int32(daddr.Rank*c.bpr + daddr.GlobalBank(c.mem.Geom))
 	return r
 }
 
@@ -344,33 +331,23 @@ func (c *Controller) OldestReadRank() (rank int, ok bool) {
 }
 
 // HasDemandFor reports whether any queued host request targets the given
-// rank and bank on any channel (used to give host row commands priority
-// over NDA row commands, Section III-B). O(channels) bucket-occupancy
-// reads — effectively O(1).
+// rank and bank (used to give host row commands priority over NDA row
+// commands, Section III-B). Two bucket-occupancy reads.
 func (c *Controller) HasDemandFor(rank, flatBank int) bool {
-	for key := rank*c.bpr + flatBank; key < len(c.rq.banks); key += c.nrank * c.bpr {
-		if c.rq.banks[key].n > 0 || c.wq.banks[key].n > 0 {
-			return true
-		}
-	}
-	return false
+	key := rank*c.bpr + flatBank
+	return c.rq.banks[key].n > 0 || c.wq.banks[key].n > 0
 }
 
 // HasAnyDemandFor reports whether any queued request targets the rank.
-// O(channels) counter reads — effectively O(1).
+// Two counter reads.
 func (c *Controller) HasAnyDemandFor(rank int) bool {
-	for g := rank; g < len(c.rq.rankN); g += c.nrank {
-		if c.rq.rankN[g] > 0 || c.wq.rankN[g] > 0 {
-			return true
-		}
-	}
-	return false
+	return c.rq.rankN[rank] > 0 || c.wq.rankN[rank] > 0
 }
 
 // NextEvent returns the earliest DRAM cycle >= now at which the
 // controller can change observable state, or an earlier cycle. With all
-// queues empty only the refresh deadline (when refresh is enabled) can
-// wake it. With requests queued it reports a lower bound on the earliest
+// queues empty nothing can wake it but an enqueue, so it reports Never.
+// With requests queued it reports a lower bound on the earliest
 // cycle any FR-FCFS candidate's command can legally issue — when every
 // queued request is timing-blocked that bound lies beyond now, and every
 // cycle before it is provably a scheduler no-op, extending fast-forward
@@ -378,25 +355,16 @@ func (c *Controller) HasAnyDemandFor(rank int) bool {
 // lazy key (keys.go), so it may come due before any candidate is ready;
 // that early wake costs one no-issue Tick, which re-derives it from the
 // keys that Tick rewrote. Cycles where Tick performs internal
-// bookkeeping (overflow refill, drain-watermark flips, refresh
-// interleaving) report now.
+// bookkeeping (overflow refill, drain-watermark flips) report now.
 //
 // The bound is memoized (the wake memo, setHint), so a blocked window
 // costs one scan, not one per query.
 func (c *Controller) NextEvent(now int64) int64 {
 	if c.rq.n == 0 && c.wq.n == 0 && c.overflow.Len() == 0 {
-		if c.mem.T.REFI > 0 {
-			if c.nextRefresh > now {
-				return c.nextRefresh
-			}
-			return now
-		}
 		return dram.Never
 	}
-	if c.mem.T.REFI > 0 || c.cross || c.refSched {
-		// Refresh interleaves with scheduling, and the rescan paths
-		// (mixed-channel queues, oracle mode) derive no horizons; stay
-		// cycle-exact.
+	if c.refSched {
+		// The rescan oracle derives no horizons; stay cycle-exact.
 		return now
 	}
 	if c.issuedRank >= 0 {
@@ -461,12 +429,6 @@ func (c *Controller) queueHorizon(q *reqQueue, writes bool, now int64) int64 {
 func (c *Controller) Tick(now int64) {
 	c.issuedRank = -1
 	c.issuedIsCol = false
-
-	// Refresh scheduling (disabled when tREFI is zero, the paper's
-	// configuration): every tREFI, close the due rank and issue REF.
-	if c.mem.T.REFI > 0 && c.refresh(now) {
-		return
-	}
 
 	// Refill the write queue from the overflow buffer.
 	for c.overflow.Len() > 0 && c.wq.n < c.cfg.WriteQueue {
@@ -536,9 +498,9 @@ func (c *Controller) schedule(q *reqQueue, now int64, writes bool) bool {
 	if q.n == 0 {
 		return false
 	}
-	if c.refSched || c.cross {
-		// The rescan derives no horizon; NextEvent reports these
-		// modes due every cycle (cycle-exact), as the oracle wants.
+	if c.refSched {
+		// The rescan derives no horizon; NextEvent reports this mode
+		// due every cycle (cycle-exact), as the oracle wants.
 		return c.scheduleRef(q, now, writes)
 	}
 	cmd := dram.CmdRD
@@ -596,13 +558,10 @@ func (c *Controller) scheduleRef(q *reqQueue, now int64, writes bool) bool {
 	// bank, in arrival order.
 	c.seenGen++
 	for r := q.head; r != nil; r = r.qnext {
-		// The seed's visited-bank key deliberately omits the channel;
-		// mixed-channel behavior (cross harnesses) depends on it.
-		seedKey := r.DAddr.Rank*c.bpr + r.DAddr.GlobalBank(c.mem.Geom)
-		if c.seen[seedKey] == c.seenGen {
+		if c.seen[r.bankKey] == c.seenGen {
 			continue
 		}
-		c.seen[seedKey] = c.seenGen
+		c.seen[r.bankKey] = c.seenGen
 		row, open := c.mem.OpenRow(r.DAddr)
 		if open && row == r.DAddr.Row {
 			continue // column blocked only by timing; wait
@@ -630,16 +589,15 @@ func (c *Controller) scheduleRef(q *reqQueue, now int64, writes bool) bool {
 }
 
 // rowWanted reports whether any queued request still targets the open row
-// of the same bank (open-page policy keeps it open for them). It scans
+// of bank key bk (open-page policy keeps it open for them). It scans
 // the bank's buckets in both queues — O(per-bank occupancy).
-func (c *Controller) rowWanted(a dram.Addr, openRow int) bool {
-	key := int32((a.Channel*c.nrank+a.Rank)*c.bpr + a.GlobalBank(c.mem.Geom))
-	for r := c.rq.banks[key].head; r != nil; r = r.bnext {
+func (c *Controller) rowWanted(bk int32, openRow int) bool {
+	for r := c.rq.banks[bk].head; r != nil; r = r.bnext {
 		if r.DAddr.Row == openRow {
 			return true
 		}
 	}
-	for r := c.wq.banks[key].head; r != nil; r = r.bnext {
+	for r := c.wq.banks[bk].head; r != nil; r = r.bnext {
 		if r.DAddr.Row == openRow {
 			return true
 		}
@@ -713,40 +671,6 @@ func (c *Controller) markRowCmd(a dram.Addr, now int64) {
 	c.ver++
 	c.issuedRank = a.Rank
 	c.IdleHists[a.Rank].MarkBusy(now, now+1)
-}
-
-// refresh issues PREs and REF for ranks whose tREFI deadline passed.
-// Returns true if it consumed this cycle's command slot. Note: with
-// refresh enabled and NDAs active on the same rank, quiescing can take
-// longer because NDA activates race the controller's precharges; the
-// paper's configuration (and every experiment here) runs refresh
-// disabled, matching Table II.
-func (c *Controller) refresh(now int64) bool {
-	if now < c.nextRefresh {
-		return false
-	}
-	rank := int(now/int64(c.mem.T.REFI)) % c.mem.Geom.Ranks
-	a := dram.Addr{Channel: c.channel, Rank: rank}
-	if c.mem.CanIssue(dram.CmdREF, a, now, false) {
-		c.mem.Issue(dram.CmdREF, a, now, false)
-		c.markRowCmd(a, now)
-		c.nextRefresh = now + int64(c.mem.T.REFI)
-		c.Refreshes++
-		return true
-	}
-	// Close any open bank in the rank so REF becomes legal.
-	for bg := 0; bg < c.mem.Geom.BankGroups; bg++ {
-		for bk := 0; bk < c.mem.Geom.BanksPerGroup; bk++ {
-			b := dram.Addr{Channel: c.channel, Rank: rank, BankGroup: bg, Bank: bk}
-			if _, open := c.mem.OpenRow(b); open && c.mem.CanIssue(dram.CmdPRE, b, now, false) {
-				c.mem.Issue(dram.CmdPRE, b, now, false)
-				c.PresIssued++
-				c.markRowCmd(b, now)
-				return true
-			}
-		}
-	}
-	return true // hold the slot until the rank quiesces
 }
 
 // FinalizeStats closes the idle histograms at simulation end.

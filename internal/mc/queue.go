@@ -19,7 +19,7 @@ import "chopim/internal/dram"
 // tick loop allocates nothing; unlinking is O(1) from any position (a
 // column command retires a request from the middle of the age order).
 
-// bankList is one (channel, rank, flat-bank) bucket: the queue's requests
+// bankList is one (rank, flat-bank) bucket: the queue's requests
 // for that bank in age order.
 type bankList struct {
 	head, tail *Request
@@ -30,16 +30,16 @@ type bankList struct {
 type reqQueue struct {
 	head, tail *Request
 	n          int
-	shift      uint // log2(banks per rank group): bankKey >> shift = rank group
+	shift      uint // log2(banks per rank): bankKey >> shift = rank
 
 	banks []bankList // indexed by Request.bankKey
-	rankN []int      // queued requests per (channel, rank) group
+	rankN []int      // queued requests per rank
 
 	// headVer and demVer are the inputs of the NDA engine's per-rank
 	// revalidation counter (Controller.NDAVer). headVer
 	// advances exactly when the queue's age-order head changes — the
-	// only input OldestReadRank reads. demVer[g] advances exactly when
-	// some bucket of rank group g crosses between empty and occupied —
+	// only input OldestReadRank reads. demVer[r] advances exactly when
+	// some bucket of rank r crosses between empty and occupied —
 	// the only transitions that can flip a HasDemandFor answer for that
 	// rank. Both are monotone; queue churn that moves neither (a push
 	// behind an existing head into an already-occupied bucket, a remove
@@ -62,15 +62,15 @@ type reqQueue struct {
 	rowSeen uint64
 }
 
-func (q *reqQueue) init(rankGroups, banksPerRank int) {
-	nb := rankGroups * banksPerRank
+func (q *reqQueue) init(ranks, banksPerRank int) {
+	nb := ranks * banksPerRank
 	for 1<<q.shift < banksPerRank {
 		q.shift++ // geometry fields are validated powers of two
 	}
 	q.banks = make([]bankList, nb)
 	q.sched = make([]bankEntry, 0, nb)
-	q.rankN = make([]int, rankGroups)
-	q.demVer = make([]uint64, rankGroups)
+	q.rankN = make([]int, ranks)
+	q.demVer = make([]uint64, ranks)
 	q.occ = make([]int32, 0, nb)
 	q.occPos = make([]int32, nb)
 	q.key = make([]int64, 0, nb)

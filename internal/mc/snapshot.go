@@ -45,15 +45,13 @@ type ControllerState struct {
 	SeqGen      int64
 	IssuedRank  int
 	IssuedIsCol bool
-	Cross       bool
 
 	IdleHists []stats.IdleHist
 
 	ReadsIssued, WritesIssued int64
 	ActsIssued, PresIssued    int64
 	ReadLatencySum            int64
-	Drains, Refreshes         int64
-	NextRefresh               int64
+	Drains                    int64
 }
 
 // Snapshot captures the controller's full mutable state. It must be
@@ -66,12 +64,12 @@ func (c *Controller) Snapshot() *ControllerState {
 		Overflow: make([]reqState, 0, c.overflow.Len()),
 
 		Drain: c.drain, SeqGen: c.seqGen,
-		IssuedRank: c.issuedRank, IssuedIsCol: c.issuedIsCol, Cross: c.cross,
+		IssuedRank: c.issuedRank, IssuedIsCol: c.issuedIsCol,
 		IdleHists:   append([]stats.IdleHist(nil), c.IdleHists...),
 		ReadsIssued: c.ReadsIssued, WritesIssued: c.WritesIssued,
 		ActsIssued: c.ActsIssued, PresIssued: c.PresIssued,
 		ReadLatencySum: c.ReadLatencySum,
-		Drains:         c.Drains, Refreshes: c.Refreshes, NextRefresh: c.nextRefresh,
+		Drains:         c.Drains,
 	}
 	for r := c.rq.head; r != nil; r = r.qnext {
 		st.RQ = append(st.RQ, reqStateOf(r))
@@ -110,8 +108,8 @@ func (c *Controller) Restore(st *ControllerState, resolve func(write bool, addr 
 	}
 	c.rq = reqQueue{}
 	c.wq = reqQueue{}
-	c.rq.init(c.mem.Geom.Channels*c.mem.Geom.Ranks, c.bpr)
-	c.wq.init(c.mem.Geom.Channels*c.mem.Geom.Ranks, c.bpr)
+	c.rq.init(c.mem.Geom.Ranks, c.bpr)
+	c.wq.init(c.mem.Geom.Ranks, c.bpr)
 
 	build := func(s *reqState) *Request {
 		var done func(int64)
@@ -134,11 +132,11 @@ func (c *Controller) Restore(st *ControllerState, resolve func(write bool, addr 
 	}
 
 	c.drain, c.seqGen = st.Drain, st.SeqGen
-	c.issuedRank, c.issuedIsCol, c.cross = st.IssuedRank, st.IssuedIsCol, st.Cross
+	c.issuedRank, c.issuedIsCol = st.IssuedRank, st.IssuedIsCol
 	copy(c.IdleHists, st.IdleHists)
 	c.ReadsIssued, c.WritesIssued = st.ReadsIssued, st.WritesIssued
 	c.ActsIssued, c.PresIssued = st.ActsIssued, st.PresIssued
 	c.ReadLatencySum = st.ReadLatencySum
-	c.Drains, c.Refreshes, c.nextRefresh = st.Drains, st.Refreshes, st.NextRefresh
+	c.Drains = st.Drains
 	c.hintValid = false // the memo re-derives from the rebuilt keys
 }

@@ -138,14 +138,17 @@ func TestWriteBufferBackpressure(t *testing.T) {
 
 func TestNDAYieldsToHostRank(t *testing.T) {
 	e, mem, mcs := testSetup(Config{Policy: IssueIfIdle, WriteBufCap: 128, Seed: 1})
-	// Saturate host channel 0 rank 0 with reads while NDA works on the
-	// same rank: NDA must still finish, but record host-yield stalls.
+	// Load host channel 0 with reads on half the cycles while NDA works
+	// on rank 0: NDA must still finish, but record host-yield stalls.
+	// Reads on every cycle would leave the NDA no idle bus cycle at all.
 	m := addrmap.NewSkylakeLike(dram.DefaultGeometry())
-	hostAddr := uint64(0)
-	for ; ; hostAddr += dram.BlockBytes {
-		if d := m.Decode(hostAddr); d.Channel == 0 && d.Rank == 0 {
-			break
+	hostAddrs := make([]uint64, 64)
+	for i := range hostAddrs {
+		a := uint64(i) * 4096 * 64
+		for m.Decode(a).Channel != 0 {
+			a += dram.BlockBytes
 		}
+		hostAddrs[i] = a
 	}
 	done := false
 	e.Launch(0, 0, func() *Op {
@@ -154,7 +157,9 @@ func TestNDAYieldsToHostRank(t *testing.T) {
 	})
 	var cyc int64
 	for ; cyc < 200000 && !done; cyc++ {
-		mcs[0].EnqueueRead(hostAddr+uint64(cyc%64)*4096*64, cyc, nil)
+		if cyc%8 < 4 {
+			mcs[0].EnqueueRead(hostAddrs[cyc%64], cyc, nil)
+		}
 		for _, h := range mcs {
 			h.Tick(cyc)
 		}

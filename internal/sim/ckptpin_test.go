@@ -24,12 +24,12 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		all string
 		n   int
 	}{
-		"host-only":                {"b790370faed687ed9a8c188d263855a46bb2182683432dc1a12068f097e6ab9a", 701591},
-		"host-stall-heavy":         {"266ccefe66a95d708764e1f0e21c5742f102e6949058b0dbc66abcb22a41210f", 602940},
-		"nda-only-nrm2":            {"c60e55074b0d21fde8d4665720f8214ef70e99d46ebc2d86862fabbb11f7b3aa", 9749},
-		"nda-only-copy-stochastic": {"b1192cd13eb4ac51aab6bfd04dfc7fe6e4e0c253c68634cc637d08365926d86d", 14200},
-		"mixed-mix1-dot":           {"814e3a6f141ea3ea23d4018cfeeca4a21c1e837feb3b6707673a8d8da18f679d", 622464},
-		"mixed-mix3-copy-shared":   {"4c9559dedb5d8bd78bf9fc5acc5932e80fa88d548d676fd586f91f260c7ff733", 640054},
+		"host-only":                {"297223a9f4787ba1805722ffd842580e84381c3825c4be3b95d65082b418a857", 701403},
+		"host-stall-heavy":         {"6feb6753ca40ef9ed325bc3f764ee6230ac353abd5a5cfa1165ff9af7344bd8e", 602752},
+		"nda-only-nrm2":            {"30bf13a617c3ddf38913b898fe5bf5cde4eadbcba3945df4350a70bc83b06899", 9561},
+		"nda-only-copy-stochastic": {"78305293be57eaf7d46c92793fd28f2c49b7db810bf91b48dd45e32eb5e9db54", 14012},
+		"mixed-mix1-dot":           {"4e8008de3445c5c601a82560047076ae1c3635ee8a0b66f69e844875d5fe88d6", 622276},
+		"mixed-mix3-copy-shared":   {"a088983ddb6c0ecf29be411a54ebfdfcfd5a3dc3c0c7cd1d6ed68e66843bb0e1", 639866},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

@@ -279,9 +279,8 @@ func TestParallelDomainsMatchSerial(t *testing.T) {
 // host's own banks. Both run every wake rule of the fast path: NDA
 // columns the controllers sleep across, precharges parked by the
 // open-page rule, surveys stopped at a due controller, and the single
-// NDA pass per channel. The remaining rows cover refresh-enabled
-// timing, the stochastic and next-rank policies on the unpartitioned
-// mapping, and the settings of the three ablation studies.
+// NDA pass per channel. The remaining rows cover the stochastic and
+// next-rank policies on the unpartitioned mapping, and the settings of the three ablation studies.
 func TestRunFastMatchesRunWideAndShared(t *testing.T) {
 	app := func(op string) func(s *System) (func() (*ndart.Handle, error), error) {
 		return func(s *System) (func() (*ndart.Handle, error), error) {
@@ -309,17 +308,6 @@ func TestRunFastMatchesRunWideAndShared(t *testing.T) {
 				c := Default(1)
 				c.Partitioned = false
 				c.NDA.Policy = nda.IssueIfIdle
-				c.CheckInvariants = true
-				return c
-			},
-			app: app("copy"),
-		},
-		{
-			name: "refresh-mix1-copy",
-			cfg: func() Config {
-				c := Default(1)
-				c.Timing.REFI = 9360
-				c.Timing.RFC = 420
 				c.CheckInvariants = true
 				return c
 			},

@@ -81,19 +81,3 @@ func TestDeterminism(t *testing.T) {
 		t.Errorf("nondeterministic: (%d,%d,%f) vs (%d,%d,%f)", c1, b1, i1, c2, b2, i2)
 	}
 }
-
-// TestRefreshEnabledSystemRuns arms refresh and checks the system still
-// makes progress (refresh is off in the paper's configuration).
-func TestRefreshEnabledSystemRuns(t *testing.T) {
-	cfg := Default(8)
-	cfg.Timing.REFI = 9360
-	cfg.Timing.RFC = 420
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run(50_000)
-	if s.Mem.Counts().RD == 0 {
-		t.Error("no reads with refresh enabled")
-	}
-}

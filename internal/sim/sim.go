@@ -413,8 +413,8 @@ func (s *System) skipIdle(k int64) {
 //   - A controller whose NextEvent lies ahead cannot schedule anything
 //     this cycle (the mc.NextEvent contract); only its per-cycle
 //     issued-rank scratch must be reset for the NDA hooks. An idle
-//     controller (mc.Controller.Idle: empty queues, no drain, refresh
-//     off) is skipped without asking.
+//     controller (mc.Controller.Idle: empty queues, no drain) is
+//     skipped without asking.
 //   - TickChannel runs every cycle, and each rank revalidates or
 //     re-derives its own sleep bound against the post-tick state before
 //     deciding to step (nda.RankNDA.tick), so a controller tick that

@@ -75,7 +75,7 @@ func TestStateFieldCoverage(t *testing.T) {
 		{live: reflect.TypeOf(mc.Controller{}), state: reflect.TypeOf(mc.ControllerState{}),
 			skip: map[string]notCarried{
 				"cfg": config, "mem": config, "mapper": config, "channel": config,
-				"bpr": config, "bgShift": config, "nrank": config, "refSched": config,
+				"bpr": config, "bgShift": config, "refSched": config,
 				"free": pool, "csink": closure,
 				"sweepHz": schedMem, "hint": schedMem, "hintValid": schedMem, "hintVer": schedMem,
 				"hintRowSeq": schedMem, "ver": schedMem, "seen": schedMem, "seenGen": schedMem,
