@@ -31,78 +31,82 @@ func ctrlState(c *Controller, mem *dram.Mem) string {
 // coordination hooks (HasDemandFor / HasAnyDemandFor) over all banks,
 // cycle by cycle.
 func TestBucketedSchedulerMatchesReference(t *testing.T) {
-	g := dram.DefaultGeometry()
-	mapper := addrmap.NewSkylakeLike(g)
-	memA := dram.New(g, dram.DDR42400())
-	memB := dram.New(g, dram.DDR42400())
-	ctlA := NewController(DefaultConfig(), memA, mapper, 0)
-	ctlB := NewController(DefaultConfig(), memB, mapper, 0)
-	ctlB.SetReferenceScheduler(true)
+	// The device model has no refresh; the subtest name records that the
+	// traces are compared on a refresh-free DDR4 timing set.
+	t.Run("no-refresh", func(t *testing.T) {
+		g := dram.DefaultGeometry()
+		mapper := addrmap.NewSkylakeLike(g)
+		memA := dram.New(g, dram.DDR42400())
+		memB := dram.New(g, dram.DDR42400())
+		ctlA := NewController(DefaultConfig(), memA, mapper, 0)
+		ctlB := NewController(DefaultConfig(), memB, mapper, 0)
+		ctlB.SetReferenceScheduler(true)
 
-	var doneA, doneB []int64
-	rng := rand.New(rand.NewSource(99))
-	// A handful of hot rows plus random spray: drives row hits,
-	// conflicts, rowWanted keep-open decisions, and drains.
-	hot := make([]uint64, 8)
-	for i := range hot {
-		hot[i] = uint64(rng.Intn(1<<22) * dram.BlockBytes)
-	}
-	nextAddr := func() uint64 {
-		if rng.Intn(100) < 60 {
-			return hot[rng.Intn(len(hot))] + uint64(rng.Intn(64))*dram.BlockBytes
+		var doneA, doneB []int64
+		rng := rand.New(rand.NewSource(99))
+		// A handful of hot rows plus random spray: drives row hits,
+		// conflicts, rowWanted keep-open decisions, and drains.
+		hot := make([]uint64, 8)
+		for i := range hot {
+			hot[i] = uint64(rng.Intn(1<<22) * dram.BlockBytes)
 		}
-		return uint64(rng.Intn(1<<26)) * dram.BlockBytes
-	}
-	for cyc := int64(0); cyc < 30_000; cyc++ {
-		// Identical enqueue attempts against both controllers.
-		for rng.Intn(100) < 30 {
-			addr := nextAddr()
-			if mapper.Decode(addr).Channel != 0 {
-				continue
+		nextAddr := func() uint64 {
+			if rng.Intn(100) < 60 {
+				return hot[rng.Intn(len(hot))] + uint64(rng.Intn(64))*dram.BlockBytes
 			}
-			if rng.Intn(100) < 35 {
-				ctlA.EnqueueWrite(addr, cyc)
-				ctlB.EnqueueWrite(addr, cyc)
-			} else {
-				okA := ctlA.EnqueueRead(addr, cyc, func(d int64) { doneA = append(doneA, d) })
-				okB := ctlB.EnqueueRead(addr, cyc, func(d int64) { doneB = append(doneB, d) })
-				if okA != okB {
-					t.Fatalf("cycle %d: enqueue accept diverged: bucketed=%v ref=%v", cyc, okA, okB)
+			return uint64(rng.Intn(1<<26)) * dram.BlockBytes
+		}
+		for cyc := int64(0); cyc < 30_000; cyc++ {
+			// Identical enqueue attempts against both controllers.
+			for rng.Intn(100) < 30 {
+				addr := nextAddr()
+				if mapper.Decode(addr).Channel != 0 {
+					continue
+				}
+				if rng.Intn(100) < 35 {
+					ctlA.EnqueueWrite(addr, cyc)
+					ctlB.EnqueueWrite(addr, cyc)
+				} else {
+					okA := ctlA.EnqueueRead(addr, cyc, func(d int64) { doneA = append(doneA, d) })
+					okB := ctlB.EnqueueRead(addr, cyc, func(d int64) { doneB = append(doneB, d) })
+					if okA != okB {
+						t.Fatalf("cycle %d: enqueue accept diverged: bucketed=%v ref=%v", cyc, okA, okB)
+					}
+				}
+			}
+			ctlA.Tick(cyc)
+			ctlB.Tick(cyc)
+			if a, b := ctrlState(ctlA, memA), ctrlState(ctlB, memB); a != b {
+				t.Fatalf("cycle %d: state diverged:\n bucketed: %s\n ref:      %s", cyc, a, b)
+			}
+			if ctlA.HostIssuedRank() != ctlB.HostIssuedRank() {
+				t.Fatalf("cycle %d: HostIssuedRank diverged: %d vs %d",
+					cyc, ctlA.HostIssuedRank(), ctlB.HostIssuedRank())
+			}
+			if len(doneA) != len(doneB) {
+				t.Fatalf("cycle %d: completion counts diverged: %d vs %d", cyc, len(doneA), len(doneB))
+			}
+			for r := 0; r < g.Ranks; r++ {
+				if ctlA.HasAnyDemandFor(r) != ctlB.HasAnyDemandFor(r) {
+					t.Fatalf("cycle %d: HasAnyDemandFor(%d) diverged", cyc, r)
+				}
+				for b := 0; b < g.BanksPerRank(); b++ {
+					if ctlA.HasDemandFor(r, b) != ctlB.HasDemandFor(r, b) {
+						t.Fatalf("cycle %d: HasDemandFor(%d,%d) diverged", cyc, r, b)
+					}
 				}
 			}
 		}
-		ctlA.Tick(cyc)
-		ctlB.Tick(cyc)
-		if a, b := ctrlState(ctlA, memA), ctrlState(ctlB, memB); a != b {
-			t.Fatalf("cycle %d: state diverged:\n bucketed: %s\n ref:      %s", cyc, a, b)
-		}
-		if ctlA.HostIssuedRank() != ctlB.HostIssuedRank() {
-			t.Fatalf("cycle %d: HostIssuedRank diverged: %d vs %d",
-				cyc, ctlA.HostIssuedRank(), ctlB.HostIssuedRank())
-		}
-		if len(doneA) != len(doneB) {
-			t.Fatalf("cycle %d: completion counts diverged: %d vs %d", cyc, len(doneA), len(doneB))
-		}
-		for r := 0; r < g.Ranks; r++ {
-			if ctlA.HasAnyDemandFor(r) != ctlB.HasAnyDemandFor(r) {
-				t.Fatalf("cycle %d: HasAnyDemandFor(%d) diverged", cyc, r)
-			}
-			for b := 0; b < g.BanksPerRank(); b++ {
-				if ctlA.HasDemandFor(r, b) != ctlB.HasDemandFor(r, b) {
-					t.Fatalf("cycle %d: HasDemandFor(%d,%d) diverged", cyc, r, b)
-				}
+		for i := range doneA {
+			if doneA[i] != doneB[i] {
+				t.Fatalf("read completion %d diverged: %d vs %d", i, doneA[i], doneB[i])
 			}
 		}
-	}
-	for i := range doneA {
-		if doneA[i] != doneB[i] {
-			t.Fatalf("read completion %d diverged: %d vs %d", i, doneA[i], doneB[i])
+		if ctlA.ReadsIssued == 0 || ctlA.WritesIssued == 0 || ctlA.PresIssued == 0 {
+			t.Fatalf("degenerate stream: reads=%d writes=%d pres=%d",
+				ctlA.ReadsIssued, ctlA.WritesIssued, ctlA.PresIssued)
 		}
-	}
-	if ctlA.ReadsIssued == 0 || ctlA.WritesIssued == 0 || ctlA.PresIssued == 0 {
-		t.Fatalf("degenerate stream: reads=%d writes=%d pres=%d",
-			ctlA.ReadsIssued, ctlA.WritesIssued, ctlA.PresIssued)
-	}
+	})
 }
 
 // TestNextEventHorizonSound checks the strengthened NextEvent contract
