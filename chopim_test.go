@@ -36,14 +36,13 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
-// TestConfigKnobs verifies the ablation switches exist and compose.
+// TestConfigKnobs verifies the configuration knobs exist and compose.
 func TestConfigKnobs(t *testing.T) {
 	cfg := chopim.DefaultConfig(-1)
 	cfg.Partitioned = false
 	cfg.NDA.Policy = chopim.Stochastic
 	cfg.NDA.StochasticProb = 0.5
 	cfg.MaxBlocksPerInstr = 32
-	cfg.ModelLaunches = false
 	cfg.Geom.Ranks = 4
 	sys, err := chopim.NewSystem(cfg)
 	if err != nil {

@@ -10,7 +10,7 @@
 //	       [-cpuprofile F] [-memprofile F] <experiment>
 //
 // Experiments: fig2 fig10 fig11 fig12 fig13 fig14 fig15a fig15b power
-// ablate config all
+// config all
 //
 // -cache-dir D keeps a content-addressed result cache: every figure's
 // rows are stored under a hash of the model version and the
@@ -104,7 +104,7 @@ func run() (code int) {
 	onInterrupt := flag.String("on-interrupt", "drain",
 		"first SIGINT/SIGTERM behavior: drain (finish in-flight points, admit no more) or abort (exit immediately)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: chopim [flags] <fig2|fig10|fig11|fig12|fig13|fig14|fig15a|fig15b|power|ablate|config|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: chopim [flags] <fig2|fig10|fig11|fig12|fig13|fig14|fig15a|fig15b|power|config|all>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -205,7 +205,6 @@ func run() (code int) {
 		"fig15b": runFig15b,
 		"power":  runPower,
 		"config": runConfig,
-		"ablate": runAblate,
 	}
 	name := flag.Arg(0)
 	names := []string{name}
@@ -410,19 +409,6 @@ func runPower(opt experiments.Options) error {
 		fmt.Fprintf(w, "%s\t%.3f\t%.3e\t%.3e\t%.3e\t%.3e\n",
 			r.Scenario, r.AvgPowerW, r.Breakdown.ActivateJ, r.Breakdown.HostIOJ,
 			r.Breakdown.NDAIOJ, r.Breakdown.ComputeJ)
-	}
-	return w.Flush()
-}
-
-func runAblate(opt experiments.Options) error {
-	rows, err := experiments.Ablations(opt)
-	if err != nil {
-		return err
-	}
-	w := tw()
-	fmt.Fprintln(w, "study\tsetting\thost IPC\tNDA BW util\tnotes")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%.3f\t%.3f\t%s\n", r.Study, r.Setting, r.HostIPC, r.NDAUtil, r.Extra)
 	}
 	return w.Flush()
 }

@@ -241,8 +241,8 @@ func NewAverageGradient(rt *ndart.Runtime, cfg AverageGradientConfig) (*AverageG
 }
 
 // Run schedules one full summarization and returns its handle. The
-// sigmoid and final reduce run on the host; their memory traffic (y and
-// a_pvt sized) is carried by the runtime's host copier.
+// sigmoid and final reduce run on the host; no DRAM traffic is modeled
+// for them.
 func (ag *AverageGradient) Run() (*ndart.Handle, error) {
 	rt := ag.rt
 	hs := make([]*ndart.Handle, 0, 6)

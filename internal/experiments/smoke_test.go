@@ -28,7 +28,4 @@ func TestAllFigsQuick(t *testing.T) {
 	if _, err := Power(opt); err != nil {
 		t.Error("power:", err)
 	}
-	if _, err := Ablations(opt); err != nil {
-		t.Error("ablations:", err)
-	}
 }

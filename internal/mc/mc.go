@@ -109,8 +109,9 @@ type Controller struct {
 	// them invoked inline at issue time (see SetCompletionSink). The sim
 	// package points it at the controller's channel-domain mailbox so a
 	// Tick on a worker goroutine never calls into shared state (the cache
-	// hierarchy, the copy pump, runtime handles); the deferred callbacks
-	// run in the serial cross-channel commit phase of the same cycle.
+	// hierarchy, runtime handles, the launch registry); the deferred
+	// callbacks run in the serial cross-channel commit phase of the same
+	// cycle.
 	csink func(done func(int64), at int64)
 
 	// issuedRank is the rank the host issued a command to this cycle

@@ -88,9 +88,10 @@ func checkShareMatchesDecode(t testing.TB, m addrmap.Mapper, v *Vector, chunk in
 }
 
 // TestShareMatchesDecode checks every operand kind the runtime builds
-// (Shared, Private, uncolored and a RowView whose span starts and ends
-// mid-row) against a direct decode, over 1/2/4 channels x 1/2/4/8 ranks
-// with and without bank partitioning.
+// (Shared, Private and a RowView whose span starts and ends mid-row),
+// plus a vector at a base the colored allocator did not pick, against a
+// direct decode, over 1/2/4 channels x 1/2/4/8 ranks with and without
+// bank partitioning.
 func TestShareMatchesDecode(t *testing.T) {
 	for _, channels := range []int{1, 2, 4} {
 		for _, ranks := range []int{1, 2, 4, 8} {
@@ -108,10 +109,17 @@ func TestShareMatchesDecode(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					uncolored, err := rt.NewVectorUncolored(48 * 1024)
+					// 48K elements one system row into a colored
+					// allocation: a base the colored allocator did not
+					// pick, as a layout that ignores colors would.
+					row := rt.os.SystemRowBytes()
+					backing, err := rt.NewVector(48*1024+int(row/4), Shared)
 					if err != nil {
 						t.Fatal(err)
 					}
+					uncolored := &Vector{rt: rt, base: backing.base + row, n: 48 * 1024, bytes: 48 * 1024 * 4}
+					uncolored.color = rt.os.ColorOf(uncolored.base)
+					uncolored.indexBlocks()
 					mat, err := rt.NewMatrix(64, 200, Shared) // 800-byte rows
 					if err != nil {
 						t.Fatal(err)

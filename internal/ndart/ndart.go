@@ -3,8 +3,8 @@
 // rank-aligned, splits API calls into per-rank primitive NDA operations
 // with a configurable vector granularity, models the control-register
 // launch packets that occupy the host channel, supports blocking and
-// asynchronous (macro) launches, and inserts host-mediated copies when
-// operands' colors do not match.
+// asynchronous (macro) launches, and refuses operands whose colors do
+// not match.
 package ndart
 
 import (
@@ -81,10 +81,6 @@ type Runtime struct {
 	// Zero means unlimited (one instruction per rank per API call).
 	MaxBlocksPerInstr int
 
-	// ModelLaunches models each NDA instruction launch as a control
-	// write through the host channel. Disable only for idealized runs.
-	ModelLaunches bool
-
 	// GuardOps installs the NDA-side bounds checks (protection) on
 	// every launched instruction. Off by default: the checks are an
 	// assertion harness with per-op setup cost.
@@ -93,9 +89,7 @@ type Runtime struct {
 	color    osmem.Color
 	colorSet bool
 
-	copier   copyPump
 	Launches int64
-	Copies   int64
 
 	// decodeCache memoizes indexBlocks results per (base, bytes) span.
 	// The decode depends only on the span and the runtime's fixed address
@@ -240,25 +234,10 @@ type launchRec struct {
 func New(os *osmem.OS, eng *nda.Engine, mcs []*mc.Controller, now func() int64) *Runtime {
 	return &Runtime{
 		os: os, mapper: os.Mapper(), geom: os.Mapper().Geometry(),
-		eng: eng, mcs: mcs, now: now, ModelLaunches: true,
+		eng: eng, mcs: mcs, now: now,
 		decodeCache:     make(map[layoutKey]*vecLayout),
 		pendingLaunches: make(map[uint64]*launchRec),
 	}
-}
-
-// Tick advances runtime background activity (host-mediated copies).
-// Call once per DRAM cycle.
-func (rt *Runtime) Tick(now int64) { rt.copier.tick(rt, now) }
-
-// NextEvent returns the earliest DRAM cycle >= now at which the runtime
-// can change state. The copy pump retries enqueues every cycle while a
-// job is live; all other runtime activity is driven by API calls and
-// memory-controller callbacks, not the clock.
-func (rt *Runtime) NextEvent(now int64) int64 {
-	if rt.copier.Busy() {
-		return now
-	}
-	return dram.Never
 }
 
 // NDACount returns the number of rank NDAs in the system.
@@ -330,20 +309,6 @@ func (rt *Runtime) allocColored(bytes uint64) (uint64, osmem.Color, error) {
 		return 0, 0, err
 	}
 	return base, rt.color, nil
-}
-
-// NewVectorUncolored allocates without color coordination (the naive
-// layout of Fig 3, used by the layout ablation): operands may land
-// misaligned and require copies before NDA execution.
-func (rt *Runtime) NewVectorUncolored(n int) (*Vector, error) {
-	bytes := uint64(n) * 4
-	base, err := rt.os.AllocSharedAny(bytes)
-	if err != nil {
-		return nil, err
-	}
-	v := &Vector{rt: rt, base: base, n: n, bytes: bytes, color: rt.os.ColorOf(base)}
-	v.indexBlocks()
-	return v, nil
 }
 
 // Len returns the element count.

@@ -44,9 +44,8 @@ func (h *harness) run(t *testing.T, hd *Handle, max int64) {
 			c.Tick(h.now)
 		}
 		h.eng.Tick(h.now)
-		h.rt.Tick(h.now)
 		h.now++
-		if hd.Done() && !h.rt.CopierBusy() {
+		if hd.Done() {
 			return
 		}
 	}
@@ -148,54 +147,36 @@ func TestGranularityLaunchCount(t *testing.T) {
 	h.run(t, hd, 10_000_000)
 }
 
-func TestMisalignedOperandsTriggerCopy(t *testing.T) {
+// TestMisalignedOperandsRefused gives one operand another color: both
+// entry points, Launch (through Dot) and MacroFor, must return an error
+// and send no launch packet.
+func TestMisalignedOperandsRefused(t *testing.T) {
 	h := newHarness(t)
 	x, err := h.rt.NewVector(64*1024, Shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force a different color for y by allocating uncolored until the
-	// color differs.
-	var y *Vector
-	for i := 0; i < 64; i++ {
-		y, err = h.rt.NewVectorUncolored(64 * 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if y.Color() != x.Color() {
-			break
-		}
-	}
-	if y.Color() == x.Color() {
-		t.Skip("could not obtain a mismatched color")
-	}
-	hd, err := h.rt.Dot(x, y)
+	y, err := h.rt.NewVector(64*1024, Shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.run(t, hd, 20_000_000)
-	if h.rt.Copies == 0 {
-		t.Error("misaligned operand did not trigger a host copy")
+	y.color ^= 1 << 20
+	if _, err := h.rt.Dot(x, y); err == nil {
+		t.Error("Dot accepted misaligned operands")
 	}
-	if h.mem.Counts().RD == 0 {
-		t.Error("host copy generated no host reads")
+	if _, err := h.rt.MacroFor(4, func(int) Spec { return DotSpec(x, y) }); err == nil {
+		t.Error("MacroFor accepted misaligned operands")
 	}
-}
-
-func TestHostCopyMovesAllBlocks(t *testing.T) {
-	h := newHarness(t)
-	const n = 16 * 1024
-	src, _ := h.rt.NewVector(n, Shared)
-	dst, _ := h.rt.NewVector(n, Shared)
-	doneCalled := false
-	h.rt.HostCopy(dst, src, func() { doneCalled = true })
-	hd := &Handle{} // empty: rely on copier-busy condition
-	h.run(t, hd, 10_000_000)
-	if !doneCalled {
-		t.Fatal("HostCopy done callback never fired")
+	if _, err := h.rt.Copy(y, x); err == nil {
+		t.Error("Copy accepted a misaligned result")
 	}
-	if want := int64(n * 4 / dram.BlockBytes); h.mem.Counts().RD != want {
-		t.Errorf("host reads = %d, want %d", h.mem.Counts().RD, want)
+	for ch, c := range h.mcs {
+		if r, w := c.QueueOccupancy(); r+w != 0 {
+			t.Errorf("controller %d holds %d reads and %d writes after refused launches", ch, r, w)
+		}
+	}
+	if h.rt.Launches != 0 {
+		t.Errorf("launches = %d after refused calls, want 0", h.rt.Launches)
 	}
 }
 

@@ -135,24 +135,27 @@ func XmySpec(z, x, y *Vector) Spec {
 // Launch splits one API call into per-rank primitive NDA instructions of
 // at most MaxBlocksPerInstr blocks per operand, modeling one
 // control-register launch packet per instruction (Section V). Operands
-// whose colors mismatch are first copied into aligned scratch space by
-// the host (the data-copy cost Chopim's layout avoids).
+// must share one color: the colored layout keeps them rank-aligned, so
+// the runtime never copies data.
 func (rt *Runtime) Launch(spec Spec) (*Handle, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	h := &Handle{}
-	spec, copies := rt.alignOperands(spec)
-	if copies != nil {
-		// Defer the launch until host-mediated copies complete.
-		h.pending++ // hold the handle open
-		copies.onDone = func() {
-			rt.launchAligned(spec, h)
-			h.complete(rt.now())
-		}
-		return h, nil
+	if err := aligned(spec); err != nil {
+		return nil, err
 	}
-	rt.launchAligned(spec, h)
+	h := &Handle{}
+	g := rt.geom
+	for ch := 0; ch < g.Channels; ch++ {
+		for r := 0; r < g.Ranks; r++ {
+			// A rank without a control address holds an empty share,
+			// for which rankOpBPs yields no instructions.
+			ctrl, _ := spec.Reads[0].controlAddr(ch, r)
+			for _, bp := range rt.rankOpBPs(spec, ch, r, h) {
+				rt.sendLaunch(ch, r, ctrl, []*opBP{bp})
+			}
+		}
+	}
 	return h, nil
 }
 
@@ -174,8 +177,8 @@ func (rt *Runtime) MacroFor(count int, build func(i int) Spec) (*Handle, error) 
 		if err := spec.validate(); err != nil {
 			return nil, err
 		}
-		if c, ok := rt.alignedOrErr(spec); !ok {
-			return nil, c
+		if err := aligned(spec); err != nil {
+			return nil, err
 		}
 		for ch := 0; ch < g.Channels; ch++ {
 			for r := 0; r < g.Ranks; r++ {
@@ -199,72 +202,18 @@ func (rt *Runtime) MacroFor(count int, build func(i int) Spec) (*Handle, error) 
 	return h, nil
 }
 
-// alignedOrErr returns an error if operands are misaligned (MacroFor does
-// not auto-copy).
-func (rt *Runtime) alignedOrErr(spec Spec) (error, bool) {
+// aligned returns an error if the operands do not all share one color.
+func aligned(spec Spec) error {
 	c0 := spec.Reads[0].color
 	for _, v := range spec.Reads[1:] {
 		if v.color != c0 {
-			return fmt.Errorf("ndart: macro op operands misaligned (colors %#x vs %#x)", c0, v.color), false
+			return fmt.Errorf("ndart: %v operands misaligned (colors %#x vs %#x)", spec.Kind, c0, v.color)
 		}
 	}
 	if spec.Write != nil && spec.Write.color != c0 {
-		return fmt.Errorf("ndart: macro op result misaligned"), false
+		return fmt.Errorf("ndart: %v result misaligned (colors %#x vs %#x)", spec.Kind, c0, spec.Write.color)
 	}
-	return nil, true
-}
-
-// alignOperands checks operand colors; mismatched read operands are
-// copied into runtime-colored scratch vectors (counted in rt.Copies).
-// It returns the possibly-rewritten spec and a pending copy job set.
-func (rt *Runtime) alignOperands(spec Spec) (Spec, *copyGroup) {
-	c0 := spec.Reads[0].color
-	if spec.Write != nil && spec.Write.color != c0 {
-		// Result misalignment also forces a copy-out; model the
-		// dominant cost: allocate aligned scratch and write there.
-		if w, err := rt.NewVector(spec.Write.Len(), spec.Write.placement); err == nil {
-			spec.Write = w
-		}
-	}
-	var group *copyGroup
-	for i, v := range spec.Reads {
-		if v.color == c0 {
-			continue
-		}
-		scratch, err := rt.NewVector(v.Len(), v.placement)
-		if err != nil {
-			continue // out of aligned space: run misaligned (tests only)
-		}
-		if group == nil {
-			group = &copyGroup{}
-		}
-		rt.Copies++
-		group.pending++
-		spec.Reads[i] = scratch
-		rt.copier.add(&copyJob{
-			src: v, dst: scratch,
-			done: func() { group.finish() },
-		})
-	}
-	return spec, group
-}
-
-// launchAligned fans an aligned spec out to every rank.
-func (rt *Runtime) launchAligned(spec Spec, h *Handle) {
-	g := rt.geom
-	for ch := 0; ch < g.Channels; ch++ {
-		for r := 0; r < g.Ranks; r++ {
-			bps := rt.rankOpBPs(spec, ch, r, h)
-			ctrl, ok := spec.Reads[0].controlAddr(ch, r)
-			for _, bp := range bps {
-				if !ok {
-					rt.launchBP(bp)
-					continue
-				}
-				rt.sendLaunch(ch, r, ctrl, []*opBP{bp})
-			}
-		}
-	}
+	return nil
 }
 
 // opBP is the blueprint of one primitive NDA instruction: everything
@@ -304,11 +253,6 @@ func (rt *Runtime) buildOp(bp *opBP) *nda.Op {
 	return op
 }
 
-// launchBP hands one blueprint to the engine.
-func (rt *Runtime) launchBP(bp *opBP) {
-	rt.eng.Launch(bp.ch, bp.r, func() *nda.Op { return rt.buildOp(bp) })
-}
-
 // rankOpBPs splits the rank's share into MaxBlocksPerInstr chunks,
 // returning one blueprint per NDA instruction. The handle's pending
 // count is incremented here, at API-call time.
@@ -328,8 +272,8 @@ func (rt *Runtime) rankOpBPs(spec Spec, ch, r int, h *Handle) []*opBP {
 			n = share - from
 		}
 		h.pending++
-		// Exact read count across operands (operand shares can differ
-		// in the misaligned fallback), enabling side-effect-free
+		// Exact read count across operands (a rank's shares of two
+		// operands need not be equal), enabling side-effect-free
 		// PeekRead during fast-forward.
 		total := 0
 		for _, v := range spec.Reads {
@@ -379,12 +323,6 @@ func (rt *Runtime) buildGuard(bp *opBP) func(dram.Addr) bool {
 // tag (not the closure) is what a checkpoint captures.
 func (rt *Runtime) sendLaunch(ch, r int, ctrl dram.Addr, bps []*opBP) {
 	rt.Launches++
-	if !rt.ModelLaunches {
-		for _, bp := range bps {
-			rt.launchBP(bp)
-		}
-		return
-	}
 	ctrl.Channel = ch
 	ctrl.Rank = r
 	rt.launchID++
@@ -401,7 +339,7 @@ func (rt *Runtime) finishLaunch(id uint64) {
 	}
 	delete(rt.pendingLaunches, id)
 	for _, bp := range rec.bps {
-		rt.launchBP(bp)
+		rt.eng.Launch(bp.ch, bp.r, func() *nda.Op { return rt.buildOp(bp) })
 	}
 }
 
@@ -410,17 +348,4 @@ func (rt *Runtime) finishLaunch(id uint64) {
 // launch packets to the registry.
 func (rt *Runtime) LaunchDone(id uint64) func(int64) {
 	return func(int64) { rt.finishLaunch(id) }
-}
-
-// copyGroup joins several copy jobs before a deferred launch.
-type copyGroup struct {
-	pending int
-	onDone  func()
-}
-
-func (g *copyGroup) finish() {
-	g.pending--
-	if g.pending == 0 && g.onDone != nil {
-		g.onDone()
-	}
 }

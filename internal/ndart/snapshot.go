@@ -1,7 +1,6 @@
 package ndart
 
 import (
-	"errors"
 	"sort"
 
 	"chopim/internal/nda"
@@ -133,22 +132,15 @@ type RuntimeState struct {
 	LaunchID  uint64
 	Color     osmem.Color
 	ColorSet  bool
-	Copies    int64
 	NLaunches int64
 }
 
 // Snapshot finalizes the encoder (whose EncodeTag the engine snapshot
-// already ran) into a serialized runtime state. It fails while
-// host-mediated copies are in flight: copy jobs hold completion
-// closures with no replayable description, and they are short-lived —
-// callers snapshot at a quiescent point instead.
-func (rt *Runtime) Snapshot(enc *SnapEncoder) (*RuntimeState, error) {
-	if rt.copier.Busy() {
-		return nil, errors.New("ndart: snapshot with host-mediated copies in flight")
-	}
+// already ran) into a serialized runtime state.
+func (rt *Runtime) Snapshot(enc *SnapEncoder) *RuntimeState {
 	st := &RuntimeState{
 		LaunchID: rt.launchID, Color: rt.color, ColorSet: rt.colorSet,
-		Copies: rt.Copies, NLaunches: rt.Launches,
+		NLaunches: rt.Launches,
 	}
 	ids := make([]uint64, 0, len(rt.pendingLaunches))
 	for id := range rt.pendingLaunches {
@@ -189,7 +181,7 @@ func (rt *Runtime) Snapshot(enc *SnapEncoder) (*RuntimeState, error) {
 		}
 		st.BPs = append(st.BPs, bs)
 	}
-	return st, nil
+	return st
 }
 
 // Restore overwrites the runtime's snapshot-visible state and returns
@@ -242,7 +234,7 @@ func (rt *Runtime) Restore(st *RuntimeState) func(tag int) *nda.Op {
 	}
 	rt.launchID = st.LaunchID
 	rt.color, rt.colorSet = st.Color, st.ColorSet
-	rt.Copies, rt.Launches = st.Copies, st.NLaunches
+	rt.Launches = st.NLaunches
 	rt.restored = hs
 	return func(tag int) *nda.Op { return rt.buildOp(bps[tag]) }
 }

@@ -246,15 +246,6 @@ func (o *OS) AllocShared(n uint64, color Color) (uint64, error) {
 	return 0, fmt.Errorf("osmem: no block with color %#x for %d bytes", uint64(color), n)
 }
 
-// AllocSharedAny allocates n contiguous shared bytes at whatever color
-// the allocator yields (the naive, uncoordinated layout of Fig 3).
-func (o *OS) AllocSharedAny(n uint64) (uint64, error) {
-	if n < o.sysRow {
-		n = o.sysRow
-	}
-	return o.shared.Alloc(n)
-}
-
 // PickColor returns a feasible color for an allocation of n bytes by
 // probing the allocator, so subsequent AllocShared calls of size <= n
 // can succeed with it.

@@ -24,12 +24,12 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		all string
 		n   int
 	}{
-		"host-only":                {"297223a9f4787ba1805722ffd842580e84381c3825c4be3b95d65082b418a857", 701403},
-		"host-stall-heavy":         {"6feb6753ca40ef9ed325bc3f764ee6230ac353abd5a5cfa1165ff9af7344bd8e", 602752},
-		"nda-only-nrm2":            {"30bf13a617c3ddf38913b898fe5bf5cde4eadbcba3945df4350a70bc83b06899", 9561},
-		"nda-only-copy-stochastic": {"78305293be57eaf7d46c92793fd28f2c49b7db810bf91b48dd45e32eb5e9db54", 14012},
-		"mixed-mix1-dot":           {"4e8008de3445c5c601a82560047076ae1c3635ee8a0b66f69e844875d5fe88d6", 622276},
-		"mixed-mix3-copy-shared":   {"a088983ddb6c0ecf29be411a54ebfdfcfd5a3dc3c0c7cd1d6ed68e66843bb0e1", 639866},
+		"host-only":                {"67dba55d6c6c0082a4641630d1788d9bd84181727d9681b1d4348dab3b1b5641", 701392},
+		"host-stall-heavy":         {"a736c667f652d0e5305b128060dfb883cb8f826b0965770408424bb20702d43f", 602741},
+		"nda-only-nrm2":            {"0beca3175c4e67e886d855dc11cbec15fd1645715d3c6360819ead5b5216cca6", 9550},
+		"nda-only-copy-stochastic": {"3240a98d34d8da5ebc1d2687539ca074ba7ed2fc7efa7099c52b21835c665af0", 14001},
+		"mixed-mix1-dot":           {"11e2688f390a3242f0949b111057ee250e02f9e176f8d46eff468fd13e0317b6", 622265},
+		"mixed-mix3-copy-shared":   {"7bba6612c22232c1c1a5724f9aaa8a22c36172972d0945042d0d1134d0e7f7c9", 639855},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

@@ -17,11 +17,11 @@ func snapshot(s *System) string {
 	st := s.NDA.TotalStats()
 	out := fmt.Sprintf("dram=%d cpu=%d credit=%d host-ipc=%v busy=%d blocks=%d "+
 		"ACT=%d PRE=%d RD=%d WR=%d nRD=%d nWR=%d "+
-		"br=%d bw=%d acts=%d sh=%d sp=%d ops=%d launches=%d copies=%d",
+		"br=%d bw=%d acts=%d sh=%d sp=%d ops=%d launches=%d",
 		s.Now(), s.CPUNow(), s.credit, s.HostIPC(), s.HostBusyCycles(), s.NDABlocks(),
 		s.Mem.Counts().ACT, s.Mem.Counts().PRE, s.Mem.Counts().RD, s.Mem.Counts().WR, s.Mem.Counts().NDARD, s.Mem.Counts().NDAWR,
 		st.BlocksRead, st.BlocksWritten, st.RowActs, st.StallsHost, st.StallsPolicy, st.OpsCompleted,
-		s.RT.Launches, s.RT.Copies)
+		s.RT.Launches)
 	for i, c := range s.MCs {
 		out += fmt.Sprintf(" mc%d=%d/%d/%d/%d/%d/%d", i,
 			c.ReadsIssued, c.WritesIssued, c.ActsIssued, c.PresIssued, c.ReadLatencySum, c.Drains)
@@ -280,7 +280,9 @@ func TestParallelDomainsMatchSerial(t *testing.T) {
 // columns the controllers sleep across, precharges parked by the
 // open-page rule, surveys stopped at a due controller, and the single
 // NDA pass per channel. The remaining rows cover the stochastic and
-// next-rank policies on the unpartitioned mapping, and the settings of the three ablation studies.
+// next-rank policies on the unpartitioned mapping, four reserved banks,
+// a 16-entry write buffer, and 16-block instructions (the only row with
+// a small MaxBlocksPerInstr).
 func TestRunFastMatchesRunWideAndShared(t *testing.T) {
 	app := func(op string) func(s *System) (func() (*ndart.Handle, error), error) {
 		return func(s *System) (func() (*ndart.Handle, error), error) {
@@ -358,11 +360,10 @@ func TestRunFastMatchesRunWideAndShared(t *testing.T) {
 			app: app("copy"),
 		},
 		{
-			name: "ablation-free-launches-16-blocks-nrm2",
+			name: "fine-grain-16-blocks-nrm2",
 			cfg: func() Config {
 				c := Default(1)
 				c.MaxBlocksPerInstr = 16
-				c.ModelLaunches = false
 				c.CheckInvariants = true
 				return c
 			},

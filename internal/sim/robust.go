@@ -103,9 +103,6 @@ func (s *System) workPending() (bool, string) {
 	if s.NDA.Busy() {
 		return true, "NDA operations queued"
 	}
-	if s.RT.CopierBusy() {
-		return true, "runtime copier busy"
-	}
 	return false, ""
 }
 
@@ -156,7 +153,6 @@ func (s *System) DiagDump() string {
 		fmt.Fprintf(&b, "  dom[%d]: outbox=%d ndaNext=%s\n",
 			d, len(s.doms[d].outbox), hz(s.NDA.ChannelNextEvent(d, s.dramCycle)))
 	}
-	fmt.Fprintf(&b, "  rt: copierBusy=%v next=%s\n", s.RT.CopierBusy(), hz(s.RT.NextEvent(s.dramCycle)))
 	if s.Hier != nil {
 		fmt.Fprintf(&b, "  hier: pendingMisses=%d\n", s.Hier.PendingMisses())
 	}

@@ -57,8 +57,6 @@ type Config struct {
 	// MaxBlocksPerInstr is the NDA vector-instruction granularity
 	// (cache blocks per operand per instruction; 0 = unlimited).
 	MaxBlocksPerInstr int
-	// ModelLaunches models control-register launch packets.
-	ModelLaunches bool
 
 	Seed int64
 
@@ -94,7 +92,6 @@ func Default(mix int) Config {
 		Core:          cpu.DefaultConfig(),
 		MC:            mc.DefaultConfig(),
 		NDA:           nda.DefaultConfig(),
-		ModelLaunches: true,
 		Seed:          1,
 	}
 }
@@ -130,8 +127,7 @@ type System struct {
 	// MCs[d], the rank NDAs of channel d, and channel d's share of Mem;
 	// its mailbox (outbox) collects the completion callbacks the
 	// domain's tick would otherwise have invoked inline — fills into the
-	// shared cache hierarchy, copy-pump read completions, control-launch
-	// acknowledgements, NDA op completions — for the commit phase to
+	// shared cache hierarchy, control-launch acknowledgements, NDA op completions — for the commit phase to
 	// apply in canonical (channel, FIFO) order. The mailboxes fix WHEN a
 	// cross-channel completion lands (after every channel's memory
 	// phase of the cycle), which the pinned counters depend on
@@ -235,7 +231,6 @@ func New(cfg Config) (*System, error) {
 	s.NDA = nda.NewEngine(cfg.NDA, s.Mem, s.MCs)
 	s.RT = ndart.New(os, s.NDA, s.MCs, func() int64 { return s.dramCycle })
 	s.RT.MaxBlocksPerInstr = cfg.MaxBlocksPerInstr
-	s.RT.ModelLaunches = cfg.ModelLaunches
 	s.retiredAtMeas = make([]int64, len(s.Cores))
 	s.coreFrom = make([]int64, len(s.Cores))
 	s.doms = make([]domain, len(s.MCs))
@@ -262,14 +257,12 @@ func (s *System) CPUNow() int64 { return s.cpuCycle }
 //  1. Per-channel memory phase: each channel domain ticks its
 //     controller and then its rank NDAs. Domains read and write only
 //     channel-local state — completion callbacks that would cross a
-//     domain boundary (cache fills, copy-read completions, launch
-//     acknowledgements, NDA op completions) are deferred into the
-//     domain's mailbox.
+//     domain boundary (cache fills, launch acknowledgements, NDA op
+//     completions) are deferred into the domain's mailbox.
 //  2. Cross-channel commit: the mailboxes drain in canonical (channel,
 //     FIFO) order, applying fills to the shared hierarchy (whose
 //     writebacks enqueue into any channel's queues), completing
-//     handles, and acknowledging launches; then the runtime's copy
-//     pump runs.
+//     handles, and acknowledging launches.
 //  3. CPU/cache front-end: the CPU-credit loop ticks cores against the
 //     shared hierarchy, exactly as many sub-cycles as the clock ratio
 //     owes this DRAM cycle.
@@ -283,7 +276,6 @@ func (s *System) Tick() {
 		s.NDA.TickChannel(d, now)
 	}
 	s.commit()
-	s.RT.Tick(now)
 	s.credit += cpuCredit
 	for s.credit >= cpuDivisor {
 		s.credit -= cpuDivisor
@@ -297,7 +289,7 @@ func (s *System) Tick() {
 
 // commit drains every domain mailbox in canonical (channel, FIFO)
 // order: the cross-channel phase of the cycle. Deferred callbacks may
-// enqueue into any controller (cache writebacks, copy writes) and
+// enqueue into any controller (cache writebacks, launch packets) and
 // mutate shared front-end state (hierarchy fills, runtime handles,
 // launch acknowledgements into the domain's own engine); they run here,
 // after every channel's memory phase, so no channel's tick observes
@@ -384,7 +376,7 @@ func (s *System) NextEvent() int64 {
 		}
 		next = min(next, w)
 	}
-	return max(min(next, s.RT.NextEvent(now)), now)
+	return next
 }
 
 // skipIdle advances the clocks over k provably-idle DRAM cycles without
@@ -436,7 +428,7 @@ func (s *System) domainTick(d int, now int64) {
 
 // tickDue advances the system one DRAM cycle, dispatching only due
 // components: the per-channel memory phase, the cross-channel commit,
-// the runtime, then the CPU-credit loop with cores in index order.
+// then the CPU-credit loop with cores in index order.
 // Phase order matches Tick, with skips that are individually proven
 // no-ops (see domainTick for the memory phase; blocked-core skipping
 // is argued at the dispatch loop below).
@@ -446,9 +438,6 @@ func (s *System) tickDue() {
 		s.domainTick(d, now)
 	}
 	s.commit()
-	if s.RT.NextEvent(now) <= now {
-		s.RT.Tick(now)
-	}
 	s.credit += cpuCredit
 	m := int64(0)
 	for s.credit >= cpuDivisor {
@@ -581,9 +570,8 @@ func (s *System) RunFast(n int64) error {
 }
 
 // Await runs until every handle completes, up to maxCycles additional
-// cycles, fast-forwarding over idle windows (handles and the copier can
-// only change state on a tick, so checking after each executed tick is
-// exact). It returns an error on timeout.
+// cycles, fast-forwarding over idle windows (handles can only change
+// state on a tick, so checking after each executed tick is exact). It returns an error on timeout.
 func (s *System) Await(maxCycles int64, hs ...*ndart.Handle) error {
 	deadline := s.dramCycle + maxCycles
 	for s.dramCycle < deadline {
@@ -594,7 +582,7 @@ func (s *System) Await(maxCycles int64, hs ...*ndart.Handle) error {
 				break
 			}
 		}
-		if done && !s.RT.CopierBusy() {
+		if done {
 			return nil
 		}
 		if err := s.StepFast(deadline); err != nil {

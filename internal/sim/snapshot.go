@@ -56,9 +56,8 @@ func (ck *Checkpoint) Cycle() int64 { return ck.st.DRAMCycle }
 
 // Snapshot captures the system's full simulation state. It must be
 // called between steps (Run/RunFast/StepFast boundaries — the domain
-// mailboxes are drained there). It fails while host-mediated copies
-// are in flight and under nda.Config.VerifyFSM; both are transient or
-// debug-only conditions, not steady-state ones.
+// mailboxes are drained there). It fails under nda.Config.VerifyFSM, a
+// debug-only condition.
 func (s *System) Snapshot() (*Checkpoint, error) {
 	ck, _, err := s.SnapshotWithRoots(nil)
 	return ck, err
@@ -86,10 +85,7 @@ func (s *System) SnapshotWithRoots(roots []*ndart.Handle) (*Checkpoint, []int, e
 	for _, h := range roots {
 		rootIdx = append(rootIdx, enc.RegisterHandle(h))
 	}
-	rtSt, err := s.RT.Snapshot(enc)
-	if err != nil {
-		return nil, nil, err
-	}
+	rtSt := s.RT.Snapshot(enc)
 	ck := &Checkpoint{st: ckptState{
 		DRAM: s.Mem.Snapshot(),
 		OS:   s.OS.Snapshot(),
@@ -140,8 +136,7 @@ func (s *System) Restore(ck *Checkpoint) {
 	// Requests that carried completion closures reattach through the
 	// restored front-ends: a tagged write is a launch packet (registry
 	// callback), a read with a callback is a host demand miss (its MSHR
-	// fill). Copy-pump reads cannot appear — Snapshot refuses while the
-	// copier is busy.
+	// fill).
 	resolve := func(write bool, addr uint64, tag uint64) func(int64) {
 		if write {
 			if tag == 0 {

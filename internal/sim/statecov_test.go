@@ -112,8 +112,8 @@ func TestStateFieldCoverage(t *testing.T) {
 			carriedBy: map[string]string{"pendingLaunches": "Launches", "Launches": "NLaunches"},
 			skip: map[string]notCarried{
 				"os": config, "mapper": config, "geom": config, "eng": config, "mcs": config,
-				"MaxBlocksPerInstr": config, "ModelLaunches": config, "GuardOps": config,
-				"now": closure, "copier": closure, "decodeCache": schedMem,
+				"MaxBlocksPerInstr": config, "GuardOps": config,
+				"now": closure, "decodeCache": schedMem,
 				"restored": memOnly,
 			}},
 		{live: reflect.TypeOf(workload.Generator{}), state: reflect.TypeOf(workload.GenState{}),
