@@ -10,11 +10,11 @@
 // figure of the paper's evaluation. Implementation subsystems live under
 // internal/; see DESIGN.md for the full inventory.
 //
-// The simulator is organized as channel domains: each DRAM channel's
-// controller, device timing state, and rank NDAs form one domain, whose
-// cross-channel completions are mailboxed and applied in a canonical
-// order (DESIGN.md §2.5). Each simulation runs on one goroutine; the
-// experiment harness parallelizes across independent figure points.
+// Each DRAM cycle ticks every channel's controller and then its rank
+// NDAs, applies the cycle's completions from one mailbox in the order
+// they were produced, and then runs the host cores (DESIGN.md §2.5).
+// Each simulation runs on one goroutine; the experiment harness
+// parallelizes across independent figure points.
 //
 // Quickstart:
 //

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	chopim [-quick] [-warm N] [-measure N] [-parallel N] [-cache-dir D]
-//	       [-on-interrupt=drain|abort]
 //	       [-check-invariants] [-deadline D] [-fail-fast]
 //	       [-cpuprofile F] [-memprofile F] <experiment>
 //
@@ -40,10 +39,9 @@
 // Interrupt & resume: resume is point-granular. A kill -9 loses only
 // the points in flight; the next run on the same -cache-dir replays
 // every stored point and recomputes the rest, printing a byte-identical
-// figure. SIGINT/SIGTERM stop the sweep per -on-interrupt — drain
-// (default: finish and store in-flight points, admit no more) or abort
-// (exit at once) — then exit 130; a second signal force-exits
-// immediately.
+// figure. SIGINT/SIGTERM drain the sweep — finish and store the
+// in-flight points, admit no more — then exit 130; a second signal
+// exits 130 at once.
 //
 // -cpuprofile / -memprofile write pprof profiles covering the selected
 // experiment (see README.md, "Profiling").
@@ -101,8 +99,6 @@ func run() (code int) {
 		"abort a sweep at the first failing point instead of completing the healthy ones")
 	inject := flag.String("inject", "",
 		"arm a fault for smoke testing: panic-point=K, stuck-horizon=C, or die-after-point=N")
-	onInterrupt := flag.String("on-interrupt", "drain",
-		"first SIGINT/SIGTERM behavior: drain (finish in-flight points, admit no more) or abort (exit immediately)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: chopim [flags] <fig2|fig10|fig11|fig12|fig13|fig14|fig15a|fig15b|power|config|all>\n")
 		flag.PrintDefaults()
@@ -156,10 +152,6 @@ func run() (code int) {
 		opt.MeasureCycles = *measure
 	}
 	opt.Parallel = *parallel
-	if *onInterrupt != "drain" && *onInterrupt != "abort" {
-		fmt.Fprintf(os.Stderr, "chopim: -on-interrupt=%q (want drain or abort)\n", *onInterrupt)
-		return 2
-	}
 	opt.CacheDir = *cacheDir
 	opt.CheckInvariants = *checkInvariants
 	opt.PointTimeout = *deadline
@@ -180,9 +172,6 @@ func run() (code int) {
 		for range sigCh {
 			if interrupted.Swap(true) {
 				fmt.Fprintln(os.Stderr, "chopim: second signal, forcing exit")
-				os.Exit(130)
-			}
-			if *onInterrupt == "abort" {
 				os.Exit(130)
 			}
 			fmt.Fprintln(os.Stderr, "chopim: interrupt: draining in-flight points (signal again to force exit)")

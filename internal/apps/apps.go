@@ -115,59 +115,26 @@ func NewStreamcluster(rt *ndart.Runtime, n, d, k int) (*App, error) {
 	}, nil
 }
 
-// NewMicro returns a relaunchable single-op microbenchmark over Shared
-// vectors of n elements (the DOT / COPY extremes of Figs 11-14).
-func NewMicro(rt *ndart.Runtime, name string, n int) (*App, error) {
-	return NewMicroPlaced(rt, name, n, ndart.Shared)
-}
-
-// NewMicroPlaced is NewMicro with an explicit placement; Private gives
-// every rank NDA an n-element local share (Fig 13's per-rank sizing).
+// NewMicroPlaced returns a relaunchable single-op microbenchmark over
+// operands of n elements placed by p (the DOT / COPY extremes of Figs
+// 11-14); Private gives every rank NDA an n-element local share (Fig
+// 13's per-rank sizing). Each iteration launches MicroSpec's Spec.
 func NewMicroPlaced(rt *ndart.Runtime, name string, n int, p ndart.Placement) (*App, error) {
-	x, err := rt.NewVector(n, p)
+	spec, err := MicroSpec(rt, name, n, p)
 	if err != nil {
 		return nil, err
 	}
-	y, err := rt.NewVector(n, p)
-	if err != nil {
-		return nil, err
-	}
-	var iter func() (*ndart.Handle, error)
-	switch name {
-	case "dot":
-		iter = func() (*ndart.Handle, error) { return rt.Dot(x, y) }
-	case "copy":
-		iter = func() (*ndart.Handle, error) { return rt.Copy(y, x) }
-	case "nrm2":
-		iter = func() (*ndart.Handle, error) { return rt.Nrm2(x) }
-	case "scal":
-		iter = func() (*ndart.Handle, error) { return rt.Scal(x) }
-	case "axpy":
-		iter = func() (*ndart.Handle, error) { return rt.Axpy(y, x) }
-	case "xmy":
-		iter = func() (*ndart.Handle, error) { return rt.Xmy(y, x, x) }
-	case "axpby":
-		iter = func() (*ndart.Handle, error) { return rt.Axpby(y, x, y) }
-	case "axpbypcz":
-		z, err := rt.NewVector(n, p)
-		if err != nil {
-			return nil, err
-		}
-		iter = func() (*ndart.Handle, error) { return rt.Axpbypcz(z, x, y, z) }
-	default:
-		return nil, fmt.Errorf("apps: unknown micro op %q", name)
-	}
-	return &App{Name: name, Iterate: iter}, nil
+	return &App{Name: name, Iterate: func() (*ndart.Handle, error) { return rt.Launch(spec) }}, nil
 }
 
-// MicroSpec allocates Private operands of n elements per rank and
-// returns the op's Spec for use with asynchronous macro launches.
-func MicroSpec(rt *ndart.Runtime, name string, n int) (ndart.Spec, error) {
-	x, err := rt.NewVector(n, ndart.Private)
+// MicroSpec allocates the op's operands, n elements each placed by p, in
+// the order x, y, z, and returns its Spec.
+func MicroSpec(rt *ndart.Runtime, name string, n int, p ndart.Placement) (ndart.Spec, error) {
+	x, err := rt.NewVector(n, p)
 	if err != nil {
 		return ndart.Spec{}, err
 	}
-	y, err := rt.NewVector(n, ndart.Private)
+	y, err := rt.NewVector(n, p)
 	if err != nil {
 		return ndart.Spec{}, err
 	}
@@ -187,7 +154,7 @@ func MicroSpec(rt *ndart.Runtime, name string, n int) (ndart.Spec, error) {
 	case "axpby":
 		return ndart.AxpbySpec(y, x, y), nil
 	case "axpbypcz":
-		z, err := rt.NewVector(n, ndart.Private)
+		z, err := rt.NewVector(n, p)
 		if err != nil {
 			return ndart.Spec{}, err
 		}

@@ -84,10 +84,10 @@ func TestMicroOpsAllKinds(t *testing.T) {
 
 func TestMicroUnknownOp(t *testing.T) {
 	s := newSys(t)
-	if _, err := NewMicro(s.RT, "fft", 1024); err == nil {
+	if _, err := NewMicroPlaced(s.RT, "fft", 1024, ndart.Shared); err == nil {
 		t.Error("unknown op accepted")
 	}
-	if _, err := MicroSpec(s.RT, "fft", 1024); err == nil {
+	if _, err := MicroSpec(s.RT, "fft", 1024, ndart.Private); err == nil {
 		t.Error("unknown spec accepted")
 	}
 }

@@ -26,7 +26,7 @@ type Backend interface {
 	ReadFull(addr uint64) bool
 }
 
-// Clock converts between the DRAM and CPU clock domains.
+// Clock converts between DRAM and CPU cycles.
 type Clock interface {
 	CPUOfDRAM(dram int64) int64
 }

@@ -183,44 +183,23 @@ type CmdCounts struct {
 	NDARD, NDAWR int64
 }
 
-// add accumulates o into c.
-func (c *CmdCounts) add(o CmdCounts) {
-	c.ACT += o.ACT
-	c.PRE += o.PRE
-	c.RD += o.RD
-	c.WR += o.WR
-	c.NDARD += o.NDARD
-	c.NDAWR += o.NDAWR
-}
-
 // Mem is the DDR4 memory system state machine. It validates and applies
 // command timing; it does not schedule. Controllers (host and NDA side)
 // call CanIssue/Issue.
 //
-// All mutable state — timing horizons, row state, the row-change log,
-// and command counters — is held per channel, and Issue touches only the
-// addressed channel's share. Channels are therefore free of write
-// sharing, which is what lets the sim package tick channel domains on
-// concurrent workers.
+// Timing horizons, row state and the row-change log are held per
+// channel, and Issue touches only the addressed channel's share and the
+// command counters.
 type Mem struct {
 	Geom Geometry
 	T    Timing
 
 	channels []chanState
-
-	// cnts holds per-channel command counters (see CmdCounts); sharded
-	// so concurrent channel domains never write the same counter.
-	cnts []CmdCounts
+	cnts     CmdCounts
 }
 
-// Counts sums the per-channel command counters.
-func (m *Mem) Counts() CmdCounts {
-	var t CmdCounts
-	for i := range m.cnts {
-		t.add(m.cnts[i])
-	}
-	return t
-}
+// Counts returns the command counters.
+func (m *Mem) Counts() CmdCounts { return m.cnts }
 
 // New builds a Mem with the given geometry and timing. It panics on
 // invalid configuration; configurations are programmer-supplied constants.
@@ -243,8 +222,7 @@ func NewChecked(g Geometry, t Timing) (*Mem, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Mem{Geom: g, T: t, channels: make([]chanState, g.Channels),
-		cnts: make([]CmdCounts, g.Channels)}
+	m := &Mem{Geom: g, T: t, channels: make([]chanState, g.Channels)}
 	for c := range m.channels {
 		ch := &m.channels[c]
 		ch.Ranks = make([]rankState, g.Ranks)
@@ -547,7 +525,7 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 		return false
 	}
 	b := &rk.Banks[flat]
-	cn := &m.cnts[a.Channel]
+	cn := &m.cnts
 	rk.Stamp++ // invalidate the rank's bank horizon caches
 
 	maxi := func(p *int64, v int64) {

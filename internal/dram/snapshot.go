@@ -10,14 +10,14 @@ package dram
 // per-bank horizon memo are tagged out of it.
 type MemState struct {
 	Channels []chanState
-	Cnts     []CmdCounts
+	Cnts     CmdCounts
 }
 
 // Snapshot captures the Mem's full mutable state.
 func (m *Mem) Snapshot() *MemState {
 	st := &MemState{
 		Channels: make([]chanState, len(m.channels)),
-		Cnts:     append([]CmdCounts(nil), m.cnts...),
+		Cnts:     m.cnts,
 	}
 	for c := range m.channels {
 		copyChanState(&st.Channels[c], &m.channels[c])
@@ -32,7 +32,7 @@ func (m *Mem) Restore(st *MemState) {
 	if len(m.channels) != len(st.Channels) {
 		panic("dram: restore onto a Mem with different geometry")
 	}
-	copy(m.cnts, st.Cnts)
+	m.cnts = st.Cnts
 	for c := range m.channels {
 		copyChanState(&m.channels[c], &st.Channels[c])
 	}

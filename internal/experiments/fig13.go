@@ -91,7 +91,7 @@ func runFig13Point(op string, bytesPerRank int, async bool, opt Options) (Result
 	it := app.Iterate
 	if async {
 		// Asynchronous macro launch: 32 iterations per launch packet.
-		spec, err := apps.MicroSpec(s.RT, op, bytesPerRank/4)
+		spec, err := apps.MicroSpec(s.RT, op, bytesPerRank/4, ndart.Private)
 		if err != nil {
 			return Result{}, err
 		}

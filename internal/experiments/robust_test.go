@@ -116,7 +116,7 @@ func TestDeadlineCounted(t *testing.T) {
 	_, err := sharded(Options{Parallel: 1, KeepGoing: true}, 2, func(i int) (int, error) {
 		if i == 1 {
 			calls.Add(1)
-			return 0, &sim.DeadlineError{Cycle: 123, Kind: "wall-clock"}
+			return 0, &sim.DeadlineError{Cycle: 123}
 		}
 		return i, nil
 	})
@@ -145,8 +145,8 @@ func TestPointTimeoutEndToEnd(t *testing.T) {
 	}
 	_, err = measureConcurrent(s, nil, opt)
 	var de *sim.DeadlineError
-	if !errors.As(err, &de) || de.Kind != "wall-clock" {
-		t.Fatalf("got %v, want wall-clock DeadlineError", err)
+	if !errors.As(err, &de) || de.Limit != opt.PointTimeout {
+		t.Fatalf("got %v, want a DeadlineError for the %v budget", err, opt.PointTimeout)
 	}
 }
 

@@ -107,11 +107,9 @@ type Controller struct {
 
 	// csink, when set, receives completion callbacks instead of having
 	// them invoked inline at issue time (see SetCompletionSink). The sim
-	// package points it at the controller's channel-domain mailbox so a
-	// Tick on a worker goroutine never calls into shared state (the cache
-	// hierarchy, runtime handles, the launch registry); the deferred
-	// callbacks run in the serial cross-channel commit phase of the same
-	// cycle.
+	// package points it at its completion mailbox, so a fill or launch
+	// acknowledgement lands in the commit phase of the same cycle, after
+	// every channel's memory phase, rather than mid-way through it.
 	csink func(done func(int64), at int64)
 
 	// issuedRank is the rank the host issued a command to this cycle

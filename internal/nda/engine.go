@@ -160,17 +160,7 @@ type Engine struct {
 	mem   *dram.Mem
 	hosts []*mc.Controller // per channel
 	Ranks [][]*RankNDA     // [channel][rank]
-
-	// fastForward arms the per-rank sleep cache (see RankNDA.tick).
-	// Off by default so Tick remains the dumbest possible reference
-	// implementation — the oracle fast-forward is verified against.
-	fastForward bool
 }
-
-// SetFastForward toggles the per-rank idle-skip cache. Observable
-// behavior is identical either way; only the work done on provably-idle
-// cycles changes.
-func (e *Engine) SetFastForward(on bool) { e.fastForward = on }
 
 // NewEngine builds the NDA engine over the memory and host controllers.
 func NewEngine(cfg Config, mem *dram.Mem, hosts []*mc.Controller) *Engine {
@@ -230,38 +220,34 @@ func (e *Engine) Busy() bool {
 	return false
 }
 
-// Tick advances every rank NDA by one DRAM cycle. Must run after the
-// host controllers' Tick for the same cycle (host priority). The
-// fast-forward dispatcher must invoke it (or TickChannel) on every
-// cycle where a host controller issued a command to a rank with NDA
-// work — the rank's yield accounting happens on that very cycle.
-func (e *Engine) Tick(now int64) {
-	for ch := range e.Ranks {
-		e.TickChannel(ch, now)
-	}
-}
-
-// TickChannel advances one channel's rank NDAs by one DRAM cycle. A
-// channel's NDAs read and write only that channel's state — its host
-// controller (issued-rank, queue-demand, and version reads), its share
-// of the DRAM timing model, and their own FSMs — so distinct channels
-// may tick on concurrent workers. Op completion callbacks are the one
-// exception, and they divert through the completion sink when set.
-func (e *Engine) TickChannel(ch int, now int64) {
+// TickChannel advances one channel's rank NDAs by one DRAM cycle. It
+// must run after that channel's host controller ticked for the same
+// cycle (host priority), on every cycle: a rank the host issued to
+// yields, and counts the stall, on that very cycle. With sleep set,
+// each rank skips the cycles its sleep bound proves idle (see
+// RankNDA.tick); without it, every rank with work steps, which is the
+// reference behaviour. A channel's NDAs read and write only that
+// channel's state — its host controller (issued-rank, queue-demand, and
+// version reads), its share of the DRAM timing model, and their own
+// FSMs — except for op completion callbacks, which divert through the
+// completion sink when set.
+func (e *Engine) TickChannel(ch int, now int64, sleep bool) {
 	hostRank := e.hosts[ch].HostIssuedRank()
 	for _, n := range e.Ranks[ch] {
-		n.tick(now, hostRank, e.fastForward)
+		n.tick(now, hostRank, sleep)
 	}
 }
 
-// SetCompletionSink redirects op completion callbacks (Op.Done) of the
-// given channel's rank NDAs into sink instead of invoking them inline
-// during a tick. The sim package points each channel at its domain
-// mailbox; deferred callbacks must run before the end of the cycle they
-// were produced in. A nil sink restores inline invocation.
-func (e *Engine) SetCompletionSink(ch int, sink func(done func(int64), at int64)) {
-	for _, n := range e.Ranks[ch] {
-		n.csink = sink
+// SetCompletionSink redirects every rank NDA's op completion callbacks
+// (Op.Done) into sink instead of invoking them inline during a tick.
+// The sim package points them at its completion mailbox; deferred
+// callbacks must run before the end of the cycle they were produced
+// in. A nil sink restores inline invocation.
+func (e *Engine) SetCompletionSink(sink func(done func(int64), at int64)) {
+	for _, row := range e.Ranks {
+		for _, n := range row {
+			n.csink = sink
+		}
 	}
 }
 
@@ -279,7 +265,7 @@ func (e *Engine) SetCompletionSink(ch int, sink func(done func(int64), at int64)
 // all live behind branches whose bound is now, and are never slept
 // over. One channel's host-queue churn never perturbs another channel's
 // cached bounds, and the query reads and refreshes only channel-local
-// state, making it safe to call from the channel's domain worker.
+// state.
 func (e *Engine) ChannelNextEvent(ch int, now int64) int64 {
 	next := dram.Never
 	for _, n := range e.Ranks[ch] {
@@ -404,22 +390,17 @@ func (e *Engine) TotalStats() RankStats {
 // FSMs evaluate against identical pre-issue DRAM state; their observable
 // state must then agree.
 //
-// The fast path sleeps while the bound holds (see sleepUntil's validity
-// contract), revalidating or re-deriving it here first, so a channel
-// needs no separate ChannelNextEvent pass before its tick. A host
-// command to this rank this cycle steps it without consulting the
-// bound. Stepping is what the reference does every cycle, so it is
-// always exact.
-func (n *RankNDA) tick(now int64, hostIssuedRank int, fastForward bool) {
+// With sleep set (the fast path), the rank sleeps while its bound holds
+// (see sleepUntil's validity contract), revalidating or re-deriving it
+// here first, so a channel needs no separate ChannelNextEvent pass
+// before its tick. A host command to this rank this cycle steps it
+// without consulting the bound. Stepping is what the reference does
+// every cycle, so it is always exact.
+func (n *RankNDA) tick(now int64, hostIssuedRank int, sleep bool) {
 	if len(n.fsm.ops) == 0 && n.fsm.wb.Len() == 0 {
 		return
 	}
-	if fastForward {
-		if hostIssuedRank != n.Rank && now < n.bound(now) {
-			return
-		}
-		n.step(now, hostIssuedRank)
-		n.sleepStale = true
+	if sleep && hostIssuedRank != n.Rank && now < n.bound(now) {
 		return
 	}
 	n.sleepStale = true

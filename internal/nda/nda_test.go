@@ -32,12 +32,19 @@ func seqAddrs(ch, rank, row, n int) []dram.Addr {
 	return out
 }
 
+// tickNDAs ticks every channel's rank NDAs on the reference path.
+func tickNDAs(e *Engine, now int64) {
+	for ch := range e.Ranks {
+		e.TickChannel(ch, now, false)
+	}
+}
+
 func tickAll(e *Engine, mcs []*mc.Controller, from, cycles int64) int64 {
 	for c := from; c < from+cycles; c++ {
 		for _, h := range mcs {
 			h.Tick(c)
 		}
-		e.Tick(c)
+		tickNDAs(e, c)
 	}
 	return from + cycles
 }
@@ -163,7 +170,7 @@ func TestNDAYieldsToHostRank(t *testing.T) {
 		for _, h := range mcs {
 			h.Tick(cyc)
 		}
-		e.Tick(cyc)
+		tickNDAs(e, cyc)
 	}
 	if !done {
 		t.Fatal("NDA starved forever under host load")
@@ -208,7 +215,7 @@ func TestNextRankPredictionInhibitsWrites(t *testing.T) {
 	})
 	// Tick only the NDA engine so the host queue stays populated.
 	for c := int64(0); c < 5000; c++ {
-		e.Tick(c)
+		tickNDAs(e, c)
 	}
 	st := e.Ranks[0][0].Stats()
 	if st.BlocksWritten != 0 {

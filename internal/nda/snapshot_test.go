@@ -42,7 +42,7 @@ func TestStochasticDecisionsPinnedAcrossRestore(t *testing.T) {
 		for _, h := range mcs {
 			h.Tick(c)
 		}
-		e.Tick(c)
+		tickNDAs(e, c)
 		switch n.fsm.coin.Draws() - draws {
 		case 0:
 		case 1:

@@ -43,7 +43,9 @@ func (h *harness) run(t *testing.T, hd *Handle, max int64) {
 		for _, c := range h.mcs {
 			c.Tick(h.now)
 		}
-		h.eng.Tick(h.now)
+		for ch := range h.mcs {
+			h.eng.TickChannel(ch, h.now, false)
+		}
 		h.now++
 		if hd.Done() {
 			return

@@ -46,51 +46,52 @@ func (s Spec) validate() error {
 
 // Axpy computes y += a*x.
 func (rt *Runtime) Axpy(y, x *Vector) (*Handle, error) {
-	return rt.Launch(Spec{Kind: nda.OpAXPY, Reads: []*Vector{x, y}, Write: y})
+	return rt.Launch(AxpySpec(y, x))
 }
 
 // Axpby computes z = a*x + b*y.
 func (rt *Runtime) Axpby(z, x, y *Vector) (*Handle, error) {
-	return rt.Launch(Spec{Kind: nda.OpAXPBY, Reads: []*Vector{x, y}, Write: z})
+	return rt.Launch(AxpbySpec(z, x, y))
 }
 
 // Axpbypcz computes w = a*x + b*y + c*z.
 func (rt *Runtime) Axpbypcz(w, x, y, z *Vector) (*Handle, error) {
-	return rt.Launch(Spec{Kind: nda.OpAXPBYPCZ, Reads: []*Vector{x, y, z}, Write: w})
+	return rt.Launch(AxpbypczSpec(w, x, y, z))
 }
 
 // Copy computes y = x.
 func (rt *Runtime) Copy(y, x *Vector) (*Handle, error) {
-	return rt.Launch(Spec{Kind: nda.OpCOPY, Reads: []*Vector{x}, Write: y})
+	return rt.Launch(CopySpec(y, x))
 }
 
 // Dot computes x . y into per-PE scratchpads (host reduces).
 func (rt *Runtime) Dot(x, y *Vector) (*Handle, error) {
-	return rt.Launch(Spec{Kind: nda.OpDOT, Reads: []*Vector{x, y}})
+	return rt.Launch(DotSpec(x, y))
 }
 
 // Nrm2 computes sqrt(x . x) into per-PE scratchpads.
 func (rt *Runtime) Nrm2(x *Vector) (*Handle, error) {
-	return rt.Launch(Spec{Kind: nda.OpNRM2, Reads: []*Vector{x}})
+	return rt.Launch(Nrm2Spec(x))
 }
 
 // Scal computes x = a*x.
 func (rt *Runtime) Scal(x *Vector) (*Handle, error) {
-	return rt.Launch(Spec{Kind: nda.OpSCAL, Reads: []*Vector{x}, Write: x})
+	return rt.Launch(ScalSpec(x))
 }
 
 // Xmy computes z = x (elementwise*) y.
 func (rt *Runtime) Xmy(z, x, y *Vector) (*Handle, error) {
-	return rt.Launch(Spec{Kind: nda.OpXMY, Reads: []*Vector{x, y}, Write: z})
+	return rt.Launch(XmySpec(z, x, y))
 }
 
 // Gemv computes y = A*x, streaming A from memory with x resident in the
 // PE scratchpads; y writeback is negligible and not modeled.
 func (rt *Runtime) Gemv(y *Vector, a *Matrix, x *Vector) (*Handle, error) {
-	return rt.Launch(Spec{Kind: nda.OpGEMV, Reads: []*Vector{&a.Vector}})
+	return rt.Launch(GemvSpec(a))
 }
 
-// Spec constructors for use with MacroFor.
+// Spec constructors, one per Table I operation: the methods above
+// launch them, and MacroFor builds its iterations from them.
 
 // AxpySpec builds the y += a*x spec.
 func AxpySpec(y, x *Vector) Spec {
@@ -130,6 +131,11 @@ func ScalSpec(x *Vector) Spec {
 // XmySpec builds the z = x .* y spec.
 func XmySpec(z, x, y *Vector) Spec {
 	return Spec{Kind: nda.OpXMY, Reads: []*Vector{x, y}, Write: z}
+}
+
+// GemvSpec builds the y = A*x spec: only the matrix streams (see Gemv).
+func GemvSpec(a *Matrix) Spec {
+	return Spec{Kind: nda.OpGEMV, Reads: []*Vector{&a.Vector}}
 }
 
 // Launch splits one API call into per-rank primitive NDA instructions of

@@ -214,6 +214,38 @@ func TestSnapshotRestoreContinue(t *testing.T) {
 	}
 }
 
+// TestTickAfterStepFastMatchesRun pins that Tick stays the reference
+// after the fast path has driven a system: a run stepped with StepFast
+// to 12k cycles and ticked from there to 32k ends in the same state as
+// one ticked all the way, on every checkpoint shape. Tick must step
+// every rank NDA with work whatever sleep bounds the fast path left
+// behind.
+func TestTickAfterStepFastMatchesRun(t *testing.T) {
+	const n1, n2 = 12_000, 32_000
+	for _, w := range ckWorkloads() {
+		t.Run(w.name, func(t *testing.T) {
+			run := func(fastFirst bool) string {
+				s, err := New(w.cfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				app, err := newCkApp(s, w.op, w.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				drv := &ckDriver{app: app}
+				drv.relaunch(t, s)
+				ckAdvance(t, s, drv, n1, fastFirst)
+				ckAdvance(t, s, drv, n2, false)
+				return snapshot(s)
+			}
+			if mixed, ref := run(true), run(false); mixed != ref {
+				t.Fatalf("StepFast then Tick diverged from Tick alone:\n ref:   %s\n mixed: %s", ref, mixed)
+			}
+		})
+	}
+}
+
 // TestSnapshotRestoreRandomized fuzzes the checkpoint cut point: the
 // original runs fast through randomized boundaries; at every few
 // boundaries a checkpoint forks and the fork is driven through the

@@ -54,13 +54,12 @@ const ckptVersion = 5
 const ckptHeaderLen = 8 + 4 + sha256.Size + 8
 
 // StateConfig returns cfg with the state-free knobs zeroed: invariant
-// checking and the robustness limits neither affect simulated state
+// checking and the wall-clock limit neither affect simulated state
 // nor survive a process anyway, and Restore accepts any of them
 // differing. Every fingerprint or cache key over a
 // config hashes this projection.
 func StateConfig(cfg Config) Config {
 	cfg.CheckInvariants = false
-	cfg.MaxCycles = 0
 	cfg.MaxWallClock = 0
 	return cfg
 }

@@ -24,12 +24,12 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		all string
 		n   int
 	}{
-		"host-only":                {"67dba55d6c6c0082a4641630d1788d9bd84181727d9681b1d4348dab3b1b5641", 701392},
-		"host-stall-heavy":         {"a736c667f652d0e5305b128060dfb883cb8f826b0965770408424bb20702d43f", 602741},
-		"nda-only-nrm2":            {"0beca3175c4e67e886d855dc11cbec15fd1645715d3c6360819ead5b5216cca6", 9550},
-		"nda-only-copy-stochastic": {"3240a98d34d8da5ebc1d2687539ca074ba7ed2fc7efa7099c52b21835c665af0", 14001},
-		"mixed-mix1-dot":           {"11e2688f390a3242f0949b111057ee250e02f9e176f8d46eff468fd13e0317b6", 622265},
-		"mixed-mix3-copy-shared":   {"7bba6612c22232c1c1a5724f9aaa8a22c36172972d0945042d0d1134d0e7f7c9", 639855},
+		"host-only":                {"3a36a6961fec82ecf35e7b680447b4f93b6a789091493b29b6c57c5ef8d1e0d9", 701329},
+		"host-stall-heavy":         {"6ed26efad54366f11ad1de50caf087b660431e221207ea6fe9e2baf91a3cc13a", 602678},
+		"nda-only-nrm2":            {"8421ceba9d19fb12ddf464fe8b184b4c6bbfadc2c40309ccdfb6fc01fbfe932d", 9491},
+		"nda-only-copy-stochastic": {"6036b8e0214bd94d20197e0e7e410ec9a43e5458103ff451198ee7a8193e2e4c", 13939},
+		"mixed-mix1-dot":           {"6364812ca1670b48d1818ea4eaf89bb360e23875a3314f83b1eda1f17ae92d77", 622199},
+		"mixed-mix3-copy-shared":   {"fff22eb3983f39acfe7b6d9b51e0098afb5d0b5095e74204403a8109ca5bc60e", 639789},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

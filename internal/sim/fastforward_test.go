@@ -215,9 +215,10 @@ func TestRunFastMatchesRun(t *testing.T) {
 	}
 }
 
-// domainWorkloads returns the mixed host+NDA shapes the channel-domain
-// test runs, with the invariant checker armed: the two-channel mixed
-// goldens and a four-channel variant of mix1+DOT.
+// domainWorkloads returns the mixed host+NDA shapes
+// TestParallelDomainsMatchSerial runs, with the invariant checker
+// armed: the two-channel mixed goldens and a four-channel variant of
+// mix1+DOT.
 func domainWorkloads() []ffWorkload {
 	var out []ffWorkload
 	var dot ffWorkload
@@ -249,12 +250,13 @@ func domainWorkloads() []ffWorkload {
 	return out
 }
 
-// TestParallelDomainsMatchSerial pins the channel-domain contract: each
-// channel's memory phase runs as its own domain, every cross-channel
-// effect waits in a mailbox for the canonical commit, and the fast path
-// over those domains stays bit-identical to the serial Tick oracle at
-// every segment boundary. The armed invariant checker also proves at
-// every commit that the mailboxes drained.
+// TestParallelDomainsMatchSerial pins the multi-channel mailbox
+// contract with the invariant checker armed: every completion waits in
+// the one mailbox until commit, and the fast path stays bit-identical
+// to the Tick oracle at every segment boundary on two and four
+// channels. The checker also proves at every commit that the drain
+// never grew the mailbox. (The name predates the collapse of the
+// per-channel domains into one mailbox.)
 func TestParallelDomainsMatchSerial(t *testing.T) {
 	for _, w := range domainWorkloads() {
 		t.Run(w.name, func(t *testing.T) {

@@ -1,6 +1,6 @@
 // Robustness layer for the fast path: a livelock detector that turns
 // wrong NextEvent bounds into structured LivelockErrors instead of
-// silent hangs, per-run cycle and wall-clock deadlines, and the opt-in
+// silent hangs, a per-run wall-clock deadline, and the opt-in
 // cross-layer invariant checker (Config.CheckInvariants). The detectors
 // run at wake granularity — a handful of compares per executed step, not
 // per simulated cycle — so the zero-allocs steady-state contract and the
@@ -29,20 +29,16 @@ func (e *LivelockError) Error() string {
 	return fmt.Sprintf("sim: livelock detected at cycle %d: %s\n%s", e.Cycle, e.Reason, e.Dump)
 }
 
-// DeadlineError reports that a per-run deadline (Config.MaxCycles or
-// Config.MaxWallClock) expired. The system's counters remain readable —
+// DeadlineError reports that the per-run wall-clock deadline
+// (Config.MaxWallClock) expired. The system's counters remain readable —
 // drivers report partial statistics alongside the error.
 type DeadlineError struct {
 	Cycle int64
-	Kind  string        // "cycle" or "wall-clock"
-	Limit time.Duration // wall-clock budget (Kind "wall-clock" only)
+	Limit time.Duration // the wall-clock budget
 }
 
 func (e *DeadlineError) Error() string {
-	if e.Kind == "wall-clock" {
-		return fmt.Sprintf("sim: wall-clock deadline (%v) exceeded at cycle %d", e.Limit, e.Cycle)
-	}
-	return fmt.Sprintf("sim: cycle deadline exceeded at cycle %d", e.Cycle)
+	return fmt.Sprintf("sim: wall-clock deadline (%v) exceeded at cycle %d", e.Limit, e.Cycle)
 }
 
 // InvariantError reports a cross-layer conservation violation found by
@@ -106,17 +102,14 @@ func (s *System) workPending() (bool, string) {
 	return false, ""
 }
 
-// DeadlineExceeded checks the per-run deadlines (Config.MaxCycles,
-// Config.MaxWallClock), recording a sticky DeadlineError when one
+// DeadlineExceeded checks the per-run wall-clock deadline
+// (Config.MaxWallClock), recording a sticky DeadlineError when it
 // fires. StepFast consults it once per wake; cycle-by-cycle drivers
 // (the reference Tick path) call it directly. The wall-clock read is
 // rate-limited to one per wallCheckEvery calls.
 func (s *System) DeadlineExceeded() error {
 	if s.robust.err != nil {
 		return s.robust.err
-	}
-	if s.Cfg.MaxCycles > 0 && s.dramCycle >= s.Cfg.MaxCycles {
-		return s.fail(&DeadlineError{Cycle: s.dramCycle, Kind: "cycle"})
 	}
 	if s.Cfg.MaxWallClock > 0 {
 		if s.robust.wallStart.IsZero() {
@@ -125,16 +118,16 @@ func (s *System) DeadlineExceeded() error {
 		s.robust.wallSeen++
 		if s.robust.wallSeen%wallCheckEvery == 0 &&
 			time.Since(s.robust.wallStart) > s.Cfg.MaxWallClock {
-			return s.fail(&DeadlineError{Cycle: s.dramCycle, Kind: "wall-clock", Limit: s.Cfg.MaxWallClock})
+			return s.fail(&DeadlineError{Cycle: s.dramCycle, Limit: s.Cfg.MaxWallClock})
 		}
 	}
 	return nil
 }
 
 // DiagDump renders the scheduler-relevant state for a livelock report:
-// controller queue occupancies and wake horizons, per-domain mailbox
-// and NDA bounds, core (ROB-head) status, and the in-flight miss
-// count. It is diagnostic text for humans, built only on failure paths.
+// controller queue occupancies and wake horizons, the mailbox length,
+// per-channel NDA bounds, core (ROB-head) status, and the in-flight
+// miss count. It is diagnostic text for humans, built only on failure paths.
 func (s *System) DiagDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  clock: dram=%d cpu=%d\n", s.dramCycle, s.cpuCycle)
@@ -149,9 +142,9 @@ func (s *System) DiagDump() string {
 		fmt.Fprintf(&b, "  mc[%d]: rq=%d wq=%d overflow=%d next=%s\n",
 			i, r, w-c.OverflowLen(), c.OverflowLen(), hz(c.NextEvent(s.dramCycle)))
 	}
-	for d := range s.doms {
-		fmt.Fprintf(&b, "  dom[%d]: outbox=%d ndaNext=%s\n",
-			d, len(s.doms[d].outbox), hz(s.NDA.ChannelNextEvent(d, s.dramCycle)))
+	fmt.Fprintf(&b, "  outbox=%d\n", len(s.outbox))
+	for ch := range s.MCs {
+		fmt.Fprintf(&b, "  nda[%d]: next=%s\n", ch, hz(s.NDA.ChannelNextEvent(ch, s.dramCycle)))
 	}
 	if s.Hier != nil {
 		fmt.Fprintf(&b, "  hier: pendingMisses=%d\n", s.Hier.PendingMisses())
@@ -163,35 +156,12 @@ func (s *System) DiagDump() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// commitChecked is commit with Config.CheckInvariants armed: the same
-// canonical mailbox drain, plus the mailbox-conservation check (commit
-// callbacks must not produce new mailbox entries — only a memory-phase
-// tick does) and the cross-layer invariant sweep once every layer is
-// quiescent.
-func (s *System) commitChecked() {
-	for d := range s.doms {
-		dom := &s.doms[d]
-		n0 := len(dom.outbox)
-		for i := 0; i < len(dom.outbox); i++ {
-			ev := &dom.outbox[i]
-			ev.fn(ev.at)
-			ev.fn = nil
-		}
-		if len(dom.outbox) != n0 {
-			panic(&InvariantError{Cycle: s.dramCycle,
-				Msg: fmt.Sprintf("domain %d mailbox grew from %d to %d entries during commit drain", d, n0, len(dom.outbox))})
-		}
-		dom.outbox = dom.outbox[:0]
-	}
-	s.verifyInvariants()
-}
-
 // verifyInvariants is the commit-barrier hook behind
 // Config.CheckInvariants: it validates the cross-layer conservation
 // invariants and panics with an *InvariantError on the first violation
-// (see InvariantError for why panic). Checked here, at the end of the
-// commit phase, every layer is quiescent: mailboxes drained, fills
-// applied, controllers between ticks.
+// (see InvariantError for why panic). Checked at the end of the commit
+// phase, every layer is quiescent: the mailbox drained, fills applied,
+// controllers between ticks.
 func (s *System) verifyInvariants() {
 	if s.Hier != nil {
 		if err := s.Hier.CheckInvariants(); err != nil {

@@ -50,33 +50,8 @@ func TestLivelockDetectedOnStuckHorizon(t *testing.T) {
 	}
 }
 
-// TestCycleDeadline bounds a run by simulated cycles and checks the
+// TestWallClockDeadline bounds a run by host time and checks the
 // structured error plus readable partial state.
-func TestCycleDeadline(t *testing.T) {
-	cfg := Default(0)
-	cfg.MaxCycles = 1_000
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = s.RunFast(50_000)
-	var de *DeadlineError
-	if !errors.As(err, &de) {
-		t.Fatalf("got %v, want DeadlineError", err)
-	}
-	if de.Kind != "cycle" {
-		t.Errorf("Kind = %q, want cycle", de.Kind)
-	}
-	if s.Now() < 1_000 || s.Now() >= 50_000 {
-		t.Errorf("run stopped at cycle %d, want shortly after the 1000-cycle deadline", s.Now())
-	}
-	// Partial stats stay readable after the failure.
-	if s.Mem.Counts().RD == 0 {
-		t.Error("no commands issued before the deadline — partial stats lost?")
-	}
-}
-
-// TestWallClockDeadline bounds a run by host time.
 func TestWallClockDeadline(t *testing.T) {
 	cfg := Default(0)
 	cfg.MaxWallClock = time.Nanosecond // expires immediately; detected at the rate-limit stride
@@ -89,11 +64,15 @@ func TestWallClockDeadline(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("got %v, want DeadlineError", err)
 	}
-	if de.Kind != "wall-clock" || de.Limit != time.Nanosecond {
-		t.Errorf("got Kind=%q Limit=%v, want wall-clock/1ns", de.Kind, de.Limit)
+	if de.Limit != time.Nanosecond || de.Cycle != s.Now() {
+		t.Errorf("got Limit=%v Cycle=%d, want 1ns at the stop cycle %d", de.Limit, de.Cycle, s.Now())
 	}
 	if s.Now() >= 5_000_000 {
 		t.Error("run completed despite an expired wall-clock budget")
+	}
+	// Partial stats stay readable after the failure.
+	if s.Mem.Counts().RD == 0 {
+		t.Error("no commands issued before the deadline — partial stats lost?")
 	}
 }
 
@@ -128,7 +107,7 @@ func TestInvalidConfigErrors(t *testing.T) {
 // TestMailboxConservationInvariant plants a commit callback that grows
 // the mailbox mid-drain — forbidden: only memory-phase ticks produce
 // completions — and asserts the checked commit panics with an
-// *InvariantError naming the domain.
+// *InvariantError.
 func TestMailboxConservationInvariant(t *testing.T) {
 	cfg := Default(0)
 	cfg.CheckInvariants = true
@@ -136,9 +115,8 @@ func TestMailboxConservationInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dom := &s.doms[0]
-	dom.push(func(int64) {
-		dom.push(func(int64) {}, 0) // illegal: commit produced new work
+	s.push(func(int64) {
+		s.push(func(int64) {}, 0) // illegal: commit produced new work
 	}, 0)
 	defer func() {
 		r := recover()
@@ -150,29 +128,38 @@ func TestMailboxConservationInvariant(t *testing.T) {
 			t.Errorf("unexpected invariant message: %q", ie.Msg)
 		}
 	}()
-	s.commitChecked()
+	s.commit()
 }
 
 // TestDeadlineErrorOnTickPath checks the reference-path contract: Tick
 // never consults deadlines itself, so cycle-by-cycle drivers poll
-// DeadlineExceeded; the result must match the fast path's classification.
+// DeadlineExceeded. A 1 ns budget has expired by the first rate-limited
+// clock read, the wallCheckEvery-th call, and from then on every call
+// returns the same sticky error.
 func TestDeadlineErrorOnTickPath(t *testing.T) {
 	cfg := Default(0)
-	cfg.MaxCycles = 500
+	cfg.MaxWallClock = time.Nanosecond
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
+	for calls := 1; ; calls++ {
 		if err := s.DeadlineExceeded(); err != nil {
 			var de *DeadlineError
-			if !errors.As(err, &de) || de.Kind != "cycle" {
-				t.Fatalf("got %v, want cycle DeadlineError", err)
+			if !errors.As(err, &de) || de.Limit != time.Nanosecond {
+				t.Fatalf("got %v, want a 1ns DeadlineError", err)
+			}
+			if calls != wallCheckEvery || de.Cycle != wallCheckEvery-1 {
+				t.Fatalf("fired on call %d at cycle %d, want call %d at cycle %d",
+					calls, de.Cycle, wallCheckEvery, wallCheckEvery-1)
+			}
+			if again := s.DeadlineExceeded(); again != err {
+				t.Fatalf("second poll returned %v, want the sticky %v", again, err)
 			}
 			break
 		}
 		s.Tick()
-		if s.Now() > 2_000 {
+		if calls > 2*wallCheckEvery {
 			t.Fatal("deadline never reported on the reference path")
 		}
 	}

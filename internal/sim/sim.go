@@ -61,22 +61,19 @@ type Config struct {
 	Seed int64
 
 	// CheckInvariants validates cross-layer conservation invariants at
-	// every commit-phase barrier (MSHR accounting vs the LLC pending
-	// table, controller queue occupancy vs bank buckets vs lazy bank
-	// keys, key lower-bound soundness against the rescan oracle,
-	// mailboxes drained empty). A violation panics with an
-	// *InvariantError — corrupted state is not recoverable — which the
-	// experiment runner's per-point recovery quarantines. Zero cost when
-	// off: the commit path pays one bool check per tick.
+	// every commit (MSHR accounting vs the LLC pending table, controller
+	// queue occupancy vs bank buckets vs lazy bank keys, key lower-bound
+	// soundness against the rescan oracle, the mailbox not growing while
+	// it drains). A violation panics with an *InvariantError — corrupted
+	// state is not recoverable — which the experiment runner's per-point
+	// recovery quarantines. Zero cost when off: the commit path pays one
+	// bool check per tick.
 	CheckInvariants bool
-
-	// MaxCycles, when positive, is an absolute DRAM-cycle deadline:
-	// StepFast returns a DeadlineError once Now() reaches it, leaving
-	// all counters readable for partial statistics.
-	MaxCycles int64
 
 	// MaxWallClock, when positive, bounds the run's host wall-clock
 	// time; checked every few hundred wakes (one time.Now per check).
+	// An expired run fails with a DeadlineError, leaving all counters
+	// readable for partial statistics.
 	MaxWallClock time.Duration
 }
 
@@ -123,16 +120,14 @@ type System struct {
 	// unconditionally. Run never consults it.
 	coreFrom []int64
 
-	// doms holds one channel domain per memory channel. Domain d owns
-	// MCs[d], the rank NDAs of channel d, and channel d's share of Mem;
-	// its mailbox (outbox) collects the completion callbacks the
-	// domain's tick would otherwise have invoked inline — fills into the
-	// shared cache hierarchy, control-launch acknowledgements, NDA op completions — for the commit phase to
-	// apply in canonical (channel, FIFO) order. The mailboxes fix WHEN a
-	// cross-channel completion lands (after every channel's memory
-	// phase of the cycle), which the pinned counters depend on
-	// (DESIGN.md §2.5).
-	doms []domain
+	// outbox is the completion mailbox: it collects the callbacks the
+	// controllers and rank NDAs would otherwise invoke inline — fills
+	// into the shared cache hierarchy, control-launch acknowledgements,
+	// NDA op completions — in tick order (MC0, NDA0, MC1, NDA1, ...),
+	// for commit to apply after every channel's memory phase of the
+	// cycle. The mailbox fixes WHEN a completion lands, which the pinned
+	// counters depend on (DESIGN.md §2.5).
+	outbox []doneEv
 
 	// robust holds the livelock/deadline bookkeeping (robust.go); not
 	// part of checkpointed state.
@@ -143,11 +138,6 @@ type System struct {
 	retiredAtMeas []int64
 }
 
-// domain is one channel's execution domain (see System.doms).
-type domain struct {
-	outbox []doneEv
-}
-
 // doneEv is one deferred completion callback and the cycle argument it
 // must be invoked with.
 type doneEv struct {
@@ -156,9 +146,9 @@ type doneEv struct {
 }
 
 // push appends a deferred completion (the mailbox write side; called
-// only from the owning domain's memory-phase tick).
-func (d *domain) push(fn func(int64), at int64) {
-	d.outbox = append(d.outbox, doneEv{fn: fn, at: at})
+// only from a controller or rank NDA tick).
+func (s *System) push(fn func(int64), at int64) {
+	s.outbox = append(s.outbox, doneEv{fn: fn, at: at})
 }
 
 // New builds and wires a system. Invalid user-reachable configuration
@@ -233,12 +223,10 @@ func New(cfg Config) (*System, error) {
 	s.RT.MaxBlocksPerInstr = cfg.MaxBlocksPerInstr
 	s.retiredAtMeas = make([]int64, len(s.Cores))
 	s.coreFrom = make([]int64, len(s.Cores))
-	s.doms = make([]domain, len(s.MCs))
-	for d := range s.doms {
-		dom := &s.doms[d]
-		s.MCs[d].SetCompletionSink(dom.push)
-		s.NDA.SetCompletionSink(d, dom.push)
+	for _, c := range s.MCs {
+		c.SetCompletionSink(s.push)
 	}
+	s.NDA.SetCompletionSink(s.push)
 	return s, nil
 }
 
@@ -251,29 +239,29 @@ func (s *System) Now() int64 { return s.dramCycle }
 // CPUNow returns the current CPU cycle.
 func (s *System) CPUNow() int64 { return s.cpuCycle }
 
-// Tick advances the system one DRAM cycle through the three phases of
-// the domain architecture (DESIGN.md §2.5):
+// Tick advances the system one DRAM cycle in three phases (DESIGN.md
+// §2.5):
 //
-//  1. Per-channel memory phase: each channel domain ticks its
-//     controller and then its rank NDAs. Domains read and write only
-//     channel-local state — completion callbacks that would cross a
-//     domain boundary (cache fills, launch acknowledgements, NDA op
-//     completions) are deferred into the domain's mailbox.
-//  2. Cross-channel commit: the mailboxes drain in canonical (channel,
-//     FIFO) order, applying fills to the shared hierarchy (whose
-//     writebacks enqueue into any channel's queues), completing
-//     handles, and acknowledging launches.
+//  1. Memory phase: channel by channel, the controller ticks and then
+//     its rank NDAs. Completion callbacks (cache fills, launch
+//     acknowledgements, NDA op completions) are deferred into the
+//     mailbox.
+//  2. Commit: the mailbox drains in the order it filled, applying
+//     fills to the shared hierarchy (whose writebacks enqueue into any
+//     channel's queues), completing handles, and acknowledging
+//     launches.
 //  3. CPU/cache front-end: the CPU-credit loop ticks cores against the
 //     shared hierarchy, exactly as many sub-cycles as the clock ratio
 //     owes this DRAM cycle.
 //
 // Tick is the reference oracle: RunFast must produce bit-identical
-// state.
+// state. Its rank NDAs step every cycle they hold work, never trusting
+// a sleep bound, whatever path drove the system before.
 func (s *System) Tick() {
 	now := s.dramCycle
-	for d := range s.doms {
-		s.MCs[d].Tick(now)
-		s.NDA.TickChannel(d, now)
+	for ch, c := range s.MCs {
+		c.Tick(now)
+		s.NDA.TickChannel(ch, now, false)
 	}
 	s.commit()
 	s.credit += cpuCredit
@@ -287,29 +275,31 @@ func (s *System) Tick() {
 	s.dramCycle++
 }
 
-// commit drains every domain mailbox in canonical (channel, FIFO)
-// order: the cross-channel phase of the cycle. Deferred callbacks may
-// enqueue into any controller (cache writebacks, launch packets) and
-// mutate shared front-end state (hierarchy fills, runtime handles,
-// launch acknowledgements into the domain's own engine); they run here,
-// after every channel's memory phase, so no channel's tick observes
-// another channel's completions of the same cycle. Callbacks never
-// produce new mailbox entries (only a controller or NDA tick does), but
-// the index loop tolerates growth defensively.
+// commit drains the mailbox in the order it filled: the commit phase of
+// the cycle. Deferred callbacks may enqueue into any controller (cache
+// writebacks, launch packets) and mutate shared front-end state
+// (hierarchy fills, runtime handles, launch acknowledgements); they run
+// here, after every channel's memory phase, so no channel's tick
+// observes another channel's completions of the same cycle. Callbacks
+// never produce new mailbox entries (only a controller or NDA tick
+// does); under Config.CheckInvariants a drain that grew the mailbox
+// panics, and the cross-layer invariants are checked once every layer
+// is quiescent.
 func (s *System) commit() {
+	n0 := len(s.outbox)
+	for i := 0; i < len(s.outbox); i++ {
+		ev := &s.outbox[i]
+		ev.fn(ev.at)
+		ev.fn = nil // drop the closure reference for GC
+	}
 	if s.Cfg.CheckInvariants {
-		s.commitChecked()
-		return
-	}
-	for d := range s.doms {
-		dom := &s.doms[d]
-		for i := 0; i < len(dom.outbox); i++ {
-			ev := &dom.outbox[i]
-			ev.fn(ev.at)
-			ev.fn = nil // drop the closure reference for GC
+		if len(s.outbox) != n0 {
+			panic(&InvariantError{Cycle: s.dramCycle,
+				Msg: fmt.Sprintf("mailbox grew from %d to %d entries during commit drain", n0, len(s.outbox))})
 		}
-		dom.outbox = dom.outbox[:0]
+		s.verifyInvariants()
 	}
+	s.outbox = s.outbox[:0]
 }
 
 // Run advances n DRAM cycles one tick at a time (the reference path;
@@ -369,8 +359,8 @@ func (s *System) NextEvent() int64 {
 		}
 		next = min(next, w)
 	}
-	for d := range s.doms {
-		w := s.NDA.ChannelNextEvent(d, now)
+	for ch := range s.MCs {
+		w := s.NDA.ChannelNextEvent(ch, now)
 		if w <= now {
 			return now
 		}
@@ -397,45 +387,34 @@ func (s *System) skipIdle(k int64) {
 	}
 }
 
-// domainTick advances one channel domain by one DRAM cycle, dispatching
-// only due components. It touches only domain-local state — the
-// domain's controller, its channel's DRAM state, and its rank NDAs; the
-// skips are individually proven no-ops:
+// tickDue advances the system one DRAM cycle, dispatching only due
+// components. Phase order matches Tick, with skips that are
+// individually proven no-ops:
 //
 //   - A controller whose NextEvent lies ahead cannot schedule anything
 //     this cycle (the mc.NextEvent contract); only its per-cycle
 //     issued-rank scratch must be reset for the NDA hooks. An idle
 //     controller (mc.Controller.Idle: empty queues, no drain) is
 //     skipped without asking.
-//   - TickChannel runs every cycle, and each rank revalidates or
-//     re-derives its own sleep bound against the post-tick state before
-//     deciding to step (nda.RankNDA.tick), so a controller tick that
-//     mutated the inputs an impure bound was derived from (a dequeue
-//     flipping the oldest-read rank, say) is seen. A host command to a
-//     rank steps that rank regardless: its yield (and its StallsHost
-//     accounting) happens on that very cycle. Cross-channel coupling
-//     cannot occur mid-phase: every NDA bound reads only its own
-//     channel's controller and timing state, and cross-channel effects
-//     are mailboxed until commit.
-func (s *System) domainTick(d int, now int64) {
-	if c := s.MCs[d]; !c.Idle() && c.NextEvent(now) <= now {
-		c.Tick(now)
-	} else {
-		c.ClearIssued()
-	}
-	s.NDA.TickChannel(d, now)
-}
-
-// tickDue advances the system one DRAM cycle, dispatching only due
-// components: the per-channel memory phase, the cross-channel commit,
-// then the CPU-credit loop with cores in index order.
-// Phase order matches Tick, with skips that are individually proven
-// no-ops (see domainTick for the memory phase; blocked-core skipping
-// is argued at the dispatch loop below).
+//   - TickChannel runs every cycle with its sleep bounds armed, and
+//     each rank revalidates or re-derives its own bound against the
+//     post-tick state before deciding to step (nda.RankNDA.tick), so a
+//     controller tick that mutated the inputs an impure bound was
+//     derived from (a dequeue flipping the oldest-read rank, say) is
+//     seen. A host command to a rank steps that rank regardless: its
+//     yield (and its StallsHost accounting) happens on that very cycle.
+//     Every NDA bound reads only its own channel's controller and
+//     timing state, and completions wait in the mailbox until commit.
+//   - Blocked-core skipping is argued at the dispatch loop below.
 func (s *System) tickDue() {
 	now := s.dramCycle
-	for d := range s.doms {
-		s.domainTick(d, now)
+	for ch, c := range s.MCs {
+		if !c.Idle() && c.NextEvent(now) <= now {
+			c.Tick(now)
+		} else {
+			c.ClearIssued()
+		}
+		s.NDA.TickChannel(ch, now, true)
 	}
 	s.commit()
 	s.credit += cpuCredit
@@ -515,7 +494,7 @@ func (s *System) tickDue() {
 //
 // A non-nil return reports a robustness failure — a LivelockError from
 // the Never-with-pending-work detector, or a DeadlineError from the
-// per-run deadlines (Config.MaxCycles, Config.MaxWallClock) — and is sticky:
+// wall-clock deadline (Config.MaxWallClock) — and is sticky:
 // every subsequent call returns the same error. On the livelock path
 // the clock still advances to limit (the wake bound was wrong, so the
 // only exact continuation is the idle skip the bound claims), keeping
@@ -525,8 +504,7 @@ func (s *System) StepFast(limit int64) error {
 	if s.robust.err != nil {
 		return s.robust.err
 	}
-	s.NDA.SetFastForward(true)
-	if s.Cfg.MaxCycles > 0 || s.Cfg.MaxWallClock > 0 {
+	if s.Cfg.MaxWallClock > 0 {
 		if err := s.DeadlineExceeded(); err != nil {
 			return err
 		}

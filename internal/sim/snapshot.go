@@ -55,8 +55,8 @@ type ckptState struct {
 func (ck *Checkpoint) Cycle() int64 { return ck.st.DRAMCycle }
 
 // Snapshot captures the system's full simulation state. It must be
-// called between steps (Run/RunFast/StepFast boundaries — the domain
-// mailboxes are drained there). It fails under nda.Config.VerifyFSM, a
+// called between steps (Run/RunFast/StepFast boundaries — the mailbox
+// is drained there). It fails under nda.Config.VerifyFSM, a
 // debug-only condition.
 func (s *System) Snapshot() (*Checkpoint, error) {
 	ck, _, err := s.SnapshotWithRoots(nil)
@@ -71,10 +71,8 @@ func (s *System) Snapshot() (*Checkpoint, error) {
 // from DecodeCheckpoint's copy of it), RT.RestoredHandleAt(index)
 // recovers the rebuilt handle.
 func (s *System) SnapshotWithRoots(roots []*ndart.Handle) (*Checkpoint, []int, error) {
-	for d := range s.doms {
-		if len(s.doms[d].outbox) != 0 {
-			return nil, nil, errors.New("sim: snapshot mid-tick (domain mailboxes not drained)")
-		}
+	if len(s.outbox) != 0 {
+		return nil, nil, errors.New("sim: snapshot mid-tick (mailbox not drained)")
 	}
 	enc := s.RT.NewSnapshotEncoder()
 	engSt, err := s.NDA.Snapshot(enc.EncodeTag)
@@ -152,9 +150,7 @@ func (s *System) Restore(ck *Checkpoint) {
 	s.dramCycle, s.cpuCycle, s.credit = st.DRAMCycle, st.CPUCycle, st.Credit
 	s.measStartDRAM, s.measStartCPU = st.MeasStartDRAM, st.MeasStartCPU
 	copy(s.retiredAtMeas, st.RetiredAtMeas)
-	for d := range s.doms {
-		s.doms[d].outbox = s.doms[d].outbox[:0]
-	}
+	s.outbox = s.outbox[:0]
 }
 
 // RestoreSystem builds a fresh system from cfg and restores the
