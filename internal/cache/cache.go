@@ -75,18 +75,6 @@ type Cache struct {
 	ways  int
 	top   uint // bit offset of the most recently touched nibble, 4·(ways-1)
 
-	// One-entry MRU filter: the last block that hit and the way that
-	// held it. Streaming cores touch the same 64-byte block for several
-	// consecutive accesses, and the repeat hits skip the way scan. The
-	// filter is validated against the way's live key (a replacement
-	// that reuses the slot fails the check; lastKey 0 marks the filter
-	// empty), and the filtered path performs exactly the state updates
-	// the scan would — recency, dirty, Hits — so behavior is
-	// bit-identical.
-	lastBlock uint64
-	lastKey   uint32 // key of the filtered way, 0 when empty
-	lastWay   int    // index into lines of the filtered way
-
 	Hits, Misses int64
 }
 
@@ -167,30 +155,20 @@ func (c *Cache) touch(set, w int) {
 // Lookup probes for the block (address divided by block size), updating
 // LRU and hit/miss counters. If write, a hit marks the line dirty.
 func (c *Cache) Lookup(block uint64, write bool) bool {
-	w := c.lastWay
-	if block != c.lastBlock || c.lastKey == 0 || c.lines[w]>>1 != c.lastKey {
-		set, key := c.index(block)
-		base := set * c.ways
-		w = -1
-		for i, l := range c.lines[base : base+c.ways] {
-			if l>>1 == key {
-				w = base + i
-				break
+	set, key := c.index(block)
+	base := set * c.ways
+	for i, l := range c.lines[base : base+c.ways] {
+		if l>>1 == key {
+			c.touch(set, i)
+			if write {
+				c.lines[base+i] |= dirtyBit
 			}
+			c.Hits++
+			return true
 		}
-		if w < 0 {
-			c.Misses++
-			return false
-		}
-		c.lastBlock, c.lastKey, c.lastWay = block, key, w
 	}
-	set := c.setOf(block)
-	c.touch(set, w-set*c.ways)
-	if write {
-		c.lines[w] |= dirtyBit
-	}
-	c.Hits++
-	return true
+	c.Misses++
+	return false
 }
 
 // unMiss reverses the counter effect of an immediately preceding Lookup

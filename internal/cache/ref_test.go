@@ -211,8 +211,8 @@ func (c *Cache) recency(t *testing.T, set int) []int {
 // stamps, with one random Lookup/Insert/Invalidate/Contains stream on
 // the L1, L2 and LLC geometries of the default hierarchy. Traffic
 // concentrates on a few sets so they fill, evict and reuse invalidated
-// ways, and repeats the previous block so the MRU filter serves hits
-// (and must reject ways refilled under it). Every return value and
+// ways, and repeats the previous block so the reference's MRU filter
+// serves hits (and must reject ways refilled under it). Every return value and
 // counter must agree at every step, and so must the contents and the
 // recency order of the set each operation addressed (no operation
 // reaches another set). At checkpoints along the way every set is
@@ -293,8 +293,7 @@ func TestPackedCacheMatchesReference(t *testing.T) {
 				checkSet(op, c.setOf(b))
 				switch op {
 				case ops / 4:
-					// Continue on a restored copy: the MRU filter must
-					// start empty and refill from live tags.
+					// Continue on a restored copy.
 					check(op)
 					c2 := New(tc.cfg)
 					c2.restore(c.snapshot())

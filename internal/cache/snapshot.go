@@ -2,9 +2,7 @@ package cache
 
 // cacheState is a deep copy of one level's mutable state: the packed
 // way words and the per-set recency words, verbatim (see Cache), and
-// the counters. The MRU filter is not captured: it is a pure
-// acceleration of the way scan (the filtered path performs identical
-// state updates), so restore simply empties it.
+// the counters.
 type cacheState struct {
 	Lines  []uint32
 	Order  []uint64
@@ -28,7 +26,6 @@ func (c *Cache) restore(st cacheState) {
 	copy(c.lines, st.Lines)
 	copy(c.order, st.Order)
 	c.Hits, c.Misses = st.Hits, st.Misses
-	c.lastKey = 0 // MRU filter revalidates on the next lookup
 }
 
 // waiterState identifies one MSHR waiter by (core, ROB slot); restore

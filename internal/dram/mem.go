@@ -12,21 +12,6 @@ type bankState struct {
 	NextPRE int64
 	NextRD  int64
 	NextWR  int64
-
-	// Cached earliest-issue horizons folding the bank-group, rank and
-	// tFAW components (see rankState.horizons). Valid while
-	// HzStamp equals the owning rank's Stamp; every Issue touching the
-	// rank bumps the stamp, invalidating all of its banks at once. With
-	// the cache warm, CanIssue in a scheduler inner loop is a structural
-	// check plus one int64 compare. The memo records which banks the
-	// schedulers last asked about, not simulated state, so it is not
-	// durable: a decoded checkpoint restores it zeroed, and since a
-	// rank's Stamp starts at 1 the first read re-derives it.
-	HzStamp  int64 `json:"-"`
-	ReadyACT int64 `json:"-"`
-	ReadyPRE int64 `json:"-"`
-	ReadyRD  int64 `json:"-"`
-	ReadyWR  int64 `json:"-"`
 }
 
 // bgState tracks bank-group level horizons (tCCD_L, tRRD_L, tWTR_L).
@@ -50,31 +35,25 @@ type rankState struct {
 	FAW    []int64 // issue cycles of the last 4 ACTs (ring buffer)
 	FAWIdx int
 
-	// Stamp versions the rank's timing state for the per-bank horizon
-	// cache. It starts at 1 (so zero-valued bank caches are invalid) and
-	// is bumped by every Issue to the rank.
-	Stamp int64
-
 	// DataBusyUntil is when the rank's data pins/internal IO finish the
 	// current burst. Used for statistics and NDA idle detection.
 	DataBusyUntil int64
 }
 
-// horizons returns the bank's cached earliest-issue horizons, recomputing
-// them from the authoritative per-bank/bank-group/rank state when any
-// command has issued to the rank since the last computation.
-func (rk *rankState) horizons(t *Timing, bgIdx, flat int) *bankState {
-	b := &rk.Banks[flat]
-	if b.HzStamp == rk.Stamp {
-		return b
+// readyACT folds the bank's earliest ACT cycle from the bank, bank-group,
+// rank and tFAW horizons on every call; nothing is cached.
+func (rk *rankState) readyACT(t *Timing, bgIdx, flat int) int64 {
+	return max(rk.Banks[flat].NextACT, rk.BGs[bgIdx].NextACT, rk.NextACT, rk.fawReady(t))
+}
+
+// readyCol folds the bank's earliest column cycle for cmd (RD or WR)
+// from the bank, bank-group and rank horizons on every call.
+func (rk *rankState) readyCol(cmd Command, bgIdx, flat int) int64 {
+	b, bg := &rk.Banks[flat], &rk.BGs[bgIdx]
+	if cmd == CmdRD {
+		return max(b.NextRD, bg.NextRD, rk.NextRD)
 	}
-	bg := &rk.BGs[bgIdx]
-	b.ReadyACT = max(b.NextACT, bg.NextACT, rk.NextACT, rk.fawReady(t))
-	b.ReadyPRE = b.NextPRE
-	b.ReadyRD = max(b.NextRD, bg.NextRD, rk.NextRD)
-	b.ReadyWR = max(b.NextWR, bg.NextWR, rk.NextWR)
-	b.HzStamp = rk.Stamp
-	return b
+	return max(b.NextWR, bg.NextWR, rk.NextWR)
 }
 
 // chanState tracks channel-level constraints that apply only to external
@@ -89,17 +68,6 @@ type chanState struct {
 	LastColCycle int64
 
 	DataBusyUntil int64
-
-	// Cached channel-bus horizons for external column commands, split by
-	// whether the target rank matches the last column's rank. ColStamp is
-	// bumped by every external column issue; ExtStamp tracks the cached
-	// values (ColStamp starts at 1 so the zero cache is invalid).
-	ColStamp  int64
-	ExtStamp  int64
-	ExtRDSame int64
-	ExtRDDiff int64
-	ExtWRSame int64
-	ExtWRDiff int64
 
 	// Row-change log: every command that opens or closes a row (ACT,
 	// PRE, WarmOpen) appends its channel-local bank, rank*BanksPerRank +
@@ -133,45 +101,29 @@ func (ch *chanState) logRow(local int32) {
 }
 
 // extCol returns the earliest cycle the channel bus admits an external
-// column command of the given kind to the given rank (the channelColOK
-// constraints folded into a single horizon).
+// column command of the given kind to the given rank: the channelColOK
+// constraints folded into one horizon, on demand.
 func (ch *chanState) extCol(cmd Command, rank int, t *Timing) int64 {
-	if ch.ExtStamp != ch.ColStamp {
-		busy := ch.DataBusyUntil
-		if !ch.LastColValid {
-			ch.ExtRDSame = busy - int64(t.CL)
-			ch.ExtRDDiff = ch.ExtRDSame
-			ch.ExtWRSame = busy - int64(t.CWL)
-			ch.ExtWRDiff = ch.ExtWRSame
-		} else {
-			ch.ExtRDSame = busy - int64(t.CL)
-			ch.ExtRDDiff = busy + int64(t.RTRS) - int64(t.CL)
-			if !ch.LastColRead {
-				// Write-to-read across ranks: bus-only constraint.
-				ch.ExtRDDiff = max(ch.ExtRDDiff, ch.LastColCycle+int64(t.CWL+t.BL+t.RTRS-t.CL))
-			}
-			ch.ExtWRSame = busy - int64(t.CWL)
-			ch.ExtWRDiff = busy + int64(t.RTRS) - int64(t.CWL)
-			if ch.LastColRead {
-				// Read-to-write bus turnaround, any rank.
-				rtw := ch.LastColCycle + int64(t.ReadToWrite())
-				ch.ExtWRSame = max(ch.ExtWRSame, rtw)
-				ch.ExtWRDiff = max(ch.ExtWRDiff, rtw)
-			}
-		}
-		ch.ExtStamp = ch.ColStamp
-	}
-	same := !ch.LastColValid || ch.LastColRank == rank
+	lat := int64(t.CWL)
 	if cmd == CmdRD {
-		if same {
-			return ch.ExtRDSame
+		lat = int64(t.CL)
+	}
+	ready := ch.DataBusyUntil - lat
+	if !ch.LastColValid {
+		return ready
+	}
+	if ch.LastColRank != rank {
+		ready += int64(t.RTRS)
+		if !ch.LastColRead && cmd == CmdRD {
+			// Write-to-read across ranks: bus-only constraint.
+			ready = max(ready, ch.LastColCycle+int64(t.CWL+t.BL+t.RTRS-t.CL))
 		}
-		return ch.ExtRDDiff
 	}
-	if same {
-		return ch.ExtWRSame
+	if ch.LastColRead && cmd == CmdWR {
+		// Read-to-write bus turnaround, any rank.
+		ready = max(ready, ch.LastColCycle+int64(t.ReadToWrite()))
 	}
-	return ch.ExtWRDiff
+	return ready
 }
 
 // CmdCounts aggregates issued-command counters for energy and
@@ -226,13 +178,11 @@ func NewChecked(g Geometry, t Timing) (*Mem, error) {
 	for c := range m.channels {
 		ch := &m.channels[c]
 		ch.Ranks = make([]rankState, g.Ranks)
-		ch.ColStamp = 1
 		for r := range ch.Ranks {
 			rk := &ch.Ranks[r]
 			rk.Banks = make([]bankState, g.BanksPerRank())
 			rk.BGs = make([]bgState, g.BankGroups)
 			rk.FAW = make([]int64, 4)
-			rk.Stamp = 1
 			for i := range rk.FAW {
 				rk.FAW[i] = -(1 << 40) // far past: window initially empty
 			}
@@ -260,15 +210,14 @@ func (m *Mem) OpenRow(a Addr) (row int, open bool) {
 
 // WarmOpen sets the addressed bank's row state — open at a.Row —
 // without issuing a command: an out-of-band row change. Timing horizons
-// are left alone. The rank's stamp advances and the bank is logged as a
-// row change, so every cached scheduler conclusion derived from the old
-// row state (per-bank horizon caches, mc lazy bank keys) must be
-// revalidated. No simulation path calls it. The mc key and memo
-// equivalence tests use it to inject such a change, and a burst of more
-// than RowLogLen of them to force the row-log overflow resync. That
-// resync stays reachable in production: the log can wrap during a long
-// idle stretch, and a device restored behind the queue forces it too
-// (see mc sync).
+// are left alone. The bank is logged as a row change, so every cached
+// scheduler conclusion derived from the old row state (the mc lazy bank
+// keys) must be revalidated. No simulation path calls it. The mc key
+// and memo equivalence tests use it to inject such a change, and a
+// burst of more than RowLogLen of them to force the row-log overflow
+// resync. That resync stays reachable in production: the log can wrap
+// during a long idle stretch, and a device restored behind the queue
+// forces it too (see mc sync).
 func (m *Mem) WarmOpen(a Addr) {
 	m.checkAddr(a)
 	rk := m.rank(a)
@@ -276,7 +225,6 @@ func (m *Mem) WarmOpen(a Addr) {
 	b := &rk.Banks[flat]
 	b.Open = true
 	b.Row = a.Row
-	rk.Stamp++
 	m.channels[a.Channel].logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
 }
 
@@ -294,23 +242,25 @@ func (m *Mem) RowChange(channel int, seq uint64) int32 {
 }
 
 // BankSched returns the addressed bank's row state together with every
-// cached rank-side earliest-issue horizon (see rankState.horizons) in
-// one call — what the host scheduler reads on every bank visit, keeping
-// no copy of its own. Horizons are raw
+// rank-side earliest-issue horizon (rankState.readyACT, readyCol) in one
+// call — what the host scheduler reads on every bank visit, keeping no
+// copy of its own. Horizons are raw
 // (not clamped to any current cycle); callers compare them against now.
 // Channel-bus constraints for external columns are separate
 // (ExtColReady).
 func (m *Mem) BankSched(channel, rank, bankGroup, flat int) (row int, open bool, readyACT, readyPRE, readyRD, readyWR int64) {
-	b := m.channels[channel].Ranks[rank].horizons(&m.T, bankGroup, flat)
-	return b.Row, b.Open, b.ReadyACT, b.ReadyPRE, b.ReadyRD, b.ReadyWR
+	rk := &m.channels[channel].Ranks[rank]
+	b := &rk.Banks[flat]
+	return b.Row, b.Open, rk.readyACT(&m.T, bankGroup, flat), b.NextPRE,
+		rk.readyCol(CmdRD, bankGroup, flat), rk.readyCol(CmdWR, bankGroup, flat)
 }
 
 // ExtColReady returns the earliest cycle the channel bus admits an
 // external column command of the given kind to the given rank: the
 // bus-occupancy, tRTRS rank-switch, and read/write turnaround horizons
-// folded into one value (O(1), cached per channel). Together with the
-// rank-side bound from NextIssue(cmd, a, now, true) it reconstructs the
-// full external column horizon.
+// folded into one value. Together with the rank-side bound from
+// NextIssue(cmd, a, now, true) it reconstructs the full external column
+// horizon.
 func (m *Mem) ExtColReady(channel int, cmd Command, rank int) int64 {
 	return m.channels[channel].extCol(cmd, rank, &m.T)
 }
@@ -324,10 +274,11 @@ func (r *rankState) fawReady(t *Timing) int64 {
 // CanIssue reports whether cmd to address a may legally issue at cycle now.
 // internal marks NDA-side column accesses, which skip channel-bus checks.
 //
-// The check runs off the per-bank horizon cache: a structural test on the
-// bank's row state plus int64 compares against cached earliest-issue
-// cycles. canIssueRef is the uncached oracle the cache is verified
-// against (TestCanIssueCacheMatchesReference).
+// The check is a structural test on the bank's row state plus one
+// compare against the bank's horizons, folded on demand (and the
+// channel-bus horizon for external columns). canIssueRef is the
+// rule-by-rule oracle it is verified against
+// (TestCanIssueCacheMatchesReference).
 func (m *Mem) CanIssue(cmd Command, a Addr, now int64, internal bool) bool {
 	m.checkAddr(a)
 	ch := &m.channels[a.Channel]
@@ -341,24 +292,19 @@ func (m *Mem) legal(ch *chanState, rk *rankState, flat int, cmd Command, a Addr,
 		if rk.Banks[flat].Open {
 			return false
 		}
-		return now >= rk.horizons(&m.T, a.BankGroup, flat).ReadyACT
+		return now >= rk.readyACT(&m.T, a.BankGroup, flat)
 
 	case CmdPRE:
 		if !rk.Banks[flat].Open {
 			return false
 		}
-		return now >= rk.horizons(&m.T, a.BankGroup, flat).ReadyPRE
+		return now >= rk.Banks[flat].NextPRE
 
 	case CmdRD, CmdWR:
 		if b := &rk.Banks[flat]; !b.Open || b.Row != a.Row {
 			return false
 		}
-		hz := rk.horizons(&m.T, a.BankGroup, flat)
-		if cmd == CmdRD {
-			if now < hz.ReadyRD {
-				return false
-			}
-		} else if now < hz.ReadyWR {
+		if now < rk.readyCol(cmd, a.BankGroup, flat) {
 			return false
 		}
 		if internal {
@@ -369,8 +315,8 @@ func (m *Mem) legal(ch *chanState, rk *rankState, flat int, cmd Command, a Addr,
 	return false
 }
 
-// canIssueRef is the original uncached CanIssue, kept as the oracle for
-// the horizon-cache equivalence tests.
+// canIssueRef is CanIssue checked rule by rule, kept as the oracle for
+// the folded-horizon equivalence tests.
 func (m *Mem) canIssueRef(cmd Command, a Addr, now int64, internal bool) bool {
 	m.checkAddr(a)
 	ch := &m.channels[a.Channel]
@@ -478,23 +424,19 @@ func (m *Mem) NextIssue(cmd Command, a Addr, now int64, internal bool) int64 {
 		if b.Open {
 			return now
 		}
-		return max(now, rk.horizons(&m.T, a.BankGroup, flat).ReadyACT)
+		return max(now, rk.readyACT(&m.T, a.BankGroup, flat))
 
 	case CmdPRE:
 		if !b.Open {
 			return now
 		}
-		return max(now, rk.horizons(&m.T, a.BankGroup, flat).ReadyPRE)
+		return max(now, b.NextPRE)
 
 	case CmdRD, CmdWR:
 		if !b.Open || b.Row != a.Row {
 			return now
 		}
-		hz := rk.horizons(&m.T, a.BankGroup, flat)
-		ready := hz.ReadyRD
-		if cmd == CmdWR {
-			ready = hz.ReadyWR
-		}
+		ready := rk.readyCol(cmd, a.BankGroup, flat)
 		if !internal {
 			ready = max(ready, ch.extCol(cmd, a.Rank, &m.T))
 		}
@@ -526,7 +468,6 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 	}
 	b := &rk.Banks[flat]
 	cn := &m.cnts
-	rk.Stamp++ // invalidate the rank's bank horizon caches
 
 	maxi := func(p *int64, v int64) {
 		if v > *p {
@@ -587,7 +528,6 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 			ch.LastColRead = true
 			ch.LastColRank = a.Rank
 			ch.LastColCycle = now
-			ch.ColStamp++
 		}
 
 	case CmdWR:
@@ -615,7 +555,6 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 			ch.LastColRead = false
 			ch.LastColRank = a.Rank
 			ch.LastColCycle = now
-			ch.ColStamp++
 		}
 	}
 	return true

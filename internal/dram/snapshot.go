@@ -6,8 +6,8 @@ package dram
 // snapshot can seed any number of restores (checkpoint forking). The
 // channel, rank, bank and bank-group structs are the live ones: their
 // exported fields are also the durable checkpoint encoding
-// (encoding/json, no codec), and the in-memory-only row log and
-// per-bank horizon memo are tagged out of it.
+// (encoding/json, no codec), and the in-memory-only row log is tagged
+// out of it.
 type MemState struct {
 	Channels []chanState
 	Cnts     CmdCounts

@@ -5,9 +5,9 @@ import "chopim/internal/dram"
 // Lazy per-bank keys (DESIGN.md §2.6). Each occupied bank carries a
 // key (reqQueue.key, dense and parallel to occ) that lower-bounds the
 // earliest cycle any of its FR-FCFS candidates can issue. The bank's
-// readiness itself lives only in dram.Mem's per-bank horizon cache
-// (BankSched, plus ExtColReady for the channel bus): the key is the
-// value examine last derived from it,
+// readiness itself lives only in dram.Mem's timing state, folded on
+// demand (BankSched, plus ExtColReady for the channel bus): the key is
+// the value examine last derived from it,
 //
 //	key = min( max(column horizon, ExtColReady), row-command horizon )
 //

@@ -184,7 +184,7 @@ func (c *Controller) SetCompletionSink(sink func(done func(int64), at int64)) {
 func (c *Controller) Channel() int { return c.channel }
 
 // NDAVer returns a version counter over exactly the queue state the NDA
-// engine's impure sleep bounds read for the given rank: the read-queue
+// engine's sleep bounds read for the given rank: the read-queue
 // head identity (OldestReadRank's only input) and the rank's per-bank
 // bucket-occupancy zero-crossings in both queues (the only transitions
 // that can flip a HasDemandFor answer). It is far narrower than ver.

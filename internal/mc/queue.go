@@ -171,7 +171,7 @@ func (q *reqQueue) remove(r *Request) {
 // bankEntry is one bank's slot in a queue's scheduling cache: the
 // bank's FR-FCFS candidates and the row identity they were derived
 // under. It holds no timing: examine reads the candidates' ready cycles
-// from dram.Mem on every visit (BankSched, the per-bank horizon cache,
+// from dram.Mem on every visit (BankSched, the bank's folded horizons,
 // and ExtColReady for the channel bus). The candidates depend only on
 // the bucket's content and the bank's row state, so an entry is
 // re-derived only when its bucket changes (dirty, set by push/remove)

@@ -112,26 +112,20 @@ type RankNDA struct {
 	replica *rankFSM
 
 	// sleepUntil caches the FSM's next event: ticks before it are
-	// provably no-ops and are skipped. Its validity contract has two
-	// tiers, recorded at derivation time:
+	// provably no-ops and are skipped. A bound holds until the rank
+	// steps or the controller's per-rank queue counter
+	// (mc.Controller.NDAVer, recorded in derivedVer) moves:
 	//
-	//   - sleepPure: the bound came from a pure timing wait (an open-row
-	//     column or row command gated only on this rank's DRAM horizons,
-	//     with no host-state read on the evaluation path). It stays
-	//     valid under arbitrary host-queue churn; only a host command to
-	//     this rank invalidates it — Issue moves horizons monotonically
-	//     later and can close the row, and the engine provably steps the
-	//     rank on that very cycle (the dispatcher ticks a channel's NDAs
-	//     after every tick of its controller, and a rank the host issued
-	//     to steps), marking the bound stale before it could ever be
-	//     consumed again.
-	//   - impure (sleepPure false): the evaluation read host controller
-	//     state (oldest-read rank, per-bank demand), so the bound is
-	//     valid only while the controller's per-rank queue counter
-	//     (mc.Controller.NDAVer, recorded in derivedVer) is unmoved —
-	//     it covers exactly the read-queue head and this rank's bucket
-	//     zero-crossings, so churn on other ranks never invalidates;
-	//     every branch that accrues per-cycle stall counters bounds
+	//   - The evaluation reads this rank's DRAM horizons and host
+	//     controller state (oldest-read rank, per-bank demand). NDAVer
+	//     covers exactly the read-queue head and this rank's bucket
+	//     zero-crossings, so churn on other ranks never invalidates.
+	//   - A host command to this rank moves its horizons and can close
+	//     the row, and the engine provably steps the rank on that very
+	//     cycle (the dispatcher ticks a channel's NDAs after every tick
+	//     of its controller, and a rank the host issued to steps),
+	//     marking the bound stale before it could be consumed again.
+	//   - Every branch that accrues per-cycle stall counters bounds
 	//     itself at now and is never slept over.
 	//
 	// Bounds are derived lazily: a step marks sleepStale and the next
@@ -141,7 +135,6 @@ type RankNDA struct {
 	// A stale or invalid bound is never trusted; stepping instead is
 	// always reference-exact.
 	sleepUntil int64
-	sleepPure  bool
 	sleepStale bool
 	derivedVer uint64
 
@@ -258,8 +251,8 @@ func (e *Engine) SetCompletionSink(sink func(done func(int64), at int64)) {
 // consuming the bound is sound). Stale or version-invalidated bounds are
 // re-derived here from current state: between a rank's last step and
 // this query nothing it reads can have changed without either bumping
-// the rank's NDAVer on its channel's controller (impure bounds
-// revalidate against it) or issuing to the rank itself (which forced a
+// the rank's NDAVer on its channel's controller (every bound
+// revalidates against it) or issuing to the rank itself (which forced a
 // step), so the lazy evaluation equals the one the step would have
 // done. Stall counters that accrue per-cycle under host interference
 // all live behind branches whose bound is now, and are never slept
@@ -284,18 +277,17 @@ func (e *Engine) ChannelNextEvent(ch int, now int64) int64 {
 }
 
 // bound returns the rank's cached sleep bound, re-deriving it first
-// when a step marked it stale or, for an impure bound, when the host
-// queue state it read moved. Impure bounds revalidate against the
-// per-rank queue counter, not the controller-wide version: the host
-// reads on the evaluation path (OldestReadRank, HasDemandFor) observe
-// only the read-queue head and this rank's bucket occupancy — exactly
-// what NDAVer(rank) counts — and host row commands, which bump Ver but
-// no queue counter, reach this rank through the issued-rank forced
-// step instead. Queue churn confined to other ranks never disturbs this
-// rank's cached bound.
+// when a step marked it stale or the host queue state it read moved.
+// Bounds revalidate against the per-rank queue counter, not the
+// controller-wide version: the host reads on the evaluation path
+// (OldestReadRank, HasDemandFor) observe only the read-queue head and
+// this rank's bucket occupancy — exactly what NDAVer(rank) counts —
+// and host row commands, which bump Ver but no queue counter, reach
+// this rank through the issued-rank forced step instead. Queue churn
+// confined to other ranks never disturbs this rank's cached bound.
 func (n *RankNDA) bound(now int64) int64 {
-	if n.sleepStale || !n.sleepPure && n.derivedVer != n.host.NDAVer(n.Rank) {
-		n.sleepUntil, n.sleepPure = n.nextEvent(now)
+	if n.sleepStale || n.derivedVer != n.host.NDAVer(n.Rank) {
+		n.sleepUntil = n.nextEvent(now)
 		n.derivedVer = n.host.NDAVer(n.Rank)
 		n.sleepStale = false
 	}
@@ -305,14 +297,11 @@ func (n *RankNDA) bound(now int64) int64 {
 // nextEvent mirrors stepFSM's decision tree without mutating: every
 // branch either proves the FSM idle until a computable timing horizon or
 // returns now because the next tick performs work (an RNG draw, a
-// policy-stall counter bump, a state-flag flip, or op completion). The
-// second result reports purity: true when no host controller state was
-// read on the evaluation path, so the bound survives host-queue churn
-// (see sleepUntil).
-func (n *RankNDA) nextEvent(now int64) (int64, bool) {
+// policy-stall counter bump, a state-flag flip, or op completion).
+func (n *RankNDA) nextEvent(now int64) int64 {
 	f := &n.fsm
 	if len(f.ops) == 0 && f.wb.Len() == 0 {
-		return dram.Never, true
+		return dram.Never
 	}
 	wantWrite := false
 	switch {
@@ -326,46 +315,39 @@ func (n *RankNDA) nextEvent(now int64) (int64, bool) {
 	if wantWrite {
 		switch n.cfg.Policy {
 		case Stochastic:
-			return now, false // every attempt draws from the FSM's RNG
+			return now // every attempt draws from the FSM's RNG
 		case NextRank:
 			if r, ok := n.host.OldestReadRank(); ok && r == n.Rank {
-				return now, false // StallsPolicy advances each inhibited cycle
+				return now // StallsPolicy advances each inhibited cycle
 			}
-			// The inhibition read taints the bound even when the wait
-			// itself is a pure timing one.
-			b, _ := n.accessEvent(dram.CmdWR, f.wb.Front().addr, now)
-			return b, false
 		}
 		return n.accessEvent(dram.CmdWR, f.wb.Front().addr, now)
 	}
 	op := f.ops[0]
 	if op.Kind.WritesResult() && f.wb.Len() > n.cfg.WriteBufCap-BatchBlocks {
-		return now, false // backpressure flips draining on the next tick
+		return now // backpressure flips draining on the next tick
 	}
 	a, ok := op.PeekRead()
 	if !ok {
-		return now, false // exhaustion discovery, tail flush, or completion
+		return now // exhaustion discovery, tail flush, or completion
 	}
 	return n.accessEvent(dram.CmdRD, a, now)
 }
 
 // accessEvent bounds when the FSM's pending column access (or the row
-// command it needs first) can make progress, and whether the bound is
-// pure (derived from this rank's own DRAM horizons alone).
-func (n *RankNDA) accessEvent(col dram.Command, a dram.Addr, now int64) (int64, bool) {
+// command it needs first) can make progress.
+func (n *RankNDA) accessEvent(col dram.Command, a dram.Addr, now int64) int64 {
 	row, open := n.mem.OpenRow(a)
 	if open && row == a.Row {
-		return n.mem.NextIssue(col, a, now, true), true
+		return n.mem.NextIssue(col, a, now, true)
 	}
 	if n.host.HasDemandFor(n.Rank, a.GlobalBank(n.mem.Geom)) {
-		return now, false // StallsHost advances each blocked cycle
+		return now // StallsHost advances each blocked cycle
 	}
-	// The demand check taints the bound: demand arriving mid-wait turns
-	// every remaining cycle into a StallsHost bump.
 	if open {
-		return n.mem.NextIssue(dram.CmdPRE, a, now, true), false
+		return n.mem.NextIssue(dram.CmdPRE, a, now, true)
 	}
-	return n.mem.NextIssue(dram.CmdACT, a, now, true), false
+	return n.mem.NextIssue(dram.CmdACT, a, now, true)
 }
 
 // TotalStats sums per-rank statistics.

@@ -220,6 +220,18 @@ func TestSnapshotRestoreContinue(t *testing.T) {
 // one ticked all the way, on every checkpoint shape. Tick must step
 // every rank NDA with work whatever sleep bounds the fast path left
 // behind.
+//
+// A single switch cycle rarely leaves a bound that the host then
+// invalidates, so the switch-sweep subtest makes that happen. On the
+// unpartitioned COPY shape (mixed-mix3-copy-shared), host requests land
+// on the NDA's banks and the oldest host read decides the next-rank
+// write inhibition. The subtest forks one cut and switches from
+// StepFast to Tick at each of switchSweep consecutive cycles. At some
+// of them a rank sleeps over a bound that host traffic on the first
+// ticked cycles invalidates (a read that makes it the inhibited rank,
+// or a demand for the bank it waits to activate), so a Tick that
+// trusted the bound would skip StallsPolicy or StallsHost cycles the
+// reference counts.
 func TestTickAfterStepFastMatchesRun(t *testing.T) {
 	const n1, n2 = 12_000, 32_000
 	for _, w := range ckWorkloads() {
@@ -244,6 +256,41 @@ func TestTickAfterStepFastMatchesRun(t *testing.T) {
 			}
 		})
 	}
+	t.Run("switch-sweep", func(t *testing.T) {
+		const cut, end, switchSweep = 6_000, 7_000, 256
+		var w ckWorkload
+		for _, c := range ckWorkloads() {
+			if c.name == "mixed-mix3-copy-shared" {
+				w = c
+			}
+		}
+		a, err := New(w.cfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := newCkApp(a, w.op, w.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drv := &ckDriver{app: app}
+		drv.relaunch(t, a)
+		ckAdvance(t, a, drv, cut, false)
+		ck, rootIdx := drv.cut(t, a)
+		ckAdvance(t, a, drv, end, false)
+		want := snapshot(a)
+		for sw := int64(cut + 1); sw <= cut+switchSweep; sw++ {
+			b, err := RestoreSystem(w.cfg(), ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bd := drv.resumed(t, b, rootIdx)
+			ckAdvance(t, b, bd, sw, true)
+			ckAdvance(t, b, bd, end, false)
+			if got := snapshot(b); got != want {
+				t.Fatalf("StepFast to %d then Tick diverged from Tick alone:\n ref:   %s\n mixed: %s", sw, want, got)
+			}
+		}
+	})
 }
 
 // TestSnapshotRestoreRandomized fuzzes the checkpoint cut point: the

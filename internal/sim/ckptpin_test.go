@@ -9,11 +9,10 @@ import (
 
 // TestCheckpointBytesPinned pins the checkpoint encoding of every
 // checkpoint workload cut at a fixed cycle: the envelope length and the
-// whole envelope byte for byte. The DRAM state leaves out the per-bank
-// horizon memo (HzStamp, Ready*), which records which banks the
-// schedulers last asked about, and the controllers leave out their wake memo and the ver counter
-// that keys it, so a scheduler change that keeps every decision leaves
-// all three values alone. The pins catch an encoding change nobody
+// whole envelope byte for byte. The DRAM state carries only timing and
+// row state, and the controllers leave out their wake memo and the ver
+// counter that keys it, so a scheduler change that keeps every decision
+// leaves the pins alone. The pins catch an encoding change nobody
 // meant; no encoded checkpoint outlives its process, so a deliberate
 // change re-pins them without bumping ckptVersion. Every cut must also
 // survive a decode and re-encode byte for byte, so no decoder drops an
@@ -24,12 +23,12 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		all string
 		n   int
 	}{
-		"host-only":                {"3a36a6961fec82ecf35e7b680447b4f93b6a789091493b29b6c57c5ef8d1e0d9", 701329},
-		"host-stall-heavy":         {"6ed26efad54366f11ad1de50caf087b660431e221207ea6fe9e2baf91a3cc13a", 602678},
-		"nda-only-nrm2":            {"8421ceba9d19fb12ddf464fe8b184b4c6bbfadc2c40309ccdfb6fc01fbfe932d", 9491},
-		"nda-only-copy-stochastic": {"6036b8e0214bd94d20197e0e7e410ec9a43e5458103ff451198ee7a8193e2e4c", 13939},
-		"mixed-mix1-dot":           {"6364812ca1670b48d1818ea4eaf89bb360e23875a3314f83b1eda1f17ae92d77", 622199},
-		"mixed-mix3-copy-shared":   {"fff22eb3983f39acfe7b6d9b51e0098afb5d0b5095e74204403a8109ca5bc60e", 639789},
+		"host-only":                {"8b8968b2cd67480d67989aaaf0ec934d6e359399f997e3bd57818d5e084d9cf0", 701069},
+		"host-stall-heavy":         {"01cca48118193ddb6252beddf7398383ed77f922e774e3908422d65c39efd3f4", 602418},
+		"nda-only-nrm2":            {"97c1e7855fc911688479a8694922105e68d57b57979137156197440380714083", 9267},
+		"nda-only-copy-stochastic": {"132e956520eb872a2054f49fb056426238cf1fa7540039970ca0342239d9e36f", 13715},
+		"mixed-mix1-dot":           {"70c4ab662e23a6ee2bd8bbf1e5667550be584c14c401a5a7a7908833a9912af9", 621939},
+		"mixed-mix3-copy-shared":   {"61e8db615fa698a7c64765f13d1cba8f1f06e96c30305186c3ffe74c1bd1a4a6", 639529},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

@@ -399,9 +399,8 @@ func (s *System) skipIdle(k int64) {
 //   - TickChannel runs every cycle with its sleep bounds armed, and
 //     each rank revalidates or re-derives its own bound against the
 //     post-tick state before deciding to step (nda.RankNDA.tick), so a
-//     controller tick that mutated the inputs an impure bound was
-//     derived from (a dequeue flipping the oldest-read rank, say) is
-//     seen. A host command to a rank steps that rank regardless: its
+//     controller tick that mutated the inputs a bound was derived
+//     from (a dequeue flipping the oldest-read rank, say) is seen. A host command to a rank steps that rank regardless: its
 //     yield (and its StallsHost accounting) happens on that very cycle.
 //     Every NDA bound reads only its own channel's controller and
 //     timing state, and completions wait in the mailbox until commit.

@@ -90,7 +90,6 @@ func TestStateFieldCoverage(t *testing.T) {
 		{live: reflect.TypeOf(cache.Cache{}), state: fieldType(t, hierSt, "LLC"),
 			skip: map[string]notCarried{
 				"cfg": config, "nsets": config, "smask": config, "shift": config, "ways": config, "top": config,
-				"lastBlock": schedMem, "lastKey": schedMem, "lastWay": schedMem,
 			}},
 		{live: fieldType(t, hier, "prefetch").Elem()},
 		{live: rankNDA, state: engSt,
@@ -98,7 +97,7 @@ func TestStateFieldCoverage(t *testing.T) {
 			skip: map[string]notCarried{
 				"Channel": config, "Rank": config, "cfg": config, "stochCut": config,
 				"mem": config, "host": config, "replica": config, "csink": closure,
-				"sleepUntil": schedMem, "sleepPure": schedMem, "sleepStale": schedMem, "derivedVer": schedMem,
+				"sleepUntil": schedMem, "sleepStale": schedMem, "derivedVer": schedMem,
 			}},
 		{live: fieldType(t, rankNDA, "fsm"), state: fsmSt,
 			carriedBy: map[string]string{"coin": "RNGDraws"}},
@@ -126,10 +125,7 @@ func TestStateFieldCoverage(t *testing.T) {
 			skip: map[string]notCarried{"base": config, "size": config, "minOrder": config}},
 		{live: chanSt, skip: map[string]notCarried{"rowLog": memOnly, "rowSeq": memOnly}},
 		{live: rankSt},
-		{live: fieldType(t, rankSt, "Banks").Elem(),
-			skip: map[string]notCarried{
-				"HzStamp": schedMem, "ReadyACT": schedMem, "ReadyPRE": schedMem, "ReadyRD": schedMem, "ReadyWR": schedMem,
-			}},
+		{live: fieldType(t, rankSt, "Banks").Elem()},
 		{live: fieldType(t, rankSt, "BGs").Elem()},
 	}
 	for _, tc := range tables {
