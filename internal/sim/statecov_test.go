@@ -27,6 +27,8 @@ const (
 	schedMem notCarried = "a scheduling or decode cache that re-derives after restore"
 	memOnly  notCarried = "in-memory only, never durable"
 	rearmed  notCarried = "skip bookkeeping that restore clears and the next probe re-arms"
+	refilled notCarried = "trace lookahead: restore waits for the fill in flight, replays the carried position into the cursor and refills the batches from it"
+	handoff  notCarried = "the batch handoff: restore drains it and the refill starts it anew"
 )
 
 // stateCoverage maps one live struct a Snapshot reads onto its state.
@@ -115,11 +117,21 @@ func TestStateFieldCoverage(t *testing.T) {
 				"now": closure, "decodeCache": schedMem,
 				"restored": memOnly,
 			}},
+		// The carried position is the core's: Snapshot replays the batch
+		// being read from the cursor its fill started at. Every field of
+		// the lookahead past that position is re-derived by Restore.
 		{live: reflect.TypeOf(workload.Generator{}), state: reflect.TypeOf(workload.GenState{}),
-			carriedBy: map[string]string{"src": "Draws"},
 			skip: map[string]notCarried{
 				"prof": config, "base": config, "size": config,
 				"serCut": config, "memCut": config, "streamCut": config, "writeCut": config,
+				"rec":   refilled, // the record being read: the first of the refilled batch
+				"pos":   refilled, // its index: 1 after the refill
+				"cur":   refilled, // the batch being read: the first refilled one
+				"next":  refilled, // the batch filling: the second refilled one
+				"ahead": refilled, // the fill's cursor: the carried Draws and Streams, then advanced by the refill
+				"bufs":  refilled, // both batches' records and start cursors: drawn again from the carried position
+				"done":  handoff,  // the fill's completion signal: Restore receives the one in flight
+				"fill":  closure,  // the per-batch goroutine's body
 			}},
 		{live: reflect.TypeOf(osmem.Allocator{}), state: fieldType(t, reflect.TypeOf(osmem.OSState{}), "Host"),
 			skip: map[string]notCarried{"base": config, "size": config, "minOrder": config}},

@@ -134,6 +134,21 @@ func (s *Source) Intn(n int) int {
 // Draws returns how many outputs the source has produced since seeding.
 func (s *Source) Draws() uint64 { return s.n }
 
+// Rewind steps the source back k draws, to the state it had k draws
+// earlier, by solving the recurrence backwards: undoing draw n restores
+// o[n-lag] = o[n] - o[n-short] to its ring slot. It panics if the source
+// has made fewer than k draws.
+func (s *Source) Rewind(k uint64) {
+	if k > s.n {
+		panic("rng: Rewind past the stream's start")
+	}
+	for end := s.n - k; s.n > end; {
+		s.n--
+		n := s.n
+		s.hist[(n-lag)%ring] = s.hist[n%ring] - s.hist[(n-short)%ring]
+	}
+}
+
 // ReplayTo reseeds the source and advances it to exactly n draws, the
 // state a live source reaches after any mix of n draws (every method
 // consumes whole draws).

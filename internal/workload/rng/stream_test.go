@@ -155,3 +155,31 @@ func TestReplayToMatchesLive(t *testing.T) {
 		}
 	}
 }
+
+// TestRewindMatchesReplay checks that a source rewound by k draws
+// continues exactly as one replayed to the same count, for rewinds
+// inside the ring's slack, across whole ring wrap-arounds, and back to
+// the stream's start.
+func TestRewindMatchesReplay(t *testing.T) {
+	for _, seed := range pinSeeds {
+		for _, c := range []struct{ n, k uint64 }{
+			{1, 1}, {10, 3}, {2_000, 416}, {2_000, 417}, {2_000, 418}, {5_000, 4_000}, {100_003, 25_000}, {3_000, 3_000},
+		} {
+			s := rng.New(seed)
+			for i := uint64(0); i < c.n; i++ {
+				s.Uint64()
+			}
+			s.Rewind(c.k)
+			ref := rng.New(seed)
+			ref.ReplayTo(c.n - c.k)
+			if s.Draws() != ref.Draws() {
+				t.Fatalf("seed %d: Rewind(%d) from %d left Draws %d, want %d", seed, c.k, c.n, s.Draws(), ref.Draws())
+			}
+			for i := 0; i < 2*1024; i++ {
+				if a, b := s.Uint64(), ref.Uint64(); a != b {
+					t.Fatalf("seed %d: rewind %d from %d diverges %d draws later", seed, c.k, c.n, i)
+				}
+			}
+		}
+	}
+}

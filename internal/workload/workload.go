@@ -99,19 +99,73 @@ func MixName(i int) string { return fmt.Sprintf("mix%d", i) }
 
 // Generator produces the synthetic instruction stream for one benchmark
 // instance. It implements cpu.TraceSource deterministically from a seed.
+//
+// The stream is drawn a batch ahead of the core (DESIGN.md §2.20): a
+// goroutine started per batch fills the next batch of run records from
+// the lookahead cursor while the core reads the current one, and Next
+// and NextRun only unpack records.
 type Generator struct {
+	// The consumer's side: the record being read (its count field
+	// lowered as plain instructions are taken), the index of the record
+	// after it, and the batch both come from. cur is nil until the first
+	// record is read, and again after Restore: no fill is then in flight.
+	rec uint64
+	pos int
+	cur *batch
+
 	prof Profile
 
-	base    uint64 // physical base of this instance's region
-	size    uint64
-	streams []uint64
+	base uint64 // physical base of this instance's region
+	size uint64
 
-	// Next's draw thresholds, precomputed from the profile fractions:
+	// record's draw thresholds, precomputed from the profile fractions:
 	// src.Below(cut) decides exactly as math/rand's Float64() < p.
 	serCut, memCut, streamCut, writeCut rng.Cut
 
-	src rng.Source // last, so its 8 KiB ring does not separate the fields above from its draw counter
+	// The producer's side. next is the batch being filled; done
+	// receives once when it is full. fill is the per-batch goroutine's
+	// body, bound once so that starting one allocates nothing. ahead is
+	// the stream position at the end of the last fill, moved only by
+	// the fill in flight. bufs holds both batches, allocated at the
+	// first read.
+	next  *batch
+	done  chan struct{}
+	fill  func()
+	bufs  *[2]batch
+	ahead cursor
 }
+
+// cursor is a position in the stream: the draw source and the
+// per-stream offsets.
+type cursor struct {
+	src     rng.Source
+	streams []uint64
+}
+
+// batch is one fill's run records and the stream position the fill
+// started from, as a draw count and the stream cursors.
+type batch struct {
+	recs    [batchRecs]uint64
+	draws   uint64
+	streams []uint64
+}
+
+// A run record packs one run of the stream into a word: the number of
+// plain instructions it opens with in the top byte, then the
+// instruction that ends it, if one does, as flags in the low three bits
+// and the 8-byte-aligned region offset of a memory instruction between
+// them. A run longer than the count field holds continues in the next
+// record, and a record without a stop flag ends in no instruction.
+const (
+	recMem     = 1 << 0
+	recWrite   = 1 << 1
+	recSer     = 1 << 2
+	recStop    = recMem | recSer
+	countShift = 56
+	maxCount   = 1<<(64-countShift) - 1
+	offMask    = (1<<countShift - 1) &^ 7
+	batchRecs  = 1024 // records per batch
+)
 
 // NewGenerator builds a trace source over the physical region
 // [base, base+size). The region should be at least the profile footprint;
@@ -120,8 +174,8 @@ func NewGenerator(prof Profile, base, size uint64, seed int64) *Generator {
 	if size == 0 {
 		panic("workload: zero-sized region")
 	}
-	g := &Generator{prof: prof, base: base, size: size}
-	g.src.Reset(seed)
+	g := &Generator{prof: prof, base: base, size: size, pos: batchRecs, done: make(chan struct{}, 1)}
+	g.ahead.src.Reset(seed)
 	dep := depFrac
 	if prof.DepFrac > 0 {
 		dep = prof.DepFrac
@@ -129,17 +183,21 @@ func NewGenerator(prof Profile, base, size uint64, seed int64) *Generator {
 	if g.prof.Footprint > size {
 		g.prof.Footprint = size
 	}
-	n := prof.Streams
-	if n <= 0 {
-		n = 1
+	if g.prof.Footprint > 1<<countShift {
+		panic("workload: footprint too large for a run record")
 	}
+	n := max(prof.Streams, 1)
 	for i := 0; i < n; i++ {
-		g.streams = append(g.streams, g.src.Uint64()%g.prof.Footprint)
+		g.ahead.streams = append(g.ahead.streams, g.ahead.src.Uint64()%g.prof.Footprint)
 	}
 	g.serCut = rng.CutOf(dep)
 	g.memCut = rng.CutOf(g.prof.MemRatio)
 	g.streamCut = rng.CutOf(g.prof.StreamFrac)
 	g.writeCut = rng.CutOf(g.prof.WriteFrac)
+	g.fill = func() {
+		g.fillBatch(g.next)
+		g.done <- struct{}{}
+	}
 	return g
 }
 
@@ -148,49 +206,124 @@ func NewGenerator(prof Profile, base, size uint64, seed int64) *Generator {
 // giving per-core IPC in the 2-3 range for cache-resident work.
 const depFrac = 0.35
 
+// fillBatch draws b's records from g.ahead, first marking where they
+// start.
+func (g *Generator) fillBatch(b *batch) {
+	b.draws = g.ahead.src.Draws()
+	b.streams = append(b.streams[:0], g.ahead.streams...)
+	for i := range b.recs {
+		b.recs[i] = g.record(&g.ahead, maxCount)
+	}
+}
+
+// load makes the next record current, turning to the next batch at the
+// end of this one.
+func (g *Generator) load() {
+	if g.pos == batchRecs {
+		g.turn()
+	}
+	g.rec = g.cur.recs[g.pos]
+	g.pos++
+}
+
+// turn moves the consumer to the batch being filled, waiting for its
+// fill to finish, and starts filling the batch it leaves. The first
+// read, with no fill in flight, fills its batch in place instead.
+func (g *Generator) turn() {
+	if g.cur == nil {
+		if g.bufs == nil {
+			g.bufs = new([2]batch)
+		}
+		g.cur, g.next = &g.bufs[0], &g.bufs[1]
+		g.fillBatch(g.cur)
+	} else {
+		<-g.done
+		g.cur, g.next = g.next, g.cur
+	}
+	g.pos = 0
+	go g.fill()
+}
+
 // Next implements cpu.TraceSource.
 func (g *Generator) Next() cpu.Instr {
-	ser := g.src.Below(g.serCut)
-	if !g.src.Below(g.memCut) {
-		return cpu.Instr{Serialize: ser}
+	for {
+		if g.rec >= 1<<countShift {
+			g.rec -= 1 << countShift
+			return cpu.Instr{}
+		}
+		r := g.rec
+		g.load()
+		if r&recStop != 0 {
+			return g.stop(r)
+		}
 	}
-	return g.memInstr(ser)
 }
 
-// NextRun implements cpu.TraceSource: it makes exactly Next's draws for
-// each instruction it consumes, and consumes none past the max-th plain
-// one, so a core interleaving NextRun and Next sees one stream.
+// NextRun implements cpu.TraceSource: it takes plain instructions from
+// the records and splits a record's run at max, so a core interleaving
+// NextRun and Next sees one stream.
 func (g *Generator) NextRun(max int) (plain int, stop cpu.Instr, ok bool) {
-	for plain < max {
-		ser := g.src.Below(g.serCut)
-		if g.src.Below(g.memCut) {
-			return plain, g.memInstr(ser), true
+	for {
+		n := int(g.rec >> countShift)
+		if n >= max-plain {
+			g.rec -= uint64(max-plain) << countShift
+			return max, cpu.Instr{}, false
+		}
+		plain += n
+		r := g.rec
+		g.load()
+		if r&recStop != 0 {
+			return plain, g.stop(r), true
+		}
+	}
+}
+
+// stop unpacks the instruction that ends record r.
+func (g *Generator) stop(r uint64) cpu.Instr {
+	if r&recMem == 0 {
+		return cpu.Instr{Serialize: true}
+	}
+	return cpu.Instr{Mem: true, Write: r&recWrite != 0, Serialize: r&recSer != 0, Addr: g.base + r&offMask}
+}
+
+// record draws the next run record from c: plain instructions up to
+// limit of them, then the memory or serializing instruction that ends
+// the run if it comes first. Per instruction it makes exactly the draws
+// of the per-instruction recipe: Below(serCut), Below(memCut), then for
+// a memory instruction the stream-or-random offset and the store coin.
+func (g *Generator) record(c *cursor, limit uint64) uint64 {
+	var n uint64
+	for ; n < limit; n++ {
+		ser := c.src.Below(g.serCut)
+		if c.src.Below(g.memCut) {
+			return n<<countShift | g.memRecord(c, ser)
 		}
 		if ser {
-			return plain, cpu.Instr{Serialize: true}, true
+			return n<<countShift | recSer
 		}
-		plain++
 	}
-	return plain, cpu.Instr{}, false
+	return n << countShift
 }
 
-// memInstr draws the tail of a memory instruction: stream or random
-// offset, then the store coin.
-func (g *Generator) memInstr(ser bool) cpu.Instr {
+// memRecord draws the tail of a memory instruction and packs it as a
+// record's stop.
+func (g *Generator) memRecord(c *cursor, ser bool) uint64 {
 	var off uint64
-	if g.src.Below(g.streamCut) {
-		i := g.src.Intn(len(g.streams))
-		g.streams[i] = (g.streams[i] + 8) % g.prof.Footprint
-		off = g.streams[i]
+	if c.src.Below(g.streamCut) {
+		i := c.src.Intn(len(c.streams))
+		c.streams[i] = (c.streams[i] + 8) % g.prof.Footprint
+		off = c.streams[i]
 	} else {
-		off = g.src.Uint64() % g.prof.Footprint
+		off = c.src.Uint64() % g.prof.Footprint
 	}
-	return cpu.Instr{
-		Mem:       true,
-		Write:     g.src.Below(g.writeCut),
-		Serialize: ser,
-		Addr:      g.base + off&^7,
+	r := off&^7 | recMem
+	if c.src.Below(g.writeCut) {
+		r |= recWrite
 	}
+	if ser {
+		r |= recSer
+	}
+	return r
 }
 
 // StallHeavy returns the synthetic profile behind TestStallHeavyAllocFree

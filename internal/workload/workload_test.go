@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -143,14 +144,34 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	}
 }
 
+// BenchmarkGeneratorNextRun shows the trace's cost on each side of the
+// batch handoff. consumer is the core's side alone, per NextRun(8) call:
+// it reads one filled batch over and over from its start instead of
+// turning to the next. producer is the fill's side, per run record
+// drawn. BenchmarkGeneratorNext pays for both, handoffs included.
 func BenchmarkGeneratorNextRun(b *testing.B) {
 	for _, p := range []Profile{ComputeHeavy(), Profiles["mcf_r"]} {
-		b.Run(p.Name, func(b *testing.B) {
+		b.Run("consumer/"+p.Name, func(b *testing.B) {
 			g := NewGenerator(p, 0, 1<<30, 1)
+			g.NextRun(8) // fills the first batch
 			b.ReportAllocs()
 			var sink cpu.Instr
 			for i := 0; i < b.N; i++ {
+				if g.pos == batchRecs {
+					g.pos, g.rec = 1, g.cur.recs[0]
+				}
 				_, sink, _ = g.NextRun(8)
+			}
+			_ = sink
+		})
+		b.Run("producer/"+p.Name, func(b *testing.B) {
+			// A generator not yet read has no fill in flight.
+			g := NewGenerator(p, 0, 1<<30, 1)
+			c := &cursor{src: g.ahead.src, streams: slices.Clone(g.ahead.streams)}
+			b.ReportAllocs()
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink += g.record(c, maxCount)
 			}
 			_ = sink
 		})
