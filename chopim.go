@@ -43,9 +43,6 @@ type Config = sim.Config
 // Geometry describes the memory organization.
 type Geometry = dram.Geometry
 
-// Timing holds the DDR4 timing parameters.
-type Timing = dram.Timing
-
 // Handle tracks completion of launched NDA operations.
 type Handle = ndart.Handle
 
@@ -81,6 +78,3 @@ func DefaultConfig(mix int) Config { return sim.Default(mix) }
 
 // DefaultGeometry returns the 2-channel x 2-rank DDR4 baseline.
 func DefaultGeometry() Geometry { return dram.DefaultGeometry() }
-
-// DDR42400 returns the Table II timing parameters.
-func DDR42400() Timing { return dram.DDR42400() }

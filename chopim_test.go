@@ -61,14 +61,18 @@ func TestConfigKnobs(t *testing.T) {
 	}
 }
 
-// TestGeometryPresets sanity-checks the exported constructors.
+// TestGeometryPresets sanity-checks the exported constructors and the
+// Table II timing every system is built with.
 func TestGeometryPresets(t *testing.T) {
 	g := chopim.DefaultGeometry()
 	if g.Channels != 2 || g.Ranks != 2 {
 		t.Errorf("baseline geometry = %+v", g)
 	}
-	tm := chopim.DDR42400()
-	if tm.CL != 16 || tm.FAW != 26 {
+	sys, err := chopim.NewSystem(chopim.DefaultConfig(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm := sys.Mem.T; tm.CL != 16 || tm.FAW != 26 {
 		t.Errorf("Table II timing = %+v", tm)
 	}
 }

@@ -7,8 +7,8 @@ import "fmt"
 // normal access processing, so scratch allocation is fine.
 
 // Validate rejects hierarchy configurations the construction path
-// cannot run with. User-reachable (sweep points may carry cache
-// geometry), so errors, not panics.
+// cannot run with. Only tests call it: sim.New builds the Table II
+// hierarchy for its core count.
 func (cfg HierarchyConfig) Validate() error {
 	if cfg.Cores <= 0 {
 		return fmt.Errorf("cache: hierarchy needs at least one core (Cores=%d)", cfg.Cores)

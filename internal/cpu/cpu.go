@@ -37,15 +37,12 @@ type TraceSource interface {
 	NextRun(max int) (plain int, stop Instr, ok bool)
 }
 
-// Config sizes one core.
-type Config struct {
-	Width   int // issue and retire width
-	ROBSize int
-	LSQSize int
-}
-
-// DefaultConfig returns the paper's core parameters.
-func DefaultConfig() Config { return Config{Width: 8, ROBSize: 224, LSQSize: 64} }
+// Table II core parameters.
+const (
+	width   = 8   // issue and retire width
+	robSize = 224 // reorder buffer entries
+	lsqSize = 64  // load/store queue entries
+)
 
 // robEntry tracks in-flight instructions: one memory instruction, or a
 // run of Count non-memory ones issued in the same cycle, which share a
@@ -61,7 +58,6 @@ type robEntry struct {
 // Core is one out-of-order core.
 type Core struct {
 	ID    int
-	cfg   Config
 	trace TraceSource
 	hier  *cache.Hierarchy
 
@@ -97,10 +93,10 @@ type Core struct {
 // issuing a memory instruction allocates nothing; a slot cannot be
 // reused while its access is outstanding (a pending entry blocks retire).
 // A slot is an entry index, and there are never more entries than
-// instructions, so ROBSize slots always suffice.
-func NewCore(id int, cfg Config, trace TraceSource, hier *cache.Hierarchy) *Core {
-	c := &Core{ID: id, cfg: cfg, trace: trace, hier: hier, rob: make([]robEntry, cfg.ROBSize)}
-	c.doneFns = make([]func(int64), cfg.ROBSize)
+// instructions, so robSize slots always suffice.
+func NewCore(id int, trace TraceSource, hier *cache.Hierarchy) *Core {
+	c := &Core{ID: id, trace: trace, hier: hier, rob: make([]robEntry, robSize)}
+	c.doneFns = make([]func(int64), robSize)
 	for i := range c.doneFns {
 		e := &c.rob[i]
 		c.doneFns[i] = func(cpuDone int64) {
@@ -124,9 +120,6 @@ func (c *Core) IPC() float64 {
 	}
 	return float64(c.Retired) / float64(c.Cycles)
 }
-
-// ResetStats clears retirement counters (end of warm-up).
-func (c *Core) ResetStats() { c.Retired, c.Cycles = 0, 0 }
 
 // NextEvent returns the earliest CPU cycle >= now at which the core can
 // change state, assuming no external state changes (no completion
@@ -188,10 +181,10 @@ func (c *Core) Tick(now int64) {
 	}
 }
 
-// retire retires up to Width instructions from the ROB head, splitting
+// retire retires up to width instructions from the ROB head, splitting
 // a plain run when the budget ends inside it.
 func (c *Core) retire(now int64) {
-	for budget := c.cfg.Width; budget > 0 && c.ents > 0; {
+	for budget := width; budget > 0 && c.ents > 0; {
 		e := &c.rob[c.head]
 		if e.Pending || e.DoneAt > now {
 			return
@@ -220,16 +213,16 @@ func (c *Core) retire(now int64) {
 	}
 }
 
-// issue places up to Width instructions into the ROB and returns how
+// issue places up to width instructions into the ROB and returns how
 // many it placed. Plain instructions come from the trace a run at a
 // time and enter the ROB as one entry per stretch between memory
 // instructions.
 func (c *Core) issue(now int64) int {
 	issued, run := 0, 0 // run: plain instructions issued since the last entry
-	for issued < c.cfg.Width && c.n < len(c.rob) {
+	for issued < width && c.n < len(c.rob) {
 		in := c.stalled
 		if !c.hasStall {
-			plain, stop, ok := c.trace.NextRun(min(c.cfg.Width-issued, len(c.rob)-c.n))
+			plain, stop, ok := c.trace.NextRun(min(width-issued, len(c.rob)-c.n))
 			run += plain
 			issued += plain
 			c.n += plain
@@ -285,7 +278,7 @@ func (c *Core) pushRun(k int, now int64) {
 // tryIssue places one memory instruction into the ROB. It returns false
 // if a structural hazard requires a retry.
 func (c *Core) tryIssue(in Instr, now int64) bool {
-	if c.loads+c.stores >= c.cfg.LSQSize {
+	if c.loads+c.stores >= lsqSize {
 		return false
 	}
 	slot := c.slot(c.ents)

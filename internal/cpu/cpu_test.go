@@ -57,7 +57,7 @@ func (fixedClock) CPUOfDRAM(d int64) int64 { return d }
 func newCoreWith(trace TraceSource) (*Core, *fakeBackend) {
 	b := &fakeBackend{}
 	h := cache.NewHierarchy(cache.DefaultHierarchyConfig(1), b, fixedClock{})
-	return NewCore(0, DefaultConfig(), trace, h), b
+	return NewCore(0, trace, h), b
 }
 
 func TestComputeIPCBounded(t *testing.T) {
@@ -66,8 +66,8 @@ func TestComputeIPCBounded(t *testing.T) {
 		c.Tick(cyc)
 	}
 	ipc := c.IPC()
-	if ipc < 1 || ipc > float64(DefaultConfig().Width) {
-		t.Errorf("compute-only IPC = %.2f, want within [1, %d]", ipc, DefaultConfig().Width)
+	if ipc < 1 || ipc > float64(width) {
+		t.Errorf("compute-only IPC = %.2f, want within [1, %d]", ipc, width)
 	}
 }
 
@@ -136,17 +136,6 @@ func TestMLPMultipleOutstandingLoads(t *testing.T) {
 	_ = c
 }
 
-func TestResetStats(t *testing.T) {
-	c, _ := newCoreWith(&scriptTrace{})
-	for cyc := int64(0); cyc < 100; cyc++ {
-		c.Tick(cyc)
-	}
-	c.ResetStats()
-	if c.Retired != 0 || c.Cycles != 0 {
-		t.Error("ResetStats did not clear counters")
-	}
-}
-
 func TestIPCZeroBeforeRun(t *testing.T) {
 	c, _ := newCoreWith(&scriptTrace{})
 	if c.IPC() != 0 {
@@ -192,7 +181,7 @@ func TestNextEventNeverOvershoots(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := &fakeBackend{}
 	h := cache.NewHierarchy(cache.DefaultHierarchyConfig(1), b, fixedClock{})
-	c := NewCore(0, DefaultConfig(), &randTrace{rng: rand.New(rand.NewSource(11))}, h)
+	c := NewCore(0, &randTrace{rng: rand.New(rand.NewSource(11))}, h)
 
 	pending := 0 // outstanding dones not yet fired
 	for cyc := int64(0); cyc < 200_000; cyc++ {

@@ -16,7 +16,6 @@ import (
 // instruction. It is the oracle RunLockstep holds Core to.
 type refCore struct {
 	id    int
-	cfg   Config
 	trace TraceSource
 	hier  *cache.Hierarchy
 
@@ -42,9 +41,9 @@ type refEntry struct {
 	isLoad, isStore bool
 }
 
-func newRefCore(id int, cfg Config, trace TraceSource, hier *cache.Hierarchy) *refCore {
-	c := &refCore{id: id, cfg: cfg, trace: trace, hier: hier, rob: make([]refEntry, cfg.ROBSize)}
-	c.doneFns = make([]func(int64), cfg.ROBSize)
+func newRefCore(id int, trace TraceSource, hier *cache.Hierarchy) *refCore {
+	c := &refCore{id: id, trace: trace, hier: hier, rob: make([]refEntry, robSize)}
+	c.doneFns = make([]func(int64), robSize)
 	for i := range c.doneFns {
 		e := &c.rob[i]
 		c.doneFns[i] = func(cpuDone int64) {
@@ -76,7 +75,7 @@ func (c *refCore) tick(now int64) {
 }
 
 func (c *refCore) retire(now int64) {
-	for retired := 0; retired < c.cfg.Width && c.n > 0; retired++ {
+	for retired := 0; retired < width && c.n > 0; retired++ {
 		e := &c.rob[c.head]
 		if e.pending || e.doneAt > now {
 			return
@@ -98,7 +97,7 @@ func (c *refCore) retire(now int64) {
 
 func (c *refCore) issue(now int64) int {
 	issued := 0
-	for ; issued < c.cfg.Width && c.n < len(c.rob); issued++ {
+	for ; issued < width && c.n < len(c.rob); issued++ {
 		var in Instr
 		if c.hasStall {
 			in = c.stalled
@@ -133,7 +132,7 @@ func (c *refCore) tryIssue(in Instr, now int64) bool {
 		c.n++
 		return true
 	}
-	if c.loads+c.stores >= c.cfg.LSQSize {
+	if c.loads+c.stores >= lsqSize {
 		return false
 	}
 	res, lat := c.hier.Access(c.id, in.Addr, in.Write, slot, c.doneFns[slot])
@@ -238,8 +237,8 @@ func RunLockstep(t *testing.T, mk func() TraceSource, cycles int64, seed int64) 
 		bs[i] = &lockBackend{}
 		hs[i] = cache.NewHierarchy(lockHierarchy(), bs[i], fixedClock{})
 	}
-	c := NewCore(0, DefaultConfig(), mk(), hs[0])
-	r := newRefCore(0, DefaultConfig(), mk(), hs[1])
+	c := NewCore(0, mk(), hs[0])
+	r := newRefCore(0, mk(), hs[1])
 	fired, seen := 0, 0
 	for cyc := int64(0); cyc < cycles; cyc++ {
 		full := rng.Float64() < 0.3

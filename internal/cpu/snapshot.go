@@ -6,7 +6,7 @@ package cpu
 // closures the constructor rebuilds, so slot identity is the durable
 // name of an in-flight load (restored MSHR waiters reattach through
 // DoneFn). Rob holds only the live entries, in order from Head: entry i
-// sits in slot Head+i (mod ROBSize) on both sides, and free slots hold
+// sits in slot Head+i (mod robSize) on both sides, and free slots hold
 // nothing a later cycle reads.
 type CoreState struct {
 	Rob      []robEntry
@@ -40,9 +40,8 @@ func (c *Core) Snapshot() *CoreState {
 	}
 }
 
-// Restore overwrites the core's mutable state with the snapshot. The
-// core must have been built with the same Config. Entries are copied in
-// place: the per-slot completion closures capture &c.rob[i], so the
+// Restore overwrites the core's mutable state with the snapshot.
+// Entries are copied in place: the per-slot completion closures capture &c.rob[i], so the
 // backing array must not be replaced.
 func (c *Core) Restore(st *CoreState) {
 	if len(st.Rob) > len(c.rob) || st.Head < 0 || st.Head >= len(c.rob) {

@@ -76,7 +76,7 @@ func TestRestoreMidRun(t *testing.T) {
 	b2 := &fakeBackend{}
 	h2 := cache.NewHierarchy(cache.DefaultHierarchyConfig(1), b2, fixedClock{})
 	tr2 := *tr
-	c2 := NewCore(0, DefaultConfig(), &tr2, h2)
+	c2 := NewCore(0, &tr2, h2)
 	h2.Restore(c.hier.Snapshot(), func(_, slot int) func(int64) { return c2.DoneFn(slot) })
 	c2.Restore(&st)
 	for end := cyc + 5_000; cyc < end; {

@@ -65,8 +65,8 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 	mapper := addrmap.NewSkylakeLike(g)
 	memA := dram.New(g, tm)
 	memB := dram.New(g, tm)
-	ctlA := NewController(DefaultConfig(), memA, mapper, 0)
-	ctlB := NewController(DefaultConfig(), memB, mapper, 0)
+	ctlA := NewController(memA, mapper, 0)
+	ctlB := NewController(memB, mapper, 0)
 	ctlB.SetReferenceScheduler(true)
 
 	rng := rand.New(rand.NewSource(0xCA1 + int64(len(tc.name))))
@@ -301,7 +301,7 @@ func TestCalendarRowStampRebucket(t *testing.T) {
 	g := dram.DefaultGeometry()
 	mapper := addrmap.NewSkylakeLike(g)
 	mem := dram.New(g, dram.DDR42400())
-	c := NewController(DefaultConfig(), mem, mapper, 0)
+	c := NewController(mem, mapper, 0)
 
 	// A host read to a closed bank: the bank files under its ACT
 	// horizon (pass-2 candidate).
@@ -354,7 +354,7 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 
 	t.Run("column-lazy", func(t *testing.T) {
 		mem := dram.New(g, dram.DDR42400())
-		c := NewController(DefaultConfig(), mem, mapper, 0)
+		c := NewController(mem, mapper, 0)
 		// Open a row internally and enqueue a host hit against it: the
 		// bank's pass-1 candidate is fenced by tRCD, so the first
 		// horizon derivation keys the bank at ACT+tRCD.
@@ -402,7 +402,7 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 
 	t.Run("row-change-per-bank", func(t *testing.T) {
 		mem := dram.New(g, dram.DDR42400())
-		c := NewController(DefaultConfig(), mem, mapper, 0)
+		c := NewController(mem, mapper, 0)
 		tm := mem.T
 		// Banks A and B (rank 0, different bank groups) are opened and
 		// closed by an NDA, so their next ACT waits out tRC; bank C (a

@@ -28,7 +28,7 @@ func ctrlState(c *Controller, mem *dram.Mem) string {
 // from identical random request streams on identical device models, and
 // asserts identical issue traces: every counter, queue occupancy, the
 // per-cycle issued rank, every read's completion cycle, and the NDA
-// coordination hooks (HasDemandFor / HasAnyDemandFor) over all banks,
+// coordination hook HasDemandFor over all banks,
 // cycle by cycle.
 func TestBucketedSchedulerMatchesReference(t *testing.T) {
 	// The device model has no refresh; the subtest name records that the
@@ -38,8 +38,8 @@ func TestBucketedSchedulerMatchesReference(t *testing.T) {
 		mapper := addrmap.NewSkylakeLike(g)
 		memA := dram.New(g, dram.DDR42400())
 		memB := dram.New(g, dram.DDR42400())
-		ctlA := NewController(DefaultConfig(), memA, mapper, 0)
-		ctlB := NewController(DefaultConfig(), memB, mapper, 0)
+		ctlA := NewController(memA, mapper, 0)
+		ctlB := NewController(memB, mapper, 0)
 		ctlB.SetReferenceScheduler(true)
 
 		var doneA, doneB []int64
@@ -87,9 +87,6 @@ func TestBucketedSchedulerMatchesReference(t *testing.T) {
 				t.Fatalf("cycle %d: completion counts diverged: %d vs %d", cyc, len(doneA), len(doneB))
 			}
 			for r := 0; r < g.Ranks; r++ {
-				if ctlA.HasAnyDemandFor(r) != ctlB.HasAnyDemandFor(r) {
-					t.Fatalf("cycle %d: HasAnyDemandFor(%d) diverged", cyc, r)
-				}
 				for b := 0; b < g.BanksPerRank(); b++ {
 					if ctlA.HasDemandFor(r, b) != ctlB.HasDemandFor(r, b) {
 						t.Fatalf("cycle %d: HasDemandFor(%d,%d) diverged", cyc, r, b)
@@ -119,7 +116,7 @@ func TestNextEventHorizonSound(t *testing.T) {
 	g := dram.DefaultGeometry()
 	mapper := addrmap.NewSkylakeLike(g)
 	mem := dram.New(g, dram.DDR42400())
-	c := NewController(DefaultConfig(), mem, mapper, 0)
+	c := NewController(mem, mapper, 0)
 	rng := rand.New(rand.NewSource(5))
 
 	pending := 0

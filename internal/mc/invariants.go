@@ -11,21 +11,6 @@ import (
 // commit barriers when armed and never during normal scheduling, so it
 // may allocate scratch freely.
 
-// Validate rejects controller configurations the scheduler cannot run
-// with. User-reachable (sweep points carry an mc.Config), so errors,
-// not panics.
-func (cfg Config) Validate() error {
-	if cfg.ReadQueue <= 0 || cfg.WriteQueue <= 0 {
-		return fmt.Errorf("mc: queue sizes must be positive (ReadQueue=%d WriteQueue=%d)",
-			cfg.ReadQueue, cfg.WriteQueue)
-	}
-	if cfg.DrainLow < 0 || cfg.DrainHigh <= cfg.DrainLow || cfg.DrainHigh > cfg.WriteQueue {
-		return fmt.Errorf("mc: drain watermarks must satisfy 0 <= DrainLow < DrainHigh <= WriteQueue (DrainLow=%d DrainHigh=%d WriteQueue=%d)",
-			cfg.DrainLow, cfg.DrainHigh, cfg.WriteQueue)
-	}
-	return nil
-}
-
 // OverflowLen returns the write-overflow buffer's occupancy (writebacks
 // accepted beyond the write queue, not yet drained into it).
 func (c *Controller) OverflowLen() int { return c.overflow.Len() }
@@ -37,10 +22,10 @@ func (c *Controller) OverflowLen() int { return c.overflow.Len() }
 // cycle the controller was ticked or queried at. Returns the first
 // violation found, nil when consistent.
 func (c *Controller) CheckInvariants(now int64) error {
-	if err := c.checkQueue(&c.rq, "rq", c.cfg.ReadQueue, dram.CmdRD); err != nil {
+	if err := c.checkQueue(&c.rq, "rq", readQueueSize, dram.CmdRD); err != nil {
 		return err
 	}
-	if err := c.checkQueue(&c.wq, "wq", c.cfg.WriteQueue, dram.CmdWR); err != nil {
+	if err := c.checkQueue(&c.wq, "wq", writeQueueSize, dram.CmdWR); err != nil {
 		return err
 	}
 	return c.checkMemo(now)
@@ -76,9 +61,8 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 	}
 
 	// Arrival list: length, link symmetry, FR-FCFS age order, and the
-	// per-rank / per-bank tallies every O(1) hook reads.
+	// per-bank tallies the O(1) demand hook reads.
 	perBank := make(map[int32]int)
-	perRank := make(map[int32]int)
 	count := 0
 	lastSeq := int64(-1)
 	var prev *Request
@@ -95,7 +79,6 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 			return fmt.Errorf("%s request seq %d: bankKey %d != decoded %d", name, r.seq, r.bankKey, wantKey)
 		}
 		perBank[r.bankKey]++
-		perRank[r.bankKey>>q.shift]++
 		prev = r
 		count++
 		if count > q.n+1 {
@@ -107,11 +90,6 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 	}
 	if q.tail != prev {
 		return fmt.Errorf("%s arrival list tail does not match last element", name)
-	}
-	for g, n := range q.rankN {
-		if n != perRank[int32(g)] {
-			return fmt.Errorf("%s rankN[%d]=%d but arrival list holds %d for the rank", name, g, n, perRank[int32(g)])
-		}
 	}
 
 	// Occupied set: occ/occPos bijection, dense sched, bucket lists

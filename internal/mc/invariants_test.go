@@ -127,7 +127,7 @@ func TestCheckInvariantsDetectsUnsoundKey(t *testing.T) {
 // soundness check catches it.
 func TestCheckInvariantsDetectsUnsoundMemo(t *testing.T) {
 	mem := dram.New(dram.DefaultGeometry(), dram.DDR42400())
-	c := NewController(DefaultConfig(), mem, nil, 0)
+	c := NewController(mem, nil, 0)
 	a := dram.Addr{Row: 100}
 	mem.Issue(dram.CmdACT, a, 0, true)
 	c.EnqueueReadDecoded(1<<20, a, 0, nil)
@@ -145,24 +145,5 @@ func TestCheckInvariantsDetectsUnsoundMemo(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "wake memo") {
 		t.Errorf("error %q does not identify the memo violation", err)
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	bad := []func(*Config){
-		func(c *Config) { c.ReadQueue = 0 },
-		func(c *Config) { c.WriteQueue = -1 },
-		func(c *Config) { c.DrainLow = c.DrainHigh },
-		func(c *Config) { c.DrainHigh = c.WriteQueue + 1 },
-	}
-	for i, mut := range bad {
-		cfg := DefaultConfig()
-		mut(&cfg)
-		if cfg.Validate() == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
 	}
 }

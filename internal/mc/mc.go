@@ -56,23 +56,17 @@ type Request struct {
 	bnext, bprev *Request // (rank, bank) bucket list
 }
 
-// Config tunes one channel controller.
-type Config struct {
-	ReadQueue  int
-	WriteQueue int
-	// Write drain watermarks (occupancy counts on the write queue).
-	DrainHigh int
-	DrainLow  int
-}
-
-// DefaultConfig returns the paper's controller parameters.
-func DefaultConfig() Config {
-	return Config{ReadQueue: 32, WriteQueue: 32, DrainHigh: 24, DrainLow: 8}
-}
+// Table II controller parameters: 32-entry read and write queues, and
+// the write-queue occupancies at which a write drain starts and stops.
+const (
+	readQueueSize  = 32
+	writeQueueSize = 32
+	drainHigh      = 24
+	drainLow       = 8
+)
 
 // Controller schedules one channel.
 type Controller struct {
-	cfg     Config
 	mem     *dram.Mem
 	mapper  addrmap.Mapper
 	channel int
@@ -139,9 +133,9 @@ type Controller struct {
 }
 
 // NewController builds a controller for the given channel.
-func NewController(cfg Config, mem *dram.Mem, mapper addrmap.Mapper, channel int) *Controller {
+func NewController(mem *dram.Mem, mapper addrmap.Mapper, channel int) *Controller {
 	c := &Controller{
-		cfg: cfg, mem: mem, mapper: mapper, channel: channel,
+		mem: mem, mapper: mapper, channel: channel,
 		bpr:        mem.Geom.BanksPerRank(),
 		issuedRank: -1,
 		seen:       make([]int64, mem.Geom.Ranks*mem.Geom.BanksPerRank()),
@@ -152,7 +146,7 @@ func NewController(cfg Config, mem *dram.Mem, mapper addrmap.Mapper, channel int
 	}
 	c.rq.init(mem.Geom.Ranks, c.bpr)
 	c.wq.init(mem.Geom.Ranks, c.bpr)
-	for i := 0; i < cfg.ReadQueue+cfg.WriteQueue; i++ {
+	for i := 0; i < readQueueSize+writeQueueSize; i++ {
 		c.free = &Request{qnext: c.free}
 	}
 	// The overflow buffer is unbounded by design, but its ring is
@@ -160,7 +154,7 @@ func NewController(cfg Config, mem *dram.Mem, mapper addrmap.Mapper, channel int
 	// hosts produce dirty-eviction bursts of several hundred writebacks,
 	// and a mid-run ring doubling is the kind of late allocation the
 	// zero-allocs steady-state gate exists to catch.
-	c.overflow.Reserve(32 * cfg.WriteQueue)
+	c.overflow.Reserve(32 * writeQueueSize)
 	return c
 }
 
@@ -258,7 +252,7 @@ func (c *Controller) EnqueueRead(addr uint64, now int64, done func(int64)) bool 
 
 // ReadFull reports whether the read queue is full, so EnqueueRead
 // would return false.
-func (c *Controller) ReadFull() bool { return c.rq.n >= c.cfg.ReadQueue }
+func (c *Controller) ReadFull() bool { return c.rq.n >= readQueueSize }
 
 // EnqueueReadDecoded is EnqueueRead for callers that already decoded the
 // address (the router decodes to route; re-decoding per request is
@@ -302,7 +296,7 @@ func (c *Controller) EnqueueControlTagged(daddr dram.Addr, now int64, tag uint64
 // pushWrite routes a write into the write queue or the overflow buffer.
 func (c *Controller) pushWrite(r *Request) {
 	c.ver++
-	if c.wq.n >= c.cfg.WriteQueue {
+	if c.wq.n >= writeQueueSize {
 		c.overflow.Push(r)
 		return
 	}
@@ -337,12 +331,6 @@ func (c *Controller) HasDemandFor(rank, flatBank int) bool {
 	return c.rq.banks[key].n > 0 || c.wq.banks[key].n > 0
 }
 
-// HasAnyDemandFor reports whether any queued request targets the rank.
-// Two counter reads.
-func (c *Controller) HasAnyDemandFor(rank int) bool {
-	return c.rq.rankN[rank] > 0 || c.wq.rankN[rank] > 0
-}
-
 // NextEvent returns the earliest DRAM cycle >= now at which the
 // controller can change observable state, or an earlier cycle. With all
 // queues empty nothing can wake it but an enqueue, so it reports Never.
@@ -374,10 +362,10 @@ func (c *Controller) NextEvent(now int64) int64 {
 		// clears issuedRank and leaves a fused memo behind).
 		return now
 	}
-	if c.overflow.Len() > 0 && c.wq.n < c.cfg.WriteQueue {
+	if c.overflow.Len() > 0 && c.wq.n < writeQueueSize {
 		return now // next Tick refills the write queue
 	}
-	if (!c.drain && c.wq.n >= c.cfg.DrainHigh) || (c.drain && c.wq.n <= c.cfg.DrainLow) {
+	if (!c.drain && c.wq.n >= drainHigh) || (c.drain && c.wq.n <= drainLow) {
 		return now // next Tick flips drain hysteresis (Drains counter)
 	}
 	// The memo is served while no enqueue or dequeue (ver) and no row
@@ -430,7 +418,7 @@ func (c *Controller) Tick(now int64) {
 	c.issuedIsCol = false
 
 	// Refill the write queue from the overflow buffer.
-	for c.overflow.Len() > 0 && c.wq.n < c.cfg.WriteQueue {
+	for c.overflow.Len() > 0 && c.wq.n < writeQueueSize {
 		r := c.overflow.Pop()
 		r.seq = c.seqGen
 		c.seqGen++
@@ -439,11 +427,11 @@ func (c *Controller) Tick(now int64) {
 	}
 
 	// Write-drain mode hysteresis.
-	if !c.drain && c.wq.n >= c.cfg.DrainHigh {
+	if !c.drain && c.wq.n >= drainHigh {
 		c.drain = true
 		c.Drains++
 	}
-	if c.drain && c.wq.n <= c.cfg.DrainLow {
+	if c.drain && c.wq.n <= drainLow {
 		c.drain = false
 	}
 

@@ -11,7 +11,7 @@ func testController() (*Controller, *dram.Mem, addrmap.Mapper) {
 	g := dram.DefaultGeometry()
 	mem := dram.New(g, dram.DDR42400())
 	m := addrmap.NewSkylakeLike(g)
-	return NewController(DefaultConfig(), mem, m, 0), mem, m
+	return NewController(mem, m, 0), mem, m
 }
 
 // addrOnChannel0 finds a block address decoding to channel 0.
@@ -49,7 +49,7 @@ func TestReadCompletesWithDRAMLatency(t *testing.T) {
 func TestReadQueueCapacity(t *testing.T) {
 	c, _, m := testController()
 	a := addrOnChannel0(m, 0)
-	for i := 0; i < DefaultConfig().ReadQueue; i++ {
+	for i := 0; i < readQueueSize; i++ {
 		if !c.EnqueueRead(addrOnChannel0(m, a+uint64(i)*4096*64), 0, nil) {
 			t.Fatalf("queue refused entry %d", i)
 		}
@@ -62,13 +62,13 @@ func TestReadQueueCapacity(t *testing.T) {
 func TestWriteOverflowNeverRefused(t *testing.T) {
 	c, _, m := testController()
 	a := addrOnChannel0(m, 0)
-	for i := 0; i < 3*DefaultConfig().WriteQueue; i++ {
+	for i := 0; i < 3*writeQueueSize; i++ {
 		if !c.EnqueueWrite(addrOnChannel0(m, a+uint64(i)*64*128), 0) {
 			t.Fatalf("writeback %d refused", i)
 		}
 	}
 	r, w := c.QueueOccupancy()
-	if r != 0 || w != 3*DefaultConfig().WriteQueue {
+	if r != 0 || w != 3*writeQueueSize {
 		t.Errorf("occupancy = %d/%d", r, w)
 	}
 }
@@ -76,7 +76,7 @@ func TestWriteOverflowNeverRefused(t *testing.T) {
 func TestWriteDrainServesWrites(t *testing.T) {
 	c, mem, m := testController()
 	a := addrOnChannel0(m, 0)
-	for i := 0; i < DefaultConfig().DrainHigh+2; i++ {
+	for i := 0; i < drainHigh+2; i++ {
 		c.EnqueueWrite(addrOnChannel0(m, a+uint64(i)*64*97), 0)
 	}
 	for cyc := int64(0); cyc < 3000; cyc++ {
@@ -185,9 +185,6 @@ func TestHasDemandFor(t *testing.T) {
 	}
 	if c.HasDemandFor(d.Rank, (d.GlobalBank(mem.Geom)+1)%mem.Geom.BanksPerRank()) {
 		t.Error("phantom demand on other bank")
-	}
-	if !c.HasAnyDemandFor(d.Rank) {
-		t.Error("HasAnyDemandFor missed the rank")
 	}
 }
 

@@ -31,7 +31,7 @@ func TestNextEventMemo(t *testing.T) {
 	setup := func(t *testing.T) (c *Controller, mem *dram.Mem, rdReady, c1, pushed int64) {
 		t.Helper()
 		mem = dram.New(g, dram.DDR42400())
-		c = NewController(DefaultConfig(), mem, nil, 0)
+		c = NewController(mem, nil, 0)
 		mem.Issue(dram.CmdACT, other, 0, true)
 		mem.Issue(dram.CmdACT, far, 0, true)
 		actHit := int64(mem.T.RRDL)

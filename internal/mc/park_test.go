@@ -32,8 +32,8 @@ type parkPair struct {
 func newParkPair(t *testing.T) *parkPair {
 	g := dram.DefaultGeometry()
 	p := &parkPair{t: t, memA: dram.New(g, dram.DDR42400()), memB: dram.New(g, dram.DDR42400())}
-	p.ctlA = NewController(DefaultConfig(), p.memA, nil, 0)
-	p.ctlB = NewController(DefaultConfig(), p.memB, nil, 0)
+	p.ctlA = NewController(p.memA, nil, 0)
+	p.ctlB = NewController(p.memB, nil, 0)
 	p.ctlB.SetReferenceScheduler(true)
 	return p
 }

@@ -9,11 +9,11 @@ import "chopim/internal/dram"
 //     slice-based scheduler scanned), and
 //   - a per-(rank, flat-bank) bucket list, also age-ordered.
 //
-// Together with per-rank and per-bank occupancy counters this makes the
-// per-cycle coordination hooks O(1) (HasDemandFor, HasAnyDemandFor,
-// OldestReadRank) and both FR-FCFS passes O(occupied banks): pass 1's
-// candidates are each bank's oldest row hit, pass 2's are the bucket
-// heads, and rowWanted scans one bucket instead of both whole queues.
+// Together with per-bank occupancy counters this makes the per-cycle
+// coordination hooks O(1) (HasDemandFor, OldestReadRank) and both
+// FR-FCFS passes O(occupied banks): pass 1's candidates are each bank's
+// oldest row hit, pass 2's are the bucket heads, and rowWanted scans
+// one bucket instead of both whole queues.
 //
 // Request nodes come from a per-controller free list, so the steady-state
 // tick loop allocates nothing; unlinking is O(1) from any position (a
@@ -33,7 +33,6 @@ type reqQueue struct {
 	shift      uint // log2(banks per rank): bankKey >> shift = rank
 
 	banks []bankList // indexed by Request.bankKey
-	rankN []int      // queued requests per rank
 
 	// headVer and demVer are the inputs of the NDA engine's per-rank
 	// revalidation counter (Controller.NDAVer). headVer
@@ -69,7 +68,6 @@ func (q *reqQueue) init(ranks, banksPerRank int) {
 	}
 	q.banks = make([]bankList, nb)
 	q.sched = make([]bankEntry, 0, nb)
-	q.rankN = make([]int, ranks)
 	q.demVer = make([]uint64, ranks)
 	q.occ = make([]int32, 0, nb)
 	q.occPos = make([]int32, nb)
@@ -90,7 +88,6 @@ func (q *reqQueue) push(r *Request) {
 	}
 	q.tail = r
 	q.n++
-	q.rankN[r.bankKey>>q.shift]++
 
 	bl := &q.banks[r.bankKey]
 	r.bnext, r.bprev = nil, bl.tail
@@ -130,7 +127,6 @@ func (q *reqQueue) remove(r *Request) {
 		q.tail = r.qprev
 	}
 	q.n--
-	q.rankN[r.bankKey>>q.shift]--
 
 	bl := &q.banks[r.bankKey]
 	if r.bprev != nil {

@@ -38,11 +38,13 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
+// WriteBufCap is the PE write buffer's capacity in blocks (Table II).
+const WriteBufCap = 128
+
 // Config tunes the NDA engine.
 type Config struct {
 	Policy         Policy
 	StochasticProb float64 // write-issue probability under Stochastic
-	WriteBufCap    int     // PE write buffer entries (blocks); Table II: 128
 	Seed           int64
 	// VerifyFSM additionally runs an independent host-side replica FSM
 	// from host-visible inputs only and asserts cycle-exact agreement
@@ -53,7 +55,7 @@ type Config struct {
 // DefaultConfig returns the paper's NDA parameters with the robust
 // next-rank predictor.
 func DefaultConfig() Config {
-	return Config{Policy: NextRank, StochasticProb: 0.25, WriteBufCap: 128, Seed: 42}
+	return Config{Policy: NextRank, StochasticProb: 0.25, Seed: 42}
 }
 
 // RankStats aggregates one rank-NDA's activity.
@@ -157,9 +159,6 @@ type Engine struct {
 
 // NewEngine builds the NDA engine over the memory and host controllers.
 func NewEngine(cfg Config, mem *dram.Mem, hosts []*mc.Controller) *Engine {
-	if cfg.WriteBufCap <= 0 {
-		cfg.WriteBufCap = 128
-	}
 	e := &Engine{cfg: cfg, mem: mem, hosts: hosts}
 	for ch := 0; ch < mem.Geom.Channels; ch++ {
 		var row []*RankNDA
@@ -305,7 +304,7 @@ func (n *RankNDA) nextEvent(now int64) int64 {
 	}
 	wantWrite := false
 	switch {
-	case f.wb.Len() >= n.cfg.WriteBufCap:
+	case f.wb.Len() >= WriteBufCap:
 		wantWrite = true
 	case f.draining && f.wb.Len() > 0:
 		wantWrite = true
@@ -324,7 +323,7 @@ func (n *RankNDA) nextEvent(now int64) int64 {
 		return n.accessEvent(dram.CmdWR, f.wb.Front().addr, now)
 	}
 	op := f.ops[0]
-	if op.Kind.WritesResult() && f.wb.Len() > n.cfg.WriteBufCap-BatchBlocks {
+	if op.Kind.WritesResult() && f.wb.Len() > WriteBufCap-BatchBlocks {
 		return now // backpressure flips draining on the next tick
 	}
 	a, ok := op.PeekRead()
@@ -415,7 +414,7 @@ func (n *RankNDA) stepFSM(f *rankFSM, now int64, hostIssuedRank int, apply bool)
 	}
 	wantWrite := false
 	switch {
-	case f.wb.Len() >= n.cfg.WriteBufCap:
+	case f.wb.Len() >= WriteBufCap:
 		f.draining = true
 		wantWrite = true
 	case f.draining && f.wb.Len() > 0:
@@ -467,7 +466,7 @@ func (n *RankNDA) tryWrite(f *rankFSM, now int64, apply bool) {
 func (n *RankNDA) tryRead(f *rankFSM, now int64, apply bool) {
 	op := f.ops[0]
 	// Backpressure: a full batch of results must fit in the buffer.
-	if op.Kind.WritesResult() && f.wb.Len() > n.cfg.WriteBufCap-BatchBlocks {
+	if op.Kind.WritesResult() && f.wb.Len() > WriteBufCap-BatchBlocks {
 		f.draining = true
 		return
 	}

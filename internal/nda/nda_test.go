@@ -14,7 +14,7 @@ func testSetup(cfg Config) (*Engine, *dram.Mem, []*mc.Controller) {
 	m := addrmap.NewSkylakeLike(g)
 	var mcs []*mc.Controller
 	for ch := 0; ch < g.Channels; ch++ {
-		mcs = append(mcs, mc.NewController(mc.DefaultConfig(), mem, m, ch))
+		mcs = append(mcs, mc.NewController(mem, m, ch))
 	}
 	return NewEngine(cfg, mem, mcs), mem, mcs
 }
@@ -126,25 +126,63 @@ func TestDotReadsRoundRobinBatches(t *testing.T) {
 	}
 }
 
+// TestWriteBufferBackpressure drives COPYs through the Table II write
+// buffer and watches the rank FSM between ticks. A COPY whose result
+// stream keeps pace with its reads adds results BatchBlocks at a time,
+// so the buffer fills to exactly WriteBufCap, drains through the
+// full-buffer branch, and never holds more; the backpressure branch in
+// tryRead (more than WriteBufCap-BatchBlocks results while reading)
+// never comes up. A COPY whose result stream ends mid-batch leaves the
+// buffer inside that band with reads still to run, and its next read
+// attempt must take the backpressure branch: start draining without
+// reading or writing.
 func TestWriteBufferBackpressure(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WriteBufCap = 32
-	e, _, mcs := testSetup(cfg)
-	done := false
-	e.Launch(0, 0, func() *Op {
-		return NewOp(OpCOPY,
-			[]Iter{SliceIter(seqAddrs(0, 0, 0, 512))},
-			SliceIter(seqAddrs(0, 0, 2000, 512)),
-			func(int64) { done = true })
-	})
-	tickAll(e, mcs, 0, 100000)
-	if !done {
-		t.Error("COPY with small write buffer never completed")
+	run := func(t *testing.T, reads, writes int) (peak, backpressured int) {
+		t.Helper()
+		e, mem, mcs := testSetup(DefaultConfig())
+		done := false
+		e.Launch(0, 0, func() *Op {
+			return NewOp(OpCOPY,
+				[]Iter{SliceIter(seqAddrs(0, 0, 0, reads))},
+				SliceIter(seqAddrs(0, 0, 4000, writes)),
+				func(int64) { done = true })
+		})
+		f := &e.Ranks[0][0].fsm
+		for c := int64(0); c < 400_000 && !done; c++ {
+			n := f.wb.Len()
+			banded := !f.draining && len(f.ops) > 0 && !f.ops[0].exhausted &&
+				n > WriteBufCap-BatchBlocks && n < WriteBufCap
+			tickAll(e, mcs, c, 1)
+			if banded && f.draining && f.wb.Len() == n {
+				backpressured++
+			}
+			peak = max(peak, f.wb.Len())
+		}
+		if !done {
+			t.Fatal("COPY never completed")
+		}
+		if got := mem.Counts(); got.NDARD != int64(reads) || got.NDAWR != int64(writes) {
+			t.Fatalf("NDA RD/WR = %d/%d, want %d/%d", got.NDARD, got.NDAWR, reads, writes)
+		}
+		return peak, backpressured
 	}
+	t.Run("full-buffer", func(t *testing.T) {
+		peak, bp := run(t, 2048, 2048)
+		if peak != WriteBufCap || bp != 0 {
+			t.Errorf("buffer peak %d with %d backpressure stops, want %d and 0", peak, bp, WriteBufCap)
+		}
+	})
+	t.Run("result-stream-ends-mid-batch", func(t *testing.T) {
+		const writes = WriteBufCap - BatchBlocks/2
+		peak, bp := run(t, 4*WriteBufCap, writes)
+		if peak != writes || bp != 1 {
+			t.Errorf("buffer peak %d with %d backpressure stops, want %d and 1", peak, bp, writes)
+		}
+	})
 }
 
 func TestNDAYieldsToHostRank(t *testing.T) {
-	e, mem, mcs := testSetup(Config{Policy: IssueIfIdle, WriteBufCap: 128, Seed: 1})
+	e, mem, mcs := testSetup(Config{Policy: IssueIfIdle, Seed: 1})
 	// Load host channel 0 with reads on half the cycles while NDA works
 	// on rank 0: NDA must still finish, but record host-yield stalls.
 	// Reads on every cycle would leave the NDA no idle bus cycle at all.
@@ -185,7 +223,7 @@ func TestNDAYieldsToHostRank(t *testing.T) {
 }
 
 func TestNextRankPredictionInhibitsWrites(t *testing.T) {
-	e, _, mcs := testSetup(Config{Policy: NextRank, WriteBufCap: 128, Seed: 1})
+	e, _, mcs := testSetup(Config{Policy: NextRank, Seed: 1})
 	// A standing host read to rank 0 never issued (we never tick the
 	// host MC) keeps the oldest-read predictor pointed at rank 0.
 	m := addrmap.NewSkylakeLike(dram.DefaultGeometry())
@@ -230,8 +268,8 @@ func TestNextRankPredictionInhibitsWrites(t *testing.T) {
 }
 
 func TestStochasticThrottlesWrites(t *testing.T) {
-	slow, _, mcsSlow := testSetup(Config{Policy: Stochastic, StochasticProb: 1.0 / 64, WriteBufCap: 128, Seed: 1})
-	fast, _, mcsFast := testSetup(Config{Policy: Stochastic, StochasticProb: 1.0, WriteBufCap: 128, Seed: 1})
+	slow, _, mcsSlow := testSetup(Config{Policy: Stochastic, StochasticProb: 1.0 / 64, Seed: 1})
+	fast, _, mcsFast := testSetup(Config{Policy: Stochastic, StochasticProb: 1.0, Seed: 1})
 	mk := func() *Op {
 		return NewOp(OpCOPY,
 			[]Iter{SliceIter(seqAddrs(0, 0, 0, 256))},
@@ -252,7 +290,7 @@ func TestStochasticThrottlesWrites(t *testing.T) {
 
 func TestReplicaVerificationAcrossPolicies(t *testing.T) {
 	for _, pol := range []Policy{IssueIfIdle, Stochastic, NextRank} {
-		cfg := Config{Policy: pol, StochasticProb: 0.25, WriteBufCap: 64, Seed: 3, VerifyFSM: true}
+		cfg := Config{Policy: pol, StochasticProb: 0.25, Seed: 3, VerifyFSM: true}
 		e, _, mcs := testSetup(cfg)
 		done := false
 		e.Launch(0, 0, func() *Op {

@@ -11,7 +11,7 @@ import (
 // FSM restored from a mid-run snapshot must continue the same decision
 // stream the live one goes on to make.
 func TestStochasticDecisionsPinnedAcrossRestore(t *testing.T) {
-	cfg := Config{Policy: Stochastic, StochasticProb: 0.25, WriteBufCap: 32, Seed: 11}
+	cfg := Config{Policy: Stochastic, StochasticProb: 0.25, Seed: 11}
 	mkOp := func() *Op {
 		op := NewOp(OpCOPY,
 			[]Iter{SliceIter(seqAddrs(0, 0, 0, 512))},

@@ -30,7 +30,7 @@ func newHarness(t *testing.T) *harness {
 	}
 	h := &harness{mem: mem}
 	for ch := 0; ch < g.Channels; ch++ {
-		h.mcs = append(h.mcs, mc.NewController(mc.DefaultConfig(), mem, mapper, ch))
+		h.mcs = append(h.mcs, mc.NewController(mem, mapper, ch))
 	}
 	h.eng = nda.NewEngine(nda.DefaultConfig(), mem, h.mcs)
 	h.rt = New(os, h.eng, h.mcs, func() int64 { return h.now })

@@ -199,19 +199,6 @@ type Color uint64
 // ColorOf returns the color of a system-row-aligned physical address.
 func (o *OS) ColorOf(pa uint64) Color { return Color(pa & o.colorMask) }
 
-// ColorPeriod returns the address stride at which colors repeat: two
-// shared allocations whose bases are congruent modulo the color period
-// (equal colors) interleave identically at every common offset.
-func (o *OS) ColorPeriod() uint64 {
-	var max uint
-	for _, b := range o.mapper.ColorBits() {
-		if b > max {
-			max = b
-		}
-	}
-	return 1 << (max + 1)
-}
-
 // AllocShared allocates n contiguous bytes from the shared region whose
 // base has the given color (page coloring, Section III-A). All
 // allocations of equal color interleave identically across

@@ -211,14 +211,3 @@ func TestSharedExhaustion(t *testing.T) {
 		t.Errorf("allocation after free failed: %v", err)
 	}
 }
-
-func TestColorPeriod(t *testing.T) {
-	o := newTestOS(t, false)
-	p := o.ColorPeriod()
-	if p == 0 || p&(p-1) != 0 {
-		t.Errorf("ColorPeriod = %d, want a power of two", p)
-	}
-	if p <= o.SystemRowBytes() {
-		t.Errorf("ColorPeriod %d not above system row %d", p, o.SystemRowBytes())
-	}
-}

@@ -23,12 +23,12 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		all string
 		n   int
 	}{
-		"host-only":                {"8b8968b2cd67480d67989aaaf0ec934d6e359399f997e3bd57818d5e084d9cf0", 701069},
-		"host-stall-heavy":         {"01cca48118193ddb6252beddf7398383ed77f922e774e3908422d65c39efd3f4", 602418},
-		"nda-only-nrm2":            {"97c1e7855fc911688479a8694922105e68d57b57979137156197440380714083", 9267},
-		"nda-only-copy-stochastic": {"132e956520eb872a2054f49fb056426238cf1fa7540039970ca0342239d9e36f", 13715},
-		"mixed-mix1-dot":           {"70c4ab662e23a6ee2bd8bbf1e5667550be584c14c401a5a7a7908833a9912af9", 621939},
-		"mixed-mix3-copy-shared":   {"61e8db615fa698a7c64765f13d1cba8f1f06e96c30305186c3ffe74c1bd1a4a6", 639529},
+		"host-only":                {"4a8bca5fd4bda57b86c2989e93eae334cc44d5b522f1acc31cbb27e1fe0dfaa1", 701069},
+		"host-stall-heavy":         {"69b83561b49e79ae8dc149fc7e5344e6418c3b30ac4d6a25a3d5f7cbc6de8982", 602418},
+		"nda-only-nrm2":            {"682ac399ea33a6f1224433f7cfebf6eea0603ee7f74a9cc6d65529d2e23bfae6", 9267},
+		"nda-only-copy-stochastic": {"23aa916f19fb008913646f0df4f920bc76d33add0eee4146de8fcb7da5040967", 13715},
+		"mixed-mix1-dot":           {"0fbde74a1825a5e11749b0f6784e7649700a12a9d0b228f7c4507af11e25d465", 621939},
+		"mixed-mix3-copy-shared":   {"080dbc878fe37cde15c193a30a3fd69846bddff7cf3aa36ac5f12271e6f5ed53", 639529},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

@@ -38,6 +38,9 @@ type ffWorkload struct {
 	name string
 	cfg  func() Config
 	app  func(s *System) (func() (*ndart.Handle, error), error)
+	// wbPeak makes drive sample every rank NDA's write buffer after
+	// each step and append the peak occupancy as a last entry.
+	wbPeak bool
 }
 
 func ffWorkloads() []ffWorkload {
@@ -183,6 +186,7 @@ func drive(t *testing.T, w ffWorkload, fast bool, segments int, segCycles int64)
 	}
 	relaunch()
 	var snaps []string
+	peak := 0
 	for seg := 0; seg < segments; seg++ {
 		end := s.Now() + segCycles
 		for s.Now() < end {
@@ -192,10 +196,31 @@ func drive(t *testing.T, w ffWorkload, fast bool, segments int, segCycles int64)
 				s.Tick()
 			}
 			relaunch()
+			if w.wbPeak {
+				peak = max(peak, writeBufPeak(t, s))
+			}
 		}
 		snaps = append(snaps, snapshot(s))
 	}
+	if w.wbPeak {
+		snaps = append(snaps, fmt.Sprintf("write-buffer peak %d", peak))
+	}
 	return snaps
+}
+
+// writeBufPeak returns the fullest rank NDA write buffer in s.
+func writeBufPeak(t *testing.T, s *System) int {
+	st, err := s.NDA.Snapshot(func(any) int { return 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	for _, row := range st.Ranks {
+		for _, r := range row {
+			peak = max(peak, len(r.WB))
+		}
+	}
+	return peak
 }
 
 // TestRunFastMatchesRun proves the fast-forward contract: for host-only,
@@ -282,9 +307,12 @@ func TestParallelDomainsMatchSerial(t *testing.T) {
 // columns the controllers sleep across, precharges parked by the
 // open-page rule, surveys stopped at a due controller, and the single
 // NDA pass per channel. The remaining rows cover the stochastic and
-// next-rank policies on the unpartitioned mapping, four reserved banks,
-// a 16-entry write buffer, and 16-block instructions (the only row with
-// a small MaxBlocksPerInstr).
+// next-rank policies on the unpartitioned mapping, a COPY that fills
+// the Table II write buffer to capacity on both paths (its drain is the
+// write-buffer backpressure every COPY reaches; nda's
+// TestWriteBufferBackpressure covers the early-drain branch no runtime
+// op reaches), and 16-block instructions (the only row with a small
+// MaxBlocksPerInstr).
 func TestRunFastMatchesRunWideAndShared(t *testing.T) {
 	app := func(op string) func(s *System) (func() (*ndart.Handle, error), error) {
 		return func(s *System) (func() (*ndart.Handle, error), error) {
@@ -342,24 +370,14 @@ func TestRunFastMatchesRunWideAndShared(t *testing.T) {
 			app: app("dot"),
 		},
 		{
-			name: "ablation-reserved-banks-4-dot",
+			name: "mix1-copy-full-write-buffer",
 			cfg: func() Config {
 				c := Default(1)
-				c.ReservedBanks = 4
 				c.CheckInvariants = true
 				return c
 			},
-			app: app("dot"),
-		},
-		{
-			name: "ablation-write-buffer-16-copy",
-			cfg: func() Config {
-				c := Default(1)
-				c.NDA.WriteBufCap = 16
-				c.CheckInvariants = true
-				return c
-			},
-			app: app("copy"),
+			app:    app("copy"),
+			wbPeak: true,
 		},
 		{
 			name: "fine-grain-16-blocks-nrm2",
@@ -379,6 +397,9 @@ func TestRunFastMatchesRunWideAndShared(t *testing.T) {
 				if slow[i] != fast[i] {
 					t.Fatalf("segment %d diverged:\n slow: %s\n fast: %s", i, slow[i], fast[i])
 				}
+			}
+			if want := fmt.Sprintf("write-buffer peak %d", nda.WriteBufCap); w.wbPeak && slow[len(slow)-1] != want {
+				t.Fatalf("got %q on both paths, want %q", slow[len(slow)-1], want)
 			}
 		})
 	}

@@ -77,10 +77,6 @@ func (s *System) fail(err error) error {
 	return s.robust.err
 }
 
-// RunError returns the sticky failure recorded by the livelock or
-// deadline checks (nil while the run is healthy).
-func (s *System) RunError() error { return s.robust.err }
-
 // workPending reports whether any component demonstrably holds
 // unfinished work, with a description of the first found. Called only
 // on the cold path (a Never bound), never per wake.

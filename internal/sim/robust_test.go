@@ -42,11 +42,8 @@ func TestLivelockDetectedOnStuckHorizon(t *testing.T) {
 	}
 	// The failure is sticky: every later step reports the same error
 	// rather than resuming a corrupt run.
-	if err2 := s.StepFast(s.Now() + 1); !errors.As(err2, &le) {
-		t.Errorf("post-failure StepFast: got %v, want the sticky LivelockError", err2)
-	}
-	if s.RunError() == nil {
-		t.Error("RunError is nil after a detected livelock")
+	if err2 := s.StepFast(s.Now() + 1); err2 != err {
+		t.Errorf("post-failure StepFast: got %v, want the sticky %v", err2, err)
 	}
 }
 
@@ -76,18 +73,21 @@ func TestWallClockDeadline(t *testing.T) {
 	}
 }
 
-// TestInvalidConfigErrors pins the constructor's error path for every
-// user-reachable configuration class (previously panics).
+// TestInvalidConfigErrors pins the constructor's error path for the
+// settable values that can be invalid: a geometry field that is not a
+// power of two, and a partitioned geometry with no bank left for the
+// host once reservedBanks are set aside.
 func TestInvalidConfigErrors(t *testing.T) {
 	mut := []struct {
 		name string
 		mut  func(*Config)
+		want string
 	}{
-		{"bad-geometry", func(c *Config) { c.Geom.Channels = 3 }},
-		{"bad-timing", func(c *Config) { c.Timing.CL = 0 }},
-		{"bad-mc-queues", func(c *Config) { c.MC.ReadQueue = 0 }},
-		{"bad-drain-marks", func(c *Config) { c.MC.DrainLow = c.MC.WriteQueue + 5 }},
-		{"bad-partition", func(c *Config) { c.Partitioned = true; c.ReservedBanks = 99 }},
+		{"bad-geometry", func(c *Config) { c.Geom.Channels = 3 }, "geometry"},
+		{"bad-partition", func(c *Config) {
+			c.Partitioned = true
+			c.Geom.BankGroups, c.Geom.BanksPerGroup = 1, 1
+		}, "reservedBanks"},
 	}
 	for _, m := range mut {
 		t.Run(m.name, func(t *testing.T) {
@@ -97,8 +97,8 @@ func TestInvalidConfigErrors(t *testing.T) {
 			if err == nil {
 				t.Fatal("invalid config accepted")
 			}
-			if !strings.Contains(err.Error(), "invalid config") {
-				t.Errorf("error %q does not identify itself as a config error", err)
+			if !strings.Contains(err.Error(), "invalid config") || !strings.Contains(err.Error(), m.want) {
+				t.Errorf("error %q does not identify itself as a %s config error", err, m.want)
 			}
 		})
 	}

@@ -31,15 +31,19 @@ const (
 // DRAMHz is the DDR4-2400 bus clock.
 const DRAMHz = 1.2e9
 
-// Config assembles one system instance.
+// reservedBanks is the number of banks per rank the Fig 4b mapping
+// sets aside for the shared region.
+const reservedBanks = 1
+
+// Config assembles one system instance. The DDR4-2400 timing, the
+// controller queues, the core sizes and the NDA write buffer are the
+// paper's Table II constants of their packages, not settings.
 type Config struct {
-	Geom   dram.Geometry
-	Timing dram.Timing
+	Geom dram.Geometry
 
 	// Partitioned selects the proposed Fig 4b mapping with
-	// ReservedBanks banks per rank set aside for the shared region.
-	Partitioned   bool
-	ReservedBanks int
+	// reservedBanks banks per rank set aside for the shared region.
+	Partitioned bool
 
 	// MixIndex selects the Table II host application mix; -1 disables
 	// host traffic entirely.
@@ -50,9 +54,7 @@ type Config struct {
 	// equivalence harnesses that need traffic shapes outside Table II.
 	HostProfiles []workload.Profile
 
-	Core cpu.Config
-	MC   mc.Config
-	NDA  nda.Config
+	NDA nda.Config
 
 	// MaxBlocksPerInstr is the NDA vector-instruction granularity
 	// (cache blocks per operand per instruction; 0 = unlimited).
@@ -81,15 +83,11 @@ type Config struct {
 // mix with bank partitioning enabled.
 func Default(mix int) Config {
 	return Config{
-		Geom:          dram.DefaultGeometry(),
-		Timing:        dram.DDR42400(),
-		Partitioned:   true,
-		ReservedBanks: 1,
-		MixIndex:      mix,
-		Core:          cpu.DefaultConfig(),
-		MC:            mc.DefaultConfig(),
-		NDA:           nda.DefaultConfig(),
-		Seed:          1,
+		Geom:        dram.DefaultGeometry(),
+		Partitioned: true,
+		MixIndex:    mix,
+		NDA:         nda.DefaultConfig(),
+		Seed:        1,
 	}
 }
 
@@ -151,10 +149,11 @@ func (s *System) push(fn func(int64), at int64) {
 	s.outbox = append(s.outbox, doneEv{fn: fn, at: at})
 }
 
-// New builds and wires a system. Invalid user-reachable configuration
-// (geometry, timing, controller queues, partition reservation) is
-// returned as an error, not a panic: every figure point flows through
-// here, and a sweep must be able to reject a bad point without dying.
+// New builds and wires a system. An invalid geometry, one with no bank
+// left for the host under the partition reservation, or one too large
+// for the cache hierarchy's block keys is returned as an error, not a
+// panic: every figure point flows through here, and a sweep must be
+// able to reject a bad point without dying.
 func New(cfg Config) (*System, error) {
 	base, err := addrmap.NewSkylakeLikeChecked(cfg.Geom)
 	if err != nil {
@@ -162,20 +161,13 @@ func New(cfg Config) (*System, error) {
 	}
 	var mapper addrmap.Mapper = base
 	if cfg.Partitioned {
-		rb := cfg.ReservedBanks
-		if rb <= 0 {
-			rb = 1
-		}
-		part, err := addrmap.NewPartitionedChecked(base, rb)
+		part, err := addrmap.NewPartitionedChecked(base, reservedBanks)
 		if err != nil {
 			return nil, fmt.Errorf("sim: invalid config: %w", err)
 		}
 		mapper = part
 	}
-	if err := cfg.MC.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: invalid config: %w", err)
-	}
-	mem, err := dram.NewChecked(cfg.Geom, cfg.Timing)
+	mem, err := dram.NewChecked(cfg.Geom, dram.DDR42400())
 	if err != nil {
 		return nil, fmt.Errorf("sim: invalid config: %w", err)
 	}
@@ -186,7 +178,7 @@ func New(cfg Config) (*System, error) {
 	s := &System{Cfg: cfg, Mem: mem, Mapper: mapper, OS: os}
 
 	for ch := 0; ch < cfg.Geom.Channels; ch++ {
-		s.MCs = append(s.MCs, mc.NewController(cfg.MC, s.Mem, mapper, ch))
+		s.MCs = append(s.MCs, mc.NewController(s.Mem, mapper, ch))
 	}
 	s.Router = mc.NewRouter(s.MCs, mapper, func() int64 { return s.dramCycle })
 
@@ -199,9 +191,6 @@ func New(cfg Config) (*System, error) {
 			}
 		}
 		hcfg := cache.DefaultHierarchyConfig(len(profs))
-		if err := hcfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: invalid config: %w", err)
-		}
 		if err := hcfg.CheckSpan(cfg.Geom.Capacity()); err != nil {
 			return nil, fmt.Errorf("sim: invalid config: %w", err)
 		}
@@ -214,7 +203,7 @@ func New(cfg Config) (*System, error) {
 			}
 			gen := workload.NewGenerator(p, region, fp, cfg.Seed+int64(i)*7919)
 			s.gens = append(s.gens, gen)
-			s.Cores = append(s.Cores, cpu.NewCore(i, cfg.Core, gen, s.Hier))
+			s.Cores = append(s.Cores, cpu.NewCore(i, gen, s.Hier))
 		}
 	}
 
@@ -619,7 +608,7 @@ func (s *System) NDAUtilization(hostBusyCycles, ndaBlocks int64) float64 {
 	if idle <= 0 {
 		return 0
 	}
-	used := ndaBlocks * int64(s.Cfg.Timing.BL)
+	used := ndaBlocks * int64(s.Mem.T.BL)
 	u := float64(used) / float64(idle)
 	if u > 1 {
 		u = 1

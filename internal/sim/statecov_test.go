@@ -72,11 +72,11 @@ func TestStateFieldCoverage(t *testing.T) {
 	tables := []stateCoverage{
 		{live: core, state: reflect.TypeOf(cpu.CoreState{}),
 			carriedBy: map[string]string{"ents": "Rob"}, // Rob holds exactly the live entries
-			skip:      map[string]notCarried{"ID": config, "cfg": config, "trace": config, "hier": config, "doneFns": closure}},
+			skip:      map[string]notCarried{"ID": config, "trace": config, "hier": config, "doneFns": closure}},
 		{live: fieldType(t, core, "rob").Elem()},
 		{live: reflect.TypeOf(mc.Controller{}), state: reflect.TypeOf(mc.ControllerState{}),
 			skip: map[string]notCarried{
-				"cfg": config, "mem": config, "mapper": config, "channel": config,
+				"mem": config, "mapper": config, "channel": config,
 				"bpr": config, "bgShift": config, "refSched": config,
 				"free": pool, "csink": closure,
 				"sweepHz": schedMem, "hint": schedMem, "hintValid": schedMem, "hintVer": schedMem,
