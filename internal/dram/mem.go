@@ -34,10 +34,6 @@ type rankState struct {
 
 	FAW    []int64 // issue cycles of the last 4 ACTs (ring buffer)
 	FAWIdx int
-
-	// DataBusyUntil is when the rank's data pins/internal IO finish the
-	// current burst. Used for statistics and NDA idle detection.
-	DataBusyUntil int64
 }
 
 // readyACT folds the bank's earliest ACT cycle from the bank, bank-group,
@@ -520,10 +516,8 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 		// Read-to-write turnaround on the rank's data path applies to
 		// both host and NDA accesses sharing that path.
 		maxi(&rk.NextWR, now+int64(t.ReadToWrite()))
-		end := now + int64(t.CL) + int64(t.BL)
-		maxi(&rk.DataBusyUntil, end)
 		if !internal {
-			ch.DataBusyUntil = end
+			ch.DataBusyUntil = now + int64(t.CL) + int64(t.BL)
 			ch.LastColValid = true
 			ch.LastColRead = true
 			ch.LastColRank = a.Rank
@@ -547,10 +541,8 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 			maxi(&rk.BGs[g].NextWR, now+ccd)
 			maxi(&rk.BGs[g].NextRD, now+wtr)
 		}
-		end := now + int64(t.CWL) + int64(t.BL)
-		maxi(&rk.DataBusyUntil, end)
 		if !internal {
-			ch.DataBusyUntil = end
+			ch.DataBusyUntil = now + int64(t.CWL) + int64(t.BL)
 			ch.LastColValid = true
 			ch.LastColRead = false
 			ch.LastColRank = a.Rank

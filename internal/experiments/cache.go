@@ -23,13 +23,6 @@ import (
 	"chopim/internal/faults"
 )
 
-// envelopeFormat tags the entry layout. It does not version the model:
-// the cache key hashes the executable, so a binary built from any
-// other code never reads this one's entries. The tag is redundant with
-// that key; it stays so entry sizes, and the bit-flip offsets the
-// corruption tests derive from them, do not move.
-const envelopeFormat = "chopim-results-v1"
-
 // exeHash returns the hex SHA-256 of the running executable, hashed
 // once per process, or "" when the executable cannot be read.
 var exeHash = sync.OnceValue(func() string {
@@ -106,16 +99,17 @@ func figCached[T any](opt Options, fig string, gen func(Options) (T, error)) (T,
 }
 
 // cacheEnvelope wraps a cache entry's rows with everything needed to
-// prove them trustworthy on read-back: the layout tag, the full cache
-// key (the filename only embeds a prefix), and a checksum of the rows.
+// prove them trustworthy on read-back: the full cache key (the filename
+// only embeds a prefix; it hashes the executable, so a binary built from
+// any other code never reads this one's entries) and a checksum of the
+// rows.
 // Any mismatch — truncation, bit flips, a hand-edited file, an entry
 // written under a colliding filename — reads as a miss and the figure
 // recomputes; a corrupt cache can slow a run but never change a table.
 type cacheEnvelope struct {
-	Schema string
-	Key    string
-	Sum    string // hex sha256 of Rows
-	Rows   json.RawMessage
+	Key  string
+	Sum  string // hex sha256 of Rows
+	Rows json.RawMessage
 }
 
 func encodeCacheEntry[T any](key string, v T) ([]byte, bool) {
@@ -125,10 +119,9 @@ func encodeCacheEntry[T any](key string, v T) ([]byte, bool) {
 	}
 	sum := sha256.Sum256(rows)
 	b, err := json.Marshal(cacheEnvelope{
-		Schema: envelopeFormat,
-		Key:    key,
-		Sum:    hex.EncodeToString(sum[:]),
-		Rows:   rows,
+		Key:  key,
+		Sum:  hex.EncodeToString(sum[:]),
+		Rows: rows,
 	})
 	return b, err == nil
 }
@@ -139,8 +132,7 @@ func encodeCacheEntry[T any](key string, v T) ([]byte, bool) {
 func decodeCacheEntry[T any](key string, b []byte) (T, bool) {
 	var zero T
 	var env cacheEnvelope
-	if json.Unmarshal(b, &env) != nil ||
-		env.Schema != envelopeFormat || env.Key != key {
+	if json.Unmarshal(b, &env) != nil || env.Key != key {
 		return zero, false
 	}
 	sum := sha256.Sum256(env.Rows)

@@ -234,13 +234,13 @@ func TestHostOnlyMemo(t *testing.T) {
 	late := small
 	late.PointTimeout = time.Nanosecond
 	var de *sim.DeadlineError
-	if _, err := late.hostOnly(cfg); !errors.As(err, &de) {
+	if _, err := late.measure(cfg, "", 0); !errors.As(err, &de) {
 		t.Fatalf("1ns deadline: got %v, want a DeadlineError", err)
 	}
 
 	// Concurrent requests for one key wait for the first.
 	const n = 4
-	outs := make([]hostOnlyOutcome, n)
+	outs := make([]outcome, n)
 	before = reuses()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -248,7 +248,7 @@ func TestHostOnlyMemo(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var err error
-			if outs[i], err = small.hostOnly(cfg); err != nil {
+			if outs[i], err = small.measure(cfg, "", 0); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -275,7 +275,7 @@ func TestHostOnlyMemo(t *testing.T) {
 		o := small
 		disarm := c.arm(&o)
 		before := reuses()
-		out, err := o.hostOnly(cfg)
+		out, err := o.measure(cfg, "", 0)
 		disarm()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)

@@ -20,7 +20,7 @@ func corruptions(pristine []byte) map[string][]byte {
 		"garbage":         []byte("!!not json at all\x00\xff"),
 		"garbage-prefix":  append([]byte("xx"), pristine...),
 		"doubled":         append(append([]byte{}, pristine...), pristine...),
-		"wrong-but-valid": []byte(`{"Schema":"chopim-results-v1","Key":"0000","Sum":"00","Rows":[1]}`),
+		"wrong-but-valid": []byte(`{"Key":"0000","Sum":"00","Rows":[1]}`),
 	}
 	// Flip one bit at every fourth byte. A subtest is named by its
 	// offset, and the stride does not depend on the entry's length, so an

@@ -5,11 +5,15 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"sync"
 	"time"
 
+	"chopim/internal/apps"
 	"chopim/internal/dram"
 	"chopim/internal/faults"
+	"chopim/internal/nda"
 	"chopim/internal/ndart"
 	"chopim/internal/sim"
 	"chopim/internal/stats"
@@ -90,33 +94,42 @@ var hostOnlyMemo = struct {
 // only by a request that succeeded.
 type hostOnlySlot struct {
 	sync.Mutex
-	out *hostOnlyOutcome
+	out *outcome
 }
 
-// hostOnlyOutcome is what host-only callers read: the Result, the idle
-// cycles per bucket summed over all ranks (Fig 2), and the end cycle,
-// DRAM command counts and NDA count (power).
-type hostOnlyOutcome struct {
+// outcome is what the figures read off one measured point: the
+// Result, the idle cycles per bucket summed over all ranks (Fig 2), and
+// the end cycle, DRAM command counts, NDA count and PE-side counters
+// (power).
+type outcome struct {
 	Result
 	Idle   [stats.NumIdleBuckets]int64
 	End    int64
 	Counts dram.CmdCounts
 	PEs    int
+	NDA    nda.RankStats
 }
 
-// hostOnly measures the host-only point cfg under o's budget. Requests
-// with the same simulated config and budget share one simulation; a
-// concurrent request waits for the first. A failure is not memoized (a
-// deadline depends on wall-clock time): it returns to its own caller,
-// and a waiter then simulates the point itself. Checked runs bypass the
-// memo, so every check runs on every point.
-func (o Options) hostOnly(cfg sim.Config) (out hostOnlyOutcome, err error) {
-	key, err := json.Marshal(struct {
-		Cfg           sim.Config
-		Warm, Measure int64
-	}{sim.StateConfig(cfg), o.WarmCycles, o.MeasureCycles})
+// measure builds cfg's system, starts the NDA workload wl on it
+// (ndaWorkload) and measures it under o's budget. perRank sizes the
+// Table I ops' operands in bytes per rank.
+//
+// Requests for the host alone (wl "") with the same simulated config
+// and budget share one simulation; a concurrent request waits for the
+// first. A failure is not memoized (a deadline depends on wall-clock
+// time): it returns to its own caller, and a waiter then simulates the
+// point itself. Checked runs bypass the memo, so every check runs on
+// every point.
+func (o Options) measure(cfg sim.Config, wl string, perRank int) (out outcome, err error) {
 	var slot *hostOnlySlot
-	if err == nil && !o.CheckInvariants && !o.CycleByCycle && !faults.Active() {
+	if wl == "" && !o.CheckInvariants && !o.CycleByCycle && !faults.Active() {
+		key, err := json.Marshal(struct {
+			Cfg           sim.Config
+			Warm, Measure int64
+		}{sim.StateConfig(cfg), o.WarmCycles, o.MeasureCycles})
+		if err != nil {
+			return out, err
+		}
 		hostOnlyMemo.Lock()
 		if slot = hostOnlyMemo.m[string(key)]; slot == nil {
 			slot = new(hostOnlySlot)
@@ -134,8 +147,12 @@ func (o Options) hostOnly(cfg sim.Config) (out hostOnlyOutcome, err error) {
 	if err != nil {
 		return out, err
 	}
-	out.Result, err = measureConcurrent(s, nil, o)
-	out.End, out.Counts, out.PEs = s.Now(), s.Mem.Counts(), s.RT.NDACount()
+	it, err := o.ndaWorkload(s.RT, wl, perRank)
+	if err != nil {
+		return out, fmt.Errorf("workload %q: %w", wl, err)
+	}
+	out.Result, err = measureConcurrent(s, it, o)
+	out.End, out.Counts, out.PEs, out.NDA = s.Now(), s.Mem.Counts(), s.RT.NDACount(), s.NDA.TotalStats()
 	for _, c := range s.MCs {
 		for i := range c.IdleHists {
 			for b, v := range c.IdleHists[i].Cycles {
@@ -147,6 +164,80 @@ func (o Options) hostOnly(cfg sim.Config) (out hostOnlyOutcome, err error) {
 		slot.out = &out
 	}
 	return out, err
+}
+
+// ndaWorkload starts the relaunchable NDA workload wl on rt. It is the
+// one table of the NDA workloads the figures run:
+//   - a Table I op ("dot", "copy", "nrm2", ...; apps.MicroSpec) on
+//     private operands of perRank bytes per rank;
+//   - "async:"+op, the same op launched as asynchronous macro packets
+//     of 32 iterations each;
+//   - "gemv", GEMV over a shared 128-row matrix of perRank/4 columns;
+//   - "svrg", "cg" and "sc", the Fig 8 average-gradient kernel, the
+//     conjugate-gradient solve and streamcluster, sized by Quick;
+//   - "", no NDA work: the host runs alone.
+func (o Options) ndaWorkload(rt *ndart.Runtime, wl string, perRank int) (launcher, error) {
+	elems := perRank / 4 // float32 elements per rank
+	switch wl {
+	case "":
+		return nil, nil
+	case "gemv":
+		m, err := rt.NewMatrix(128, elems, ndart.Shared)
+		if err != nil {
+			return nil, err
+		}
+		return func() (*ndart.Handle, error) { return rt.Gemv(nil, m, nil) }, nil
+	case "svrg":
+		n := 2048
+		if o.Quick {
+			n = 512
+		}
+		ag, err := apps.NewAverageGradient(rt, apps.AverageGradientConfig{N: n, D: 512})
+		if err != nil {
+			return nil, err
+		}
+		return ag.Run, nil
+	case "cg":
+		m := 1024
+		if o.Quick {
+			m = 512
+		}
+		app, err := apps.NewCG(rt, m)
+		if err != nil {
+			return nil, err
+		}
+		return app.Iterate, nil
+	case "sc":
+		n := 16384
+		if o.Quick {
+			n = 4096
+		}
+		app, err := apps.NewStreamcluster(rt, n, 64, 4)
+		if err != nil {
+			return nil, err
+		}
+		return app.Iterate, nil
+	}
+	op, async := strings.CutPrefix(wl, "async:")
+	spec, err := apps.MicroSpec(rt, op, elems, ndart.Private)
+	if err != nil {
+		return nil, err
+	}
+	if async {
+		return func() (*ndart.Handle, error) {
+			return rt.MacroFor(32, func(int) ndart.Spec { return spec })
+		}, nil
+	}
+	return func() (*ndart.Handle, error) { return rt.Launch(spec) }, nil
+}
+
+// operandBytes is the per-rank operand size of the Table I ops in Figs
+// 11, 12 and 14: 2 MiB, or 256 KiB under Quick.
+func (o Options) operandBytes() int {
+	if o.Quick {
+		return 256 << 10
+	}
+	return 2 << 20
 }
 
 // DefaultOptions returns the full budget: 250k warm-up and 400k
@@ -271,6 +362,3 @@ func geomWithRanks(ranks int) dram.Geometry {
 	g.Ranks = ranks
 	return g
 }
-
-// ndartPrivate aliases the placement so figure files read cleanly.
-const ndartPrivate = ndart.Private

@@ -21,7 +21,7 @@ func Fig2(opt Options) ([]Fig2Row, error) { return figCached(opt, "fig2", fig2Ro
 
 func fig2Rows(opt Options) ([]Fig2Row, error) {
 	return sharded(opt, len(workload.Mixes), func(mix int) (Fig2Row, error) {
-		out, err := opt.hostOnly(sim.Default(mix))
+		out, err := opt.measure(sim.Default(mix), "", 0)
 		if err != nil {
 			return Fig2Row{}, err
 		}

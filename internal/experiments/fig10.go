@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"chopim/internal/apps"
 	"chopim/internal/dram"
-	"chopim/internal/ndart"
 	"chopim/internal/sim"
 )
 
@@ -41,22 +39,13 @@ func fig10Rows(opt Options) ([]Fig10Row, error) {
 		cfg := sim.Default(1)
 		cfg.Geom = geomWithRanks(p.ranks)
 		cfg.MaxBlocksPerInstr = p.n
-		s, err := opt.newSystem(cfg)
-		if err != nil {
-			return Fig10Row{}, err
-		}
 		// Size the vector so each rank holds 4096 blocks: every N
 		// divides evenly and the largest N is one instruction.
-		perRank := 4096
+		blocks := 4096
 		if opt.Quick {
-			perRank = 1024
+			blocks = 1024
 		}
-		elems := perRank * dram.BlockBytes / 4
-		app, err := apps.NewMicroPlaced(s.RT, "nrm2", elems, ndart.Private)
-		if err != nil {
-			return Fig10Row{}, err
-		}
-		res, err := measureConcurrent(s, app.Iterate, opt)
+		res, err := opt.measure(cfg, "nrm2", blocks*dram.BlockBytes)
 		if err != nil {
 			return Fig10Row{}, err
 		}

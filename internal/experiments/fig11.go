@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"chopim/internal/apps"
 	"chopim/internal/sim"
 	"chopim/internal/workload"
 )
@@ -39,39 +38,24 @@ func fig11Rows(opt Options) ([]Fig11Row, error) {
 // DOT/COPY combinations plus the idealized host-only run), sharded
 // across the runner and reassembled per mix.
 func fig11Mixes(opt Options, mixes []int) ([]Fig11Row, error) {
-	perRankBytes := 2 << 20
-	if opt.Quick {
-		perRankBytes = 256 << 10
-	}
 	type point struct {
 		mix  int
 		part bool
-		op   string // "" = idealized host-only run
+		op   string // "" = idealized host-only run (partitioned, as Fig 2's)
 	}
 	var points []point
 	for _, mix := range mixes {
 		points = append(points,
 			point{mix, false, "dot"}, point{mix, false, "copy"},
 			point{mix, true, "dot"}, point{mix, true, "copy"},
-			point{mix, false, ""})
+			point{mix, true, ""})
 	}
 	results, err := sharded(opt, len(points), func(i int) (Result, error) {
 		p := points[i]
 		cfg := sim.Default(p.mix)
-		if p.op == "" {
-			out, err := opt.hostOnly(cfg)
-			return out.Result, err
-		}
 		cfg.Partitioned = p.part
-		s, err := opt.newSystem(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		app, err := apps.NewMicroPlaced(s.RT, p.op, perRankBytes/4, ndartPrivate)
-		if err != nil {
-			return Result{}, err
-		}
-		return measureConcurrent(s, app.Iterate, opt)
+		out, err := opt.measure(cfg, p.op, opt.operandBytes())
+		return out.Result, err
 	})
 	if err != nil {
 		return nil, err

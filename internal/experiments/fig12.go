@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"chopim/internal/apps"
 	"chopim/internal/nda"
 	"chopim/internal/sim"
 	"chopim/internal/workload"
@@ -43,10 +42,8 @@ func fig12Rows(opt Options) ([]Fig12Row, error) {
 		{"Predict_next_rank", nda.NextRank, 0},
 		{"Issue_if_idle", nda.IssueIfIdle, 0},
 	}
-	perRankBytes := 2 << 20
 	mixes := len(workload.Mixes)
 	if opt.Quick {
-		perRankBytes = 256 << 10
 		mixes = 2
 	}
 	type point struct {
@@ -64,15 +61,8 @@ func fig12Rows(opt Options) ([]Fig12Row, error) {
 		cfg := sim.Default(pt.mix)
 		cfg.NDA.Policy = pt.p.pol
 		cfg.NDA.StochasticProb = pt.p.prob
-		s, err := opt.newSystem(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		app, err := apps.NewMicroPlaced(s.RT, "copy", perRankBytes/4, ndartPrivate)
-		if err != nil {
-			return Result{}, err
-		}
-		return measureConcurrent(s, app.Iterate, opt)
+		out, err := opt.measure(cfg, "copy", opt.operandBytes())
+		return out.Result, err
 	})
 	if err != nil {
 		return nil, err

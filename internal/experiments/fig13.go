@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"chopim/internal/apps"
-	"chopim/internal/ndart"
 	"chopim/internal/sim"
 )
 
@@ -24,11 +22,12 @@ type Fig13Row struct {
 func Fig13(opt Options) ([]Fig13Row, error) { return figCached(opt, "fig13", fig13Rows) }
 
 func fig13Rows(opt Options) ([]Fig13Row, error) {
-	sizes := []struct {
+	type size struct {
 		name  string
 		bytes int
 		async bool
-	}{
+	}
+	sizes := []size{
 		{"Small", 8 << 10, false},
 		{"Medium", 128 << 10, false},
 		{"Large", 8 << 20, false},
@@ -37,67 +36,30 @@ func fig13Rows(opt Options) ([]Fig13Row, error) {
 	ops := []string{"axpby", "axpbypcz", "axpy", "copy", "dot", "gemv", "nrm2", "scal"}
 	if opt.Quick {
 		ops = []string{"copy", "dot", "nrm2"}
-		sizes = []struct {
-			name  string
-			bytes int
-			async bool
-		}{sizes[0], sizes[1], sizes[3]}
+		sizes = []size{sizes[0], sizes[1], sizes[3]}
 	}
 	type point struct {
-		op    string
-		name  string
-		bytes int
-		async bool
+		op string
+		size
 	}
 	var points []point
 	for _, op := range ops {
 		for _, sz := range sizes {
-			if sz.bytes == 8<<20 && opt.Quick {
-				continue
-			}
-			points = append(points, point{op, sz.name, sz.bytes, sz.async})
+			points = append(points, point{op, sz})
 		}
 	}
 	return sharded(opt, len(points), func(i int) (Fig13Row, error) {
 		p := points[i]
-		res, err := runFig13Point(p.op, p.bytes, p.async, opt)
+		// GEMV's Small+Async row runs the blocking GEMV, the same
+		// point as its Small row; a macro form would move the row.
+		wl := p.op
+		if p.async && p.op != "gemv" {
+			wl = "async:" + p.op
+		}
+		res, err := opt.measure(sim.Default(1), wl, p.bytes)
 		if err != nil {
 			return Fig13Row{}, fmt.Errorf("fig13 %s/%s: %w", p.op, p.name, err)
 		}
 		return Fig13Row{Op: p.op, Size: p.name, HostIPC: res.HostIPC, NDAUtil: res.NDAUtil}, nil
 	})
-}
-
-func runFig13Point(op string, bytesPerRank int, async bool, opt Options) (Result, error) {
-	cfg := sim.Default(1)
-	s, err := opt.newSystem(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if op == "gemv" {
-		// GEMV: 128 rows, columns sized to the per-rank operand.
-		cols := bytesPerRank / 4
-		m, err := s.RT.NewMatrix(128, cols, ndart.Shared)
-		if err != nil {
-			return Result{}, err
-		}
-		it := func() (*ndart.Handle, error) { return s.RT.Gemv(nil, m, nil) }
-		return measureConcurrent(s, it, opt)
-	}
-	app, err := apps.NewMicroPlaced(s.RT, op, bytesPerRank/4, ndart.Private)
-	if err != nil {
-		return Result{}, err
-	}
-	it := app.Iterate
-	if async {
-		// Asynchronous macro launch: 32 iterations per launch packet.
-		spec, err := apps.MicroSpec(s.RT, op, bytesPerRank/4, ndart.Private)
-		if err != nil {
-			return Result{}, err
-		}
-		it = func() (*ndart.Handle, error) {
-			return s.RT.MacroFor(32, func(int) ndart.Spec { return spec })
-		}
-	}
-	return measureConcurrent(s, it, opt)
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"chopim/internal/apps"
-	"chopim/internal/ndart"
 	"chopim/internal/sim"
 )
 
@@ -42,7 +40,7 @@ func fig14Rows(opt Options) ([]Fig14Row, error) {
 	rpHost, err := sharded(opt, len(rankCounts), func(i int) (float64, error) {
 		cfg := sim.Default(1)
 		cfg.Geom = geomWithRanks(rankCounts[i] / 2)
-		out, err := opt.hostOnly(cfg)
+		out, err := opt.measure(cfg, "", 0)
 		return out.HostIPC, err
 	})
 	if err != nil {
@@ -66,17 +64,9 @@ func fig14Rows(opt Options) ([]Fig14Row, error) {
 		// Chopim: full system, concurrent sharing.
 		cfg := sim.Default(1)
 		cfg.Geom = geomWithRanks(ranks)
-		s, err := opt.newSystem(cfg)
-		if err != nil {
-			return row, err
-		}
-		it, err := fig14Workload(s, p.wl, opt)
+		res, err := opt.measure(cfg, p.wl, opt.operandBytes())
 		if err != nil {
 			return row, fmt.Errorf("fig14 %s: %w", p.wl, err)
-		}
-		res, err := measureConcurrent(s, it, opt)
-		if err != nil {
-			return row, err
 		}
 		row.ChopimHostIPC = res.HostIPC
 		row.ChopimNDABW = res.NDABWGBs
@@ -84,66 +74,11 @@ func fig14Rows(opt Options) ([]Fig14Row, error) {
 		// Rank partitioning: NDAs on the other half of the ranks, alone.
 		ncfg := sim.Default(-1)
 		ncfg.Geom = geomWithRanks(ranks / 2)
-		nsys, err := opt.newSystem(ncfg)
+		nres, err := opt.measure(ncfg, p.wl, opt.operandBytes())
 		if err != nil {
-			return row, err
-		}
-		nit, err := fig14Workload(nsys, p.wl, opt)
-		if err != nil {
-			return row, err
-		}
-		nres, err := measureConcurrent(nsys, nit, opt)
-		if err != nil {
-			return row, err
+			return row, fmt.Errorf("fig14 %s: %w", p.wl, err)
 		}
 		row.RPNDABW = nres.NDABWGBs
 		return row, nil
 	})
-}
-
-// fig14Workload builds the relaunchable NDA workload on a system.
-func fig14Workload(s *sim.System, wl string, opt Options) (launcher, error) {
-	switch wl {
-	case "dot", "copy":
-		perRank := 2 << 20
-		if opt.Quick {
-			perRank = 256 << 10
-		}
-		app, err := apps.NewMicroPlaced(s.RT, wl, perRank/4, ndart.Private)
-		if err != nil {
-			return nil, err
-		}
-		return app.Iterate, nil
-	case "svrg":
-		n, d := 2048, 512
-		if opt.Quick {
-			n = 512
-		}
-		ag, err := apps.NewAverageGradient(s.RT, apps.AverageGradientConfig{N: n, D: d})
-		if err != nil {
-			return nil, err
-		}
-		return ag.Run, nil
-	case "cg":
-		m := 1024
-		if opt.Quick {
-			m = 512
-		}
-		app, err := apps.NewCG(s.RT, m)
-		if err != nil {
-			return nil, err
-		}
-		return app.Iterate, nil
-	case "sc":
-		n, d, k := 16384, 64, 4
-		if opt.Quick {
-			n = 4096
-		}
-		app, err := apps.NewStreamcluster(s.RT, n, d, k)
-		if err != nil {
-			return nil, err
-		}
-		return app.Iterate, nil
-	}
-	return nil, fmt.Errorf("fig14: unknown workload %q", wl)
 }

@@ -123,7 +123,7 @@ func CalibrateTiming(scale SVRGScale, ranksPerChannel int, opt Options) (svrg.Ti
 // the baseline system.
 func hostStreamBandwidth(opt Options) (float64, error) {
 	const mix = 3 // lbm-led streaming mix
-	out, err := opt.hostOnly(sim.Default(mix))
+	out, err := opt.measure(sim.Default(mix), "", 0)
 	if err != nil {
 		return 0, err
 	}

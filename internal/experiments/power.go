@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"chopim/internal/apps"
 	"chopim/internal/energy"
-	"chopim/internal/nda"
 	"chopim/internal/sim"
 )
 
@@ -22,39 +20,18 @@ func Power(opt Options) ([]PowerRow, error) { return figCached(opt, "power", pow
 
 func powerRows(opt Options) ([]PowerRow, error) {
 	scenarios := []struct {
-		name    string
-		mix     int
-		withNDA bool
+		name string
+		mix  int
+		wl   string
 	}{
-		{"host-only mix0", 0, false},
-		{"host-only mix1", 1, false},
-		{"concurrent mix1 + avg-gradient", 1, true},
+		{"host-only mix0", 0, ""},
+		{"host-only mix1", 1, ""},
+		{"concurrent mix1 + avg-gradient", 1, "svrg"},
 	}
 	return sharded(opt, len(scenarios), func(i int) (PowerRow, error) {
 		sc := scenarios[i]
-		cfg := sim.Default(sc.mix)
-		var out hostOnlyOutcome
-		var st nda.RankStats // zero on host-only runs
-		var err error
-		if sc.withNDA {
-			s, err := opt.newSystem(cfg)
-			if err != nil {
-				return PowerRow{}, err
-			}
-			n, d := 2048, 512
-			if opt.Quick {
-				n = 512
-			}
-			ag, err := apps.NewAverageGradient(s.RT, apps.AverageGradientConfig{N: n, D: d})
-			if err != nil {
-				return PowerRow{}, err
-			}
-			if _, err := measureConcurrent(s, ag.Run, opt); err != nil {
-				return PowerRow{}, err
-			}
-			out.End, out.Counts, out.PEs = s.Now(), s.Mem.Counts(), s.RT.NDACount()
-			st = s.NDA.TotalStats()
-		} else if out, err = opt.hostOnly(cfg); err != nil {
+		out, err := opt.measure(sim.Default(sc.mix), sc.wl, 0)
+		if err != nil {
 			return PowerRow{}, err
 		}
 		// Energy counters accumulate from cycle zero, so use the full
@@ -62,8 +39,8 @@ func powerRows(opt Options) ([]PowerRow, error) {
 		c := energy.FromCmdCounts(out.Counts, sim.Seconds(out.End), out.PEs)
 		// PE-side counters: one FMA per pair of floats read and one
 		// buffer access per block moved (Fig 9 pipeline).
-		c.FMAs = st.BlocksRead * 8
-		c.BufAccess = st.BlocksRead + st.BlocksWritten
+		c.FMAs = out.NDA.BlocksRead * 8
+		c.BufAccess = out.NDA.BlocksRead + out.NDA.BlocksWritten
 		b := energy.Compute(c)
 		return PowerRow{Scenario: sc.name, AvgPowerW: b.AvgPowerW, Breakdown: b}, nil
 	})

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"chopim/internal/apps"
 	"chopim/internal/sim"
 )
 
@@ -203,15 +202,7 @@ func ndaOnlyRows(opt Options, ops []string) ([]NDAOnlyRow, error) {
 		perRank = 256 << 10
 	}
 	return sharded(opt, len(ops), func(i int) (NDAOnlyRow, error) {
-		s, err := opt.newSystem(sim.Default(-1))
-		if err != nil {
-			return NDAOnlyRow{}, err
-		}
-		app, err := apps.NewMicroPlaced(s.RT, ops[i], perRank/4, ndartPrivate)
-		if err != nil {
-			return NDAOnlyRow{}, err
-		}
-		res, err := measureConcurrent(s, app.Iterate, opt)
+		res, err := opt.measure(sim.Default(-1), ops[i], perRank)
 		if err != nil {
 			return NDAOnlyRow{}, err
 		}

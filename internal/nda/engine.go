@@ -322,11 +322,7 @@ func (n *RankNDA) nextEvent(now int64) int64 {
 		}
 		return n.accessEvent(dram.CmdWR, f.wb.Front().addr, now)
 	}
-	op := f.ops[0]
-	if op.Kind.WritesResult() && f.wb.Len() > WriteBufCap-BatchBlocks {
-		return now // backpressure flips draining on the next tick
-	}
-	a, ok := op.PeekRead()
+	a, ok := f.ops[0].PeekRead()
 	if !ok {
 		return now // exhaustion discovery, tail flush, or completion
 	}
@@ -465,11 +461,6 @@ func (n *RankNDA) tryWrite(f *rankFSM, now int64, apply bool) {
 // entries at batch boundaries.
 func (n *RankNDA) tryRead(f *rankFSM, now int64, apply bool) {
 	op := f.ops[0]
-	// Backpressure: a full batch of results must fit in the buffer.
-	if op.Kind.WritesResult() && f.wb.Len() > WriteBufCap-BatchBlocks {
-		f.draining = true
-		return
-	}
 	a, ok := op.nextRead()
 	if !ok {
 		// All reads done; flush any remaining result writes.

@@ -127,17 +127,16 @@ func TestDotReadsRoundRobinBatches(t *testing.T) {
 }
 
 // TestWriteBufferBackpressure drives COPYs through the Table II write
-// buffer and watches the rank FSM between ticks. A COPY whose result
-// stream keeps pace with its reads adds results BatchBlocks at a time,
-// so the buffer fills to exactly WriteBufCap, drains through the
-// full-buffer branch, and never holds more; the backpressure branch in
-// tryRead (more than WriteBufCap-BatchBlocks results while reading)
-// never comes up. A COPY whose result stream ends mid-batch leaves the
-// buffer inside that band with reads still to run, and its next read
-// attempt must take the backpressure branch: start draining without
-// reading or writing.
+// buffer and watches the rank FSM between ticks. Results enter the
+// buffer BatchBlocks at a time, and the only drain that starts while
+// reads remain is the full-buffer one. A COPY whose result stream keeps
+// pace with its reads fills the buffer to exactly WriteBufCap, drains
+// it there, and never holds more. A COPY whose result stream ends
+// mid-batch leaves the buffer short of full with reads still to run:
+// the buffer peaks at its last result, no drain starts until the reads
+// are done, and the tail flush writes it out.
 func TestWriteBufferBackpressure(t *testing.T) {
-	run := func(t *testing.T, reads, writes int) (peak, backpressured int) {
+	run := func(t *testing.T, reads, writes int) (peak, early int) {
 		t.Helper()
 		e, mem, mcs := testSetup(DefaultConfig())
 		done := false
@@ -149,12 +148,12 @@ func TestWriteBufferBackpressure(t *testing.T) {
 		})
 		f := &e.Ranks[0][0].fsm
 		for c := int64(0); c < 400_000 && !done; c++ {
-			n := f.wb.Len()
-			banded := !f.draining && len(f.ops) > 0 && !f.ops[0].exhausted &&
-				n > WriteBufCap-BatchBlocks && n < WriteBufCap
+			// A drain that starts below capacity while reads remain.
+			reading := !f.draining && len(f.ops) > 0 && !f.ops[0].exhausted &&
+				f.wb.Len() < WriteBufCap
 			tickAll(e, mcs, c, 1)
-			if banded && f.draining && f.wb.Len() == n {
-				backpressured++
+			if reading && f.draining {
+				early++
 			}
 			peak = max(peak, f.wb.Len())
 		}
@@ -164,19 +163,19 @@ func TestWriteBufferBackpressure(t *testing.T) {
 		if got := mem.Counts(); got.NDARD != int64(reads) || got.NDAWR != int64(writes) {
 			t.Fatalf("NDA RD/WR = %d/%d, want %d/%d", got.NDARD, got.NDAWR, reads, writes)
 		}
-		return peak, backpressured
+		return peak, early
 	}
 	t.Run("full-buffer", func(t *testing.T) {
-		peak, bp := run(t, 2048, 2048)
-		if peak != WriteBufCap || bp != 0 {
-			t.Errorf("buffer peak %d with %d backpressure stops, want %d and 0", peak, bp, WriteBufCap)
+		peak, early := run(t, 2048, 2048)
+		if peak != WriteBufCap || early != 0 {
+			t.Errorf("buffer peak %d with %d drains started below capacity, want %d and 0", peak, early, WriteBufCap)
 		}
 	})
 	t.Run("result-stream-ends-mid-batch", func(t *testing.T) {
 		const writes = WriteBufCap - BatchBlocks/2
-		peak, bp := run(t, 4*WriteBufCap, writes)
-		if peak != writes || bp != 1 {
-			t.Errorf("buffer peak %d with %d backpressure stops, want %d and 1", peak, bp, writes)
+		peak, early := run(t, 4*WriteBufCap, writes)
+		if peak != writes || early != 0 {
+			t.Errorf("buffer peak %d with %d drains started below capacity, want %d and 0", peak, early, writes)
 		}
 	})
 }

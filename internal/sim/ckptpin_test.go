@@ -23,12 +23,12 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		all string
 		n   int
 	}{
-		"host-only":                {"4a8bca5fd4bda57b86c2989e93eae334cc44d5b522f1acc31cbb27e1fe0dfaa1", 701069},
-		"host-stall-heavy":         {"69b83561b49e79ae8dc149fc7e5344e6418c3b30ac4d6a25a3d5f7cbc6de8982", 602418},
-		"nda-only-nrm2":            {"682ac399ea33a6f1224433f7cfebf6eea0603ee7f74a9cc6d65529d2e23bfae6", 9267},
-		"nda-only-copy-stochastic": {"23aa916f19fb008913646f0df4f920bc76d33add0eee4146de8fcb7da5040967", 13715},
-		"mixed-mix1-dot":           {"0fbde74a1825a5e11749b0f6784e7649700a12a9d0b228f7c4507af11e25d465", 621939},
-		"mixed-mix3-copy-shared":   {"080dbc878fe37cde15c193a30a3fd69846bddff7cf3aa36ac5f12271e6f5ed53", 639529},
+		"host-only":                {"16a7580e57aa5bcf479bc89c6eecb47144db907316fea61587235696c778726e", 700981},
+		"host-stall-heavy":         {"7cd04ecfe4f3338aefcaa4b6e12ec49b9487ff7bb6dbddbc3d08ed6d5f684bbc", 602330},
+		"nda-only-nrm2":            {"7ddd1526400a8246851804fa60e92c3715aea539dd212c46b068a0cb8bc2572e", 9179},
+		"nda-only-copy-stochastic": {"3886b4e46810475498b1828d3d9fb183d10d51643d97e312224bf918e4eb777f", 13627},
+		"mixed-mix1-dot":           {"cfd03cfd881400d1c285619de9555d39f5b83a3ac51b914c5f7138d9723f76b8", 621851},
+		"mixed-mix3-copy-shared":   {"e4b979f656c1e85c5f393ad0b51537587ac67659ee07fa843a7e4e714e9d69f3", 639441},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)
