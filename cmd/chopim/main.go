@@ -254,9 +254,9 @@ func printCacheStats() {
 // Quiet on healthy runs; CI's fault-injection smoke greps for it.
 func printSweepHealth() {
 	st := experiments.ReadRunnerStats()
-	if st.Panics != 0 || st.Timeouts != 0 || st.Quarantined != 0 {
-		fmt.Fprintf(os.Stderr, "sweep health: %d panics (%d points quarantined), %d deadline expiries\n",
-			st.Panics, st.Quarantined, st.Timeouts)
+	if st.Panics != 0 || st.Timeouts != 0 {
+		fmt.Fprintf(os.Stderr, "sweep health: %d panics (points quarantined), %d deadline expiries\n",
+			st.Panics, st.Timeouts)
 	}
 }
 

@@ -1,16 +1,17 @@
 // Package addrmap translates OS physical addresses into DRAM addresses
 // (channel, rank, bank group, bank, row, column).
 //
-// It provides the paper's two mappings:
+// One concrete type, Map, provides the paper's two mappings; New picks
+// between them by the number of reserved banks per rank:
 //
-//   - A Skylake-style baseline (Fig 4a): fine-grain channel interleaving
-//     and XOR hashing of bank/rank/channel bits with row bits, as reverse
-//     engineered by Pessl et al. (DRAMA).
-//   - The proposed mapping (Fig 4b) that additionally supports bank
+//   - 0: the Skylake-style baseline (Fig 4a): fine-grain channel
+//     interleaving and XOR hashing of bank/rank/channel bits with row
+//     bits, as reverse engineered by Pessl et al. (DRAMA).
+//   - 1 or more: the proposed mapping (Fig 4b), the baseline plus bank
 //     partitioning compatible with huge pages and arbitrary hashing: the
 //     most significant physical bits select only the row, and addresses
 //     whose hashed bank lands in a reserved bank have their bank bits and
-//     row MSBs swapped.
+//     row MSBs swapped (the one branch in Map.Decode).
 //
 // It also exposes the PFN "color" bits that the OS/runtime use to keep NDA
 // operands rank-aligned (Section III-A).
@@ -22,28 +23,6 @@ import (
 
 	"chopim/internal/dram"
 )
-
-// Mapper decodes a physical address into a DRAM location.
-type Mapper interface {
-	Decode(pa uint64) dram.Addr
-	Geometry() dram.Geometry
-	// ColorBits returns the physical-address bit positions (all above the
-	// system-row offset) that influence channel/rank/bank selection. Two
-	// system-row-aligned allocations whose addresses agree on these bits
-	// interleave identically across the memory system.
-	ColorBits() []uint
-	// ColumnBits returns the physical-address bits that feed the column
-	// field and no other field. Flipping any subset x of them leaves
-	// every decoded field but Col unchanged and XORs Col by a value that
-	// depends on x alone, so one Decode per distinct value of the other
-	// bits determines the columns of all of them.
-	ColumnBits() uint64
-	// Fingerprint identifies the mapping function: two mappers with equal
-	// fingerprints decode every physical address identically. Decoded-
-	// layout caches key on it to share results across mapper instances
-	// (e.g. forked simulations rebuilt from a snapshot).
-	Fingerprint() string
-}
 
 // field describes each decoded output bit as the XOR of physical bits.
 // bits keeps the positions for construction-time consumers (color bits,
@@ -76,17 +55,26 @@ func (f field) decode(pa uint64) int {
 	return v
 }
 
-// XORMap is a generic linear (XOR-based) address mapping.
-type XORMap struct {
+// Map is the paper's address mapping: the Skylake-like XOR baseline
+// (Fig 4a) and, when banks are reserved, the proposed mapping's
+// reserved-bank swap on top of it (Fig 4b). Every field is linear in the
+// address bits; the swap is the one non-linear step.
+type Map struct {
 	geom dram.Geometry
 
 	ch, rank, bg, bank, row, col field
 	colorBits                    []uint
 	colOnly                      uint64 // see ColumnBits
-	// rowMSBLow is the lowest of the top bank-field-width row physical
-	// bits; those bits are contiguous, so the partitioned mapping reads
-	// them as one shifted field.
+
+	// reserved is the number of top banks per rank set aside for the
+	// shared (host+NDA) region; 0 is the unpartitioned baseline. The
+	// swap reads the top bankW row physical bits, which are contiguous
+	// from rowMSBLow, as one shifted field, and writes the hashed bank
+	// into the row's top bankW bits (from rowShift).
+	reserved  int
+	bankW     uint
 	rowMSBLow uint
+	rowShift  uint
 	fp        string // immutable, set at construction
 }
 
@@ -102,7 +90,10 @@ func log2(n int) uint {
 	return k
 }
 
-// NewSkylakeLike builds the baseline mapping for the given geometry:
+// New builds the mapping for the given geometry with reservedBanks top
+// banks per rank set aside for the shared region: 0 is the baseline
+// (Fig 4a), 1 to banksPerRank-1 the proposed mapping (Fig 4b). The
+// baseline layout is
 //
 //	block offset (6b) | col[0:2] | channel (hashed) | col[2:] |
 //	bank group (hashed) | bank (hashed) | rank (hashed) | row (direct)
@@ -110,25 +101,20 @@ func log2(n int) uint {
 // Channel, bank-group, bank, and rank bits are each XORed with low row
 // bits so that strided host access patterns spread across banks (the
 // permutation-based interleaving the paper assumes). The top row bits are
-// direct physical MSBs, which the proposed partitioned mapping requires.
-func NewSkylakeLike(g dram.Geometry) *XORMap {
-	m, err := NewSkylakeLikeChecked(g)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// NewSkylakeLikeChecked is NewSkylakeLike returning invalid geometry as
-// an error instead of panicking — the form sweep drivers use, where a
-// bad point must be rejectable without killing the process. Geometry
-// validation (positive powers of two everywhere, at most 2³² blocks per
-// rank) is the only failure mode; past it, construction cannot fail.
-func NewSkylakeLikeChecked(g dram.Geometry) (*XORMap, error) {
+// direct physical MSBs, which the reserved-bank swap requires.
+//
+// An invalid geometry (Geometry.Validate) or an out-of-range reservation
+// is returned as an error: sweep drivers must be able to reject a bad
+// point without killing the process. Past those checks, construction
+// cannot fail.
+func New(g dram.Geometry, reservedBanks int) (*Map, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	m := &XORMap{geom: g}
+	if n := g.BanksPerRank(); reservedBanks < 0 || reservedBanks >= n {
+		return nil, fmt.Errorf("addrmap: reservedBanks %d out of range [0,%d)", reservedBanks, n)
+	}
+	m := &Map{geom: g, reserved: reservedBanks}
 	pos := uint(6) // 64B block offset
 
 	nCol := log2(g.Cols)
@@ -197,19 +183,32 @@ func NewSkylakeLikeChecked(g dram.Geometry) (*XORMap, error) {
 	for _, mk := range m.col.masks {
 		m.colOnly |= mk &^ other
 	}
-	// Record the top bank-field-width row physical bits for partitioning
-	// (pos is one past the highest physical bit).
-	m.rowMSBLow = pos - (nBG + nBank)
-	// The Skylake-like layout is a pure function of the geometry, so the
-	// geometry identifies the mapping exactly.
+	// The swap's fields: the top bank-field-width row physical bits
+	// (pos is one past the highest physical bit) and the row's top bits.
+	m.bankW = nBG + nBank
+	m.rowMSBLow = pos - m.bankW
+	m.rowShift = nRow - m.bankW
+	// The layout is a pure function of the geometry and the
+	// reservation, so the two identify the mapping exactly.
 	m.fp = fmt.Sprintf("skylake/%dch-%drk-%dbg-%dbk-%drow-%dcol",
 		g.Channels, g.Ranks, g.BankGroups, g.BanksPerGroup, g.Rows, g.Cols)
+	if reservedBanks > 0 {
+		m.fp += fmt.Sprintf("/part%d", reservedBanks)
+	}
 	return m, nil
 }
 
-// Decode implements Mapper.
-func (m *XORMap) Decode(pa uint64) dram.Addr {
-	return dram.Addr{
+// Decode translates a physical address into a DRAM location. With banks
+// reserved it applies the reserved-bank swap, which fires when either
+// the hash places the access in a reserved bank (relocating host data
+// out of the shared banks) or the address MSBs carry a reserved pattern
+// (pinning shared-region data into the reserved banks) — the two sides
+// of the Fig 4b multiplexer. It swaps the bank field with the row MSBs:
+// new bank = MSBs, new row MSBs = hashed bank. The four (bank reserved?,
+// MSB reserved?) cases land in disjoint quadrants, so the mapping stays
+// alias-free.
+func (m *Map) Decode(pa uint64) dram.Addr {
+	a := dram.Addr{
 		Channel:   m.ch.decode(pa),
 		Rank:      m.rank.decode(pa),
 		BankGroup: m.bg.decode(pa),
@@ -217,124 +216,72 @@ func (m *XORMap) Decode(pa uint64) dram.Addr {
 		Row:       m.row.decode(pa),
 		Col:       m.col.decode(pa),
 	}
+	if m.reserved == 0 {
+		return a
+	}
+	thresh := m.geom.BanksPerRank() - m.reserved
+	flat := a.GlobalBank(m.geom)
+	mask := 1<<m.bankW - 1
+	msb := int(pa>>m.rowMSBLow) & mask
+	if flat < thresh && msb < thresh {
+		return a
+	}
+	a.Row = a.Row&^(mask<<m.rowShift) | flat<<m.rowShift
+	a.BankGroup = msb / m.geom.BanksPerGroup
+	a.Bank = msb % m.geom.BanksPerGroup
+	return a
 }
 
-// Geometry implements Mapper.
-func (m *XORMap) Geometry() dram.Geometry { return m.geom }
+// Geometry returns the geometry the mapping decodes into.
+func (m *Map) Geometry() dram.Geometry { return m.geom }
 
-// ColorBits implements Mapper.
-func (m *XORMap) ColorBits() []uint { return m.colorBits }
+// ReservedBanks returns the banks per rank set aside for the shared
+// region; 0 for the unpartitioned baseline.
+func (m *Map) ReservedBanks() int { return m.reserved }
 
-// ColumnBits implements Mapper. Every field is linear in the address
-// bits, so flipping bits no other field reads moves only Col, by the
-// column decode of the flipped bits.
-func (m *XORMap) ColumnBits() uint64 { return m.colOnly }
+// ColorBits returns the physical-address bit positions (all above the
+// system-row offset) that influence channel/rank/bank selection. Two
+// system-row-aligned allocations whose addresses agree on these bits
+// interleave identically across the memory system.
+func (m *Map) ColorBits() []uint { return m.colorBits }
 
-// Fingerprint implements Mapper.
-func (m *XORMap) Fingerprint() string { return m.fp }
+// ColumnBits returns the physical-address bits that feed the column
+// field and no other field. Flipping any subset x of them leaves every
+// decoded field but Col unchanged and XORs Col by a value that depends
+// on x alone, so one Decode per distinct value of the other bits
+// determines the columns of all of them. The baseline fields are
+// linear, so flipping bits no other field reads moves only Col, by the
+// column decode of the flipped bits; the reserved-bank swap reads and
+// writes only the bank fields and the row MSBs, neither of which a
+// column-only bit feeds.
+func (m *Map) ColumnBits() uint64 { return m.colOnly }
+
+// Fingerprint identifies the mapping function: two maps with equal
+// fingerprints decode every physical address identically. Decoded-
+// layout caches key on it to share results across map instances (e.g.
+// forked simulations rebuilt from a snapshot).
+func (m *Map) Fingerprint() string { return m.fp }
 
 // AddressBits returns the number of physical address bits the mapping
 // consumes (log2 of capacity).
-func (m *XORMap) AddressBits() uint {
+func (m *Map) AddressBits() uint {
 	return uint(len(m.row.bits)+len(m.col.bits)+len(m.ch.bits)+
 		len(m.rank.bits)+len(m.bg.bits)+len(m.bank.bits)) + 6
 }
 
-// PartitionedMap implements the paper's proposed mapping (Fig 4b). The OS
-// reserves the top ReservedBanks banks of every rank for the shared
-// (host+NDA) region and the top slice of the physical address space to
-// back them. Host-only addresses never carry the reserved patterns in
-// their MSBs; when the base hash maps such an address onto a reserved
-// bank, the bank field and the row MSBs are swapped, relocating the access
-// into a host-only bank without aliasing.
-type PartitionedMap struct {
-	Base          *XORMap
-	ReservedBanks int // banks per rank dedicated to the shared region
-}
-
-// NewPartitioned wraps base with reservedBanks top banks set aside per
-// rank. reservedBanks must be in [1, banksPerRank-1].
-func NewPartitioned(base *XORMap, reservedBanks int) *PartitionedMap {
-	p, err := NewPartitionedChecked(base, reservedBanks)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// NewPartitionedChecked is NewPartitioned returning an out-of-range
-// reservation as an error instead of panicking (the sweep-driver form:
-// a bad point must be rejectable without killing the process).
-func NewPartitionedChecked(base *XORMap, reservedBanks int) (*PartitionedMap, error) {
-	n := base.geom.BanksPerRank()
-	if reservedBanks < 1 || reservedBanks >= n {
-		return nil, fmt.Errorf("addrmap: reservedBanks %d out of range [1,%d)", reservedBanks, n-1)
-	}
-	return &PartitionedMap{Base: base, ReservedBanks: reservedBanks}, nil
-}
-
 // HostCapacity returns the bytes of physical space usable for host-only
-// allocations (the bottom of the address space).
-func (p *PartitionedMap) HostCapacity() uint64 {
-	g := p.Base.geom
-	frac := uint64(g.BanksPerRank() - p.ReservedBanks)
-	return g.Capacity() / uint64(g.BanksPerRank()) * frac
+// allocations (the bottom of the address space): all of it when no
+// banks are reserved.
+func (m *Map) HostCapacity() uint64 {
+	n := uint64(m.geom.BanksPerRank())
+	return m.geom.Capacity() / n * (n - uint64(m.reserved))
 }
 
 // SharedBase returns the first physical address of the shared region.
-func (p *PartitionedMap) SharedBase() uint64 { return p.HostCapacity() }
-
-// bankFieldWidth returns the combined bank-group+bank bit width.
-func (p *PartitionedMap) bankFieldWidth() uint {
-	return uint(len(p.Base.bg.bits) + len(p.Base.bank.bits))
-}
-
-// Decode implements Mapper with the reserved-bank swap. The swap fires
-// when either the hash places the access in a reserved bank (relocating
-// host data out of the shared banks) or the address MSBs carry a reserved
-// pattern (pinning shared-region data into the reserved banks) — the two
-// sides of the Fig 4b multiplexer. The four (bank reserved?, MSB
-// reserved?) cases land in disjoint quadrants, so the mapping stays
-// alias-free.
-func (p *PartitionedMap) Decode(pa uint64) dram.Addr {
-	a := p.Base.Decode(pa)
-	g := p.Base.geom
-	nb := g.BanksPerRank()
-	thresh := nb - p.ReservedBanks
-	flat := a.GlobalBank(g)
-	w := p.bankFieldWidth()
-	rowMask := (1 << w) - 1
-	msb := int(pa>>p.Base.rowMSBLow) & rowMask
-	if flat < thresh && msb < thresh {
-		return a
-	}
-	// Swap the bank field with the row MSBs: new bank = MSBs, new row
-	// MSBs = initial hashed bank.
-	rowShift := uint(len(p.Base.row.bits)) - w
-	a.Row = a.Row&^(rowMask<<rowShift) | flat<<rowShift
-	a.BankGroup = msb / g.BanksPerGroup
-	a.Bank = msb % g.BanksPerGroup
-	return a
-}
-
-// Geometry implements Mapper.
-func (p *PartitionedMap) Geometry() dram.Geometry { return p.Base.geom }
-
-// ColorBits implements Mapper.
-func (p *PartitionedMap) ColorBits() []uint { return p.Base.ColorBits() }
-
-// ColumnBits implements Mapper. The reserved-bank swap reads and writes
-// only the bank fields and the row MSBs, neither of which a column-only
-// bit feeds, so the base mapping's column-only bits keep the contract.
-func (p *PartitionedMap) ColumnBits() uint64 { return p.Base.ColumnBits() }
-
-// Fingerprint implements Mapper.
-func (p *PartitionedMap) Fingerprint() string {
-	return fmt.Sprintf("%s/part%d", p.Base.Fingerprint(), p.ReservedBanks)
-}
+func (m *Map) SharedBase() uint64 { return m.HostCapacity() }
 
 // IsSharedBank reports whether the rank-local flat bank index belongs to
 // the reserved (shared host+NDA) partition.
-func (p *PartitionedMap) IsSharedBank(flatBank int) bool {
-	return flatBank >= p.Base.geom.BanksPerRank()-p.ReservedBanks
+func (m *Map) IsSharedBank(flatBank int) bool {
+	return flatBank >= m.geom.BanksPerRank()-m.reserved
 }

@@ -18,9 +18,19 @@ func encodeKey(g dram.Geometry, a dram.Addr) uint64 {
 	return k
 }
 
+// mustNew builds the mapping for g with reserved banks per rank.
+func mustNew(t testing.TB, g dram.Geometry, reserved int) *Map {
+	t.Helper()
+	m, err := New(g, reserved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestSkylakeLikeCoversAddressBits(t *testing.T) {
 	g := dram.DefaultGeometry()
-	m := NewSkylakeLike(g)
+	m := mustNew(t, g, 0)
 	// 32 GiB => 35 address bits.
 	if got, want := m.AddressBits(), uint(35); got != want {
 		t.Errorf("AddressBits() = %d, want %d", got, want)
@@ -32,7 +42,7 @@ func TestSkylakeLikeCoversAddressBits(t *testing.T) {
 // the basis test below gives high confidence).
 func TestSkylakeLikeBijective(t *testing.T) {
 	g := dram.Geometry{Channels: 2, Ranks: 2, BankGroups: 2, BanksPerGroup: 2, Rows: 256, Cols: 16}
-	m := NewSkylakeLike(g)
+	m := mustNew(t, g, 0)
 	seen := make(map[uint64]uint64)
 	n := g.Capacity()
 	for pa := uint64(0); pa < n; pa += dram.BlockBytes {
@@ -49,7 +59,7 @@ func TestSkylakeLikeBijective(t *testing.T) {
 func TestPartitionedBijective(t *testing.T) {
 	g := dram.Geometry{Channels: 2, Ranks: 2, BankGroups: 2, BanksPerGroup: 2, Rows: 256, Cols: 16}
 	for _, reserved := range []int{1, 2, 3} {
-		m := NewPartitioned(NewSkylakeLike(g), reserved)
+		m := mustNew(t, g, reserved)
 		seen := make(map[uint64]uint64)
 		for pa := uint64(0); pa < g.Capacity(); pa += dram.BlockBytes {
 			k := encodeKey(g, m.Decode(pa))
@@ -66,7 +76,7 @@ func TestPartitionedBijective(t *testing.T) {
 func TestPartitionIsolation(t *testing.T) {
 	g := dram.Geometry{Channels: 2, Ranks: 2, BankGroups: 2, BanksPerGroup: 2, Rows: 256, Cols: 16}
 	for _, reserved := range []int{1, 2} {
-		m := NewPartitioned(NewSkylakeLike(g), reserved)
+		m := mustNew(t, g, reserved)
 		for pa := uint64(0); pa < g.Capacity(); pa += dram.BlockBytes {
 			a := m.Decode(pa)
 			flat := a.GlobalBank(g)
@@ -84,7 +94,7 @@ func TestPartitionIsolation(t *testing.T) {
 // TestPartitionIsolationFullGeometry samples the real 32 GiB geometry.
 func TestPartitionIsolationFullGeometry(t *testing.T) {
 	g := dram.DefaultGeometry()
-	m := NewPartitioned(NewSkylakeLike(g), 1)
+	m := mustNew(t, g, 1)
 	rng := rand.New(rand.NewSource(1))
 	cap := g.Capacity()
 	for i := 0; i < 200000; i++ {
@@ -101,7 +111,7 @@ func TestPartitionIsolationFullGeometry(t *testing.T) {
 // color bits decode to the same channel/rank/bank at every common offset.
 func TestColorAlignment(t *testing.T) {
 	g := dram.DefaultGeometry()
-	m := NewSkylakeLike(g)
+	m := mustNew(t, g, 0)
 	sysRow := uint64(g.SystemRowBytes())
 
 	// Color stride: smallest address delta preserving all color bits.
@@ -141,7 +151,7 @@ func TestColorAlignment(t *testing.T) {
 // channels with fine granularity (within a few blocks).
 func TestChannelInterleavingIsFine(t *testing.T) {
 	g := dram.DefaultGeometry()
-	m := NewSkylakeLike(g)
+	m := mustNew(t, g, 0)
 	seen := map[int]bool{}
 	for pa := uint64(0); pa < 8*dram.BlockBytes; pa += dram.BlockBytes {
 		seen[m.Decode(pa).Channel] = true
@@ -155,7 +165,7 @@ func TestChannelInterleavingIsFine(t *testing.T) {
 // many distinct banks (the permutation interleaving the paper relies on).
 func TestRowHashingSpreadsBanks(t *testing.T) {
 	g := dram.DefaultGeometry()
-	m := NewSkylakeLike(g)
+	m := mustNew(t, g, 0)
 	rowStride := uint64(g.RowBytes()) * uint64(g.Channels) * uint64(g.Ranks) * uint64(g.BanksPerRank())
 	banks := map[int]bool{}
 	for i := uint64(0); i < 64; i++ {
@@ -171,34 +181,33 @@ func TestScaledGeometries(t *testing.T) {
 	for _, ranks := range []int{2, 4, 8} {
 		g := dram.DefaultGeometry()
 		g.Ranks = ranks
-		m := NewSkylakeLike(g)
+		m := mustNew(t, g, 0)
 		// Decode of the last valid address must stay in range.
 		a := m.Decode(g.Capacity() - dram.BlockBytes)
 		if a.Rank >= ranks || a.Row >= g.Rows || a.Col >= g.Cols {
 			t.Errorf("ranks=%d: decode out of range: %+v", ranks, a)
 		}
-		p := NewPartitioned(m, 1)
+		p := mustNew(t, g, 1)
 		if p.HostCapacity() != g.Capacity()/16*15 {
 			t.Errorf("ranks=%d: HostCapacity = %d", ranks, p.HostCapacity())
 		}
 	}
 }
 
+// TestNewPartitionedRejectsBadCounts: a reservation must leave at least
+// one bank per rank to the host (0 is the unpartitioned baseline).
 func TestNewPartitionedRejectsBadCounts(t *testing.T) {
-	m := NewSkylakeLike(dram.DefaultGeometry())
-	for _, bad := range []int{0, 16, -1} {
-		func() {
-			defer func() { recover() }()
-			NewPartitioned(m, bad)
-			t.Errorf("NewPartitioned(%d) did not panic", bad)
-		}()
+	for _, bad := range []int{16, 17, -1} {
+		if _, err := New(dram.DefaultGeometry(), bad); err == nil {
+			t.Errorf("New(reservedBanks=%d) accepted", bad)
+		}
 	}
 }
 
 // Property: decode is deterministic and in-range for random addresses.
 func TestDecodeInRange(t *testing.T) {
 	g := dram.DefaultGeometry()
-	m := NewPartitioned(NewSkylakeLike(g), 2)
+	m := mustNew(t, g, 2)
 	f := func(raw uint64) bool {
 		pa := raw % g.Capacity() &^ (dram.BlockBytes - 1)
 		a := m.Decode(pa)

@@ -17,10 +17,11 @@ func FuzzColumnBits(f *testing.F) {
 	f.Fuzz(func(t *testing.T, chLog, rkLog uint8, partitioned bool, pa, pa2, xRaw uint64) {
 		g := dram.DefaultGeometry()
 		g.Channels, g.Ranks = 1<<(chLog%3), 1<<(rkLog%4)
-		var m Mapper = NewSkylakeLike(g)
+		reserved := 0
 		if partitioned {
-			m = NewPartitioned(m.(*XORMap), 1)
+			reserved = 1
 		}
+		m := mustNew(t, g, reserved)
 		x := xRaw & m.ColumnBits()
 		a, ax := m.Decode(pa), m.Decode(pa^x)
 		d := ax.Col ^ a.Col
@@ -40,8 +41,8 @@ func FuzzColumnBits(f *testing.F) {
 // are all column-only, with and without partitioning, so operand layouts
 // decode one address per 128 blocks rather than one per block.
 func TestDefaultColumnBits(t *testing.T) {
-	base := NewSkylakeLike(dram.DefaultGeometry())
-	for _, m := range []Mapper{base, NewPartitioned(base, 1)} {
+	for reserved := 0; reserved <= 1; reserved++ {
+		m := mustNew(t, dram.DefaultGeometry(), reserved)
 		if n := bits.OnesCount64(m.ColumnBits()); n != 7 {
 			t.Errorf("%s: %d column-only bits (%#x), want 7", m.Fingerprint(), n, m.ColumnBits())
 		}

@@ -20,8 +20,11 @@ func refDecode(f field, pa uint64) int {
 	return v
 }
 
-func refXORDecode(m *XORMap, pa uint64) dram.Addr {
-	return dram.Addr{
+// refMapDecode is Map.Decode over the bit lists, with the reserved-bank
+// swap's row MSBs gathered one bit at a time from the top of the address
+// (AddressBits), independently of the precomputed shifts.
+func refMapDecode(m *Map, pa uint64) dram.Addr {
+	a := dram.Addr{
 		Channel:   refDecode(m.ch, pa),
 		Rank:      refDecode(m.rank, pa),
 		BankGroup: refDecode(m.bg, pa),
@@ -29,18 +32,14 @@ func refXORDecode(m *XORMap, pa uint64) dram.Addr {
 		Row:       refDecode(m.row, pa),
 		Col:       refDecode(m.col, pa),
 	}
-}
-
-// refPartitionedDecode is PartitionedMap.Decode over refXORDecode, with
-// the row MSBs gathered one bit at a time from the top of the address
-// (AddressBits), independently of the precomputed shift.
-func refPartitionedDecode(p *PartitionedMap, pa uint64) dram.Addr {
-	a := refXORDecode(p.Base, pa)
-	g := p.Base.geom
-	thresh := g.BanksPerRank() - p.ReservedBanks
+	if m.reserved == 0 {
+		return a
+	}
+	g := m.geom
+	thresh := g.BanksPerRank() - m.reserved
 	flat := a.GlobalBank(g)
-	w := uint(len(p.Base.bg.bits) + len(p.Base.bank.bits))
-	top := p.Base.AddressBits()
+	w := uint(len(m.bg.bits) + len(m.bank.bits))
+	top := m.AddressBits()
 	msb := 0
 	for i := uint(0); i < w; i++ {
 		msb |= int(pa>>(top-w+i)&1) << i
@@ -49,7 +48,7 @@ func refPartitionedDecode(p *PartitionedMap, pa uint64) dram.Addr {
 		return a
 	}
 	rowMask := (1 << w) - 1
-	rowShift := uint(len(p.Base.row.bits)) - w
+	rowShift := uint(len(m.row.bits)) - w
 	a.Row = a.Row&^(rowMask<<rowShift) | flat<<rowShift
 	a.BankGroup = msb / g.BanksPerGroup
 	a.Bank = msb % g.BanksPerGroup
@@ -74,8 +73,8 @@ func fuzzDecodeGeometry(ch, rk, bg, bk, rows, cols uint8) dram.Geometry {
 
 // FuzzDecodeMatchesBitLists pins the mask-parity decode to the
 // bit-position-list decode it replaced, bit for bit, on every field of
-// the Skylake-like mapping and through PartitionedMap's reserved-bank
-// swap at every legal reservation, for addresses both inside and beyond
+// the Skylake-like mapping and through the reserved-bank swap at every
+// legal reservation, for addresses both inside and beyond
 // the geometry's capacity.
 func FuzzDecodeMatchesBitLists(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(2), uint8(2), uint8(8), uint8(7), uint64(0x1234_5678_9abc), uint8(1))
@@ -87,19 +86,15 @@ func FuzzDecodeMatchesBitLists(f *testing.F) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("generated geometry rejected: %v", err)
 		}
-		m := NewSkylakeLike(g)
+		maps := []*Map{mustNew(t, g, 0)}
+		if nb := g.BanksPerRank(); nb >= 2 {
+			maps = append(maps, mustNew(t, g, int(rbRaw)%(nb-1)+1))
+		}
 		for _, pa := range []uint64{raw, raw % g.Capacity()} {
-			if got, want := m.Decode(pa), refXORDecode(m, pa); got != want {
-				t.Fatalf("%+v: Decode(%#x) = %+v, bit lists give %+v", g, pa, got, want)
-			}
-			nb := g.BanksPerRank()
-			if nb < 2 {
-				continue
-			}
-			rb := int(rbRaw)%(nb-1) + 1
-			p := NewPartitioned(m, rb)
-			if got, want := p.Decode(pa), refPartitionedDecode(p, pa); got != want {
-				t.Fatalf("%+v reserved=%d: Decode(%#x) = %+v, bit lists give %+v", g, rb, pa, got, want)
+			for _, m := range maps {
+				if got, want := m.Decode(pa), refMapDecode(m, pa); got != want {
+					t.Fatalf("%+v reserved=%d: Decode(%#x) = %+v, bit lists give %+v", g, m.reserved, pa, got, want)
+				}
 			}
 		}
 	})
@@ -117,20 +112,16 @@ func TestDecodeMatchesBitListsSweep(t *testing.T) {
 					for _, rows := range []uint8{0, 4, 8} {
 						for _, cols := range []uint8{0, 1, 7} {
 							g := fuzzDecodeGeometry(ch, rk, bg, bk, rows, cols)
-							m := NewSkylakeLike(g)
-							var parts []*PartitionedMap
-							for rb := 1; rb < g.BanksPerRank(); rb++ {
-								parts = append(parts, NewPartitioned(m, rb))
+							var maps []*Map
+							for rb := 0; rb < g.BanksPerRank(); rb++ {
+								maps = append(maps, mustNew(t, g, rb))
 							}
 							for _, raw := range addrs {
 								for _, pa := range []uint64{raw, raw % g.Capacity()} {
-									if got, want := m.Decode(pa), refXORDecode(m, pa); got != want {
-										t.Fatalf("%+v: Decode(%#x) = %+v, bit lists give %+v", g, pa, got, want)
-									}
-									for _, p := range parts {
-										if got, want := p.Decode(pa), refPartitionedDecode(p, pa); got != want {
+									for _, m := range maps {
+										if got, want := m.Decode(pa), refMapDecode(m, pa); got != want {
 											t.Fatalf("%+v reserved=%d: Decode(%#x) = %+v, bit lists give %+v",
-												g, p.ReservedBanks, pa, got, want)
+												g, m.reserved, pa, got, want)
 										}
 									}
 								}

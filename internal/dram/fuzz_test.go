@@ -26,7 +26,10 @@ func runRandomSequence(t *testing.T, seed int64, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := dram.Geometry{Channels: 1, Ranks: 2, BankGroups: 2, BanksPerGroup: 2, Rows: 64, Cols: 16}
-	m := dram.New(g, dram.DDR42400())
+	m, err := dram.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	type burst struct{ start, end int64 }
 	lastBurst := make(map[int]burst) // per rank
@@ -106,7 +109,10 @@ func runRandomSequence(t *testing.T, seed int64, steps int) {
 // same open row alternately: both must make progress and the rank-level
 // spacing must hold between mixed-source commands.
 func TestNDAAndHostInterleavingFairness(t *testing.T) {
-	m := dram.New(dram.DefaultGeometry(), dram.DDR42400())
+	m, err := dram.New(dram.DefaultGeometry())
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := dram.Addr{Row: 5}
 	m.Issue(dram.CmdACT, a, 0, false)
 	now := int64(m.T.RCD)
@@ -153,7 +159,7 @@ func flatten(g dram.Geometry, a dram.Addr) uint64 {
 }
 
 // FuzzPartitionedMapping fuzzes the proposed Fig 4b mapping
-// (addrmap.NewPartitioned) for its two load-bearing guarantees:
+// (addrmap.New with banks reserved) for its two load-bearing guarantees:
 //
 //   - map/unmap bijectivity: distinct block addresses within capacity
 //     decode to distinct DRAM locations (with equal cardinality on both
@@ -172,7 +178,10 @@ func FuzzPartitionedMapping(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pa1, pa2 uint64, rbRaw uint8) {
 		nb := g.BanksPerRank()
 		rb := int(rbRaw)%(nb-1) + 1 // reserved banks in [1, nb-1]
-		m := addrmap.NewPartitioned(addrmap.NewSkylakeLike(g), rb)
+		m, err := addrmap.New(g, rb)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		pa1 = pa1 % capacity / dram.BlockBytes * dram.BlockBytes
 		pa2 = pa2 % capacity / dram.BlockBytes * dram.BlockBytes

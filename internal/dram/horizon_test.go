@@ -34,7 +34,7 @@ var allCommands = []Command{CmdACT, CmdPRE, CmdRD, CmdWR}
 func TestCanIssueCacheMatchesReference(t *testing.T) {
 	g := DefaultGeometry()
 	g.Rows = 256
-	m := New(g, DDR42400())
+	m := newMem(t, g)
 	rng := rand.New(rand.NewSource(7))
 	now := int64(0)
 	for step := 0; step < 30_000; step++ {

@@ -149,28 +149,14 @@ type Mem struct {
 // Counts returns the command counters.
 func (m *Mem) Counts() CmdCounts { return m.cnts }
 
-// New builds a Mem with the given geometry and timing. It panics on
-// invalid configuration; configurations are programmer-supplied constants.
-// Sweep drivers, whose geometry/timing arrive from user-reachable config,
-// use NewChecked.
-func New(g Geometry, t Timing) *Mem {
-	m, err := NewChecked(g, t)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// NewChecked is New returning invalid geometry or timing as an error
-// instead of panicking.
-func NewChecked(g Geometry, t Timing) (*Mem, error) {
+// New builds a Mem with the given geometry and the Table II timing
+// (DDR42400). An invalid geometry is returned as an error, not a panic:
+// sweep drivers must be able to reject a bad point without dying.
+func New(g Geometry) (*Mem, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	m := &Mem{Geom: g, T: t, channels: make([]chanState, g.Channels)}
+	m := &Mem{Geom: g, T: DDR42400(), channels: make([]chanState, g.Channels)}
 	for c := range m.channels {
 		ch := &m.channels[c]
 		ch.Ranks = make([]rankState, g.Ranks)

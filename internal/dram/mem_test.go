@@ -8,7 +8,16 @@ import (
 
 func testMem(t *testing.T) *Mem {
 	t.Helper()
-	return New(DefaultGeometry(), DDR42400())
+	return newMem(t, DefaultGeometry())
+}
+
+func newMem(t *testing.T, g Geometry) *Mem {
+	t.Helper()
+	m, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // issueASAP advances from cycle now until cmd is legal, issues it, and

@@ -65,7 +65,10 @@ func TestFromCmdCounts(t *testing.T) {
 		t.Errorf("FromCmdCounts = %+v", c)
 	}
 	// A fresh device's counters give all-zero counts.
-	m := dram.New(dram.DefaultGeometry(), dram.DDR42400())
+	m, err := dram.New(dram.DefaultGeometry())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := FromCmdCounts(m.Counts(), 1.0, 4); got.Acts != 0 || got.HostBlocks != 0 || got.NDABlocks != 0 {
 		t.Errorf("FromCmdCounts on fresh Mem = %+v", got)
 	}

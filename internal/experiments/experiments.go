@@ -170,9 +170,9 @@ func (o Options) measure(cfg sim.Config, wl string, perRank int) (out outcome, e
 // one table of the NDA workloads the figures run:
 //   - a Table I op ("dot", "copy", "nrm2", ...; apps.MicroSpec) on
 //     private operands of perRank bytes per rank;
-//   - "async:"+op, the same op launched as asynchronous macro packets
-//     of 32 iterations each;
 //   - "gemv", GEMV over a shared 128-row matrix of perRank/4 columns;
+//   - "async:"+op, either of the above launched as asynchronous macro
+//     packets of 32 iterations each;
 //   - "svrg", "cg" and "sc", the Fig 8 average-gradient kernel, the
 //     conjugate-gradient solve and streamcluster, sized by Quick;
 //   - "", no NDA work: the host runs alone.
@@ -181,12 +181,6 @@ func (o Options) ndaWorkload(rt *ndart.Runtime, wl string, perRank int) (launche
 	switch wl {
 	case "":
 		return nil, nil
-	case "gemv":
-		m, err := rt.NewMatrix(128, elems, ndart.Shared)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*ndart.Handle, error) { return rt.Gemv(nil, m, nil) }, nil
 	case "svrg":
 		n := 2048
 		if o.Quick {
@@ -219,9 +213,18 @@ func (o Options) ndaWorkload(rt *ndart.Runtime, wl string, perRank int) (launche
 		return app.Iterate, nil
 	}
 	op, async := strings.CutPrefix(wl, "async:")
-	spec, err := apps.MicroSpec(rt, op, elems, ndart.Private)
-	if err != nil {
-		return nil, err
+	var spec ndart.Spec
+	if op == "gemv" {
+		m, err := rt.NewMatrix(128, elems, ndart.Shared)
+		if err != nil {
+			return nil, err
+		}
+		spec = ndart.GemvSpec(m)
+	} else {
+		var err error
+		if spec, err = apps.MicroSpec(rt, op, elems, ndart.Private); err != nil {
+			return nil, err
+		}
 	}
 	if async {
 		return func() (*ndart.Handle, error) {

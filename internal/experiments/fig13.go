@@ -50,10 +50,8 @@ func fig13Rows(opt Options) ([]Fig13Row, error) {
 	}
 	return sharded(opt, len(points), func(i int) (Fig13Row, error) {
 		p := points[i]
-		// GEMV's Small+Async row runs the blocking GEMV, the same
-		// point as its Small row; a macro form would move the row.
 		wl := p.op
-		if p.async && p.op != "gemv" {
+		if p.async {
 			wl = "async:" + p.op
 		}
 		res, err := opt.measure(sim.Default(1), wl, p.bytes)

@@ -111,7 +111,6 @@ func runPoint[T any](i int, job func(int) (T, error)) (T, error) {
 	switch {
 	case errors.As(err, &pe) && pe.Panic != nil:
 		statPanics.Add(1)
-		statQuarantined.Add(1)
 	case errors.As(err, &de):
 		statTimeouts.Add(1)
 	}

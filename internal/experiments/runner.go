@@ -45,9 +45,8 @@ type RunnerStats struct {
 	Resumed        int64 // point entries replayed from the result cache
 	HostOnlyReuses int64 // host-only points served from the outcome memo
 
-	Panics      int64 // points that panicked (recovered and quarantined)
-	Timeouts    int64 // points that hit their deadline (Options.PointTimeout)
-	Quarantined int64 // points abandoned after a panic
+	Panics   int64 // points that panicked (recovered and quarantined)
+	Timeouts int64 // points that hit their deadline (Options.PointTimeout)
 }
 
 var (
@@ -61,7 +60,6 @@ var (
 	statHostOnlyReuses atomic.Int64
 	statPanics         atomic.Int64
 	statTimeouts       atomic.Int64
-	statQuarantined    atomic.Int64
 )
 
 // ReadRunnerStats returns the aggregated runner statistics.
@@ -77,9 +75,8 @@ func ReadRunnerStats() RunnerStats {
 		Resumed:        statResumed.Load(),
 		HostOnlyReuses: statHostOnlyReuses.Load(),
 
-		Panics:      statPanics.Load(),
-		Timeouts:    statTimeouts.Load(),
-		Quarantined: statQuarantined.Load(),
+		Panics:   statPanics.Load(),
+		Timeouts: statTimeouts.Load(),
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"chopim/internal/addrmap"
 	"chopim/internal/dram"
 )
 
@@ -61,12 +60,11 @@ func TestCalendarInvalidationMatchesReference(t *testing.T) {
 
 func runCalendarEquivalence(t *testing.T, tc calCase) {
 	g := dram.DefaultGeometry()
-	tm := dram.DDR42400()
-	mapper := addrmap.NewSkylakeLike(g)
-	memA := dram.New(g, tm)
-	memB := dram.New(g, tm)
-	ctlA := NewController(memA, mapper, 0)
-	ctlB := NewController(memB, mapper, 0)
+	mapper := testMap(g)
+	memA := testMem(g)
+	memB := testMem(g)
+	ctlA := NewController(memA, 0)
+	ctlB := NewController(memB, 0)
 	ctlB.SetReferenceScheduler(true)
 
 	rng := rand.New(rand.NewSource(0xCA1 + int64(len(tc.name))))
@@ -151,11 +149,11 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 				continue
 			}
 			if rng.Intn(100) < 35 {
-				ctlA.EnqueueWrite(addr, cyc)
-				ctlB.EnqueueWrite(addr, cyc)
+				enqWrite(ctlA, mapper, addr, cyc)
+				enqWrite(ctlB, mapper, addr, cyc)
 			} else {
-				okA := ctlA.EnqueueRead(addr, cyc, readDoneA)
-				okB := ctlB.EnqueueRead(addr, cyc, readDoneB)
+				okA := enqRead(ctlA, mapper, addr, cyc, readDoneA)
+				okB := enqRead(ctlB, mapper, addr, cyc, readDoneB)
 				if okA != okB {
 					t.Fatalf("cycle %d: enqueue accept diverged", cyc)
 				}
@@ -299,16 +297,16 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 // scheduling decision must re-derive, not serve the stale bucket.
 func TestCalendarRowStampRebucket(t *testing.T) {
 	g := dram.DefaultGeometry()
-	mapper := addrmap.NewSkylakeLike(g)
-	mem := dram.New(g, dram.DDR42400())
-	c := NewController(mem, mapper, 0)
+	mapper := testMap(g)
+	mem := testMem(g)
+	c := NewController(mem, 0)
 
 	// A host read to a closed bank: the bank files under its ACT
 	// horizon (pass-2 candidate).
 	addr := addrOnChannel0(mapper, 0)
 	da := mapper.Decode(addr)
 	var done int64 = -1
-	if !c.EnqueueRead(addr, 0, func(d int64) { done = d }) {
+	if !enqRead(c, mapper, addr, 0, func(d int64) { done = d }) {
 		t.Fatal("enqueue refused")
 	}
 	if next := c.NextEvent(0); next > 0 {
@@ -350,18 +348,18 @@ func keyOf(q *reqQueue, bk int32) int64 { return q.key[q.occPos[bk]] }
 // otherwise: other banks of the same rank keep their keys untouched.
 func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 	g := dram.DefaultGeometry()
-	mapper := addrmap.NewSkylakeLike(g)
+	mapper := testMap(g)
 
 	t.Run("column-lazy", func(t *testing.T) {
-		mem := dram.New(g, dram.DDR42400())
-		c := NewController(mem, mapper, 0)
+		mem := testMem(g)
+		c := NewController(mem, 0)
 		// Open a row internally and enqueue a host hit against it: the
 		// bank's pass-1 candidate is fenced by tRCD, so the first
 		// horizon derivation keys the bank at ACT+tRCD.
 		addr := addrOnChannel0(mapper, 0)
 		da := mapper.Decode(addr)
 		mem.Issue(dram.CmdACT, da, 0, true)
-		if !c.EnqueueRead(addr, 0, nil) {
+		if !enqRead(c, mapper, addr, 0, nil) {
 			t.Fatal("enqueue refused")
 		}
 		rdReady := int64(mem.T.RCD)
@@ -401,8 +399,8 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 	})
 
 	t.Run("row-change-per-bank", func(t *testing.T) {
-		mem := dram.New(g, dram.DDR42400())
-		c := NewController(mem, mapper, 0)
+		mem := testMem(g)
+		c := NewController(mem, 0)
 		tm := mem.T
 		// Banks A and B (rank 0, different bank groups) are opened and
 		// closed by an NDA, so their next ACT waits out tRC; bank C (a
@@ -423,8 +421,8 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 		hostA, hostB := bankA, bankB
 		hostA.Row, hostB.Row = 200, 200
 		now := preB
-		c.EnqueueReadDecoded(1<<20, hostA, now, nil)
-		c.EnqueueReadDecoded(2<<20, hostB, now, nil)
+		c.EnqueueRead(1<<20, hostA, now, nil)
+		c.EnqueueRead(2<<20, hostB, now, nil)
 		if next := c.NextEvent(now); next != keyA {
 			t.Fatalf("NextEvent(%d) = %d, want bank A's tRC horizon %d", now, next, keyA)
 		}

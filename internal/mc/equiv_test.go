@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"chopim/internal/addrmap"
 	"chopim/internal/dram"
 )
 
@@ -35,11 +34,11 @@ func TestBucketedSchedulerMatchesReference(t *testing.T) {
 	// traces are compared on a refresh-free DDR4 timing set.
 	t.Run("no-refresh", func(t *testing.T) {
 		g := dram.DefaultGeometry()
-		mapper := addrmap.NewSkylakeLike(g)
-		memA := dram.New(g, dram.DDR42400())
-		memB := dram.New(g, dram.DDR42400())
-		ctlA := NewController(memA, mapper, 0)
-		ctlB := NewController(memB, mapper, 0)
+		mapper := testMap(g)
+		memA := testMem(g)
+		memB := testMem(g)
+		ctlA := NewController(memA, 0)
+		ctlB := NewController(memB, 0)
 		ctlB.SetReferenceScheduler(true)
 
 		var doneA, doneB []int64
@@ -64,11 +63,11 @@ func TestBucketedSchedulerMatchesReference(t *testing.T) {
 					continue
 				}
 				if rng.Intn(100) < 35 {
-					ctlA.EnqueueWrite(addr, cyc)
-					ctlB.EnqueueWrite(addr, cyc)
+					enqWrite(ctlA, mapper, addr, cyc)
+					enqWrite(ctlB, mapper, addr, cyc)
 				} else {
-					okA := ctlA.EnqueueRead(addr, cyc, func(d int64) { doneA = append(doneA, d) })
-					okB := ctlB.EnqueueRead(addr, cyc, func(d int64) { doneB = append(doneB, d) })
+					okA := enqRead(ctlA, mapper, addr, cyc, func(d int64) { doneA = append(doneA, d) })
+					okB := enqRead(ctlB, mapper, addr, cyc, func(d int64) { doneB = append(doneB, d) })
 					if okA != okB {
 						t.Fatalf("cycle %d: enqueue accept diverged: bucketed=%v ref=%v", cyc, okA, okB)
 					}
@@ -114,9 +113,9 @@ func TestBucketedSchedulerMatchesReference(t *testing.T) {
 // retire).
 func TestNextEventHorizonSound(t *testing.T) {
 	g := dram.DefaultGeometry()
-	mapper := addrmap.NewSkylakeLike(g)
-	mem := dram.New(g, dram.DDR42400())
-	c := NewController(mem, mapper, 0)
+	mapper := testMap(g)
+	mem := testMem(g)
+	c := NewController(mem, 0)
 	rng := rand.New(rand.NewSource(5))
 
 	pending := 0
@@ -128,8 +127,8 @@ func TestNextEventHorizonSound(t *testing.T) {
 				continue
 			}
 			if rng.Intn(2) == 0 {
-				c.EnqueueWrite(addr, cyc)
-			} else if c.EnqueueRead(addr, cyc, func(int64) { pending-- }) {
+				enqWrite(c, mapper, addr, cyc)
+			} else if enqRead(c, mapper, addr, cyc, func(int64) { pending-- }) {
 				pending++
 			}
 		}

@@ -19,7 +19,7 @@ func loadedController(t *testing.T) *Controller {
 	a := addrOnChannel0(m, 0)
 	for i := 0; i < 24; i++ {
 		// Spread across rows/banks so multiple buckets populate.
-		if !c.EnqueueRead(a+uint64(i)*(1<<14)*dram.BlockBytes, 0, nil) {
+		if !enqRead(c, m, a+uint64(i)*(1<<14)*dram.BlockBytes, 0, nil) {
 			t.Fatalf("enqueue %d refused", i)
 		}
 	}
@@ -44,11 +44,11 @@ func TestCheckInvariantsHealthy(t *testing.T) {
 	next := uint64(0)
 	for cyc := int64(0); cyc < 4_000; cyc++ {
 		if cyc%7 == 0 {
-			c.EnqueueRead(addrOnChannel0(m, a+next*(1<<13)*dram.BlockBytes), cyc, nil)
+			enqRead(c, m, addrOnChannel0(m, a+next*(1<<13)*dram.BlockBytes), cyc, nil)
 			next++
 		}
 		if cyc%13 == 0 {
-			c.EnqueueWrite(addrOnChannel0(m, a+(next+1000)*(1<<13)*dram.BlockBytes), cyc)
+			enqWrite(c, m, addrOnChannel0(m, a+(next+1000)*(1<<13)*dram.BlockBytes), cyc)
 		}
 		c.Tick(cyc)
 		if cyc%50 == 0 {
@@ -126,11 +126,11 @@ func TestCheckInvariantsDetectsUnsoundKey(t *testing.T) {
 // past the cycle the rescan oracle issues on — and asserts the memo
 // soundness check catches it.
 func TestCheckInvariantsDetectsUnsoundMemo(t *testing.T) {
-	mem := dram.New(dram.DefaultGeometry(), dram.DDR42400())
-	c := NewController(mem, nil, 0)
+	mem := testMem(dram.DefaultGeometry())
+	c := NewController(mem, 0)
 	a := dram.Addr{Row: 100}
 	mem.Issue(dram.CmdACT, a, 0, true)
-	c.EnqueueReadDecoded(1<<20, a, 0, nil)
+	c.EnqueueRead(1<<20, a, 0, nil)
 	rdReady := int64(mem.T.RCD)
 	if next := c.NextEvent(0); next != rdReady {
 		t.Fatalf("NextEvent(0) = %d, want tRCD = %d", next, rdReady)

@@ -22,7 +22,6 @@ package mc
 import (
 	"fmt"
 
-	"chopim/internal/addrmap"
 	"chopim/internal/dram"
 	"chopim/internal/ring"
 	"chopim/internal/stats"
@@ -68,7 +67,6 @@ const (
 // Controller schedules one channel.
 type Controller struct {
 	mem     *dram.Mem
-	mapper  addrmap.Mapper
 	channel int
 
 	rq reqQueue
@@ -108,8 +106,7 @@ type Controller struct {
 
 	// issuedRank is the rank the host issued a command to this cycle
 	// (-1 if none); refreshed each Tick.
-	issuedRank  int
-	issuedIsCol bool
+	issuedRank int
 
 	// ver counts controller mutations: enqueues, dequeues/issues
 	// (column and row commands), and overflow refills. It keys
@@ -132,10 +129,12 @@ type Controller struct {
 	Drains                    int64
 }
 
-// NewController builds a controller for the given channel.
-func NewController(mem *dram.Mem, mapper addrmap.Mapper, channel int) *Controller {
+// NewController builds a controller for the given channel. It takes
+// decoded addresses only: the Router is the one place that decodes host
+// addresses.
+func NewController(mem *dram.Mem, channel int) *Controller {
 	c := &Controller{
-		mem: mem, mapper: mapper, channel: channel,
+		mem: mem, channel: channel,
 		bpr:        mem.Geom.BanksPerRank(),
 		issuedRank: -1,
 		seen:       make([]int64, mem.Geom.Ranks*mem.Geom.BanksPerRank()),
@@ -204,10 +203,7 @@ func (c *Controller) NDAVer(rank int) uint64 {
 // running a Tick. The wake-driven system scheduler calls it on cycles
 // where the controller is provably idle, so the NDA coordination hooks
 // (HostIssuedRank) observe the same -1 a no-op Tick would have set.
-func (c *Controller) ClearIssued() {
-	c.issuedRank = -1
-	c.issuedIsCol = false
-}
+func (c *Controller) ClearIssued() { c.issuedRank = -1 }
 
 // Idle reports whether a Tick would be a no-op beyond ClearIssued: both
 // queues and the overflow buffer are empty and the controller is not
@@ -244,20 +240,13 @@ func (c *Controller) release(r *Request) {
 	c.free = r
 }
 
-// EnqueueRead adds a read; done fires at data-available time.
-// It returns false when the read queue is full.
-func (c *Controller) EnqueueRead(addr uint64, now int64, done func(int64)) bool {
-	return c.EnqueueReadDecoded(addr, c.mapper.Decode(addr), now, done)
-}
-
 // ReadFull reports whether the read queue is full, so EnqueueRead
 // would return false.
 func (c *Controller) ReadFull() bool { return c.rq.n >= readQueueSize }
 
-// EnqueueReadDecoded is EnqueueRead for callers that already decoded the
-// address (the router decodes to route; re-decoding per request is
-// measurable on the hot path).
-func (c *Controller) EnqueueReadDecoded(addr uint64, daddr dram.Addr, now int64, done func(int64)) bool {
+// EnqueueRead adds a read of addr, which decodes to daddr; done fires
+// at data-available time. It returns false when the read queue is full.
+func (c *Controller) EnqueueRead(addr uint64, daddr dram.Addr, now int64, done func(int64)) bool {
 	if c.ReadFull() {
 		return false
 	}
@@ -269,15 +258,10 @@ func (c *Controller) EnqueueReadDecoded(addr uint64, daddr dram.Addr, now int64,
 	return true
 }
 
-// EnqueueWrite adds a writeback. Overflow beyond the write queue is
-// buffered (never refused) to keep eviction handling simple.
-func (c *Controller) EnqueueWrite(addr uint64, now int64) bool {
-	c.EnqueueWriteDecoded(addr, c.mapper.Decode(addr), now)
-	return true
-}
-
-// EnqueueWriteDecoded is EnqueueWrite with a pre-decoded address.
-func (c *Controller) EnqueueWriteDecoded(addr uint64, daddr dram.Addr, now int64) {
+// EnqueueWrite adds a writeback of addr, which decodes to daddr.
+// Overflow beyond the write queue is buffered (never refused) to keep
+// eviction handling simple.
+func (c *Controller) EnqueueWrite(addr uint64, daddr dram.Addr, now int64) {
 	c.pushWrite(c.alloc(addr, daddr, true, now, nil))
 }
 
@@ -415,7 +399,6 @@ func (c *Controller) queueHorizon(q *reqQueue, writes bool, now int64) int64 {
 // command on the channel.
 func (c *Controller) Tick(now int64) {
 	c.issuedRank = -1
-	c.issuedIsCol = false
 
 	// Refill the write queue from the overflow buffer.
 	for c.overflow.Len() > 0 && c.wq.n < writeQueueSize {
@@ -615,7 +598,6 @@ func (c *Controller) issueColumn(cmd dram.Command, r *Request, q *reqQueue, now 
 	c.mem.Issue(cmd, r.DAddr, now, false)
 	c.ver++
 	c.issuedRank = r.DAddr.Rank
-	c.issuedIsCol = true
 	// The dequeue may lift the open-page block on the other queue's PRE
 	// to the same bank (r may have been the request wanting the row);
 	// this queue's entry is revalidated by remove's bucket mutation.

@@ -7,15 +7,42 @@ import (
 	"chopim/internal/dram"
 )
 
-func testController() (*Controller, *dram.Mem, addrmap.Mapper) {
+func testController() (*Controller, *dram.Mem, *addrmap.Map) {
 	g := dram.DefaultGeometry()
-	mem := dram.New(g, dram.DDR42400())
-	m := addrmap.NewSkylakeLike(g)
-	return NewController(mem, m, 0), mem, m
+	mem := testMem(g)
+	return NewController(mem, 0), mem, testMap(g)
+}
+
+// testMem builds a device over g, which must be valid.
+func testMem(g dram.Geometry) *dram.Mem {
+	mem, err := dram.New(g)
+	if err != nil {
+		panic(err)
+	}
+	return mem
+}
+
+// testMap builds the baseline mapping over g, which must be valid.
+func testMap(g dram.Geometry) *addrmap.Map {
+	m, err := addrmap.New(g, 0)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// enqRead and enqWrite enqueue addr on c decoded through m, as the
+// Router does.
+func enqRead(c *Controller, m *addrmap.Map, addr uint64, now int64, done func(int64)) bool {
+	return c.EnqueueRead(addr, m.Decode(addr), now, done)
+}
+
+func enqWrite(c *Controller, m *addrmap.Map, addr uint64, now int64) {
+	c.EnqueueWrite(addr, m.Decode(addr), now)
 }
 
 // addrOnChannel0 finds a block address decoding to channel 0.
-func addrOnChannel0(m addrmap.Mapper, start uint64) uint64 {
+func addrOnChannel0(m *addrmap.Map, start uint64) uint64 {
 	for a := start; ; a += dram.BlockBytes {
 		if m.Decode(a).Channel == 0 {
 			return a
@@ -27,7 +54,7 @@ func TestReadCompletesWithDRAMLatency(t *testing.T) {
 	c, mem, m := testController()
 	addr := addrOnChannel0(m, 0)
 	var doneAt int64 = -1
-	if !c.EnqueueRead(addr, 0, func(d int64) { doneAt = d }) {
+	if !enqRead(c, m, addr, 0, func(d int64) { doneAt = d }) {
 		t.Fatal("enqueue refused on empty queue")
 	}
 	for cyc := int64(0); cyc < 200 && doneAt < 0; cyc++ {
@@ -50,11 +77,11 @@ func TestReadQueueCapacity(t *testing.T) {
 	c, _, m := testController()
 	a := addrOnChannel0(m, 0)
 	for i := 0; i < readQueueSize; i++ {
-		if !c.EnqueueRead(addrOnChannel0(m, a+uint64(i)*4096*64), 0, nil) {
+		if !enqRead(c, m, addrOnChannel0(m, a+uint64(i)*4096*64), 0, nil) {
 			t.Fatalf("queue refused entry %d", i)
 		}
 	}
-	if c.EnqueueRead(addrOnChannel0(m, a+1<<30), 0, nil) {
+	if enqRead(c, m, addrOnChannel0(m, a+1<<30), 0, nil) {
 		t.Error("queue accepted entry beyond capacity")
 	}
 }
@@ -63,9 +90,7 @@ func TestWriteOverflowNeverRefused(t *testing.T) {
 	c, _, m := testController()
 	a := addrOnChannel0(m, 0)
 	for i := 0; i < 3*writeQueueSize; i++ {
-		if !c.EnqueueWrite(addrOnChannel0(m, a+uint64(i)*64*128), 0) {
-			t.Fatalf("writeback %d refused", i)
-		}
+		enqWrite(c, m, addrOnChannel0(m, a+uint64(i)*64*128), 0)
 	}
 	r, w := c.QueueOccupancy()
 	if r != 0 || w != 3*writeQueueSize {
@@ -77,7 +102,7 @@ func TestWriteDrainServesWrites(t *testing.T) {
 	c, mem, m := testController()
 	a := addrOnChannel0(m, 0)
 	for i := 0; i < drainHigh+2; i++ {
-		c.EnqueueWrite(addrOnChannel0(m, a+uint64(i)*64*97), 0)
+		enqWrite(c, m, addrOnChannel0(m, a+uint64(i)*64*97), 0)
 	}
 	for cyc := int64(0); cyc < 3000; cyc++ {
 		c.Tick(cyc)
@@ -103,8 +128,8 @@ func TestForeignChannelRefused(t *testing.T) {
 		name    string
 		enqueue func()
 	}{
-		{"EnqueueRead", func() { c.EnqueueRead(foreign, 0, nil) }},
-		{"EnqueueWrite", func() { c.EnqueueWrite(foreign, 0) }},
+		{"EnqueueRead", func() { enqRead(c, m, foreign, 0, nil) }},
+		{"EnqueueWrite", func() { enqWrite(c, m, foreign, 0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -147,9 +172,9 @@ func TestRowHitPriorityFRFCFS(t *testing.T) {
 	mk := func(addr uint64) func(int64) {
 		return func(int64) { order = append(order, addr) }
 	}
-	c.EnqueueRead(base, 0, mk(base))
-	c.EnqueueRead(otherRow, 0, mk(otherRow))
-	c.EnqueueRead(sameRow, 0, mk(sameRow))
+	enqRead(c, m, base, 0, mk(base))
+	enqRead(c, m, otherRow, 0, mk(otherRow))
+	enqRead(c, m, sameRow, 0, mk(sameRow))
 	for cyc := int64(0); cyc < 1000 && len(order) < 3; cyc++ {
 		c.Tick(cyc)
 	}
@@ -168,7 +193,7 @@ func TestOldestReadRank(t *testing.T) {
 		t.Error("OldestReadRank reported a rank on empty queue")
 	}
 	a := addrOnChannel0(m, 0)
-	c.EnqueueRead(a, 0, nil)
+	enqRead(c, m, a, 0, nil)
 	r, ok := c.OldestReadRank()
 	if !ok || r != m.Decode(a).Rank {
 		t.Errorf("OldestReadRank = (%d,%v)", r, ok)
@@ -179,7 +204,7 @@ func TestHasDemandFor(t *testing.T) {
 	c, mem, m := testController()
 	a := addrOnChannel0(m, 0)
 	d := m.Decode(a)
-	c.EnqueueRead(a, 0, nil)
+	enqRead(c, m, a, 0, nil)
 	if !c.HasDemandFor(d.Rank, d.GlobalBank(mem.Geom)) {
 		t.Error("demand not visible for queued read's bank")
 	}
@@ -191,7 +216,7 @@ func TestHasDemandFor(t *testing.T) {
 func TestHostIssuedRankTracksCycle(t *testing.T) {
 	c, _, m := testController()
 	a := addrOnChannel0(m, 0)
-	c.EnqueueRead(a, 0, nil)
+	enqRead(c, m, a, 0, nil)
 	c.Tick(0) // ACT issues
 	if c.HostIssuedRank() != m.Decode(a).Rank {
 		t.Errorf("HostIssuedRank = %d after ACT", c.HostIssuedRank())
@@ -207,7 +232,7 @@ func TestHostIssuedRankTracksCycle(t *testing.T) {
 
 // addrOnChRank finds a block address decoding to channel 0 and the
 // given rank.
-func addrOnChRank(m addrmap.Mapper, rank int, start uint64) uint64 {
+func addrOnChRank(m *addrmap.Map, rank int, start uint64) uint64 {
 	for a := start; ; a += dram.BlockBytes {
 		if d := m.Decode(a); d.Channel == 0 && d.Rank == rank {
 			return a
@@ -228,7 +253,7 @@ func TestNDAVerNarrowsQueueChurn(t *testing.T) {
 	v0 := c.NDAVer(0)
 	// A write to rank 1 must churn the queues but stay invisible to
 	// rank 0.
-	c.EnqueueWrite(a1, 0)
+	enqWrite(c, m, a1, 0)
 	if _, w := c.QueueOccupancy(); w != 1 {
 		t.Fatalf("write queue holds %d, want the rank-1 write", w)
 	}
@@ -242,21 +267,21 @@ func TestNDAVerNarrowsQueueChurn(t *testing.T) {
 	}
 	// ...but a second write into the same occupied bucket changes no
 	// HasDemandFor answer and must be invisible to both ranks.
-	c.EnqueueWrite(a1, 0)
+	enqWrite(c, m, a1, 0)
 	if c.NDAVer(0) != v0 || c.NDAVer(1) != v1 {
 		t.Error("same-bucket write moved a per-rank version")
 	}
 
 	// A read into the empty read queue changes the head identity, which
 	// OldestReadRank on any rank observes.
-	c.EnqueueRead(a0, 0, nil)
+	enqRead(c, m, a0, 0, nil)
 	if c.NDAVer(0) == v0 || c.NDAVer(1) == v1 {
 		t.Error("read-head change invisible to a rank")
 	}
 	v0, v1 = c.NDAVer(0), c.NDAVer(1)
 	// A second read behind the head into the same occupied bucket moves
 	// neither the head nor any bucket occupancy.
-	c.EnqueueRead(a0, 0, nil)
+	enqRead(c, m, a0, 0, nil)
 	if c.NDAVer(0) != v0 || c.NDAVer(1) != v1 {
 		t.Error("same-bucket tail read moved a per-rank version")
 	}

@@ -30,13 +30,13 @@ func TestNextEventMemo(t *testing.T) {
 	// before the memo comes due.
 	setup := func(t *testing.T) (c *Controller, mem *dram.Mem, rdReady, c1, pushed int64) {
 		t.Helper()
-		mem = dram.New(g, dram.DDR42400())
-		c = NewController(mem, nil, 0)
+		mem = testMem(g)
+		c = NewController(mem, 0)
 		mem.Issue(dram.CmdACT, other, 0, true)
 		mem.Issue(dram.CmdACT, far, 0, true)
 		actHit := int64(mem.T.RRDL)
 		mem.Issue(dram.CmdACT, hit, actHit, true)
-		c.EnqueueReadDecoded(1<<20, hit, actHit, nil)
+		c.EnqueueRead(1<<20, hit, actHit, nil)
 		rdReady = actHit + int64(mem.T.RCD)
 		if next := c.NextEvent(actHit); next != rdReady {
 			t.Fatalf("NextEvent(%d) = %d, want tRCD = %d", actHit, next, rdReady)
@@ -118,14 +118,14 @@ func TestNextEventMemo(t *testing.T) {
 		apply func(t *testing.T, c *Controller, mem *dram.Mem, c1 int64) int64
 	}{
 		{"enqueue", func(_ *testing.T, c *Controller, _ *dram.Mem, c1 int64) int64 {
-			c.EnqueueReadDecoded(2<<20, hit, c1, nil)
+			c.EnqueueRead(2<<20, hit, c1, nil)
 			return c1
 		}},
 		{"dequeue", func(t *testing.T, c *Controller, _ *dram.Mem, c1 int64) int64 {
 			// A ready row hit on the other rank, issued by a directly
 			// driven Tick: the dequeue is the last mutation the memo
 			// missed.
-			c.EnqueueReadDecoded(3<<20, far, c1, nil)
+			c.EnqueueRead(3<<20, far, c1, nil)
 			c.Tick(c1)
 			if c.ReadsIssued != 1 || c.HostIssuedRank() != far.Rank {
 				t.Fatalf("the other rank's read did not issue at %d", c1)
@@ -170,7 +170,7 @@ func TestNextEventMemo(t *testing.T) {
 		// The memo comes due at rdReady; an enqueue then moves ver, and
 		// the oracle's horizon lies beyond now, yet the due memo is
 		// served.
-		c.EnqueueReadDecoded(2<<20, hit, rdReady, nil)
+		c.EnqueueRead(2<<20, hit, rdReady, nil)
 		if next := c.NextEvent(rdReady); next != rdReady {
 			t.Fatalf("NextEvent(%d) = %d, want the due memo served as now", rdReady, next)
 		}

@@ -31,9 +31,9 @@ type parkPair struct {
 
 func newParkPair(t *testing.T) *parkPair {
 	g := dram.DefaultGeometry()
-	p := &parkPair{t: t, memA: dram.New(g, dram.DDR42400()), memB: dram.New(g, dram.DDR42400())}
-	p.ctlA = NewController(p.memA, nil, 0)
-	p.ctlB = NewController(p.memB, nil, 0)
+	p := &parkPair{t: t, memA: testMem(g), memB: testMem(g)}
+	p.ctlA = NewController(p.memA, 0)
+	p.ctlB = NewController(p.memB, 0)
 	p.ctlB.SetReferenceScheduler(true)
 	return p
 }
@@ -49,13 +49,13 @@ func (p *parkPair) internal(cmd dram.Command, a dram.Addr, now int64) {
 }
 
 func (p *parkPair) read(addr uint64, a dram.Addr, now int64) {
-	p.ctlA.EnqueueReadDecoded(addr, a, now, func(d int64) { p.doneA = append(p.doneA, d) })
-	p.ctlB.EnqueueReadDecoded(addr, a, now, func(d int64) { p.doneB = append(p.doneB, d) })
+	p.ctlA.EnqueueRead(addr, a, now, func(d int64) { p.doneA = append(p.doneA, d) })
+	p.ctlB.EnqueueRead(addr, a, now, func(d int64) { p.doneB = append(p.doneB, d) })
 }
 
 func (p *parkPair) write(addr uint64, a dram.Addr, now int64) {
-	p.ctlA.EnqueueWriteDecoded(addr, a, now)
-	p.ctlB.EnqueueWriteDecoded(addr, a, now)
+	p.ctlA.EnqueueWrite(addr, a, now)
+	p.ctlB.EnqueueWrite(addr, a, now)
 }
 
 // tick runs one cycle on both controllers and checks that they made

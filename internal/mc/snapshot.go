@@ -41,10 +41,9 @@ type ControllerState struct {
 	RQ, WQ   []reqState
 	Overflow []reqState
 
-	Drain       bool
-	SeqGen      int64
-	IssuedRank  int
-	IssuedIsCol bool
+	Drain      bool
+	SeqGen     int64
+	IssuedRank int
 
 	IdleHists []stats.IdleHist
 
@@ -64,7 +63,7 @@ func (c *Controller) Snapshot() *ControllerState {
 		Overflow: make([]reqState, 0, c.overflow.Len()),
 
 		Drain: c.drain, SeqGen: c.seqGen,
-		IssuedRank: c.issuedRank, IssuedIsCol: c.issuedIsCol,
+		IssuedRank:  c.issuedRank,
 		IdleHists:   append([]stats.IdleHist(nil), c.IdleHists...),
 		ReadsIssued: c.ReadsIssued, WritesIssued: c.WritesIssued,
 		ActsIssued: c.ActsIssued, PresIssued: c.PresIssued,
@@ -132,7 +131,7 @@ func (c *Controller) Restore(st *ControllerState, resolve func(write bool, addr 
 	}
 
 	c.drain, c.seqGen = st.Drain, st.SeqGen
-	c.issuedRank, c.issuedIsCol = st.IssuedRank, st.IssuedIsCol
+	c.issuedRank = st.IssuedRank
 	copy(c.IdleHists, st.IdleHists)
 	c.ReadsIssued, c.WritesIssued = st.ReadsIssued, st.WritesIssued
 	c.ActsIssued, c.PresIssued = st.ActsIssued, st.PresIssued

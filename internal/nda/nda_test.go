@@ -10,13 +10,24 @@ import (
 
 func testSetup(cfg Config) (*Engine, *dram.Mem, []*mc.Controller) {
 	g := dram.DefaultGeometry()
-	mem := dram.New(g, dram.DDR42400())
-	m := addrmap.NewSkylakeLike(g)
+	mem, err := dram.New(g)
+	if err != nil {
+		panic(err)
+	}
 	var mcs []*mc.Controller
 	for ch := 0; ch < g.Channels; ch++ {
-		mcs = append(mcs, mc.NewController(mem, m, ch))
+		mcs = append(mcs, mc.NewController(mem, ch))
 	}
 	return NewEngine(cfg, mem, mcs), mem, mcs
+}
+
+// testMap is the baseline mapping over the default geometry.
+func testMap() *addrmap.Map {
+	m, err := addrmap.New(dram.DefaultGeometry(), 0)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // seqAddrs builds n sequential column addresses in one rank/bank row(s).
@@ -185,7 +196,7 @@ func TestNDAYieldsToHostRank(t *testing.T) {
 	// Load host channel 0 with reads on half the cycles while NDA works
 	// on rank 0: NDA must still finish, but record host-yield stalls.
 	// Reads on every cycle would leave the NDA no idle bus cycle at all.
-	m := addrmap.NewSkylakeLike(dram.DefaultGeometry())
+	m := testMap()
 	hostAddrs := make([]uint64, 64)
 	for i := range hostAddrs {
 		a := uint64(i) * 4096 * 64
@@ -202,7 +213,8 @@ func TestNDAYieldsToHostRank(t *testing.T) {
 	var cyc int64
 	for ; cyc < 200000 && !done; cyc++ {
 		if cyc%8 < 4 {
-			mcs[0].EnqueueRead(hostAddrs[cyc%64], cyc, nil)
+			a := hostAddrs[cyc%64]
+			mcs[0].EnqueueRead(a, m.Decode(a), cyc, nil)
 		}
 		for _, h := range mcs {
 			h.Tick(cyc)
@@ -225,14 +237,14 @@ func TestNextRankPredictionInhibitsWrites(t *testing.T) {
 	e, _, mcs := testSetup(Config{Policy: NextRank, Seed: 1})
 	// A standing host read to rank 0 never issued (we never tick the
 	// host MC) keeps the oldest-read predictor pointed at rank 0.
-	m := addrmap.NewSkylakeLike(dram.DefaultGeometry())
+	m := testMap()
 	var hostAddr uint64
 	for ; ; hostAddr += dram.BlockBytes {
 		if d := m.Decode(hostAddr); d.Channel == 0 && d.Rank == 0 {
 			break
 		}
 	}
-	mcs[0].EnqueueRead(hostAddr, 0, nil)
+	mcs[0].EnqueueRead(hostAddr, m.Decode(hostAddr), 0, nil)
 	// Place the NDA operands in a bank group the standing host read does
 	// not touch, so only the write policy (not host row-command
 	// priority) can throttle it.

@@ -12,18 +12,19 @@ import (
 	"chopim/internal/osmem"
 )
 
-// layoutMapper builds the Skylake-like mapping over g, wrapped in the
-// partitioned mapping (one reserved bank) when partitioned is set.
-func layoutMapper(t testing.TB, g dram.Geometry, partitioned bool) addrmap.Mapper {
+// layoutMapper builds the mapping over g, with one reserved bank per
+// rank when partitioned is set.
+func layoutMapper(t testing.TB, g dram.Geometry, partitioned bool) *addrmap.Map {
 	t.Helper()
-	base, err := addrmap.NewSkylakeLikeChecked(g)
+	reserved := 0
+	if partitioned {
+		reserved = 1
+	}
+	m, err := addrmap.New(g, reserved)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !partitioned {
-		return base
-	}
-	return addrmap.NewPartitioned(base, 1)
+	return m
 }
 
 // layoutRuntime builds a runtime with only what operand layouts need:
@@ -50,7 +51,7 @@ func drain(it nda.Iter) []dram.Addr {
 // give exactly the blocks m.Decode places on that rank, in address
 // order; chunk-sized slices must concatenate to the same sequence; and
 // controlAddr must be the first of them.
-func checkShareMatchesDecode(t testing.TB, m addrmap.Mapper, v *Vector, chunk int) {
+func checkShareMatchesDecode(t testing.TB, m *addrmap.Map, v *Vector, chunk int) {
 	t.Helper()
 	g := m.Geometry()
 	want := make([][][]dram.Addr, g.Channels)

@@ -70,7 +70,7 @@ func (h *Handle) complete(cycle int64) {
 // Runtime is the Chopim runtime instance.
 type Runtime struct {
 	os     *osmem.OS
-	mapper addrmap.Mapper
+	mapper *addrmap.Map
 	geom   dram.Geometry
 	eng    *nda.Engine
 	mcs    []*mc.Controller
@@ -350,9 +350,9 @@ func (v *Vector) indexBlocks() {
 // decodeLayout decodes the span [base, base+bytes) block by block,
 // appending each block to its rank's runs in address order. It decodes
 // only each distinct head, a block with its column-only bits
-// (Mapper.ColumnBits) cleared, and derives the head's blocks from it by
+// (Map.ColumnBits) cleared, and derives the head's blocks from it by
 // the ColumnBits contract; with no such bits every block is a head.
-func decodeLayout(m addrmap.Mapper, base, bytes uint64) *vecLayout {
+func decodeLayout(m *addrmap.Map, base, bytes uint64) *vecLayout {
 	g := m.Geometry()
 	l := &vecLayout{codec: newBlockCodec(g), runs: make([][][]blockRun, g.Channels)}
 	for ch := range l.runs {

@@ -22,15 +22,17 @@ type harness struct {
 func newHarness(t *testing.T) *harness {
 	t.Helper()
 	g := dram.DefaultGeometry()
-	mem := dram.New(g, dram.DDR42400())
-	mapper := addrmap.NewPartitioned(addrmap.NewSkylakeLike(g), 1)
-	os, err := osmem.NewOS(mapper)
+	mem, err := dram.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os, err := osmem.NewOS(layoutMapper(t, g, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := &harness{mem: mem}
 	for ch := 0; ch < g.Channels; ch++ {
-		h.mcs = append(h.mcs, mc.NewController(mem, mapper, ch))
+		h.mcs = append(h.mcs, mc.NewController(mem, ch))
 	}
 	h.eng = nda.NewEngine(nda.DefaultConfig(), mem, h.mcs)
 	h.rt = New(os, h.eng, h.mcs, func() int64 { return h.now })
@@ -275,12 +277,17 @@ func TestDecodeCacheSharedAcrossRuntimes(t *testing.T) {
 // same physical span under a different bank reservation decodes
 // differently and must not share a layout.
 func TestDecodeCacheDistinguishesMappings(t *testing.T) {
-	a := addrmap.NewPartitioned(addrmap.NewSkylakeLike(dram.DefaultGeometry()), 1)
-	b := addrmap.NewPartitioned(addrmap.NewSkylakeLike(dram.DefaultGeometry()), 2)
-	if a.Fingerprint() == b.Fingerprint() {
+	fp := func(reserved int) string {
+		m, err := addrmap.New(dram.DefaultGeometry(), reserved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Fingerprint()
+	}
+	if fp(0) == fp(1) || fp(1) == fp(2) {
 		t.Fatal("distinct reservations share a fingerprint")
 	}
-	if a.Fingerprint() != addrmap.NewPartitioned(addrmap.NewSkylakeLike(dram.DefaultGeometry()), 1).Fingerprint() {
+	if fp(1) != fp(1) {
 		t.Fatal("equal mappings have unequal fingerprints")
 	}
 }

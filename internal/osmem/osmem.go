@@ -9,14 +9,11 @@ import (
 	"fmt"
 
 	"chopim/internal/addrmap"
-	"chopim/internal/dram"
 )
 
 // Allocator manages a physical address range with a binary-buddy scheme.
 // The zero value is not usable; call NewAllocator.
 type Allocator struct {
-	base      uint64
-	size      uint64
 	minOrder  uint // log2 of the smallest block (the system-row size)
 	free      map[uint][]uint64
 	allocated map[uint64]uint // base -> order
@@ -33,7 +30,7 @@ func NewAllocator(base, size uint64, minBlock uint64) (*Allocator, error) {
 		return nil, fmt.Errorf("osmem: range %#x+%#x not aligned to %#x", base, size, minBlock)
 	}
 	a := &Allocator{
-		base: base, size: size, minOrder: ulog2(minBlock),
+		minOrder:  ulog2(minBlock),
 		free:      make(map[uint][]uint64),
 		allocated: make(map[uint64]uint),
 	}
@@ -140,37 +137,36 @@ func (a *Allocator) FreeBytes() uint64 {
 }
 
 // OS bundles the services the Chopim runtime needs: a host-only
-// allocator, a shared-region allocator (when bank partitioning is on),
-// and color-constrained allocation for NDA operand alignment.
+// allocator, a shared-region allocator, and color-constrained
+// allocation for NDA operand alignment.
 type OS struct {
-	mapper addrmap.Mapper
-	geom   dram.Geometry
+	mapper *addrmap.Map
 
 	host   *Allocator
-	shared *Allocator // nil when not partitioned: shared == host space
+	shared *Allocator // the reserved banks' region, or the top quarter unpartitioned
 
 	sysRow    uint64
 	colorMask uint64
 }
 
-// NewOS builds the OS layer. When mapper is a *addrmap.PartitionedMap,
-// the physical space is split into host-only and shared regions at the
-// partition boundary; otherwise a single region serves both and the top
+// NewOS builds the OS layer. When mapper reserves banks, the physical
+// space is split into host-only and shared regions at the partition
+// boundary; otherwise a single region serves both and the top
 // quarter of memory is set aside as the "shared color pool" so host and
 // NDA traffic meet in the same banks (the paper's Shared configuration).
-func NewOS(mapper addrmap.Mapper) (*OS, error) {
+func NewOS(mapper *addrmap.Map) (*OS, error) {
 	g := mapper.Geometry()
-	o := &OS{mapper: mapper, geom: g, sysRow: uint64(g.SystemRowBytes())}
+	o := &OS{mapper: mapper, sysRow: uint64(g.SystemRowBytes())}
 	for _, b := range mapper.ColorBits() {
 		o.colorMask |= 1 << b
 	}
 	cap := g.Capacity()
 	var err error
-	if p, ok := mapper.(*addrmap.PartitionedMap); ok {
-		if o.host, err = NewAllocator(0, p.HostCapacity(), o.sysRow); err != nil {
+	if mapper.ReservedBanks() > 0 {
+		if o.host, err = NewAllocator(0, mapper.HostCapacity(), o.sysRow); err != nil {
 			return nil, err
 		}
-		if o.shared, err = NewAllocator(p.SharedBase(), cap-p.SharedBase(), o.sysRow); err != nil {
+		if o.shared, err = NewAllocator(mapper.SharedBase(), cap-mapper.SharedBase(), o.sysRow); err != nil {
 			return nil, err
 		}
 		return o, nil
@@ -253,4 +249,4 @@ func (o *OS) PickColor(n uint64) (Color, error) {
 func (o *OS) FreeShared(base uint64) error { return o.shared.Free(base) }
 
 // Mapper exposes the address mapping in use.
-func (o *OS) Mapper() addrmap.Mapper { return o.mapper }
+func (o *OS) Mapper() *addrmap.Map { return o.mapper }

@@ -127,10 +127,13 @@ func TestAllocNoOverlap(t *testing.T) {
 func newTestOS(t *testing.T, partitioned bool) *OS {
 	t.Helper()
 	g := dram.DefaultGeometry()
-	base := addrmap.NewSkylakeLike(g)
-	var m addrmap.Mapper = base
+	reserved := 0
 	if partitioned {
-		m = addrmap.NewPartitioned(base, 1)
+		reserved = 1
+	}
+	m, err := addrmap.New(g, reserved)
+	if err != nil {
+		t.Fatal(err)
 	}
 	o, err := NewOS(m)
 	if err != nil {
@@ -145,7 +148,7 @@ func TestOSPartitionedRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := o.Mapper().(*addrmap.PartitionedMap)
+	p := o.Mapper()
 	if host >= p.SharedBase() {
 		t.Error("host allocation landed in the shared region")
 	}

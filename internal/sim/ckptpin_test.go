@@ -23,12 +23,12 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		all string
 		n   int
 	}{
-		"host-only":                {"16a7580e57aa5bcf479bc89c6eecb47144db907316fea61587235696c778726e", 700981},
-		"host-stall-heavy":         {"7cd04ecfe4f3338aefcaa4b6e12ec49b9487ff7bb6dbddbc3d08ed6d5f684bbc", 602330},
-		"nda-only-nrm2":            {"7ddd1526400a8246851804fa60e92c3715aea539dd212c46b068a0cb8bc2572e", 9179},
-		"nda-only-copy-stochastic": {"3886b4e46810475498b1828d3d9fb183d10d51643d97e312224bf918e4eb777f", 13627},
-		"mixed-mix1-dot":           {"cfd03cfd881400d1c285619de9555d39f5b83a3ac51b914c5f7138d9723f76b8", 621851},
-		"mixed-mix3-copy-shared":   {"e4b979f656c1e85c5f393ad0b51537587ac67659ee07fa843a7e4e714e9d69f3", 639441},
+		"host-only":                {"4f2f940e1dbee42f320e3b42c1cdbf0534f8a80a21027999246e1207a16edfb3", 700941},
+		"host-stall-heavy":         {"63a9dd620f41d9b158e54e61668f61df580a4c3c04fa2a87b19ee49f63fed21f", 602290},
+		"nda-only-nrm2":            {"16b3e6831d095ee1e849d573667a9e0e98b1ce5b160c397042794535512b1c0a", 9139},
+		"nda-only-copy-stochastic": {"b01ed29ee91052106c258b5dc82ead7415db10dc1b3681c4da4328f5f6752049", 13587},
+		"mixed-mix1-dot":           {"27bc9c898e924e4d0f049cc5adb48e840fd79713740fee43b35c56d6c1a7e070", 621811},
+		"mixed-mix3-copy-shared":   {"1dfcf50443b9caf6537aeac8aaee8842a9c5f3dae84f2824b1110df74bf6c0c9", 639401},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

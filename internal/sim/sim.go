@@ -95,7 +95,6 @@ func Default(mix int) Config {
 type System struct {
 	Cfg    Config
 	Mem    *dram.Mem
-	Mapper addrmap.Mapper
 	OS     *osmem.OS
 	MCs    []*mc.Controller
 	Router *mc.Router
@@ -155,19 +154,15 @@ func (s *System) push(fn func(int64), at int64) {
 // panic: every figure point flows through here, and a sweep must be
 // able to reject a bad point without dying.
 func New(cfg Config) (*System, error) {
-	base, err := addrmap.NewSkylakeLikeChecked(cfg.Geom)
+	reserved := 0
+	if cfg.Partitioned {
+		reserved = reservedBanks
+	}
+	mapper, err := addrmap.New(cfg.Geom, reserved)
 	if err != nil {
 		return nil, fmt.Errorf("sim: invalid config: %w", err)
 	}
-	var mapper addrmap.Mapper = base
-	if cfg.Partitioned {
-		part, err := addrmap.NewPartitionedChecked(base, reservedBanks)
-		if err != nil {
-			return nil, fmt.Errorf("sim: invalid config: %w", err)
-		}
-		mapper = part
-	}
-	mem, err := dram.NewChecked(cfg.Geom, dram.DDR42400())
+	mem, err := dram.New(cfg.Geom)
 	if err != nil {
 		return nil, fmt.Errorf("sim: invalid config: %w", err)
 	}
@@ -175,10 +170,10 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{Cfg: cfg, Mem: mem, Mapper: mapper, OS: os}
+	s := &System{Cfg: cfg, Mem: mem, OS: os}
 
 	for ch := 0; ch < cfg.Geom.Channels; ch++ {
-		s.MCs = append(s.MCs, mc.NewController(s.Mem, mapper, ch))
+		s.MCs = append(s.MCs, mc.NewController(s.Mem, ch))
 	}
 	s.Router = mc.NewRouter(s.MCs, mapper, func() int64 { return s.dramCycle })
 

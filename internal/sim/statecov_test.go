@@ -76,7 +76,7 @@ func TestStateFieldCoverage(t *testing.T) {
 		{live: fieldType(t, core, "rob").Elem()},
 		{live: reflect.TypeOf(mc.Controller{}), state: reflect.TypeOf(mc.ControllerState{}),
 			skip: map[string]notCarried{
-				"mem": config, "mapper": config, "channel": config,
+				"mem": config, "channel": config,
 				"bpr": config, "bgShift": config, "refSched": config,
 				"free": pool, "csink": closure,
 				"sweepHz": schedMem, "hint": schedMem, "hintValid": schedMem, "hintVer": schedMem,
@@ -122,7 +122,7 @@ func TestStateFieldCoverage(t *testing.T) {
 		// the lookahead past that position is re-derived by Restore.
 		{live: reflect.TypeOf(workload.Generator{}), state: reflect.TypeOf(workload.GenState{}),
 			skip: map[string]notCarried{
-				"prof": config, "base": config, "size": config,
+				"prof": config, "base": config,
 				"serCut": config, "memCut": config, "streamCut": config, "writeCut": config,
 				"rec":   refilled, // the record being read: the first of the refilled batch
 				"pos":   refilled, // its index: 1 after the refill
@@ -134,7 +134,7 @@ func TestStateFieldCoverage(t *testing.T) {
 				"fill":  closure,  // the per-batch goroutine's body
 			}},
 		{live: reflect.TypeOf(osmem.Allocator{}), state: fieldType(t, reflect.TypeOf(osmem.OSState{}), "Host"),
-			skip: map[string]notCarried{"base": config, "size": config, "minOrder": config}},
+			skip: map[string]notCarried{"minOrder": config}},
 		{live: chanSt, skip: map[string]notCarried{"rowLog": memOnly, "rowSeq": memOnly}},
 		{live: rankSt},
 		{live: fieldType(t, rankSt, "Banks").Elem()},

@@ -116,7 +116,6 @@ type Generator struct {
 	prof Profile
 
 	base uint64 // physical base of this instance's region
-	size uint64
 
 	// record's draw thresholds, precomputed from the profile fractions:
 	// src.Below(cut) decides exactly as math/rand's Float64() < p.
@@ -174,7 +173,7 @@ func NewGenerator(prof Profile, base, size uint64, seed int64) *Generator {
 	if size == 0 {
 		panic("workload: zero-sized region")
 	}
-	g := &Generator{prof: prof, base: base, size: size, pos: batchRecs, done: make(chan struct{}, 1)}
+	g := &Generator{prof: prof, base: base, pos: batchRecs, done: make(chan struct{}, 1)}
 	g.ahead.src.Reset(seed)
 	dep := depFrac
 	if prof.DepFrac > 0 {
