@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chopim"
+	"chopim/internal/dram"
 )
 
 // TestPublicAPIQuickstart exercises the README quickstart end to end
@@ -72,7 +73,10 @@ func TestGeometryPresets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tm := sys.Mem.T; tm.CL != 16 || tm.FAW != 26 {
-		t.Errorf("Table II timing = %+v", tm)
+	if sys.Mem.Geom != g {
+		t.Errorf("system geometry = %+v, want %+v", sys.Mem.Geom, g)
+	}
+	if dram.CL != 16 || dram.FAW != 26 {
+		t.Errorf("Table II timing: tCL = %d, tFAW = %d", dram.CL, dram.FAW)
 	}
 }

@@ -13,31 +13,33 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+
+	"chopim/internal/dram"
 )
 
-// Config sizes one cache level.
+// Config sizes one cache level. Every level holds dram.BlockBytes
+// blocks.
 type Config struct {
 	SizeBytes  int
 	Ways       int
-	BlockBytes int
 	LatencyCPU int64 // hit latency in CPU cycles
 	MSHRs      int
 }
 
 // Sets returns the number of sets implied by the configuration.
-func (c Config) Sets() int { return c.SizeBytes / (c.Ways * c.BlockBytes) }
+func (c Config) Sets() int { return c.SizeBytes / (c.Ways * dram.BlockBytes) }
 
 // Validate reports an error for impossible configurations.
 func (c Config) Validate() error {
-	if c.SizeBytes <= 0 || c.Ways <= 0 || c.BlockBytes <= 0 {
+	if c.SizeBytes <= 0 || c.Ways <= 0 {
 		return fmt.Errorf("cache: non-positive size field in %+v", c)
 	}
 	if c.Ways > maxWays {
 		return fmt.Errorf("cache: %d ways, at most %d fit a set's recency word", c.Ways, maxWays)
 	}
-	if c.SizeBytes%(c.Ways*c.BlockBytes) != 0 {
+	if c.SizeBytes%(c.Ways*dram.BlockBytes) != 0 {
 		return fmt.Errorf("cache: size %d not divisible into %d ways of %dB blocks",
-			c.SizeBytes, c.Ways, c.BlockBytes)
+			c.SizeBytes, c.Ways, dram.BlockBytes)
 	}
 	s := c.Sets()
 	if s&(s-1) != 0 {

@@ -6,7 +6,7 @@ import (
 )
 
 func smallConfig() Config {
-	return Config{SizeBytes: 4096, Ways: 4, BlockBytes: 64, LatencyCPU: 4, MSHRs: 4}
+	return Config{SizeBytes: 4096, Ways: 4, LatencyCPU: 4, MSHRs: 4}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -23,8 +23,14 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("accepted zero ways")
 	}
+	// One set fewer: still divisible, set count no longer a power of two.
+	bad = smallConfig()
+	bad.SizeBytes -= bad.Ways * 64
+	if err := bad.Validate(); err == nil {
+		t.Error("accepted a set count that is not a power of two")
+	}
 	// A set's recency word holds 16 four-bit way indices.
-	wide := Config{SizeBytes: 16 * 64 * 16, Ways: 16, BlockBytes: 64}
+	wide := Config{SizeBytes: 16 * 64 * 16, Ways: 16}
 	if err := wide.Validate(); err != nil {
 		t.Errorf("rejected 16 ways: %v", err)
 	}

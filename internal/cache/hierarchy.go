@@ -42,9 +42,9 @@ type HierarchyConfig struct {
 func DefaultHierarchyConfig(cores int) HierarchyConfig {
 	return HierarchyConfig{
 		Cores:          cores,
-		L1:             Config{SizeBytes: 32 << 10, Ways: 8, BlockBytes: dram.BlockBytes, LatencyCPU: 4, MSHRs: 12},
-		L2:             Config{SizeBytes: 256 << 10, Ways: 4, BlockBytes: dram.BlockBytes, LatencyCPU: 12, MSHRs: 12},
-		LLC:            Config{SizeBytes: 8 << 20, Ways: 16, BlockBytes: dram.BlockBytes, LatencyCPU: 38, MSHRs: 48},
+		L1:             Config{SizeBytes: 32 << 10, Ways: 8, LatencyCPU: 4, MSHRs: 12},
+		L2:             Config{SizeBytes: 256 << 10, Ways: 4, LatencyCPU: 12, MSHRs: 12},
+		LLC:            Config{SizeBytes: 8 << 20, Ways: 16, LatencyCPU: 38, MSHRs: 48},
 		PrefetchDegree: 2,
 	}
 }
@@ -182,7 +182,7 @@ func NewHierarchy(cfg HierarchyConfig, backend Backend, clock Clock) *Hierarchy 
 func (h *Hierarchy) LLC() *Cache { return h.llc }
 
 // block converts a byte address to a block index.
-func (h *Hierarchy) block(addr uint64) uint64 { return addr / uint64(h.cfg.L1.BlockBytes) }
+func (h *Hierarchy) block(addr uint64) uint64 { return addr / dram.BlockBytes }
 
 // Access issues one load or store from core. For Hit, the returned
 // latency is the CPU cycles until completion. For Queued, done is invoked
@@ -351,7 +351,7 @@ func (h *Hierarchy) insertLLC(b uint64, dirty bool) {
 // absorbed by the backend (modeling an unbounded eviction buffer that the
 // controller drains under its watermark policy).
 func (h *Hierarchy) writeback(block uint64) {
-	h.backend.EnqueueWrite(block * uint64(h.cfg.L1.BlockBytes))
+	h.backend.EnqueueWrite(block * dram.BlockBytes)
 }
 
 // maybePrefetch trains the per-core stride detector on LLC demand misses
@@ -391,7 +391,7 @@ func (h *Hierarchy) maybePrefetch(core int, addr uint64) {
 			return
 		}
 		m := h.allocMSHR(core, pblock, false, true)
-		paddr := pblock * uint64(h.cfg.L1.BlockBytes)
+		paddr := pblock * dram.BlockBytes
 		if !h.backend.EnqueueRead(paddr, m.fill) {
 			h.freeMSHR(m)
 			return

@@ -126,7 +126,7 @@ func TestBackendFullStalls(t *testing.T) {
 
 func TestDirtyEvictionReachesMemory(t *testing.T) {
 	h, b := testHier(1)
-	llcBlocks := uint64(h.cfg.LLC.SizeBytes / h.cfg.LLC.BlockBytes)
+	llcBlocks := uint64(h.cfg.LLC.Sets() * h.cfg.LLC.Ways)
 	// Dirty one block, then stream enough blocks through to evict it
 	// from every level.
 	h.Access(0, 0, true, 0, nil)

@@ -1,37 +1,20 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"chopim/internal/dram"
+)
 
 // Opt-in conservation checks behind sim's Config.CheckInvariants.
 // Cold-path only: runs at commit barriers when armed, never during
 // normal access processing, so scratch allocation is fine.
 
-// Validate rejects hierarchy configurations the construction path
-// cannot run with. Only tests call it: sim.New builds the Table II
-// hierarchy for its core count.
-func (cfg HierarchyConfig) Validate() error {
-	if cfg.Cores <= 0 {
-		return fmt.Errorf("cache: hierarchy needs at least one core (Cores=%d)", cfg.Cores)
-	}
-	if cfg.PrefetchDegree < 0 {
-		return fmt.Errorf("cache: PrefetchDegree %d must be >= 0", cfg.PrefetchDegree)
-	}
-	for _, lvl := range []struct {
-		name string
-		c    Config
-	}{{"L1", cfg.L1}, {"L2", cfg.L2}, {"LLC", cfg.LLC}} {
-		if err := lvl.c.Validate(); err != nil {
-			return fmt.Errorf("cache: %s: %w", lvl.name, err)
-		}
-	}
-	return nil
-}
-
 // CheckSpan rejects a memory of capacity bytes whose largest block does
 // not fit some level's 31-bit way key (see Cache): such a geometry
 // would alias blocks in the packed tag store.
 func (cfg HierarchyConfig) CheckSpan(capacity uint64) error {
-	last := (capacity - 1) / uint64(cfg.L1.BlockBytes)
+	last := (capacity - 1) / dram.BlockBytes
 	for _, lvl := range []struct {
 		name string
 		c    Config

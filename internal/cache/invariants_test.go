@@ -106,23 +106,3 @@ func TestHierInvariantsDetectCorruption(t *testing.T) {
 		})
 	}
 }
-
-func TestHierarchyConfigValidate(t *testing.T) {
-	if err := DefaultHierarchyConfig(4).Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	bad := []func(*HierarchyConfig){
-		func(c *HierarchyConfig) { c.Cores = 0 },
-		func(c *HierarchyConfig) { c.PrefetchDegree = -1 },
-		func(c *HierarchyConfig) { c.L1.Ways = 0 },
-		// One set fewer: still divisible, set count no longer a power of two.
-		func(c *HierarchyConfig) { c.LLC.SizeBytes -= c.LLC.Ways * c.LLC.BlockBytes },
-	}
-	for i, mut := range bad {
-		cfg := DefaultHierarchyConfig(4)
-		mut(&cfg)
-		if cfg.Validate() == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-}

@@ -99,9 +99,9 @@ func TestStillStallsMatchesProbe(t *testing.T) {
 		const cores, steps = 3, 40_000
 		cfg := HierarchyConfig{
 			Cores:          cores,
-			L1:             Config{SizeBytes: 1 << 10, Ways: 4, BlockBytes: 64, LatencyCPU: 4, MSHRs: 3},
-			L2:             Config{SizeBytes: 4 << 10, Ways: 4, BlockBytes: 64, LatencyCPU: 12, MSHRs: 3},
-			LLC:            Config{SizeBytes: 16 << 10, Ways: 8, BlockBytes: 64, LatencyCPU: 38, MSHRs: 5},
+			L1:             Config{SizeBytes: 1 << 10, Ways: 4, LatencyCPU: 4, MSHRs: 3},
+			L2:             Config{SizeBytes: 4 << 10, Ways: 4, LatencyCPU: 12, MSHRs: 3},
+			LLC:            Config{SizeBytes: 16 << 10, Ways: 8, LatencyCPU: 38, MSHRs: 5},
 			PrefetchDegree: 2,
 		}
 		rng := rand.New(rand.NewSource(11))

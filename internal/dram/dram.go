@@ -2,6 +2,8 @@
 // bank groups, ranks, and channels with the full command timing set used by
 // the Chopim paper (Table II), including bank-group aware tCCD/tRRD/tWTR,
 // the tFAW activation window, and read/write bus-turnaround penalties.
+// The paper's DDR4-2400 timing is the package's constant block (BL .. FAW
+// and the spacings derived from them); only the Geometry varies.
 //
 // The model distinguishes external (host) column accesses, which occupy the
 // channel data bus, from internal (NDA) column accesses, which use the
@@ -129,65 +131,57 @@ func (g Geometry) Validate() error {
 // of the 64-bit rank interface (or 8 bytes per chip for internal access).
 const BlockBytes = 64
 
-// Timing holds DDR4 timing parameters in bus-clock cycles.
-type Timing struct {
-	BL   int // data burst length on the bus (4 clock cycles for BL8 DDR)
-	CCDS int // column-to-column, different bank group
-	CCDL int // column-to-column, same bank group
-	RTRS int // rank-to-rank switch (bus)
-	CL   int // read latency (CAS)
-	RCD  int // ACT to column command
-	RP   int // PRE to ACT
-	CWL  int // write latency
-	RAS  int // ACT to PRE
-	RC   int // ACT to ACT, same bank
-	RTP  int // read to PRE
-	WTRS int // write to read, different bank group
-	WTRL int // write to read, same bank group
-	WR   int // write recovery (end of write data to PRE)
-	RRDS int // ACT to ACT, different bank group
-	RRDL int // ACT to ACT, same bank group
-	FAW  int // four-activation window
-}
+// Table II DDR4-2400 timing parameters, in bus-clock cycles. The paper
+// evaluates this one device, so the values are constants.
+const (
+	BL   = 4  // data burst length on the bus (4 clock cycles for BL8 DDR)
+	CCDS = 4  // column-to-column, different bank group
+	CCDL = 6  // column-to-column, same bank group
+	RTRS = 2  // rank-to-rank switch (bus)
+	CL   = 16 // read latency (CAS)
+	RCD  = 16 // ACT to column command
+	RP   = 16 // PRE to ACT
+	CWL  = 12 // write latency
+	RAS  = 39 // ACT to PRE
+	RC   = 55 // ACT to ACT, same bank
+	RTP  = 9  // read to PRE
+	WTRS = 3  // write to read, different bank group
+	WTRL = 9  // write to read, same bank group
+	WR   = 18 // write recovery (end of write data to PRE)
+	RRDS = 4  // ACT to ACT, different bank group
+	RRDL = 6  // ACT to ACT, same bank group
+	FAW  = 26 // four-activation window
+)
 
-// DDR42400 returns the paper's Table II DDR4 timing parameters.
-func DDR42400() Timing {
-	return Timing{
-		BL: 4, CCDS: 4, CCDL: 6, RTRS: 2, CL: 16, RCD: 16,
-		RP: 16, CWL: 12, RAS: 39, RC: 55, RTP: 9, WTRS: 3,
-		WTRL: 9, WR: 18, RRDS: 4, RRDL: 6, FAW: 26,
-	}
-}
+// Command spacings and latencies derived from the timing parameters.
+const (
+	ReadToWrite       = CL + BL + 2 - CWL // RD->WR spacing on a shared data path (bus turnaround)
+	WriteToReadSameBG = CWL + BL + WTRL   // WR->RD spacing within one bank group
+	WriteToReadDiffBG = CWL + BL + WTRS   // WR->RD spacing across bank groups of one rank
+	ReadLatency       = CL + BL           // RD issue to the end of its data burst
+	WriteLatency      = CWL + BL          // WR issue to the end of its data burst
+)
 
-// Validate reports an error for inconsistent timing parameters.
-func (t Timing) Validate() error {
-	if t.BL <= 0 || t.CL <= 0 || t.CWL <= 0 || t.RCD <= 0 || t.RP <= 0 {
-		return fmt.Errorf("dram: timing has non-positive core parameters: %+v", t)
-	}
-	if t.RC < t.RAS {
-		return fmt.Errorf("dram: tRC (%d) < tRAS (%d)", t.RC, t.RAS)
-	}
-	if t.CCDL < t.CCDS || t.WTRL < t.WTRS || t.RRDL < t.RRDS {
-		return fmt.Errorf("dram: same-bank-group timings must dominate: %+v", t)
-	}
-	if t.ReadToWrite() < t.CL-t.CWL {
-		// The mc controller's lazy bank keys rely on the channel-bus
-		// horizon (chanState.extCol) being monotone nondecreasing under
-		// legal command sequences; a read-to-write turnaround shorter than
-		// CL-CWL would let a WR's burst end before the preceding RD's,
-		// moving DataBusyUntil backwards.
-		return fmt.Errorf("dram: ReadToWrite (%d) < CL-CWL (%d): bus horizon not monotone", t.ReadToWrite(), t.CL-t.CWL)
-	}
-	return nil
-}
-
-// ReadToWrite returns the minimum command spacing from a RD to a WR sharing
-// a data path (bus turnaround).
-func (t Timing) ReadToWrite() int { return t.CL + t.BL + 2 - t.CWL }
-
-// WriteToReadSameBG returns WR->RD command spacing within one bank group.
-func (t Timing) WriteToReadSameBG() int { return t.CWL + t.BL + t.WTRL }
-
-// WriteToReadDiffBG returns WR->RD command spacing across bank groups of
-// the same rank.
-func (t Timing) WriteToReadDiffBG() int { return t.CWL + t.BL + t.WTRS }
+// The timing table's consistency rules, checked at compile time: a
+// negative difference does not fit a uint, so a table that breaks a rule
+// fails to build.
+const (
+	// Core parameters are positive.
+	_ uint = BL - 1
+	_ uint = CL - 1
+	_ uint = CWL - 1
+	_ uint = RCD - 1
+	_ uint = RP - 1
+	// A bank stays open at least tRAS of its tRC cycle.
+	_ uint = RC - RAS
+	// Same-bank-group timings dominate cross-group ones.
+	_ uint = CCDL - CCDS
+	_ uint = WTRL - WTRS
+	_ uint = RRDL - RRDS
+	// The mc controller's lazy bank keys rely on the channel-bus horizon
+	// (chanState.extCol) being monotone nondecreasing under legal command
+	// sequences; a read-to-write turnaround shorter than CL-CWL would let
+	// a WR's burst end before the preceding RD's, moving DataBusyUntil
+	// backwards.
+	_ uint = ReadToWrite - (CL - CWL)
+)

@@ -75,11 +75,11 @@ func runRandomSequence(t *testing.T, seed int64, steps int) {
 			if cmd == dram.CmdRD || cmd == dram.CmdWR {
 				var start int64
 				if cmd == dram.CmdRD {
-					start = now + int64(m.T.CL)
+					start = now + int64(dram.CL)
 				} else {
-					start = now + int64(m.T.CWL)
+					start = now + int64(dram.CWL)
 				}
-				end := start + int64(m.T.BL)
+				end := start + int64(dram.BL)
 				if lb, ok := lastBurst[a.Rank]; ok && start < lb.end && lb.start < end {
 					t.Fatalf("seed %d: overlapping data bursts on rank %d: [%d,%d) vs [%d,%d)",
 						seed, a.Rank, lb.start, lb.end, start, end)
@@ -94,7 +94,7 @@ func runRandomSequence(t *testing.T, seed int64, steps int) {
 
 	for r, times := range actTimes {
 		for i := 4; i < len(times); i++ {
-			if times[i]-times[i-4] < int64(m.T.FAW) {
+			if times[i]-times[i-4] < int64(dram.FAW) {
 				t.Fatalf("seed %d: rank %d saw 5 ACTs within tFAW (%d..%d)",
 					seed, r, times[i-4], times[i])
 			}
@@ -115,15 +115,15 @@ func TestNDAAndHostInterleavingFairness(t *testing.T) {
 	}
 	a := dram.Addr{Row: 5}
 	m.Issue(dram.CmdACT, a, 0, false)
-	now := int64(m.T.RCD)
+	now := int64(dram.RCD)
 	var host, ndas int
 	var last int64 = -1 << 40
 	for now < 3000 {
 		internal := (host+ndas)%2 == 1
 		if m.CanIssue(dram.CmdRD, a, now, internal) {
 			m.Issue(dram.CmdRD, a, now, internal)
-			if last > -1<<39 && now-last < int64(m.T.CCDL) {
-				t.Fatalf("mixed-source columns %d cycles apart, tCCD_L=%d", now-last, m.T.CCDL)
+			if last > -1<<39 && now-last < int64(dram.CCDL) {
+				t.Fatalf("mixed-source columns %d cycles apart, tCCD_L=%d", now-last, dram.CCDL)
 			}
 			last = now
 			if internal {

@@ -38,8 +38,8 @@ type rankState struct {
 
 // readyACT folds the bank's earliest ACT cycle from the bank, bank-group,
 // rank and tFAW horizons on every call; nothing is cached.
-func (rk *rankState) readyACT(t *Timing, bgIdx, flat int) int64 {
-	return max(rk.Banks[flat].NextACT, rk.BGs[bgIdx].NextACT, rk.NextACT, rk.fawReady(t))
+func (rk *rankState) readyACT(bgIdx, flat int) int64 {
+	return max(rk.Banks[flat].NextACT, rk.BGs[bgIdx].NextACT, rk.NextACT, rk.fawReady())
 }
 
 // readyCol folds the bank's earliest column cycle for cmd (RD or WR)
@@ -99,25 +99,25 @@ func (ch *chanState) logRow(local int32) {
 // extCol returns the earliest cycle the channel bus admits an external
 // column command of the given kind to the given rank: the channelColOK
 // constraints folded into one horizon, on demand.
-func (ch *chanState) extCol(cmd Command, rank int, t *Timing) int64 {
-	lat := int64(t.CWL)
+func (ch *chanState) extCol(cmd Command, rank int) int64 {
+	lat := int64(CWL)
 	if cmd == CmdRD {
-		lat = int64(t.CL)
+		lat = CL
 	}
 	ready := ch.DataBusyUntil - lat
 	if !ch.LastColValid {
 		return ready
 	}
 	if ch.LastColRank != rank {
-		ready += int64(t.RTRS)
+		ready += RTRS
 		if !ch.LastColRead && cmd == CmdRD {
 			// Write-to-read across ranks: bus-only constraint.
-			ready = max(ready, ch.LastColCycle+int64(t.CWL+t.BL+t.RTRS-t.CL))
+			ready = max(ready, ch.LastColCycle+(CWL+BL+RTRS-CL))
 		}
 	}
 	if ch.LastColRead && cmd == CmdWR {
 		// Read-to-write bus turnaround, any rank.
-		ready = max(ready, ch.LastColCycle+int64(t.ReadToWrite()))
+		ready = max(ready, ch.LastColCycle+ReadToWrite)
 	}
 	return ready
 }
@@ -140,7 +140,6 @@ type CmdCounts struct {
 // command counters.
 type Mem struct {
 	Geom Geometry
-	T    Timing
 
 	channels []chanState
 	cnts     CmdCounts
@@ -149,14 +148,14 @@ type Mem struct {
 // Counts returns the command counters.
 func (m *Mem) Counts() CmdCounts { return m.cnts }
 
-// New builds a Mem with the given geometry and the Table II timing
-// (DDR42400). An invalid geometry is returned as an error, not a panic:
-// sweep drivers must be able to reject a bad point without dying.
+// New builds a Mem with the given geometry. An invalid geometry is
+// returned as an error, not a panic: sweep drivers must be able to
+// reject a bad point without dying.
 func New(g Geometry) (*Mem, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Mem{Geom: g, T: DDR42400(), channels: make([]chanState, g.Channels)}
+	m := &Mem{Geom: g, channels: make([]chanState, g.Channels)}
 	for c := range m.channels {
 		ch := &m.channels[c]
 		ch.Ranks = make([]rankState, g.Ranks)
@@ -233,7 +232,7 @@ func (m *Mem) RowChange(channel int, seq uint64) int32 {
 func (m *Mem) BankSched(channel, rank, bankGroup, flat int) (row int, open bool, readyACT, readyPRE, readyRD, readyWR int64) {
 	rk := &m.channels[channel].Ranks[rank]
 	b := &rk.Banks[flat]
-	return b.Row, b.Open, rk.readyACT(&m.T, bankGroup, flat), b.NextPRE,
+	return b.Row, b.Open, rk.readyACT(bankGroup, flat), b.NextPRE,
 		rk.readyCol(CmdRD, bankGroup, flat), rk.readyCol(CmdWR, bankGroup, flat)
 }
 
@@ -244,13 +243,13 @@ func (m *Mem) BankSched(channel, rank, bankGroup, flat int) (row int, open bool,
 // NextIssue(cmd, a, now, true) it reconstructs the full external column
 // horizon.
 func (m *Mem) ExtColReady(channel int, cmd Command, rank int) int64 {
-	return m.channels[channel].extCol(cmd, rank, &m.T)
+	return m.channels[channel].extCol(cmd, rank)
 }
 
 // fawReady returns the earliest cycle an ACT may issue under tFAW.
-func (r *rankState) fawReady(t *Timing) int64 {
+func (r *rankState) fawReady() int64 {
 	// The ring holds the last 4 ACT times; the next slot is the oldest.
-	return r.FAW[r.FAWIdx] + int64(t.FAW)
+	return r.FAW[r.FAWIdx] + FAW
 }
 
 // CanIssue reports whether cmd to address a may legally issue at cycle now.
@@ -274,7 +273,7 @@ func (m *Mem) legal(ch *chanState, rk *rankState, flat int, cmd Command, a Addr,
 		if rk.Banks[flat].Open {
 			return false
 		}
-		return now >= rk.readyACT(&m.T, a.BankGroup, flat)
+		return now >= rk.readyACT(a.BankGroup, flat)
 
 	case CmdPRE:
 		if !rk.Banks[flat].Open {
@@ -292,7 +291,7 @@ func (m *Mem) legal(ch *chanState, rk *rankState, flat int, cmd Command, a Addr,
 		if internal {
 			return true
 		}
-		return now >= ch.extCol(cmd, a.Rank, &m.T)
+		return now >= ch.extCol(cmd, a.Rank)
 	}
 	return false
 }
@@ -314,7 +313,7 @@ func (m *Mem) canIssueRef(cmd Command, a Addr, now int64, internal bool) bool {
 		if now < b.NextACT || now < bg.NextACT || now < rk.NextACT {
 			return false
 		}
-		return now >= rk.fawReady(&m.T)
+		return now >= rk.fawReady()
 
 	case CmdPRE:
 		if !b.Open {
@@ -346,16 +345,13 @@ func (m *Mem) canIssueRef(cmd Command, a Addr, now int64, internal bool) bool {
 // channelColOK checks external data-bus constraints: burst overlap on the
 // shared bus, tRTRS rank switches, and read/write bus turnaround.
 func (m *Mem) channelColOK(ch *chanState, cmd Command, a Addr, now int64) bool {
-	t := &m.T
-	var start int64
+	start := now + CWL
 	if cmd == CmdRD {
-		start = now + int64(t.CL)
-	} else {
-		start = now + int64(t.CWL)
+		start = now + CL
 	}
 	busFree := ch.DataBusyUntil
 	if ch.LastColValid && ch.LastColRank != a.Rank {
-		busFree += int64(t.RTRS)
+		busFree += RTRS
 	}
 	if start < busFree {
 		return false
@@ -367,13 +363,13 @@ func (m *Mem) channelColOK(ch *chanState, cmd Command, a Addr, now int64) bool {
 	switch {
 	case ch.LastColRead && cmd == CmdWR:
 		// Read-to-write bus turnaround, any rank.
-		if gap < int64(t.ReadToWrite()) {
+		if gap < ReadToWrite {
 			return false
 		}
 	case !ch.LastColRead && cmd == CmdRD && ch.LastColRank != a.Rank:
 		// Write-to-read across ranks: bus constraint only (same-rank
 		// WTR is enforced by rank state).
-		if gap < int64(t.CWL+t.BL+t.RTRS-t.CL) {
+		if gap < CWL+BL+RTRS-CL {
 			return false
 		}
 	}
@@ -406,7 +402,7 @@ func (m *Mem) NextIssue(cmd Command, a Addr, now int64, internal bool) int64 {
 		if b.Open {
 			return now
 		}
-		return max(now, rk.readyACT(&m.T, a.BankGroup, flat))
+		return max(now, rk.readyACT(a.BankGroup, flat))
 
 	case CmdPRE:
 		if !b.Open {
@@ -420,7 +416,7 @@ func (m *Mem) NextIssue(cmd Command, a Addr, now int64, internal bool) int64 {
 		}
 		ready := rk.readyCol(cmd, a.BankGroup, flat)
 		if !internal {
-			ready = max(ready, ch.extCol(cmd, a.Rank, &m.T))
+			ready = max(ready, ch.extCol(cmd, a.Rank))
 		}
 		return max(now, ready)
 	}
@@ -441,7 +437,6 @@ func (m *Mem) Issue(cmd Command, a Addr, now int64, internal bool) {
 // legality check and the update. An illegal command changes nothing.
 func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 	m.checkAddr(a)
-	t := &m.T
 	ch := &m.channels[a.Channel]
 	rk := &ch.Ranks[a.Rank]
 	flat := a.GlobalBank(m.Geom)
@@ -463,18 +458,18 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 		ch.logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
 		b.Open = true
 		b.Row = a.Row
-		b.NextRD = now + int64(t.RCD)
-		b.NextWR = now + int64(t.RCD)
-		b.NextPRE = now + int64(t.RAS)
-		b.NextACT = now + int64(t.RC)
+		b.NextRD = now + RCD
+		b.NextWR = now + RCD
+		b.NextPRE = now + RAS
+		b.NextACT = now + RC
 		for g := range rk.BGs {
-			d := int64(t.RRDS)
+			d := int64(RRDS)
 			if g == a.BankGroup {
-				d = int64(t.RRDL)
+				d = RRDL
 			}
 			maxi(&rk.BGs[g].NextACT, now+d)
 		}
-		maxi(&rk.NextACT, now+int64(t.RRDS))
+		maxi(&rk.NextACT, now+RRDS)
 		rk.FAW[rk.FAWIdx] = now
 		rk.FAWIdx = (rk.FAWIdx + 1) % 4
 
@@ -482,7 +477,7 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 		cn.PRE++
 		ch.logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
 		b.Open = false
-		maxi(&b.NextACT, now+int64(t.RP))
+		maxi(&b.NextACT, now+RP)
 
 	case CmdRD:
 		if internal {
@@ -490,20 +485,20 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 		} else {
 			cn.RD++
 		}
-		maxi(&b.NextPRE, now+int64(t.RTP))
+		maxi(&b.NextPRE, now+RTP)
 		for g := range rk.BGs {
-			d := int64(t.CCDS)
+			d := int64(CCDS)
 			if g == a.BankGroup {
-				d = int64(t.CCDL)
+				d = CCDL
 			}
 			maxi(&rk.BGs[g].NextRD, now+d)
 			maxi(&rk.BGs[g].NextWR, now+d)
 		}
 		// Read-to-write turnaround on the rank's data path applies to
 		// both host and NDA accesses sharing that path.
-		maxi(&rk.NextWR, now+int64(t.ReadToWrite()))
+		maxi(&rk.NextWR, now+ReadToWrite)
 		if !internal {
-			ch.DataBusyUntil = now + int64(t.CL) + int64(t.BL)
+			ch.DataBusyUntil = now + ReadLatency
 			ch.LastColValid = true
 			ch.LastColRead = true
 			ch.LastColRank = a.Rank
@@ -516,19 +511,17 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 		} else {
 			cn.WR++
 		}
-		maxi(&b.NextPRE, now+int64(t.CWL+t.BL+t.WR))
+		maxi(&b.NextPRE, now+WriteLatency+WR)
 		for g := range rk.BGs {
-			ccd := int64(t.CCDS)
-			wtr := int64(t.WriteToReadDiffBG())
+			ccd, wtr := int64(CCDS), int64(WriteToReadDiffBG)
 			if g == a.BankGroup {
-				ccd = int64(t.CCDL)
-				wtr = int64(t.WriteToReadSameBG())
+				ccd, wtr = CCDL, WriteToReadSameBG
 			}
 			maxi(&rk.BGs[g].NextWR, now+ccd)
 			maxi(&rk.BGs[g].NextRD, now+wtr)
 		}
 		if !internal {
-			ch.DataBusyUntil = now + int64(t.CWL) + int64(t.BL)
+			ch.DataBusyUntil = now + WriteLatency
 			ch.LastColValid = true
 			ch.LastColRead = false
 			ch.LastColRank = a.Rank
@@ -537,9 +530,3 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 	}
 	return true
 }
-
-// ReadLatency returns cycles from RD issue to the end of the data burst.
-func (m *Mem) ReadLatency() int64 { return int64(m.T.CL + m.T.BL) }
-
-// WriteLatency returns cycles from WR issue to the end of the data burst.
-func (m *Mem) WriteLatency() int64 { return int64(m.T.CWL + m.T.BL) }

@@ -77,23 +77,6 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
-func TestTimingValidate(t *testing.T) {
-	tm := DDR42400()
-	if err := tm.Validate(); err != nil {
-		t.Fatalf("Table II timing invalid: %v", err)
-	}
-	bad := tm
-	bad.CCDL = 2 // below CCDS
-	if err := bad.Validate(); err == nil {
-		t.Error("Validate() accepted tCCD_L < tCCD_S")
-	}
-	bad = tm
-	bad.RC = 10
-	if err := bad.Validate(); err == nil {
-		t.Error("Validate() accepted tRC < tRAS")
-	}
-}
-
 func TestActivateThenReadTiming(t *testing.T) {
 	m := testMem(t)
 	a := Addr{Row: 7, Col: 3}
@@ -101,13 +84,13 @@ func TestActivateThenReadTiming(t *testing.T) {
 		t.Fatal("ACT to idle bank refused at cycle 0")
 	}
 	m.Issue(CmdACT, a, 0, false)
-	if m.CanIssue(CmdRD, a, int64(m.T.RCD)-1, false) {
+	if m.CanIssue(CmdRD, a, int64(RCD)-1, false) {
 		t.Error("RD allowed before tRCD")
 	}
-	if !m.CanIssue(CmdRD, a, int64(m.T.RCD), false) {
+	if !m.CanIssue(CmdRD, a, int64(RCD), false) {
 		t.Error("RD refused at exactly tRCD")
 	}
-	if m.CanIssue(CmdRD, Addr{Row: 8, Col: 0}, int64(m.T.RCD), false) {
+	if m.CanIssue(CmdRD, Addr{Row: 8, Col: 0}, int64(RCD), false) {
 		t.Error("RD to a different (closed) row allowed")
 	}
 }
@@ -120,11 +103,11 @@ func TestRowMissNeedsPrecharge(t *testing.T) {
 	if m.CanIssue(CmdACT, b, 100, false) {
 		t.Fatal("ACT allowed while conflicting row open (bank conflict)")
 	}
-	if m.CanIssue(CmdPRE, a, int64(m.T.RAS)-1, false) {
+	if m.CanIssue(CmdPRE, a, int64(RAS)-1, false) {
 		t.Error("PRE allowed before tRAS")
 	}
-	m.Issue(CmdPRE, a, int64(m.T.RAS), false)
-	preDone := int64(m.T.RAS + m.T.RP)
+	m.Issue(CmdPRE, a, int64(RAS), false)
+	preDone := int64(RAS + RP)
 	if m.CanIssue(CmdACT, b, preDone-1, false) {
 		t.Error("ACT allowed before tRP elapsed")
 	}
@@ -142,19 +125,19 @@ func TestColumnToColumnSpacing(t *testing.T) {
 	for _, a := range []Addr{same, sameBG, diffBG} {
 		now = issueASAP(t, m, CmdACT, a, now)
 	}
-	start := now + int64(m.T.RCD+m.T.FAW) // safely past activation constraints
+	start := now + int64(RCD+FAW) // safely past activation constraints
 	m.Issue(CmdRD, same, start, false)
 
-	if m.CanIssue(CmdRD, sameBG, start+int64(m.T.CCDL)-1, false) {
+	if m.CanIssue(CmdRD, sameBG, start+int64(CCDL)-1, false) {
 		t.Error("same-bank-group RD allowed before tCCD_L")
 	}
-	if !m.CanIssue(CmdRD, sameBG, start+int64(m.T.CCDL), false) {
+	if !m.CanIssue(CmdRD, sameBG, start+int64(CCDL), false) {
 		t.Error("same-bank-group RD refused at tCCD_L")
 	}
-	if m.CanIssue(CmdRD, diffBG, start+int64(m.T.CCDS)-1, false) {
+	if m.CanIssue(CmdRD, diffBG, start+int64(CCDS)-1, false) {
 		t.Error("cross-bank-group RD allowed before tCCD_S")
 	}
-	if !m.CanIssue(CmdRD, diffBG, start+int64(m.T.CCDS), false) {
+	if !m.CanIssue(CmdRD, diffBG, start+int64(CCDS), false) {
 		t.Error("cross-bank-group RD refused at tCCD_S")
 	}
 }
@@ -168,11 +151,11 @@ func TestWriteToReadTurnaround(t *testing.T) {
 	for _, a := range []Addr{w, rSame, rDiff} {
 		now = issueASAP(t, m, CmdACT, a, now)
 	}
-	start := now + int64(m.T.RCD+m.T.FAW)
+	start := now + int64(RCD+FAW)
 	m.Issue(CmdWR, w, start, false)
 
-	long := start + int64(m.T.WriteToReadSameBG())
-	short := start + int64(m.T.WriteToReadDiffBG())
+	long := start + int64(WriteToReadSameBG)
+	short := start + int64(WriteToReadDiffBG)
 	if m.CanIssue(CmdRD, rSame, long-1, false) {
 		t.Error("same-BG read allowed inside tWTR_L window")
 	}
@@ -192,10 +175,10 @@ func TestReadToWriteTurnaround(t *testing.T) {
 	r := Addr{BankGroup: 0, Row: 0}
 	w := Addr{BankGroup: 1, Row: 0}
 	m.Issue(CmdACT, r, 0, false)
-	issueASAP(t, m, CmdACT, w, int64(m.T.RRDS))
-	start := int64(m.T.RCD + m.T.FAW)
+	issueASAP(t, m, CmdACT, w, int64(RRDS))
+	start := int64(RCD + FAW)
 	m.Issue(CmdRD, r, start, false)
-	rtw := start + int64(m.T.ReadToWrite())
+	rtw := start + int64(ReadToWrite)
 	if m.CanIssue(CmdWR, w, rtw-1, false) {
 		t.Error("write allowed inside read-to-write turnaround")
 	}
@@ -219,8 +202,8 @@ func TestFourActivationWindow(t *testing.T) {
 	for fifthAt = now; !m.CanIssue(CmdACT, fifth, fifthAt, false); fifthAt++ {
 	}
 	// The fifth ACT must wait for tFAW after the first.
-	if fifthAt < int64(m.T.FAW) {
-		t.Errorf("fifth ACT issued at %d, before tFAW=%d elapsed", fifthAt, m.T.FAW)
+	if fifthAt < int64(FAW) {
+		t.Errorf("fifth ACT issued at %d, before tFAW=%d elapsed", fifthAt, FAW)
 	}
 }
 
@@ -230,11 +213,11 @@ func TestRankSwitchPenaltyOnChannelBus(t *testing.T) {
 	r1 := Addr{Rank: 1, Row: 0}
 	m.Issue(CmdACT, r0, 0, false)
 	m.Issue(CmdACT, r1, 0, false) // different rank: no tRRD interaction
-	start := int64(m.T.RCD + m.T.FAW)
+	start := int64(RCD + FAW)
 	m.Issue(CmdRD, r0, start, false)
 
 	// Same command spacing cross-rank must respect BL + tRTRS on the bus.
-	minGap := int64(m.T.BL + m.T.RTRS)
+	minGap := int64(BL + RTRS)
 	if m.CanIssue(CmdRD, r1, start+minGap-1, false) {
 		t.Error("cross-rank RD allowed without tRTRS bus gap")
 	}
@@ -242,7 +225,7 @@ func TestRankSwitchPenaltyOnChannelBus(t *testing.T) {
 		t.Error("cross-rank RD refused after tRTRS bus gap")
 	}
 	// An internal (NDA) access to the other rank sees no bus constraint.
-	if !m.CanIssue(CmdRD, r1, start+int64(m.T.CCDS), true) {
+	if !m.CanIssue(CmdRD, r1, start+int64(CCDS), true) {
 		t.Error("internal RD to other rank blocked by channel bus")
 	}
 }
@@ -252,11 +235,11 @@ func TestInternalAccessSharesRankState(t *testing.T) {
 	a := Addr{Row: 0}
 	b := Addr{BankGroup: 1, Row: 0}
 	m.Issue(CmdACT, a, 0, false)
-	issueASAP(t, m, CmdACT, b, int64(m.T.RRDS))
-	start := int64(m.T.RCD + m.T.FAW)
+	issueASAP(t, m, CmdACT, b, int64(RRDS))
+	start := int64(RCD + FAW)
 	// NDA write then host read on the same rank: tWTR applies.
 	m.Issue(CmdWR, a, start, true)
-	hostRead := start + int64(m.T.WriteToReadDiffBG())
+	hostRead := start + int64(WriteToReadDiffBG)
 	if m.CanIssue(CmdRD, b, hostRead-1, false) {
 		t.Error("host read ignored NDA write-to-read turnaround")
 	}
@@ -295,7 +278,7 @@ func TestTimingMonotonic(t *testing.T) {
 				return false
 			}
 		}
-		return first == int64(m.T.RCD)
+		return first == int64(RCD)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -341,7 +341,7 @@ func measureConcurrent(s *sim.System, it launcher, opt Options) (Result, error) 
 			HostBusy:  busy,
 			Cycles:    s.MeasuredCycles(),
 		}
-		hostBlocks := float64(busy) / float64(s.Mem.T.BL) // approx: busy cycles are data bursts
+		hostBlocks := float64(busy) / dram.BL // approx: busy cycles are data bursts
 		if mc := s.MeasuredCycles(); mc > 0 {
 			res.HostBWGBs = hostBlocks * dram.BlockBytes / sim.Seconds(mc) / 1e9
 		}

@@ -11,14 +11,20 @@ type Fig11Row struct {
 	// Host IPC and NDA utilization per configuration.
 	SharedDOT, SharedCOPY Result
 	PartDOT, PartCOPY     Result
-	IdealHostIPC          float64 // host-only, no NDA contention
+	// IdealHostIPC is host-only, with no NDA contention. It is measured
+	// on the bank-partitioned map (sim.Default, one reserved bank per
+	// rank), not on the unpartitioned map of the Shared rows.
+	IdealHostIPC float64
 }
 
 // Fig11 reproduces Figure 11: concurrent access with and without bank
 // partitioning under read-intensive (DOT) and write-intensive (COPY)
 // NDA operations across all mixes. Partitioning removes host-to-NDA bank
 // conflicts and chiefly helps the read-intensive case; COPY also hurts
-// host IPC through write turnarounds.
+// host IPC through write turnarounds. The idealized host-only IPC is
+// measured on the bank-partitioned map (sim.Default, one reserved bank
+// per rank) for every row, Shared ones included; the paper does not say
+// which map its idealized baseline used.
 func Fig11(opt Options) ([]Fig11Row, error) { return figCached(opt, "fig11", fig11Rows) }
 
 func fig11Rows(opt Options) ([]Fig11Row, error) {

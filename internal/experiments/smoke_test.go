@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestAllFigsQuick computes every quick figure and pins the Figs 10-14
-// and power tables, each as one SHA-256 of its rows' JSON (which
+// TestAllFigsQuick computes every quick figure and pins the Fig 2,
+// Figs 10-14 and power tables, each as one SHA-256 of its rows' JSON (which
 // carries every float64 exactly), so a refactor of the figure code
 // must reproduce every row bit for bit. Fig 15 has its own pins
 // (TestFig15QuickPinned); here it only has to run.
@@ -18,6 +18,7 @@ func TestAllFigsQuick(t *testing.T) {
 		name, want string
 		rows       func() (any, error)
 	}{
+		{"fig2", "1efa9f925765a50ab079245702f49e7023c5f91bfca038b552eafb4c596c037b", func() (any, error) { return Fig2(opt) }},
 		{"fig10", "09a7c8c7031a0cc59ba8c7f2505efd6e40742dc2c2cac4c0cc97b3c4c1f60b40", func() (any, error) { return Fig10(opt) }},
 		{"fig11", "57f99918ed50bf5e827c0dfbf302430d05bfcb2446812e7c75fc2932bff1ac23", func() (any, error) { return Fig11(opt) }},
 		{"fig12", "39e4cadb369ef5b060c132a143f18f2be599c650f0e2446a48eaa574318942d0", func() (any, error) { return Fig12(opt) }},

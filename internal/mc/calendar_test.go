@@ -362,7 +362,7 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 		if !enqRead(c, mapper, addr, 0, nil) {
 			t.Fatal("enqueue refused")
 		}
-		rdReady := int64(mem.T.RCD)
+		rdReady := int64(dram.RCD)
 		if next := c.NextEvent(0); next != rdReady {
 			t.Fatalf("NextEvent(0) = %d, want tRCD = %d", next, rdReady)
 		}
@@ -377,7 +377,7 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 		// it at the exact pushed-out cycle.
 		seq := mem.RowSeq(0)
 		mem.Issue(dram.CmdRD, da, rdReady, true)
-		pushed := rdReady + int64(mem.T.CCDL)
+		pushed := rdReady + int64(dram.CCDL)
 		if mem.RowSeq(0) != seq {
 			t.Fatal("internal column was logged as a row change")
 		}
@@ -401,20 +401,19 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 	t.Run("row-change-per-bank", func(t *testing.T) {
 		mem := testMem(g)
 		c := NewController(mem, 0)
-		tm := mem.T
 		// Banks A and B (rank 0, different bank groups) are opened and
 		// closed by an NDA, so their next ACT waits out tRC; bank C (a
 		// third bank group) is the NDA's and the host never queues to it.
 		bankA := dram.Addr{BankGroup: 0, Row: 100}
 		bankB := dram.Addr{BankGroup: 1, Row: 100}
 		bankC := dram.Addr{BankGroup: 2, Row: 300}
-		actB := int64(tm.RRDS)
-		preB := actB + int64(tm.RAS)
+		actB := int64(dram.RRDS)
+		preB := actB + int64(dram.RAS)
 		mem.Issue(dram.CmdACT, bankA, 0, true)
 		mem.Issue(dram.CmdACT, bankB, actB, true)
-		mem.Issue(dram.CmdPRE, bankA, int64(tm.RAS), true)
+		mem.Issue(dram.CmdPRE, bankA, int64(dram.RAS), true)
 		mem.Issue(dram.CmdPRE, bankB, preB, true)
-		keyA, keyB := int64(tm.RC), actB+int64(tm.RC)
+		keyA, keyB := int64(dram.RC), actB+int64(dram.RC)
 
 		// Host reads to rows 200 of A and B: closed banks, so each
 		// bank's candidate is an ACT at its tRC horizon.

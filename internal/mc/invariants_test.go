@@ -131,7 +131,7 @@ func TestCheckInvariantsDetectsUnsoundMemo(t *testing.T) {
 	a := dram.Addr{Row: 100}
 	mem.Issue(dram.CmdACT, a, 0, true)
 	c.EnqueueRead(1<<20, a, 0, nil)
-	rdReady := int64(mem.T.RCD)
+	rdReady := int64(dram.RCD)
 	if next := c.NextEvent(0); next != rdReady {
 		t.Fatalf("NextEvent(0) = %d, want tRCD = %d", next, rdReady)
 	}

@@ -30,8 +30,10 @@ import "chopim/internal/dram"
 //     the bus), and ExtColReady is monotone nondecreasing under legal
 //     command sequences (bus occupancy ends only move forward, and every
 //     branch switch adds at least the turnaround the issue itself had to
-//     respect — requires ReadToWrite >= CL-CWL, which Timing.Validate
-//     pins), so a stale bus component only under-estimates.
+//     respect — requires ReadToWrite >= CL-CWL, which under the
+//     dram.ReadToWrite formula CL+BL+2-CWL reduces to BL+2 > 0; dram
+//     asserts it at compile time), so a stale bus component only
+//     under-estimates.
 //   - Bucket mutations (a push into an occupied bank, a remove that
 //     leaves survivors) reset the bank's key; a newly occupied bank
 //     starts at -1, so a queue rebuilt by Restore revalidates them all.

@@ -613,12 +613,12 @@ func (c *Controller) issueColumn(cmd dram.Command, r *Request, q *reqQueue, now 
 	var dataStart, dataEnd int64
 	if write {
 		c.WritesIssued++
-		dataStart = now + int64(c.mem.T.CWL)
-		dataEnd = now + c.mem.WriteLatency()
+		dataStart = now + dram.CWL
+		dataEnd = now + dram.WriteLatency
 	} else {
 		c.ReadsIssued++
-		dataStart = now + int64(c.mem.T.CL)
-		dataEnd = now + c.mem.ReadLatency()
+		dataStart = now + dram.CL
+		dataEnd = now + dram.ReadLatency
 		c.ReadLatencySum += dataEnd - r.Arrive
 	}
 	// The rank counts as host-busy during the data burst; the CAS-wait

@@ -64,7 +64,7 @@ func TestReadCompletesWithDRAMLatency(t *testing.T) {
 		t.Fatal("read never completed")
 	}
 	// ACT + RD: at least tRCD + CL + BL.
-	min := int64(mem.T.RCD + mem.T.CL + mem.T.BL)
+	min := int64(dram.RCD + dram.CL + dram.BL)
 	if doneAt < min {
 		t.Errorf("read completed at %d, faster than tRCD+CL+BL=%d", doneAt, min)
 	}

@@ -34,10 +34,10 @@ func TestNextEventMemo(t *testing.T) {
 		c = NewController(mem, 0)
 		mem.Issue(dram.CmdACT, other, 0, true)
 		mem.Issue(dram.CmdACT, far, 0, true)
-		actHit := int64(mem.T.RRDL)
+		actHit := int64(dram.RRDL)
 		mem.Issue(dram.CmdACT, hit, actHit, true)
 		c.EnqueueRead(1<<20, hit, actHit, nil)
-		rdReady = actHit + int64(mem.T.RCD)
+		rdReady = actHit + int64(dram.RCD)
 		if next := c.NextEvent(actHit); next != rdReady {
 			t.Fatalf("NextEvent(%d) = %d, want tRCD = %d", actHit, next, rdReady)
 		}
@@ -50,7 +50,7 @@ func TestNextEventMemo(t *testing.T) {
 		if mem.RowSeq(0) != seq {
 			t.Fatal("internal column was logged as a row change")
 		}
-		pushed = c1 + int64(mem.T.CCDL)
+		pushed = c1 + int64(dram.CCDL)
 		return c, mem, rdReady, c1, pushed
 	}
 	// oracle re-derives the earliest cycle at or after now any queued

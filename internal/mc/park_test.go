@@ -139,7 +139,7 @@ func TestBlockedPrechargeParks(t *testing.T) {
 			// by the read-to-write turnaround; the bank's PRE is ready.
 			now := int64(100)
 			p.internal(dram.CmdRD, other, now)
-			wrReady := now + int64(p.memA.T.ReadToWrite())
+			wrReady := now + int64(dram.ReadToWrite)
 			p.read(1<<20, conflict, now)
 			p.write(2<<20, hit, now)
 			p.tick(now)

@@ -603,7 +603,7 @@ func (s *System) NDAUtilization(hostBusyCycles, ndaBlocks int64) float64 {
 	if idle <= 0 {
 		return 0
 	}
-	used := ndaBlocks * int64(s.Mem.T.BL)
+	used := ndaBlocks * dram.BL
 	u := float64(used) / float64(idle)
 	if u > 1 {
 		u = 1
