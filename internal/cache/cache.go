@@ -1,7 +1,8 @@
 // Package cache implements the host cache hierarchy: set-associative
 // write-back caches with LRU replacement and MSHR-limited non-blocking
-// misses, composed into per-core L1/L2 levels under a shared LLC with a
-// stride prefetcher (Table II configuration).
+// misses, composed into per-core L1/L2 levels under a shared LLC (Table
+// II configuration). There is no prefetcher: every LLC miss is a demand
+// miss (DESIGN.md §2.21).
 //
 // The hierarchy is a latency/filter model: lookups resolve immediately
 // with a hit latency, LLC misses are forwarded to a memory backend and

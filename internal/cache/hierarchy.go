@@ -19,8 +19,10 @@ type Backend interface {
 	// EnqueueRead submits a block read; done is called with the DRAM
 	// cycle at which data is available. Returns false if full.
 	EnqueueRead(addr uint64, done func(dramDone int64)) bool
-	// EnqueueWrite submits a block writeback. Returns false if full.
-	EnqueueWrite(addr uint64) bool
+	// EnqueueWrite submits a block writeback. It is never refused: the
+	// controller's overflow ring absorbs writebacks beyond its write
+	// queue.
+	EnqueueWrite(addr uint64)
 	// ReadFull reports whether EnqueueRead(addr, ...) would return false
 	// now, without side effects.
 	ReadFull(addr uint64) bool
@@ -33,19 +35,17 @@ type Clock interface {
 
 // HierarchyConfig configures the full cache hierarchy.
 type HierarchyConfig struct {
-	L1, L2, LLC    Config
-	Cores          int
-	PrefetchDegree int // LLC stride prefetcher lookahead (0 disables)
+	L1, L2, LLC Config
+	Cores       int
 }
 
 // DefaultHierarchyConfig returns the paper's Table II cache setup.
 func DefaultHierarchyConfig(cores int) HierarchyConfig {
 	return HierarchyConfig{
-		Cores:          cores,
-		L1:             Config{SizeBytes: 32 << 10, Ways: 8, LatencyCPU: 4, MSHRs: 12},
-		L2:             Config{SizeBytes: 256 << 10, Ways: 4, LatencyCPU: 12, MSHRs: 12},
-		LLC:            Config{SizeBytes: 8 << 20, Ways: 16, LatencyCPU: 38, MSHRs: 48},
-		PrefetchDegree: 2,
+		Cores: cores,
+		L1:    Config{SizeBytes: 32 << 10, Ways: 8, LatencyCPU: 4, MSHRs: 12},
+		L2:    Config{SizeBytes: 256 << 10, Ways: 4, LatencyCPU: 12, MSHRs: 12},
+		LLC:   Config{SizeBytes: 8 << 20, Ways: 16, LatencyCPU: 38, MSHRs: 48},
 	}
 }
 
@@ -54,26 +54,18 @@ func DefaultHierarchyConfig(cores int) HierarchyConfig {
 // captures only the node), so the steady-state miss path allocates
 // nothing.
 type mshr struct {
-	waiters  []waiter
-	core     int
-	dirty    bool // a store merged into the in-flight miss
-	block    uint64
-	prefetch bool // fills the LLC only
-	fill     func(dramDone int64)
-	next     *mshr // free-list link
+	waiters []waiter
+	core    int
+	dirty   bool // a store merged into the in-flight miss
+	block   uint64
+	fill    func(dramDone int64)
+	next    *mshr // free-list link
 }
 
 type waiter struct {
 	core int
 	slot int // the waiting core's ROB slot (snapshot identity for done)
 	done func(cpuDone int64)
-}
-
-// strideState is one core's prefetch stream detector.
-type strideState struct {
-	LastBlock  uint64
-	Stride     int64
-	Confidence int
 }
 
 // Hierarchy composes per-core L1/L2 caches and the shared LLC.
@@ -90,8 +82,6 @@ type Hierarchy struct {
 	mshrFree   *mshr         // pooled MSHR nodes
 	maxWaiters int           // waiter-slice capacity bound (see NewHierarchy)
 	l1Pending  []int         // outstanding misses per core (L1 MSHR limit)
-	prefetch   []strideState
-	Prefetches int64
 	Demand     int64
 
 	// stalls holds each core's stall mark: the access that last
@@ -114,7 +104,7 @@ type stallMark struct {
 }
 
 // allocMSHR pops a pooled MSHR node (or grows the pool).
-func (h *Hierarchy) allocMSHR(core int, block uint64, dirty, prefetch bool) *mshr {
+func (h *Hierarchy) allocMSHR(core int, block uint64, dirty bool) *mshr {
 	m := h.mshrFree
 	if m != nil {
 		h.mshrFree = m.next
@@ -122,7 +112,7 @@ func (h *Hierarchy) allocMSHR(core int, block uint64, dirty, prefetch bool) *msh
 	} else {
 		m = h.newMSHR()
 	}
-	m.core, m.block, m.dirty, m.prefetch = core, block, dirty, prefetch
+	m.core, m.block, m.dirty = core, block, dirty
 	return m
 }
 
@@ -162,7 +152,6 @@ func NewHierarchy(cfg HierarchyConfig, backend Backend, clock Clock) *Hierarchy 
 		pending:    newPendingTable(cfg.LLC.MSHRs),
 		maxWaiters: cfg.Cores * cfg.L1.MSHRs,
 		l1Pending:  make([]int, cfg.Cores),
-		prefetch:   make([]strideState, cfg.Cores),
 		stalls:     make([]stallMark, cfg.Cores),
 		llcVer:     make([]uint32, cfg.LLC.Sets()),
 	}
@@ -236,7 +225,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, slot int, done fun
 		return h.stall(core, addr, b, write)
 	}
 
-	m := h.allocMSHR(core, b, write, false)
+	m := h.allocMSHR(core, b, write)
 	if !write {
 		h.l1Pending[core]++
 		m.waiters = append(m.waiters, waiter{core: core, slot: slot, done: done})
@@ -250,7 +239,6 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, slot int, done fun
 	}
 	h.pending.put(b, m)
 	h.Demand++
-	h.maybePrefetch(core, addr)
 	if write {
 		return Hit, h.cfg.L1.LatencyCPU
 	}
@@ -296,16 +284,12 @@ func (h *Hierarchy) StillStalls(core int) bool {
 }
 
 // onFill handles data arriving from memory for the MSHR's block at DRAM
-// cycle dramDone. Demand fills propagate through every level; prefetch
-// fills install in the LLC only. Waiters complete at the equivalent CPU
-// cycle plus the LLC-to-core fill latency, releasing their L1 MSHR.
+// cycle dramDone. The fill propagates through every level; waiters
+// complete at the equivalent CPU cycle plus the LLC-to-core fill
+// latency, releasing their L1 MSHR.
 func (h *Hierarchy) onFill(m *mshr, dramDone int64) {
 	h.pending.del(m.block)
-	if m.prefetch {
-		h.insertLLC(m.block, m.dirty)
-	} else {
-		h.insertAll(m.core, m.block, m.dirty)
-	}
+	h.insertAll(m.core, m.block, m.dirty)
 	cpuDone := h.clock.CPUOfDRAM(dramDone) + h.cfg.LLC.LatencyCPU
 	for _, w := range m.waiters {
 		h.l1Pending[w.core]--
@@ -349,54 +333,7 @@ func (h *Hierarchy) insertLLC(b uint64, dirty bool) {
 
 // writeback sends a dirty LLC victim to memory. Write-queue overflow is
 // absorbed by the backend (modeling an unbounded eviction buffer that the
-// controller drains under its watermark policy).
+// controller drains under its watermark policy), so it cannot fail.
 func (h *Hierarchy) writeback(block uint64) {
 	h.backend.EnqueueWrite(block * dram.BlockBytes)
-}
-
-// maybePrefetch trains the per-core stride detector on LLC demand misses
-// and issues prefetches when confident.
-func (h *Hierarchy) maybePrefetch(core int, addr uint64) {
-	if h.cfg.PrefetchDegree == 0 {
-		return
-	}
-	b := h.block(addr)
-	st := &h.prefetch[core]
-	stride := int64(b) - int64(st.LastBlock)
-	if stride == st.Stride && stride != 0 {
-		if st.Confidence < 4 {
-			st.Confidence++
-		}
-	} else {
-		st.Confidence = 0
-		st.Stride = stride
-	}
-	st.LastBlock = b
-	if st.Confidence < 2 {
-		return
-	}
-	for d := 1; d <= h.cfg.PrefetchDegree; d++ {
-		pb := int64(b) + st.Stride*int64(d)
-		if pb < 0 {
-			continue
-		}
-		pblock := uint64(pb)
-		if h.llc.Contains(pblock) {
-			continue
-		}
-		if h.pending.get(pblock) != nil {
-			continue
-		}
-		if h.pending.len() >= h.cfg.LLC.MSHRs {
-			return
-		}
-		m := h.allocMSHR(core, pblock, false, true)
-		paddr := pblock * dram.BlockBytes
-		if !h.backend.EnqueueRead(paddr, m.fill) {
-			h.freeMSHR(m)
-			return
-		}
-		h.pending.put(pblock, m)
-		h.Prefetches++
-	}
 }

@@ -19,9 +19,8 @@ func (f *fakeBackend) EnqueueRead(addr uint64, done func(int64)) bool {
 	return true
 }
 
-func (f *fakeBackend) EnqueueWrite(addr uint64) bool {
+func (f *fakeBackend) EnqueueWrite(addr uint64) {
 	f.writes = append(f.writes, addr)
-	return true
 }
 
 func (f *fakeBackend) ReadFull(addr uint64) bool { return f.full }
@@ -39,9 +38,7 @@ func (fixedClock) CPUOfDRAM(d int64) int64 { return d * 10 / 3 }
 
 func testHier(cores int) (*Hierarchy, *fakeBackend) {
 	b := &fakeBackend{}
-	cfg := DefaultHierarchyConfig(cores)
-	cfg.PrefetchDegree = 0 // deterministic traffic in unit tests
-	return NewHierarchy(cfg, b, fixedClock{}), b
+	return NewHierarchy(DefaultHierarchyConfig(cores), b, fixedClock{}), b
 }
 
 func TestMissGoesToMemoryThenHits(t *testing.T) {
@@ -137,20 +134,5 @@ func TestDirtyEvictionReachesMemory(t *testing.T) {
 	}
 	if len(b.writes) == 0 {
 		t.Error("dirty block never written back to memory")
-	}
-}
-
-func TestPrefetcherIssuesOnStride(t *testing.T) {
-	b := &fakeBackend{}
-	cfg := DefaultHierarchyConfig(1)
-	cfg.PrefetchDegree = 2
-	h := NewHierarchy(cfg, b, fixedClock{})
-	// Three strided misses establish confidence; further misses prefetch.
-	for i := 0; i < 6; i++ {
-		h.Access(0, uint64(i)*64*4+0x10000, false, 0, nil)
-		b.completeAll(int64(i))
-	}
-	if h.Prefetches == 0 {
-		t.Error("stride prefetcher never fired on a regular stream")
 	}
 }

@@ -37,16 +37,15 @@ type waiterState struct {
 
 // mshrState is one in-flight LLC miss.
 type mshrState struct {
-	Block    uint64
-	Core     int
-	Dirty    bool
-	Prefetch bool
-	Waiters  []waiterState
+	Block   uint64
+	Core    int
+	Dirty   bool
+	Waiters []waiterState
 }
 
 // HierarchyState is a deep copy of the hierarchy's mutable state: every
 // cache level's contents, the in-flight MSHR set with its waiters,
-// per-core L1 MSHR occupancy, prefetch stride detectors, and counters.
+// per-core L1 MSHR occupancy, and the demand-miss counter.
 // The stall marks and LLC set versions are not carried: restore clears
 // the marks, so each probe-stalled core re-probes once and re-arms its
 // own (see StillStalls).
@@ -56,23 +55,19 @@ type mshrState struct {
 // name is its (core, ROB slot). The exported fields are also the
 // durable checkpoint encoding.
 type HierarchyState struct {
-	L1, L2     []cacheState
-	LLC        cacheState
-	MSHRs      []mshrState
-	L1Pending  []int
-	Prefetch   []strideState
-	Prefetches int64
-	Demand     int64
+	L1, L2    []cacheState
+	LLC       cacheState
+	MSHRs     []mshrState
+	L1Pending []int
+	Demand    int64
 }
 
 // Snapshot captures the hierarchy's full mutable state.
 func (h *Hierarchy) Snapshot() *HierarchyState {
 	st := &HierarchyState{
-		LLC:        h.llc.snapshot(),
-		L1Pending:  append([]int(nil), h.l1Pending...),
-		Prefetch:   append([]strideState(nil), h.prefetch...),
-		Prefetches: h.Prefetches,
-		Demand:     h.Demand,
+		LLC:       h.llc.snapshot(),
+		L1Pending: append([]int(nil), h.l1Pending...),
+		Demand:    h.Demand,
 	}
 	for i := range h.l1 {
 		st.L1 = append(st.L1, h.l1[i].snapshot())
@@ -83,7 +78,7 @@ func (h *Hierarchy) Snapshot() *HierarchyState {
 		if m == nil {
 			continue
 		}
-		ms := mshrState{Block: m.block, Core: m.core, Dirty: m.dirty, Prefetch: m.prefetch}
+		ms := mshrState{Block: m.block, Core: m.core, Dirty: m.dirty}
 		for _, w := range m.waiters {
 			ms.Waiters = append(ms.Waiters, waiterState{Core: w.core, Slot: w.slot, HasDone: w.done != nil})
 		}
@@ -114,7 +109,7 @@ func (h *Hierarchy) Restore(st *HierarchyState, done func(core, slot int) func(i
 	}
 	h.pending.n = 0
 	for _, ms := range st.MSHRs {
-		m := h.allocMSHR(ms.Core, ms.Block, ms.Dirty, ms.Prefetch)
+		m := h.allocMSHR(ms.Core, ms.Block, ms.Dirty)
 		for _, w := range ms.Waiters {
 			var fn func(int64)
 			if w.HasDone && done != nil {
@@ -125,8 +120,7 @@ func (h *Hierarchy) Restore(st *HierarchyState, done func(core, slot int) func(i
 		h.pending.put(ms.Block, m)
 	}
 	copy(h.l1Pending, st.L1Pending)
-	copy(h.prefetch, st.Prefetch)
-	h.Prefetches, h.Demand = st.Prefetches, st.Demand
+	h.Demand = st.Demand
 	clear(h.stalls) // no stall is vouched for until its core re-probes
 }
 

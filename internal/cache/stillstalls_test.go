@@ -27,10 +27,7 @@ func (b *chanBackend) EnqueueRead(addr uint64, done func(int64)) bool {
 	return true
 }
 
-func (b *chanBackend) EnqueueWrite(addr uint64) bool {
-	b.writes++
-	return true
-}
+func (b *chanBackend) EnqueueWrite(addr uint64) { b.writes++ }
 
 func (b *chanBackend) ReadFull(addr uint64) bool { return b.full[b.ch(addr)] }
 
@@ -98,11 +95,10 @@ func TestStillStallsMatchesProbe(t *testing.T) {
 	t.Run("Random", func(t *testing.T) {
 		const cores, steps = 3, 40_000
 		cfg := HierarchyConfig{
-			Cores:          cores,
-			L1:             Config{SizeBytes: 1 << 10, Ways: 4, LatencyCPU: 4, MSHRs: 3},
-			L2:             Config{SizeBytes: 4 << 10, Ways: 4, LatencyCPU: 12, MSHRs: 3},
-			LLC:            Config{SizeBytes: 16 << 10, Ways: 8, LatencyCPU: 38, MSHRs: 5},
-			PrefetchDegree: 2,
+			Cores: cores,
+			L1:    Config{SizeBytes: 1 << 10, Ways: 4, LatencyCPU: 4, MSHRs: 3},
+			L2:    Config{SizeBytes: 4 << 10, Ways: 4, LatencyCPU: 12, MSHRs: 3},
+			LLC:   Config{SizeBytes: 16 << 10, Ways: 8, LatencyCPU: 38, MSHRs: 5},
 		}
 		rng := rand.New(rand.NewSource(11))
 		b := &chanBackend{}

@@ -36,8 +36,9 @@ func runOf(next func() Instr, max int) (int, Instr, bool) {
 }
 
 type fakeBackend struct {
-	dones []func(int64)
-	full  bool
+	dones  []func(int64)
+	writes []uint64
+	full   bool
 }
 
 func (f *fakeBackend) EnqueueRead(addr uint64, done func(int64)) bool {
@@ -47,8 +48,8 @@ func (f *fakeBackend) EnqueueRead(addr uint64, done func(int64)) bool {
 	f.dones = append(f.dones, done)
 	return true
 }
-func (f *fakeBackend) EnqueueWrite(addr uint64) bool { return true }
-func (f *fakeBackend) ReadFull(addr uint64) bool     { return f.full }
+func (f *fakeBackend) EnqueueWrite(addr uint64)  { f.writes = append(f.writes, addr) }
+func (f *fakeBackend) ReadFull(addr uint64) bool { return f.full }
 
 type fixedClock struct{}
 

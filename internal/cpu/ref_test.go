@@ -163,7 +163,9 @@ type access struct {
 }
 
 // lockBackend is one side's memory in RunLockstep: it logs every request
-// in order and holds read completions until the driver fires them.
+// in order and holds read completions until RunLockstep fires them. Only
+// reads can be refused (full); a writeback is always logged, as the
+// controller's overflow ring always takes it.
 type lockBackend struct {
 	full  bool
 	log   []access
@@ -179,12 +181,8 @@ func (b *lockBackend) EnqueueRead(addr uint64, done func(int64)) bool {
 	return true
 }
 
-func (b *lockBackend) EnqueueWrite(addr uint64) bool {
-	if b.full {
-		return false
-	}
+func (b *lockBackend) EnqueueWrite(addr uint64) {
 	b.log = append(b.log, access{addr, true})
-	return true
 }
 
 func (b *lockBackend) ReadFull(addr uint64) bool { return b.full }

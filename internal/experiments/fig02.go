@@ -25,16 +25,7 @@ func fig2Rows(opt Options) ([]Fig2Row, error) {
 		if err != nil {
 			return Fig2Row{}, err
 		}
-		var sum int64
-		for _, v := range out.Idle {
-			sum += v
-		}
-		row := Fig2Row{Mix: workload.MixName(mix)}
-		if sum > 0 {
-			for b, v := range out.Idle {
-				row.Fractions[b] = float64(v) / float64(sum)
-			}
-		}
-		return row, nil
+		h := stats.IdleHist{Cycles: out.Idle}
+		return Fig2Row{Mix: workload.MixName(mix), Fractions: h.Fractions()}, nil
 	})
 }

@@ -63,8 +63,8 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 	mapper := testMap(g)
 	memA := testMem(g)
 	memB := testMem(g)
-	ctlA := NewController(memA, 0)
-	ctlB := NewController(memB, 0)
+	ctlA := NewController(memA, 0, inline)
+	ctlB := NewController(memB, 0, inline)
 	ctlB.SetReferenceScheduler(true)
 
 	rng := rand.New(rand.NewSource(0xCA1 + int64(len(tc.name))))
@@ -299,7 +299,7 @@ func TestCalendarRowStampRebucket(t *testing.T) {
 	g := dram.DefaultGeometry()
 	mapper := testMap(g)
 	mem := testMem(g)
-	c := NewController(mem, 0)
+	c := NewController(mem, 0, inline)
 
 	// A host read to a closed bank: the bank files under its ACT
 	// horizon (pass-2 candidate).
@@ -352,7 +352,7 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 
 	t.Run("column-lazy", func(t *testing.T) {
 		mem := testMem(g)
-		c := NewController(mem, 0)
+		c := NewController(mem, 0, inline)
 		// Open a row internally and enqueue a host hit against it: the
 		// bank's pass-1 candidate is fenced by tRCD, so the first
 		// horizon derivation keys the bank at ACT+tRCD.
@@ -400,7 +400,7 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 
 	t.Run("row-change-per-bank", func(t *testing.T) {
 		mem := testMem(g)
-		c := NewController(mem, 0)
+		c := NewController(mem, 0, inline)
 		// Banks A and B (rank 0, different bank groups) are opened and
 		// closed by an NDA, so their next ACT waits out tRC; bank C (a
 		// third bank group) is the NDA's and the host never queues to it.

@@ -37,8 +37,8 @@ func TestBucketedSchedulerMatchesReference(t *testing.T) {
 		mapper := testMap(g)
 		memA := testMem(g)
 		memB := testMem(g)
-		ctlA := NewController(memA, 0)
-		ctlB := NewController(memB, 0)
+		ctlA := NewController(memA, 0, inline)
+		ctlB := NewController(memB, 0, inline)
 		ctlB.SetReferenceScheduler(true)
 
 		var doneA, doneB []int64
@@ -115,7 +115,7 @@ func TestNextEventHorizonSound(t *testing.T) {
 	g := dram.DefaultGeometry()
 	mapper := testMap(g)
 	mem := testMem(g)
-	c := NewController(mem, 0)
+	c := NewController(mem, 0, inline)
 	rng := rand.New(rand.NewSource(5))
 
 	pending := 0

@@ -127,7 +127,7 @@ func TestCheckInvariantsDetectsUnsoundKey(t *testing.T) {
 // soundness check catches it.
 func TestCheckInvariantsDetectsUnsoundMemo(t *testing.T) {
 	mem := testMem(dram.DefaultGeometry())
-	c := NewController(mem, 0)
+	c := NewController(mem, 0, inline)
 	a := dram.Addr{Row: 100}
 	mem.Issue(dram.CmdACT, a, 0, true)
 	c.EnqueueRead(1<<20, a, 0, nil)

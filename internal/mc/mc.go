@@ -33,7 +33,7 @@ type Request struct {
 	DAddr  dram.Addr
 	Write  bool
 	Arrive int64
-	Done   func(dramDone int64) // nil for writes and prefetches
+	Done   func(dramDone int64) // nil for writebacks
 	// Tag carries a caller-assigned identity for requests whose Done
 	// closure must be rebuilt after a checkpoint restore (NDA launch
 	// packets; see EnqueueControlTagged). Zero for everything else.
@@ -97,8 +97,8 @@ type Controller struct {
 	// oracle); see SetReferenceScheduler.
 	refSched bool
 
-	// csink, when set, receives completion callbacks instead of having
-	// them invoked inline at issue time (see SetCompletionSink). The sim
+	// csink receives every completion callback instead of the
+	// controller invoking it at issue time (see NewController). The sim
 	// package points it at its completion mailbox, so a fill or launch
 	// acknowledgement lands in the commit phase of the same cycle, after
 	// every channel's memory phase, rather than mid-way through it.
@@ -131,10 +131,14 @@ type Controller struct {
 
 // NewController builds a controller for the given channel. It takes
 // decoded addresses only: the Router is the one place that decodes host
-// addresses.
-func NewController(mem *dram.Mem, channel int) *Controller {
+// addresses. sink receives each request completion callback (read
+// fills, control-launch acknowledgements) with the DRAM cycle it must
+// be invoked with; the caller runs every deferred callback before the
+// end of the cycle it was produced in. A harness that wants inline
+// completions passes func(done func(int64), at int64) { done(at) }.
+func NewController(mem *dram.Mem, channel int, sink func(done func(int64), at int64)) *Controller {
 	c := &Controller{
-		mem: mem, channel: channel,
+		mem: mem, channel: channel, csink: sink,
 		bpr:        mem.Geom.BanksPerRank(),
 		issuedRank: -1,
 		seen:       make([]int64, mem.Geom.Ranks*mem.Geom.BanksPerRank()),
@@ -161,17 +165,6 @@ func NewController(mem *dram.Mem, channel int) *Controller {
 // full-rescan FR-FCFS implementation. It exists as the oracle for the
 // scheduler equivalence tests; the bucketed path is the production one.
 func (c *Controller) SetReferenceScheduler(on bool) { c.refSched = on }
-
-// SetCompletionSink redirects request completion callbacks (read fills,
-// control-launch acknowledgements) into sink instead of invoking them
-// inline at issue time. sink receives the request's Done function and
-// the DRAM cycle it would have been invoked with; the caller must run
-// every deferred callback before the end of the cycle it was produced
-// in. A nil sink restores inline invocation (the default, which unit
-// harnesses rely on).
-func (c *Controller) SetCompletionSink(sink func(done func(int64), at int64)) {
-	c.csink = sink
-}
 
 // Channel returns the channel index this controller owns.
 func (c *Controller) Channel() int { return c.channel }
@@ -627,11 +620,7 @@ func (c *Controller) issueColumn(cmd dram.Command, r *Request, q *reqQueue, now 
 	done := r.Done
 	c.release(r)
 	if done != nil {
-		if c.csink != nil {
-			c.csink(done, dataEnd)
-		} else {
-			done(dataEnd)
-		}
+		c.csink(done, dataEnd)
 	}
 }
 

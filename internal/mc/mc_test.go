@@ -10,8 +10,12 @@ import (
 func testController() (*Controller, *dram.Mem, *addrmap.Map) {
 	g := dram.DefaultGeometry()
 	mem := testMem(g)
-	return NewController(mem, 0), mem, testMap(g)
+	return NewController(mem, 0, inline), mem, testMap(g)
 }
+
+// inline is the completion sink of a harness with no mailbox: it runs
+// each completion at issue time.
+func inline(done func(int64), at int64) { done(at) }
 
 // testMem builds a device over g, which must be valid.
 func testMem(g dram.Geometry) *dram.Mem {

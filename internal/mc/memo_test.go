@@ -31,7 +31,7 @@ func TestNextEventMemo(t *testing.T) {
 	setup := func(t *testing.T) (c *Controller, mem *dram.Mem, rdReady, c1, pushed int64) {
 		t.Helper()
 		mem = testMem(g)
-		c = NewController(mem, 0)
+		c = NewController(mem, 0, inline)
 		mem.Issue(dram.CmdACT, other, 0, true)
 		mem.Issue(dram.CmdACT, far, 0, true)
 		actHit := int64(dram.RRDL)

@@ -32,8 +32,8 @@ type parkPair struct {
 func newParkPair(t *testing.T) *parkPair {
 	g := dram.DefaultGeometry()
 	p := &parkPair{t: t, memA: testMem(g), memB: testMem(g)}
-	p.ctlA = NewController(p.memA, 0)
-	p.ctlB = NewController(p.memB, 0)
+	p.ctlA = NewController(p.memA, 0, inline)
+	p.ctlB = NewController(p.memB, 0, inline)
 	p.ctlB.SetReferenceScheduler(true)
 	return p
 }

@@ -25,10 +25,9 @@ func (r *Router) EnqueueRead(addr uint64, done func(int64)) bool {
 }
 
 // EnqueueWrite implements cache.Backend.
-func (r *Router) EnqueueWrite(addr uint64) bool {
+func (r *Router) EnqueueWrite(addr uint64) {
 	d := r.mapper.Decode(addr)
 	r.ctrls[d.Channel].EnqueueWrite(addr, d, r.now())
-	return true
 }
 
 // ReadFull implements cache.Backend: whether the read queue of addr's

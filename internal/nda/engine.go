@@ -140,8 +140,8 @@ type RankNDA struct {
 	sleepStale bool
 	derivedVer uint64
 
-	// csink, when set, receives op completion callbacks instead of having
-	// them invoked inline (see Engine.SetCompletionSink).
+	// csink receives op completion callbacks instead of the rank
+	// invoking them inline (see NewEngine).
 	csink func(done func(int64), at int64)
 }
 
@@ -158,7 +158,11 @@ type Engine struct {
 }
 
 // NewEngine builds the NDA engine over the memory and host controllers.
-func NewEngine(cfg Config, mem *dram.Mem, hosts []*mc.Controller) *Engine {
+// sink receives every rank NDA's op completion callbacks (Op.Done) with
+// the DRAM cycle they must be invoked with; the sim package points it
+// at its completion mailbox, and deferred callbacks must run before the
+// end of the cycle they were produced in.
+func NewEngine(cfg Config, mem *dram.Mem, hosts []*mc.Controller, sink func(done func(int64), at int64)) *Engine {
 	e := &Engine{cfg: cfg, mem: mem, hosts: hosts}
 	for ch := 0; ch < mem.Geom.Channels; ch++ {
 		var row []*RankNDA
@@ -172,7 +176,7 @@ func NewEngine(cfg Config, mem *dram.Mem, hosts []*mc.Controller) *Engine {
 			}
 			n := &RankNDA{
 				Channel: ch, Rank: r, cfg: cfg, stochCut: rng.CutOf(cfg.StochasticProb),
-				mem: mem, host: hosts[ch], fsm: rankFSM{coin: coin()},
+				mem: mem, host: hosts[ch], fsm: rankFSM{coin: coin()}, csink: sink,
 			}
 			if cfg.VerifyFSM {
 				n.replica = &rankFSM{coin: coin()}
@@ -222,24 +226,11 @@ func (e *Engine) Busy() bool {
 // channel's state — its host controller (issued-rank, queue-demand, and
 // version reads), its share of the DRAM timing model, and their own
 // FSMs — except for op completion callbacks, which divert through the
-// completion sink when set.
+// completion sink.
 func (e *Engine) TickChannel(ch int, now int64, sleep bool) {
 	hostRank := e.hosts[ch].HostIssuedRank()
 	for _, n := range e.Ranks[ch] {
 		n.tick(now, hostRank, sleep)
-	}
-}
-
-// SetCompletionSink redirects every rank NDA's op completion callbacks
-// (Op.Done) into sink instead of invoking them inline during a tick.
-// The sim package points them at its completion mailbox; deferred
-// callbacks must run before the end of the cycle they were produced
-// in. A nil sink restores inline invocation.
-func (e *Engine) SetCompletionSink(sink func(done func(int64), at int64)) {
-	for _, row := range e.Ranks {
-		for _, n := range row {
-			n.csink = sink
-		}
 	}
 }
 
@@ -522,15 +513,11 @@ func (n *RankNDA) maybeComplete(f *rankFSM, op *Op, now int64) {
 	f.stats.OpsCompleted++
 	if op.Done != nil {
 		// Completion callbacks touch state shared across channels
-		// (runtime handles); when a sink is installed they run in the
-		// serial commit phase instead. The replica FSM never reaches
-		// here with a Done (Launch clears it), so the primary and
-		// replica stay comparable either way.
-		if n.csink != nil {
-			n.csink(op.Done, now)
-		} else {
-			op.Done(now)
-		}
+		// (runtime handles), so they go to the sink and run in the
+		// serial commit phase. The replica FSM never reaches here with
+		// a Done (Launch clears it), so the primary and replica stay
+		// comparable.
+		n.csink(op.Done, now)
 	}
 }
 

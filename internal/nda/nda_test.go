@@ -16,10 +16,14 @@ func testSetup(cfg Config) (*Engine, *dram.Mem, []*mc.Controller) {
 	}
 	var mcs []*mc.Controller
 	for ch := 0; ch < g.Channels; ch++ {
-		mcs = append(mcs, mc.NewController(mem, ch))
+		mcs = append(mcs, mc.NewController(mem, ch, inline))
 	}
-	return NewEngine(cfg, mem, mcs), mem, mcs
+	return NewEngine(cfg, mem, mcs, inline), mem, mcs
 }
+
+// inline is the completion sink of a harness with no mailbox: it runs
+// each completion at issue time.
+func inline(done func(int64), at int64) { done(at) }
 
 // testMap is the baseline mapping over the default geometry.
 func testMap() *addrmap.Map {
@@ -134,6 +138,37 @@ func TestDotReadsRoundRobinBatches(t *testing.T) {
 	}
 	if mem.Counts().NDARD != 2*n || mem.Counts().NDAWR != 0 {
 		t.Errorf("NDA RD/WR = %d/%d, want %d/0", mem.Counts().NDARD, mem.Counts().NDAWR, 2*n)
+	}
+}
+
+// TestCompletionDrainsWriteIterator runs an XMY whose second read
+// operand is empty, so the reads end after one operand batch and emit
+// only BatchBlocks results, while the result stream holds 64 blocks.
+// The op must not complete until maybeComplete has pulled the rest of
+// the write iterator through the buffer: all 64 NDA writes issue before
+// Done fires.
+func TestCompletionDrainsWriteIterator(t *testing.T) {
+	e, mem, mcs := testSetup(DefaultConfig())
+	const reads, writes = BatchBlocks, 64
+	var wrAtDone int64 = -1
+	e.Launch(0, 0, func() *Op {
+		return NewOp(OpXMY,
+			[]Iter{SliceIter(seqAddrs(0, 0, 0, reads)), SliceIter(nil)},
+			SliceIter(seqAddrs(0, 0, 1000, writes)),
+			func(int64) { wrAtDone = mem.Counts().NDAWR })
+	})
+	tickAll(e, mcs, 0, 50000)
+	if wrAtDone < 0 {
+		t.Fatal("XMY never completed")
+	}
+	if wrAtDone != writes {
+		t.Errorf("Done fired after %d NDA writes, want %d", wrAtDone, writes)
+	}
+	if got := mem.Counts(); got.NDARD != reads || got.NDAWR != writes {
+		t.Errorf("NDA RD/WR = %d/%d, want %d/%d", got.NDARD, got.NDAWR, reads, writes)
+	}
+	if e.Busy() {
+		t.Error("engine still busy after completion")
 	}
 }
 

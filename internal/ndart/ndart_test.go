@@ -31,10 +31,11 @@ func newHarness(t *testing.T) *harness {
 		t.Fatal(err)
 	}
 	h := &harness{mem: mem}
+	inline := func(done func(int64), at int64) { done(at) } // no mailbox
 	for ch := 0; ch < g.Channels; ch++ {
-		h.mcs = append(h.mcs, mc.NewController(mem, ch))
+		h.mcs = append(h.mcs, mc.NewController(mem, ch, inline))
 	}
-	h.eng = nda.NewEngine(nda.DefaultConfig(), mem, h.mcs)
+	h.eng = nda.NewEngine(nda.DefaultConfig(), mem, h.mcs, inline)
 	h.rt = New(os, h.eng, h.mcs, func() int64 { return h.now })
 	return h
 }

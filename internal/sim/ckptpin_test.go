@@ -23,12 +23,12 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		all string
 		n   int
 	}{
-		"host-only":                {"4f2f940e1dbee42f320e3b42c1cdbf0534f8a80a21027999246e1207a16edfb3", 700941},
-		"host-stall-heavy":         {"63a9dd620f41d9b158e54e61668f61df580a4c3c04fa2a87b19ee49f63fed21f", 602290},
+		"host-only":                {"e63f674307d3e6b48a5766005eb0fac99cd24b4e7dcdfc02ff425435a19c2725", 699660},
+		"host-stall-heavy":         {"dd14860ab5bbc228f1da3aae4c6debb774c79fb89d761e9843c0ce1a342f3809", 601224},
 		"nda-only-nrm2":            {"16b3e6831d095ee1e849d573667a9e0e98b1ce5b160c397042794535512b1c0a", 9139},
 		"nda-only-copy-stochastic": {"b01ed29ee91052106c258b5dc82ead7415db10dc1b3681c4da4328f5f6752049", 13587},
-		"mixed-mix1-dot":           {"27bc9c898e924e4d0f049cc5adb48e840fd79713740fee43b35c56d6c1a7e070", 621811},
-		"mixed-mix3-copy-shared":   {"1dfcf50443b9caf6537aeac8aaee8842a9c5f3dae84f2824b1110df74bf6c0c9", 639401},
+		"mixed-mix1-dot":           {"31edfa17307bd9243cb680ce476517380f15abf137b82217276c26188905af1d", 620747},
+		"mixed-mix3-copy-shared":   {"5a112c789c7f2d0f8d5d87b6bce9e9225b0a90b0f868d09151e26be6f884c0ac", 638333},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

@@ -489,9 +489,9 @@ func TestRunFastMatchesRunRandomized(t *testing.T) {
 // memory-heavy cores with randomized footprints, stream fractions, and
 // dependency mixes, layered under NDA DOT traffic. High MemRatio across
 // 8 cores keeps the 48 LLC MSHRs saturated (Stall classification and
-// rollback), streaming cores train the prefetcher so demand accesses
-// merge into in-flight prefetch MSHRs, and the dependency fraction
-// varies how often issue groups stop mid-group.
+// rollback), streaming cores make demand accesses merge into in-flight
+// miss MSHRs, and the dependency fraction varies how often issue groups
+// stop mid-group.
 func missStormWorkload(rng *rand.Rand) ffWorkload {
 	profs := make([]workload.Profile, 8)
 	for i := range profs {
@@ -528,8 +528,8 @@ func missStormWorkload(rng *rand.Rand) ffWorkload {
 // TestCoreShardMissStorm fuzzes the fast path under MSHR
 // pressure: randomized 8-core miss storms must produce counters
 // bit-identical to the Run oracle. The storms drive every shared-path
-// outcome — LLC probes, MSHR merges (demand meeting its own in-flight
-// prefetch), MSHR/queue Stall classification with rollback, and backend
+// outcome — LLC probes, MSHR merges (a demand access meeting an
+// in-flight miss), MSHR/queue Stall classification with rollback, and backend
 // reads — interleaved with probe-stall retries whose epoch checks must
 // land where the reference interleaving puts them.
 func TestCoreShardMissStorm(t *testing.T) {

@@ -173,7 +173,7 @@ func New(cfg Config) (*System, error) {
 	s := &System{Cfg: cfg, Mem: mem, OS: os}
 
 	for ch := 0; ch < cfg.Geom.Channels; ch++ {
-		s.MCs = append(s.MCs, mc.NewController(s.Mem, ch))
+		s.MCs = append(s.MCs, mc.NewController(s.Mem, ch, s.push))
 	}
 	s.Router = mc.NewRouter(s.MCs, mapper, func() int64 { return s.dramCycle })
 
@@ -202,15 +202,11 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 
-	s.NDA = nda.NewEngine(cfg.NDA, s.Mem, s.MCs)
+	s.NDA = nda.NewEngine(cfg.NDA, s.Mem, s.MCs, s.push)
 	s.RT = ndart.New(os, s.NDA, s.MCs, func() int64 { return s.dramCycle })
 	s.RT.MaxBlocksPerInstr = cfg.MaxBlocksPerInstr
 	s.retiredAtMeas = make([]int64, len(s.Cores))
 	s.coreFrom = make([]int64, len(s.Cores))
-	for _, c := range s.MCs {
-		c.SetCompletionSink(s.push)
-	}
-	s.NDA.SetCompletionSink(s.push)
 	return s, nil
 }
 

@@ -93,7 +93,6 @@ func TestStateFieldCoverage(t *testing.T) {
 			skip: map[string]notCarried{
 				"cfg": config, "nsets": config, "smask": config, "shift": config, "ways": config, "top": config,
 			}},
-		{live: fieldType(t, hier, "prefetch").Elem()},
 		{live: rankNDA, state: engSt,
 			carriedBy: map[string]string{"fsm": "Ranks"},
 			skip: map[string]notCarried{
