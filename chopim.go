@@ -40,7 +40,8 @@ type System = sim.System
 // Config assembles one system instance.
 type Config = sim.Config
 
-// Geometry describes the memory organization.
+// Geometry is the memory organization's one varying value, the ranks
+// per channel; the rest is the Table II organization (dram constants).
 type Geometry = dram.Geometry
 
 // Handle tracks completion of launched NDA operations.

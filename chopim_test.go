@@ -66,7 +66,7 @@ func TestConfigKnobs(t *testing.T) {
 // Table II timing every system is built with.
 func TestGeometryPresets(t *testing.T) {
 	g := chopim.DefaultGeometry()
-	if g.Channels != 2 || g.Ranks != 2 {
+	if dram.Channels != 2 || g.Ranks != 2 {
 		t.Errorf("baseline geometry = %+v", g)
 	}
 	sys, err := chopim.NewSystem(chopim.DefaultConfig(-1))

@@ -406,7 +406,7 @@ func runConfig(experiments.Options) error {
 	g := dram.DefaultGeometry()
 	fmt.Printf("Table II system configuration\n")
 	fmt.Printf("geometry: %d channels x %d ranks, %d bank groups x %d banks, %d rows x %d blocks (%.0f GiB)\n",
-		g.Channels, g.Ranks, g.BankGroups, g.BanksPerGroup, g.Rows, g.Cols,
+		dram.Channels, g.Ranks, dram.BankGroups, dram.BanksPerGroup, dram.Rows, dram.Cols,
 		float64(g.Capacity())/(1<<30))
 	fmt.Printf("timing: {BL:%d CCDS:%d CCDL:%d RTRS:%d CL:%d RCD:%d RP:%d CWL:%d RAS:%d RC:%d RTP:%d WTRS:%d WTRL:%d WR:%d RRDS:%d RRDL:%d FAW:%d}\n",
 		dram.BL, dram.CCDS, dram.CCDL, dram.RTRS, dram.CL, dram.RCD, dram.RP, dram.CWL, dram.RAS,

@@ -90,9 +90,10 @@ func log2(n int) uint {
 	return k
 }
 
-// New builds the mapping for the given geometry with reservedBanks top
-// banks per rank set aside for the shared region: 0 is the baseline
-// (Fig 4a), 1 to banksPerRank-1 the proposed mapping (Fig 4b). The
+// New builds the mapping for the Table II organization with g.Ranks
+// ranks per channel and reservedBanks top banks per rank set aside for
+// the shared region: 0 is the baseline (Fig 4a), 1 to
+// dram.BanksPerRank-1 the proposed mapping (Fig 4b). The
 // baseline layout is
 //
 //	block offset (6b) | col[0:2] | channel (hashed) | col[2:] |
@@ -103,7 +104,7 @@ func log2(n int) uint {
 // permutation-based interleaving the paper assumes). The top row bits are
 // direct physical MSBs, which the reserved-bank swap requires.
 //
-// An invalid geometry (Geometry.Validate) or an out-of-range reservation
+// An invalid rank count (Geometry.Validate) or an out-of-range reservation
 // is returned as an error: sweep drivers must be able to reject a bad
 // point without killing the process. Past those checks, construction
 // cannot fail.
@@ -111,18 +112,18 @@ func New(g dram.Geometry, reservedBanks int) (*Map, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if n := g.BanksPerRank(); reservedBanks < 0 || reservedBanks >= n {
-		return nil, fmt.Errorf("addrmap: reservedBanks %d out of range [0,%d)", reservedBanks, n)
+	if reservedBanks < 0 || reservedBanks >= dram.BanksPerRank {
+		return nil, fmt.Errorf("addrmap: reservedBanks %d out of range [0,%d)", reservedBanks, dram.BanksPerRank)
 	}
 	m := &Map{geom: g, reserved: reservedBanks}
 	pos := uint(6) // 64B block offset
 
-	nCol := log2(g.Cols)
-	nCh := log2(g.Channels)
-	nBG := log2(g.BankGroups)
-	nBank := log2(g.BanksPerGroup)
+	nCol := log2(dram.Cols)
+	nCh := log2(dram.Channels)
+	nBG := log2(dram.BankGroups)
+	nBank := log2(dram.BanksPerGroup)
 	nRank := log2(g.Ranks)
-	nRow := log2(g.Rows)
+	nRow := log2(dram.Rows)
 
 	// Row bits start after all interleave fields.
 	rowBase := 6 + nCol + nCh + nBG + nBank + nRank
@@ -142,10 +143,7 @@ func New(g dram.Geometry, reservedBanks int) (*Map, error) {
 		return f
 	}
 
-	nColLow := uint(2)
-	if nCol < nColLow {
-		nColLow = nCol
-	}
+	nColLow := min(2, nCol)
 	colLow := take(nColLow, false)
 	m.ch = newField(take(nCh, true))
 	m.col = newField(append(colLow, take(nCol-nColLow, false)...))
@@ -191,7 +189,7 @@ func New(g dram.Geometry, reservedBanks int) (*Map, error) {
 	// The layout is a pure function of the geometry and the
 	// reservation, so the two identify the mapping exactly.
 	m.fp = fmt.Sprintf("skylake/%dch-%drk-%dbg-%dbk-%drow-%dcol",
-		g.Channels, g.Ranks, g.BankGroups, g.BanksPerGroup, g.Rows, g.Cols)
+		dram.Channels, g.Ranks, dram.BankGroups, dram.BanksPerGroup, dram.Rows, dram.Cols)
 	if reservedBanks > 0 {
 		m.fp += fmt.Sprintf("/part%d", reservedBanks)
 	}
@@ -219,16 +217,16 @@ func (m *Map) Decode(pa uint64) dram.Addr {
 	if m.reserved == 0 {
 		return a
 	}
-	thresh := m.geom.BanksPerRank() - m.reserved
-	flat := a.GlobalBank(m.geom)
+	thresh := dram.BanksPerRank - m.reserved
+	flat := a.GlobalBank()
 	mask := 1<<m.bankW - 1
 	msb := int(pa>>m.rowMSBLow) & mask
 	if flat < thresh && msb < thresh {
 		return a
 	}
 	a.Row = a.Row&^(mask<<m.rowShift) | flat<<m.rowShift
-	a.BankGroup = msb / m.geom.BanksPerGroup
-	a.Bank = msb % m.geom.BanksPerGroup
+	a.BankGroup = msb / dram.BanksPerGroup
+	a.Bank = msb % dram.BanksPerGroup
 	return a
 }
 
@@ -273,8 +271,7 @@ func (m *Map) AddressBits() uint {
 // allocations (the bottom of the address space): all of it when no
 // banks are reserved.
 func (m *Map) HostCapacity() uint64 {
-	n := uint64(m.geom.BanksPerRank())
-	return m.geom.Capacity() / n * (n - uint64(m.reserved))
+	return m.geom.Capacity() / dram.BanksPerRank * uint64(dram.BanksPerRank-m.reserved)
 }
 
 // SharedBase returns the first physical address of the shared region.
@@ -283,5 +280,5 @@ func (m *Map) SharedBase() uint64 { return m.HostCapacity() }
 // IsSharedBank reports whether the rank-local flat bank index belongs to
 // the reserved (shared host+NDA) partition.
 func (m *Map) IsSharedBank(flatBank int) bool {
-	return flatBank >= m.geom.BanksPerRank()-m.reserved
+	return flatBank >= dram.BanksPerRank-m.reserved
 }

@@ -11,11 +11,43 @@ import (
 func encodeKey(g dram.Geometry, a dram.Addr) uint64 {
 	k := uint64(a.Channel)
 	k = k*uint64(g.Ranks) + uint64(a.Rank)
-	k = k*uint64(g.BankGroups) + uint64(a.BankGroup)
-	k = k*uint64(g.BanksPerGroup) + uint64(a.Bank)
-	k = k*uint64(g.Rows) + uint64(a.Row)
-	k = k*uint64(g.Cols) + uint64(a.Col)
+	k = k*dram.BankGroups + uint64(a.BankGroup)
+	k = k*dram.BanksPerGroup + uint64(a.Bank)
+	k = k*dram.Rows + uint64(a.Row)
+	k = k*dram.Cols + uint64(a.Col)
 	return k
+}
+
+// windowAddrs returns every block address whose set bits lie in a
+// 16-bit window of m's layout: the two lowest column bits, each
+// channel, bank-group, bank and rank bit, and the four lowest row bits
+// (the first hash partners) and four highest (the reserved-bank
+// swap's). At 2 ranks it reaches every bank, 256 rows and 4 columns
+// per rank: as dense in bank and row conflicts as an exhaustive walk
+// of a 2x2-bank, 256-row, 16-column memory, where walking all 32 GiB
+// would take minutes.
+func windowAddrs(m *Map) []uint64 {
+	var pos []uint
+	for _, f := range []field{m.ch, m.bg, m.bank, m.rank} {
+		for _, xs := range f.bits {
+			pos = append(pos, xs[0])
+		}
+	}
+	rows := m.row.bits
+	for _, xs := range [][][]uint{m.col.bits[:2], rows[:4], rows[len(rows)-4:]} {
+		for _, x := range xs {
+			pos = append(pos, x[0])
+		}
+	}
+	out := make([]uint64, 0, 1<<len(pos))
+	for i := 0; i < 1<<len(pos); i++ {
+		var pa uint64
+		for j, p := range pos {
+			pa |= uint64(i>>j&1) << p
+		}
+		out = append(out, pa)
+	}
+	return out
 }
 
 // mustNew builds the mapping for g with reserved banks per rank.
@@ -38,14 +70,13 @@ func TestSkylakeLikeCoversAddressBits(t *testing.T) {
 }
 
 // TestSkylakeLikeBijective: distinct block addresses decode to distinct
-// DRAM locations (sampled; the mapping is linear so random sampling plus
-// the basis test below gives high confidence).
+// DRAM locations (over windowAddrs; the mapping is linear, so the window
+// plus the basis test below gives high confidence).
 func TestSkylakeLikeBijective(t *testing.T) {
-	g := dram.Geometry{Channels: 2, Ranks: 2, BankGroups: 2, BanksPerGroup: 2, Rows: 256, Cols: 16}
+	g := dram.DefaultGeometry()
 	m := mustNew(t, g, 0)
 	seen := make(map[uint64]uint64)
-	n := g.Capacity()
-	for pa := uint64(0); pa < n; pa += dram.BlockBytes {
+	for _, pa := range windowAddrs(m) {
 		k := encodeKey(g, m.Decode(pa))
 		if prev, dup := seen[k]; dup {
 			t.Fatalf("alias: %#x and %#x decode to same location", prev, pa)
@@ -54,14 +85,15 @@ func TestSkylakeLikeBijective(t *testing.T) {
 	}
 }
 
-// TestPartitionedBijective exhaustively verifies the swap keeps the
-// mapping alias-free on a reduced geometry.
+// TestPartitionedBijective verifies over windowAddrs, which holds every
+// bank-field and row-MSB pattern, that the swap keeps the mapping
+// alias-free.
 func TestPartitionedBijective(t *testing.T) {
-	g := dram.Geometry{Channels: 2, Ranks: 2, BankGroups: 2, BanksPerGroup: 2, Rows: 256, Cols: 16}
+	g := dram.DefaultGeometry()
 	for _, reserved := range []int{1, 2, 3} {
 		m := mustNew(t, g, reserved)
 		seen := make(map[uint64]uint64)
-		for pa := uint64(0); pa < g.Capacity(); pa += dram.BlockBytes {
+		for _, pa := range windowAddrs(m) {
 			k := encodeKey(g, m.Decode(pa))
 			if prev, dup := seen[k]; dup {
 				t.Fatalf("reserved=%d: alias between %#x and %#x", reserved, prev, pa)
@@ -72,14 +104,14 @@ func TestPartitionedBijective(t *testing.T) {
 }
 
 // TestPartitionIsolation: host-region addresses never land in reserved
-// banks, and shared-region addresses always do.
+// banks, and shared-region addresses always do (over windowAddrs).
 func TestPartitionIsolation(t *testing.T) {
-	g := dram.Geometry{Channels: 2, Ranks: 2, BankGroups: 2, BanksPerGroup: 2, Rows: 256, Cols: 16}
+	g := dram.DefaultGeometry()
 	for _, reserved := range []int{1, 2} {
 		m := mustNew(t, g, reserved)
-		for pa := uint64(0); pa < g.Capacity(); pa += dram.BlockBytes {
+		for _, pa := range windowAddrs(m) {
 			a := m.Decode(pa)
-			flat := a.GlobalBank(g)
+			flat := a.GlobalBank()
 			inShared := pa >= m.SharedBase()
 			if inShared && !m.IsSharedBank(flat) {
 				t.Fatalf("reserved=%d: shared addr %#x landed in host bank %d", reserved, pa, flat)
@@ -100,7 +132,7 @@ func TestPartitionIsolationFullGeometry(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		pa := rng.Uint64() % cap &^ (dram.BlockBytes - 1)
 		a := m.Decode(pa)
-		flat := a.GlobalBank(g)
+		flat := a.GlobalBank()
 		if (pa >= m.SharedBase()) != m.IsSharedBank(flat) {
 			t.Fatalf("isolation violated at %#x: bank %d, shared base %#x", pa, flat, m.SharedBase())
 		}
@@ -150,14 +182,13 @@ func TestColorAlignment(t *testing.T) {
 // TestChannelInterleavingIsFine: consecutive blocks should spread across
 // channels with fine granularity (within a few blocks).
 func TestChannelInterleavingIsFine(t *testing.T) {
-	g := dram.DefaultGeometry()
-	m := mustNew(t, g, 0)
+	m := mustNew(t, dram.DefaultGeometry(), 0)
 	seen := map[int]bool{}
 	for pa := uint64(0); pa < 8*dram.BlockBytes; pa += dram.BlockBytes {
 		seen[m.Decode(pa).Channel] = true
 	}
-	if len(seen) != g.Channels {
-		t.Errorf("first 8 blocks touch %d channels, want %d", len(seen), g.Channels)
+	if len(seen) != dram.Channels {
+		t.Errorf("first 8 blocks touch %d channels, want %d", len(seen), dram.Channels)
 	}
 }
 
@@ -166,11 +197,11 @@ func TestChannelInterleavingIsFine(t *testing.T) {
 func TestRowHashingSpreadsBanks(t *testing.T) {
 	g := dram.DefaultGeometry()
 	m := mustNew(t, g, 0)
-	rowStride := uint64(g.RowBytes()) * uint64(g.Channels) * uint64(g.Ranks) * uint64(g.BanksPerRank())
+	rowStride := uint64(g.SystemRowBytes())
 	banks := map[int]bool{}
 	for i := uint64(0); i < 64; i++ {
 		a := m.Decode(i * rowStride)
-		banks[a.GlobalBank(g)] = true
+		banks[a.GlobalBank()] = true
 	}
 	if len(banks) < 4 {
 		t.Errorf("row-strided walk hit only %d distinct banks; hashing ineffective", len(banks))
@@ -184,7 +215,7 @@ func TestScaledGeometries(t *testing.T) {
 		m := mustNew(t, g, 0)
 		// Decode of the last valid address must stay in range.
 		a := m.Decode(g.Capacity() - dram.BlockBytes)
-		if a.Rank >= ranks || a.Row >= g.Rows || a.Col >= g.Cols {
+		if a.Rank >= ranks || a.Row >= dram.Rows || a.Col >= dram.Cols {
 			t.Errorf("ranks=%d: decode out of range: %+v", ranks, a)
 		}
 		p := mustNew(t, g, 1)
@@ -211,12 +242,12 @@ func TestDecodeInRange(t *testing.T) {
 	f := func(raw uint64) bool {
 		pa := raw % g.Capacity() &^ (dram.BlockBytes - 1)
 		a := m.Decode(pa)
-		return a.Channel >= 0 && a.Channel < g.Channels &&
+		return a.Channel >= 0 && a.Channel < dram.Channels &&
 			a.Rank >= 0 && a.Rank < g.Ranks &&
-			a.BankGroup >= 0 && a.BankGroup < g.BankGroups &&
-			a.Bank >= 0 && a.Bank < g.BanksPerGroup &&
-			a.Row >= 0 && a.Row < g.Rows &&
-			a.Col >= 0 && a.Col < g.Cols
+			a.BankGroup >= 0 && a.BankGroup < dram.BankGroups &&
+			a.Bank >= 0 && a.Bank < dram.BanksPerGroup &&
+			a.Row >= 0 && a.Row < dram.Rows &&
+			a.Col >= 0 && a.Col < dram.Cols
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -58,8 +58,8 @@ func (c Config) Validate() error {
 //	bit  0      dirty
 //
 // An invalid way is the zero word. Keys must fit 31 bits, so the
-// largest block a level holds is below (2^31-1)·Sets (see
-// HierarchyConfig.CheckSpan); index panics past it.
+// largest block a level holds is below (2^31-1)·Sets; index panics past
+// it, which no simulated memory reaches (see maxMemBlocks).
 //
 // Recency is kept per set: LRU is a stack algorithm, so victim choice
 // reads only the order of touches within a set, never a time. order[s]
@@ -91,6 +91,14 @@ const (
 	nibbleHighs = 0x8888888888888888
 )
 
+// maxMemBlocks is the block count of the largest simulated memory,
+// dram.MaxRanks ranks per channel. A level with two or more sets keys
+// block/Sets, so every such block's key fits the packed word.
+const (
+	maxMemBlocks      = dram.Channels * dram.MaxRanks * dram.BanksPerRank * dram.Rows * dram.Cols
+	_            uint = maxKey - 1 - (maxMemBlocks-1)/2
+)
+
 // New builds a cache level. It panics on invalid configuration.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
@@ -115,14 +123,6 @@ func New(cfg Config) *Cache {
 		ways:  cfg.Ways,
 		top:   uint(4 * (cfg.Ways - 1)),
 	}
-}
-
-// Config returns the level's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// MaxBlock returns the largest block whose key fits the packed word.
-func (c Config) MaxBlock() uint64 {
-	return (maxKey-1)<<bits.TrailingZeros64(uint64(c.Sets())) | uint64(c.Sets()-1)
 }
 
 // index returns the block's set and its key (tag+1). Sets() is

@@ -139,13 +139,16 @@ func TestCapacityInvariant(t *testing.T) {
 	}
 }
 
+// maxBlock returns the largest block whose key fits c's packed word.
+func maxBlock(c *Cache) uint64 { return (maxKey-1)<<c.shift | c.smask }
+
 // Property: after Insert(b), Lookup(b) hits until b is evicted by
 // inserts into the same set. Blocks are drawn from the range a packed
-// 31-bit key covers (Config.MaxBlock); index panics past it.
+// 31-bit key covers (maxBlock); index panics past it.
 func TestInsertThenLookupHits(t *testing.T) {
 	f := func(r uint64) bool {
 		c := New(smallConfig())
-		b := r % (smallConfig().MaxBlock() + 1)
+		b := r % (maxBlock(c) + 1)
 		c.Insert(b, false)
 		return c.Lookup(b, false)
 	}
@@ -158,7 +161,7 @@ func TestInsertThenLookupHits(t *testing.T) {
 // admits round-trips, and the next one panics rather than aliasing.
 func TestKeyRange(t *testing.T) {
 	c := New(smallConfig())
-	top := smallConfig().MaxBlock()
+	top := maxBlock(c)
 	c.Insert(top, true)
 	if !c.Contains(top) || c.Contains(top&c.smask) {
 		t.Fatal("largest admitted block does not round-trip")

@@ -1,31 +1,10 @@
 package cache
 
-import (
-	"fmt"
-
-	"chopim/internal/dram"
-)
+import "fmt"
 
 // Opt-in conservation checks behind sim's Config.CheckInvariants.
 // Cold-path only: runs at commit barriers when armed, never during
 // normal access processing, so scratch allocation is fine.
-
-// CheckSpan rejects a memory of capacity bytes whose largest block does
-// not fit some level's 31-bit way key (see Cache): such a geometry
-// would alias blocks in the packed tag store.
-func (cfg HierarchyConfig) CheckSpan(capacity uint64) error {
-	last := (capacity - 1) / dram.BlockBytes
-	for _, lvl := range []struct {
-		name string
-		c    Config
-	}{{"L1", cfg.L1}, {"L2", cfg.L2}, {"LLC", cfg.LLC}} {
-		if max := lvl.c.MaxBlock(); last > max {
-			return fmt.Errorf("cache: %s: a %d-byte memory has blocks up to %#x, past the 31-bit key range (largest block %#x)",
-				lvl.name, capacity, last, max)
-		}
-	}
-	return nil
-}
 
 // PendingMisses returns the number of LLC misses currently in flight
 // (occupied MSHRs).

@@ -3,7 +3,8 @@
 // the Chopim paper (Table II), including bank-group aware tCCD/tRRD/tWTR,
 // the tFAW activation window, and read/write bus-turnaround penalties.
 // The paper's DDR4-2400 timing is the package's constant block (BL .. FAW
-// and the spacings derived from them); only the Geometry varies.
+// and the spacings derived from them), and its organization is the
+// constants Channels .. Cols; only the ranks per channel (Geometry) vary.
 //
 // The model distinguishes external (host) column accesses, which occupy the
 // channel data bus, from internal (NDA) column accesses, which use the
@@ -14,11 +15,7 @@
 // All times are in DRAM bus-clock cycles (1.2 GHz for DDR4-2400).
 package dram
 
-import (
-	"errors"
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Command is a DRAM command type.
 type Command int
@@ -61,68 +58,54 @@ type Addr struct {
 }
 
 // GlobalBank returns the rank-local flat bank index.
-func (a Addr) GlobalBank(g Geometry) int { return a.BankGroup*g.BanksPerGroup + a.Bank }
+func (a Addr) GlobalBank() int { return a.BankGroup*BanksPerGroup + a.Bank }
 
-// Geometry describes the organization of the memory system.
+// The paper's Table II organization: 2 channels of 8Gb x8 DDR4 ranks,
+// 16 banks in 4 groups, 64K rows and 8KB rank rows (128 blocks). Only
+// the ranks per channel vary (Geometry).
+const (
+	Channels      = 2
+	BankGroups    = 4 // bank groups per rank
+	BanksPerGroup = 4
+	BanksPerRank  = BankGroups * BanksPerGroup
+	Rows          = 65536             // rows per bank
+	Cols          = 128               // 64-byte blocks per row
+	RowBytes      = Cols * BlockBytes // one rank row (DRAM page across the rank's chips)
+
+	// MaxRanks is the most ranks per channel a Geometry may hold.
+	MaxRanks = 8
+)
+
+// The NDA runtime numbers a rank's blocks with 32-bit keys, so a rank
+// must hold at most 2³² blocks (a 256 GiB rank).
+const _ uint = 1<<32 - BanksPerRank*Rows*Cols
+
+// Geometry describes the memory organization's one varying value.
 type Geometry struct {
-	Channels      int
-	Ranks         int // ranks per channel
-	BankGroups    int // bank groups per rank
-	BanksPerGroup int
-	Rows          int // rows per bank
-	Cols          int // 64-byte blocks per row
+	Ranks int // ranks per channel
 }
 
 // DefaultGeometry returns the paper's baseline organization: 2 channels x
-// 2 ranks of 8Gb x8 DDR4 chips (16 banks in 4 groups, 64K rows, 8KB rank
-// rows = 128 blocks).
-func DefaultGeometry() Geometry {
-	return Geometry{Channels: 2, Ranks: 2, BankGroups: 4, BanksPerGroup: 4, Rows: 65536, Cols: 128}
-}
-
-// BanksPerRank returns the number of banks in one rank.
-func (g Geometry) BanksPerRank() int { return g.BankGroups * g.BanksPerGroup }
-
-// RowBytes returns the size in bytes of one rank row (DRAM page across all
-// chips of the rank).
-func (g Geometry) RowBytes() int { return g.Cols * BlockBytes }
+// 2 ranks.
+func DefaultGeometry() Geometry { return Geometry{Ranks: 2} }
 
 // Capacity returns the total byte capacity of the memory system.
 func (g Geometry) Capacity() uint64 {
-	return uint64(g.Channels) * uint64(g.Ranks) * uint64(g.BanksPerRank()) *
-		uint64(g.Rows) * uint64(g.RowBytes())
+	return uint64(Channels) * uint64(g.Ranks) * BanksPerRank * Rows * RowBytes
 }
 
 // SystemRowBytes returns the size of one "system row": one DRAM row in
 // every bank of the system (the paper's coarse allocation granularity,
 // 2 MiB for the baseline).
 func (g Geometry) SystemRowBytes() int {
-	return g.Channels * g.Ranks * g.BanksPerRank() * g.RowBytes()
+	return Channels * g.Ranks * BanksPerRank * RowBytes
 }
 
-// ErrRankTooLarge reports a geometry whose ranks hold more than 2³²
-// blocks (a 256 GiB rank). The NDA runtime numbers a rank's blocks with
-// 32-bit keys, so a larger rank would alias silently.
-var ErrRankTooLarge = errors.New("dram: BanksPerRank·Rows·Cols exceeds 2^32 blocks per rank")
-
-// Validate reports an error if the geometry is not usable.
+// Validate reports an error if the geometry is not usable: Ranks must be
+// a power of two from 1 to MaxRanks.
 func (g Geometry) Validate() error {
-	for _, v := range []struct {
-		name string
-		n    int
-	}{
-		{"Channels", g.Channels}, {"Ranks", g.Ranks}, {"BankGroups", g.BankGroups},
-		{"BanksPerGroup", g.BanksPerGroup}, {"Rows", g.Rows}, {"Cols", g.Cols},
-	} {
-		if v.n <= 0 || v.n&(v.n-1) != 0 {
-			return fmt.Errorf("dram: geometry field %s = %d must be a positive power of two", v.name, v.n)
-		}
-	}
-	// Sum exponents rather than multiply: the product of large powers of
-	// two can overflow int.
-	log2 := func(n int) int { return bits.TrailingZeros(uint(n)) }
-	if log2(g.BankGroups)+log2(g.BanksPerGroup)+log2(g.Rows)+log2(g.Cols) > 32 {
-		return fmt.Errorf("%w: %d·%d·%d·%d", ErrRankTooLarge, g.BankGroups, g.BanksPerGroup, g.Rows, g.Cols)
+	if g.Ranks <= 0 || g.Ranks > MaxRanks || g.Ranks&(g.Ranks-1) != 0 {
+		return fmt.Errorf("dram: geometry field Ranks = %d must be a power of two in [1,%d]", g.Ranks, MaxRanks)
 	}
 	return nil
 }

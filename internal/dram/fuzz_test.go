@@ -25,7 +25,10 @@ func TestRandomLegalSequencesKeepInvariants(t *testing.T) {
 func runRandomSequence(t *testing.T, seed int64, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := dram.Geometry{Channels: 1, Ranks: 2, BankGroups: 2, BanksPerGroup: 2, Rows: 64, Cols: 16}
+	g := dram.Geometry{Ranks: 2}
+	// Commands stay in a corner of channel 0, 2x2 banks, 64 rows and
+	// 16 columns per rank, so they conflict often.
+	const bankGroups, banksPerGroup, rows, cols = 2, 2, 64, 16
 	m, err := dram.New(g)
 	if err != nil {
 		t.Fatal(err)
@@ -42,10 +45,10 @@ func runRandomSequence(t *testing.T, seed int64, steps int) {
 		cmd := dram.Command(rng.Intn(4))
 		a := dram.Addr{
 			Rank:      rng.Intn(g.Ranks),
-			BankGroup: rng.Intn(g.BankGroups),
-			Bank:      rng.Intn(g.BanksPerGroup),
-			Row:       rng.Intn(g.Rows),
-			Col:       rng.Intn(g.Cols),
+			BankGroup: rng.Intn(bankGroups),
+			Bank:      rng.Intn(banksPerGroup),
+			Row:       rng.Intn(rows),
+			Col:       rng.Intn(cols),
 		}
 		internal := rng.Intn(2) == 0
 		// Column commands must target the open row to be legal; steer
@@ -139,22 +142,15 @@ func TestNDAAndHostInterleavingFairness(t *testing.T) {
 	}
 }
 
-// fuzzGeometry is small enough that fuzzing sweeps a meaningful
-// fraction of the address space while still exercising every field of
-// the partitioned mapping (multi-channel, multi-rank, bank groups).
-func fuzzGeometry() dram.Geometry {
-	return dram.Geometry{Channels: 2, Ranks: 2, BankGroups: 2, BanksPerGroup: 2, Rows: 256, Cols: 16}
-}
-
 // flatten packs a decoded address into a unique integer for collision
 // checks.
 func flatten(g dram.Geometry, a dram.Addr) uint64 {
 	k := uint64(a.Channel)
 	k = k*uint64(g.Ranks) + uint64(a.Rank)
-	k = k*uint64(g.BankGroups) + uint64(a.BankGroup)
-	k = k*uint64(g.BanksPerGroup) + uint64(a.Bank)
-	k = k*uint64(g.Rows) + uint64(a.Row)
-	k = k*uint64(g.Cols) + uint64(a.Col)
+	k = k*dram.BankGroups + uint64(a.BankGroup)
+	k = k*dram.BanksPerGroup + uint64(a.Bank)
+	k = k*dram.Rows + uint64(a.Row)
+	k = k*dram.Cols + uint64(a.Col)
 	return k
 }
 
@@ -168,23 +164,29 @@ func flatten(g dram.Geometry, a dram.Addr) uint64 {
 //   - partition isolation: host-region addresses (below HostCapacity)
 //     never land in a reserved (shared) bank, and shared-region
 //     addresses always do.
+//
+// Fuzzed addresses fold into a 2^20-block window, the lowest 16 block
+// bits (every column, channel, bank and rank bit and the first row
+// bits, the hash partners) and the top 4 (the reserved-bank swap's row
+// MSBs), so two of them share banks and rows about as often as on a
+// 2x2-bank, 256-row, 16-column memory.
 func FuzzPartitionedMapping(f *testing.F) {
-	g := fuzzGeometry()
+	g := dram.Geometry{Ranks: 2}
 	capacity := g.Capacity()
+	window := (capacity - capacity>>4) | (1<<22 - dram.BlockBytes)
 	f.Add(uint64(0), uint64(64), uint8(1))
 	f.Add(uint64(0), capacity-64, uint8(1))
 	f.Add(capacity/2-64, capacity/2, uint8(2))
 	f.Add(capacity-128, capacity-64, uint8(3))
 	f.Fuzz(func(t *testing.T, pa1, pa2 uint64, rbRaw uint8) {
-		nb := g.BanksPerRank()
-		rb := int(rbRaw)%(nb-1) + 1 // reserved banks in [1, nb-1]
+		rb := int(rbRaw)%(dram.BanksPerRank-1) + 1 // reserved banks in [1, BanksPerRank-1]
 		m, err := addrmap.New(g, rb)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		pa1 = pa1 % capacity / dram.BlockBytes * dram.BlockBytes
-		pa2 = pa2 % capacity / dram.BlockBytes * dram.BlockBytes
+		pa1 &= window
+		pa2 &= window
 		a1, a2 := m.Decode(pa1), m.Decode(pa2)
 
 		if pa1 != pa2 && flatten(g, a1) == flatten(g, a2) {
@@ -194,7 +196,7 @@ func FuzzPartitionedMapping(f *testing.F) {
 			pa uint64
 			a  dram.Addr
 		}{{pa1, a1}, {pa2, a2}} {
-			shared := m.IsSharedBank(p.a.GlobalBank(g))
+			shared := m.IsSharedBank(p.a.GlobalBank())
 			if p.pa < m.HostCapacity() && shared {
 				t.Fatalf("rb=%d: host address %#x landed in reserved bank %+v", rb, p.pa, p.a)
 			}

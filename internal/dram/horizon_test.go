@@ -8,12 +8,12 @@ import (
 // randAddr draws a uniformly random in-range address.
 func randAddr(rng *rand.Rand, g Geometry) Addr {
 	return Addr{
-		Channel:   rng.Intn(g.Channels),
+		Channel:   rng.Intn(Channels),
 		Rank:      rng.Intn(g.Ranks),
-		BankGroup: rng.Intn(g.BankGroups),
-		Bank:      rng.Intn(g.BanksPerGroup),
+		BankGroup: rng.Intn(BankGroups),
+		Bank:      rng.Intn(BanksPerGroup),
 		Row:       rng.Intn(256),
-		Col:       rng.Intn(g.Cols),
+		Col:       rng.Intn(Cols),
 	}
 }
 
@@ -33,7 +33,6 @@ var allCommands = []Command{CmdACT, CmdPRE, CmdRD, CmdWR}
 // checkSchedReady).
 func TestCanIssueCacheMatchesReference(t *testing.T) {
 	g := DefaultGeometry()
-	g.Rows = 256
 	m := newMem(t, g)
 	rng := rand.New(rand.NewSource(7))
 	now := int64(0)
@@ -80,7 +79,7 @@ func TestCanIssueCacheMatchesReference(t *testing.T) {
 // cycle. Column commands are probed at the open row.
 func checkSchedReady(t *testing.T, m *Mem, step int, a Addr) {
 	t.Helper()
-	row, open, readyACT, readyPRE, readyRD, readyWR := m.BankSched(a.Channel, a.Rank, a.BankGroup, a.GlobalBank(m.Geom))
+	row, open, readyACT, readyPRE, readyRD, readyWR := m.BankSched(a.Channel, a.Rank, a.BankGroup, a.GlobalBank())
 	if r, o := m.OpenRow(a); o != open || o && r != row {
 		t.Fatalf("step %d: BankSched row state (%d,%v), OpenRow (%d,%v)", step, row, open, r, o)
 	}

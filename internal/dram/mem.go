@@ -155,14 +155,14 @@ func New(g Geometry) (*Mem, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Mem{Geom: g, channels: make([]chanState, g.Channels)}
+	m := &Mem{Geom: g, channels: make([]chanState, Channels)}
 	for c := range m.channels {
 		ch := &m.channels[c]
 		ch.Ranks = make([]rankState, g.Ranks)
 		for r := range ch.Ranks {
 			rk := &ch.Ranks[r]
-			rk.Banks = make([]bankState, g.BanksPerRank())
-			rk.BGs = make([]bgState, g.BankGroups)
+			rk.Banks = make([]bankState, BanksPerRank)
+			rk.BGs = make([]bgState, BankGroups)
 			rk.FAW = make([]int64, 4)
 			for i := range rk.FAW {
 				rk.FAW[i] = -(1 << 40) // far past: window initially empty
@@ -173,13 +173,12 @@ func New(g Geometry) (*Mem, error) {
 }
 
 func (m *Mem) rank(a Addr) *rankState { return &m.channels[a.Channel].Ranks[a.Rank] }
-func (m *Mem) bank(a Addr) *bankState { return &m.rank(a).Banks[a.GlobalBank(m.Geom)] }
+func (m *Mem) bank(a Addr) *bankState { return &m.rank(a).Banks[a.GlobalBank()] }
 func (m *Mem) checkAddr(a Addr) {
-	g := m.Geom
-	if a.Channel < 0 || a.Channel >= g.Channels || a.Rank < 0 || a.Rank >= g.Ranks ||
-		a.BankGroup < 0 || a.BankGroup >= g.BankGroups || a.Bank < 0 || a.Bank >= g.BanksPerGroup ||
-		a.Row < 0 || a.Row >= g.Rows || a.Col < 0 || a.Col >= g.Cols {
-		panic(fmt.Sprintf("dram: address out of range: %+v for geometry %+v", a, g))
+	if a.Channel < 0 || a.Channel >= Channels || a.Rank < 0 || a.Rank >= m.Geom.Ranks ||
+		a.BankGroup < 0 || a.BankGroup >= BankGroups || a.Bank < 0 || a.Bank >= BanksPerGroup ||
+		a.Row < 0 || a.Row >= Rows || a.Col < 0 || a.Col >= Cols {
+		panic(fmt.Sprintf("dram: address out of range: %+v for geometry %+v", a, m.Geom))
 	}
 }
 
@@ -202,11 +201,11 @@ func (m *Mem) OpenRow(a Addr) (row int, open bool) {
 func (m *Mem) WarmOpen(a Addr) {
 	m.checkAddr(a)
 	rk := m.rank(a)
-	flat := a.GlobalBank(m.Geom)
+	flat := a.GlobalBank()
 	b := &rk.Banks[flat]
 	b.Open = true
 	b.Row = a.Row
-	m.channels[a.Channel].logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
+	m.channels[a.Channel].logRow(int32(a.Rank*BanksPerRank + flat))
 }
 
 // RowSeq returns the channel's row-change sequence: how many row-state
@@ -263,7 +262,7 @@ func (r *rankState) fawReady() int64 {
 func (m *Mem) CanIssue(cmd Command, a Addr, now int64, internal bool) bool {
 	m.checkAddr(a)
 	ch := &m.channels[a.Channel]
-	return m.legal(ch, &ch.Ranks[a.Rank], a.GlobalBank(m.Geom), cmd, a, now, internal)
+	return m.legal(ch, &ch.Ranks[a.Rank], a.GlobalBank(), cmd, a, now, internal)
 }
 
 // legal is CanIssue on an already resolved channel, rank and flat bank.
@@ -303,7 +302,7 @@ func (m *Mem) canIssueRef(cmd Command, a Addr, now int64, internal bool) bool {
 	ch := &m.channels[a.Channel]
 	rk := &ch.Ranks[a.Rank]
 	bg := &rk.BGs[a.BankGroup]
-	b := &rk.Banks[a.GlobalBank(m.Geom)]
+	b := &rk.Banks[a.GlobalBank()]
 
 	switch cmd {
 	case CmdACT:
@@ -394,7 +393,7 @@ func (m *Mem) NextIssue(cmd Command, a Addr, now int64, internal bool) int64 {
 	m.checkAddr(a)
 	ch := &m.channels[a.Channel]
 	rk := &ch.Ranks[a.Rank]
-	flat := a.GlobalBank(m.Geom)
+	flat := a.GlobalBank()
 	b := &rk.Banks[flat]
 
 	switch cmd {
@@ -439,7 +438,7 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 	m.checkAddr(a)
 	ch := &m.channels[a.Channel]
 	rk := &ch.Ranks[a.Rank]
-	flat := a.GlobalBank(m.Geom)
+	flat := a.GlobalBank()
 	if !m.legal(ch, rk, flat, cmd, a, now, internal) {
 		return false
 	}
@@ -455,7 +454,7 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 	switch cmd {
 	case CmdACT:
 		cn.ACT++
-		ch.logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
+		ch.logRow(int32(a.Rank*BanksPerRank + flat))
 		b.Open = true
 		b.Row = a.Row
 		b.NextRD = now + RCD
@@ -475,7 +474,7 @@ func (m *Mem) TryIssue(cmd Command, a Addr, now int64, internal bool) bool {
 
 	case CmdPRE:
 		cn.PRE++
-		ch.logRow(int32(a.Rank*m.Geom.BanksPerRank() + flat))
+		ch.logRow(int32(a.Rank*BanksPerRank + flat))
 		b.Open = false
 		maxi(&b.NextACT, now+RP)
 

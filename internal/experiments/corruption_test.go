@@ -96,6 +96,14 @@ func TestCacheCorruptionRecomputesIdentically(t *testing.T) {
 	}
 }
 
+// pointRow is the point type TestJournalCorruptionResumesCleanly's
+// sweeps store.
+type pointRow struct {
+	Op        string
+	NDABlocks int64
+	BWGBs     float64
+}
+
 // TestJournalCorruptionResumesCleanly seeds a sweep's point entries,
 // then mutilates one point's entry every way in the table and reruns
 // the sweep: the mutilated entry reads as a miss and recomputes (and is
@@ -104,10 +112,10 @@ func TestCacheCorruptionRecomputesIdentically(t *testing.T) {
 func TestJournalCorruptionResumesCleanly(t *testing.T) {
 	dir := t.TempDir()
 	ops := []string{"copy", "dot", "nrm2", "scal", "axpy", "gemv"}
-	job := func(i int) (NDAOnlyRow, error) {
-		return NDAOnlyRow{Op: ops[i], NDABlocks: int64(i*3 + 1), BWGBs: float64(i) / 4}, nil
+	job := func(i int) (pointRow, error) {
+		return pointRow{Op: ops[i], NDABlocks: int64(i*3 + 1), BWGBs: float64(i) / 4}, nil
 	}
-	want := make([]NDAOnlyRow, len(ops))
+	want := make([]pointRow, len(ops))
 	for i := range want {
 		want[i], _ = job(i)
 	}
@@ -156,8 +164,8 @@ func TestJournalCorruptionResumesCleanly(t *testing.T) {
 	// Entries stored under a different sweep width are other entries:
 	// nothing replays, every point recomputes.
 	before := ReadRunnerStats()
-	if v, err := sharded(mkOpt(), 4, func(i int) (NDAOnlyRow, error) { return NDAOnlyRow{NDABlocks: int64(i)}, nil }); err != nil ||
-		!reflect.DeepEqual(v, []NDAOnlyRow{{NDABlocks: 0}, {NDABlocks: 1}, {NDABlocks: 2}, {NDABlocks: 3}}) {
+	if v, err := sharded(mkOpt(), 4, func(i int) (pointRow, error) { return pointRow{NDABlocks: int64(i)}, nil }); err != nil ||
+		!reflect.DeepEqual(v, []pointRow{{NDABlocks: 0}, {NDABlocks: 1}, {NDABlocks: 2}, {NDABlocks: 3}}) {
 		t.Fatalf("width-changed sweep: %v %v", v, err)
 	}
 	if res := ReadRunnerStats().Resumed - before.Resumed; res != 0 {

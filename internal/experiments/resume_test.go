@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"chopim/internal/faults"
+	"chopim/internal/sim"
 )
 
 // crashSweepOpts is the shared budget for the crash-resume test: small
@@ -22,10 +23,31 @@ func crashSweepOpts(dir string) Options {
 	return opt
 }
 
+// ndaOnlyRow is one point of the crash test's NDA-only sweep.
+type ndaOnlyRow struct {
+	Op        string
+	NDABlocks int64
+	BWGBs     float64
+}
+
 // crashSweepRows runs the two-point NDA-only sweep the crash test
-// interrupts.
-func crashSweepRows(opt Options) ([]NDAOnlyRow, error) {
-	return NDAOnlySweep(opt, []string{"copy", "dot"})
+// interrupts: COPY and DOT with no host cores, through the sharded
+// runner, as one cached figure.
+func crashSweepRows(opt Options) ([]ndaOnlyRow, error) {
+	ops := []string{"copy", "dot"}
+	return figCached(opt, "ndaonly-copy+dot", func(opt Options) ([]ndaOnlyRow, error) {
+		perRank := 1 << 20
+		if opt.Quick {
+			perRank = 256 << 10
+		}
+		return sharded(opt, len(ops), func(i int) (ndaOnlyRow, error) {
+			res, err := opt.measure(sim.Default(-1), ops[i], perRank)
+			if err != nil {
+				return ndaOnlyRow{}, err
+			}
+			return ndaOnlyRow{Op: ops[i], NDABlocks: res.NDABlocks, BWGBs: res.NDABWGBs}, nil
+		})
+	})
 }
 
 // TestSweepDrainCancel proves the graceful-drain level: stopping

@@ -11,12 +11,9 @@ package experiments
 import (
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"chopim/internal/sim"
 )
 
 // Parallelism resolves an Options.Parallel value: 0 means serial, any
@@ -176,33 +173,4 @@ func sharded[T any](opt Options, n int, job func(i int) (T, error)) ([]T, error)
 		return results, &SweepError{Total: n, Failures: fails}
 	}
 	return results, nil
-}
-
-// NDAOnlyRow is one point of the NDA-only throughput sweep.
-type NDAOnlyRow struct {
-	Op        string
-	NDABlocks int64
-	BWGBs     float64
-}
-
-// NDAOnlySweep measures NDA-only (no host cores) throughput for a set
-// of Table I operations through the sharded runner, as one cached
-// figure. The crash-resume test kills and reruns it.
-func NDAOnlySweep(opt Options, ops []string) ([]NDAOnlyRow, error) {
-	return figCached(opt, "ndaonly-"+strings.Join(ops, "+"),
-		func(opt Options) ([]NDAOnlyRow, error) { return ndaOnlyRows(opt, ops) })
-}
-
-func ndaOnlyRows(opt Options, ops []string) ([]NDAOnlyRow, error) {
-	perRank := 1 << 20
-	if opt.Quick {
-		perRank = 256 << 10
-	}
-	return sharded(opt, len(ops), func(i int) (NDAOnlyRow, error) {
-		res, err := opt.measure(sim.Default(-1), ops[i], perRank)
-		if err != nil {
-			return NDAOnlyRow{}, err
-		}
-		return NDAOnlyRow{Op: ops[i], NDABlocks: res.NDABlocks, BWGBs: res.NDABWGBs}, nil
-	})
 }

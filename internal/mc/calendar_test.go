@@ -90,14 +90,14 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 	}
 	streams := make([]*ndaStream, g.Ranks)
 	for r := range streams {
-		streams[r] = &ndaStream{a: dram.Addr{Channel: 0, Rank: r, BankGroup: r % g.BankGroups, Bank: 0, Row: 7000 + r}}
+		streams[r] = &ndaStream{a: dram.Addr{Channel: 0, Rank: r, BankGroup: r % dram.BankGroups, Bank: 0, Row: 7000 + r}}
 	}
 	// retarget moves a stream onto a bank the host queues to on its rank.
 	retarget := func(s *ndaStream) {
 		var keys []int32
 		for _, q := range []*reqQueue{&ctlA.rq, &ctlA.wq} {
 			for _, bk := range q.occ {
-				if int(bk)/g.BanksPerRank() == s.a.Rank {
+				if int(bk)/dram.BanksPerRank == s.a.Rank {
 					keys = append(keys, bk)
 				}
 			}
@@ -106,8 +106,8 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 			return
 		}
 		bk := keys[rng.Intn(len(keys))]
-		flat := int(bk) % g.BanksPerRank()
-		s.a.BankGroup, s.a.Bank = flat/g.BanksPerGroup, flat%g.BanksPerGroup
+		flat := int(bk) % dram.BanksPerRank
+		s.a.BankGroup, s.a.Bank = flat/dram.BanksPerGroup, flat%dram.BanksPerGroup
 		s.a.Row = 7000 + rng.Intn(8)
 		if rng.Intn(2) == 0 {
 			if r := ctlA.rq.banks[bk].head; r != nil {
@@ -200,8 +200,8 @@ func runCalendarEquivalence(t *testing.T, tc calCase) {
 		}
 		if tc.warmBurst && cyc%700 == 350 {
 			for i := 0; i < dram.RowLogLen+16; i++ {
-				a := dram.Addr{Channel: 0, Rank: rng.Intn(g.Ranks), BankGroup: rng.Intn(g.BankGroups),
-					Bank: rng.Intn(g.BanksPerGroup), Row: rng.Intn(g.Rows)}
+				a := dram.Addr{Channel: 0, Rank: rng.Intn(g.Ranks), BankGroup: rng.Intn(dram.BankGroups),
+					Bank: rng.Intn(dram.BanksPerGroup), Row: rng.Intn(dram.Rows)}
 				if rng.Intn(2) == 0 {
 					if r := ctlA.rq.head; r != nil {
 						a.Row = r.DAddr.Row
@@ -366,7 +366,7 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 		if next := c.NextEvent(0); next != rdReady {
 			t.Fatalf("NextEvent(0) = %d, want tRCD = %d", next, rdReady)
 		}
-		bk := int32(da.Rank*g.BanksPerRank() + da.GlobalBank(g))
+		bk := int32(da.Rank*dram.BanksPerRank + da.GlobalBank())
 		q := &c.rq
 		if k := keyOf(q, bk); k != rdReady {
 			t.Fatalf("bank keyed at %d, want %d", k, rdReady)
@@ -426,8 +426,8 @@ func TestCalendarLazyVsEagerInvalidation(t *testing.T) {
 			t.Fatalf("NextEvent(%d) = %d, want bank A's tRC horizon %d", now, next, keyA)
 		}
 		q := &c.rq
-		bkA := int32(hostA.GlobalBank(g))
-		bkB := int32(hostB.GlobalBank(g))
+		bkA := int32(hostA.GlobalBank())
+		bkB := int32(hostB.GlobalBank())
 		for _, b := range []struct {
 			bk  int32
 			key int64

@@ -86,7 +86,7 @@ func TestBucketedSchedulerMatchesReference(t *testing.T) {
 				t.Fatalf("cycle %d: completion counts diverged: %d vs %d", cyc, len(doneA), len(doneB))
 			}
 			for r := 0; r < g.Ranks; r++ {
-				for b := 0; b < g.BanksPerRank(); b++ {
+				for b := 0; b < dram.BanksPerRank; b++ {
 					if ctlA.HasDemandFor(r, b) != ctlB.HasDemandFor(r, b) {
 						t.Fatalf("cycle %d: HasDemandFor(%d,%d) diverged", cyc, r, b)
 					}

@@ -74,7 +74,7 @@ func (c *Controller) checkQueue(q *reqQueue, name string, capacity int, cmd dram
 			return fmt.Errorf("%s arrival list: seq %d not increasing at position %d", name, r.seq, count)
 		}
 		lastSeq = r.seq
-		wantKey := int32(r.DAddr.Rank*c.bpr + r.DAddr.GlobalBank(c.mem.Geom))
+		wantKey := int32(r.DAddr.Rank*dram.BanksPerRank + r.DAddr.GlobalBank())
 		if r.bankKey != wantKey {
 			return fmt.Errorf("%s request seq %d: bankKey %d != decoded %d", name, r.seq, r.bankKey, wantKey)
 		}
@@ -182,10 +182,10 @@ func (c *Controller) checkKeys(q *reqQueue, name string, cmd dram.Command) error
 // ready), with a PRE the open-page rule blocks (rowWanted) excluded —
 // without touching the cached entry.
 func (c *Controller) bankOracle(q *reqQueue, bk int32, cmd dram.Command) int64 {
-	flat := int(bk) % c.bpr
-	rank := int(bk) / c.bpr
+	flat := int(bk) % dram.BanksPerRank
+	rank := int(bk) / dram.BanksPerRank
 	row, open, readyACT, readyPRE, readyRD, readyWR := c.mem.BankSched(
-		c.channel, rank, flat/c.mem.Geom.BanksPerGroup, flat)
+		c.channel, rank, flat/dram.BanksPerGroup, flat)
 	if !open {
 		return readyACT
 	}

@@ -82,9 +82,8 @@ func (c *Controller) sync(q *reqQueue) {
 // clears the mark (see the head of this file). min(ready1, ready2) is
 // the bank's key.
 func (c *Controller) examine(q *reqQueue, bk int32, cmd dram.Command, now int64) (e *bankEntry, ready1, ready2 int64) {
-	rank := int(bk >> q.shift)
-	flat := int(bk) & (1<<q.shift - 1)
-	row, open, readyACT, readyPRE, readyRD, readyWR := c.mem.BankSched(c.channel, rank, flat>>c.bgShift, flat)
+	rank, flat := int(uint32(bk)/dram.BanksPerRank), uint32(bk)%dram.BanksPerRank
+	row, open, readyACT, readyPRE, readyRD, readyWR := c.mem.BankSched(c.channel, rank, int(flat/dram.BanksPerGroup), int(flat))
 	e = &q.sched[q.occPos[bk]]
 	if e.dirty || e.idOpen != open || e.idRow != int32(row) {
 		e.derive(q.banks[bk].head, row, open)

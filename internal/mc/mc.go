@@ -76,10 +76,8 @@ type Controller struct {
 	overflow ring.Ring[*Request]
 	drain    bool
 
-	bpr     int      // banks per rank (bankKey stride)
-	bgShift uint     // log2(banks per group): flat bank >> bgShift = bank group
-	free    *Request // request node pool
-	seqGen  int64
+	free   *Request // request node pool
+	seqGen int64
 
 	// Wake memo: the horizon NextEvent serves, a lower bound on the
 	// earliest cycle any candidate can issue. A Tick that attempts both
@@ -139,16 +137,12 @@ type Controller struct {
 func NewController(mem *dram.Mem, channel int, sink func(done func(int64), at int64)) *Controller {
 	c := &Controller{
 		mem: mem, channel: channel, csink: sink,
-		bpr:        mem.Geom.BanksPerRank(),
 		issuedRank: -1,
-		seen:       make([]int64, mem.Geom.Ranks*mem.Geom.BanksPerRank()),
+		seen:       make([]int64, mem.Geom.Ranks*dram.BanksPerRank),
 		IdleHists:  make([]stats.IdleHist, mem.Geom.Ranks),
 	}
-	for 1<<c.bgShift < mem.Geom.BanksPerGroup {
-		c.bgShift++ // geometry fields are validated powers of two
-	}
-	c.rq.init(mem.Geom.Ranks, c.bpr)
-	c.wq.init(mem.Geom.Ranks, c.bpr)
+	c.rq.init(mem.Geom.Ranks)
+	c.wq.init(mem.Geom.Ranks)
 	for i := 0; i < readQueueSize+writeQueueSize; i++ {
 		c.free = &Request{qnext: c.free}
 	}
@@ -165,9 +159,6 @@ func NewController(mem *dram.Mem, channel int, sink func(done func(int64), at in
 // full-rescan FR-FCFS implementation. It exists as the oracle for the
 // scheduler equivalence tests; the bucketed path is the production one.
 func (c *Controller) SetReferenceScheduler(on bool) { c.refSched = on }
-
-// Channel returns the channel index this controller owns.
-func (c *Controller) Channel() int { return c.channel }
 
 // NDAVer returns a version counter over exactly the queue state the NDA
 // engine's sleep bounds read for the given rank: the read-queue
@@ -223,7 +214,7 @@ func (c *Controller) alloc(addr uint64, daddr dram.Addr, write bool, now int64, 
 		r = &Request{}
 	}
 	r.Addr, r.DAddr, r.Write, r.Arrive, r.Done = addr, daddr, write, now, done
-	r.bankKey = int32(daddr.Rank*c.bpr + daddr.GlobalBank(c.mem.Geom))
+	r.bankKey = int32(daddr.Rank*dram.BanksPerRank + daddr.GlobalBank())
 	return r
 }
 
@@ -304,7 +295,7 @@ func (c *Controller) OldestReadRank() (rank int, ok bool) {
 // rank and bank (used to give host row commands priority over NDA row
 // commands, Section III-B). Two bucket-occupancy reads.
 func (c *Controller) HasDemandFor(rank, flatBank int) bool {
-	key := rank*c.bpr + flatBank
+	key := rank*dram.BanksPerRank + flatBank
 	return c.rq.banks[key].n > 0 || c.wq.banks[key].n > 0
 }
 

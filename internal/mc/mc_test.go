@@ -205,14 +205,14 @@ func TestOldestReadRank(t *testing.T) {
 }
 
 func TestHasDemandFor(t *testing.T) {
-	c, mem, m := testController()
+	c, _, m := testController()
 	a := addrOnChannel0(m, 0)
 	d := m.Decode(a)
 	enqRead(c, m, a, 0, nil)
-	if !c.HasDemandFor(d.Rank, d.GlobalBank(mem.Geom)) {
+	if !c.HasDemandFor(d.Rank, d.GlobalBank()) {
 		t.Error("demand not visible for queued read's bank")
 	}
-	if c.HasDemandFor(d.Rank, (d.GlobalBank(mem.Geom)+1)%mem.Geom.BanksPerRank()) {
+	if c.HasDemandFor(d.Rank, (d.GlobalBank()+1)%dram.BanksPerRank) {
 		t.Error("phantom demand on other bank")
 	}
 }

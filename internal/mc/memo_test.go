@@ -22,7 +22,7 @@ func TestNextEventMemo(t *testing.T) {
 	other := dram.Addr{Bank: 1, Row: 5} // rank 0, bank group 0
 	hit := dram.Addr{Row: 100}          // rank 0, bank group 0, bank 0
 	far := dram.Addr{Rank: 1, Row: 7}   // another rank: its own column timing
-	bk := int32(hit.GlobalBank(g))      // channel 0, rank 0
+	bk := int32(hit.GlobalBank())       // channel 0, rank 0
 
 	// setup returns the controller with a memo of rdReady derived, the
 	// NDA column at c1 = rdReady-2 issued, and the exact pushed-out

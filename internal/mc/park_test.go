@@ -117,10 +117,9 @@ func (p *parkPair) drain(from int64) {
 //   - row-change: an NDA closes the row first, which the channel's row
 //     log reports.
 func TestBlockedPrechargeParks(t *testing.T) {
-	g := dram.DefaultGeometry()
 	bank := dram.Addr{Row: 100}              // rank 0, flat bank 0
 	other := dram.Addr{BankGroup: 1, Row: 5} // same rank, another bank group
-	bk := int32(bank.GlobalBank(g))          // channel 0, rank 0
+	bk := int32(bank.GlobalBank())           // channel 0, rank 0
 	conflict, hit := bank, bank
 	conflict.Row = 200
 

@@ -30,7 +30,6 @@ type bankList struct {
 type reqQueue struct {
 	head, tail *Request
 	n          int
-	shift      uint // log2(banks per rank): bankKey >> shift = rank
 
 	banks []bankList // indexed by Request.bankKey
 
@@ -61,11 +60,8 @@ type reqQueue struct {
 	rowSeen uint64
 }
 
-func (q *reqQueue) init(ranks, banksPerRank int) {
-	nb := ranks * banksPerRank
-	for 1<<q.shift < banksPerRank {
-		q.shift++ // geometry fields are validated powers of two
-	}
+func (q *reqQueue) init(ranks int) {
+	nb := ranks * dram.BanksPerRank
 	q.banks = make([]bankList, nb)
 	q.sched = make([]bankEntry, 0, nb)
 	q.demVer = make([]uint64, ranks)
@@ -101,7 +97,7 @@ func (q *reqQueue) push(r *Request) {
 		q.key[i] = -1
 	} else {
 		bl.head = r
-		q.demVer[r.bankKey>>q.shift]++ // bucket empty -> occupied
+		q.demVer[uint32(r.bankKey)/dram.BanksPerRank]++ // bucket empty -> occupied
 		q.occPos[r.bankKey] = int32(len(q.occ))
 		q.occ = append(q.occ, r.bankKey)
 		q.sched = append(q.sched, bankEntry{dirty: true})
@@ -141,7 +137,7 @@ func (q *reqQueue) remove(r *Request) {
 	}
 	bl.n--
 	if bl.n == 0 {
-		q.demVer[r.bankKey>>q.shift]++ // bucket occupied -> empty
+		q.demVer[uint32(r.bankKey)/dram.BanksPerRank]++ // bucket occupied -> empty
 		// Swap-remove the bank (and its dense sched entry and key)
 		// from the occupied set.
 		last := int32(len(q.occ) - 1)

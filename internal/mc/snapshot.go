@@ -107,8 +107,8 @@ func (c *Controller) Restore(st *ControllerState, resolve func(write bool, addr 
 	}
 	c.rq = reqQueue{}
 	c.wq = reqQueue{}
-	c.rq.init(c.mem.Geom.Ranks, c.bpr)
-	c.wq.init(c.mem.Geom.Ranks, c.bpr)
+	c.rq.init(c.mem.Geom.Ranks)
+	c.wq.init(c.mem.Geom.Ranks)
 
 	build := func(s *reqState) *Request {
 		var done func(int64)

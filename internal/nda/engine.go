@@ -164,7 +164,7 @@ type Engine struct {
 // end of the cycle they were produced in.
 func NewEngine(cfg Config, mem *dram.Mem, hosts []*mc.Controller, sink func(done func(int64), at int64)) *Engine {
 	e := &Engine{cfg: cfg, mem: mem, hosts: hosts}
-	for ch := 0; ch < mem.Geom.Channels; ch++ {
+	for ch := 0; ch < dram.Channels; ch++ {
 		var row []*RankNDA
 		for r := 0; r < mem.Geom.Ranks; r++ {
 			seed := cfg.Seed + int64(ch*64+r)
@@ -327,7 +327,7 @@ func (n *RankNDA) accessEvent(col dram.Command, a dram.Addr, now int64) int64 {
 	if open && row == a.Row {
 		return n.mem.NextIssue(col, a, now, true)
 	}
-	if n.host.HasDemandFor(n.Rank, a.GlobalBank(n.mem.Geom)) {
+	if n.host.HasDemandFor(n.Rank, a.GlobalBank()) {
 		return now // StallsHost advances each blocked cycle
 	}
 	if open {
@@ -540,7 +540,7 @@ func (n *RankNDA) access(f *rankFSM, col dram.Command, a dram.Addr, now int64, a
 	}
 	// Row command needed: the host's pending requests to this bank take
 	// priority over NDA row commands (Section III-B).
-	if n.host.HasDemandFor(n.Rank, a.GlobalBank(n.mem.Geom)) {
+	if n.host.HasDemandFor(n.Rank, a.GlobalBank()) {
 		f.stats.StallsHost++
 		return false
 	}

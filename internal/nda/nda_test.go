@@ -9,13 +9,12 @@ import (
 )
 
 func testSetup(cfg Config) (*Engine, *dram.Mem, []*mc.Controller) {
-	g := dram.DefaultGeometry()
-	mem, err := dram.New(g)
+	mem, err := dram.New(dram.DefaultGeometry())
 	if err != nil {
 		panic(err)
 	}
 	var mcs []*mc.Controller
-	for ch := 0; ch < g.Channels; ch++ {
+	for ch := 0; ch < dram.Channels; ch++ {
 		mcs = append(mcs, mc.NewController(mem, ch, inline))
 	}
 	return NewEngine(cfg, mem, mcs, inline), mem, mcs
@@ -37,11 +36,10 @@ func testMap() *addrmap.Map {
 // seqAddrs builds n sequential column addresses in one rank/bank row(s).
 func seqAddrs(ch, rank, row, n int) []dram.Addr {
 	out := make([]dram.Addr, n)
-	g := dram.DefaultGeometry()
 	for i := range out {
 		out[i] = dram.Addr{
 			Channel: ch, Rank: rank, BankGroup: 0, Bank: 0,
-			Row: row + i/g.Cols, Col: i % g.Cols,
+			Row: row + i/dram.Cols, Col: i % dram.Cols,
 		}
 	}
 	return out
@@ -284,7 +282,7 @@ func TestNextRankPredictionInhibitsWrites(t *testing.T) {
 	// not touch, so only the write policy (not host row-command
 	// priority) can throttle it.
 	hostBank := m.Decode(hostAddr)
-	bg := (hostBank.BankGroup + 1) % dram.DefaultGeometry().BankGroups
+	bg := (hostBank.BankGroup + 1) % dram.BankGroups
 	mk := func(row, n int) []dram.Addr {
 		out := seqAddrs(0, 0, row, n)
 		for i := range out {

@@ -54,7 +54,7 @@ func drain(it nda.Iter) []dram.Addr {
 func checkShareMatchesDecode(t testing.TB, m *addrmap.Map, v *Vector, chunk int) {
 	t.Helper()
 	g := m.Geometry()
-	want := make([][][]dram.Addr, g.Channels)
+	want := make([][][]dram.Addr, dram.Channels)
 	for ch := range want {
 		want[ch] = make([][]dram.Addr, g.Ranks)
 	}
@@ -62,7 +62,7 @@ func checkShareMatchesDecode(t testing.TB, m *addrmap.Map, v *Vector, chunk int)
 		a := m.Decode(pa)
 		want[a.Channel][a.Rank] = append(want[a.Channel][a.Rank], a)
 	}
-	for ch := 0; ch < g.Channels; ch++ {
+	for ch := 0; ch < dram.Channels; ch++ {
 		for r := 0; r < g.Ranks; r++ {
 			w := want[ch][r]
 			n := v.layout.shareLen(ch, r)
@@ -91,48 +91,24 @@ func checkShareMatchesDecode(t testing.TB, m *addrmap.Map, v *Vector, chunk int)
 // TestShareMatchesDecode checks every operand kind the runtime builds
 // (Shared, Private and a RowView whose span starts and ends mid-row),
 // plus a vector at a base the colored allocator did not pick, against a
-// direct decode, over 1/2/4 channels x 1/2/4/8 ranks with and without
-// bank partitioning.
+// direct decode, over 1/2/4/8 ranks per channel with and without bank
+// partitioning. The Nch prefix is the number of channels each operand
+// spans: the 2ch operands stripe over both channels, and the 1ch ones
+// fit in one 256-byte channel interleave, so every share but one is
+// empty.
 func TestShareMatchesDecode(t *testing.T) {
-	for _, channels := range []int{1, 2, 4} {
+	for _, spanned := range []int{1, dram.Channels} {
 		for _, ranks := range []int{1, 2, 4, 8} {
 			for _, partitioned := range []bool{false, true} {
-				g := dram.DefaultGeometry()
-				g.Channels, g.Ranks = channels, ranks
-				name := fmt.Sprintf("%dch_%drk_partitioned=%v", channels, ranks, partitioned)
+				g := dram.Geometry{Ranks: ranks}
+				name := fmt.Sprintf("%dch_%drk_partitioned=%v", spanned, ranks, partitioned)
 				t.Run(name, func(t *testing.T) {
 					rt := layoutRuntime(t, g, partitioned)
-					shared, err := rt.NewVector(64*1024, Shared)
-					if err != nil {
-						t.Fatal(err)
-					}
-					private, err := rt.NewVector(2048, Private)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// 48K elements one system row into a colored
-					// allocation: a base the colored allocator did not
-					// pick, as a layout that ignores colors would.
-					row := rt.os.SystemRowBytes()
-					backing, err := rt.NewVector(48*1024+int(row/4), Shared)
-					if err != nil {
-						t.Fatal(err)
-					}
-					uncolored := &Vector{rt: rt, base: backing.base + row, n: 48 * 1024, bytes: 48 * 1024 * 4}
-					uncolored.color = rt.os.ColorOf(uncolored.base)
-					uncolored.indexBlocks()
-					mat, err := rt.NewMatrix(64, 200, Shared) // 800-byte rows
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, c := range []struct {
-						name string
-						v    *Vector
-					}{
-						{"Shared", shared}, {"Private", private}, {"Uncolored", uncolored},
-						{"RowView", mat.RowView(3)},
-					} {
+					for _, c := range layoutOperands(t, rt, spanned) {
 						t.Run(c.name, func(t *testing.T) {
+							if got := channelsSpanned(c.v); got != spanned {
+								t.Fatalf("operand spans %d channels, want %d", got, spanned)
+							}
 							checkShareMatchesDecode(t, rt.mapper, c.v, 7)
 						})
 					}
@@ -142,16 +118,73 @@ func TestShareMatchesDecode(t *testing.T) {
 	}
 }
 
+type namedOperand struct {
+	name string
+	v    *Vector
+}
+
+// layoutOperands builds one operand of each kind on rt, sized to span
+// every channel or, with spanned = 1, to fit in one channel interleave.
+func layoutOperands(t *testing.T, rt *Runtime, spanned int) []namedOperand {
+	t.Helper()
+	sharedN, privateN, uncoloredN, matCols := 64*1024, 2048, 48*1024, 200 // 800-byte rows
+	if spanned == 1 {
+		// 256 bytes each, and 128-byte matrix rows so row 3 starts
+		// mid-interleave.
+		sharedN, privateN, uncoloredN, matCols = 64, 64/rt.NDACount(), 64, 32
+	}
+	shared, err := rt.NewVector(sharedN, Shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err := rt.NewVector(privateN, Private)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// uncoloredN elements one system row into a colored allocation: a
+	// base the colored allocator did not pick, as a layout that ignores
+	// colors would.
+	row := rt.os.SystemRowBytes()
+	backing, err := rt.NewVector(uncoloredN+int(row/4), Shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncolored := &Vector{rt: rt, base: backing.base + row, n: uncoloredN, bytes: uint64(uncoloredN) * 4}
+	uncolored.color = rt.os.ColorOf(uncolored.base)
+	uncolored.indexBlocks()
+	mat, err := rt.NewMatrix(64, matCols, Shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []namedOperand{
+		{"Shared", shared}, {"Private", private}, {"Uncolored", uncolored},
+		{"RowView", mat.RowView(3)},
+	}
+}
+
+// channelsSpanned counts the channels on which v has a non-empty share.
+func channelsSpanned(v *Vector) int {
+	n := 0
+	for ch := 0; ch < dram.Channels; ch++ {
+		for r := 0; r < v.rt.geom.Ranks; r++ {
+			if v.layout.shareLen(ch, r) > 0 {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
 // FuzzShareMatchesDecode decodes arbitrary spans, block-aligned
-// anywhere in the address space, under arbitrary channel and rank
-// counts, with arbitrary chunk sizes.
+// anywhere in the address space, under arbitrary rank counts, with
+// arbitrary chunk sizes.
 func FuzzShareMatchesDecode(f *testing.F) {
-	f.Add(uint8(1), uint8(1), true, uint64(0), uint16(4096), uint16(64))
-	f.Add(uint8(2), uint8(3), false, uint64(123457), uint16(333), uint16(1))
-	f.Add(uint8(0), uint8(0), true, uint64(1<<30), uint16(1), uint16(5))
-	f.Fuzz(func(t *testing.T, chLog, rkLog uint8, partitioned bool, start uint64, nBlocks, chunk uint16) {
-		g := dram.DefaultGeometry()
-		g.Channels, g.Ranks = 1<<(chLog%3), 1<<(rkLog%4)
+	f.Add(uint8(1), true, uint64(0), uint16(4096), uint16(64))
+	f.Add(uint8(3), false, uint64(123457), uint16(333), uint16(1))
+	f.Add(uint8(0), true, uint64(1<<30), uint16(1), uint16(5))
+	f.Fuzz(func(t *testing.T, rkLog uint8, partitioned bool, start uint64, nBlocks, chunk uint16) {
+		g := dram.Geometry{Ranks: 1 << (rkLog % 4)}
 		m := layoutMapper(t, g, partitioned)
 		n := uint64(nBlocks%8192) + 1
 		capBlocks := g.Capacity() / dram.BlockBytes
@@ -267,14 +300,13 @@ func TestGuardRefusesRunNeighbours(t *testing.T) {
 	}
 	bp := bps[1]
 	guard := h.rt.buildGuard(bp)
-	c := x.layout.codec
 	own := map[uint32]bool{}
 	var keys [][]uint32
 	for _, v := range []*Vector{x, y} {
 		var ks []uint32
 		for _, a := range drain(v.iterFor(bp.ch, bp.r, bp.from, bp.n)) {
-			ks = append(ks, c.pack(a))
-			own[c.pack(a)] = true
+			ks = append(ks, pack(a))
+			own[pack(a)] = true
 		}
 		keys = append(keys, ks)
 	}
@@ -293,7 +325,7 @@ func TestGuardRefusesRunNeighbours(t *testing.T) {
 					continue
 				}
 				checked++
-				if a := c.unpack(bp.ch, bp.r, e); guard(a) {
+				if a := unpack(bp.ch, bp.r, e); guard(a) {
 					t.Fatalf("guard accepts %+v, next to a run of the instruction's blocks", a)
 				}
 			}

@@ -57,9 +57,6 @@ func Join(hs ...*Handle) *Handle {
 	return &Handle{children: hs}
 }
 
-// DoneAt returns the DRAM cycle of the final completion (valid once Done).
-func (h *Handle) DoneAt() int64 { return h.doneAt }
-
 func (h *Handle) complete(cycle int64) {
 	h.pending--
 	if cycle > h.doneAt {
@@ -124,14 +121,13 @@ type layoutKey struct {
 
 // vecLayout is an immutable decoded layout shared between vectors.
 // runs[ch][rank] holds that rank's share of the vector in address order,
-// as runs of consecutive rank-local block numbers (blockCodec.pack);
+// as runs of consecutive rank-local block numbers (pack);
 // channel and rank are implied by which list holds a run. A colored
 // operand's share is whole DRAM rows, so a run usually covers a row and
 // a layout costs ~12 bytes per row rather than 4 per block (DESIGN.md
 // §2.14).
 type vecLayout struct {
-	codec blockCodec
-	runs  [][][]blockRun
+	runs [][][]blockRun
 }
 
 // blockRun is the n block numbers start, start+1, ...; first is the
@@ -166,36 +162,21 @@ func seek(runs []blockRun, from int) int {
 	return lo
 }
 
-// blockCodec converts between a DRAM address and its rank-local block
-// number, (flatBank·Rows + row)·Cols + col. Every geometry field is a
-// power of two and the product fits in 32 bits (Geometry.Validate), so
-// the number is a bit concatenation and unpacking is shifts and masks.
-type blockCodec struct {
-	colBits, rowBits, bankBits uint
-	colMask, rowMask, bankMask int
-}
-
-func newBlockCodec(g dram.Geometry) blockCodec {
-	log2 := func(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
-	return blockCodec{
-		colBits: log2(g.Cols), rowBits: log2(g.Rows), bankBits: log2(g.BanksPerGroup),
-		colMask: g.Cols - 1, rowMask: g.Rows - 1, bankMask: g.BanksPerGroup - 1,
-	}
-}
-
-// pack returns a's rank-local block number.
-func (c blockCodec) pack(a dram.Addr) uint32 {
-	flat := uint32(a.BankGroup)<<c.bankBits | uint32(a.Bank)
-	return (flat<<c.rowBits|uint32(a.Row))<<c.colBits | uint32(a.Col)
+// pack returns a's rank-local block number, (flatBank·Rows + row)·Cols
+// + col, which fits 32 bits (dram's rank-size assertion). The
+// organization's sizes are powers of two, so the products here and the
+// quotients in unpack compile to shifts and masks.
+func pack(a dram.Addr) uint32 {
+	return (uint32(a.GlobalBank())*dram.Rows+uint32(a.Row))*dram.Cols + uint32(a.Col)
 }
 
 // unpack returns the address of block number k on rank (ch, r).
-func (c blockCodec) unpack(ch, r int, k uint32) dram.Addr {
-	flat := int(k >> (c.colBits + c.rowBits))
+func unpack(ch, r int, k uint32) dram.Addr {
+	flat := k / (dram.Rows * dram.Cols)
 	return dram.Addr{
 		Channel: ch, Rank: r,
-		BankGroup: flat >> c.bankBits, Bank: flat & c.bankMask,
-		Row: int(k>>c.colBits) & c.rowMask, Col: int(k) & c.colMask,
+		BankGroup: int(flat / dram.BanksPerGroup), Bank: int(flat % dram.BanksPerGroup),
+		Row: int(k / dram.Cols % dram.Rows), Col: int(k % dram.Cols),
 	}
 }
 
@@ -241,7 +222,7 @@ func New(os *osmem.OS, eng *nda.Engine, mcs []*mc.Controller, now func() int64) 
 }
 
 // NDACount returns the number of rank NDAs in the system.
-func (rt *Runtime) NDACount() int { return rt.geom.Channels * rt.geom.Ranks }
+func (rt *Runtime) NDACount() int { return dram.Channels * rt.geom.Ranks }
 
 // Vector is a float32 vector visible to both host and NDAs.
 type Vector struct {
@@ -314,9 +295,6 @@ func (rt *Runtime) allocColored(bytes uint64) (uint64, osmem.Color, error) {
 // Len returns the element count.
 func (v *Vector) Len() int { return v.n }
 
-// Base returns the physical base address.
-func (v *Vector) Base() uint64 { return v.base }
-
 // Color returns the vector's alignment color.
 func (v *Vector) Color() osmem.Color { return v.color }
 
@@ -353,10 +331,9 @@ func (v *Vector) indexBlocks() {
 // (Map.ColumnBits) cleared, and derives the head's blocks from it by
 // the ColumnBits contract; with no such bits every block is a head.
 func decodeLayout(m *addrmap.Map, base, bytes uint64) *vecLayout {
-	g := m.Geometry()
-	l := &vecLayout{codec: newBlockCodec(g), runs: make([][][]blockRun, g.Channels)}
+	l := &vecLayout{runs: make([][][]blockRun, dram.Channels)}
 	for ch := range l.runs {
-		l.runs[ch] = make([][]blockRun, g.Ranks)
+		l.runs[ch] = make([][]blockRun, m.Geometry().Ranks)
 	}
 	colBits := m.ColumnBits()
 	// colDelta[i] is the column XOR of flipping column-only bit i, the
@@ -393,7 +370,7 @@ func decodeLayout(m *addrmap.Map, base, bytes uint64) *vecLayout {
 		h := &heads[slot]
 		if !h.set || h.pa != hpa {
 			a := m.Decode(hpa)
-			h.pa, h.ch, h.r, h.k, h.set = hpa, a.Channel, a.Rank, l.codec.pack(a), true
+			h.pa, h.ch, h.r, h.k, h.set = hpa, a.Channel, a.Rank, pack(a), true
 		}
 		k := h.k
 		for x := pa & colBits; x != 0; x &= x - 1 {
@@ -428,7 +405,6 @@ func (v *Vector) iterFor(ch, r int, from, count int) nda.Iter {
 		w.k = runs[w.i].start + uint32(from-int(runs[w.i].first))
 		w.end = runs[w.i].start + runs[w.i].n
 	}
-	c := v.layout.codec
 	return func() (dram.Addr, bool) {
 		if w.left <= 0 {
 			return dram.Addr{}, false
@@ -438,7 +414,7 @@ func (v *Vector) iterFor(ch, r int, from, count int) nda.Iter {
 			w.k, w.end = runs[w.i].start, runs[w.i].start+runs[w.i].n
 		}
 		w.left--
-		a := c.unpack(ch, r, w.k)
+		a := unpack(ch, r, w.k)
 		w.k++
 		return a, true
 	}
@@ -487,5 +463,5 @@ func (v *Vector) controlAddr(ch, r int) (dram.Addr, bool) {
 	if len(runs) == 0 {
 		return dram.Addr{}, false
 	}
-	return v.layout.codec.unpack(ch, r, runs[0].start), true
+	return unpack(ch, r, runs[0].start), true
 }

@@ -32,7 +32,7 @@ func newHarness(t *testing.T) *harness {
 	}
 	h := &harness{mem: mem}
 	inline := func(done func(int64), at int64) { done(at) } // no mailbox
-	for ch := 0; ch < g.Channels; ch++ {
+	for ch := 0; ch < dram.Channels; ch++ {
 		h.mcs = append(h.mcs, mc.NewController(mem, ch, inline))
 	}
 	h.eng = nda.NewEngine(nda.DefaultConfig(), mem, h.mcs, inline)
@@ -65,7 +65,7 @@ func TestVectorAllocationAndShares(t *testing.T) {
 	}
 	g := dram.DefaultGeometry()
 	total := 0
-	for ch := 0; ch < g.Channels; ch++ {
+	for ch := 0; ch < dram.Channels; ch++ {
 		for r := 0; r < g.Ranks; r++ {
 			n := v.layout.shareLen(ch, r)
 			if n == 0 {
@@ -88,7 +88,7 @@ func TestPrivateAllocationGivesFullShares(t *testing.T) {
 	}
 	g := dram.DefaultGeometry()
 	want := n * 4 / dram.BlockBytes
-	for ch := 0; ch < g.Channels; ch++ {
+	for ch := 0; ch < dram.Channels; ch++ {
 		for r := 0; r < g.Ranks; r++ {
 			got := v.layout.shareLen(ch, r)
 			if got < want/2 || got > want*2 {
@@ -198,7 +198,7 @@ func TestRowViewCoversRow(t *testing.T) {
 	wantBlocks := 512 * 4 / dram.BlockBytes
 	total := 0
 	g := dram.DefaultGeometry()
-	for ch := 0; ch < g.Channels; ch++ {
+	for ch := 0; ch < dram.Channels; ch++ {
 		for r := 0; r < g.Ranks; r++ {
 			total += v.layout.shareLen(ch, r)
 		}

@@ -151,9 +151,8 @@ func (rt *Runtime) Launch(spec Spec) (*Handle, error) {
 		return nil, err
 	}
 	h := &Handle{}
-	g := rt.geom
-	for ch := 0; ch < g.Channels; ch++ {
-		for r := 0; r < g.Ranks; r++ {
+	for ch := 0; ch < dram.Channels; ch++ {
+		for r := 0; r < rt.geom.Ranks; r++ {
 			// A rank without a control address holds an empty share,
 			// for which rankOpBPs yields no instructions.
 			ctrl, _ := spec.Reads[0].controlAddr(ch, r)
@@ -171,10 +170,10 @@ func (rt *Runtime) Launch(spec Spec) (*Handle, error) {
 // per-launch load imbalance.
 func (rt *Runtime) MacroFor(count int, build func(i int) Spec) (*Handle, error) {
 	h := &Handle{}
-	g := rt.geom
-	work := make([][][]*opBP, g.Channels)
+	ranks := rt.geom.Ranks
+	work := make([][][]*opBP, dram.Channels)
 	for ch := range work {
-		work[ch] = make([][]*opBP, g.Ranks)
+		work[ch] = make([][]*opBP, ranks)
 	}
 	var ctrl dram.Addr
 	ctrlOK := false
@@ -186,8 +185,8 @@ func (rt *Runtime) MacroFor(count int, build func(i int) Spec) (*Handle, error) 
 		if err := aligned(spec); err != nil {
 			return nil, err
 		}
-		for ch := 0; ch < g.Channels; ch++ {
-			for r := 0; r < g.Ranks; r++ {
+		for ch := 0; ch < dram.Channels; ch++ {
+			for r := 0; r < ranks; r++ {
 				work[ch][r] = append(work[ch][r], rt.rankOpBPs(spec, ch, r, h)...)
 			}
 		}
@@ -197,8 +196,8 @@ func (rt *Runtime) MacroFor(count int, build func(i int) Spec) (*Handle, error) 
 			}
 		}
 	}
-	for ch := 0; ch < g.Channels; ch++ {
-		for r := 0; r < g.Ranks; r++ {
+	for ch := 0; ch < dram.Channels; ch++ {
+		for r := 0; r < ranks; r++ {
 			if len(work[ch][r]) == 0 {
 				continue
 			}
@@ -311,9 +310,8 @@ func (rt *Runtime) buildGuard(bp *opBP) func(dram.Addr) bool {
 	if bp.write != nil {
 		spans = bp.write.appendSpans(spans, bp.ch, bp.r, bp.from, bp.n)
 	}
-	c := newBlockCodec(rt.geom)
 	return func(a dram.Addr) bool {
-		k := c.pack(a)
+		k := pack(a)
 		for _, s := range spans {
 			if k-s.start < s.n {
 				return true

@@ -23,12 +23,12 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		all string
 		n   int
 	}{
-		"host-only":                {"e63f674307d3e6b48a5766005eb0fac99cd24b4e7dcdfc02ff425435a19c2725", 699660},
-		"host-stall-heavy":         {"dd14860ab5bbc228f1da3aae4c6debb774c79fb89d761e9843c0ce1a342f3809", 601224},
-		"nda-only-nrm2":            {"16b3e6831d095ee1e849d573667a9e0e98b1ce5b160c397042794535512b1c0a", 9139},
-		"nda-only-copy-stochastic": {"b01ed29ee91052106c258b5dc82ead7415db10dc1b3681c4da4328f5f6752049", 13587},
-		"mixed-mix1-dot":           {"31edfa17307bd9243cb680ce476517380f15abf137b82217276c26188905af1d", 620747},
-		"mixed-mix3-copy-shared":   {"5a112c789c7f2d0f8d5d87b6bce9e9225b0a90b0f868d09151e26be6f884c0ac", 638333},
+		"host-only":                {"a3331318618b5a9094bcc80e7c7d35832c2c0693cb55a8eee0604344ce8366b1", 699660},
+		"host-stall-heavy":         {"d880d62f98cbbe0ac5779ecb385e135a77b7683d90e9e07666fe41637e9ae116", 601224},
+		"nda-only-nrm2":            {"c8a7dca8cac9361305a674f22a9028cfc1537ecf4afe0d864b0432c8e7627215", 9139},
+		"nda-only-copy-stochastic": {"73aaf191d9fb1d133ef4dd46a1ad815d29e0bb2643d147ad9baa38454ee45a48", 13587},
+		"mixed-mix1-dot":           {"16cf3d794a22f15c510b5969d99b433b98e422a44be7a56c908ba49edb94b701", 620747},
+		"mixed-mix3-copy-shared":   {"c7088a75937245499212902c1ff872c0e1e91405343a8be5cca4d73d9beefcf6", 638333},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

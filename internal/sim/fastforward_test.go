@@ -242,28 +242,14 @@ func TestRunFastMatchesRun(t *testing.T) {
 
 // domainWorkloads returns the mixed host+NDA shapes
 // TestParallelDomainsMatchSerial runs, with the invariant checker
-// armed: the two-channel mixed goldens and a four-channel variant of
-// mix1+DOT.
+// armed: the two mixed goldens.
 func domainWorkloads() []ffWorkload {
 	var out []ffWorkload
-	var dot ffWorkload
 	for _, w := range ffWorkloads() {
 		if w.name == "mixed-mix1-dot" || w.name == "mixed-mix3-copy-shared" {
 			out = append(out, w)
 		}
-		if w.name == "mixed-mix1-dot" {
-			dot = w
-		}
 	}
-	out = append(out, ffWorkload{
-		name: "mixed-mix1-dot-4ch",
-		cfg: func() Config {
-			c := dot.cfg()
-			c.Geom.Channels = 4
-			return c
-		},
-		app: dot.app,
-	})
 	for i := range out {
 		base := out[i].cfg
 		out[i].cfg = func() Config {
@@ -278,8 +264,8 @@ func domainWorkloads() []ffWorkload {
 // TestParallelDomainsMatchSerial pins the multi-channel mailbox
 // contract with the invariant checker armed: every completion waits in
 // the one mailbox until commit, and the fast path stays bit-identical
-// to the Tick oracle at every segment boundary on two and four
-// channels. The checker also proves at every commit that the drain
+// to the Tick oracle at every segment boundary on both channels. The
+// checker also proves at every commit that the drain
 // never grew the mailbox. (The name predates the collapse of the
 // per-channel domains into one mailbox.)
 func TestParallelDomainsMatchSerial(t *testing.T) {

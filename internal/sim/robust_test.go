@@ -74,20 +74,15 @@ func TestWallClockDeadline(t *testing.T) {
 }
 
 // TestInvalidConfigErrors pins the constructor's error path for the
-// settable values that can be invalid: a geometry field that is not a
-// power of two, and a partitioned geometry with no bank left for the
-// host once reservedBanks are set aside.
+// settable value that can be invalid: a rank count that is not a power
+// of two.
 func TestInvalidConfigErrors(t *testing.T) {
 	mut := []struct {
 		name string
 		mut  func(*Config)
 		want string
 	}{
-		{"bad-geometry", func(c *Config) { c.Geom.Channels = 3 }, "geometry"},
-		{"bad-partition", func(c *Config) {
-			c.Partitioned = true
-			c.Geom.BankGroups, c.Geom.BanksPerGroup = 1, 1
-		}, "reservedBanks"},
+		{"bad-geometry", func(c *Config) { c.Geom.Ranks = 3 }, "geometry"},
 	}
 	for _, m := range mut {
 		t.Run(m.name, func(t *testing.T) {

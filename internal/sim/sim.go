@@ -148,11 +148,10 @@ func (s *System) push(fn func(int64), at int64) {
 	s.outbox = append(s.outbox, doneEv{fn: fn, at: at})
 }
 
-// New builds and wires a system. An invalid geometry, one with no bank
-// left for the host under the partition reservation, or one too large
-// for the cache hierarchy's block keys is returned as an error, not a
-// panic: every figure point flows through here, and a sweep must be
-// able to reject a bad point without dying.
+// New builds and wires a system. A rank count outside 1, 2, 4 and 8
+// (dram.Geometry.Validate) is returned as an error, not a panic: every
+// figure point flows through here, and a sweep must be able to reject a
+// bad point without dying.
 func New(cfg Config) (*System, error) {
 	reserved := 0
 	if cfg.Partitioned {
@@ -172,7 +171,7 @@ func New(cfg Config) (*System, error) {
 	}
 	s := &System{Cfg: cfg, Mem: mem, OS: os}
 
-	for ch := 0; ch < cfg.Geom.Channels; ch++ {
+	for ch := 0; ch < dram.Channels; ch++ {
 		s.MCs = append(s.MCs, mc.NewController(s.Mem, ch, s.push))
 	}
 	s.Router = mc.NewRouter(s.MCs, mapper, func() int64 { return s.dramCycle })
@@ -185,11 +184,7 @@ func New(cfg Config) (*System, error) {
 				return nil, err
 			}
 		}
-		hcfg := cache.DefaultHierarchyConfig(len(profs))
-		if err := hcfg.CheckSpan(cfg.Geom.Capacity()); err != nil {
-			return nil, fmt.Errorf("sim: invalid config: %w", err)
-		}
-		s.Hier = cache.NewHierarchy(hcfg, s.Router, s)
+		s.Hier = cache.NewHierarchy(cache.DefaultHierarchyConfig(len(profs)), s.Router, s)
 		for i, p := range profs {
 			fp := p.Footprint
 			region, err := os.AllocHost(fp)
@@ -594,7 +589,7 @@ func (s *System) NDABandwidthGBs(bytes int64) float64 {
 // divided by cycles where ranks were not serving host traffic. busyHost
 // and ndaBlocks are deltas over the window.
 func (s *System) NDAUtilization(hostBusyCycles, ndaBlocks int64) float64 {
-	ranks := int64(s.Cfg.Geom.Channels * s.Cfg.Geom.Ranks)
+	ranks := int64(dram.Channels * s.Cfg.Geom.Ranks)
 	idle := s.MeasuredCycles()*ranks - hostBusyCycles
 	if idle <= 0 {
 		return 0

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"chopim/internal/cache"
 	"chopim/internal/dram"
 	"chopim/internal/ndart"
 )
@@ -190,19 +189,14 @@ func TestAsyncMacroOp(t *testing.T) {
 }
 
 // TestNewRejectsUnkeyableGeometry: the cache levels pack a block's tag
-// into a 31-bit key, so a memory whose largest block has no key is
-// refused by New with an error, never simulated with aliasing tags.
-// 8 channels of 8 ranks of 2^31 blocks is one block range past the L1's
-// keys; 4 ranks per channel fits.
+// into a 31-bit key, which covers every block of a memory of up to
+// dram.MaxRanks ranks per channel (a compile-time assertion in cache).
+// New refuses more ranks with an error naming Ranks, so a memory whose
+// blocks have no key is never simulated with aliasing tags.
 func TestNewRejectsUnkeyableGeometry(t *testing.T) {
 	cfg := Default(0)
-	cfg.Geom.Channels, cfg.Geom.Ranks = 8, 8
-	cfg.Geom.Rows = 1 << 31 / (cfg.Geom.BanksPerRank() * cfg.Geom.Cols)
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "31-bit key") {
-		t.Fatalf("New on a %d-byte memory = %v, want a key-range error", cfg.Geom.Capacity(), err)
-	}
-	hcfg := cache.DefaultHierarchyConfig(1)
-	if err := hcfg.CheckSpan(cfg.Geom.Capacity() / 2); err != nil {
-		t.Fatalf("half that memory is refused: %v", err)
+	cfg.Geom.Ranks = 2 * dram.MaxRanks
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Ranks") {
+		t.Fatalf("New with %d ranks per channel = %v, want an error naming Ranks", cfg.Geom.Ranks, err)
 	}
 }

@@ -76,8 +76,7 @@ func TestStateFieldCoverage(t *testing.T) {
 		{live: fieldType(t, core, "rob").Elem()},
 		{live: reflect.TypeOf(mc.Controller{}), state: reflect.TypeOf(mc.ControllerState{}),
 			skip: map[string]notCarried{
-				"mem": config, "channel": config,
-				"bpr": config, "bgShift": config, "refSched": config,
+				"mem": config, "channel": config, "refSched": config,
 				"free": pool, "csink": closure,
 				"sweepHz": schedMem, "hint": schedMem, "hintValid": schedMem, "hintVer": schedMem,
 				"hintRowSeq": schedMem, "ver": schedMem, "seen": schedMem, "seenGen": schedMem,
