@@ -60,6 +60,24 @@ type Addr struct {
 // GlobalBank returns the rank-local flat bank index.
 func (a Addr) GlobalBank() int { return a.BankGroup*BanksPerGroup + a.Bank }
 
+// Block returns a's rank-local block number, (flatBank·Rows + row)·Cols
+// + col, which fits 32 bits (the rank-size assertion below). The
+// organization's sizes are powers of two, so the products here and the
+// quotients in BlockAddr compile to shifts and masks.
+func (a Addr) Block() uint32 {
+	return (uint32(a.GlobalBank())*Rows+uint32(a.Row))*Cols + uint32(a.Col)
+}
+
+// BlockAddr returns the address of block number k on rank (ch, r).
+func BlockAddr(ch, r int, k uint32) Addr {
+	flat := k / (Rows * Cols)
+	return Addr{
+		Channel: ch, Rank: r,
+		BankGroup: int(flat / BanksPerGroup), Bank: int(flat % BanksPerGroup),
+		Row: int(k / Cols % Rows), Col: int(k % Cols),
+	}
+}
+
 // The paper's Table II organization: 2 channels of 8Gb x8 DDR4 ranks,
 // 16 banks in 4 groups, 64K rows and 8KB rank rows (128 blocks). Only
 // the ranks per channel vary (Geometry).
@@ -76,8 +94,8 @@ const (
 	MaxRanks = 8
 )
 
-// The NDA runtime numbers a rank's blocks with 32-bit keys, so a rank
-// must hold at most 2³² blocks (a 256 GiB rank).
+// Addr.Block numbers a rank's blocks with 32-bit keys, so a rank must
+// hold at most 2³² blocks (a 256 GiB rank).
 const _ uint = 1<<32 - BanksPerRank*Rows*Cols
 
 // Geometry describes the memory organization's one varying value.

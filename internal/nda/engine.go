@@ -188,19 +188,20 @@ func NewEngine(cfg Config, mem *dram.Mem, hosts []*mc.Controller, sink func(done
 	return e
 }
 
-// Launch enqueues an op on the given rank's NDA. makeOp must build a
-// fresh op (fresh iterators) on each call: when FSM verification is on,
-// a second instance feeds the host-side replica. In hardware the launch
-// arrives through a control-register write; the runtime layer models that
-// channel occupancy.
-func (e *Engine) Launch(channel, rank int, makeOp func() *Op) {
+// Launch enqueues a fresh op on the given rank's NDA. When FSM
+// verification is on, the host-side replica gets a copy with its own
+// read streams. In hardware the launch arrives through a
+// control-register write; the runtime layer models that channel
+// occupancy.
+func (e *Engine) Launch(channel, rank int, op *Op) {
 	n := e.Ranks[channel][rank]
 	n.sleepStale = true // re-derive: the new op changes the FSM's next action
-	n.fsm.ops = append(n.fsm.ops, makeOp())
+	n.fsm.ops = append(n.fsm.ops, op)
 	if n.replica != nil {
-		op := makeOp()
-		op.Done = nil // completion is reported by the primary only
-		n.replica.ops = append(n.replica.ops, op)
+		c := *op
+		c.Reads = append([]Stream(nil), op.Reads...)
+		c.Done = nil // completion is reported by the primary only
+		n.replica.ops = append(n.replica.ops, &c)
 	}
 }
 
@@ -313,7 +314,7 @@ func (n *RankNDA) nextEvent(now int64) int64 {
 		}
 		return n.accessEvent(dram.CmdWR, f.wb.Front().addr, now)
 	}
-	a, ok := f.ops[0].PeekRead()
+	a, _, ok := f.ops[0].PeekRead()
 	if !ok {
 		return now // exhaustion discovery, tail flush, or completion
 	}
@@ -449,12 +450,14 @@ func (n *RankNDA) tryWrite(f *rankFSM, now int64, apply bool) {
 }
 
 // tryRead attempts the next read of the head op, producing result-write
-// entries at batch boundaries.
+// entries at batch boundaries. The read is taken only when its column
+// command issues.
 func (n *RankNDA) tryRead(f *rankFSM, now int64, apply bool) {
 	op := f.ops[0]
-	a, ok := op.nextRead()
+	a, operand, ok := op.PeekRead()
 	if !ok {
 		// All reads done; flush any remaining result writes.
+		op.exhausted = true
 		n.emitWrites(f, op, BatchBlocks)
 		if op.pendingWr == 0 {
 			n.maybeComplete(f, op, now)
@@ -462,9 +465,9 @@ func (n *RankNDA) tryRead(f *rankFSM, now int64, apply bool) {
 		return
 	}
 	if !n.access(f, dram.CmdRD, a, now, apply) {
-		op.pushback(a)
 		return
 	}
+	op.takeRead(operand)
 	f.stats.BlocksRead++
 	f.readsRun++
 	if f.readsRun >= op.batchReads() {
@@ -475,11 +478,8 @@ func (n *RankNDA) tryRead(f *rankFSM, now int64, apply bool) {
 
 // emitWrites moves up to k result addresses of op into the write buffer.
 func (n *RankNDA) emitWrites(f *rankFSM, op *Op, k int) {
-	if op.Writes == nil {
-		return
-	}
 	for i := 0; i < k; i++ {
-		a, ok := op.Writes()
+		a, ok := op.Writes.Pop()
 		if !ok {
 			break
 		}
@@ -497,14 +497,10 @@ func (n *RankNDA) maybeComplete(f *rankFSM, op *Op, now int64) {
 	if !op.exhausted || op.pendingWr > 0 {
 		return
 	}
-	if op.Writes != nil {
-		// The write iterator must be fully drained too.
-		if a, ok := op.Writes(); ok {
-			op.emitted++
-			f.wb.Push(wbEntry{addr: a, owner: op})
-			op.pendingWr++
-			return
-		}
+	if op.Writes.Left > 0 {
+		// The result stream must be fully drained too.
+		n.emitWrites(f, op, 1)
+		return
 	}
 	k := copy(f.ops, f.ops[1:])
 	f.ops[k] = nil

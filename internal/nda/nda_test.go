@@ -1,6 +1,8 @@
 package nda
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"chopim/internal/addrmap"
@@ -33,16 +35,16 @@ func testMap() *addrmap.Map {
 	return m
 }
 
-// seqAddrs builds n sequential column addresses in one rank/bank row(s).
-func seqAddrs(ch, rank, row, n int) []dram.Addr {
-	out := make([]dram.Addr, n)
-	for i := range out {
-		out[i] = dram.Addr{
-			Channel: ch, Rank: rank, BankGroup: 0, Bank: 0,
-			Row: row + i/dram.Cols, Col: i % dram.Cols,
-		}
-	}
-	return out
+// seqStream is n sequential blocks of bank 0 on rank (ch, rank), from
+// column 0 of row on.
+func seqStream(ch, rank, row, n int) Stream {
+	return blocks(dram.Addr{Channel: ch, Rank: rank, Row: row}, n)
+}
+
+// blocks is one run of the n block numbers from a's on.
+func blocks(a dram.Addr, n int) Stream {
+	k := a.Block()
+	return Stream{Channel: a.Channel, Rank: a.Rank, Runs: []Run{{Start: k, N: uint32(n)}}, Next: k, Left: n}
 }
 
 // tickNDAs ticks every channel's rank NDAs on the reference path.
@@ -83,10 +85,10 @@ func TestOpKindProperties(t *testing.T) {
 }
 
 func TestNewOpValidation(t *testing.T) {
-	it := SliceIter(nil)
-	mustPanic(t, func() { NewOp(OpDOT, []Iter{it}, nil, nil) })
-	mustPanic(t, func() { NewOp(OpCOPY, []Iter{it}, nil, nil) })
-	mustPanic(t, func() { NewOp(OpDOT, []Iter{it, it}, it, nil) })
+	s := seqStream(0, 0, 0, 4)
+	mustPanic(t, func() { NewOp(OpDOT, []Stream{s}, Stream{}, nil) })
+	mustPanic(t, func() { NewOp(OpCOPY, []Stream{s, s}, s, nil) })
+	mustPanic(t, func() { NewOp(OpDOT, []Stream{s, s}, s, nil) })
 }
 
 func mustPanic(t *testing.T, f func()) {
@@ -103,12 +105,10 @@ func TestCopyOpMovesAllBlocks(t *testing.T) {
 	e, mem, mcs := testSetup(DefaultConfig())
 	const n = 256
 	var doneAt int64 = -1
-	e.Launch(0, 0, func() *Op {
-		return NewOp(OpCOPY,
-			[]Iter{SliceIter(seqAddrs(0, 0, 0, n))},
-			SliceIter(seqAddrs(0, 0, 1000, n)),
-			func(c int64) { doneAt = c })
-	})
+	e.Launch(0, 0, NewOp(OpCOPY,
+		[]Stream{seqStream(0, 0, 0, n)},
+		seqStream(0, 0, 1000, n),
+		func(c int64) { doneAt = c }))
 	tickAll(e, mcs, 0, 50000)
 	if doneAt < 0 {
 		t.Fatal("COPY never completed")
@@ -125,11 +125,9 @@ func TestDotReadsRoundRobinBatches(t *testing.T) {
 	e, mem, mcs := testSetup(DefaultConfig())
 	const n = 64
 	done := false
-	e.Launch(0, 0, func() *Op {
-		return NewOp(OpDOT,
-			[]Iter{SliceIter(seqAddrs(0, 0, 0, n)), SliceIter(seqAddrs(0, 0, 500, n))},
-			nil, func(int64) { done = true })
-	})
+	e.Launch(0, 0, NewOp(OpDOT,
+		[]Stream{seqStream(0, 0, 0, n), seqStream(0, 0, 500, n)},
+		Stream{}, func(int64) { done = true }))
 	tickAll(e, mcs, 0, 20000)
 	if !done {
 		t.Fatal("DOT never completed")
@@ -139,22 +137,104 @@ func TestDotReadsRoundRobinBatches(t *testing.T) {
 	}
 }
 
+// opCopy returns a copy of op whose read streams are its own, so later
+// changes to op do not reach it.
+func opCopy(op *Op) Op {
+	c := *op
+	c.Reads = slices.Clone(op.Reads)
+	return c
+}
+
+// TestPeekReadIsPure pins the read cursor's contract: PeekRead moves
+// nothing, a read is taken only when its column command issues, and a
+// dry operand is skipped only by that take.
+func TestPeekReadIsPure(t *testing.T) {
+	t.Run("repeated-peeks", func(t *testing.T) {
+		op := NewOp(OpDOT, []Stream{seqStream(0, 0, 0, 40), seqStream(0, 0, 500, 40)}, Stream{}, nil)
+		for i := 0; i < BatchBlocks+3; i++ {
+			_, operand, _ := op.PeekRead()
+			op.takeRead(operand)
+		}
+		before := opCopy(op)
+		a0, k0, ok0 := op.PeekRead()
+		for i := 0; i < 3; i++ {
+			if a, k, ok := op.PeekRead(); a != a0 || k != k0 || ok != ok0 {
+				t.Fatalf("peek %d: (%+v, %d, %v), first peek (%+v, %d, %v)", i, a, k, ok, a0, k0, ok0)
+			}
+		}
+		want := dram.Addr{Row: 500, Col: 3}
+		if !ok0 || a0 != want || k0 != 1 {
+			t.Fatalf("peek = (%+v, %d, %v), want (%+v, 1, true)", a0, k0, ok0, want)
+		}
+		if !reflect.DeepEqual(opCopy(op), before) {
+			t.Fatalf("PeekRead moved the op:\n got %+v\nwant %+v", opCopy(op), before)
+		}
+	})
+	t.Run("failed-issue", func(t *testing.T) {
+		// The first read needs an ACT, then tRCD: every tick before its
+		// column command issues fails, and must leave the op as launched.
+		e, _, mcs := testSetup(DefaultConfig())
+		op := NewOp(OpNRM2, []Stream{seqStream(0, 0, 0, 4)}, Stream{}, nil)
+		before := opCopy(op)
+		e.Launch(0, 0, op)
+		st := &e.Ranks[0][0].fsm.stats
+		failed := 0
+		for c := int64(0); st.BlocksRead == 0; c++ {
+			if c > 1000 {
+				t.Fatal("first read never issued")
+			}
+			if !reflect.DeepEqual(opCopy(op), before) {
+				t.Fatalf("cycle %d: op moved before its first read issued", c)
+			}
+			tickAll(e, mcs, c, 1)
+			failed++
+		}
+		if failed <= dram.RCD {
+			t.Fatalf("first read issued after %d ticks, want a row activation first", failed)
+		}
+		if op.fetched != 1 || op.Reads[0].Left != 3 || op.Reads[0].Next != 1 {
+			t.Fatalf("after the first issue: fetched %d, left %d, next %d; want 1, 3, 1",
+				op.fetched, op.Reads[0].Left, op.Reads[0].Next)
+		}
+	})
+	t.Run("dry-operand", func(t *testing.T) {
+		op := NewOp(OpDOT, []Stream{seqStream(0, 0, 0, 3), seqStream(0, 0, 500, 2)}, Stream{}, nil)
+		for i := 0; i < 3; i++ {
+			_, operand, _ := op.PeekRead()
+			op.takeRead(operand)
+		}
+		// Operand 0 is dry mid-batch: the peek looks past it, the
+		// schedule does not move until the take.
+		if _, k, ok := op.PeekRead(); !ok || k != 1 || op.operand != 0 || op.inOperand != 3 {
+			t.Fatalf("peek past a dry operand: operand %d ok %v, schedule (%d, %d); want 1 true, (0, 3)",
+				k, ok, op.operand, op.inOperand)
+		}
+		op.takeRead(1)
+		if op.operand != 1 || op.inOperand != 1 {
+			t.Fatalf("after the take: schedule (%d, %d), want (1, 1)", op.operand, op.inOperand)
+		}
+		_, k, _ := op.PeekRead()
+		op.takeRead(k)
+		if _, _, ok := op.PeekRead(); ok || op.exhausted {
+			t.Fatalf("all dry: peek ok %v, exhausted %v; want false, false (tryRead discovers it)", ok, op.exhausted)
+		}
+	})
+}
+
 // TestCompletionDrainsWriteIterator runs an XMY whose second read
 // operand is empty, so the reads end after one operand batch and emit
 // only BatchBlocks results, while the result stream holds 64 blocks.
 // The op must not complete until maybeComplete has pulled the rest of
-// the write iterator through the buffer: all 64 NDA writes issue before
+// the result stream through the buffer: all 64 NDA writes issue before
 // Done fires.
 func TestCompletionDrainsWriteIterator(t *testing.T) {
 	e, mem, mcs := testSetup(DefaultConfig())
 	const reads, writes = BatchBlocks, 64
 	var wrAtDone int64 = -1
-	e.Launch(0, 0, func() *Op {
-		return NewOp(OpXMY,
-			[]Iter{SliceIter(seqAddrs(0, 0, 0, reads)), SliceIter(nil)},
-			SliceIter(seqAddrs(0, 0, 1000, writes)),
-			func(int64) { wrAtDone = mem.Counts().NDAWR })
-	})
+	e.Launch(0, 0, NewOp(OpXMY,
+		[]Stream{seqStream(0, 0, 0, reads), {}},
+		seqStream(0, 0, 1000, writes),
+		func(int64) { wrAtDone = mem.Counts().NDAWR }))
 	tickAll(e, mcs, 0, 50000)
 	if wrAtDone < 0 {
 		t.Fatal("XMY never completed")
@@ -184,12 +264,10 @@ func TestWriteBufferBackpressure(t *testing.T) {
 		t.Helper()
 		e, mem, mcs := testSetup(DefaultConfig())
 		done := false
-		e.Launch(0, 0, func() *Op {
-			return NewOp(OpCOPY,
-				[]Iter{SliceIter(seqAddrs(0, 0, 0, reads))},
-				SliceIter(seqAddrs(0, 0, 4000, writes)),
-				func(int64) { done = true })
-		})
+		e.Launch(0, 0, NewOp(OpCOPY,
+			[]Stream{seqStream(0, 0, 0, reads)},
+			seqStream(0, 0, 4000, writes),
+			func(int64) { done = true }))
 		f := &e.Ranks[0][0].fsm
 		for c := int64(0); c < 400_000 && !done; c++ {
 			// A drain that starts below capacity while reads remain.
@@ -239,10 +317,8 @@ func TestNDAYieldsToHostRank(t *testing.T) {
 		hostAddrs[i] = a
 	}
 	done := false
-	e.Launch(0, 0, func() *Op {
-		return NewOp(OpNRM2, []Iter{SliceIter(seqAddrs(0, 0, 100, 256))}, nil,
-			func(int64) { done = true })
-	})
+	e.Launch(0, 0, NewOp(OpNRM2, []Stream{seqStream(0, 0, 100, 256)}, Stream{},
+		func(int64) { done = true }))
 	var cyc int64
 	for ; cyc < 200000 && !done; cyc++ {
 		if cyc%8 < 4 {
@@ -283,18 +359,10 @@ func TestNextRankPredictionInhibitsWrites(t *testing.T) {
 	// priority) can throttle it.
 	hostBank := m.Decode(hostAddr)
 	bg := (hostBank.BankGroup + 1) % dram.BankGroups
-	mk := func(row, n int) []dram.Addr {
-		out := seqAddrs(0, 0, row, n)
-		for i := range out {
-			out[i].BankGroup = bg
-		}
-		return out
+	mk := func(row, n int) Stream {
+		return blocks(dram.Addr{BankGroup: bg, Row: row}, n)
 	}
-	e.Launch(0, 0, func() *Op {
-		return NewOp(OpCOPY,
-			[]Iter{SliceIter(mk(0, 64))},
-			SliceIter(mk(900, 64)), nil)
-	})
+	e.Launch(0, 0, NewOp(OpCOPY, []Stream{mk(0, 64)}, mk(900, 64), nil))
 	// Tick only the NDA engine so the host queue stays populated.
 	for c := int64(0); c < 5000; c++ {
 		tickNDAs(e, c)
@@ -316,11 +384,11 @@ func TestStochasticThrottlesWrites(t *testing.T) {
 	fast, _, mcsFast := testSetup(Config{Policy: Stochastic, StochasticProb: 1.0, Seed: 1})
 	mk := func() *Op {
 		return NewOp(OpCOPY,
-			[]Iter{SliceIter(seqAddrs(0, 0, 0, 256))},
-			SliceIter(seqAddrs(0, 0, 800, 256)), nil)
+			[]Stream{seqStream(0, 0, 0, 256)},
+			seqStream(0, 0, 800, 256), nil)
 	}
-	slow.Launch(0, 0, mk)
-	fast.Launch(0, 0, mk)
+	slow.Launch(0, 0, mk())
+	fast.Launch(0, 0, mk())
 	tickAll(slow, mcsSlow, 0, 4000)
 	tickAll(fast, mcsFast, 0, 4000)
 	ws, wf := slow.Ranks[0][0].Stats().BlocksWritten, fast.Ranks[0][0].Stats().BlocksWritten
@@ -337,12 +405,10 @@ func TestReplicaVerificationAcrossPolicies(t *testing.T) {
 		cfg := Config{Policy: pol, StochasticProb: 0.25, Seed: 3, VerifyFSM: true}
 		e, _, mcs := testSetup(cfg)
 		done := false
-		e.Launch(0, 0, func() *Op {
-			return NewOp(OpCOPY,
-				[]Iter{SliceIter(seqAddrs(0, 0, 0, 128))},
-				SliceIter(seqAddrs(0, 0, 700, 128)),
-				func(int64) { done = true })
-		})
+		e.Launch(0, 0, NewOp(OpCOPY,
+			[]Stream{seqStream(0, 0, 0, 128)},
+			seqStream(0, 0, 700, 128),
+			func(int64) { done = true }))
 		tickAll(e, mcs, 0, 30000) // panics on divergence
 		if !done {
 			t.Errorf("policy %v: op did not complete under verification", pol)
@@ -363,15 +429,11 @@ func TestPolicyStrings(t *testing.T) {
 	}
 }
 
-// TestProtectionFaultOnForeignRank: an op whose pattern strays off its
-// own rank must trip the NDA-side protection check.
+// TestProtectionFaultOnForeignRank: an op whose operand lies on another
+// rank must trip the NDA-side protection check.
 func TestProtectionFaultOnForeignRank(t *testing.T) {
 	e, _, mcs := testSetup(DefaultConfig())
-	bad := seqAddrs(0, 0, 0, 4)
-	bad[2].Rank = 1 // foreign rank mid-stream
-	e.Launch(0, 0, func() *Op {
-		return NewOp(OpNRM2, []Iter{SliceIter(bad)}, nil, nil)
-	})
+	e.Launch(0, 0, NewOp(OpNRM2, []Stream{seqStream(0, 1, 0, 4)}, Stream{}, nil))
 	defer func() {
 		if recover() == nil {
 			t.Error("foreign-rank access did not fault")
@@ -384,12 +446,9 @@ func TestProtectionFaultOnForeignRank(t *testing.T) {
 // faults the op.
 func TestProtectionFaultOnGuardViolation(t *testing.T) {
 	e, _, mcs := testSetup(DefaultConfig())
-	addrs := seqAddrs(0, 0, 0, 4)
-	e.Launch(0, 0, func() *Op {
-		op := NewOp(OpNRM2, []Iter{SliceIter(addrs)}, nil, nil)
-		op.Guard = func(a dram.Addr) bool { return a.Col < 2 } // rejects later blocks
-		return op
-	})
+	op := NewOp(OpNRM2, []Stream{seqStream(0, 0, 0, 4)}, Stream{}, nil)
+	op.Guard = func(a dram.Addr) bool { return a.Col < 2 } // rejects later blocks
+	e.Launch(0, 0, op)
 	defer func() {
 		if recover() == nil {
 			t.Error("guard violation did not fault")

@@ -4,7 +4,9 @@
 // the write-throttling policies (stochastic issue and next-rank
 // prediction), and the replicated finite-state machines that let a
 // host-side controller track NDA activity without signaling (Section
-// III-D).
+// III-D). An op's operands are Streams, plain values that hold what the
+// launch packet's operand descriptors name (Section V), so the replica
+// predicts each access from a copy of the same descriptors.
 package nda
 
 import (
@@ -79,21 +81,48 @@ func (k OpKind) WritesResult() bool {
 	return true
 }
 
-// Iter lazily yields the DRAM block addresses of one operand's share on a
-// rank, in processing order. It returns ok=false when exhausted.
-type Iter func() (a dram.Addr, ok bool)
+// Run is the N rank-local block numbers (dram.Addr.Block) Start,
+// Start+1, ...; First is the index of its first block in the operand's
+// share of the rank.
+type Run struct {
+	Start, N, First uint32
+}
 
-// SliceIter adapts a precomputed address list to an Iter.
-func SliceIter(addrs []dram.Addr) Iter {
-	i := 0
-	return func() (dram.Addr, bool) {
-		if i >= len(addrs) {
-			return dram.Addr{}, false
-		}
-		a := addrs[i]
-		i++
-		return a, true
+// Stream is one operand of an instruction on one rank, as its launch
+// packet's descriptor names it: the rank, the share's runs from the one
+// holding the next block on (aliased from the operand's layout, never
+// written), the next block number and the blocks left. It is a plain
+// value: copying it forks an independent cursor.
+type Stream struct {
+	Channel, Rank int
+	Runs          []Run
+	Next          uint32
+	Left          int
+}
+
+// Peek returns the stream's next address without consuming it; ok=false
+// when the stream is dry.
+func (s *Stream) Peek() (a dram.Addr, ok bool) {
+	if s.Left <= 0 {
+		return dram.Addr{}, false
 	}
+	return dram.BlockAddr(s.Channel, s.Rank, s.Next), true
+}
+
+// Pop returns the stream's next address and consumes it; ok=false when
+// the stream is dry.
+func (s *Stream) Pop() (a dram.Addr, ok bool) {
+	a, ok = s.Peek()
+	if !ok {
+		return a, false
+	}
+	s.Left--
+	s.Next++
+	if s.Left > 0 && s.Next == s.Runs[0].Start+s.Runs[0].N {
+		s.Runs = s.Runs[1:]
+		s.Next = s.Runs[0].Start
+	}
+	return a, true
 }
 
 // BatchBlocks is the number of 64-byte blocks in one PE batch: the 1 KB
@@ -104,13 +133,13 @@ func SliceIter(addrs []dram.Addr) Iter {
 const BatchBlocks = 16
 
 // Op is one primitive NDA operation executing on a single rank's PEs.
-// The read iterators are drained round-robin in batches of BatchBlocks;
+// The read streams are drained round-robin in batches of BatchBlocks;
 // after each full batch of reads, BatchBlocks result blocks enter the
-// write buffer (if the op writes).
+// write buffer (if the op writes). A reduction's Writes stream is empty.
 type Op struct {
 	Kind   OpKind
-	Reads  []Iter
-	Writes Iter
+	Reads  []Stream
+	Writes Stream
 	// Guard, when non-nil, is the NDA-side bounds check (Section II,
 	// Address Translation): the host performs translation, the NDA only
 	// verifies each access stays inside the operand regions named in
@@ -121,98 +150,61 @@ type Op struct {
 	// (including write-buffer drain of its results).
 	Done func(cycle int64)
 
-	// TotalReads, when set, is the exact number of addresses the read
-	// iterators yield in total. It lets PeekRead prove an iterator is
-	// not yet dry without probing it, which keeps fast-forward peeks
-	// free of early-exhaustion side effects. It must never exceed the
-	// true yield count; zero disables peeking (conservative).
-	TotalReads int
-
 	// Tag carries the launcher's blueprint for this op (the ndart
 	// runtime attaches its build recipe). Checkpointing replays it: the
-	// iterators are pure deterministic streams, so (Tag, fetched,
+	// streams are pure functions of the blueprint, so (Tag, fetched,
 	// emitted) reconstructs the op's exact internal state on restore.
 	Tag any
 
 	// progress
-	operand   int // which read iterator is active
-	inOperand int // blocks consumed from the active iterator this batch
-	fetched   int // addresses pulled from the read iterators so far
-	emitted   int // addresses pulled from the write iterator so far
+	operand   int // which read stream is active
+	inOperand int // blocks taken from the active stream this batch
+	fetched   int // reads taken so far
+	emitted   int // result addresses moved to the write buffer so far
 	exhausted bool
 	pendingWr int // writes of this op still in the write buffer
-	pushed    dram.Addr
-	hasPushed bool
 }
 
-// NewOp builds an operation; reads must have one iterator per
-// Kind.ReadOperands(), and writes must be non-nil iff the kind writes.
-func NewOp(kind OpKind, reads []Iter, writes Iter, done func(int64)) *Op {
+// NewOp builds an operation; reads must have one stream per
+// Kind.ReadOperands(), and writes must be empty unless the kind writes.
+func NewOp(kind OpKind, reads []Stream, writes Stream, done func(int64)) *Op {
 	if len(reads) != kind.ReadOperands() {
 		panic(fmt.Sprintf("nda: %v expects %d read operands, got %d", kind, kind.ReadOperands(), len(reads)))
 	}
-	if kind.WritesResult() != (writes != nil) {
-		panic(fmt.Sprintf("nda: %v writes=%v but writes iterator nil=%v", kind, kind.WritesResult(), writes == nil))
+	if !kind.WritesResult() && writes.Left > 0 {
+		panic(fmt.Sprintf("nda: %v writes no result but got a %d-block result stream", kind, writes.Left))
 	}
 	return &Op{Kind: kind, Reads: reads, Writes: writes, Done: done}
 }
 
-// pushback returns an address obtained from nextRead that could not be
-// issued; the next nextRead call re-delivers it.
-func (o *Op) pushback(a dram.Addr) {
-	o.pushed = a
-	o.hasPushed = true
-}
-
-// PeekRead returns the next read address without logically consuming it
-// (the address is re-delivered by the following nextRead call, exactly
-// as after a blocked issue attempt). ok=false means the reads are
-// exhausted, or exhaustion cannot be ruled out without probing a
-// possibly-dry iterator — callers must then treat the current cycle as
-// the op's next event.
-func (o *Op) PeekRead() (dram.Addr, bool) {
-	if o.hasPushed {
-		return o.pushed, true
-	}
-	if o.exhausted || o.TotalReads <= 0 || o.fetched >= o.TotalReads {
-		return dram.Addr{}, false
-	}
-	a, ok := o.nextRead()
-	if !ok {
-		// TotalReads overcounted; stay conservative.
-		return dram.Addr{}, false
-	}
-	o.pushback(a)
-	return a, true
-}
-
-// nextRead yields the next read access, advancing the round-robin batch
-// schedule. ok=false means all reads are exhausted.
-func (o *Op) nextRead() (dram.Addr, bool) {
-	if o.hasPushed {
-		o.hasPushed = false
-		return o.pushed, true
-	}
-	if o.exhausted {
-		return dram.Addr{}, false
-	}
-	for tries := 0; tries < len(o.Reads); tries++ {
-		a, ok := o.Reads[o.operand]()
-		if ok {
-			o.fetched++
-			o.inOperand++
-			if o.inOperand >= BatchBlocks {
-				o.inOperand = 0
-				o.operand = (o.operand + 1) % len(o.Reads)
-			}
-			return a, true
+// PeekRead returns the next read address and the index of its operand,
+// without consuming it: the first non-dry stream from the active one on.
+// ok=false means every read stream is dry.
+func (o *Op) PeekRead() (a dram.Addr, operand int, ok bool) {
+	for i := range o.Reads {
+		k := (o.operand + i) % len(o.Reads)
+		if a, ok := o.Reads[k].Peek(); ok {
+			return a, k, true
 		}
-		// Iterator dry: move to the next operand stream.
+	}
+	return dram.Addr{}, 0, false
+}
+
+// takeRead consumes the read PeekRead returned, whose column command
+// issued, and advances the round-robin batch schedule: dry operands
+// before it are skipped, and a full batch moves to the next operand.
+func (o *Op) takeRead(operand int) {
+	if operand != o.operand {
+		o.inOperand = 0
+		o.operand = operand
+	}
+	o.Reads[operand].Pop()
+	o.fetched++
+	o.inOperand++
+	if o.inOperand >= BatchBlocks {
 		o.inOperand = 0
 		o.operand = (o.operand + 1) % len(o.Reads)
 	}
-	o.exhausted = true
-	return dram.Addr{}, false
 }
 
 // batchReads returns reads per full batch across all operands.

@@ -8,8 +8,8 @@ import (
 )
 
 // opState records one in-flight op as (encoded blueprint tag,
-// progress). The iterators themselves are never serialized: they are
-// pure deterministic streams, so replaying fetched reads and emitted
+// progress). The streams themselves are never serialized: they are pure
+// functions of the blueprint, so replaying fetched reads and emitted
 // writes against a freshly built op reproduces the exact internal
 // cursor state.
 type opState struct {
@@ -18,8 +18,6 @@ type opState struct {
 	Emitted   int
 	Exhausted bool
 	PendingWr int
-	Pushed    dram.Addr
-	HasPushed bool
 }
 
 // wbState is one pending result block; Owner indexes the rank's Ops
@@ -75,7 +73,6 @@ func (e *Engine) Snapshot(encodeTag func(tag any) int) (*EngineState, error) {
 				fs.Ops = append(fs.Ops, opState{
 					Tag: encodeTag(op.Tag), Fetched: op.fetched, Emitted: op.emitted,
 					Exhausted: op.exhausted, PendingWr: op.pendingWr,
-					Pushed: op.pushed, HasPushed: op.hasPushed,
 				})
 				ownerIdx[op] = i
 			}
@@ -94,7 +91,7 @@ func (e *Engine) Snapshot(encodeTag func(tag any) int) (*EngineState, error) {
 
 // Restore overwrites every rank FSM with the snapshot. The engine must
 // have been built with the same config and geometry. buildOp rebuilds a
-// fresh op (fresh iterators, completion wiring included) from a tag
+// fresh op (fresh streams, completion wiring included) from a tag
 // produced by Snapshot's encodeTag.
 func (e *Engine) Restore(st *EngineState, buildOp func(tag int) *Op) {
 	if len(st.Ranks) != len(e.Ranks) {
@@ -111,25 +108,23 @@ func (e *Engine) Restore(st *EngineState, buildOp func(tag int) *Op) {
 			for _, os := range fs.Ops {
 				op := buildOp(os.Tag)
 				// Replay the deterministic streams to the recorded
-				// position: fetched successful reads reproduce the
-				// round-robin operand walk, emitted writes the result
-				// cursor. The trailing exhaustion probe (if any) is not
-				// replayed — once the flag is set the iterators are never
-				// touched again.
-				for i := 0; i < os.Fetched; i++ {
-					if _, ok := op.nextRead(); !ok {
+				// position: taking the fetched reads reproduces the
+				// round-robin operand walk, popping the emitted writes
+				// the result cursor.
+				for op.fetched < os.Fetched {
+					_, operand, ok := op.PeekRead()
+					if !ok {
 						panic("nda: restore read replay ran dry")
 					}
+					op.takeRead(operand)
 				}
-				for i := 0; i < os.Emitted; i++ {
-					if _, ok := op.Writes(); !ok {
+				for ; op.emitted < os.Emitted; op.emitted++ {
+					if _, ok := op.Writes.Pop(); !ok {
 						panic("nda: restore write replay ran dry")
 					}
 				}
-				op.emitted = os.Emitted
 				op.exhausted = os.Exhausted
 				op.pendingWr = os.PendingWr
-				op.pushed, op.hasPushed = os.Pushed, os.HasPushed
 				f.ops = append(f.ops, op)
 			}
 			for f.wb.Len() > 0 {

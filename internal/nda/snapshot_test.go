@@ -13,14 +13,12 @@ import (
 func TestStochasticDecisionsPinnedAcrossRestore(t *testing.T) {
 	cfg := Config{Policy: Stochastic, StochasticProb: 0.25, Seed: 11}
 	mkOp := func() *Op {
-		op := NewOp(OpCOPY,
-			[]Iter{SliceIter(seqAddrs(0, 0, 0, 512))},
-			SliceIter(seqAddrs(0, 0, 800, 512)), nil)
+		op := NewOp(OpCOPY, []Stream{seqStream(0, 0, 0, 512)}, seqStream(0, 0, 800, 512), nil)
 		op.Tag = "copy"
 		return op
 	}
 	e, _, mcs := testSetup(cfg)
-	e.Launch(0, 0, mkOp)
+	e.Launch(0, 0, mkOp())
 	n := e.Ranks[0][0]
 
 	// A tick that draws makes exactly one decision: inhibit when it also

@@ -38,9 +38,9 @@ func layoutRuntime(t testing.TB, g dram.Geometry, partitioned bool) *Runtime {
 	return New(os, nil, nil, func() int64 { return 0 })
 }
 
-func drain(it nda.Iter) []dram.Addr {
+func drain(s nda.Stream) []dram.Addr {
 	var out []dram.Addr
-	for a, ok := it(); ok; a, ok = it() {
+	for a, ok := s.Pop(); ok; a, ok = s.Pop() {
 		out = append(out, a)
 	}
 	return out
@@ -66,18 +66,18 @@ func checkShareMatchesDecode(t testing.TB, m *addrmap.Map, v *Vector, chunk int)
 		for r := 0; r < g.Ranks; r++ {
 			w := want[ch][r]
 			n := v.layout.shareLen(ch, r)
-			if got := drain(v.iterFor(ch, r, 0, n)); !slices.Equal(got, w) {
+			if got := drain(v.stream(ch, r, 0, n)); !slices.Equal(got, w) {
 				t.Fatalf("rank (%d,%d): share yields %d blocks, decode places %d (or their order differs)",
 					ch, r, len(got), len(w))
 			}
 			var cat []dram.Addr
 			for from := 0; from < n; from += chunk {
-				cat = append(cat, drain(v.iterFor(ch, r, from, chunk))...)
+				cat = append(cat, drain(v.stream(ch, r, from, chunk))...)
 			}
 			if !slices.Equal(cat, w) {
 				t.Fatalf("rank (%d,%d): %d-block chunks concatenate to a different sequence", ch, r, chunk)
 			}
-			if tail := drain(v.iterFor(ch, r, n, chunk)); len(tail) != 0 {
+			if tail := drain(v.stream(ch, r, n, chunk)); len(tail) != 0 {
 				t.Fatalf("rank (%d,%d): a slice past the share's end yields %d blocks", ch, r, len(tail))
 			}
 			ctrl, ok := v.controlAddr(ch, r)
@@ -266,18 +266,18 @@ func TestGuardRefusesForeignBlocks(t *testing.T) {
 	cur, next := bps[0], bps[1]
 	guard := h.rt.buildGuard(cur)
 	for _, v := range []*Vector{x, y} {
-		for _, a := range drain(v.iterFor(cur.ch, cur.r, cur.from, cur.n)) {
+		for _, a := range drain(v.stream(cur.ch, cur.r, cur.from, cur.n)) {
 			if !guard(a) {
 				t.Fatalf("guard refuses %+v of its own chunk", a)
 			}
 		}
-		for _, a := range drain(v.iterFor(next.ch, next.r, next.from, next.n)) {
+		for _, a := range drain(v.stream(next.ch, next.r, next.from, next.n)) {
 			if guard(a) {
 				t.Fatalf("guard accepts %+v of the next chunk", a)
 			}
 		}
 	}
-	for _, a := range drain(z.iterFor(cur.ch, cur.r, cur.from, cur.n)) {
+	for _, a := range drain(z.stream(cur.ch, cur.r, cur.from, cur.n)) {
 		if guard(a) {
 			t.Fatalf("guard accepts %+v of an operand the instruction does not name", a)
 		}
@@ -304,9 +304,9 @@ func TestGuardRefusesRunNeighbours(t *testing.T) {
 	var keys [][]uint32
 	for _, v := range []*Vector{x, y} {
 		var ks []uint32
-		for _, a := range drain(v.iterFor(bp.ch, bp.r, bp.from, bp.n)) {
-			ks = append(ks, pack(a))
-			own[pack(a)] = true
+		for _, a := range drain(v.stream(bp.ch, bp.r, bp.from, bp.n)) {
+			ks = append(ks, a.Block())
+			own[a.Block()] = true
 		}
 		keys = append(keys, ks)
 	}
@@ -325,7 +325,7 @@ func TestGuardRefusesRunNeighbours(t *testing.T) {
 					continue
 				}
 				checked++
-				if a := unpack(bp.ch, bp.r, e); guard(a) {
+				if a := dram.BlockAddr(bp.ch, bp.r, e); guard(a) {
 					t.Fatalf("guard accepts %+v, next to a run of the instruction's blocks", a)
 				}
 			}
@@ -336,10 +336,10 @@ func TestGuardRefusesRunNeighbours(t *testing.T) {
 	}
 }
 
-// TestIterForAllocs pins an operand iterator at two heap allocations,
-// its closure and its walk state, however many runs the slice spans:
-// iterFor runs once per operand of every NDA instruction launched.
-func TestIterForAllocs(t *testing.T) {
+// TestOperandStreamAllocFree pins building and walking an operand
+// stream at zero heap allocations, however many runs the slice spans:
+// Vector.stream runs once per operand of every NDA instruction launched.
+func TestOperandStreamAllocFree(t *testing.T) {
 	rt := layoutRuntime(t, dram.DefaultGeometry(), true)
 	v, err := rt.NewVector(64*1024, Shared)
 	if err != nil {
@@ -347,11 +347,11 @@ func TestIterForAllocs(t *testing.T) {
 	}
 	n := v.layout.shareLen(0, 0)
 	allocs := testing.AllocsPerRun(100, func() {
-		it := v.iterFor(0, 0, 100, n)
-		for _, ok := it(); ok; _, ok = it() {
+		s := v.stream(0, 0, 100, n)
+		for _, ok := s.Pop(); ok; _, ok = s.Pop() {
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("iterFor over %d blocks allocates %.0f times, want 2", n-100, allocs)
+	if allocs != 0 {
+		t.Errorf("a stream over %d blocks allocates %.0f times, want 0", n-100, allocs)
 	}
 }

@@ -35,7 +35,6 @@ const (
 // Handle tracks completion of one or more launched operations.
 type Handle struct {
 	pending  int
-	doneAt   int64
 	children []*Handle
 }
 
@@ -57,12 +56,8 @@ func Join(hs ...*Handle) *Handle {
 	return &Handle{children: hs}
 }
 
-func (h *Handle) complete(cycle int64) {
-	h.pending--
-	if cycle > h.doneAt {
-		h.doneAt = cycle
-	}
-}
+// complete is an op's completion callback (nda.Op.Done).
+func (h *Handle) complete(int64) { h.pending-- }
 
 // Runtime is the Chopim runtime instance.
 type Runtime struct {
@@ -121,19 +116,13 @@ type layoutKey struct {
 
 // vecLayout is an immutable decoded layout shared between vectors.
 // runs[ch][rank] holds that rank's share of the vector in address order,
-// as runs of consecutive rank-local block numbers (pack);
+// as runs of consecutive rank-local block numbers (dram.Addr.Block);
 // channel and rank are implied by which list holds a run. A colored
 // operand's share is whole DRAM rows, so a run usually covers a row and
 // a layout costs ~12 bytes per row rather than 4 per block (DESIGN.md
 // §2.14).
 type vecLayout struct {
-	runs [][][]blockRun
-}
-
-// blockRun is the n block numbers start, start+1, ...; first is the
-// index of its first block in the rank's share.
-type blockRun struct {
-	start, n, first uint32
+	runs [][][]nda.Run
 }
 
 // shareLen returns the number of blocks in rank (ch,r)'s share.
@@ -143,41 +132,23 @@ func (l *vecLayout) shareLen(ch, r int) int {
 		return 0
 	}
 	last := runs[len(runs)-1]
-	return int(last.first) + int(last.n)
+	return int(last.First) + int(last.N)
 }
 
 // seek returns the index of the run holding share index from, or
 // len(runs) past the share's end. The binary search is written out
 // because a sort.Search closure escapes and allocates on every launch.
-func seek(runs []blockRun, from int) int {
+func seek(runs []nda.Run, from int) int {
 	lo, hi := 0, len(runs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if int(runs[m].first)+int(runs[m].n) <= from {
+		if int(runs[m].First)+int(runs[m].N) <= from {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
 	return lo
-}
-
-// pack returns a's rank-local block number, (flatBank·Rows + row)·Cols
-// + col, which fits 32 bits (dram's rank-size assertion). The
-// organization's sizes are powers of two, so the products here and the
-// quotients in unpack compile to shifts and masks.
-func pack(a dram.Addr) uint32 {
-	return (uint32(a.GlobalBank())*dram.Rows+uint32(a.Row))*dram.Cols + uint32(a.Col)
-}
-
-// unpack returns the address of block number k on rank (ch, r).
-func unpack(ch, r int, k uint32) dram.Addr {
-	flat := k / (dram.Rows * dram.Cols)
-	return dram.Addr{
-		Channel: ch, Rank: r,
-		BankGroup: int(flat / dram.BanksPerGroup), Bank: int(flat % dram.BanksPerGroup),
-		Row: int(k / dram.Cols % dram.Rows), Col: int(k % dram.Cols),
-	}
 }
 
 // globalLayoutKey identifies a decoded span across runtimes: the mapper
@@ -331,9 +302,9 @@ func (v *Vector) indexBlocks() {
 // (Map.ColumnBits) cleared, and derives the head's blocks from it by
 // the ColumnBits contract; with no such bits every block is a head.
 func decodeLayout(m *addrmap.Map, base, bytes uint64) *vecLayout {
-	l := &vecLayout{runs: make([][][]blockRun, dram.Channels)}
+	l := &vecLayout{runs: make([][][]nda.Run, dram.Channels)}
 	for ch := range l.runs {
-		l.runs[ch] = make([][]blockRun, m.Geometry().Ranks)
+		l.runs[ch] = make([][]nda.Run, m.Geometry().Ranks)
 	}
 	colBits := m.ColumnBits()
 	// colDelta[i] is the column XOR of flipping column-only bit i, the
@@ -370,7 +341,7 @@ func decodeLayout(m *addrmap.Map, base, bytes uint64) *vecLayout {
 		h := &heads[slot]
 		if !h.set || h.pa != hpa {
 			a := m.Decode(hpa)
-			h.pa, h.ch, h.r, h.k, h.set = hpa, a.Channel, a.Rank, pack(a), true
+			h.pa, h.ch, h.r, h.k, h.set = hpa, a.Channel, a.Rank, a.Block(), true
 		}
 		k := h.k
 		for x := pa & colBits; x != 0; x &= x - 1 {
@@ -380,55 +351,37 @@ func decodeLayout(m *addrmap.Map, base, bytes uint64) *vecLayout {
 		if n := len(runs); n > 0 {
 			// k != 0: a run ending at the rank's last block number wraps
 			// start+n to 0, and block 0 cannot extend it.
-			if last := &runs[n-1]; last.start+last.n == k && k != 0 {
-				last.n++
+			if last := &runs[n-1]; last.Start+last.N == k && k != 0 {
+				last.N++
 				continue
 			}
 		}
-		l.runs[h.ch][h.r] = append(runs, blockRun{start: k, n: 1, first: uint32(l.shareLen(h.ch, h.r))})
+		l.runs[h.ch][h.r] = append(runs, nda.Run{Start: k, N: 1, First: uint32(l.shareLen(h.ch, h.r))})
 	}
 	return l
 }
 
-// iterFor yields DRAM addresses for a slice [from, from+count) of the
-// rank's share, walking its runs from the one holding from.
-func (v *Vector) iterFor(ch, r int, from, count int) nda.Iter {
-	runs := v.layout.runs[ch][r]
-	// The walk's state is one variable: the closure escapes, and every
-	// captured variable it assigns is a heap allocation of its own.
-	var w struct {
-		i, left int
-		k, end  uint32
+// stream returns the operand stream for the slice [from, from+count)
+// of rank (ch,r)'s share, starting at the run holding from.
+func (v *Vector) stream(ch, r int, from, count int) nda.Stream {
+	s := nda.Stream{Channel: ch, Rank: r, Left: max(0, min(count, v.layout.shareLen(ch, r)-from))}
+	if s.Left > 0 {
+		runs := v.layout.runs[ch][r]
+		s.Runs = runs[seek(runs, from):]
+		s.Next = s.Runs[0].Start + uint32(from-int(s.Runs[0].First))
 	}
-	w.i, w.left = seek(runs, from), min(count, v.layout.shareLen(ch, r)-from)
-	if w.left > 0 {
-		w.k = runs[w.i].start + uint32(from-int(runs[w.i].first))
-		w.end = runs[w.i].start + runs[w.i].n
-	}
-	return func() (dram.Addr, bool) {
-		if w.left <= 0 {
-			return dram.Addr{}, false
-		}
-		if w.k == w.end {
-			w.i++
-			w.k, w.end = runs[w.i].start, runs[w.i].start+runs[w.i].n
-		}
-		w.left--
-		a := unpack(ch, r, w.k)
-		w.k++
-		return a, true
-	}
+	return s
 }
 
 // appendSpans appends to dst the block-number intervals that the slice
 // [from, from+count) of rank (ch,r)'s share covers, one per run it
 // touches (first unset).
-func (v *Vector) appendSpans(dst []blockRun, ch, r, from, count int) []blockRun {
+func (v *Vector) appendSpans(dst []nda.Run, ch, r, from, count int) []nda.Run {
 	runs := v.layout.runs[ch][r]
 	for i := seek(runs, from); i < len(runs) && count > 0; i++ {
-		off := max(from-int(runs[i].first), 0)
-		n := min(int(runs[i].n)-off, count)
-		dst = append(dst, blockRun{start: runs[i].start + uint32(off), n: uint32(n)})
+		off := max(from-int(runs[i].First), 0)
+		n := min(int(runs[i].N)-off, count)
+		dst = append(dst, nda.Run{Start: runs[i].Start + uint32(off), N: uint32(n)})
 		count -= n
 	}
 	return dst
@@ -463,5 +416,5 @@ func (v *Vector) controlAddr(ch, r int) (dram.Addr, bool) {
 	if len(runs) == 0 {
 		return dram.Addr{}, false
 	}
-	return unpack(ch, r, runs[0].start), true
+	return dram.BlockAddr(ch, r, runs[0].Start), true
 }

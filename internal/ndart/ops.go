@@ -225,32 +225,29 @@ func aligned(spec Spec) error {
 // needed to (re)build its op. Ops carry their blueprint as nda.Op.Tag,
 // which is what makes in-flight ops checkpointable — a blueprint plus
 // the op's progress counters reconstructs the op exactly, because the
-// operand iterators are pure functions of the blueprint.
+// operand streams are pure functions of the blueprint.
 type opBP struct {
 	kind    nda.OpKind
 	reads   []*Vector
 	write   *Vector // nil for reductions
 	ch, r   int
 	from, n int
-	total   int // exact read count across operands (for PeekRead)
 	h       *Handle
 }
 
-// buildOp constructs a fresh op from its blueprint (fresh iterators,
+// buildOp constructs a fresh op from its blueprint (fresh streams,
 // completion wiring included). Every op the engine sees is built here,
 // whether launched live or replayed from a checkpoint.
 func (rt *Runtime) buildOp(bp *opBP) *nda.Op {
-	var reads []nda.Iter
-	for _, v := range bp.reads {
-		reads = append(reads, v.iterFor(bp.ch, bp.r, bp.from, bp.n))
+	reads := make([]nda.Stream, len(bp.reads))
+	for i, v := range bp.reads {
+		reads[i] = v.stream(bp.ch, bp.r, bp.from, bp.n)
 	}
-	var writes nda.Iter
+	var writes nda.Stream
 	if bp.write != nil {
-		writes = bp.write.iterFor(bp.ch, bp.r, bp.from, bp.n)
+		writes = bp.write.stream(bp.ch, bp.r, bp.from, bp.n)
 	}
-	h := bp.h
-	op := nda.NewOp(bp.kind, reads, writes, func(cycle int64) { h.complete(cycle) })
-	op.TotalReads = bp.total
+	op := nda.NewOp(bp.kind, reads, writes, bp.h.complete)
 	op.Tag = bp
 	if rt.GuardOps {
 		op.Guard = rt.buildGuard(bp)
@@ -277,22 +274,9 @@ func (rt *Runtime) rankOpBPs(spec Spec, ch, r int, h *Handle) []*opBP {
 			n = share - from
 		}
 		h.pending++
-		// Exact read count across operands (a rank's shares of two
-		// operands need not be equal), enabling side-effect-free
-		// PeekRead during fast-forward.
-		total := 0
-		for _, v := range spec.Reads {
-			c := v.layout.shareLen(ch, r) - from
-			if c > n {
-				c = n
-			}
-			if c > 0 {
-				total += c
-			}
-		}
 		out = append(out, &opBP{
 			kind: spec.Kind, reads: append([]*Vector(nil), spec.Reads...),
-			write: spec.Write, ch: ch, r: r, from: from, n: n, total: total, h: h,
+			write: spec.Write, ch: ch, r: r, from: from, n: n, h: h,
 		})
 	}
 	return out
@@ -303,7 +287,7 @@ func (rt *Runtime) rankOpBPs(spec Spec, ch, r int, h *Handle) []*opBP {
 // one per run of each operand's slice. In hardware this is a base/bound
 // comparison per operand; an access passes if any interval holds it.
 func (rt *Runtime) buildGuard(bp *opBP) func(dram.Addr) bool {
-	var spans []blockRun
+	var spans []nda.Run
 	for _, v := range bp.reads {
 		spans = v.appendSpans(spans, bp.ch, bp.r, bp.from, bp.n)
 	}
@@ -311,9 +295,9 @@ func (rt *Runtime) buildGuard(bp *opBP) func(dram.Addr) bool {
 		spans = bp.write.appendSpans(spans, bp.ch, bp.r, bp.from, bp.n)
 	}
 	return func(a dram.Addr) bool {
-		k := pack(a)
+		k := a.Block()
 		for _, s := range spans {
-			if k-s.start < s.n {
+			if k-s.Start < s.N {
 				return true
 			}
 		}
@@ -343,7 +327,7 @@ func (rt *Runtime) finishLaunch(id uint64) {
 	}
 	delete(rt.pendingLaunches, id)
 	for _, bp := range rec.bps {
-		rt.eng.Launch(bp.ch, bp.r, func() *nda.Op { return rt.buildOp(bp) })
+		rt.eng.Launch(bp.ch, bp.r, rt.buildOp(bp))
 	}
 }
 

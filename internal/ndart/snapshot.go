@@ -96,7 +96,6 @@ type vecState struct {
 
 type handleState struct {
 	Pending  int
-	DoneAt   int64
 	Children []int
 }
 
@@ -106,7 +105,6 @@ type bpState struct {
 	Write   int // -1 when none
 	Ch, R   int
 	From, N int
-	Total   int
 	H       int
 }
 
@@ -162,7 +160,7 @@ func (rt *Runtime) Snapshot(enc *SnapEncoder) *RuntimeState {
 		})
 	}
 	for _, h := range enc.hs {
-		hs := handleState{Pending: h.pending, DoneAt: h.doneAt}
+		hs := handleState{Pending: h.pending}
 		for _, c := range h.children {
 			hs.Children = append(hs.Children, enc.hIdx[c])
 		}
@@ -171,7 +169,7 @@ func (rt *Runtime) Snapshot(enc *SnapEncoder) *RuntimeState {
 	for _, bp := range enc.bps {
 		bs := bpState{
 			Kind: bp.kind, Write: -1, Ch: bp.ch, R: bp.r,
-			From: bp.from, N: bp.n, Total: bp.total, H: enc.hIdx[bp.h],
+			From: bp.from, N: bp.n, H: enc.hIdx[bp.h],
 		}
 		for _, v := range bp.reads {
 			bs.Reads = append(bs.Reads, enc.vecIdx[v])
@@ -204,7 +202,7 @@ func (rt *Runtime) Restore(st *RuntimeState) func(tag int) *nda.Op {
 	}
 	for i := range st.Handles {
 		s := &st.Handles[i]
-		hs[i].pending, hs[i].doneAt = s.Pending, s.DoneAt
+		hs[i].pending = s.Pending
 		for _, c := range s.Children {
 			hs[i].children = append(hs[i].children, hs[c])
 		}
@@ -214,7 +212,7 @@ func (rt *Runtime) Restore(st *RuntimeState) func(tag int) *nda.Op {
 		bs := &st.BPs[i]
 		bp := &opBP{
 			kind: bs.Kind, ch: bs.Ch, r: bs.R,
-			from: bs.From, n: bs.N, total: bs.Total, h: hs[bs.H],
+			from: bs.From, n: bs.N, h: hs[bs.H],
 		}
 		for _, vi := range bs.Reads {
 			bp.reads = append(bp.reads, vecs[vi])

@@ -23,12 +23,12 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		all string
 		n   int
 	}{
-		"host-only":                {"a3331318618b5a9094bcc80e7c7d35832c2c0693cb55a8eee0604344ce8366b1", 699660},
-		"host-stall-heavy":         {"d880d62f98cbbe0ac5779ecb385e135a77b7683d90e9e07666fe41637e9ae116", 601224},
-		"nda-only-nrm2":            {"c8a7dca8cac9361305a674f22a9028cfc1537ecf4afe0d864b0432c8e7627215", 9139},
-		"nda-only-copy-stochastic": {"73aaf191d9fb1d133ef4dd46a1ad815d29e0bb2643d147ad9baa38454ee45a48", 13587},
-		"mixed-mix1-dot":           {"16cf3d794a22f15c510b5969d99b433b98e422a44be7a56c908ba49edb94b701", 620747},
-		"mixed-mix3-copy-shared":   {"c7088a75937245499212902c1ff872c0e1e91405343a8be5cca4d73d9beefcf6", 638333},
+		"host-only":                {"1fde8753ffee3e00974ec7a18730ff832ba9d339a284842feb62d26bdee62b96", 699600},
+		"host-stall-heavy":         {"a6f39335565c9e545055f49691bb1604ee2cec3776f539af0db82c71e7488e0a", 601164},
+		"nda-only-nrm2":            {"9295475507f38a2a760f257639d3cfb011b5f59c27770402c928b35eb89731e0", 8640},
+		"nda-only-copy-stochastic": {"9b97c896fe73937142c3a0d4501f085a256feb9033f3851392c5ac976ed86183", 13088},
+		"mixed-mix1-dot":           {"9d581ff26866ce2b80d54cec7517c5a26ea125c565bd5152077b4a45f5e08fe0", 620252},
+		"mixed-mix3-copy-shared":   {"5be209b8de1a07337874bb7c56395af2f6bb3e33e2ace8cca4b7dbc83e685bea", 637830},
 	}
 	hash := func(b []byte) string {
 		sum := sha256.Sum256(b)

@@ -101,11 +101,14 @@ func TestStateFieldCoverage(t *testing.T) {
 			}},
 		{live: fieldType(t, rankNDA, "fsm"), state: fsmSt,
 			carriedBy: map[string]string{"coin": "RNGDraws"}},
-		// An op rebuilds from its blueprint tag and replays its cursors.
+		// An op rebuilds from its blueprint tag and replays its cursors:
+		// taking the fetched reads positions the read streams and the
+		// round-robin schedule, popping the emitted writes the result
+		// stream.
 		{live: reflect.TypeOf(nda.Op{}), state: fieldType(t, fsmSt, "Ops").Elem(),
 			carriedBy: map[string]string{
-				"Kind": "Tag", "Reads": "Tag", "Writes": "Tag", "Guard": "Tag", "Done": "Tag", "TotalReads": "Tag",
-				"operand": "Fetched", "inOperand": "Fetched",
+				"Kind": "Tag", "Guard": "Tag", "Done": "Tag",
+				"Reads": "Fetched", "operand": "Fetched", "inOperand": "Fetched", "Writes": "Emitted",
 			}},
 		{live: reflect.TypeOf(ndart.Runtime{}), state: reflect.TypeOf(ndart.RuntimeState{}),
 			carriedBy: map[string]string{"pendingLaunches": "Launches", "Launches": "NLaunches"},

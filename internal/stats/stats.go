@@ -66,17 +66,12 @@ func bucketOf(gap int64) IdleBucket {
 type IdleHist struct {
 	Cycles  [NumIdleBuckets]int64 // raw per-bucket cycle counts
 	BusyEnd int64                 // end of the latest busy interval seen
-	Started bool
 }
 
 // MarkBusy records that the rank was busy during [from, to).
 func (h *IdleHist) MarkBusy(from, to int64) {
 	if to <= from {
 		return
-	}
-	if !h.Started {
-		h.Started = true
-		h.BusyEnd = 0
 	}
 	if from > h.BusyEnd {
 		gap := from - h.BusyEnd
